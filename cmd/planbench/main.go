@@ -1,9 +1,11 @@
 // Command planbench benchmarks the planner search — serial vs parallel, plus
 // straggler-driven replanning — on the paper's GPT-3 configuration and writes
 // the machine-readable record to BENCH_planner.json (`make bench`; CI uploads
-// it as an artifact). The report carries ns/op for both modes, the measured
-// parallel speedup, and the search-effort counters (knapsack runs, iso-cache
-// hit rate) so a wall-time regression can be traced to the work behind it.
+// it as an artifact). The suite runs once at GOMAXPROCS=1 and once at the
+// host's CPU count, one report each, naming its setting. A report carries
+// ns/op for both modes, the measured parallel speedup, and the search-effort
+// counters (knapsack runs, iso-cache hit rate) so a wall-time regression can
+// be traced to the work behind it.
 package main
 
 import (
@@ -11,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -156,6 +159,7 @@ func benchSweep(workers int, warm bool) (testing.BenchmarkResult, error) {
 // of history is not a regression.
 func checkBaseline(baseline obs.BenchReport, report obs.BenchReport, tolerance float64) error {
 	check := func(name string, base, got int64) error {
+		name = fmt.Sprintf("GOMAXPROCS=%d %s", report.GoMaxProcs, name)
 		if base <= 0 {
 			fmt.Printf("planbench: baseline has no %s, skipping that gate\n", name)
 			return nil
@@ -188,71 +192,42 @@ func run(name string, r testing.BenchmarkResult) obs.BenchRun {
 	}
 }
 
-func main() {
-	workers := flag.Int("workers", 8, "worker-pool size of the parallel runs")
-	out := flag.String("o", "BENCH_planner.json", "output path for the JSON report")
-	baselinePath := flag.String("baseline", "", "previous BENCH_planner.json to gate replan latency against (empty disables the gate)")
-	tolerance := flag.Float64("tolerance", 0.25, "allowed relative replan regression vs the baseline")
-	flag.Parse()
-
-	// Read the baseline before benchmarking: -o and -baseline usually name
-	// the same file, and the report write must not clobber the history it is
-	// being compared against.
-	var baseline obs.BenchReport
-	haveBaseline := false
-	if *baselinePath != "" {
-		b, err := obs.ReadBenchJSON(*baselinePath)
-		switch {
-		case err == nil:
-			baseline, haveBaseline = b, true
-		case os.IsNotExist(err):
-			fmt.Printf("planbench: no baseline at %s, skipping the regression gate\n", *baselinePath)
-		default:
-			fmt.Fprintln(os.Stderr, "planbench:", err)
-			os.Exit(1)
-		}
-	}
-
+// measure runs the whole suite under the current GOMAXPROCS setting and
+// reports it, naming that setting.
+func measure(workers int) (obs.BenchReport, error) {
 	serial := benchSearch(1)
-	par := benchSearch(*workers)
-	replan, err := benchReplan(*workers, false)
+	par := benchSearch(workers)
+	replan, err := benchReplan(workers, false)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "planbench:", err)
-		os.Exit(1)
+		return obs.BenchReport{}, err
 	}
-	replanInc, err := benchReplan(*workers, true)
+	replanInc, err := benchReplan(workers, true)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "planbench:", err)
-		os.Exit(1)
+		return obs.BenchReport{}, err
 	}
-	sweepCold, err := benchSweep(*workers, false)
+	sweepCold, err := benchSweep(workers, false)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "planbench:", err)
-		os.Exit(1)
+		return obs.BenchReport{}, err
 	}
-	sweepWarm, err := benchSweep(*workers, true)
+	sweepWarm, err := benchSweep(workers, true)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "planbench:", err)
-		os.Exit(1)
+		return obs.BenchReport{}, err
 	}
 	points := int64(len(sweepGrid))
 
 	// One instrumented search ties the wall times to the work they bought.
-	pl, err := gptPlanner(*workers)
+	pl, err := gptPlanner(workers)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "planbench:", err)
-		os.Exit(1)
+		return obs.BenchReport{}, err
 	}
 	if _, err := pl.Plan(); err != nil {
-		fmt.Fprintln(os.Stderr, "planbench:", err)
-		os.Exit(1)
+		return obs.BenchReport{}, err
 	}
-
-	report := obs.BenchReport{
+	return obs.BenchReport{
 		Model:                    "GPT-3 175B",
 		Shape:                    fmt.Sprintf("L=%d p=8 n=%d", pl.LayerCount(), pl.MicroBatches()),
 		GoMaxProcs:               runtime.GOMAXPROCS(0),
-		Workers:                  *workers,
+		Workers:                  workers,
 		SpeedupParallel:          float64(serial.NsPerOp()) / float64(par.NsPerOp()),
 		ReplanNsPerOp:            replan.NsPerOp(),
 		ReplanIncrementalNsPerOp: replanInc.NsPerOp(),
@@ -264,27 +239,80 @@ func main() {
 		CacheHitRate:             pl.Stats.CacheHitRate(),
 		Runs: []obs.BenchRun{
 			run("PlanSearch/serial", serial),
-			run(fmt.Sprintf("PlanSearch/parallel-%d", *workers), par),
+			run(fmt.Sprintf("PlanSearch/parallel-%d", workers), par),
 			run("ReplanWithScale", replan),
 			run("ReplanIncremental", replanInc),
 			run(fmt.Sprintf("SweepGrid/cold-%dpt", points), sweepCold),
 			run(fmt.Sprintf("SweepGrid/warm-%dpt", points), sweepWarm),
 		},
+	}, nil
+}
+
+func main() {
+	workers := flag.Int("workers", 8, "worker-pool size of the parallel runs")
+	out := flag.String("o", "BENCH_planner.json", "output path for the JSON report")
+	baselinePath := flag.String("baseline", "", "previous BENCH_planner.json to gate replan latency against (empty disables the gate)")
+	tolerance := flag.Float64("tolerance", 0.25, "allowed relative replan regression vs the baseline")
+	flag.Parse()
+
+	// Read the baseline before benchmarking: -o and -baseline usually name
+	// the same file, and the report write must not clobber the history it is
+	// being compared against.
+	var baselines []obs.BenchReport
+	if *baselinePath != "" {
+		b, err := obs.ReadBenchJSON(*baselinePath)
+		switch {
+		case err == nil:
+			baselines = b
+		case os.IsNotExist(err):
+			fmt.Printf("planbench: no baseline at %s, skipping the regression gate\n", *baselinePath)
+		default:
+			fmt.Fprintln(os.Stderr, "planbench:", err)
+			os.Exit(1)
+		}
 	}
-	if err := obs.WriteBenchJSON(*out, report); err != nil {
+
+	// The whole suite runs once on one CPU — where a worker pool can only
+	// cost, and the figures compare across hosts — and once on every CPU the
+	// host has, where the parallel figures mean something. Each report names
+	// its setting.
+	settings := []int{1}
+	if n := runtime.NumCPU(); n > 1 {
+		settings = append(settings, n)
+	}
+	var reports []obs.BenchReport
+	for _, procs := range settings {
+		runtime.GOMAXPROCS(procs)
+		report, err := measure(*workers)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "planbench:", err)
+			os.Exit(1)
+		}
+		reports = append(reports, report)
+		fmt.Printf("planbench: GOMAXPROCS=%d: serial %v/op, parallel(%d) %v/op, speedup %.2fx; replan cold %v/op, incremental %v/op (%.1fx)\n",
+			procs, time.Duration(report.Runs[0].NsPerOp), *workers, time.Duration(report.Runs[1].NsPerOp),
+			report.SpeedupParallel, time.Duration(report.ReplanNsPerOp),
+			time.Duration(report.ReplanIncrementalNsPerOp), report.SpeedupReplanIncremental)
+		fmt.Printf("planbench: GOMAXPROCS=%d: %d-point sweep cold %v/point, store-warm %v/point (%.1fx amortization)\n",
+			procs, len(sweepGrid), time.Duration(report.SweepColdNsPerPoint), time.Duration(report.SweepWarmNsPerPoint),
+			report.SpeedupSweepWarm)
+	}
+	if err := obs.WriteBenchJSON(*out, reports); err != nil {
 		fmt.Fprintln(os.Stderr, "planbench:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("planbench: serial %v/op, parallel(%d) %v/op, speedup %.2fx on %d CPUs; replan cold %v/op, incremental %v/op (%.1fx)\n",
-		time.Duration(serial.NsPerOp()), *workers, time.Duration(par.NsPerOp()),
-		report.SpeedupParallel, report.GoMaxProcs, time.Duration(replan.NsPerOp()),
-		time.Duration(replanInc.NsPerOp()), report.SpeedupReplanIncremental)
-	fmt.Printf("planbench: %d-point sweep cold %v/point, store-warm %v/point (%.1fx amortization)\n",
-		points, time.Duration(report.SweepColdNsPerPoint), time.Duration(report.SweepWarmNsPerPoint),
-		report.SpeedupSweepWarm)
 	fmt.Printf("planbench: wrote %s\n", *out)
-	if haveBaseline {
-		if err := checkBaseline(baseline, report, *tolerance); err != nil {
+
+	// Gate each report against the baseline taken under the same setting.
+	for _, report := range reports {
+		at := slices.IndexFunc(baselines, func(b obs.BenchReport) bool { return b.GoMaxProcs == report.GoMaxProcs })
+		if at < 0 {
+			if *baselinePath != "" {
+				fmt.Printf("planbench: no baseline at GOMAXPROCS=%d, skipping that gate\n", report.GoMaxProcs)
+			}
+			continue
+		}
+		if err := checkBaseline(baselines[at], report, *tolerance); err != nil {
 			fmt.Fprintln(os.Stderr, "planbench:", err)
 			os.Exit(1)
 		}

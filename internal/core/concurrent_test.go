@@ -2,9 +2,14 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"adapipe/internal/coststore"
 )
 
 // TestPlannerConcurrent hammers one shared planner from many goroutines — the
@@ -91,6 +96,105 @@ func TestPlannerConcurrentWithReplanning(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// gatedSource is a slow CostSource: its first compute parks inside the source
+// until release is closed, and it records how many computes were ever in
+// flight at once.
+type gatedSource struct {
+	entered  chan struct{} // closed when the first compute is parked
+	release  chan struct{}
+	calls    atomic.Int32
+	inFlight atomic.Int32
+	peak     atomic.Int32
+}
+
+func (g *gatedSource) GetOrCompute(_ coststore.Key, compute func() coststore.Entry) (coststore.Entry, coststore.Disposition) {
+	n := g.inFlight.Add(1)
+	defer g.inFlight.Add(-1)
+	for {
+		peak := g.peak.Load()
+		if n <= peak || g.peak.CompareAndSwap(peak, n) {
+			break
+		}
+	}
+	if g.calls.Add(1) == 1 {
+		close(g.entered)
+		<-g.release
+	}
+	return compute(), coststore.Computed
+}
+
+// TestConcurrentColdSearchesOverlapSolves pins the lock story of the miss
+// path: a cold search parked inside a slow cost source holds no planner
+// lock. While it is parked, the planner's bookkeeping stays reachable, a
+// lookup of another class solves concurrently (two computes in flight), and a
+// second cold PlanContext on the same planner gets past its claim and parks
+// only on the one class in flight — it shares that solve rather than
+// repeating it. Once released, both searches must produce the bytes of an
+// undisturbed planner. (When the planner mutex was held across GetOrCompute,
+// the first probe below never returned.)
+func TestConcurrentColdSearchesOverlapSolves(t *testing.T) {
+	clean, err := tinyPlanner(t, 6, 4, 8, 0.15, PartitionAdaptive, 1).Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	pl := tinyPlanner(t, 6, 4, 8, 0.15, PartitionAdaptive, 1)
+	src := &gatedSource{entered: make(chan struct{}), release: make(chan struct{})}
+	if err := pl.SetCostSource(src); err != nil {
+		t.Fatal(err)
+	}
+	plans := make([][]byte, 2)
+	var wg sync.WaitGroup
+	search := func(g int) {
+		defer wg.Done()
+		p, err := pl.PlanContext(context.Background())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if plans[g], err = json.Marshal(p); err != nil {
+			t.Error(err)
+		}
+	}
+	wg.Add(1)
+	go search(0)
+	<-src.entered
+
+	// The first search is now parked inside the source, mid-solve.
+	probed := make(chan struct{})
+	go func() {
+		defer close(probed)
+		pl.StatsSnapshot()
+		// Stage 0 of layers 0..1 is not the class the search is solving
+		// (its DP starts at the last stage), so this is a second solve.
+		if _, _, ok := pl.CostFor(0, 0, 1); !ok {
+			t.Error(errTestInfeasible)
+		}
+	}()
+	select {
+	case <-probed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("planner unreachable while a search is parked in its cost source: a lock is held across the solve")
+	}
+	if peak := src.peak.Load(); peak < 2 {
+		t.Errorf("peak concurrent solves = %d, want >= 2", peak)
+	}
+
+	wg.Add(1)
+	go search(1)
+	close(src.release)
+	wg.Wait()
+	for g, got := range plans {
+		if !bytes.Equal(got, want) {
+			t.Errorf("search %d diverged from the undisturbed plan:\n%s\nvs\n%s", g, got, want)
+		}
+	}
 }
 
 var errTestInfeasible = errInfeasibleSentinel{}

@@ -12,7 +12,7 @@ import (
 )
 
 // CostSource is a shared backend for solved stage costs: the planner
-// consults it on iso-cache misses and publishes its own solves into it, so
+// consults it on cost-table misses and publishes its own solves into it, so
 // every planner a process constructs for the same model family amortizes the
 // per-(stage, iso-class) knapsacks across requests instead of within one
 // search only. *coststore.Store implements it; tests substitute scripted
@@ -76,23 +76,28 @@ func (pl *Planner) familyFingerprint() ([]byte, error) {
 	return sum[:], nil
 }
 
-// storeKeyFor derives the content address of one iso-class entry: SHA-256
-// over the 32-byte family prefix followed by the little-endian key
-// coordinates. With isomorphism enabled the coordinates are (stage, length,
-// kind·2+ends); with it disabled they are the raw (s, i, j) — the flag is
-// part of the family fingerprint, so the two keying schemes never collide.
-func storeKeyFor(family []byte, key costKey) coststore.Key {
+// storeKey derives the content address of the class of layers i..j at stage
+// s: SHA-256 over the 32-byte family prefix followed by the little-endian
+// class coordinates. With isomorphism enabled the coordinates are (stage,
+// length, kind·2+ends); with it disabled they are the raw (s, i, j) — the
+// flag is part of the family fingerprint, so the two keying schemes never
+// collide.
+func (pl *Planner) storeKey(family []byte, s, i, j int) coststore.Key {
+	if !pl.opts.DisableIsomorphism {
+		i, j = j-i+1, pl.table.shapeIndex(i, j)%isoKindSlots
+	}
 	var buf [32 + 3*8]byte
 	copy(buf[:32], family)
-	binary.LittleEndian.PutUint64(buf[32:], uint64(int64(key.s)))
-	binary.LittleEndian.PutUint64(buf[40:], uint64(int64(key.i)))
-	binary.LittleEndian.PutUint64(buf[48:], uint64(int64(key.j)))
+	binary.LittleEndian.PutUint64(buf[32:], uint64(int64(s)))
+	binary.LittleEndian.PutUint64(buf[40:], uint64(int64(i)))
+	binary.LittleEndian.PutUint64(buf[48:], uint64(int64(j)))
 	return coststore.Key(sha256.Sum256(buf[:]))
 }
 
-// SetCostSource attaches a shared cost source. The planner keeps its private
-// iso-cache as a first-level cache (no hashing on the hot path) and consults
-// the source only on local misses, publishing its own solves back. Call it
+// SetCostSource attaches a shared cost source. The planner's cost table stays
+// in front of it (no hashing on the hot path): the source is consulted only
+// for a class missing from the table that passed the static-memory gate, and
+// the planner publishes its own solves back. Call it
 // before the first Plan/PlanContext; a nil source detaches. The returned
 // error (a failed family fingerprint) leaves the planner detached and is
 // safe to ignore — an unattached planner just solves privately.
@@ -112,14 +117,4 @@ func (pl *Planner) SetCostSource(src CostSource) error {
 	}
 	pl.source = src
 	return nil
-}
-
-// entryFromCost converts a solved stage cost into its shareable store form.
-func entryFromCost(c stageCost) coststore.Entry {
-	return coststore.Entry{Fwd: c.fwd, Bwd: c.bwd, Sol: c.sol, Mem: c.mem, OK: c.ok}
-}
-
-// costFromEntry is the inverse of entryFromCost.
-func costFromEntry(e coststore.Entry) stageCost {
-	return stageCost{fwd: e.Fwd, bwd: e.Bwd, sol: e.Sol, mem: e.Mem, ok: e.OK}
 }

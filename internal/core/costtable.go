@@ -1,0 +1,317 @@
+package core
+
+import (
+	"sort"
+	"sync"
+	"sync/atomic"
+
+	"adapipe/internal/coststore"
+	"adapipe/internal/memory"
+	"adapipe/internal/model"
+	"adapipe/internal/profile"
+	"adapipe/internal/recompute"
+)
+
+// The planner's cost table (DESIGN §4e). One dense array, indexed by
+// (stage, isomorphism class), is at once the §5.3 isomorphic-range cache, the
+// working set the partition DP reads, the input of the incremental replanner
+// and the front of the shared cost store. Beside it sit the per-class shape
+// table and the knapsack group templates, built once at construction, that
+// make everything around a knapsack solve O(1) per class: a search walks a
+// layer range only inside the knapsack itself, never to re-sum its static
+// bytes, parameters or forward/backward time. Construction is O(L) shape
+// work plus an O(pL) zeroed allocation; with DisableIsomorphism every raw
+// (s, i, j) range is its own class and the entry array grows to O(pL²), the
+// shapes stay O(L).
+
+// numKinds is the number of layer kinds; isoKindSlots the size of the class
+// code axis, which packs firstKind*2 + endsWithHead.
+const (
+	numKinds     = int(model.Head) + 1
+	isoKindSlots = 2 * numKinds
+)
+
+// Entry states. An entry moves absent → solving → (infeasible | feasible)
+// exactly once; a statically infeasible class skips solving. The two final
+// states order after the transient ones so "published" is one comparison.
+const (
+	costAbsent uint32 = iota
+	costSolving
+	costInfeasible
+	costFeasible
+)
+
+// costEntry is the hot half of a table entry — all the partition DP reads.
+// fwd and bwd are nominal (unscaled) and are written once, before state is
+// stored as published; a reader that loaded a published state therefore
+// reads them without further synchronization.
+type costEntry struct {
+	fwd, bwd float64
+	state    atomic.Uint32
+}
+
+// classShape is what a stage cost needs to know about the layers of one
+// isomorphism class, independent of the stage that runs them. The float
+// fields are accumulated left to right over the class's layer sequence, so
+// they carry exactly the bits a sequential sum over any range of the class
+// produces.
+type classShape struct {
+	counts [numKinds]int32
+	params int64
+	// static is the Const of §4.2 for the class (SavedPerMicro and InFlight
+	// are per stage and stay zero here).
+	static   memory.Breakdown
+	fwd, bwd float64
+	// replay is the forward time of the class's decoder layers — what
+	// classic full recomputation re-executes in the backward pass.
+	replay float64
+}
+
+// groupTemplate is one knapsack group with its Count left to the class.
+type groupTemplate struct {
+	group recompute.Group
+	kind  model.LayerKind
+}
+
+// stageSolver is one worker's solve scratch: the knapsack arena and the
+// group list handed to it.
+type stageSolver struct {
+	knap   recompute.Solver
+	groups []recompute.Group
+}
+
+type costTable struct {
+	L   int
+	iso bool
+	// stride is the number of entries per stage.
+	stride int
+	// first[i] is the class code of a range starting at layer i, before the
+	// endsWithHead bit.
+	first  []int
+	shapes []classShape
+	// units is the number of computation units in a layer of each kind;
+	// keepUnits and keepBytes are how many of them, and how many activation
+	// bytes, a layer pins under the fixed recomputation policies (zero in
+	// the searched modes, which ask the knapsack instead).
+	units, keepUnits [numKinds]int
+	keepBytes        [numKinds]int64
+	templates        []groupTemplate
+
+	hot []costEntry
+	// solved is the cold half of the entries, set only for classes that
+	// were actually solved: the full cost, with the strategy and memory
+	// breakdown plan assembly needs.
+	solved []*coststore.Entry
+
+	// mu and published only park and wake searches waiting on an entry
+	// another search is solving; published entries are read lock-free.
+	mu        sync.Mutex
+	published *sync.Cond
+}
+
+// newCostTable builds the shape table and group templates for the planner's
+// immutable inputs and allocates the (empty) entry array.
+func newCostTable(pl *Planner) *costTable {
+	L := len(pl.layers)
+	t := &costTable{L: L, iso: !pl.opts.DisableIsomorphism, first: make([]int, L)}
+	t.published = sync.NewCond(&t.mu)
+	for i, l := range pl.layers {
+		t.first[i] = 2 * int(l.Kind)
+	}
+
+	var layer [numKinds]profile.LayerCost
+	var kindParams, kindBuffer [numKinds]int64
+	for k := range layer {
+		kind := model.LayerKind(k)
+		one := []model.Layer{{Kind: kind}}
+		layer[k] = pl.prof.Layers[kind]
+		kindParams[k] = pl.cfg.LayerParams(kind)
+		kindBuffer[k] = memory.RecomputeBuffer(pl.prof, one)
+		t.units[k] = len(layer[k].Units)
+		switch pl.opts.Recompute {
+		case RecomputeFull:
+			// Classic full recomputation keeps only each decoder block's
+			// input and replays the whole block; embedding and head keep
+			// everything.
+			t.keepBytes[k] = memory.SavedBoundary(pl.prof, one)
+			if kind != model.Attention && kind != model.FFN {
+				t.keepUnits[k] = t.units[k]
+			}
+		case RecomputeNone:
+			t.keepBytes[k] = memory.SavedAll(pl.prof, one)
+			t.keepUnits[k] = t.units[k]
+		}
+	}
+	extend := func(sh *classShape, kind model.LayerKind) {
+		buffer := sh.static.Buffer
+		if sh.counts[kind] == 0 {
+			// The buffer holds one layer of each decoder kind present.
+			buffer += kindBuffer[kind]
+		}
+		sh.counts[kind]++
+		sh.params += kindParams[kind]
+		sh.fwd += layer[kind].FwdTime
+		sh.bwd += layer[kind].BwdTime
+		if kind == model.Attention || kind == model.FFN {
+			sh.replay += layer[kind].FwdTime
+		}
+		sh.static = memory.Static(sh.params, buffer, pl.strat, pl.opts.Memory)
+	}
+
+	// Classes that stop short of the head: one left-to-right walk from the
+	// first layer of each kind covers every length.
+	t.shapes = make([]classShape, (L+1)*isoKindSlots)
+	var walked [numKinds]bool
+	for i0 := 0; i0 < L-1; i0++ {
+		if walked[pl.layers[i0].Kind] {
+			continue
+		}
+		walked[pl.layers[i0].Kind] = true
+		var sh classShape
+		for j := i0; j < L-1; j++ {
+			extend(&sh, pl.layers[j].Kind)
+			t.shapes[(j-i0+1)*isoKindSlots+t.first[i0]] = sh
+		}
+	}
+	// Classes that end with the head are the class one layer shorter (the
+	// zero shape for the head alone) extended by the head.
+	for i := 0; i < L; i++ {
+		n := L - i
+		sh := t.shapes[(n-1)*isoKindSlots+t.first[i]]
+		extend(&sh, pl.layers[L-1].Kind)
+		t.shapes[n*isoKindSlots+t.first[i]+1] = sh
+	}
+
+	for k := range layer {
+		kind := model.LayerKind(k)
+		var groups []recompute.Group
+		for _, uc := range layer[k].Units {
+			groups = append(groups, recompute.Group{
+				Key:         kind.String() + "/" + uc.Unit.Kind.String(),
+				FwdTime:     uc.FwdTime,
+				Bytes:       uc.SavedBytes,
+				AlwaysSaved: uc.Unit.AlwaysSaved,
+			})
+		}
+		recompute.SortGroups(groups)
+		if pl.opts.Recompute == RecomputeLayerLevel {
+			groups = coarsenToLayers(groups)
+		}
+		for _, g := range groups {
+			t.templates = append(t.templates, groupTemplate{group: g, kind: kind})
+		}
+	}
+	sort.Slice(t.templates, func(a, b int) bool { return t.templates[a].group.Key < t.templates[b].group.Key })
+
+	t.stride = len(t.shapes)
+	if !t.iso {
+		t.stride = L * L
+	}
+	t.hot = make([]costEntry, pl.strat.PP*t.stride)
+	t.solved = make([]*coststore.Entry, len(t.hot))
+	return t
+}
+
+// shapeIndex maps a layer range onto its isomorphism class (§5.3): ranges
+// with the same length, first-layer kind and head inclusion have identical
+// costs because transformer layers of one kind are homogeneous.
+func (t *costTable) shapeIndex(i, j int) int {
+	code := t.first[i]
+	if j == t.L-1 {
+		code++
+	}
+	return (j-i+1)*isoKindSlots + code
+}
+
+// index maps layers i..j run as stage s onto their table entry.
+func (t *costTable) index(s, i, j int) int {
+	if !t.iso {
+		return (s*t.L+i)*t.L + j
+	}
+	return s*t.stride + t.shapeIndex(i, j)
+}
+
+// groups instantiates the knapsack groups of a class into buf: the templates
+// of the kinds present, in key order, with the class's layer counts.
+func (t *costTable) groups(sh *classShape, buf []recompute.Group) []recompute.Group {
+	buf = buf[:0]
+	for k := range t.templates {
+		if c := sh.counts[t.templates[k].kind]; c > 0 {
+			g := t.templates[k].group
+			g.Count = int(c)
+			buf = append(buf, g)
+		}
+	}
+	return buf
+}
+
+// cost returns the full nominal stage cost of a published entry; a class
+// settled by the static gate alone has the zero cost.
+func (t *costTable) cost(idx int) coststore.Entry {
+	if c := t.solved[idx]; c != nil {
+		return *c
+	}
+	return coststore.Entry{}
+}
+
+// publish installs a solved cost into an entry the caller owns (it won the
+// absent → solving transition) and wakes any search parked on it.
+func (t *costTable) publish(idx int, c coststore.Entry) {
+	e := &t.hot[idx]
+	e.fwd, e.bwd = c.Fwd, c.Bwd
+	t.solved[idx] = &c
+	state := costInfeasible
+	if c.OK {
+		state = costFeasible
+	}
+	t.settle(e, state)
+}
+
+// settle ends an entry's solving state and wakes the searches parked on it.
+func (t *costTable) settle(e *costEntry, state uint32) {
+	e.state.Store(state)
+	t.mu.Lock()
+	t.published.Broadcast()
+	t.mu.Unlock()
+}
+
+// await parks until another search's in-flight solve of e settles and
+// returns the state it settled in — absent if that solve was abandoned.
+func (t *costTable) await(e *costEntry) uint32 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for e.state.Load() == costSolving {
+		t.published.Wait()
+	}
+	return e.state.Load()
+}
+
+// publishedAt counts stage s's published classes.
+func (t *costTable) publishedAt(s int) int {
+	n := 0
+	for k := s * t.stride; k < (s+1)*t.stride; k++ {
+		if t.hot[k].state.Load() >= costInfeasible {
+			n++
+		}
+	}
+	return n
+}
+
+// seedFrom copies every published entry of src — a table of the same shape
+// and cost family — into the still-private t and returns how many it copied.
+func (t *costTable) seedFrom(src *costTable) int {
+	n := 0
+	for k := range src.hot {
+		from := &src.hot[k]
+		state := from.state.Load()
+		if state < costInfeasible {
+			continue
+		}
+		to := &t.hot[k]
+		to.fwd, to.bwd = from.fwd, from.bwd
+		t.solved[k] = src.solved[k]
+		to.state.Store(state)
+		n++
+	}
+	return n
+}

@@ -1,0 +1,283 @@
+package core
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"reflect"
+	"testing"
+
+	"adapipe/internal/coststore"
+	"adapipe/internal/hardware"
+	"adapipe/internal/memory"
+	"adapipe/internal/model"
+	"adapipe/internal/parallel"
+	"adapipe/internal/recompute"
+)
+
+// referenceGroups converts a layer range into knapsack groups, one per
+// (layer-kind, unit-kind) pair present in the range, by counting the range —
+// what the planner did per solve before the group templates.
+func referenceGroups(pl *Planner, layers []model.Layer) []recompute.Group {
+	counts := map[model.LayerKind]int{}
+	for _, l := range layers {
+		counts[l.Kind]++
+	}
+	var groups []recompute.Group
+	for _, kind := range []model.LayerKind{model.Embedding, model.Attention, model.FFN, model.Head} {
+		c := counts[kind]
+		if c == 0 {
+			continue
+		}
+		for _, uc := range pl.prof.Layers[kind].Units {
+			groups = append(groups, recompute.Group{
+				Key:         kind.String() + "/" + uc.Unit.Kind.String(),
+				FwdTime:     uc.FwdTime,
+				Bytes:       uc.SavedBytes,
+				Count:       c,
+				AlwaysSaved: uc.Unit.AlwaysSaved,
+			})
+		}
+	}
+	recompute.SortGroups(groups)
+	return groups
+}
+
+// referenceStageCost is the oracle the cost table is held to: the nominal
+// cost of layers i..j at stage s derived from first principles — every sum
+// walked over the actual layer range through the public memory, profile and
+// recompute functions, no shape table, no templates, no caching.
+func referenceStageCost(pl *Planner, s, i, j int) coststore.Entry {
+	layers := pl.layers[i : j+1]
+	static := memory.StageStatic(pl.cfg, pl.prof, pl.strat, layers, pl.opts.Memory)
+	inFlight := memory.InFlight(pl.strat.PP, s)
+	fwd := pl.prof.RangeFwdTime(layers)
+	bwd := pl.prof.RangeBwdTime(layers)
+	capacity := pl.cluster.Device.MemCapacity
+	var input int64
+	if layers[0].Kind != model.Embedding {
+		input = pl.prof.CommBytes
+	}
+
+	switch pl.opts.Recompute {
+	case RecomputeFull:
+		var extra float64
+		sol := recompute.Solution{Feasible: true, Saved: map[string]int{}}
+		for _, l := range layers {
+			lc := pl.prof.Layers[l.Kind]
+			switch l.Kind {
+			case model.Attention, model.FFN:
+				extra += lc.FwdTime
+			default:
+				sol.SavedUnits += len(lc.Units)
+			}
+			sol.TotalUnits += len(lc.Units)
+		}
+		sol.SavedBytes = memory.SavedBoundary(pl.prof, layers) + input
+		br := memory.Stage(pl.cfg, pl.prof, pl.strat, layers, s, sol.SavedBytes, pl.opts.Memory)
+		ok := pl.opts.IgnoreMemoryLimit || br.Total() <= capacity
+		return coststore.Entry{Fwd: fwd, Bwd: bwd + extra, Sol: sol, Mem: br, OK: ok}
+
+	case RecomputeNone:
+		saved := memory.SavedAll(pl.prof, layers) + input
+		sol := recompute.Solution{Feasible: true, Saved: map[string]int{}, SavedBytes: saved}
+		for _, l := range layers {
+			sol.SavedUnits += len(pl.prof.Layers[l.Kind].Units)
+			sol.TotalUnits += len(pl.prof.Layers[l.Kind].Units)
+		}
+		br := memory.Stage(pl.cfg, pl.prof, pl.strat, layers, s, saved, pl.opts.Memory)
+		ok := pl.opts.IgnoreMemoryLimit || br.Total() <= capacity
+		return coststore.Entry{Fwd: fwd, Bwd: bwd, Sol: sol, Mem: br, OK: ok}
+
+	default: // RecomputeAdaptive, RecomputeLayerLevel
+		avail := pl.dpBudget() - static.Static()
+		if avail < 0 || inFlight == 0 {
+			return coststore.Entry{}
+		}
+		perMicro := avail/int64(inFlight) - input
+		if perMicro < 0 {
+			return coststore.Entry{}
+		}
+		groups := referenceGroups(pl, layers)
+		if pl.opts.Recompute == RecomputeLayerLevel {
+			groups = coarsenToLayers(groups)
+		}
+		sol := recompute.Optimize(groups, perMicro, recompute.Options{
+			Quantum:    pl.quantumFor(perMicro),
+			DisableGCD: pl.opts.DisableGCD,
+		})
+		if !sol.Feasible {
+			return coststore.Entry{Sol: sol}
+		}
+		sol.SavedBytes += input
+		br := memory.Stage(pl.cfg, pl.prof, pl.strat, layers, s, sol.SavedBytes, pl.opts.Memory)
+		extra := recompute.TotalOptionalTime(groups) - sol.SavedTime
+		return coststore.Entry{Fwd: fwd, Bwd: bwd + extra, Sol: sol, Mem: br, OK: true}
+	}
+}
+
+// checkAgainstReference resolves (s, i, j) through the cost table and
+// requires the result bit-equal to the oracle: forward/backward time,
+// feasibility, memory breakdown and the full recomputation strategy.
+func checkAgainstReference(t testing.TB, pl *Planner, s, i, j int) {
+	t.Helper()
+	idx, feasible, _ := pl.lookup(nil, s, i, j)
+	got, want := pl.table.cost(idx), referenceStageCost(pl, s, i, j)
+	switch {
+	case feasible != got.OK:
+		t.Fatalf("(%d,%d,%d): lookup says feasible=%v, entry says %v", s, i, j, feasible, got.OK)
+	case got.OK != want.OK:
+		t.Fatalf("(%d,%d,%d): ok = %v, reference %v", s, i, j, got.OK, want.OK)
+	case math.Float64bits(got.Fwd) != math.Float64bits(want.Fwd),
+		math.Float64bits(got.Bwd) != math.Float64bits(want.Bwd):
+		t.Fatalf("(%d,%d,%d): fwd/bwd = %x/%x, reference %x/%x", s, i, j,
+			math.Float64bits(got.Fwd), math.Float64bits(got.Bwd),
+			math.Float64bits(want.Fwd), math.Float64bits(want.Bwd))
+	case got.Mem != want.Mem:
+		t.Fatalf("(%d,%d,%d): Mem = %+v, reference %+v", s, i, j, got.Mem, want.Mem)
+	case !reflect.DeepEqual(got.Sol, want.Sol):
+		t.Fatalf("(%d,%d,%d): Recompute = %+v, reference %+v", s, i, j, got.Sol, want.Sol)
+	}
+}
+
+// referencePlanner builds a planner for the differential tests; reserve and
+// the option toggles choose how much of the table is statically infeasible,
+// knapsack-infeasible and feasible.
+func referencePlanner(t testing.TB, cfg model.Config, strat parallel.Strategy, seq int, mode RecomputeMode, noIso bool, reserve float64) *Planner {
+	t.Helper()
+	opts := DefaultOptions()
+	opts.Recompute = mode
+	opts.DisableIsomorphism = noIso
+	opts.MemoryReserve = reserve
+	pl, err := NewPlanner(cfg, hardware.ClusterA(), strat,
+		parallel.Config{GlobalBatch: 4 * strat.PP, MicroBatch: 1, SeqLen: seq}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl
+}
+
+var allRecomputeModes = []RecomputeMode{RecomputeAdaptive, RecomputeFull, RecomputeNone, RecomputeLayerLevel}
+
+// TestCostTableMatchesReference holds the dense cost table — shape tables,
+// group templates, static gate, publication — to the first-principles
+// oracle: every (s, i, j) on the small configs, a strided sample on GPT-3
+// and Llama-2, under all four recomputation modes with isomorphism on and
+// off. Each range is checked twice so both the solve and the published-entry
+// read are covered, and ranges of one class are visited from different
+// starts, so a shape that silently depended on its representative would show.
+func TestCostTableMatchesReference(t *testing.T) {
+	type cfg struct {
+		name   string
+		model  model.Config
+		strat  parallel.Strategy
+		seq    int
+		stride int
+	}
+	cases := []cfg{
+		{"tiny3_p2", model.Tiny(3), parallel.Strategy{TP: 1, PP: 2, DP: 1}, 2048, 1},
+		{"tiny6_p4", model.Tiny(6), parallel.Strategy{TP: 1, PP: 4, DP: 1}, 2048, 1},
+		{"gpt3_p8", model.GPT3_175B(), parallel.Strategy{TP: 8, PP: 8, DP: 1}, 16384, 17},
+		{"llama2_p8", model.Llama2_70B(), parallel.Strategy{TP: 8, PP: 8, DP: 1}, 16384, 13},
+	}
+	for _, c := range cases {
+		for _, mode := range allRecomputeModes {
+			for _, noIso := range []bool{false, true} {
+				c, mode, noIso := c, mode, noIso
+				t.Run(fmt.Sprintf("%s/%s/noiso=%v", c.name, mode, noIso), func(t *testing.T) {
+					pl := referencePlanner(t, c.model, c.strat, c.seq, mode, noIso, 0.15)
+					L := pl.LayerCount()
+					for pass := 0; pass < 2; pass++ {
+						n := 0
+						for s := 0; s < c.strat.PP; s++ {
+							for i := 0; i < L; i++ {
+								for j := i; j < L; j++ {
+									// The stride samples the big configs;
+									// ranges ending at the head are always in.
+									if n++; n%c.stride != 0 && j != L-1 {
+										continue
+									}
+									checkAgainstReference(t, pl, s, i, j)
+								}
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// FuzzCostTableVsReference drives the same bit-equality over fuzzed model
+// depth, pipeline shape, sequence length, memory reserve, mode and range.
+func FuzzCostTableVsReference(f *testing.F) {
+	f.Add(uint8(3), uint8(2), uint16(2048), uint8(15), uint8(0), false, uint8(0), uint16(0), uint16(3))
+	f.Add(uint8(6), uint8(4), uint16(4096), uint8(60), uint8(3), true, uint8(2), uint16(1), uint16(9))
+	f.Add(uint8(9), uint8(3), uint16(1024), uint8(90), uint8(1), false, uint8(1), uint16(4), uint16(19))
+	f.Fuzz(func(t *testing.T, decoders, pp uint8, seq uint16, reservePct, mode uint8, noIso bool, s uint8, i, j uint16) {
+		d := 1 + int(decoders)%12
+		L := 2*d + 2
+		p := 1 + int(pp)%4
+		pl := referencePlanner(t, model.Tiny(d), parallel.Strategy{TP: 1, PP: p, DP: 1},
+			256+int(seq)%8192, allRecomputeModes[int(mode)%len(allRecomputeModes)], noIso, float64(reservePct%100)/100)
+		lo, hi := int(i)%L, int(j)%L
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		// The fuzzed range, then every range of the same stage sharing its
+		// start or its end: neighbours of one class must agree with the
+		// oracle whichever of them is solved first.
+		checkAgainstReference(t, pl, int(s)%p, lo, hi)
+		for k := 0; k < L; k++ {
+			if k <= hi {
+				checkAgainstReference(t, pl, int(s)%p, k, hi)
+			}
+			if k >= lo {
+				checkAgainstReference(t, pl, int(s)%p, lo, k)
+			}
+		}
+	})
+}
+
+// panicOnceSource is a CostSource whose first compute panics.
+type panicOnceSource struct{ calls int }
+
+func (p *panicOnceSource) GetOrCompute(_ coststore.Key, compute func() coststore.Entry) (coststore.Entry, coststore.Disposition) {
+	if p.calls++; p.calls == 1 {
+		panic("scripted source failure")
+	}
+	return compute(), coststore.Computed
+}
+
+// TestSolvePanicLeavesTableUsable checks that a solve which panics does not
+// strand its entry in the solving state: the next search must claim the
+// class afresh (rather than park on it forever) and plan as if nothing
+// happened.
+func TestSolvePanicLeavesTableUsable(t *testing.T) {
+	want, err := tinyPlanner(t, 6, 4, 8, 0.15, PartitionAdaptive, 1).Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := tinyPlanner(t, 6, 4, 8, 0.15, PartitionAdaptive, 1)
+	if err := pl.SetCostSource(&panicOnceSource{}); err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("scripted panic did not propagate out of Plan")
+			}
+		}()
+		_, _ = pl.Plan()
+	}()
+	got, err := pl.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, _ := json.Marshal(want)
+	gotJSON, _ := json.Marshal(got)
+	if !bytes.Equal(wantJSON, gotJSON) {
+		t.Fatalf("plan after a panicked solve diverged:\nwant %s\ngot  %s", wantJSON, gotJSON)
+	}
+}

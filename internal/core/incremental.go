@@ -1,35 +1,18 @@
 package core
 
 import (
-	"context"
 	"math"
 
-	"adapipe/internal/model"
-	"adapipe/internal/obs"
 	"adapipe/internal/partition"
 )
 
 // The incremental replanning fast path (DESIGN §4i). A straggler repricing
-// changes only the per-stage scale vector; the nominal iso-cache stays
+// changes only the per-stage scale vector; the nominal cost table stays
 // valid, and the suffix partition DP only needs to recompute the levels at
 // or below the highest rescaled stage. claimWarmStart checks the previous
-// search's DP memo out of the planner together with a dense, scale-applied
-// snapshot of the iso-cache, so the warm-started solve runs entirely
-// lock-free and allocation-light; PlanContext reinstalls the revalidated
-// memo on success.
-
-// isoKindSlots is the size of the isoKey kind/ends axis: the key packs
-// firstKind*2 + endsWithHead, so every layer kind contributes two slots.
-const isoKindSlots = 2 * (int(model.Head) + 1)
-
-// denseEntry is one entry of the scale-applied stage-cost snapshot the
-// incremental fast path hands the partition DP: forward/backward times with
-// the claimed scale already multiplied in, plus feasibility and presence.
-type denseEntry struct {
-	fwd, bwd float64
-	ok       bool
-	present  bool
-}
+// search's DP memo out of the planner; the warm-started solve then reads the
+// same lock-free table a cold search does, applying the claimed scale as it
+// goes, and PlanContext reinstalls the revalidated memo on success.
 
 // warmStart is everything the incremental fast path checks out of the
 // planner under one lock acquisition.
@@ -42,22 +25,13 @@ type warmStart struct {
 	// mode; nil entries mean the mode does not use that table.
 	memo  *partition.Memo
 	exact *partition.ExactMemo
-	// dense is the scale-applied iso-cache snapshot, indexed by denseIndex.
-	dense []denseEntry
 	// stale is the highest stage whose scale differs from the memo's
 	// (−1 when none do: the solve is pure reassembly).
 	stale int
-	// invalidated counts the iso-cache classes on rescaled stages.
+	// invalidated counts the published classes on rescaled stages.
 	invalidated int
 	// ok reports whether the fast path is usable for this search.
 	ok bool
-}
-
-// denseIndex flattens an isomorphism-class key into the dense snapshot:
-// the key's i field is the range length (1..L) and its j field the packed
-// kind/ends code (0..isoKindSlots−1).
-func denseIndex(key costKey, L int) int {
-	return (key.s*(L+1)+key.i)*isoKindSlots + key.j
 }
 
 // scaleAt reads a stage-scale vector that may be nil (nominal = all ones).
@@ -90,16 +64,14 @@ func maxStaleStage(cur, old []float64, p int) int {
 }
 
 // claimWarmStart snapshots the stage scale and, when the planner holds a
-// completed DP memo for the active partition mode, checks the memo out
-// together with a dense scale-applied snapshot of the iso-cache. Checking
-// the memo out (leaving the field nil) serializes warm-started solves
+// completed DP memo for the active partition mode, checks the memo out.
+// Checking it out (leaving the field nil) serializes warm-started solves
 // without holding mu across the DP: a second concurrent search finds no
 // memo and runs the cold path, which is merely slower, never wrong.
 //
 // The fast path requires the isomorphism cache: with it, the set of cost
 // evaluations the DP makes is scale-independent, so every class a
-// warm-started recompute touches was already cached by the memo-building
-// run and the snapshot is (almost always) complete.
+// warm-started recompute touches was published by the memo-building run.
 func (pl *Planner) claimWarmStart() warmStart {
 	L := len(pl.layers)
 	p := pl.strat.PP
@@ -127,57 +99,13 @@ func (pl *Planner) claimWarmStart() warmStart {
 		pl.partMemo = nil
 	}
 	ws.stale = maxStaleStage(ws.scale, pl.memoScale, p)
-
-	size := p * (L + 1) * isoKindSlots
-	if cap(pl.dense) < size {
-		pl.dense = make([]denseEntry, size)
-	} else {
-		pl.dense = pl.dense[:size]
-		clear(pl.dense)
-	}
-	ws.dense = pl.dense
-	pl.dense = nil
-	//adapipevet:ignore maporder each cache key maps to a distinct dense index, so the iteration order of the writes cannot affect the snapshot
-	for k, c := range pl.cache {
-		if scaleChanged(ws.scale, pl.memoScale, k.s) {
-			ws.invalidated++
+	for s := 0; s <= ws.stale; s++ {
+		if scaleChanged(ws.scale, pl.memoScale, s) {
+			ws.invalidated += pl.table.publishedAt(s)
 		}
-		e := denseEntry{fwd: c.fwd, bwd: c.bwd, ok: c.ok, present: true}
-		if ws.scale != nil {
-			e.fwd *= ws.scale[k.s]
-			e.bwd *= ws.scale[k.s]
-		}
-		ws.dense[denseIndex(k, L)] = e
 	}
 	ws.ok = true
 	return ws
-}
-
-// denseCostFn returns the partition CostFn of the incremental fast path: a
-// lock-free lookup into the dense snapshot, falling back to the locked
-// nominal cache for the rare range the snapshot missed. The fallback
-// applies the claimed scale snapshot — never the live pl.scale — so one
-// solve sees one consistent repricing even if SetStageScale races it.
-func (pl *Planner) denseCostFn(ctx context.Context, tr *obs.Tracer, ws *warmStart) partition.CostFn {
-	L := len(pl.layers)
-	return func(s, i, j int) (float64, float64, bool) {
-		// A cancelled context turns every remaining cost lookup into an
-		// immediate "infeasible" so the DP unwinds quickly; the partial
-		// solve is discarded and the memo self-invalidates.
-		if ctx.Err() != nil {
-			return 0, 0, false
-		}
-		if e := ws.dense[denseIndex(pl.isoKey(s, i, j), L)]; e.present {
-			return e.fwd, e.bwd, e.ok
-		}
-		c := pl.stageCostNominal(tr, s, i, j)
-		f, b := c.fwd, c.bwd
-		if ws.scale != nil {
-			f *= ws.scale[s]
-			b *= ws.scale[s]
-		}
-		return f, b, c.ok
-	}
 }
 
 // ResetIncremental drops the planner's warm-start state — the partition DP

@@ -2,12 +2,9 @@ package core
 
 import (
 	"context"
-	"time"
 
-	"adapipe/internal/coststore"
 	"adapipe/internal/obs"
 	"adapipe/internal/pool"
-	"adapipe/internal/recompute"
 )
 
 // workerCount resolves the Options.Workers knob: values <= 1 select the
@@ -19,58 +16,62 @@ func (pl *Planner) workerCount() int {
 	return pl.opts.Workers
 }
 
-// prefillTask is one representative (s, i, j) range for a distinct
-// isomorphism class the partition DP may evaluate.
+// prefillTask is one unpublished class the partition DP may evaluate, by a
+// representative (s, i, j) range, that passed the static-memory gate.
 type prefillTask struct {
-	key     costKey
-	s, i, j int
+	idx, s, i, j int
+	perMicro     int64
 }
 
 // prefillCosts solves every stage cost the partition DP can touch, fanned
-// across the worker pool, and merges the results into the isomorphic-range
-// cache. This is the parallel heart of the search: the per-(stage,
-// iso-class) knapsack solves are mutually independent, so they are the part
-// worth parallelizing — the DP itself then runs against a warm cache where
-// every lookup is a hit.
+// across the worker pool, publishing each into the cost table as it
+// completes, and returns how many classes it resolved. This is the parallel
+// heart of the search: the per-(stage, iso-class) knapsack solves are
+// mutually independent, so they are the part worth parallelizing — the DP
+// itself then runs against a table where every lookup is a hit.
 //
-// Determinism: the task list is enumerated in a fixed order, each task's
-// solve is a pure function of immutable planner state, results are keyed by
-// task index, and the merge walks the task list in index order after all
-// workers have joined. Per-worker counters (SearchStats shards, busy time)
-// are merged in worker order; all are commutative sums. Nothing observable
-// depends on which worker ran which task, so the produced plans are
-// byte-identical to the serial search (TestParallelPlanMatchesSerial).
+// The domain is enumerated by class, not by range — O(pL) with isomorphism:
+// the last stage takes a suffix (one class per start), and any earlier stage
+// s ends by layer L−p+s, where one start per first-layer kind represents
+// every range of that kind and length. Without isomorphism every range is its
+// own class. Statically infeasible classes are settled during the
+// enumeration and never become tasks.
+//
+// Determinism: each task's solve is a pure function of immutable planner
+// state and lands in the entry its class owns, so nothing observable depends
+// on which worker ran which task or in what order; per-worker counters are
+// commutative sums. The produced plans are byte-identical to the serial
+// search (TestParallelPlanMatchesSerial).
 //
 // The enumerated domain is a superset of what the lazy serial search touches
 // (the serial DP skips ranges whose successor state is infeasible), so
 // parallel SearchStats may count somewhat more knapsack runs than serial —
 // the plan, however, never differs.
 //
-// Cancellation: when ctx is done the workers stop pulling tasks, only the
-// tasks that actually completed are merged into the cache (a half-run prefill
-// must never poison it with zero-valued entries), and the context error is
-// returned so PlanContext can abandon the search.
-func (pl *Planner) prefillCosts(ctx context.Context, workers int) error {
+// Cancellation: when ctx is done the workers stop pulling tasks; the tasks
+// that never ran leave their entries absent (a worker claims an entry only
+// when it starts on it), and the context error is returned so PlanContext can
+// abandon the search.
+func (pl *Planner) prefillCosts(ctx context.Context, workers int) (resolved int, err error) {
 	L := len(pl.layers)
 	p := pl.strat.PP
+	t := pl.table
 
-	// Enumerate one representative per missing iso class, under the lock
-	// (map reads of pl.cache); the scan itself is cheap relative to solves.
 	var tasks []prefillTask
-	var solvers []*recompute.Solver
-	pl.mu.Lock()
-	src, family := pl.source, pl.family
-	seen := make(map[costKey]bool, len(pl.cache))
 	add := func(s, i, j int) {
-		key := pl.isoKey(s, i, j)
-		if seen[key] {
+		idx := t.index(s, i, j)
+		e := &t.hot[idx]
+		if e.state.Load() != costAbsent {
 			return
 		}
-		seen[key] = true
-		if _, cached := pl.cache[key]; cached {
+		perMicro, fits := pl.microBudget(s, i, j)
+		if !fits {
+			if e.state.CompareAndSwap(costAbsent, costInfeasible) {
+				resolved++
+			}
 			return
 		}
-		tasks = append(tasks, prefillTask{key: key, s: s, i: i, j: j})
+		tasks = append(tasks, prefillTask{idx: idx, s: s, i: i, j: j, perMicro: perMicro})
 	}
 	// Base level: the last stage takes everything that remains.
 	for i := 0; i < L; i++ {
@@ -78,111 +79,58 @@ func (pl *Planner) prefillCosts(ctx context.Context, workers int) error {
 	}
 	// Upper levels: stage s may cover [i, j] with i <= j <= L-p+s so every
 	// later stage keeps at least one layer.
-	for s := p - 2; s >= 0; s-- {
-		for i := 0; i <= L-p+s; i++ {
+	var seen [numKinds]bool
+	for i := 0; i < L; i++ {
+		if t.iso {
+			if seen[pl.layers[i].Kind] {
+				continue
+			}
+			seen[pl.layers[i].Kind] = true
+		}
+		for s := p - 2; s >= 0; s-- {
 			for j := i; j <= L-p+s; j++ {
 				add(s, i, j)
 			}
 		}
 	}
-	if len(tasks) > 0 {
-		// Borrow the per-worker knapsack solvers from the planner's pool
-		// while the lock is still held; their scratch arenas survive across
-		// Plan calls, so repeat searches on one planner stop paying the
-		// per-request arena rebuild. The borrowed solvers are exclusively
-		// owned until the merge parks them back on the pool.
-		workers = pool.Clamp(workers, len(tasks))
-		for w := 0; w < workers; w++ {
-			if n := len(pl.solverPool); n > 0 {
-				solvers = append(solvers, pl.solverPool[n-1])
-				pl.solverPool[n-1] = nil
-				pl.solverPool = pl.solverPool[:n-1]
-			} else {
-				solvers = append(solvers, recompute.NewSolver())
-			}
-		}
-	}
-	pl.mu.Unlock()
 	if len(tasks) == 0 {
-		return ctx.Err()
+		return resolved, ctx.Err()
 	}
 
-	results := make([]stageCost, len(tasks))
-	done := make([]bool, len(tasks))
-	statsW := make([]SearchStats, workers)
-	busy := make([]time.Duration, workers)
+	// Borrow one solver per worker for the whole fan-out; their scratch
+	// arenas survive across Plan calls on the planner's pool.
+	workers = pool.Clamp(workers, len(tasks))
+	solvers := make([]*stageSolver, workers)
+	src, family := pl.borrowSolvers(solvers)
 	tr := obs.TracerFrom(ctx)
 	for w, sv := range solvers {
 		// Worker w's knapsack spans render on trace track w+1, leaving
 		// track 0 to the request-serial phases; the solver itself records
 		// them (recompute.Solver.Trace), the deepest traced level.
-		sv.Trace = tr
-		sv.Tid = w + 1
+		sv.knap.Trace = tr
+		sv.knap.Tid = w + 1
 	}
+	statsW := make([]SearchStats, workers)
 	wallStart := pl.clock()
-	runErr := pool.RunContext(ctx, workers, len(tasks), func(w, i int) {
-		t := tasks[i]
+	err = pool.RunContext(ctx, workers, len(tasks), func(w, k int) {
+		task := tasks[k]
+		// A concurrent search may have taken the class since the
+		// enumeration; it publishes, and the DP parks on it if need be.
+		if !t.hot[task.idx].state.CompareAndSwap(costAbsent, costSolving) {
+			return
+		}
 		start := pl.clock()
-		if src != nil {
-			// Route the solve through the shared store: concurrent planners
-			// of one family prefilling at once compute each key exactly once
-			// between them (singleflight), and a warm store turns the whole
-			// prefill into lookups. Per-worker hit/miss tallies ride the
-			// stats shards and merge with the rest.
-			e, disp := src.GetOrCompute(storeKeyFor(family, t.key), func() coststore.Entry {
-				return entryFromCost(pl.solveStage(t.s, t.i, t.j, solvers[w], &statsW[w]))
-			})
-			results[i] = costFromEntry(e)
-			if disp == coststore.Computed {
-				statsW[w].StoreMisses++
-			} else {
-				statsW[w].StoreHits++
-			}
-		} else {
-			results[i] = pl.solveStage(t.s, t.i, t.j, solvers[w], &statsW[w])
-		}
-		done[i] = true
-		busy[w] += pl.clock().Sub(start)
+		pl.solveClaimed(src, family, task.idx, task.s, task.i, task.j, task.perMicro, solvers[w], &statsW[w])
+		// Each prefill solve is one cost evaluation served without a
+		// cache hit, matching what the serial miss path counts.
+		statsW[w].CostEvaluations++
+		statsW[w].ParallelBusy += pl.clock().Sub(start)
 	})
-	wall := pl.clock().Sub(wallStart)
-
-	spMerge := tr.Start("search.merge", obs.CatSearch, 0)
-	defer spMerge.End()
-	pl.mu.Lock()
-	merged := 0
-	for i, t := range tasks {
-		// Skip tasks the cancelled pool never ran — their zero-valued
-		// results would poison the cache. A concurrent Plan call may have
-		// raced a key in; first write wins (all writers compute identical
-		// values).
-		if !done[i] {
-			continue
-		}
-		merged++
-		if _, cached := pl.cache[t.key]; !cached {
-			pl.cache[t.key] = results[i]
-		}
-	}
-	// Each prefill solve is one cost evaluation served without a cache hit,
-	// matching what the serial miss path would have counted.
-	pl.Stats.CostEvaluations += merged
+	st := SearchStats{ParallelWall: pl.clock().Sub(wallStart)}
 	for w := range statsW {
-		pl.Stats.KnapsackRuns += statsW[w].KnapsackRuns
-		pl.Stats.KnapsackCells += statsW[w].KnapsackCells
-		pl.Stats.QuantaBeforeGCD += statsW[w].QuantaBeforeGCD
-		pl.Stats.QuantaAfterGCD += statsW[w].QuantaAfterGCD
-		pl.Stats.StoreHits += statsW[w].StoreHits
-		pl.Stats.StoreMisses += statsW[w].StoreMisses
-		pl.Stats.ParallelBusy += busy[w]
+		resolved += statsW[w].CostEvaluations
+		st.addSolves(statsW[w])
 	}
-	pl.Stats.ParallelWall += wall
-	// Park the borrowed solvers for the next run, dropping their tracer so
-	// a later request cannot cross-attribute knapsack spans.
-	for _, sv := range solvers {
-		sv.Trace = nil
-		sv.Tid = 0
-		pl.solverPool = append(pl.solverPool, sv)
-	}
-	pl.mu.Unlock()
-	return runErr
+	pl.returnSolvers(solvers, st)
+	return resolved, err
 }

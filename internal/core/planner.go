@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"adapipe/internal/coststore"
 	"adapipe/internal/hardware"
@@ -239,20 +240,22 @@ type Planner struct {
 	// a fake for deterministic tests. Immutable once planning starts.
 	clock obs.Clock
 
-	// mu guards cache, Stats, scale and solver. Everything above it is
-	// immutable after construction. Concurrent Plan/CostFor calls on one
-	// planner are safe (TestPlannerConcurrent); the heavy solves run
-	// outside the lock in the prefill workers.
+	// table is the dense per-(stage, iso-class) cost table together with the
+	// per-class shape tables the solves read (costtable.go). The pointer and
+	// the shapes are immutable; entries publish themselves through per-entry
+	// atomic states, so lookups and solves never take mu.
+	table *costTable
+
+	// mu guards Stats, the stage scale, the solver pool, the attached cost
+	// source and the warm-start memos. Everything above it is immutable
+	// after construction. Concurrent Plan/CostFor calls on one planner are
+	// safe (TestPlannerConcurrent) and their knapsack solves overlap: mu is
+	// held only around this bookkeeping, never across a lookup or a solve.
 	mu sync.Mutex
-	// cache memoizes per-range stage costs across Plan calls. It is the
-	// first-level cache even when a shared CostSource is attached: local
-	// lookups stay a plain map access, and only misses pay for key hashing.
-	// guarded by mu
-	cache map[costKey]stageCost
 	// source, when non-nil, is the shared second-level cost store consulted
-	// on local cache misses (SetCostSource); family is the 32-byte
-	// fingerprint prefixing this planner's store keys. Both are set before
-	// the first Plan and never change while a search runs.
+	// when a class is missing from the table (SetCostSource); family is the
+	// 32-byte fingerprint prefixing this planner's store keys. Both are set
+	// before the first Plan and never change while a search runs.
 	// guarded by mu
 	source CostSource
 	// family is the cost-family fingerprint of this planner's store keys.
@@ -260,20 +263,16 @@ type Planner struct {
 	family []byte
 	// scale holds per-stage compute-cost multipliers (nil = all 1), set by
 	// SetStageScale when a live run observes a degraded stage. Applied on
-	// top of the cache, which stores nominal costs only. The slice is
+	// top of the table, which stores nominal costs only. The slice is
 	// replaced wholesale, never mutated in place, so a reference read under
 	// mu stays consistent after unlock.
 	// guarded by mu
 	scale []float64
-	// solver is the serial-path knapsack scratch arena; prefill workers
-	// borrow theirs from solverPool.
+	// solverPool holds idle solve scratch (knapsack arena + group list),
+	// reused across Plan calls so repeat searches stop rebuilding arenas on
+	// every request. A solve borrows one exclusively and parks it back.
 	// guarded by mu
-	solver *recompute.Solver
-	// solverPool holds idle prefill knapsack solvers, reused across Plan
-	// calls so the parallel path stops rebuilding per-worker scratch arenas
-	// on every request.
-	// guarded by mu
-	solverPool []*recompute.Solver
+	solverPool []*stageSolver
 	// partMemo and exactMemo hold the partition-DP tables of the last
 	// completed search, kept to warm-start the next one; nil while a solve
 	// has one checked out or before the first search completes.
@@ -287,27 +286,11 @@ type Planner struct {
 	// levels a warm-started search must recompute.
 	// guarded by mu
 	memoScale []float64
-	// dense is the pooled cost-snapshot buffer of the incremental fast
-	// path, filled under mu and read lock-free during the solve; nil while
-	// a warm-started solve has it checked out.
-	// guarded by mu
-	dense []denseEntry
 	// Stats accumulates search-effort counters across Plan calls (the cost
-	// cache persists, so the counters do too); each Plan carries a snapshot.
+	// table persists, so the counters do too); each Plan carries a snapshot.
 	// Read it only after all concurrent Plan calls have returned.
 	// guarded by mu
 	Stats SearchStats
-}
-
-type costKey struct {
-	s, i, j int
-}
-
-type stageCost struct {
-	fwd, bwd float64
-	sol      recompute.Solution
-	mem      memory.Breakdown
-	ok       bool
 }
 
 // NewPlanner validates the inputs, profiles the model analytically and
@@ -349,7 +332,7 @@ func NewPlannerWithProfile(cfg model.Config, cluster hardware.Cluster, strat par
 	if n < strat.PP {
 		return nil, fmt.Errorf("core: %d micro-batches cannot fill a %d-stage 1F1B pipeline", n, strat.PP)
 	}
-	return &Planner{
+	pl := &Planner{
 		cfg:     cfg,
 		cluster: cluster,
 		strat:   strat,
@@ -359,9 +342,9 @@ func NewPlannerWithProfile(cfg model.Config, cluster hardware.Cluster, strat par
 		layers:  cfg.LayerSequence(),
 		n:       n,
 		clock:   RealClock(),
-		cache:   make(map[costKey]stageCost),
-		solver:  recompute.NewSolver(),
-	}, nil
+	}
+	pl.table = newCostTable(pl)
+	return pl, nil
 }
 
 // SetClock replaces the planner's wall-clock source so tests can drive the
@@ -384,180 +367,167 @@ func (pl *Planner) dpBudget() int64 {
 	return int64(float64(pl.cluster.Device.MemCapacity) * (1 - pl.opts.MemoryReserve))
 }
 
-// isoKey maps a (s,i,j) range onto its isomorphism class (§5.3): ranges with
-// the same stage, length, first-layer kind and head inclusion have identical
-// costs because transformer layers of one kind are homogeneous.
-func (pl *Planner) isoKey(s, i, j int) costKey {
-	if pl.opts.DisableIsomorphism {
-		return costKey{s, i, j}
-	}
-	ends := 0
-	if j == len(pl.layers)-1 {
-		ends = 1
-	}
-	// Encode (length, firstKind, endsWithHead) into the i/j fields.
-	return costKey{s, (j - i + 1), int(pl.layers[i].Kind)*2 + ends}
-}
-
-// buildGroups converts a layer range into knapsack groups, one per
-// (layer-kind, unit-kind) pair present in the range.
-func (pl *Planner) buildGroups(layers []model.Layer) []recompute.Group {
-	counts := map[model.LayerKind]int{}
-	for _, l := range layers {
-		counts[l.Kind]++
-	}
-	var groups []recompute.Group
-	for _, kind := range []model.LayerKind{model.Embedding, model.Attention, model.FFN, model.Head} {
-		c := counts[kind]
-		if c == 0 {
-			continue
-		}
-		for _, uc := range pl.prof.Layers[kind].Units {
-			groups = append(groups, recompute.Group{
-				Key:         kind.String() + "/" + uc.Unit.Kind.String(),
-				FwdTime:     uc.FwdTime,
-				Bytes:       uc.SavedBytes,
-				Count:       c,
-				AlwaysSaved: uc.Unit.AlwaysSaved,
-			})
-		}
-	}
-	recompute.SortGroups(groups)
-	return groups
-}
-
-// stageCostFor computes (and caches) the cost entry for layers i..j at stage s.
-// The cache holds nominal costs; any stage scale is applied to the returned
-// copy, so SetStageScale never invalidates cached entries (the isomorphism
-// key retains the stage index, keeping per-stage scaling cache-consistent).
-// Safe for concurrent use; in the parallel search the prefill has already
-// populated the cache, so the locked section is a map lookup. tr (nil when
-// the caller is untraced) attributes any serial-path knapsack solve; the
-// shared solver's Trace is set only while mu is held, so concurrent searches
-// with different tracers cannot cross-attribute spans.
-func (pl *Planner) stageCostFor(tr *obs.Tracer, s, i, j int) stageCost {
-	c := pl.stageCostNominal(tr, s, i, j)
+// stageCostFor returns the cost entry for layers i..j at stage s under the
+// installed stage scale, counting the lookup into Stats. The table holds
+// nominal costs; the scale is applied to the returned copy, so SetStageScale
+// never invalidates an entry (the class index retains the stage, keeping
+// per-stage scaling consistent). Safe for concurrent use. It serves callers
+// outside a search (CostFor, planForBounds); a search reads the table
+// directly and merges its lookup counts once.
+func (pl *Planner) stageCostFor(s, i, j int) coststore.Entry {
+	idx, _, hit := pl.lookup(nil, s, i, j)
+	c := pl.table.cost(idx)
 	pl.mu.Lock()
+	pl.Stats.CostEvaluations++
+	if hit {
+		pl.Stats.CacheHits++
+	}
 	scale := pl.scale
 	pl.mu.Unlock()
 	if scale != nil {
-		c.fwd *= scale[s]
-		c.bwd *= scale[s]
+		c.Fwd *= scale[s]
+		c.Bwd *= scale[s]
 	}
 	return c
 }
 
-// stageCostNominal is stageCostFor without the scale application: it
-// returns the cached nominal cost entry, solving and caching on a miss.
-// Searches use it with a scale snapshot taken at claim time, so one solve
-// sees one consistent repricing even if SetStageScale races it.
-//
-// With a CostSource attached, a local miss consults the shared store before
-// (or instead of) solving: the store runs the compute closure exactly once
-// per key process-wide, so the planner either solves and publishes, or
-// adopts another planner's identical solve. Either way the result lands in
-// the local cache, keeping later lookups hash-free.
-func (pl *Planner) stageCostNominal(tr *obs.Tracer, s, i, j int) stageCost {
-	pl.mu.Lock()
-	pl.Stats.CostEvaluations++
-	key := pl.isoKey(s, i, j)
-	c, hit := pl.cache[key]
-	switch {
-	case hit:
-		pl.Stats.CacheHits++
-	case pl.source != nil:
-		e, disp := pl.source.GetOrCompute(storeKeyFor(pl.family, key), func() coststore.Entry {
-			// Serial solves render on track 0 next to the request phases.
-			pl.solver.Trace = tr
-			c := pl.solveStage(s, i, j, pl.solver, &pl.Stats)
-			pl.solver.Trace = nil
-			return entryFromCost(c)
-		})
-		c = costFromEntry(e)
-		if disp == coststore.Computed {
-			pl.Stats.StoreMisses++
-		} else {
-			pl.Stats.StoreHits++
+// lookup finds the table entry of layers i..j at stage s, resolving it first
+// if no search has published it yet. hit reports that it was already
+// published — the isomorphic-range cache hit of §5.3. The hit path is two
+// array reads: no lock, no hashing, no allocation. tr (nil when the caller is
+// untraced) attributes a knapsack solve the lookup may trigger.
+func (pl *Planner) lookup(tr *obs.Tracer, s, i, j int) (idx int, feasible, hit bool) {
+	idx = pl.table.index(s, i, j)
+	state := pl.table.hot[idx].state.Load()
+	hit = state >= costInfeasible
+	if !hit {
+		state = pl.resolve(tr, idx, s, i, j)
+	}
+	return idx, state == costFeasible, hit
+}
+
+// resolve publishes the unpublished entry idx of layers i..j at stage s and
+// returns its final state. The static-memory gate runs first, from the shape
+// table alone: a class that cannot fit under any strategy is settled with one
+// compare-and-swap and never reaches the cost store — it is cheaper to
+// re-derive than to hash. Otherwise the search that wins the entry's
+// absent → solving transition solves it (through the shared store when one is
+// attached) while any other search wanting the same class parks until it is
+// published; solves of different classes overlap freely.
+func (pl *Planner) resolve(tr *obs.Tracer, idx, s, i, j int) uint32 {
+	e := &pl.table.hot[idx]
+	perMicro, fits := pl.microBudget(s, i, j)
+	if !fits {
+		e.state.CompareAndSwap(costAbsent, costInfeasible)
+		return costInfeasible
+	}
+	for !e.state.CompareAndSwap(costAbsent, costSolving) {
+		if state := pl.table.await(e); state != costAbsent {
+			return state
 		}
-		pl.cache[key] = c
-	default:
-		// Serial solves render on track 0 next to the request phases.
-		pl.solver.Trace = tr
-		c = pl.solveStage(s, i, j, pl.solver, &pl.Stats)
-		pl.solver.Trace = nil
-		pl.cache[key] = c
 	}
-	pl.mu.Unlock()
-	return c
+	var one [1]*stageSolver
+	src, family := pl.borrowSolvers(one[:])
+	// Lazy solves render on track 0 next to the request phases.
+	one[0].knap.Trace = tr
+	var st SearchStats
+	pl.solveClaimed(src, family, idx, s, i, j, perMicro, one[0], &st)
+	pl.returnSolvers(one[:], st)
+	return e.state.Load()
 }
 
-// solveStage computes the nominal cost entry for layers i..j at stage s. It
-// reads only immutable planner state, runs its knapsack on sv's scratch and
-// counts effort into st — so prefill workers can run it concurrently, each
-// with a private solver and stats shard merged after the join.
-func (pl *Planner) solveStage(s, i, j int, sv *recompute.Solver, st *SearchStats) stageCost {
-	layers := pl.layers[i : j+1]
-	static := memory.StageStatic(pl.cfg, pl.prof, pl.strat, layers, pl.opts.Memory)
-	inFlight := memory.InFlight(pl.strat.PP, s)
-	fwd := pl.prof.RangeFwdTime(layers)
-	bwd := pl.prof.RangeBwdTime(layers)
-	capacity := pl.cluster.Device.MemCapacity
-	// A stage's input activation (the tensor received from the previous
-	// stage) stays live per in-flight micro-batch; stage 0 receives only
-	// token ids, which are negligible.
-	var input int64
-	if layers[0].Kind != model.Embedding {
-		input = pl.prof.CommBytes
+// stageInput is the activation a stage receives from its predecessor, live
+// per in-flight micro-batch; a stage starting at the embedding receives only
+// token ids, which are negligible.
+func (pl *Planner) stageInput(i int) int64 {
+	if pl.layers[i].Kind == model.Embedding {
+		return 0
 	}
+	return pl.prof.CommBytes
+}
+
+// microBudget is the static-memory gate of the searched recomputation modes:
+// the per-micro-batch bytes left for saved activations once the class's
+// static memory and the stage input are paid for, and whether that is
+// non-negative. The fixed policies (full, none) have no gate.
+func (pl *Planner) microBudget(s, i, j int) (perMicro int64, fits bool) {
+	if pl.opts.Recompute == RecomputeFull || pl.opts.Recompute == RecomputeNone {
+		return 0, true
+	}
+	inFlight := memory.InFlight(pl.strat.PP, s)
+	avail := pl.dpBudget() - pl.table.shapes[pl.table.shapeIndex(i, j)].static.Static()
+	if avail < 0 || inFlight == 0 {
+		return 0, false
+	}
+	perMicro = avail/int64(inFlight) - pl.stageInput(i)
+	return perMicro, perMicro >= 0
+}
+
+// solveClaimed solves the entry idx the caller moved to solving and
+// publishes the result. If the solve panics (the pool re-raises worker
+// panics after the join) the entry goes back to absent, so a search parked
+// on it retries instead of waiting forever.
+func (pl *Planner) solveClaimed(src CostSource, family []byte, idx, s, i, j int, perMicro int64, sv *stageSolver, st *SearchStats) {
+	published := false
+	defer func() {
+		if !published {
+			pl.table.settle(&pl.table.hot[idx], costAbsent)
+		}
+	}()
+	var c coststore.Entry
+	if src == nil {
+		c = pl.solveStage(s, i, j, perMicro, sv, st)
+	} else {
+		// The store runs the compute closure exactly once per key
+		// process-wide (singleflight), so the planner either solves and
+		// publishes, or adopts another planner's identical solve.
+		var disp coststore.Disposition
+		c, disp = src.GetOrCompute(pl.storeKey(family, s, i, j), func() coststore.Entry {
+			return pl.solveStage(s, i, j, perMicro, sv, st)
+		})
+		if disp == coststore.Computed {
+			st.StoreMisses++
+		} else {
+			st.StoreHits++
+		}
+	}
+	pl.table.publish(idx, c)
+	published = true
+}
+
+// solveStage computes the nominal cost of layers i..j at stage s for a class
+// that passed microBudget (perMicro is its result). Every quantity around
+// the knapsack comes from the shape table in O(1); it reads only immutable
+// planner state, runs its knapsack on sv's scratch and counts effort into st
+// — so concurrent searches and prefill workers run it in parallel, each with
+// a private solver and stats shard.
+func (pl *Planner) solveStage(s, i, j int, perMicro int64, sv *stageSolver, st *SearchStats) coststore.Entry {
+	t := pl.table
+	sh := &t.shapes[t.shapeIndex(i, j)]
+	input := pl.stageInput(i)
+	mem := sh.static
+	mem.InFlight = memory.InFlight(pl.strat.PP, s)
 
 	switch pl.opts.Recompute {
-	case RecomputeFull:
-		var extra float64
-		sol := recompute.Solution{Feasible: true, Saved: map[string]int{}}
-		for _, l := range layers {
-			lc := pl.prof.Layers[l.Kind]
-			switch l.Kind {
-			case model.Attention, model.FFN:
-				// Classic full recomputation keeps only each decoder
-				// block's input and replays the whole block.
-				extra += lc.FwdTime
-			default:
-				sol.SavedUnits += len(lc.Units)
-			}
-			sol.TotalUnits += len(lc.Units)
+	case RecomputeFull, RecomputeNone:
+		sol := recompute.Solution{Feasible: true, Saved: map[string]int{}, SavedBytes: input}
+		for k, c := range sh.counts {
+			sol.TotalUnits += int(c) * t.units[k]
+			sol.SavedUnits += int(c) * t.keepUnits[k]
+			sol.SavedBytes += int64(c) * t.keepBytes[k]
 		}
-		saved := memory.SavedBoundary(pl.prof, layers)
-		sol.SavedBytes = saved + input
-		br := memory.Stage(pl.cfg, pl.prof, pl.strat, layers, s, sol.SavedBytes, pl.opts.Memory)
-		ok := pl.opts.IgnoreMemoryLimit || br.Total() <= capacity
-		return stageCost{fwd: fwd, bwd: bwd + extra, sol: sol, mem: br, ok: ok}
-
-	case RecomputeNone:
-		saved := memory.SavedAll(pl.prof, layers) + input
-		sol := recompute.Solution{Feasible: true, Saved: map[string]int{}, SavedBytes: saved}
-		for _, l := range layers {
-			sol.SavedUnits += len(pl.prof.Layers[l.Kind].Units)
-			sol.TotalUnits += len(pl.prof.Layers[l.Kind].Units)
+		mem.SavedPerMicro = sol.SavedBytes
+		bwd := sh.bwd
+		if pl.opts.Recompute == RecomputeFull {
+			bwd += sh.replay
 		}
-		br := memory.Stage(pl.cfg, pl.prof, pl.strat, layers, s, saved, pl.opts.Memory)
-		ok := pl.opts.IgnoreMemoryLimit || br.Total() <= capacity
-		return stageCost{fwd: fwd, bwd: bwd, sol: sol, mem: br, ok: ok}
+		ok := pl.opts.IgnoreMemoryLimit || mem.Total() <= pl.cluster.Device.MemCapacity
+		return coststore.Entry{Fwd: sh.fwd, Bwd: bwd, Sol: sol, Mem: mem, OK: ok}
 
 	default: // RecomputeAdaptive, RecomputeLayerLevel
-		avail := pl.dpBudget() - static.Static()
-		if avail < 0 || inFlight == 0 {
-			return stageCost{ok: false}
-		}
-		perMicro := avail/int64(inFlight) - input
-		if perMicro < 0 {
-			return stageCost{ok: false}
-		}
-		groups := pl.buildGroups(layers)
-		if pl.opts.Recompute == RecomputeLayerLevel {
-			groups = coarsenToLayers(groups)
-		}
+		sv.groups = t.groups(sh, sv.groups)
 		st.KnapsackRuns++
-		sol := sv.Optimize(groups, perMicro, recompute.Options{
+		sol := sv.knap.Optimize(sv.groups, perMicro, recompute.Options{
 			Quantum:    pl.quantumFor(perMicro),
 			DisableGCD: pl.opts.DisableGCD,
 		})
@@ -565,13 +535,46 @@ func (pl *Planner) solveStage(s, i, j int, sv *recompute.Solver, st *SearchStats
 		st.QuantaBeforeGCD += sol.QuantaBeforeGCD
 		st.QuantaAfterGCD += sol.QuantaAfterGCD
 		if !sol.Feasible {
-			return stageCost{sol: sol, ok: false}
+			return coststore.Entry{Sol: sol}
 		}
 		sol.SavedBytes += input
-		br := memory.Stage(pl.cfg, pl.prof, pl.strat, layers, s, sol.SavedBytes, pl.opts.Memory)
-		extra := recompute.TotalOptionalTime(groups) - sol.SavedTime
-		return stageCost{fwd: fwd, bwd: bwd + extra, sol: sol, mem: br, ok: true}
+		mem.SavedPerMicro = sol.SavedBytes
+		extra := recompute.TotalOptionalTime(sv.groups) - sol.SavedTime
+		return coststore.Entry{Fwd: sh.fwd, Bwd: sh.bwd + extra, Sol: sol, Mem: mem, OK: true}
 	}
+}
+
+// borrowSolvers fills dst with solve scratch checked out of the planner's
+// pool (building what the pool lacks) and returns the attached cost source
+// with its family prefix. The borrowed solvers are exclusively owned until
+// returnSolvers parks them back.
+func (pl *Planner) borrowSolvers(dst []*stageSolver) (CostSource, []byte) {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	for k := range dst {
+		if n := len(pl.solverPool); n > 0 {
+			dst[k] = pl.solverPool[n-1]
+			pl.solverPool[n-1] = nil
+			pl.solverPool = pl.solverPool[:n-1]
+		} else {
+			dst[k] = new(stageSolver)
+		}
+	}
+	return pl.source, pl.family
+}
+
+// returnSolvers parks borrowed solvers for the next solve — dropping their
+// tracer so a later request cannot cross-attribute knapsack spans — and
+// merges the effort their solves counted into Stats.
+func (pl *Planner) returnSolvers(svs []*stageSolver, st SearchStats) {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	for _, sv := range svs {
+		sv.knap.Trace = nil
+		sv.knap.Tid = 0
+		pl.solverPool = append(pl.solverPool, sv)
+	}
+	pl.Stats.addSolves(st)
 }
 
 // quantumFor grows the rounding quantum (in powers of two) until the budget
@@ -595,8 +598,8 @@ func (pl *Planner) quantumFor(budget int64) int64 {
 // Workers > 1 the independent per-(stage, iso-class) knapsack solves are
 // prefilled across the worker pool and the partition DP shards its per-level
 // cells the same way; the resulting plan is byte-identical to the serial
-// search. Plan is safe to call concurrently on one planner (the cost cache
-// and counters are shared under a lock).
+// search. Plan is safe to call concurrently on one planner: searches share
+// the cost table, and their solves overlap.
 func (pl *Planner) Plan() (*Plan, error) {
 	return pl.PlanContext(context.Background())
 }
@@ -604,9 +607,9 @@ func (pl *Planner) Plan() (*Plan, error) {
 // PlanContext is Plan with cooperative cancellation: the prefill worker pool
 // stops pulling solves once ctx is done, the partition DP short-circuits its
 // remaining cost evaluations, and ctx.Err() is returned instead of a plan.
-// Cancellation is result-safe — a cancelled search merges only fully-computed
-// cost entries into the shared cache, so a later search on the same planner
-// still produces plans byte-identical to a never-cancelled one
+// Cancellation is result-safe — a cancelled search publishes only
+// fully-computed cost entries into the table, so a later search on the same
+// planner still produces plans byte-identical to a never-cancelled one
 // (TestPlanContextCancelKeepsCacheClean). An uncancelled context changes
 // nothing: PlanContext(context.Background()) is exactly Plan.
 func (pl *Planner) PlanContext(ctx context.Context) (*Plan, error) {
@@ -619,40 +622,48 @@ func (pl *Planner) PlanContext(ctx context.Context) (*Plan, error) {
 	p := pl.strat.PP
 	workers := pl.workerCount()
 
+	// The DP asks "cancelled?" once per cell; ctx.Err() takes the context's
+	// mutex, so the cells read a flag armed by the context instead.
+	var cancelled atomic.Bool
+	disarm := context.AfterFunc(ctx, func() { cancelled.Store(true) })
+	defer disarm()
+
 	// Try the incremental fast path first: if the last search's DP memo is
-	// still valid, check it out with a dense scale-applied cost snapshot
-	// and recompute only the levels the scale change invalidated.
+	// still valid, check it out and recompute only the levels the scale
+	// change invalidated.
 	spClaim := tr.Start("search.invalidate", obs.CatSearch, 0)
 	ws := pl.claimWarmStart()
 	spClaim.End()
 	memo, exact, stale := ws.memo, ws.exact, ws.stale
-	// The claimed state must flow back to the planner on every exit: the
-	// dense buffer is pooled, and the memo — revalidated by a completed
-	// solve — is what makes the next replan warm. A failed or cancelled
-	// solve leaves the memo's own valid flag false (partition.SolveMemo),
-	// so reinstalling it is safe but makes the next search cold.
+
+	// The search counts its lookups privately and merges them into Stats
+	// once: unpublished lookups as they happen (they are rare), everything
+	// else from the DP's own cell count at the end.
+	var prefilled int
+	var misses atomic.Int64
+	// The claimed memo must flow back to the planner on every exit: a
+	// completed solve revalidated it, which is what makes the next replan
+	// warm. A failed or cancelled solve leaves the memo's own valid flag
+	// false (partition.SolveMemo), so reinstalling it is safe but makes the
+	// next search cold. Such a search still counts the lookups that cost it
+	// something.
 	installed := false
 	defer func() {
 		if installed {
 			return
 		}
 		pl.mu.Lock()
-		if ws.dense != nil {
-			pl.dense = ws.dense
-		}
 		if memo != nil {
 			pl.partMemo = memo
 		}
 		if exact != nil {
 			pl.exactMemo = exact
 		}
+		pl.Stats.CostEvaluations += prefilled + int(misses.Load())
 		pl.mu.Unlock()
 	}()
 
-	var cost partition.CostFn
-	if ws.ok {
-		cost = pl.denseCostFn(ctx, tr, &ws)
-	} else {
+	if !ws.ok {
 		stale = p - 1
 		// A cold search on the memoizable modes fills a fresh memo so the
 		// next search can warm-start from it.
@@ -667,29 +678,36 @@ func (pl *Planner) PlanContext(ctx context.Context) (*Plan, error) {
 		}
 		if workers > 1 && pl.opts.Partition != PartitionEven {
 			sp := tr.Start("search.prefill", obs.CatSearch, 0)
-			err := pl.prefillCosts(ctx, workers)
+			var err error
+			prefilled, err = pl.prefillCosts(ctx, workers)
 			sp.End()
 			if err != nil {
 				return nil, err
 			}
 		}
-		scale := ws.scale
-		cost = func(s, i, j int) (float64, float64, bool) {
-			// A cancelled context turns every remaining cost lookup into an
-			// immediate "infeasible" so the DP unwinds quickly; whatever
-			// partial solution it then returns is discarded below in favor
-			// of ctx.Err().
-			if ctx.Err() != nil {
-				return 0, 0, false
-			}
-			c := pl.stageCostNominal(tr, s, i, j)
-			f, b := c.fwd, c.bwd
-			if scale != nil {
-				f *= scale[s]
-				b *= scale[s]
-			}
-			return f, b, c.ok
+	}
+	// The DP's cost function, cold or warm-started: a lock-free read of the
+	// shared table under the scale snapshot taken at claim time, so one
+	// solve sees one consistent repricing even if SetStageScale races it.
+	hot, scale := pl.table.hot, ws.scale
+	cost := func(s, i, j int) (float64, float64, bool) {
+		// A cancelled context turns every remaining cost lookup into an
+		// immediate "infeasible" so the DP unwinds quickly; whatever partial
+		// solution it then returns is discarded below in favor of ctx.Err(),
+		// and a warm-start memo self-invalidates.
+		if cancelled.Load() {
+			return 0, 0, false
 		}
+		idx, ok, hit := pl.lookup(tr, s, i, j)
+		if !hit {
+			misses.Add(1)
+		}
+		f, b := hot[idx].fwd, hot[idx].bwd
+		if scale != nil {
+			f *= scale[s]
+			b *= scale[s]
+		}
+		return f, b, ok
 	}
 
 	var bounds []int
@@ -747,42 +765,17 @@ func (pl *Planner) PlanContext(ctx context.Context) (*Plan, error) {
 		return nil, err
 	}
 	spStages := tr.Start("search.stages", obs.CatSearch, 0)
-	plan := &Plan{
-		Model:        pl.cfg.Name,
-		Strategy:     pl.strat,
-		SeqLen:       pl.train.SeqLen,
-		MicroBatch:   pl.train.MicroBatch,
-		MicroBatches: pl.n,
-		Recompute:    pl.opts.Recompute,
-		Partition:    pl.opts.Partition,
-		Total:        total,
-		W:            w,
-		E:            e,
-		M:            m,
-	}
-	bw := pl.cluster.PipelineBandwidth(pl.strat.TP)
-	plan.CommFwd = pl.prof.CommTime(bw, pl.cluster.LinkLatency)
-	plan.CommBwd = plan.CommFwd // gradient of the boundary tensor, same shape
-	for s := 0; s < p; s++ {
-		// The assembly prices stages under the same scale snapshot the DP
-		// used, so a racing SetStageScale cannot tear the plan.
-		c := pl.stageCostNominal(tr, s, bounds[s], bounds[s+1]-1)
-		if ws.scale != nil {
-			c.fwd *= ws.scale[s]
-			c.bwd *= ws.scale[s]
-		}
-		plan.Stages = append(plan.Stages, StagePlan{
-			Stage:     s,
-			LayerLo:   bounds[s],
-			LayerHi:   bounds[s+1],
-			Fwd:       c.fwd,
-			Bwd:       c.bwd,
-			Recompute: c.sol,
-			Mem:       c.mem,
-		})
-	}
+	// The assembly prices stages under the same scale snapshot the DP used,
+	// so a racing SetStageScale cannot tear the plan. The DP evaluated every
+	// chosen stage, so these lookups are hits.
+	plan := pl.assemble(bounds, scale, total, w, e, m)
 	spStages.End()
 	pl.mu.Lock()
+	// cellsAdd counts exactly the cost evaluations the DP made (partition.
+	// Plan.DPCells); the assembly read one more entry per stage.
+	evals := cellsAdd + p
+	pl.Stats.CostEvaluations += prefilled + evals
+	pl.Stats.CacheHits += evals - int(misses.Load())
 	pl.Stats.PartitionCells += cellsAdd
 	pl.Stats.FrontierStates += frontierAdd
 	pl.Stats.WarmStartCells += warmAdd
@@ -802,12 +795,47 @@ func (pl *Planner) PlanContext(ctx context.Context) (*Plan, error) {
 	if exact != nil {
 		pl.exactMemo = exact
 	}
-	if ws.dense != nil {
-		pl.dense = ws.dense
-	}
 	installed = true
 	pl.mu.Unlock()
 	return plan, nil
+}
+
+// assemble builds the Plan for a partitioning whose stages are all published
+// in the cost table, pricing them under the given stage-scale snapshot.
+func (pl *Planner) assemble(bounds []int, scale []float64, total, w, e, m float64) *Plan {
+	plan := &Plan{
+		Model:        pl.cfg.Name,
+		Strategy:     pl.strat,
+		SeqLen:       pl.train.SeqLen,
+		MicroBatch:   pl.train.MicroBatch,
+		MicroBatches: pl.n,
+		Recompute:    pl.opts.Recompute,
+		Partition:    pl.opts.Partition,
+		Total:        total,
+		W:            w,
+		E:            e,
+		M:            m,
+	}
+	bw := pl.cluster.PipelineBandwidth(pl.strat.TP)
+	plan.CommFwd = pl.prof.CommTime(bw, pl.cluster.LinkLatency)
+	plan.CommBwd = plan.CommFwd // gradient of the boundary tensor, same shape
+	for s := 0; s+1 < len(bounds); s++ {
+		c := pl.table.cost(pl.table.index(s, bounds[s], bounds[s+1]-1))
+		if scale != nil {
+			c.Fwd *= scale[s]
+			c.Bwd *= scale[s]
+		}
+		plan.Stages = append(plan.Stages, StagePlan{
+			Stage:     s,
+			LayerLo:   bounds[s],
+			LayerHi:   bounds[s+1],
+			Fwd:       c.Fwd,
+			Bwd:       c.Bwd,
+			Recompute: c.Sol,
+			Mem:       c.Mem,
+		})
+	}
+	return plan
 }
 
 // CostFor exposes the cached per-range cost model: the modeled forward and
@@ -818,8 +846,8 @@ func (pl *Planner) CostFor(s, i, j int) (fwd, bwd float64, ok bool) {
 	if s < 0 || s >= pl.strat.PP || i < 0 || j >= len(pl.layers) || i > j {
 		return 0, 0, false
 	}
-	c := pl.stageCostFor(nil, s, i, j)
-	return c.fwd, c.bwd, c.ok
+	c := pl.stageCostFor(s, i, j)
+	return c.Fwd, c.Bwd, c.OK
 }
 
 // LayerCount returns the length of the partitionable layer sequence.

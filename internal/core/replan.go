@@ -15,7 +15,7 @@ import (
 // degradation — a straggling device reported by the obs detector — is folded
 // into the §5 cost model so the partition DP can shift layers away from the
 // slow stage. Memory costs are unchanged (a slow device is not a smaller
-// one). nil restores nominal costs; the cached nominal entries are never
+// one). nil restores nominal costs; the nominal table entries are never
 // invalidated.
 func (pl *Planner) SetStageScale(scale []float64) error {
 	if scale == nil {
@@ -75,8 +75,8 @@ func (r *Replan) Speedup() float64 {
 //
 // On a warm planner — one whose previous search installed the partition-DP
 // memo — the re-search runs incrementally: only the DP levels at or below
-// the highest stage whose scale changed are recomputed, against the pooled
-// dense cost snapshot. The produced plan is byte-identical to a cold full
+// the highest stage whose scale changed are recomputed, against the same
+// cost table. The produced plan is byte-identical to a cold full
 // search under the same scale (FuzzReplanIncrementalVsFull); only the work
 // differs. Stats.ReplanIncremental counts the replans that took this path.
 func (pl *Planner) ReplanWithScale(old *Plan, scale []float64) (*Replan, error) {
@@ -132,42 +132,21 @@ func (pl *Planner) planForBounds(bounds []int) (*Plan, error) {
 		return nil, fmt.Errorf("core: bounds %v do not partition %d layers into %d stages", bounds, L, p)
 	}
 	cost := func(s, i, j int) (float64, float64, bool) {
-		c := pl.stageCostFor(nil, s, i, j)
-		return c.fwd, c.bwd, c.ok
+		c := pl.stageCostFor(s, i, j)
+		return c.Fwd, c.Bwd, c.OK
 	}
 	total, w, e, m, ok := partition.Evaluate(bounds, pl.n, cost)
 	if !ok {
 		return nil, fmt.Errorf("core: bounds %v exceed the %s memory capacity (OOM)", bounds, pl.cluster.Device.Name)
 	}
-	plan := &Plan{
-		Model:        pl.cfg.Name,
-		Strategy:     pl.strat,
-		SeqLen:       pl.train.SeqLen,
-		MicroBatch:   pl.train.MicroBatch,
-		MicroBatches: pl.n,
-		Recompute:    pl.opts.Recompute,
-		Partition:    pl.opts.Partition,
-		Total:        total,
-		W:            w,
-		E:            e,
-		M:            m,
-	}
-	bw := pl.cluster.PipelineBandwidth(pl.strat.TP)
-	plan.CommFwd = pl.prof.CommTime(bw, pl.cluster.LinkLatency)
-	plan.CommBwd = plan.CommFwd
-	for s := 0; s < p; s++ {
-		c := pl.stageCostFor(nil, s, bounds[s], bounds[s+1]-1)
-		plan.Stages = append(plan.Stages, StagePlan{
-			Stage:     s,
-			LayerLo:   bounds[s],
-			LayerHi:   bounds[s+1],
-			Fwd:       c.fwd,
-			Bwd:       c.bwd,
-			Recompute: c.sol,
-			Mem:       c.mem,
-		})
-	}
 	pl.mu.Lock()
+	scale := pl.scale
+	pl.mu.Unlock()
+	plan := pl.assemble(bounds, scale, total, w, e, m)
+	pl.mu.Lock()
+	// The assembly read one published entry per stage.
+	pl.Stats.CostEvaluations += p
+	pl.Stats.CacheHits += p
 	plan.Search = pl.Stats
 	pl.mu.Unlock()
 	return plan, nil

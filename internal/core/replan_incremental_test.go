@@ -283,3 +283,30 @@ func TestReplanAllocsBounded(t *testing.T) {
 		t.Fatalf("incremental replan allocates %.0f/op, bound %d", allocs, bound)
 	}
 }
+
+// TestSearchAllocsBounded pins the allocation cost of one cold serial GPT-3
+// search (L=194, p=8). What is left is the knapsack's own per-solve result
+// (its Saved map and optional-group list, ~6 allocations a run over ~820
+// runs) plus one side entry per solved class; the bookkeeping around the
+// solves allocates nothing per class or per DP cell. The bound is half of
+// the ~20.2k the map-backed cache, per-solve group building and per-entry
+// copies cost before the dense table.
+func TestSearchAllocsBounded(t *testing.T) {
+	planners := make([]*Planner, 4)
+	for k := range planners {
+		planners[k] = gptPlannerCtx(t, 1)
+	}
+	k := 0
+	// AllocsPerRun calls the function once to warm up, then `runs` times.
+	allocs := testing.AllocsPerRun(len(planners)-1, func() {
+		if _, err := planners[k].Plan(); err != nil {
+			t.Fatal(err)
+		}
+		k++
+	})
+	t.Logf("cold serial GPT-3 search: %.0f allocs", allocs)
+	const bound = 10000 // measured ~6.2k
+	if allocs > bound {
+		t.Fatalf("cold search allocates %.0f, bound %d", allocs, bound)
+	}
+}

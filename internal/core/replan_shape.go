@@ -26,7 +26,7 @@ type ShapeReplan struct {
 	// Strategy is the adopted 3D parallelism configuration (TP and DP are
 	// inherited from the old planner; only PP was searched).
 	Strategy parallel.Strategy
-	// ReusedCostEntries counts iso-cache entries seeded from the old
+	// ReusedCostEntries counts cost-table entries seeded from the old
 	// planner into the winning candidate. Non-zero only when the winner
 	// kept the old pipeline depth: the §4/§5 stage costs depend on (PP, s)
 	// through the in-flight micro-batch count, so cached entries are valid
@@ -43,7 +43,7 @@ type ShapeReplan struct {
 // device memory are skipped; if no depth survives, an error reports why.
 //
 // The old planner is read-only here except for seeding: a candidate that
-// keeps the old PP inherits the iso-cache (nominal costs only — any
+// keeps the old PP inherits the cost table (nominal costs only — any
 // installed straggler scale refers to stage indices of the dead shape and is
 // deliberately not carried over).
 func (pl *Planner) ReplanWithShape(cluster hardware.Cluster) (*ShapeReplan, error) {
@@ -86,11 +86,8 @@ func (pl *Planner) ReplanWithShape(cluster hardware.Cluster) (*ShapeReplan, erro
 		cand.SetClock(pl.clock)
 		reused := 0
 		if pp == pl.strat.PP {
+			reused = cand.table.seedFrom(pl.table)
 			pl.mu.Lock()
-			for k, v := range pl.cache {
-				cand.cache[k] = v
-			}
-			reused = len(cand.cache)
 			// The partition DP memo is valid across cluster shapes exactly
 			// when PP is unchanged, for the same reason the cost entries
 			// are: the table depends on the cluster only through the stage

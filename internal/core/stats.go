@@ -22,7 +22,7 @@ type SearchStats struct {
 	CacheHits int
 	// CostEvaluations counts all stage-cost lookups (hits + misses).
 	CostEvaluations int
-	// StoreHits counts local-cache misses served by the shared cost store
+	// StoreHits counts cost-table misses served by the shared cost store
 	// (a stored entry or another planner's in-flight solve) — cross-request
 	// reuse the store bought this planner. StoreMisses counts the solves
 	// this planner ran itself and published. Both stay zero without an
@@ -40,10 +40,10 @@ type SearchStats struct {
 	// recomputed levels here; the reused levels land in WarmStartCells.
 	PartitionCells int
 	// ReplanIncremental counts searches served by the incremental fast
-	// path: a warm-started partition DP over a dense scale-applied snapshot
-	// of the iso-cache, skipping the prefill entirely.
+	// path: a partition DP warm-started from the previous search's memo,
+	// recomputing only the levels the scale change touched.
 	ReplanIncremental int
-	// InvalidatedIsoClasses counts iso-cache classes whose stage-cost scale
+	// InvalidatedIsoClasses counts published classes whose stage-cost scale
 	// changed between a warm-started search and the memo it reused — the
 	// exact invalidation work the incremental replanner performed.
 	InvalidatedIsoClasses int
@@ -66,6 +66,20 @@ type SearchStats struct {
 	// realized (bounded by the core count); both are wall-clock figures and,
 	// like SearchWall, excluded from plan serialization.
 	ParallelWall, ParallelBusy time.Duration
+}
+
+// addSolves folds in the counters a batch of stage-cost solves accumulated
+// on a private shard: knapsack effort, shared-store dispositions and
+// parallel-section times. All are commutative sums.
+func (s *SearchStats) addSolves(o SearchStats) {
+	s.KnapsackRuns += o.KnapsackRuns
+	s.KnapsackCells += o.KnapsackCells
+	s.QuantaBeforeGCD += o.QuantaBeforeGCD
+	s.QuantaAfterGCD += o.QuantaAfterGCD
+	s.StoreHits += o.StoreHits
+	s.StoreMisses += o.StoreMisses
+	s.ParallelBusy += o.ParallelBusy
+	s.ParallelWall += o.ParallelWall
 }
 
 // CacheHitRate returns the fraction of stage-cost lookups the isomorphism

@@ -123,14 +123,20 @@ func RecomputeBuffer(prof *profile.Profile, layers []model.Layer) int64 {
 
 // StageStatic computes the Const part of the memory model for a stage.
 func StageStatic(cfg model.Config, prof *profile.Profile, strat parallel.Strategy, layers []model.Layer, opts Options) Breakdown {
-	n := StageParams(cfg, layers)
+	return Static(StageParams(cfg, layers), RecomputeBuffer(prof, layers), strat, opts)
+}
+
+// Static is StageStatic for a caller that already holds the stage's
+// parameter count and recomputation-buffer size (the planner keeps both per
+// isomorphism class instead of re-summing the layer range on every lookup).
+func Static(params, buffer int64, strat parallel.Strategy, opts Options) Breakdown {
 	t := int64(strat.TP)
 	td := int64(strat.TP) * int64(strat.DP)
 	return Breakdown{
-		Params:    int64(opts.ParamBytes) * n / t,
-		Grads:     int64(opts.GradBytes) * n / t,
-		Optimizer: int64(opts.OptimizerBytes) * n / td,
-		Buffer:    RecomputeBuffer(prof, layers),
+		Params:    int64(opts.ParamBytes) * params / t,
+		Grads:     int64(opts.GradBytes) * params / t,
+		Optimizer: int64(opts.OptimizerBytes) * params / td,
+		Buffer:    buffer,
 		Overhead:  opts.OverheadBytes,
 	}
 }

@@ -29,8 +29,9 @@ type BenchReport struct {
 	// "L=194 p=8 n=32").
 	Model string `json:"model"`
 	Shape string `json:"shape"`
-	// GoMaxProcs is runtime.GOMAXPROCS(0) on the benchmarking host — the
-	// ceiling on any real speedup.
+	// GoMaxProcs is the GOMAXPROCS setting every run of this report was
+	// taken under — the ceiling on any real speedup. The suite runs once at
+	// 1 and once at the host's CPU count.
 	GoMaxProcs int `json:"gomaxprocs"`
 	// Workers is the pool size of the parallel runs.
 	Workers int `json:"workers"`
@@ -71,28 +72,34 @@ type BenchReport struct {
 	Runs []BenchRun `json:"runs"`
 }
 
-// WriteBenchJSON writes the report to path as indented JSON with a trailing
-// newline.
-func WriteBenchJSON(path string, r BenchReport) error {
-	data, err := json.MarshalIndent(r, "", "  ")
+// WriteBenchJSON writes the reports — one per GOMAXPROCS setting the suite
+// ran under, each naming its own — to path as an indented JSON array with a
+// trailing newline.
+func WriteBenchJSON(path string, reports []BenchReport) error {
+	data, err := json.MarshalIndent(reports, "", "  ")
 	if err != nil {
 		return fmt.Errorf("obs: encoding bench report: %w", err)
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// ReadBenchJSON reads a report previously written by WriteBenchJSON.
-// Reports from older builds may lack newer fields, which decode to zero —
-// regression gates must treat a zero baseline as "not recorded", not "was
-// instantaneous".
-func ReadBenchJSON(path string) (BenchReport, error) {
+// ReadBenchJSON reads the reports previously written by WriteBenchJSON; a
+// file from before the suite ran at more than one GOMAXPROCS holds a single
+// report object and reads as a list of one. Reports from older builds may
+// lack newer fields, which decode to zero — regression gates must treat a
+// zero baseline as "not recorded", not "was instantaneous".
+func ReadBenchJSON(path string) ([]BenchReport, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return BenchReport{}, err
+		return nil, err
 	}
-	var r BenchReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return BenchReport{}, fmt.Errorf("obs: decoding bench report %s: %w", path, err)
+	var reports []BenchReport
+	if err := json.Unmarshal(data, &reports); err != nil {
+		var one BenchReport
+		if json.Unmarshal(data, &one) != nil {
+			return nil, fmt.Errorf("obs: decoding bench report %s: %w", path, err)
+		}
+		reports = []BenchReport{one}
 	}
-	return r, nil
+	return reports, nil
 }

@@ -27,10 +27,10 @@ func TestWriteBenchJSONRoundTripAndDeterminism(t *testing.T) {
 	dir := t.TempDir()
 	p1 := filepath.Join(dir, "a.json")
 	p2 := filepath.Join(dir, "b.json")
-	if err := WriteBenchJSON(p1, report); err != nil {
+	if err := WriteBenchJSON(p1, []BenchReport{report}); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteBenchJSON(p2, report); err != nil {
+	if err := WriteBenchJSON(p2, []BenchReport{report}); err != nil {
 		t.Fatal(err)
 	}
 	b1, err := os.ReadFile(p1)
@@ -47,10 +47,14 @@ func TestWriteBenchJSONRoundTripAndDeterminism(t *testing.T) {
 	if b1[len(b1)-1] != '\n' {
 		t.Error("missing trailing newline")
 	}
-	var back BenchReport
-	if err := json.Unmarshal(b1, &back); err != nil {
+	reports, err := ReadBenchJSON(p1)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if len(reports) != 1 {
+		t.Fatalf("read %d reports back, want 1", len(reports))
+	}
+	back := reports[0]
 	if back.SpeedupParallel != report.SpeedupParallel || len(back.Runs) != 3 ||
 		back.Runs[1].Name != "PlanSearch/parallel" {
 		t.Errorf("round trip mangled the report: %+v", back)
@@ -63,8 +67,28 @@ func TestWriteBenchJSONRoundTripAndDeterminism(t *testing.T) {
 	}
 }
 
+// TestReadBenchJSONSingleReport pins the fallback for files written before
+// the suite ran at more than one GOMAXPROCS: one report object, no array.
+func TestReadBenchJSONSingleReport(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.json")
+	old, err := json.Marshal(BenchReport{GoMaxProcs: 1, ReplanNsPerOp: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reports, err := ReadBenchJSON(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reports) != 1 || reports[0].GoMaxProcs != 1 || reports[0].ReplanNsPerOp != 7 {
+		t.Errorf("single-report file read as %+v", reports)
+	}
+}
+
 func TestWriteBenchJSONBadPath(t *testing.T) {
-	if err := WriteBenchJSON(filepath.Join(t.TempDir(), "no", "such", "dir.json"), BenchReport{}); err == nil {
+	if err := WriteBenchJSON(filepath.Join(t.TempDir(), "no", "such", "dir.json"), nil); err == nil {
 		t.Error("write into a missing directory should fail")
 	}
 }
