@@ -1,7 +1,7 @@
 GO ?= go
 BIN := bin/adapipevet
 
-.PHONY: all build lint vet vet-selftest vet-sarif test race bench observe chaos serve-smoke ci clean
+.PHONY: all build lint vet vet-selftest vet-sarif test fuzz-smoke race bench observe chaos serve-smoke ci clean
 
 all: build
 
@@ -42,6 +42,18 @@ vet-sarif: $(BIN)
 
 test:
 	$(GO) test ./...
+
+# fuzz-smoke gives every fuzz target of the repo five seconds of real fuzzing
+# (plain `go test` only replays their seed corpora). The targets are found,
+# not listed: every `func FuzzX` in a test file git knows about or would add.
+# -fuzz takes one target per package run, hence the loop.
+fuzz-smoke:
+	@set -e; for f in $$(git ls-files -co --exclude-standard '*_test.go' | xargs grep -l '^func Fuzz'); do \
+		for target in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "fuzz-smoke: $$target (./$$(dirname $$f))"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 5s ./$$(dirname $$f); \
+		done; \
+	done
 
 # race exercises the concurrent packages under the race detector: the 1F1B
 # executor and simulator in full, plus the parallel-search suite (concurrent
@@ -97,7 +109,7 @@ serve-smoke:
 	$(GO) run ./cmd/servesmoke -daemon bin/adapiped -trace-out servesmoke-trace.json
 
 # ci is the full gate the GitHub Actions workflow runs.
-ci: build vet vet-selftest test race bench observe chaos serve-smoke
+ci: build vet vet-selftest test fuzz-smoke race bench observe chaos serve-smoke
 
 clean:
 	rm -rf bin observe-out BENCH_planner.json adapipevet.sarif servesmoke-trace.json chaos-metrics.prom

@@ -28,7 +28,7 @@ import (
 	"time"
 )
 
-const planBody = `{"model":"tiny","tiny_layers":12,"cluster":"a","method":"AdaPipe","tp":1,"pp":4,"dp":1,"seq_len":2048,"global_batch":16,"micro_batch":1}`
+const planBody = `{"model":"tiny","tiny_layers":12,"cluster":"a","method":"AdaPipe","tp":1,"pp":4,"dp":1,"seq_len":16384,"global_batch":16,"micro_batch":1,"memory_reserve":0.92}`
 
 // minCoverage is the share of the request wall time the trace's phase spans
 // must account for: a trace that loses 5%+ of a request to unexplained gaps

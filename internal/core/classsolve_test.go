@@ -1,0 +1,340 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"adapipe/internal/coststore"
+	"adapipe/internal/model"
+	"adapipe/internal/parallel"
+)
+
+// pressureCase is a planner configuration whose budgets are tight enough that
+// the search fills real knapsack tables and stages of one class share them.
+// (The default tiny planners never do: at seq 2048 every class fits whole.)
+type pressureCase struct {
+	name    string
+	model   model.Config
+	strat   parallel.Strategy
+	seq     int
+	reserve float64
+	// stride samples the (i, j) ranges of the big configs.
+	stride int
+}
+
+var pressureCases = []pressureCase{
+	{"tiny6_p4_seq16k", model.Tiny(6), parallel.Strategy{TP: 1, PP: 4, DP: 1}, 16384, 0.93, 1},
+	{"tiny6_p4_seq64k", model.Tiny(6), parallel.Strategy{TP: 1, PP: 4, DP: 1}, 65536, 0.90, 1},
+	{"gpt3_p8", model.GPT3_175B(), parallel.Strategy{TP: 8, PP: 8, DP: 1}, 16384, 0.15, 211},
+	{"llama2_p8", model.Llama2_70B(), parallel.Strategy{TP: 8, PP: 8, DP: 1}, 16384, 0.15, 167},
+}
+
+func (c pressureCase) planner(t testing.TB, mode RecomputeMode, noIso bool, workers int) *Planner {
+	pl := referencePlanner(t, c.model, c.strat, c.seq, mode, noIso, c.reserve)
+	pl.opts.Workers = workers
+	return pl
+}
+
+// ranges lists the sampled (i, j) layer ranges of the case.
+func (c pressureCase) ranges(L int) [][2]int {
+	var out [][2]int
+	n := 0
+	for i := 0; i < L; i++ {
+		for j := i; j < L; j++ {
+			if n++; n%c.stride == 0 {
+				out = append(out, [2]int{i, j})
+			}
+		}
+	}
+	return out
+}
+
+// referenceReachable is the reachable domain from first principles: some
+// range of (i, j)'s class — the range itself without isomorphism; otherwise
+// any range of the same length, first-layer kind and head inclusion — can be
+// stage s of a partitioning that gives each of the s stages before it and the
+// p−s−1 stages after it at least one layer.
+func referenceReachable(pl *Planner, s, i, j int) bool {
+	L, p := len(pl.layers), pl.strat.PP
+	for i2 := 0; i2+(j-i) < L; i2++ {
+		j2 := i2 + (j - i)
+		if pl.opts.DisableIsomorphism && i2 != i {
+			continue
+		}
+		if pl.layers[i2].Kind != pl.layers[i].Kind || (j2 == L-1) != (j == L-1) {
+			continue
+		}
+		before, after := i2, L-1-j2
+		fitsBefore := before >= s && (s > 0 || before == 0)
+		fitsAfter := after >= p-1-s && (s < p-1 || after == 0)
+		if fitsBefore && fitsAfter {
+			return true
+		}
+	}
+	return false
+}
+
+// forgetfulSource is a CostSource that stores every solve and then serves
+// only the keys with an even first byte: a later planner sees hits and misses
+// interleaved within one class, so its table is filled from a claim that is
+// not the first.
+type forgetfulSource struct {
+	mu      sync.Mutex
+	entries map[coststore.Key]coststore.Entry
+}
+
+func (f *forgetfulSource) GetOrCompute(key coststore.Key, compute func() coststore.Entry) (coststore.Entry, coststore.Disposition) {
+	f.mu.Lock()
+	e, ok := f.entries[key]
+	f.mu.Unlock()
+	if ok && key[0]&1 == 0 {
+		return e, coststore.Hit
+	}
+	e = compute()
+	f.mu.Lock()
+	f.entries[key] = e
+	f.mu.Unlock()
+	return e, coststore.Computed
+}
+
+// TestClassSolveOrderIndependent holds the class-level solve to the
+// first-principles oracle whichever stage of a class asks first. A solve
+// claims the same-quantum siblings of the entry it won and reads them all
+// from one table filled to the largest budget among them, so which stage
+// owns the table — the one with the largest budget, the smallest, or one in
+// between — depends on the request order; the published entries must not.
+// Every (stage, range) is checked bit for bit against referenceStageCost
+// after requesting the stages in ascending, descending and shuffled order,
+// serially with and without a cost source (one that forgets half its keys,
+// so tables are also filled part-way down a claim list), and after a
+// parallel prefill at 2, 4 and 8 workers, whose plan must also match the
+// serial one byte for byte.
+func TestClassSolveOrderIndependent(t *testing.T) {
+	for _, c := range pressureCases {
+		modes := []RecomputeMode{RecomputeAdaptive}
+		isoOff := []bool{false}
+		if c.stride == 1 {
+			modes = append(modes, RecomputeLayerLevel)
+			isoOff = append(isoOff, true)
+		}
+		for _, mode := range modes {
+			for _, noIso := range isoOff {
+				c, mode, noIso := c, mode, noIso
+				t.Run(fmt.Sprintf("%s/%s/noiso=%v", c.name, mode, noIso), func(t *testing.T) {
+					p := c.strat.PP
+					orders := map[string][]int{"ascending": make([]int, p), "descending": make([]int, p), "shuffled": nil}
+					for s := 0; s < p; s++ {
+						orders["ascending"][s] = s
+						orders["descending"][s] = p - 1 - s
+					}
+					orders["shuffled"] = rand.New(rand.NewSource(int64(p))).Perm(p)
+
+					for name, order := range orders {
+						pl := c.planner(t, mode, noIso, 1)
+						for _, r := range c.ranges(pl.LayerCount()) {
+							// The first stage of the order runs the class
+							// solve; the checks after it read what that
+							// solve published on the side, or solve what it
+							// could not share.
+							for _, s := range order {
+								checkAgainstReference(t, pl, s, r[0], r[1])
+							}
+						}
+						st := pl.StatsSnapshot()
+						if mode == RecomputeAdaptive && st.KnapsackShared == 0 {
+							t.Errorf("%s order: no strategy was read from a shared table (%s)", name, st)
+						}
+					}
+
+					// Through a cost source: a first planner fills it, a
+					// second sees every other key missing.
+					src := &forgetfulSource{entries: map[coststore.Key]coststore.Entry{}}
+					for round := 0; round < 2; round++ {
+						pl := c.planner(t, mode, noIso, 1)
+						if err := pl.SetCostSource(src); err != nil {
+							t.Fatal(err)
+						}
+						for _, r := range c.ranges(pl.LayerCount()) {
+							for _, s := range orders["shuffled"] {
+								checkAgainstReference(t, pl, s, r[0], r[1])
+							}
+						}
+						if st := pl.StatsSnapshot(); round == 1 && (st.StoreHits == 0 || st.StoreMisses == 0) {
+							t.Errorf("forgetful source served %d hits and %d misses, want both", st.StoreHits, st.StoreMisses)
+						}
+					}
+
+					// A lookup that misses runs one class solve, which fills
+					// at most one table; the siblings it publishes are hits
+					// only once something looks them up.
+					invariant := func(pl *Planner) {
+						t.Helper()
+						if st := pl.StatsSnapshot(); st.KnapsackRuns+st.CacheHits > st.CostEvaluations {
+							t.Errorf("workers=%d: runs %d + hits %d > evals %d", st.Workers, st.KnapsackRuns, st.CacheHits, st.CostEvaluations)
+						}
+					}
+					serialPl := c.planner(t, mode, noIso, 1)
+					serial, err := serialPl.Plan()
+					if err != nil {
+						t.Fatal(err)
+					}
+					invariant(serialPl)
+					want, err := json.Marshal(serial)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, workers := range []int{2, 4, 8} {
+						pl := c.planner(t, mode, noIso, workers)
+						if _, err := pl.prefillCosts(context.Background(), workers); err != nil {
+							t.Fatal(err)
+						}
+						for _, r := range c.ranges(pl.LayerCount()) {
+							for s := 0; s < p; s++ {
+								checkAgainstReference(t, pl, s, r[0], r[1])
+							}
+						}
+						pl = c.planner(t, mode, noIso, workers)
+						plan, err := pl.Plan()
+						if err != nil {
+							t.Fatal(err)
+						}
+						invariant(pl)
+						got, err := json.Marshal(plan)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(got, want) {
+							t.Errorf("workers=%d: plan differs from serial\nserial:   %s\nparallel: %s", workers, want, got)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestPrefillDomainReachable checks that a parallel search — prefill, the
+// sibling entries its class solves publish on the side, and the DP's own
+// lookups — publishes nothing outside the reachable domain, and that the
+// serial search, which publishes siblings too, does not either. An entry
+// outside it can never be read by a plan; solving one is pure waste.
+func TestPrefillDomainReachable(t *testing.T) {
+	for _, c := range pressureCases {
+		for _, part := range []PartitionMode{PartitionAdaptive, PartitionExact} {
+			for _, noIso := range []bool{false, true} {
+				if noIso && c.stride > 1 {
+					continue // O(pL²) raw entries on the big models
+				}
+				for _, workers := range []int{1, 4} {
+					pl := c.planner(t, RecomputeAdaptive, noIso, workers)
+					pl.opts.Partition = part
+					if _, err := pl.Plan(); err != nil {
+						t.Fatal(err)
+					}
+					L, published := pl.LayerCount(), 0
+					for s := 0; s < c.strat.PP; s++ {
+						for i := 0; i < L; i++ {
+							for j := i; j < L; j++ {
+								if pl.table.hot[pl.table.index(s, i, j)].state.Load() < costInfeasible {
+									continue
+								}
+								published++
+								if !referenceReachable(pl, s, i, j) {
+									t.Fatalf("%s %s noiso=%v workers=%d: entry (%d,%d,%d) is published but no partitioning can reach it",
+										c.name, part, noIso, workers, s, i, j)
+								}
+								if !pl.table.reachable(s, i, j) {
+									t.Fatalf("%s: costTable.reachable(%d,%d,%d) = false, first principles say reachable", c.name, s, i, j)
+								}
+							}
+						}
+					}
+					if published == 0 {
+						t.Fatalf("%s: search published nothing", c.name)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestReachableMatchesFirstPrinciples compares costTable.reachable with the
+// brute-force definition on every (s, i, j) of the small shapes, degenerate
+// ones (p = 1, p = L) included.
+func TestReachableMatchesFirstPrinciples(t *testing.T) {
+	for _, shape := range [][2]int{{1, 1}, {3, 1}, {3, 2}, {3, 8}, {6, 4}, {6, 5}, {9, 3}} {
+		for _, noIso := range []bool{false, true} {
+			pl := referencePlanner(t, model.Tiny(shape[0]), parallel.Strategy{TP: 1, PP: shape[1], DP: 1}, 2048, RecomputeAdaptive, noIso, 0.15)
+			L := pl.LayerCount()
+			for s := 0; s < shape[1]; s++ {
+				for i := 0; i < L; i++ {
+					for j := i; j < L; j++ {
+						if got, want := pl.table.reachable(s, i, j), referenceReachable(pl, s, i, j); got != want {
+							t.Fatalf("tiny(%d) p=%d noiso=%v: reachable(%d,%d,%d) = %v, first principles %v",
+								shape[0], shape[1], noIso, s, i, j, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestConcurrentSearchesShareClassSolves runs cold searches on one planner
+// under memory pressure from many goroutines, where class solves claim
+// sibling entries other searches are about to ask for. Every search must
+// produce the serial plan's bytes, no entry may be left in flight, and the
+// effort counters must keep their invariant. The `make race` gate runs it
+// under the race detector.
+func TestConcurrentSearchesShareClassSolves(t *testing.T) {
+	c := pressureCases[0]
+	serial, err := c.planner(t, RecomputeAdaptive, false, 1).Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		pl := c.planner(t, RecomputeAdaptive, false, workers)
+		const goroutines = 8
+		plans := make([][]byte, goroutines)
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			g := g
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				p, err := pl.Plan()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if plans[g], err = json.Marshal(p); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		for g, got := range plans {
+			if !bytes.Equal(got, want) {
+				t.Errorf("workers=%d goroutine %d: plan differs from serial\n%s\nvs\n%s", workers, g, got, want)
+			}
+		}
+		for k := range pl.table.hot {
+			if pl.table.hot[k].state.Load() == costSolving {
+				t.Fatalf("workers=%d: entry %d left in flight", workers, k)
+			}
+		}
+		st := pl.StatsSnapshot()
+		if st.KnapsackRuns == 0 || st.KnapsackRuns+st.CacheHits > st.CostEvaluations {
+			t.Errorf("workers=%d: runs %d + hits %d vs evals %d", workers, st.KnapsackRuns, st.CacheHits, st.CostEvaluations)
+		}
+	}
+}

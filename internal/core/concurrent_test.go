@@ -55,7 +55,9 @@ func TestPlannerConcurrent(t *testing.T) {
 			t.Errorf("goroutine %d produced a different plan:\n%s\nvs\n%s", g, plans[g], plans[0])
 		}
 	}
-	// Counters must still satisfy the accounting invariant after the storm.
+	// Counters must still satisfy the accounting invariant after the storm:
+	// table fills + hits never exceed lookups (a sibling entry published by
+	// another search's class solve is a hit for whoever looks it up).
 	if s := pl.Stats; s.KnapsackRuns+s.CacheHits > s.CostEvaluations {
 		t.Errorf("stats invariant broken: runs %d + hits %d > evals %d",
 			s.KnapsackRuns, s.CacheHits, s.CostEvaluations)

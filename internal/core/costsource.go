@@ -19,7 +19,7 @@ import (
 // sources.
 //
 // Soundness contract: the key passed to GetOrCompute is a SHA-256 over the
-// planner's family fingerprint (every input solveStage reads — the full cost
+// planner's family fingerprint (every input solveClass reads — the full cost
 // profile, strategy, memory model, budget, quantum and search flags) plus
 // the iso-class coordinates, so two planners that derive the same key would
 // compute bit-identical entries. A source may therefore return any stored

@@ -8,6 +8,7 @@ import (
 	"adapipe/internal/coststore"
 	"adapipe/internal/memory"
 	"adapipe/internal/model"
+	"adapipe/internal/partition"
 	"adapipe/internal/profile"
 	"adapipe/internal/recompute"
 )
@@ -73,22 +74,38 @@ type groupTemplate struct {
 	kind  model.LayerKind
 }
 
-// stageSolver is one worker's solve scratch: the knapsack arena and the
-// group list handed to it.
+// classClaim is one entry a class solve owns: the class at stage s, with the
+// per-micro-batch budget the static gate left it.
+type classClaim struct {
+	idx, s   int
+	perMicro int64
+}
+
+// stageSolver is one worker's solve scratch: the knapsack arena, the group
+// list handed to it, and the entries, budgets and strategies of the class
+// solve in progress. The filled knapsack table lives in knap and is
+// overwritten by the next solve.
 type stageSolver struct {
-	knap   recompute.Solver
-	groups []recompute.Group
+	knap    recompute.Solver
+	groups  []recompute.Group
+	claims  []classClaim
+	budgets []int64
+	sols    []recompute.Solution
 }
 
 type costTable struct {
-	L   int
-	iso bool
+	L, p int
+	iso  bool
 	// stride is the number of entries per stage.
 	stride int
 	// first[i] is the class code of a range starting at layer i, before the
 	// endsWithHead bit.
-	first  []int
-	shapes []classShape
+	first []int
+	// minStart[s*numKinds+k] is the first layer of kind k at which some
+	// partitioning can start stage s (partition.StageStarts), or L when there
+	// is none.
+	minStart []int
+	shapes   []classShape
 	// units is the number of computation units in a layer of each kind;
 	// keepUnits and keepBytes are how many of them, and how many activation
 	// bytes, a layer pins under the fixed recomputation policies (zero in
@@ -113,10 +130,21 @@ type costTable struct {
 // immutable inputs and allocates the (empty) entry array.
 func newCostTable(pl *Planner) *costTable {
 	L := len(pl.layers)
-	t := &costTable{L: L, iso: !pl.opts.DisableIsomorphism, first: make([]int, L)}
+	p := pl.strat.PP
+	t := &costTable{L: L, p: p, iso: !pl.opts.DisableIsomorphism, first: make([]int, L)}
 	t.published = sync.NewCond(&t.mu)
 	for i, l := range pl.layers {
 		t.first[i] = 2 * int(l.Kind)
+	}
+	t.minStart = make([]int, p*numKinds)
+	for k := range t.minStart {
+		t.minStart[k] = L
+	}
+	for s := 0; s < p; s++ {
+		lo, hi := partition.StageStarts(t.L, t.p, s)
+		for i := hi; i >= lo; i-- {
+			t.minStart[s*numKinds+int(pl.layers[i].Kind)] = i
+		}
 	}
 
 	var layer [numKinds]profile.LayerCost
@@ -229,6 +257,25 @@ func (t *costTable) index(s, i, j int) int {
 		return (s*t.L+i)*t.L + j
 	}
 	return s*t.stride + t.shapeIndex(i, j)
+}
+
+// reachable reports whether some partitioning runs the class of layers i..j
+// as stage s — the only (stage, class) entries a search can ever read. The
+// last stage runs exactly the classes that end with the head; an earlier
+// stage s ends by layer L−p+s. With isomorphism the class is reachable when
+// its earliest member at stage s is: ranges of one first-layer kind and
+// length are interchangeable.
+func (t *costTable) reachable(s, i, j int) bool {
+	if (s == t.p-1) != (j == t.L-1) {
+		return false
+	}
+	if t.iso && s < t.p-1 {
+		n := j - i
+		i = t.minStart[s*numKinds+t.first[i]/2]
+		j = i + n
+	}
+	lo, hi := partition.StageStarts(t.L, t.p, s)
+	return lo <= i && i <= hi && j <= t.L-t.p+s
 }
 
 // groups instantiates the knapsack groups of a class into buf: the templates

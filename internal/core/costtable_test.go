@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"adapipe/internal/coststore"
@@ -240,11 +242,20 @@ func FuzzCostTableVsReference(f *testing.F) {
 	})
 }
 
-// panicOnceSource is a CostSource whose first compute panics.
-type panicOnceSource struct{ calls int }
+// scriptedSource is a CostSource whose panicAt-th compute panics — after
+// announcing itself on entered and waiting for release, when those are set.
+type scriptedSource struct {
+	calls            atomic.Int32
+	panicAt          int32
+	entered, release chan struct{}
+}
 
-func (p *panicOnceSource) GetOrCompute(_ coststore.Key, compute func() coststore.Entry) (coststore.Entry, coststore.Disposition) {
-	if p.calls++; p.calls == 1 {
+func (p *scriptedSource) GetOrCompute(_ coststore.Key, compute func() coststore.Entry) (coststore.Entry, coststore.Disposition) {
+	if p.calls.Add(1) == p.panicAt {
+		if p.entered != nil {
+			close(p.entered)
+			<-p.release
+		}
 		panic("scripted source failure")
 	}
 	return compute(), coststore.Computed
@@ -253,14 +264,17 @@ func (p *panicOnceSource) GetOrCompute(_ coststore.Key, compute func() coststore
 // TestSolvePanicLeavesTableUsable checks that a solve which panics does not
 // strand its entry in the solving state: the next search must claim the
 // class afresh (rather than park on it forever) and plan as if nothing
-// happened.
+// happened. The same must hold for every sibling entry a class solve had
+// claimed when it panicked part-way down its claim list: the ones already
+// published stay, the rest go back to absent, and a search parked on one of
+// them wakes up and solves it itself.
 func TestSolvePanicLeavesTableUsable(t *testing.T) {
 	want, err := tinyPlanner(t, 6, 4, 8, 0.15, PartitionAdaptive, 1).Plan()
 	if err != nil {
 		t.Fatal(err)
 	}
 	pl := tinyPlanner(t, 6, 4, 8, 0.15, PartitionAdaptive, 1)
-	if err := pl.SetCostSource(&panicOnceSource{}); err != nil {
+	if err := pl.SetCostSource(&scriptedSource{panicAt: 1}); err != nil {
 		t.Fatal(err)
 	}
 	func() {
@@ -279,5 +293,93 @@ func TestSolvePanicLeavesTableUsable(t *testing.T) {
 	gotJSON, _ := json.Marshal(got)
 	if !bytes.Equal(wantJSON, gotJSON) {
 		t.Fatalf("plan after a panicked solve diverged:\nwant %s\ngot  %s", wantJSON, gotJSON)
+	}
+
+	// A class solve with at least three claims: look one up on a scout
+	// planner and read back which stages it published.
+	// (Six stages: only stages 1..p−2 can share a decoder-only class.)
+	tight := pressureCase{"tiny8_p6_seq16k", model.Tiny(8), parallel.Strategy{TP: 1, PP: 6, DP: 1}, 16384, 0.93, 1}
+	var stages []int
+	var ci, cj int
+	for _, r := range tight.ranges(2*8 + 2) {
+		scout := tight.planner(t, RecomputeAdaptive, false, 1)
+		if !scout.table.reachable(1, r[0], r[1]) {
+			continue
+		}
+		scout.lookup(nil, 1, r[0], r[1])
+		stages = []int{1}
+		for s := 0; s < tight.strat.PP; s++ {
+			if s != 1 && scout.table.hot[scout.table.index(s, r[0], r[1])].state.Load() >= costInfeasible {
+				stages = append(stages, s)
+			}
+		}
+		if ci, cj = r[0], r[1]; len(stages) >= 3 {
+			break
+		}
+	}
+	if len(stages) < 3 {
+		t.Fatalf("no class of %s has three same-quantum stages", tight.name)
+	}
+	states := func(pl *Planner) []uint32 {
+		out := make([]uint32, len(stages))
+		for k, s := range stages {
+			out[k] = pl.table.hot[pl.table.index(s, ci, cj)].state.Load()
+		}
+		return out
+	}
+	lookupRecovering := func(pl *Planner, s int) {
+		defer func() {
+			if recover() == nil {
+				t.Error("scripted panic did not propagate out of the lookup")
+			}
+		}()
+		pl.lookup(nil, s, ci, cj)
+	}
+
+	// The second claim's compute panics: the first stays published, the
+	// second and every later one return to absent.
+	pl = tight.planner(t, RecomputeAdaptive, false, 1)
+	if err := pl.SetCostSource(&scriptedSource{panicAt: 2}); err != nil {
+		t.Fatal(err)
+	}
+	lookupRecovering(pl, stages[0])
+	for k, state := range states(pl) {
+		if published := state >= costInfeasible; state == costSolving || published != (k == 0) {
+			t.Fatalf("after a panic in claim 1 of stages %v: states %v, want [published absent ...]", stages, states(pl))
+		}
+	}
+	for _, s := range stages {
+		checkAgainstReference(t, pl, s, ci, cj)
+	}
+
+	// The same panic with a search parked on the last claim.
+	pl = tight.planner(t, RecomputeAdaptive, false, 1)
+	src := &scriptedSource{panicAt: 2, entered: make(chan struct{}), release: make(chan struct{})}
+	if err := pl.SetCostSource(src); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		lookupRecovering(pl, stages[0])
+	}()
+	<-src.entered
+	last := stages[len(stages)-1]
+	if got := states(pl)[len(stages)-1]; got != costSolving {
+		t.Fatalf("stage %d of the class is in state %d while its class solve is in flight, want solving", last, got)
+	}
+	go func() {
+		defer wg.Done()
+		// Parks on the claimed entry (or, if the panic wins the race,
+		// finds it absent); either way it ends up solving it itself.
+		if _, _, hit := pl.lookup(nil, last, ci, cj); hit {
+			t.Error("lookup of an entry in flight reported a hit")
+		}
+	}()
+	close(src.release)
+	wg.Wait()
+	for _, s := range stages {
+		checkAgainstReference(t, pl, s, ci, cj)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"adapipe/internal/obs"
+	"adapipe/internal/partition"
 	"adapipe/internal/pool"
 )
 
@@ -16,8 +17,9 @@ func (pl *Planner) workerCount() int {
 	return pl.opts.Workers
 }
 
-// prefillTask is one unpublished class the partition DP may evaluate, by a
-// representative (s, i, j) range, that passed the static-memory gate.
+// prefillTask is one unpublished (stage, class) entry the partition DP may
+// evaluate, by a representative (s, i, j) range, that passed the
+// static-memory gate.
 type prefillTask struct {
 	idx, s, i, j int
 	perMicro     int64
@@ -25,28 +27,38 @@ type prefillTask struct {
 
 // prefillCosts solves every stage cost the partition DP can touch, fanned
 // across the worker pool, publishing each into the cost table as it
-// completes, and returns how many classes it resolved. This is the parallel
-// heart of the search: the per-(stage, iso-class) knapsack solves are
-// mutually independent, so they are the part worth parallelizing — the DP
-// itself then runs against a table where every lookup is a hit.
+// completes, and returns how many lookups it stood in for. This is the
+// parallel heart of the search: the class solves are mutually independent, so
+// they are the part worth parallelizing — the DP itself then runs against a
+// table where every lookup is a hit.
 //
-// The domain is enumerated by class, not by range — O(pL) with isomorphism:
-// the last stage takes a suffix (one class per start), and any earlier stage
-// s ends by layer L−p+s, where one start per first-layer kind represents
-// every range of that kind and length. Without isomorphism every range is its
-// own class. Statically infeasible classes are settled during the
-// enumeration and never become tasks.
+// The domain is the reachable one (costTable.reachable), enumerated by class,
+// not by range — O(pL) with isomorphism: the last stage takes a suffix that
+// leaves each earlier stage a layer, stage 0 starts at layer 0, and a stage s
+// between them starts at layer s or later and ends by layer L−p+s, where the
+// earliest start of each first-layer kind represents every range of that kind
+// and length. Without isomorphism every range is its own class. Statically
+// infeasible classes are settled during the enumeration and never become
+// tasks. A worker that wins a task's entry runs the class solve, which also
+// claims the entry's same-quantum siblings at other stages (solveClass);
+// their own tasks then find them taken and cost one failed compare-and-swap.
+// Tasks are ordered stage by stage, so the tasks two workers hold at one time
+// are different classes.
 //
-// Determinism: each task's solve is a pure function of immutable planner
-// state and lands in the entry its class owns, so nothing observable depends
-// on which worker ran which task or in what order; per-worker counters are
-// commutative sums. The produced plans are byte-identical to the serial
-// search (TestParallelPlanMatchesSerial).
+// Determinism: each solve is a pure function of immutable planner state and
+// lands in the entries its class owns, so no entry depends on which worker
+// ran which task or in what order, and the produced plans are byte-identical
+// to the serial search (TestParallelPlanMatchesSerial). Per-worker counters
+// are commutative sums; the one thing scheduling can move is how the fills
+// split between KnapsackRuns and KnapsackShared, if two workers start on two
+// stages of one class at the same moment and each fills a table for the
+// siblings it got.
 //
-// The enumerated domain is a superset of what the lazy serial search touches
-// (the serial DP skips ranges whose successor state is infeasible), so
-// parallel SearchStats may count somewhat more knapsack runs than serial —
-// the plan, however, never differs.
+// The serial search publishes a subset of this domain: its DP never looks up
+// a range (s, i, j) when the layers after j admit no feasible partitioning
+// into the remaining stages, so serially such an entry is published only when
+// a class solve claims it as a sibling. That is the whole difference, and it
+// moves effort counters only — the plan never differs.
 //
 // Cancellation: when ctx is done the workers stop pulling tasks; the tasks
 // that never ran leave their entries absent (a worker claims an entry only
@@ -74,20 +86,24 @@ func (pl *Planner) prefillCosts(ctx context.Context, workers int) (resolved int,
 		tasks = append(tasks, prefillTask{idx: idx, s: s, i: i, j: j, perMicro: perMicro})
 	}
 	// Base level: the last stage takes everything that remains.
-	for i := 0; i < L; i++ {
+	lo, hi := partition.StageStarts(L, p, p-1)
+	for i := lo; i <= hi; i++ {
 		add(p-1, i, L-1)
 	}
-	// Upper levels: stage s may cover [i, j] with i <= j <= L-p+s so every
-	// later stage keeps at least one layer.
-	var seen [numKinds]bool
-	for i := 0; i < L; i++ {
+	// Upper levels: stage s may cover [i, j] with j <= L-p+s so every later
+	// stage keeps at least one layer.
+	for s := p - 2; s >= 0; s-- {
 		if t.iso {
-			if seen[pl.layers[i].Kind] {
-				continue
+			for kind := 0; kind < numKinds; kind++ {
+				i := t.minStart[s*numKinds+kind]
+				for j := i; j <= L-p+s; j++ {
+					add(s, i, j)
+				}
 			}
-			seen[pl.layers[i].Kind] = true
+			continue
 		}
-		for s := p - 2; s >= 0; s-- {
+		lo, hi := partition.StageStarts(L, p, s)
+		for i := lo; i <= hi; i++ {
 			for j := i; j <= L-p+s; j++ {
 				add(s, i, j)
 			}
@@ -120,9 +136,10 @@ func (pl *Planner) prefillCosts(ctx context.Context, workers int) (resolved int,
 			return
 		}
 		start := pl.clock()
-		pl.solveClaimed(src, family, task.idx, task.s, task.i, task.j, task.perMicro, solvers[w], &statsW[w])
-		// Each prefill solve is one cost evaluation served without a
-		// cache hit, matching what the serial miss path counts.
+		pl.solveClass(src, family, task.s, task.i, task.j, task.perMicro, solvers[w], &statsW[w])
+		// Each task won is one cost evaluation served without a cache hit,
+		// matching what the serial miss path counts; the siblings its solve
+		// published are not.
 		statsW[w].CostEvaluations++
 		statsW[w].ParallelBusy += pl.clock().Sub(start)
 	})

@@ -121,9 +121,10 @@ type Options struct {
 	// the peak consumption of OOM configurations (Figure 8). It has no
 	// effect on the adaptive search, which needs the constraint.
 	IgnoreMemoryLimit bool
-	// Workers bounds the planner's worker pool: the independent per-
-	// (stage, iso-class) knapsack solves are fanned across Workers
-	// goroutines before the partition DP runs, and the DP's per-level cells
+	// Workers bounds the planner's worker pool: the independent class
+	// solves (one knapsack table per iso-class and rounding quantum, read at
+	// every stage that shares it) are fanned across Workers goroutines
+	// before the partition DP runs, and the DP's per-level cells
 	// are sharded the same way. 0 or 1 selects the fully serial search.
 	// Plans are byte-identical for every value — parallelism changes wall
 	// time only, never the result (see TestParallelPlanMatchesSerial).
@@ -411,9 +412,9 @@ func (pl *Planner) lookup(tr *obs.Tracer, s, i, j int) (idx int, feasible, hit b
 // table alone: a class that cannot fit under any strategy is settled with one
 // compare-and-swap and never reaches the cost store — it is cheaper to
 // re-derive than to hash. Otherwise the search that wins the entry's
-// absent → solving transition solves it (through the shared store when one is
-// attached) while any other search wanting the same class parks until it is
-// published; solves of different classes overlap freely.
+// absent → solving transition runs the class solve (solveClass) while any
+// other search wanting the same entry parks until it is published; solves of
+// different classes overlap freely.
 func (pl *Planner) resolve(tr *obs.Tracer, idx, s, i, j int) uint32 {
 	e := &pl.table.hot[idx]
 	perMicro, fits := pl.microBudget(s, i, j)
@@ -431,7 +432,7 @@ func (pl *Planner) resolve(tr *obs.Tracer, idx, s, i, j int) uint32 {
 	// Lazy solves render on track 0 next to the request phases.
 	one[0].knap.Trace = tr
 	var st SearchStats
-	pl.solveClaimed(src, family, idx, s, i, j, perMicro, one[0], &st)
+	pl.solveClass(src, family, s, i, j, perMicro, one[0], &st)
 	pl.returnSolvers(one[:], st)
 	return e.state.Load()
 }
@@ -463,85 +464,155 @@ func (pl *Planner) microBudget(s, i, j int) (perMicro int64, fits bool) {
 	return perMicro, perMicro >= 0
 }
 
-// solveClaimed solves the entry idx the caller moved to solving and
-// publishes the result. If the solve panics (the pool re-raises worker
-// panics after the join) the entry goes back to absent, so a search parked
-// on it retries instead of waiting forever.
-func (pl *Planner) solveClaimed(src CostSource, family []byte, idx, s, i, j int, perMicro int64, sv *stageSolver, st *SearchStats) {
-	published := false
-	defer func() {
-		if !published {
-			pl.table.settle(&pl.table.hot[idx], costAbsent)
-		}
-	}()
-	var c coststore.Entry
-	if src == nil {
-		c = pl.solveStage(s, i, j, perMicro, sv, st)
-	} else {
-		// The store runs the compute closure exactly once per key
-		// process-wide (singleflight), so the planner either solves and
-		// publishes, or adopts another planner's identical solve.
-		var disp coststore.Disposition
-		c, disp = src.GetOrCompute(pl.storeKey(family, s, i, j), func() coststore.Entry {
-			return pl.solveStage(s, i, j, perMicro, sv, st)
-		})
-		if disp == coststore.Computed {
-			st.StoreMisses++
-		} else {
-			st.StoreHits++
-		}
-	}
-	pl.table.publish(idx, c)
-	published = true
-}
-
-// solveStage computes the nominal cost of layers i..j at stage s for a class
-// that passed microBudget (perMicro is its result). Every quantity around
-// the knapsack comes from the shape table in O(1); it reads only immutable
-// planner state, runs its knapsack on sv's scratch and counts effort into st
-// — so concurrent searches and prefill workers run it in parallel, each with
-// a private solver and stats shard.
-func (pl *Planner) solveStage(s, i, j int, perMicro int64, sv *stageSolver, st *SearchStats) coststore.Entry {
+// solveClass prices the class of layers i..j for the entry at stage s, which
+// the caller moved to solving (perMicro is its microBudget), and publishes it.
+// The stages that may run one class differ only in their per-micro-batch
+// budget, and one knapsack table filled to the largest budget answers every
+// smaller one (recompute.OptimizeMany) — provided the budgets round alike:
+// quantumFor grows the quantum with the budget, and a different quantum is a
+// different rounding of every unit size, hence a different problem. So the
+// solve also claims the still-absent entries of the class at the other
+// reachable stages whose quantum matches, and serves them all from the one
+// table. Each claimed entry is published through the same per-entry path as
+// ever — its own store key when a source is attached, its own absent →
+// solving → published walk — and the table is filled only when the first of
+// them actually has to be computed, for it and the claims after it. If the
+// solve panics (the pool re-raises worker panics after the join) every
+// unpublished claim goes back to absent, so a search parked on one retries
+// instead of waiting forever.
+//
+// It reads only immutable planner state, runs on sv's scratch and counts
+// effort into st — so concurrent searches and prefill workers run it in
+// parallel, each with a private solver and stats shard.
+func (pl *Planner) solveClass(src CostSource, family []byte, s, i, j int, perMicro int64, sv *stageSolver, st *SearchStats) {
 	t := pl.table
 	sh := &t.shapes[t.shapeIndex(i, j)]
+	searched := pl.opts.Recompute != RecomputeFull && pl.opts.Recompute != RecomputeNone
+	claims := append(sv.claims[:0], classClaim{idx: t.index(s, i, j), s: s, perMicro: perMicro})
+	quantum := pl.quantumFor(perMicro)
+	// The fixed policies run no knapsack, so there is no table to share.
+	for s2 := 0; searched && s2 < pl.strat.PP; s2++ {
+		if s2 == s || !t.reachable(s2, i, j) {
+			continue
+		}
+		idx := t.index(s2, i, j)
+		e := &t.hot[idx]
+		if e.state.Load() != costAbsent {
+			continue
+		}
+		// A sibling the static gate rejects is left to its own lookup.
+		pm, fits := pl.microBudget(s2, i, j)
+		if fits && pl.quantumFor(pm) == quantum && e.state.CompareAndSwap(costAbsent, costSolving) {
+			claims = append(claims, classClaim{idx: idx, s: s2, perMicro: pm})
+		}
+	}
+	sv.claims = claims
+	published := 0
+	defer func() {
+		for _, c := range claims[published:] {
+			t.settle(&t.hot[c.idx], costAbsent)
+		}
+	}()
+
 	input := pl.stageInput(i)
-	mem := sh.static
-	mem.InFlight = memory.InFlight(pl.strat.PP, s)
-
-	switch pl.opts.Recompute {
-	case RecomputeFull, RecomputeNone:
-		sol := recompute.Solution{Feasible: true, Saved: map[string]int{}, SavedBytes: input}
-		for k, c := range sh.counts {
-			sol.TotalUnits += int(c) * t.units[k]
-			sol.SavedUnits += int(c) * t.keepUnits[k]
-			sol.SavedBytes += int64(c) * t.keepBytes[k]
+	// solved is the first claim whose strategy has been read from the table.
+	solved := len(claims)
+	var optional float64
+	entry := func(k int) coststore.Entry {
+		c := claims[k]
+		if !searched {
+			return pl.fixedPolicyEntry(c.s, sh, input)
 		}
-		mem.SavedPerMicro = sol.SavedBytes
-		bwd := sh.bwd
-		if pl.opts.Recompute == RecomputeFull {
-			bwd += sh.replay
+		if k < solved {
+			solved = k
+			optional = pl.searchStrategies(sh, k, quantum, sv, st)
 		}
-		ok := pl.opts.IgnoreMemoryLimit || mem.Total() <= pl.cluster.Device.MemCapacity
-		return coststore.Entry{Fwd: sh.fwd, Bwd: bwd, Sol: sol, Mem: mem, OK: ok}
-
-	default: // RecomputeAdaptive, RecomputeLayerLevel
-		sv.groups = t.groups(sh, sv.groups)
-		st.KnapsackRuns++
-		sol := sv.knap.Optimize(sv.groups, perMicro, recompute.Options{
-			Quantum:    pl.quantumFor(perMicro),
-			DisableGCD: pl.opts.DisableGCD,
-		})
-		st.KnapsackCells += sol.DPCells
-		st.QuantaBeforeGCD += sol.QuantaBeforeGCD
-		st.QuantaAfterGCD += sol.QuantaAfterGCD
+		sol := sv.sols[k]
 		if !sol.Feasible {
 			return coststore.Entry{Sol: sol}
 		}
+		mem := sh.static
+		mem.InFlight = memory.InFlight(pl.strat.PP, c.s)
 		sol.SavedBytes += input
 		mem.SavedPerMicro = sol.SavedBytes
-		extra := recompute.TotalOptionalTime(sv.groups) - sol.SavedTime
-		return coststore.Entry{Fwd: sh.fwd, Bwd: sh.bwd + extra, Sol: sol, Mem: mem, OK: true}
+		return coststore.Entry{Fwd: sh.fwd, Bwd: sh.bwd + (optional - sol.SavedTime), Sol: sol, Mem: mem, OK: true}
 	}
+	for k, c := range claims {
+		var cost coststore.Entry
+		if src == nil {
+			cost = entry(k)
+		} else {
+			// The store runs the compute closure exactly once per key
+			// process-wide (singleflight), so the planner either solves and
+			// publishes, or adopts another planner's identical solve.
+			var disp coststore.Disposition
+			cost, disp = src.GetOrCompute(pl.storeKey(family, c.s, i, j), func() coststore.Entry { return entry(k) })
+			if disp == coststore.Computed {
+				st.StoreMisses++
+			} else {
+				st.StoreHits++
+			}
+		}
+		t.publish(c.idx, cost)
+		published = k + 1
+	}
+}
+
+// searchStrategies runs the §4 knapsack of a class once for sv.claims[from:]
+// — one table, read at each claim's budget — leaving claim k's strategy in
+// sv.sols[k], and returns the class's total optional forward time (what a
+// stage that saves nothing re-executes).
+func (pl *Planner) searchStrategies(sh *classShape, from int, quantum int64, sv *stageSolver, st *SearchStats) float64 {
+	sv.groups = pl.table.groups(sh, sv.groups)
+	n := len(sv.claims)
+	if cap(sv.sols) < n {
+		sv.sols = make([]recompute.Solution, n)
+		sv.budgets = make([]int64, n)
+	}
+	sv.sols, sv.budgets = sv.sols[:n], sv.budgets[:n]
+	sols, budgets := sv.sols[from:], sv.budgets[from:]
+	for k, c := range sv.claims[from:] {
+		budgets[k] = c.perMicro
+	}
+	cells := sv.knap.OptimizeMany(sv.groups, budgets, recompute.Options{
+		Quantum:    quantum,
+		DisableGCD: pl.opts.DisableGCD,
+	}, sols)
+	served := 0
+	for k := range sols {
+		if sols[k].DPCells > 0 {
+			served++
+			st.QuantaBeforeGCD += sols[k].QuantaBeforeGCD
+			st.QuantaAfterGCD += sols[k].QuantaAfterGCD
+		}
+	}
+	if cells > 0 {
+		st.KnapsackRuns++
+		st.KnapsackCells += cells
+		st.KnapsackShared += served - 1
+	}
+	return recompute.TotalOptionalTime(sv.groups)
+}
+
+// fixedPolicyEntry prices a class at stage s under classic full or no
+// recomputation, from the per-kind tables alone.
+func (pl *Planner) fixedPolicyEntry(s int, sh *classShape, input int64) coststore.Entry {
+	t := pl.table
+	mem := sh.static
+	mem.InFlight = memory.InFlight(pl.strat.PP, s)
+	sol := recompute.Solution{Feasible: true, Saved: map[string]int{}, SavedBytes: input}
+	for k, c := range sh.counts {
+		sol.TotalUnits += int(c) * t.units[k]
+		sol.SavedUnits += int(c) * t.keepUnits[k]
+		sol.SavedBytes += int64(c) * t.keepBytes[k]
+	}
+	mem.SavedPerMicro = sol.SavedBytes
+	bwd := sh.bwd
+	if pl.opts.Recompute == RecomputeFull {
+		bwd += sh.replay
+	}
+	ok := pl.opts.IgnoreMemoryLimit || mem.Total() <= pl.cluster.Device.MemCapacity
+	return coststore.Entry{Fwd: sh.fwd, Bwd: bwd, Sol: sol, Mem: mem, OK: ok}
 }
 
 // borrowSolvers fills dst with solve scratch checked out of the planner's
@@ -595,7 +666,7 @@ func (pl *Planner) quantumFor(budget int64) int64 {
 }
 
 // Plan runs the configured search and assembles the plan. With Options.
-// Workers > 1 the independent per-(stage, iso-class) knapsack solves are
+// Workers > 1 the independent class solves of the reachable domain are
 // prefilled across the worker pool and the partition DP shards its per-level
 // cells the same way; the resulting plan is byte-identical to the serial
 // search. Plan is safe to call concurrently on one planner: searches share

@@ -15,12 +15,24 @@ import (
 // each produced Plan carries a snapshot — the planner-side telemetry of the
 // observability layer.
 type SearchStats struct {
-	// KnapsackRuns is the number of §4 recomputation DPs actually solved.
+	// KnapsackRuns is the number of §4 recomputation DP tables actually
+	// filled. One table serves every stage of a class whose budget rounds to
+	// the same quantum, and a solve that short-circuits (everything fits,
+	// nothing optional, no usable budget) fills none.
 	KnapsackRuns int
+	// KnapsackShared counts the stage strategies read out of a table beyond
+	// the one per fill: KnapsackRuns + KnapsackShared is the number of
+	// (stage, class) solves that needed a DP, and only the former paid for
+	// one.
+	KnapsackShared int
 	// CacheHits counts stage-cost lookups served by the isomorphic-range
 	// cache instead of a fresh solve.
 	CacheHits int
-	// CostEvaluations counts all stage-cost lookups (hits + misses).
+	// CostEvaluations counts all stage-cost lookups (hits + misses). A
+	// lookup that misses runs at most one class solve, which fills at most
+	// one table, so KnapsackRuns + CacheHits <= CostEvaluations; the sibling
+	// entries such a solve publishes on the side are not lookups and count
+	// only when a later lookup hits them.
 	CostEvaluations int
 	// StoreHits counts cost-table misses served by the shared cost store
 	// (a stored entry or another planner's in-flight solve) — cross-request
@@ -29,11 +41,12 @@ type SearchStats struct {
 	// attached CostSource.
 	StoreHits, StoreMisses int
 	// KnapsackCells is the total knapsack DP table size filled across all
-	// runs (pseudo-items × capacity states).
+	// runs (pseudo-items × capacity states of each table, filled once).
 	KnapsackCells int64
-	// QuantaBeforeGCD and QuantaAfterGCD sum the knapsack capacities in
-	// rounding quanta before and after the §5.3 GCD reduction; their ratio
-	// is the average capacity shrink the reduction bought.
+	// QuantaBeforeGCD and QuantaAfterGCD sum, over the stage strategies read
+	// from a table, the knapsack capacity in rounding quanta before and after
+	// the §5.3 GCD reduction; their ratio is the average capacity shrink the
+	// reduction bought.
 	QuantaBeforeGCD, QuantaAfterGCD int64
 	// PartitionCells counts the (stage, start, end) cells Algorithm 1 (or
 	// its exact variant) evaluated. Warm-started searches count only the
@@ -73,6 +86,7 @@ type SearchStats struct {
 // parallel-section times. All are commutative sums.
 func (s *SearchStats) addSolves(o SearchStats) {
 	s.KnapsackRuns += o.KnapsackRuns
+	s.KnapsackShared += o.KnapsackShared
 	s.KnapsackCells += o.KnapsackCells
 	s.QuantaBeforeGCD += o.QuantaBeforeGCD
 	s.QuantaAfterGCD += o.QuantaAfterGCD
@@ -123,8 +137,8 @@ func (s SearchStats) ParallelSpeedup() float64 {
 // String renders the counters as the one-line summary Describe prints.
 func (s SearchStats) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d cost evals (%d knapsacks, %.0f%% iso-cache hits), %d knapsack cells, GCD reduction %.1fx, %d partition cells",
-		s.CostEvaluations, s.KnapsackRuns, 100*s.CacheHitRate(), s.KnapsackCells, s.GCDReduction(), s.PartitionCells)
+	fmt.Fprintf(&b, "%d cost evals (%d knapsacks + %d read from a shared table, %.0f%% iso-cache hits), %d knapsack cells, GCD reduction %.1fx, %d partition cells",
+		s.CostEvaluations, s.KnapsackRuns, s.KnapsackShared, 100*s.CacheHitRate(), s.KnapsackCells, s.GCDReduction(), s.PartitionCells)
 	if s.FrontierStates > 0 {
 		fmt.Fprintf(&b, ", %d frontier states", s.FrontierStates)
 	}
@@ -149,7 +163,8 @@ func (s SearchStats) String() string {
 // given name prefix.
 func (s SearchStats) PromMetrics(prefix string) []obs.Metric {
 	return []obs.Metric{
-		{Name: prefix + "_knapsack_runs", Help: "recomputation DPs solved", Value: float64(s.KnapsackRuns)},
+		{Name: prefix + "_knapsack_runs", Help: "recomputation DP tables filled", Value: float64(s.KnapsackRuns)},
+		{Name: prefix + "_knapsack_shared", Help: "stage strategies read from a table another stage of the class filled", Value: float64(s.KnapsackShared)},
 		{Name: prefix + "_cache_hits", Help: "stage-cost lookups served by the isomorphic-range cache", Value: float64(s.CacheHits)},
 		{Name: prefix + "_cache_hit_rate", Help: "fraction of stage-cost lookups served from cache", Value: s.CacheHitRate()},
 		{Name: prefix + "_cost_evaluations", Help: "total stage-cost lookups", Value: float64(s.CostEvaluations)},

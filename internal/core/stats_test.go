@@ -17,8 +17,14 @@ func TestPlanCarriesSearchStats(t *testing.T) {
 	if s.CacheHits <= 0 {
 		t.Error("isomorphism cache never hit on GPT-3 (many identical ranges)")
 	}
+	// A lookup is a hit or a miss; a miss runs at most one class solve, which
+	// fills at most one table. Sibling entries that solve publishes are not
+	// lookups.
 	if s.KnapsackRuns+s.CacheHits > s.CostEvaluations {
 		t.Errorf("runs %d + hits %d exceed evaluations %d", s.KnapsackRuns, s.CacheHits, s.CostEvaluations)
+	}
+	if s.KnapsackShared <= 0 {
+		t.Error("no strategy was read from a shared table on GPT-3 (stages 1..3 of a class share a quantum)")
 	}
 	if hr := s.CacheHitRate(); hr <= 0 || hr >= 1 {
 		t.Errorf("cache hit rate %g outside (0,1)", hr)

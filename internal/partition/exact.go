@@ -172,18 +172,20 @@ func solveExactMemo(L, p, n int, cost CostFn, maxFrontier int, memo *ExactMemo, 
 	return plan, exact, nil
 }
 
-// solveExactLevel computes one frontier level into memo.frontiers[s] and
-// returns its cost-evaluation count. Every cell in range is overwritten
-// unconditionally so a reused table never leaks stale frontiers into a
-// recomputed level.
+// solveExactLevel computes the reachable cells of one frontier level into
+// memo.frontiers[s] and returns its cost-evaluation count. Every reachable
+// cell is overwritten unconditionally so a reused table never leaks stale
+// frontiers into a recomputed level.
 func solveExactLevel(L, p, n, s int, cost CostFn, memo *ExactMemo, workers int, noDominance bool) int64 {
 	// Trim flags and cell counts are order-insensitive aggregates, safe and
 	// exact under any worker interleaving.
 	var cells atomic.Int64
 	var trimmed atomic.Bool
 	frontiers := memo.frontiers
+	lo, hi := StageStarts(L, p, s)
 	if s == p-1 {
-		pool.Run(workers, L, func(_, i int) {
+		pool.Run(workers, hi-lo+1, func(_, k int) {
+			i := lo + k
 			cells.Add(1)
 			f, b, ok := cost(p-1, i, L-1)
 			if !ok {
@@ -196,7 +198,8 @@ func solveExactLevel(L, p, n, s int, cost CostFn, memo *ExactMemo, workers int, 
 		return cells.Load()
 	}
 	// Each cell i reads only level s+1 and writes only frontiers[s][i].
-	pool.Run(workers, L-p+s+1, func(_, i int) {
+	pool.Run(workers, hi-lo+1, func(_, k int) {
+		i := lo + k
 		var states []exState
 		for j := i; j <= L-p+s; j++ {
 			nextStates := frontiers[s+1][j+1]

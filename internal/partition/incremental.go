@@ -104,17 +104,36 @@ func SolveMemo(L, p, n int, cost CostFn, memo *Memo, stale, workers int) (Plan, 
 	return plan, nil
 }
 
-// solveLevel computes DP level s of Algorithm 1 into P[s], fanning the
-// independent cells across the worker pool, and returns the number of cost
-// evaluations performed. Every cell in range is overwritten unconditionally
-// so a reused table never leaks stale states into a recomputed level.
+// StageStarts returns the start layers [lo, hi] a partitioning can give stage
+// s of p over L layers: stage 0 starts at layer 0 and nowhere else; any later
+// stage starts after at least s layers and leaves at least one layer to each
+// of the p−s−1 stages behind it. Both solvers compute only these cells. By
+// induction down the levels that never changes a state the plan can contain:
+// a cell (s, i) in range reads level s+1 at j+1 for j ∈ [i, L−p+s], and
+// [i+1, L−p+s+1] lies inside level s+1's own range, so every state on the
+// split chain walked from P[0][0] is computed from computed states only. The
+// cells outside are never read and keep the zero value a fresh table has.
+func StageStarts(L, p, s int) (lo, hi int) {
+	if s == 0 {
+		return 0, 0
+	}
+	return s, L - p + s
+}
+
+// solveLevel computes the reachable cells of DP level s of Algorithm 1 into
+// P[s], fanning the independent cells across the worker pool, and returns the
+// number of cost evaluations performed. Every reachable cell is overwritten
+// unconditionally so a reused table never leaks stale states into a
+// recomputed level.
 func solveLevel(L, p, n, s int, cost CostFn, P [][]State, workers int) int64 {
 	// Cell counting is a commutative sum, so an atomic keeps the tally exact
 	// (and deterministic) under any worker interleaving.
 	var cells atomic.Int64
+	lo, hi := StageStarts(L, p, s)
 	if s == p-1 {
 		// Base case: the last stage takes everything that remains.
-		pool.Run(workers, L, func(_, i int) {
+		pool.Run(workers, hi-lo+1, func(_, k int) {
+			i := lo + k
 			cells.Add(1)
 			f, b, ok := cost(p-1, i, L-1)
 			if !ok {
@@ -130,10 +149,11 @@ func solveLevel(L, p, n, s int, cost CostFn, P [][]State, workers int) int64 {
 		})
 		return cells.Load()
 	}
-	// Stage s must start no later than layer L−(p−s) so every later stage
+	// Stage s must end no later than layer L−(p−s) so every later stage
 	// keeps at least one layer. Each cell i at this level reads only level
 	// s+1 and writes only P[s][i]: race-free sharding.
-	pool.Run(workers, L-p+s+1, func(_, i int) {
+	pool.Run(workers, hi-lo+1, func(_, k int) {
+		i := lo + k
 		best := State{T: math.Inf(1)}
 		for j := i; j <= L-p+s; j++ {
 			next := P[s+1][j+1]

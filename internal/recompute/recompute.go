@@ -95,6 +95,7 @@ type Solver struct {
 	dp     []float64
 	taken  []bool // len(items) × (w+1), row-major
 	items  []item
+	opt    []Group
 	scaled []int64
 	counts []int
 
@@ -129,13 +130,36 @@ func Optimize(groups []Group, capacity int64, opts Options) Solution {
 }
 
 // Optimize is the package-level Optimize running on the solver's reused
-// scratch buffers.
+// scratch buffers: the one-capacity case of OptimizeMany.
 func (sv *Solver) Optimize(groups []Group, capacity int64, opts Options) Solution {
+	var out [1]Solution
+	sv.OptimizeMany(groups, []int64{capacity}, opts, out[:])
+	return out[0]
+}
+
+// OptimizeMany solves one group set at several capacities from a single
+// knapsack table — Equation 1's T̃_{s,N}(M) read at every M of interest. The
+// stages that may run one set of layers differ only in their budget, and a
+// 0/1 table filled to capacity w already holds the optimum and the choice
+// bits of every capacity below w: dp[c] and taken[i][c] depend only on cells
+// ≤ c, never on the loop's upper bound. So the capacity-independent work
+// (rounding, GCD, binary splitting) runs once, the table is filled once to
+// the largest capacity that needs a search, and each capacity scans its
+// prefix of the last row and walks the choice rows. out[k] is bit-identical
+// to Optimize(groups, capacities[k], opts), including its DPCells and quanta
+// counters, which describe the table that capacity alone would have needed.
+// capacities need not be sorted or distinct; len(out) must be at least
+// len(capacities).
+//
+// The return value is the number of table cells actually filled: zero when
+// every capacity short-circuited (infeasible, nothing optional, everything
+// fits, or no usable budget).
+func (sv *Solver) OptimizeMany(groups []Group, capacities []int64, opts Options, out []Solution) int64 {
 	// The span name is a constant so traced and untraced solves allocate
 	// identically.
 	sp := sv.Trace.Start("knapsack", obs.CatSolve, sv.Tid)
 	defer sp.End()
-	sol := Solution{Saved: make(map[string]int, len(groups))}
+	out = out[:len(capacities)]
 	quantum := opts.Quantum
 	if quantum <= 0 {
 		quantum = defaultQuantum
@@ -144,39 +168,19 @@ func (sv *Solver) Optimize(groups []Group, capacity int64, opts Options) Solutio
 		quantum = 1
 	}
 
-	// Mandatory units first.
-	remaining := capacity
+	// Mandatory units come off every budget first; optional groups are
+	// searched, zero-size copies saved for free.
+	var mandatory int64
+	opt := sv.opt[:0]
 	for _, g := range groups {
-		sol.TotalUnits += g.Count
-		if g.AlwaysSaved {
-			remaining -= roundUp(g.Bytes, quantum) * int64(g.Count)
-			sol.Saved[g.Key] = g.Count
-			sol.SavedUnits += g.Count
-			sol.SavedBytes += g.Bytes * int64(g.Count)
+		switch {
+		case g.AlwaysSaved:
+			mandatory += roundUp(g.Bytes, quantum) * int64(g.Count)
+		case g.Count > 0 && g.Bytes > 0:
+			opt = append(opt, g)
 		}
 	}
-	if remaining < 0 {
-		return Solution{Saved: sol.Saved, TotalUnits: sol.TotalUnits}
-	}
-	sol.Feasible = true
-
-	// Optional groups, zero-size copies saved for free.
-	var opt []Group
-	for _, g := range groups {
-		if g.AlwaysSaved || g.Count <= 0 {
-			continue
-		}
-		if g.Bytes <= 0 {
-			sol.Saved[g.Key] += g.Count
-			sol.SavedUnits += g.Count
-			sol.SavedTime += g.FwdTime * float64(g.Count)
-			continue
-		}
-		opt = append(opt, g)
-	}
-	if len(opt) == 0 || remaining == 0 {
-		return sol
-	}
+	sv.opt = opt
 
 	// Round sizes up conservatively, then shrink by the GCD (§5.3).
 	scaled := sv.scaledBuf(len(opt))
@@ -187,33 +191,31 @@ func (sv *Solver) Optimize(groups []Group, capacity int64, opts Options) Solutio
 		roundedTotal += scaled[i] * int64(grp.Count)
 		g = gcd64(g, scaled[i])
 	}
-	// Everything fits: no search needed (also keeps the DP table bounded
-	// for effectively unlimited budgets).
-	if roundedTotal <= remaining {
-		for _, grp := range opt {
-			sol.Saved[grp.Key] += grp.Count
-			sol.SavedUnits += grp.Count
-			sol.SavedTime += grp.FwdTime * float64(grp.Count)
-			sol.SavedBytes += grp.Bytes * int64(grp.Count)
-		}
-		return sol
-	}
-	// Budget beyond the total rounded footprint is unusable.
-	if remaining > roundedTotal {
-		remaining = roundedTotal
-	}
 	if opts.DisableGCD {
 		g = 1
 		if !opts.Exact {
 			g = quantum
 		}
 	}
-	w := remaining / g
-	if w <= 0 {
-		return sol
+
+	// Settle what needs no search, size the table each remaining capacity
+	// needs (QuantaAfterGCD > 0 marks it as searched) and find the largest.
+	var w int64
+	for k, capacity := range capacities {
+		remaining := capacity - mandatory
+		out[k] = unsearched(groups, opt, remaining, roundedTotal)
+		// Everything fits at roundedTotal and beyond, which also keeps the
+		// table bounded for effectively unlimited budgets.
+		if remaining <= 0 || remaining >= roundedTotal || remaining/g == 0 {
+			continue
+		}
+		out[k].QuantaBeforeGCD = remaining / quantum
+		out[k].QuantaAfterGCD = remaining / g
+		w = max(w, remaining/g)
 	}
-	sol.QuantaBeforeGCD = remaining / quantum
-	sol.QuantaAfterGCD = w
+	if w == 0 {
+		return 0
+	}
 	for i := range scaled {
 		scaled[i] /= g
 	}
@@ -223,10 +225,7 @@ func (sv *Solver) Optimize(groups []Group, capacity int64, opts Options) Solutio
 	for i, grp := range opt {
 		c := grp.Count
 		for k := 1; c > 0; k *= 2 {
-			take := k
-			if take > c {
-				take = c
-			}
+			take := min(k, c)
 			items = append(items, item{
 				group:  i,
 				copies: take,
@@ -239,73 +238,118 @@ func (sv *Solver) Optimize(groups []Group, capacity int64, opts Options) Solutio
 	sv.items = items
 
 	// 0/1 knapsack with choice tracking. taken is row-major: row i holds the
-	// w+1 choice bits of pseudo-item i.
-	sol.DPCells = int64(len(items)) * (w + 1)
-	dp := sv.dpBuf(w + 1)
-	taken := sv.takenBuf(int64(len(items)) * (w + 1))
-	stride := w + 1
+	// w+1 choice bits of pseudo-item i. Each item's pass runs over three
+	// equal-length windows — dst = dp[weight..w], src = dp[0..w−weight] and
+	// the matching tail of the item's choice row — so the descending scan
+	// indexes all three with one in-range loop variable.
+	stride := int(w) + 1
+	dp := sv.dpBuf(stride)
+	taken := sv.takenBuf(len(items) * stride)
 	for i, it := range items {
 		if it.weight > w {
 			continue
 		}
-		row := taken[int64(i)*stride : int64(i+1)*stride]
-		for c := w; c >= it.weight; c-- {
-			if v := dp[c-it.weight] + it.value; v > dp[c] {
-				dp[c] = v
+		wt := int(it.weight)
+		dst := dp[wt:]
+		src := dp[:len(dst)]
+		row := taken[i*stride+wt:][:len(dst)]
+		for c := len(dst) - 1; c >= 0; c-- {
+			if v := src[c] + it.value; v > dst[c] {
+				dst[c] = v
 				row[c] = true
 			}
 		}
 	}
 
-	// Reconstruct.
-	bestCap := int64(0)
-	best := dp[0]
-	for c := int64(1); c <= w; c++ {
-		if dp[c] > best {
-			best = dp[c]
-			bestCap = c
-		}
-	}
-	counts := sv.countsBuf(len(opt))
-	for i := len(items) - 1; i >= 0; i-- {
-		if taken[int64(i)*stride+bestCap] {
-			counts[items[i].group] += items[i].copies
-			bestCap -= items[i].weight
-		}
-	}
-	for i, grp := range opt {
-		if counts[i] == 0 {
+	// Reconstruct each searched capacity from its prefix of the table.
+	for k := range out {
+		sol := &out[k]
+		wk := int(sol.QuantaAfterGCD)
+		if wk == 0 {
 			continue
 		}
-		sol.Saved[grp.Key] += counts[i]
-		sol.SavedUnits += counts[i]
-		sol.SavedTime += grp.FwdTime * float64(counts[i])
-		sol.SavedBytes += grp.Bytes * int64(counts[i])
+		sol.DPCells = int64(len(items)) * int64(wk+1)
+		bestCap := 0
+		best := dp[0]
+		for c := 1; c <= wk; c++ {
+			if dp[c] > best {
+				best = dp[c]
+				bestCap = c
+			}
+		}
+		counts := sv.countsBuf(len(opt))
+		for i := len(items) - 1; i >= 0; i-- {
+			if taken[i*stride+bestCap] {
+				counts[items[i].group] += items[i].copies
+				bestCap -= int(items[i].weight)
+			}
+		}
+		for i, grp := range opt {
+			if counts[i] == 0 {
+				continue
+			}
+			sol.Saved[grp.Key] += counts[i]
+			sol.SavedUnits += counts[i]
+			sol.SavedTime += grp.FwdTime * float64(counts[i])
+			sol.SavedBytes += grp.Bytes * int64(counts[i])
+		}
+	}
+	return int64(len(items)) * int64(stride)
+}
+
+// unsearched builds the part of a solution that needs no table: the
+// mandatory units, the free zero-size copies and — when the whole rounded
+// optional footprint fits in what remains of the budget — every optional copy.
+// remaining is the budget left after the mandatory units (rounded up).
+func unsearched(groups, opt []Group, remaining, roundedTotal int64) Solution {
+	sol := Solution{Saved: make(map[string]int, len(groups))}
+	for _, g := range groups {
+		sol.TotalUnits += g.Count
+		if g.AlwaysSaved {
+			sol.Saved[g.Key] = g.Count
+			sol.SavedUnits += g.Count
+			sol.SavedBytes += g.Bytes * int64(g.Count)
+		}
+	}
+	if remaining < 0 {
+		return Solution{Saved: sol.Saved, TotalUnits: sol.TotalUnits}
+	}
+	sol.Feasible = true
+	for _, g := range groups {
+		if !g.AlwaysSaved && g.Count > 0 && g.Bytes <= 0 {
+			sol.Saved[g.Key] += g.Count
+			sol.SavedUnits += g.Count
+			sol.SavedTime += g.FwdTime * float64(g.Count)
+		}
+	}
+	if remaining >= roundedTotal {
+		for _, grp := range opt {
+			sol.Saved[grp.Key] += grp.Count
+			sol.SavedUnits += grp.Count
+			sol.SavedTime += grp.FwdTime * float64(grp.Count)
+			sol.SavedBytes += grp.Bytes * int64(grp.Count)
+		}
 	}
 	return sol
 }
 
 // dpBuf returns a zeroed float64 scratch slice of length n.
-func (sv *Solver) dpBuf(n int64) []float64 {
-	if int64(cap(sv.dp)) < n {
+func (sv *Solver) dpBuf(n int) []float64 {
+	if cap(sv.dp) < n {
 		sv.dp = make([]float64, n)
 	}
 	sv.dp = sv.dp[:n]
-	for i := range sv.dp {
-		sv.dp[i] = 0
-	}
+	clear(sv.dp)
 	return sv.dp
 }
 
 // takenBuf returns a zeroed bool scratch slice of length n.
-func (sv *Solver) takenBuf(n int64) []bool {
-	if int64(cap(sv.taken)) < n {
+func (sv *Solver) takenBuf(n int) []bool {
+	if cap(sv.taken) < n {
 		sv.taken = make([]bool, n)
 	}
 	sv.taken = sv.taken[:n]
-	for i := range sv.taken {
-		sv.taken[i] = false
-	}
+	clear(sv.taken)
 	return sv.taken
 }
 
@@ -325,9 +369,7 @@ func (sv *Solver) countsBuf(n int) []int {
 		sv.counts = make([]int, n)
 	}
 	sv.counts = sv.counts[:n]
-	for i := range sv.counts {
-		sv.counts[i] = 0
-	}
+	clear(sv.counts)
 	return sv.counts
 }
 

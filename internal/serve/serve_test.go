@@ -51,6 +51,13 @@ func tinyBody(pp, gbs int) string {
 	return fmt.Sprintf(`{"model":"tiny","tp":1,"pp":%d,"dp":1,"seq_len":2048,"global_batch":%d}`, pp, gbs)
 }
 
+// tightBody is tinyBody under memory pressure: a longer sequence against a
+// mostly-reserved device, so the search fills real knapsack tables instead of
+// short-circuiting every class as "everything fits".
+func tightBody(pp, gbs int) string {
+	return fmt.Sprintf(`{"model":"tiny","tp":1,"pp":%d,"dp":1,"seq_len":16384,"global_batch":%d,"memory_reserve":0.92}`, pp, gbs)
+}
+
 // offlinePlanBytes reproduces what `adapipe -o plan.json` writes for the same
 // request: the plan of the request-driven planner, serialized.
 func offlinePlanBytes(t *testing.T, reqJSON string) []byte {
@@ -128,7 +135,7 @@ func TestPlanRoundTripMatrix(t *testing.T) {
 // without running another search or another knapsack.
 func TestPlanCacheHitIsByteIdenticalAndFree(t *testing.T) {
 	s, ts := testServer(t, Config{})
-	body := tinyBody(4, 8)
+	body := tightBody(4, 8)
 
 	cold := postPlan(t, ts, body)
 	coldBytes := readBody(t, cold)
@@ -165,7 +172,7 @@ func TestPlanCacheHitIsByteIdenticalAndFree(t *testing.T) {
 
 	// A request that differs only in representation (field order, explicit
 	// defaults) is the same canonical request and also hits.
-	reordered := `{"global_batch":8,"seq_len":2048,"dp":1,"pp":4,"tp":1,"model":"tiny","method":"AdaPipe","micro_batch":1}`
+	reordered := `{"memory_reserve":0.92,"global_batch":8,"seq_len":16384,"dp":1,"pp":4,"tp":1,"model":"tiny","method":"AdaPipe","micro_batch":1}`
 	rep := postPlan(t, ts, reordered)
 	repBytes := readBody(t, rep)
 	if rep.Header.Get(headerCache) != CacheHit || !bytes.Equal(repBytes, coldBytes) {

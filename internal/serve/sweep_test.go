@@ -78,7 +78,7 @@ func TestSweepSinglePointMatchesPlan(t *testing.T) {
 func TestSweepAmortizesKnapsacksOverStore(t *testing.T) {
 	s, ts := testServer(t, Config{})
 
-	readBody(t, postPlan(t, ts, tinyBody(4, 8)))
+	readBody(t, postPlan(t, ts, tightBody(4, 8)))
 	cold := s.Stats()
 	if cold.KnapsackRuns == 0 {
 		t.Fatal("cold plan reported zero knapsack runs")
@@ -87,7 +87,7 @@ func TestSweepAmortizesKnapsacksOverStore(t *testing.T) {
 		t.Fatal("cold plan did not populate the cost store")
 	}
 
-	resp := postSweep(t, ts, sweepBody(tinyBody(4, 8), `{"global_batch":[8,16,24]}`))
+	resp := postSweep(t, ts, sweepBody(tightBody(4, 8), `{"global_batch":[8,16,24]}`))
 	data := readBody(t, resp)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
@@ -113,7 +113,7 @@ func TestSweepAmortizesKnapsacksOverStore(t *testing.T) {
 	}
 	// Every grid point matches its offline plan byte for byte.
 	for i, gb := range []int{8, 16, 24} {
-		want := offlinePlanBytes(t, tinyBody(4, gb))
+		want := offlinePlanBytes(t, tightBody(4, gb))
 		if !bytes.Equal([]byte(sr.Points[i].Plan), want) {
 			t.Fatalf("point %d (gb=%d) differs from offline plan", i, gb)
 		}
