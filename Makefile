@@ -1,7 +1,7 @@
 GO ?= go
 BIN := bin/adapipevet
 
-.PHONY: all build lint vet vet-selftest vet-sarif test fuzz-smoke race bench observe chaos serve-smoke ci clean
+.PHONY: all build vet vet-selftest vet-sarif test fuzz-smoke race bench observe chaos serve-smoke loc ci clean
 
 all: build
 
@@ -25,9 +25,6 @@ vet: $(BIN)
 	$(GO) vet ./...
 	./$(BIN) ./...
 	$(GO) vet -vettool=$(abspath $(BIN)) ./...
-
-# lint is the historical alias for vet.
-lint: vet
 
 # vet-selftest runs the suite over its own implementation: the analyzers, the
 # SARIF/JSON reporters and the drivers must satisfy every invariant they
@@ -82,19 +79,19 @@ observe:
 	$(GO) run ./examples/observe -dir observe-out
 
 # chaos runs the fault-injection suite under the race detector across a fixed
-# seed matrix, then the end-to-end demos: inject -> survive -> replan for
-# transient faults, and inject -> detect loss -> resize for permanent node
-# loss. Each demo exits non-zero unless the run survives every injected fault
-# and adopts exactly one replan (straggler-driven) or one elastic resize
-# (node-loss-driven, with bit-identical losses across the shape change). The
-# merged counters land in chaos-metrics.prom, which CI uploads as an artifact.
+# seed matrix, then the end-to-end demo for each seed: inject -> survive ->
+# replan for transient faults, and inject -> detect loss -> resize for
+# permanent node loss. The demo exits non-zero unless the run survives every
+# injected fault and adopts exactly one replan (straggler-driven) and one
+# elastic resize (node-loss-driven, with bit-identical losses across the shape
+# change). The merged counters land in chaos-metrics.prom, which CI uploads as
+# an artifact.
 chaos:
 	for seed in 1 7 42; do \
 		ADAPIPE_CHAOS_SEED=$$seed $(GO) test -race -run 'Chaos|Fault|Recovery|Watchdog|Straggler|Replan|NonFinite' \
 			./internal/fault/... ./internal/train/... ./internal/obs/... ./internal/core/... || exit 1; \
-		$(GO) run ./cmd/adapipe -chaos -chaos-nodeloss -chaos-seed $$seed || exit 1; \
+		$(GO) run ./examples/chaos -seed $$seed -metrics chaos-metrics.prom || exit 1; \
 	done
-	$(GO) run ./examples/chaos -metrics chaos-metrics.prom
 	grep -q '^adapipe_fault_resizes_total 1$$' chaos-metrics.prom
 
 # serve-smoke exercises the adapiped daemon end to end from outside the
@@ -107,6 +104,18 @@ chaos:
 serve-smoke:
 	$(GO) build -o bin/adapiped ./cmd/adapiped
 	$(GO) run ./cmd/servesmoke -daemon bin/adapiped -trace-out servesmoke-trace.json
+
+# loc prints the non-test Go lines of every package directory (comments and
+# blank lines included), then the totals a change is judged by: internal/serve
+# + internal/coststore + internal/memo, and the repo outside bench/.
+loc:
+	@git ls-files -co --exclude-standard '*.go' | grep -v '_test\.go$$' | grep -v '/testdata/' | xargs wc -l | awk ' \
+		$$2 == "total" { next } \
+		{ d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d] += $$1; \
+		  if (d ~ /^internal\/(serve|coststore|memo)$$/) core += $$1; \
+		  if (d !~ /^bench(\/|$$)/) repo += $$1 } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
+		      printf "%7d  internal/serve + internal/coststore + internal/memo\n%7d  repo outside bench/\n", core, repo }'
 
 # ci is the full gate the GitHub Actions workflow runs.
 ci: build vet vet-selftest test fuzz-smoke race bench observe chaos serve-smoke

@@ -92,13 +92,12 @@ func DefaultOptions() Options { return core.DefaultOptions() }
 
 // NewPlanner validates the inputs, profiles the model analytically and
 // returns a Planner for the given cluster, 3D strategy and training config.
-//
-// Deprecated: build a PlanRequest and call NewPlannerFromRequest (or
-// PlanContext) instead — the request path is versioned, validated and
-// hashable, and is the single construction path the CLI, benchmarks and the
-// adapiped daemon share. The adapipevet depapi analyzer flags in-repo calls;
-// configurations the request schema cannot express (synthetic test clusters)
-// may keep using this wrapper under a reasoned //adapipevet:ignore directive.
+// It is the construction path for a caller-defined Model, Cluster or Options
+// — anything the wire schema cannot spell, such as a synthetic test cluster.
+// For a configuration the schema can express, prefer a PlanRequest and
+// NewPlannerFromRequest (or PlanContext): that path is versioned, validated
+// and hashable, and is the one the CLI, benchmarks and the adapiped daemon
+// share.
 func NewPlanner(m Model, c Cluster, s Strategy, t TrainingConfig, o Options) (*Planner, error) {
 	return core.NewPlanner(m, c, s, t, o)
 }

@@ -7,8 +7,6 @@
 //	adapipe -model gpt3 -tp 8 -pp 8 -dp 1 -seq 16384 -gbs 32
 //	adapipe -model llama2 -cluster b -tp 4 -pp 8 -dp 4 -seq 4096 -gbs 256
 //	adapipe -model gpt3 -seq 4096 -gbs 128 -sweep
-//	adapipe -chaos -chaos-seed 42 -chaos-steps 20
-//	adapipe -chaos -chaos-nodeloss -chaos-seed 7
 package main
 
 import (
@@ -16,10 +14,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
-	"time"
 
 	"adapipe"
 )
@@ -43,22 +39,8 @@ func main() {
 		traceOut  = flag.String("trace", "", "write the simulated timeline as Chrome-trace JSON (chrome://tracing, Perfetto) to this file")
 		metrics   = flag.String("metrics", "", "write search and simulation metrics in Prometheus text format to this file")
 		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "search worker-pool size; 1 runs fully serial (plans are identical either way)")
-
-		chaos         = flag.Bool("chaos", false, "run a seeded fault-injection survival check on the live engine and exit")
-		chaosSeed     = flag.Uint64("chaos-seed", 1, "fault-injection seed for -chaos")
-		chaosSteps    = flag.Int("chaos-steps", 12, "optimizer steps for -chaos")
-		chaosNodeLoss = flag.Bool("chaos-nodeloss", false, "with -chaos: kill a node permanently mid-run and require exact elastic recovery")
 	)
 	flag.Parse()
-
-	if *chaos {
-		if *chaosNodeLoss {
-			runChaosNodeLoss(*chaosSeed, *chaosSteps, *metrics)
-			return
-		}
-		runChaos(*chaosSeed, *chaosSteps, *metrics)
-		return
-	}
 
 	// All planning flows through the versioned request schema — the same
 	// schema the adapiped daemon serves — so the flag surface and the HTTP
@@ -180,179 +162,6 @@ func main() {
 			fatalf("%v", err)
 		}
 		fmt.Printf("wrote metrics to %s\n", *metrics)
-	}
-}
-
-// runChaos trains a tiny model on the live 1F1B engine for steps optimizer
-// steps while a seeded fault injector throws probabilistic straggler delays,
-// transient stage panics, and NaN corruptions at it, with step-level recovery
-// (retry-from-snapshot plus the non-finite guard) enabled. The process exits
-// non-zero if any step fails beyond recovery, so it doubles as a survival
-// gate; fault counters go to stdout and, with -metrics, to a Prometheus file.
-func runChaos(seed uint64, steps int, metricsPath string) {
-	const (
-		stages = 3
-		micros = 4
-		seq    = 12
-	)
-	cfg := adapipe.TrainConfig{Layers: 2, Dim: 16, Heads: 2, FFN: 32, Vocab: 20, Seq: seq, Seed: 5}
-	// Layer sequence: embed + 2*layers(split attn/mlp) + head.
-	pipe, err := adapipe.NewTrainPipeline(cfg, []int{0, 2, 4, 6}, nil, 1e-3)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	pipe.Watchdog = 30 * time.Second
-	pipe.Fault, err = adapipe.NewFaultInjector(seed,
-		adapipe.FaultOn(adapipe.FaultStraggler).WithProb(0.05).WithDelay(time.Millisecond),
-		adapipe.FaultOn(adapipe.FaultPanic).WithProb(0.01),
-		adapipe.FaultOn(adapipe.FaultCorrupt).WithProb(0.01),
-	)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	sup, err := adapipe.NewTrainSupervisor(pipe, adapipe.TrainRecovery{
-		MaxRetries: 6, Backoff: time.Millisecond, GuardNonFinite: true,
-	})
-	if err != nil {
-		fatalf("%v", err)
-	}
-	corpus := adapipe.NewTrainCorpus(cfg.Vocab, 1<<12, 11)
-	rng := adapipe.NewRNG(11)
-	var first, last float64
-	skipped := 0
-	for i := 0; i < steps; i++ {
-		loss, err := sup.Step(corpus.Batches(micros, seq, rng))
-		if err != nil {
-			fatalf("chaos seed %d: step %d failed beyond recovery: %v", seed, i, err)
-		}
-		if math.IsNaN(loss) || math.IsInf(loss, 0) {
-			skipped++
-			continue
-		}
-		if first == 0 {
-			first = loss
-		}
-		last = loss
-	}
-	counters := sup.Counters()
-	fmt.Printf("chaos seed %d survived %d steps on %d stages (loss %.4f -> %.4f, %d skipped)\n",
-		seed, steps, stages, first, last, skipped)
-	fmt.Printf("fault counters: %+v\n", counters)
-	if int64(skipped) != counters.SkippedSteps {
-		fatalf("chaos seed %d: %d non-finite losses vs %d skipped steps", seed, skipped, counters.SkippedSteps)
-	}
-	if metricsPath != "" {
-		text := adapipe.RenderProm(adapipe.FaultMetrics("adapipe_fault", counters))
-		if err := os.WriteFile(metricsPath, []byte(text), 0o644); err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Printf("wrote fault metrics to %s\n", metricsPath)
-	}
-}
-
-// runChaosNodeLoss is the elastic-recovery survival gate: a 3-stage training
-// run loses stage 1's node permanently halfway through (plus probabilistic
-// straggler delays, which perturb timing but never arithmetic). The membership
-// model must declare the node dead after two consecutive failures, the
-// supervisor must resize onto a 2-stage pipeline exactly once, and the full
-// loss curve must stay bit-identical to a fault-free run — losses are
-// partition-invariant, so the clean run is the exact target on both sides of
-// the resize. Any deviation exits non-zero.
-func runChaosNodeLoss(seed uint64, steps int, metricsPath string) {
-	const micros = 4
-	const seq = 12
-	cfg := adapipe.TrainConfig{Layers: 2, Dim: 16, Heads: 2, FFN: 32, Vocab: 20, Seq: seq, Seed: 5}
-	lossAt := steps / 2
-
-	run := func(pipe *adapipe.TrainPipeline, sup *adapipe.TrainSupervisor) []float64 {
-		corpus := adapipe.NewTrainCorpus(cfg.Vocab, 1<<12, 11)
-		rng := adapipe.NewRNG(11)
-		losses := make([]float64, 0, steps)
-		for i := 0; i < steps; i++ {
-			batches := corpus.Batches(micros, seq, rng)
-			var loss float64
-			var err error
-			if sup != nil {
-				loss, err = sup.Step(batches)
-			} else {
-				loss, err = pipe.Step(batches)
-			}
-			if err != nil {
-				fatalf("chaos seed %d: step %d failed beyond recovery: %v", seed, i, err)
-			}
-			losses = append(losses, loss)
-		}
-		return losses
-	}
-
-	cleanPipe, err := adapipe.NewTrainPipeline(cfg, []int{0, 2, 4, 6}, nil, 1e-3)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	clean := run(cleanPipe, nil)
-
-	stragglers := adapipe.FaultOn(adapipe.FaultStraggler).WithProb(0.05).WithDelay(time.Millisecond)
-	pipe, err := adapipe.NewTrainPipeline(cfg, []int{0, 2, 4, 6}, nil, 1e-3)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	pipe.Watchdog = 30 * time.Second
-	pipe.Fault, err = adapipe.NewFaultInjector(seed,
-		stragglers,
-		adapipe.FaultOn(adapipe.FaultNodeLoss).AtStage(1).AtAttempt(lossAt),
-	)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	sup, err := adapipe.NewTrainSupervisor(pipe, adapipe.TrainRecovery{
-		MaxRetries: 1, Backoff: time.Millisecond,
-	})
-	if err != nil {
-		fatalf("%v", err)
-	}
-	health, err := adapipe.NewMembership(3, 1, 2)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	sup.Elastic = adapipe.TrainElastic{
-		Health: health,
-		Rebuild: func(downStage int) (*adapipe.TrainPipeline, error) {
-			fmt.Printf("chaos seed %d: stage %d declared permanently lost; rebuilding on 2 stages\n", seed, downStage)
-			other := cfg
-			other.Seed = 77 // the handoff alone must determine the state
-			next, err := adapipe.NewTrainPipeline(other, []int{0, 3, 6}, nil, 1e-3)
-			if err != nil {
-				return nil, err
-			}
-			next.Fault, err = adapipe.NewFaultInjector(seed, stragglers)
-			return next, err
-		},
-	}
-	losses := run(nil, sup)
-
-	for i := range clean {
-		if losses[i] != clean[i] {
-			fatalf("chaos seed %d: step %d loss %v != fault-free loss %v; elastic recovery was not exact",
-				seed, i, losses[i], clean[i])
-		}
-	}
-	counters := sup.Counters()
-	if counters.Resizes != 1 || counters.LossesDetected != 1 {
-		fatalf("chaos seed %d: %d resizes and %d losses detected, want exactly 1 of each (counters %+v)",
-			seed, counters.Resizes, counters.LossesDetected, counters)
-	}
-	if counters.NodeLosses != 2 {
-		fatalf("chaos seed %d: %d node-loss faults, want 2 (original + the retry that convicts)", seed, counters.NodeLosses)
-	}
-	fmt.Printf("chaos seed %d: node loss survived; %d steps bit-identical across one elastic resize (3 -> 2 stages)\n",
-		seed, steps)
-	fmt.Printf("fault counters: %+v\n", counters)
-	if metricsPath != "" {
-		text := adapipe.RenderProm(adapipe.FaultMetrics("adapipe_fault", counters))
-		if err := os.WriteFile(metricsPath, []byte(text), 0o644); err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Printf("wrote fault metrics to %s\n", metricsPath)
 	}
 }
 

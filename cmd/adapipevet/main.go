@@ -1,8 +1,8 @@
-// Command adapipevet runs the AdaPipe lint suite (internal/analysis): nine
+// Command adapipevet runs the AdaPipe lint suite (internal/analysis): eight
 // analyzers enforcing planner determinism (maporder, floatcmp, detrand),
 // pipeline and planner concurrency hygiene (pipesync, lockguard), context
-// propagation (ctxprop), error handling in the binaries (errcheckcmd),
-// suppression hygiene (ignoreaudit), and deprecated-API usage (depapi).
+// propagation (ctxprop), error handling in the binaries (errcheckcmd) and
+// suppression hygiene (ignoreaudit).
 //
 // Standalone (multichecker-style) usage — loads packages itself:
 //

@@ -61,7 +61,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	//adapipevet:ignore depapi synthetic toy cluster with tuned capacity is not expressible in the PlanRequest schema
 	planner, err := adapipe.NewPlanner(m, toyCluster(stages, capacity), strat, tc, toyOptions())
 	if err != nil {
 		log.Fatal(err)
@@ -113,11 +112,15 @@ func main() {
 
 	// Phase 2 — inject: stage 0 becomes a persistent straggler (every op
 	// delayed), one transient panic kills an iteration, one corruption
-	// poisons an activation. Attempts count Accumulate calls, so the
-	// targeted faults land inside the injected phase and never re-fire on
-	// the retry.
+	// poisons an activation. The delay is one calibrated micro-step per op:
+	// a micro-step is a forward plus a backward op, so the stage measures
+	// about 3x its baseline on any machine — a wall-clock constant would be
+	// a different slowdown on every box, and on a slow one falls under the
+	// detector's threshold. Attempts count Accumulate calls, so the targeted
+	// faults land inside the injected phase and never re-fire on the retry.
+	delay := time.Duration(predicted[0] * float64(time.Second))
 	inj, err := adapipe.NewFaultInjector(*seed,
-		adapipe.FaultOn(adapipe.FaultStraggler).AtStage(0).WithDelay(2*time.Millisecond),
+		adapipe.FaultOn(adapipe.FaultStraggler).AtStage(0).WithDelay(delay),
 		adapipe.FaultOn(adapipe.FaultPanic).AtStage(1).AtAttempt(calibrate+1),
 		adapipe.FaultOn(adapipe.FaultCorrupt).AtStage(0).AtAttempt(calibrate+3).OnPhase(adapipe.FaultPhaseForward),
 	)
@@ -227,7 +230,6 @@ func elasticPhase(m adapipe.Model, net adapipe.TrainConfig) adapipe.FaultCounter
 		log.Fatal(err)
 	}
 	cluster := elasticCluster(estages, capacity)
-	//adapipevet:ignore depapi elastic toy cluster shapes are not expressible in the PlanRequest schema
 	planner, err := adapipe.NewPlanner(m, cluster, strat, tc, toyOptions())
 	if err != nil {
 		log.Fatal(err)
@@ -385,7 +387,6 @@ func toyCapacity(m adapipe.Model, strat adapipe.Strategy, tc adapipe.TrainingCon
 	opts.Recompute = adapipe.RecomputeNone
 	opts.Partition = adapipe.PartitionEven
 	opts.IgnoreMemoryLimit = true
-	//adapipevet:ignore depapi memory probe needs an unbounded toy cluster the PlanRequest schema cannot express
 	probe, err := adapipe.NewPlanner(m, toyCluster(strat.PP, 1<<40), strat, tc, opts)
 	if err != nil {
 		return 0, err

@@ -58,7 +58,6 @@ func main() {
 		log.Fatal(err)
 	}
 	opts := toyOptions()
-	//adapipevet:ignore depapi synthetic toy cluster with tuned capacity is not expressible in the PlanRequest schema
 	planner, err := adapipe.NewPlanner(m, toyCluster(stages, capacity), strat, tc, opts)
 	if err != nil {
 		log.Fatal(err)
@@ -166,7 +165,6 @@ func toyCapacity(m adapipe.Model, strat adapipe.Strategy, tc adapipe.TrainingCon
 	opts.Recompute = adapipe.RecomputeNone
 	opts.Partition = adapipe.PartitionEven
 	opts.IgnoreMemoryLimit = true
-	//adapipevet:ignore depapi memory probe needs an unbounded toy cluster the PlanRequest schema cannot express
 	probe, err := adapipe.NewPlanner(m, toyCluster(strat.PP, 1<<40), strat, tc, opts)
 	if err != nil {
 		return 0, err

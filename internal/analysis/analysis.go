@@ -8,9 +8,9 @@
 // The suite exists because the planner's two-level DP must be bit-for-bit
 // deterministic (tests assert exact plan equality, and serialized plans are
 // diffed across runs) and because the 1F1B executor is multi-goroutine
-// channel code where races corrupt schedule comparisons silently. Nine
-// analyzers enforce the invariants — four syntactic (PR 1), four
-// dataflow-aware (v2), and one API-surface gate:
+// channel code where races corrupt schedule comparisons silently. Eight
+// analyzers enforce the invariants — four syntactic (PR 1) and four
+// dataflow-aware (v2):
 //
 //   - maporder:    order-dependent iteration over Go maps in packages whose
 //     output must be reproducible (planner, serializer, trace, ...).
@@ -31,9 +31,6 @@
 //     hash-producing packages.
 //   - ignoreaudit: suppression hygiene — stale ignore directives, unknown
 //     analyzer names, missing reasons.
-//   - depapi:      calls to deprecated constructors in the façade, cmd/ and
-//     examples/ — same-package Deprecated: functions and the positional
-//     adapipe.NewPlanner, whose replacement is the PlanRequest path.
 //
 // A finding can be suppressed with a trailing or preceding line comment of
 // the form:
@@ -242,7 +239,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		MapOrder, FloatCmp, PipeSync, ErrCheckCmd,
 		CtxProp, LockGuard, DetRand, IgnoreAudit,
-		DepAPI,
 	}
 }
 

@@ -17,7 +17,6 @@ func TestCtxPropFixture(t *testing.T)     { RunFixture(t, FixtureDir("ctxprop"),
 func TestLockGuardFixture(t *testing.T)   { RunFixture(t, FixtureDir("lockguard"), LockGuard) }
 func TestDetRandFixture(t *testing.T)     { RunFixture(t, FixtureDir("detrand"), DetRand) }
 func TestIgnoreAuditFixture(t *testing.T) { RunFixture(t, FixtureDir("ignoreaudit"), IgnoreAudit) }
-func TestDepAPIFixture(t *testing.T)      { RunFixture(t, FixtureDir("depapi"), DepAPI) }
 
 // TestAllOrderPinned freezes the suite order: SARIF rule indices and the
 // diagnostic tie-break both follow All(), so reordering would churn every
@@ -26,7 +25,6 @@ func TestAllOrderPinned(t *testing.T) {
 	want := []string{
 		"maporder", "floatcmp", "pipesync", "errcheckcmd",
 		"ctxprop", "lockguard", "detrand", "ignoreaudit",
-		"depapi",
 	}
 	all := All()
 	if len(all) != len(want) {
@@ -60,8 +58,6 @@ func TestScopes(t *testing.T) {
 			[]string{"adapipe", "adapipe/internal/sim", "adapipe/cmd/adapipe"}, "ctxprop"},
 		{DetRand, []string{"adapipe/internal/core", "adapipe/internal/request", "adapipe/internal/trace", "adapipe/internal/profile"},
 			[]string{"adapipe", "adapipe/internal/train", "adapipe/cmd/adapipe"}, "detrand"},
-		{DepAPI, []string{"adapipe", "adapipe/cmd/adapipe", "adapipe/cmd/planbench", "adapipe/examples/quickstart", "adapipe/examples/chaos"},
-			[]string{"adapipe/internal/core", "adapipe/internal/request", "adapipe/internal/serve"}, "depapi"},
 	}
 	for _, tc := range cases {
 		for _, p := range tc.in {

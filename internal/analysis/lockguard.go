@@ -143,14 +143,19 @@ func annotationMutex(field *ast.Field) string {
 	return ""
 }
 
-// recvTypeName returns the receiver's named type, stripping a pointer.
+// recvTypeName returns the receiver's named type, stripping a pointer and the
+// type-parameter list of a generic receiver (T[K] or T[K, V]).
 func recvTypeName(fd *ast.FuncDecl) string {
 	t := fd.Recv.List[0].Type
 	if star, ok := t.(*ast.StarExpr); ok {
 		t = star.X
 	}
-	// Generic receivers (T[P]) would appear as IndexExpr; the repo has none,
-	// and an unknown shape simply goes unchecked.
+	switch g := t.(type) {
+	case *ast.IndexExpr:
+		t = g.X
+	case *ast.IndexListExpr:
+		t = g.X
+	}
 	if id, ok := t.(*ast.Ident); ok {
 		return id.Name
 	}

@@ -119,6 +119,46 @@ func (t *Table) Dirty(k string) int {
 	return t.rows[k] // want `access to t\.rows without holding rw`
 }
 
+// Memo is a type-parameterised struct: the annotations bind to methods whose
+// receiver spells the type parameters, with one parameter or several.
+type Memo[K comparable, V any] struct {
+	mu sync.Mutex
+	// vals holds the stored values.
+	// guarded by mu
+	vals map[K]V
+}
+
+// Get locks before reading — OK.
+func (m *Memo[K, V]) Get(k K) (V, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	v, ok := m.vals[k]
+	return v, ok
+}
+
+// Peek reads without the lock — flagged.
+func (m *Memo[K, V]) Peek(k K) V {
+	return m.vals[k] // want `access to m\.vals without holding mu`
+}
+
+// Box has a single type parameter (an IndexExpr receiver, not IndexListExpr).
+type Box[T any] struct {
+	mu sync.Mutex
+	v  T // guarded by mu
+}
+
+// Set locks before writing — OK.
+func (b *Box[T]) Set(v T) {
+	b.mu.Lock()
+	b.v = v
+	b.mu.Unlock()
+}
+
+// Leak reads without the lock — flagged.
+func (b *Box[T]) Leak() T {
+	return b.v // want `access to b\.v without holding mu`
+}
+
 // BadAnnotation names a field that is not a mutex — flagged at the type.
 type BadAnnotation struct { // want `guarded by missing.*not a sync\.Mutex/RWMutex field`
 	count int // guarded by missing

@@ -17,10 +17,12 @@
 //
 // The store is sharded 16 ways (key byte 0 selects the shard) so concurrent
 // prefill workers from many planners do not serialize on one mutex. Each
-// shard bounds its memory with an LRU list and runs singleflight on misses:
-// when N planners ask for one missing key at once, one computes and N-1 wait
-// and share, which is the §5.3 iso-class amortization lifted from "within one
-// search" to "across all requests of the process".
+// shard is one memo.Cache — the repo's compute-once bounded cache — so it
+// bounds its memory with an LRU list and computes a missing key once: when N
+// planners ask for it at the same time, one computes and N-1 wait and share,
+// which is the §5.3 iso-class amortization lifted from "within one search" to
+// "across all requests of the process". What this package adds on top is the
+// content address, the lookup counters and the snapshot file.
 //
 // A store can persist itself: SaveSnapshot writes a deterministic,
 // version-stamped, checksummed JSON snapshot (sorted by key, so two saves of
@@ -29,12 +31,12 @@
 package coststore
 
 import (
-	"container/list"
+	"context"
 	"encoding/hex"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
+	"adapipe/internal/memo"
 	"adapipe/internal/memory"
 	"adapipe/internal/recompute"
 )
@@ -76,31 +78,17 @@ type Entry struct {
 }
 
 // Disposition classifies how GetOrCompute satisfied a lookup.
-type Disposition int
+type Disposition = memo.Disposition
 
 const (
 	// Computed means the caller ran the solve itself (a cold miss).
-	Computed Disposition = iota
+	Computed = memo.Computed
 	// Hit means the entry was already stored.
-	Hit
+	Hit = memo.Hit
 	// Shared means the caller waited on another caller's in-flight solve
-	// for the same key (singleflight).
-	Shared
+	// for the same key.
+	Shared = memo.Shared
 )
-
-// String returns the disposition name.
-func (d Disposition) String() string {
-	switch d {
-	case Computed:
-		return "computed"
-	case Hit:
-		return "hit"
-	case Shared:
-		return "shared"
-	default:
-		return fmt.Sprintf("Disposition(%d)", int(d))
-	}
-}
 
 // Stats is a point-in-time snapshot of the store's counters.
 type Stats struct {
@@ -129,41 +117,13 @@ func (s Stats) HitRate() float64 {
 // output) selects the shard, so one mutex never serializes all planners.
 const numShards = 16
 
-// Store is a concurrency-safe, sharded, LRU-bounded cost store. The zero
-// value is not usable; construct with New.
+// Store is a concurrency-safe, sharded, LRU-bounded cost store: sixteen
+// memo.Cache shards plus the lookup counters. The zero value is not usable;
+// construct with New.
 type Store struct {
-	shards   [numShards]shard
-	perShard int
+	shards [numShards]*memo.Cache[Key, Entry]
 
-	hits, misses, shared, evictions atomic.Int64
-}
-
-// shard is one lock domain: an LRU-ordered map of entries plus the in-flight
-// singleflight calls for missing keys.
-type shard struct {
-	mu sync.Mutex
-	// ll orders stored entries, front = most recently used.
-	// guarded by mu
-	ll *list.List
-	// items indexes ll's elements (*storedEntry values) by key.
-	// guarded by mu
-	items map[Key]*list.Element
-	// calls holds the in-flight singleflight computation per missing key.
-	// guarded by mu
-	calls map[Key]*call
-}
-
-type storedEntry struct {
-	key   Key
-	entry Entry
-}
-
-// call is one in-flight computation: waiters block on done; ok is false when
-// the leader's compute panicked, telling waiters to retry (and possibly lead).
-type call struct {
-	done  chan struct{}
-	entry Entry
-	ok    bool
+	hits, misses, shared atomic.Int64
 }
 
 // New builds a store bounding roughly max entries across all shards (each
@@ -176,13 +136,16 @@ func New(max int) *Store {
 	if per < 1 {
 		per = 1
 	}
-	st := &Store{perShard: per}
+	st := &Store{}
 	for i := range st.shards {
-		st.shards[i].ll = list.New()
-		st.shards[i].items = make(map[Key]*list.Element)
-		st.shards[i].calls = make(map[Key]*call)
+		st.shards[i] = memo.New[Key, Entry](per)
 	}
 	return st
+}
+
+// shard returns the lock domain key lives in.
+func (st *Store) shard(key Key) *memo.Cache[Key, Entry] {
+	return st.shards[key[0]%numShards]
 }
 
 // GetOrCompute returns the entry for key, computing and storing it via
@@ -196,78 +159,25 @@ func New(max int) *Store {
 // rely on (an aborted request leaves the store clean or fully correct, never
 // poisoned).
 func (st *Store) GetOrCompute(key Key, compute func() Entry) (Entry, Disposition) {
-	sh := &st.shards[key[0]%numShards]
-	for {
-		sh.mu.Lock()
-		if el, ok := sh.items[key]; ok {
-			sh.ll.MoveToFront(el)
-			e := el.Value.(*storedEntry).entry
-			sh.mu.Unlock()
-			st.hits.Add(1)
-			return e, Hit
-		}
-		if c, ok := sh.calls[key]; ok {
-			sh.mu.Unlock()
-			<-c.done
-			if c.ok {
-				st.shared.Add(1)
-				return c.entry, Shared
-			}
-			// The leader abandoned the solve; go around and try again
-			// (possibly becoming the new leader).
-			continue
-		}
-		c := &call{done: make(chan struct{})}
-		sh.calls[key] = c
-		sh.mu.Unlock()
+	// The CostSource signature carries no context: a planner that waits on
+	// another planner's solve waits it out, so the error is always nil.
+	e, disp, _ := st.shard(key).GetOrCompute(context.TODO(), key, func() (Entry, bool) { return compute(), true })
+	switch disp {
+	case Hit:
+		st.hits.Add(1)
+	case Shared:
+		st.shared.Add(1)
+	default:
 		st.misses.Add(1)
-		st.lead(sh, key, c, compute)
-		return c.entry, Computed
 	}
-}
-
-// lead runs the singleflight leader's compute. The deferred cleanup runs even
-// when compute panics: the call is deregistered and done is closed so waiters
-// never hang, and only a completed solve is stored.
-func (st *Store) lead(sh *shard, key Key, c *call, compute func() Entry) {
-	defer func() {
-		sh.mu.Lock()
-		delete(sh.calls, key)
-		if c.ok {
-			st.insertLocked(sh, key, c.entry)
-		}
-		sh.mu.Unlock()
-		close(c.done)
-	}()
-	c.entry = compute()
-	c.ok = true
-}
-
-// insertLocked stores an entry and enforces the shard's LRU bound. The
-// caller holds sh.mu. First write wins: a racing duplicate insert (possible
-// after a snapshot load) only refreshes recency.
-func (st *Store) insertLocked(sh *shard, key Key, e Entry) {
-	if el, ok := sh.items[key]; ok {
-		sh.ll.MoveToFront(el)
-		return
-	}
-	sh.items[key] = sh.ll.PushFront(&storedEntry{key: key, entry: e})
-	for sh.ll.Len() > st.perShard {
-		tail := sh.ll.Back()
-		sh.ll.Remove(tail)
-		delete(sh.items, tail.Value.(*storedEntry).key)
-		st.evictions.Add(1)
-	}
+	return e, disp
 }
 
 // Len returns the current entry count across all shards.
 func (st *Store) Len() int {
 	n := 0
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		n += sh.ll.Len()
-		sh.mu.Unlock()
+	for _, sh := range st.shards {
+		n += sh.Len()
 	}
 	return n
 }
@@ -276,11 +186,14 @@ func (st *Store) Len() int {
 // counter is read atomically; the set is not a single atomic cut, which is
 // fine for monitoring).
 func (st *Store) StatsSnapshot() Stats {
-	return Stats{
-		Hits:      st.hits.Load(),
-		Misses:    st.misses.Load(),
-		Shared:    st.shared.Load(),
-		Evictions: st.evictions.Load(),
-		Entries:   int64(st.Len()),
+	s := Stats{
+		Hits:    st.hits.Load(),
+		Misses:  st.misses.Load(),
+		Shared:  st.shared.Load(),
+		Entries: int64(st.Len()),
 	}
+	for _, sh := range st.shards {
+		s.Evictions += sh.Evictions()
+	}
+	return s
 }

@@ -41,14 +41,10 @@ type snapshotEntry struct {
 // version-stamped and checksummed.
 func (st *Store) SaveSnapshot(path string) error {
 	var entries []snapshotEntry
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		for el := sh.ll.Front(); el != nil; el = el.Next() {
-			se := el.Value.(*storedEntry)
-			entries = append(entries, snapshotEntry{Key: se.key.String(), Entry: se.entry})
+	for _, sh := range st.shards {
+		for _, p := range sh.Snapshot() {
+			entries = append(entries, snapshotEntry{Key: p.Key.String(), Entry: p.Val})
 		}
-		sh.mu.Unlock()
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
 	if entries == nil {
@@ -93,8 +89,8 @@ func (st *Store) SaveSnapshot(path string) error {
 // the store, verifying the version stamp and the payload checksum before
 // decoding a single entry. Entries are inserted in key order; if the
 // snapshot exceeds the store's bound, the LRU drops the earliest-inserted
-// keys deterministically. Existing entries win over snapshot entries (first
-// write wins, and both are the same pure function of the key anyway).
+// keys deterministically. A key the store already holds is refreshed with the
+// snapshot's entry — both are the same pure function of the key.
 func (st *Store) LoadSnapshot(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -123,10 +119,7 @@ func (st *Store) LoadSnapshot(path string) error {
 		if err != nil {
 			return fmt.Errorf("coststore: snapshot %s: %w", path, err)
 		}
-		sh := &st.shards[key[0]%numShards]
-		sh.mu.Lock()
-		st.insertLocked(sh, key, se.Entry)
-		sh.mu.Unlock()
+		st.shard(key).Put(key, se.Entry)
 	}
 	return nil
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -41,141 +40,58 @@ type replanEntry struct {
 	plan *core.Plan
 }
 
-// plannerStore is a bounded, mutex-guarded LRU of warm planners keyed by
-// plan-request hash. Unlike the response cache it stores live state, not
-// bytes: the planner's partition-DP memo and iso-cache are what make repeat
-// replans for one training run incremental. Eviction drops the planner —
-// the next replan for that hash runs cold again, slower but identical.
-type plannerStore struct {
-	mu  sync.Mutex
-	max int
-	// ll orders entries, front = most recently used.
-	// guarded by mu
-	ll *list.List
-	// items indexes entries by request hash.
-	// guarded by mu
-	items map[string]*list.Element
+// replanEndpoint describes POST /v1/replan: look up (or seed) the warm
+// planner for the inner plan request's hash, and run one straggler
+// replanning round on it. The first replan for a hash runs the cold search
+// that seeds the planner's memo; every later one warm-starts incrementally,
+// which is the point of keeping planners alive between requests. Responses
+// are never cached or coalesced — each replan advances the entry's
+// incumbent, so two replans are never the same computation.
+func (s *Server) replanEndpoint() endpoint[request.ReplanRequest] {
+	return endpoint[request.ReplanRequest]{
+		parse:    request.ParseReplanRequest,
+		hash:     func(req request.ReplanRequest) (string, error) { return req.Request.Hash() },
+		accepted: &s.replanReqs,
+		header:   headerReplan,
+		run:      s.runReplan,
+	}
 }
 
-type plannerStoreEntry struct {
-	key   string
-	entry *replanEntry
-}
-
-func newPlannerStore(max int) *plannerStore {
-	if max <= 0 {
-		max = 1 // a replan endpoint with no store at all could never warm-start
+// runReplan takes the hash's entry from the planner store (creating it when
+// absent), locks it — the store only covers the map — and replans on it.
+func (s *Server) runReplan(ctx context.Context, tr *obs.Tracer, req request.ReplanRequest, hash string) result {
+	entry, _, err := s.planners.GetOrCompute(ctx, hash, func() (*replanEntry, bool) { return &replanEntry{}, true })
+	if err != nil {
+		return s.searchErr(ctx, err).result()
 	}
-	return &plannerStore{max: max, ll: list.New(), items: make(map[string]*list.Element)}
-}
-
-// Acquire returns the entry for key, creating it when absent, and reports
-// whether it already existed. The caller locks the entry's own mutex before
-// using the planner; the store lock only covers the map.
-func (ps *plannerStore) Acquire(key string) (*replanEntry, bool) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if el, ok := ps.items[key]; ok {
-		ps.ll.MoveToFront(el)
-		return el.Value.(*plannerStoreEntry).entry, true
-	}
-	e := &replanEntry{}
-	ps.items[key] = ps.ll.PushFront(&plannerStoreEntry{key: key, entry: e})
-	for ps.ll.Len() > ps.max {
-		tail := ps.ll.Back()
-		ps.ll.Remove(tail)
-		delete(ps.items, tail.Value.(*plannerStoreEntry).key)
-	}
-	return e, false
-}
-
-// Len returns the current planner count.
-func (ps *plannerStore) Len() int {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return ps.ll.Len()
-}
-
-// handleReplan serves POST /v1/replan: parse the replan request, look up (or
-// seed) the warm planner for the inner plan request's hash, and run one
-// straggler replanning round on it. The first replan for a hash runs the
-// cold search that seeds the planner's memo; every later one warm-starts
-// incrementally, which is the point of keeping planners alive between
-// requests. Responses are never cached or coalesced — each replan advances
-// the entry's incumbent, so two replans are never the same computation.
-func (s *Server) handleReplan(w http.ResponseWriter, r *http.Request) {
-	tr := s.newTracer()
-	reqStart := s.clock()
-	hash, disposition, res := s.replanResult(w, r, tr)
-	reqEnd := s.clock()
-	tr.Add("request", obs.CatRequest, 0, reqStart, reqEnd)
-	s.histRequest.Observe(reqEnd.Sub(reqStart))
-	s.traces.Put(tr)
-	if id := tr.ID(); id != "" {
-		w.Header().Set(headerTrace, id)
-	}
-	if disposition != "" {
-		w.Header().Set(headerReplan, disposition)
-	}
-	s.writeResult(w, hash, "", res)
-	s.logRequest(r, tr.ID(), hash, disposition, res.status, reqEnd.Sub(reqStart))
-}
-
-// replanResult runs a replan request through its phases — decode, queue,
-// replan, encode — recording one CatPhase span per phase.
-func (s *Server) replanResult(w http.ResponseWriter, r *http.Request, tr *obs.Tracer) (hash, disposition string, res flightResult) {
-	decStart := s.clock()
-	req, hash, herr := s.parseReplanRequest(w, r)
-	tr.Add("decode", obs.CatPhase, 0, decStart, s.clock())
-	if herr != nil {
-		return hash, "", errResult(herr.status, herr.code, herr.msg)
-	}
-	s.replanReqs.Add(1)
-
-	qStart := s.clock()
-	ctx, cancel, admitted := s.admit()
-	defer cancel()
-	qEnd := s.clock()
-	tr.Add("queue", obs.CatPhase, 0, qStart, qEnd)
-	s.histQueue.Observe(qEnd.Sub(qStart))
-	if !admitted {
-		s.rejected.Add(1)
-		return hash, "", s.admissionErrResult()
-	}
-	defer s.release()
-
-	entry, existed := s.planners.Acquire(hash)
 	entry.mu.Lock()
 	defer entry.mu.Unlock()
-	warm := existed && entry.pl != nil
-
-	searchStart := s.clock()
-	body, herr2 := s.runReplan(obs.WithTracer(ctx, tr), req, hash, entry, warm)
-	searchEnd := s.clock()
-	tr.Add("search", obs.CatPhase, 0, searchStart, searchEnd)
-	s.histSearch.Observe(searchEnd.Sub(searchStart))
-	s.searchWallNanos.Add(int64(searchEnd.Sub(searchStart)))
+	warm, disposition := entry.pl != nil, ReplanCold
 	if warm {
 		disposition = ReplanWarm
-	} else {
-		disposition = ReplanCold
 	}
-	if herr2 != nil {
-		return hash, disposition, errResult(herr2.status, herr2.code, herr2.msg)
+
+	searchStart := s.clock()
+	body, herr := s.replan(obs.WithTracer(ctx, tr), req, hash, entry, warm)
+	s.observeSearch(tr, searchStart)
+	if herr != nil {
+		res := herr.result()
+		res.disposition = disposition
+		return res
 	}
 	if warm {
 		s.replanWarm.Add(1)
 	} else {
 		s.replanCold.Add(1)
 	}
-	return hash, disposition, flightResult{status: http.StatusOK, body: body}
+	return result{status: http.StatusOK, body: body, disposition: disposition}
 }
 
-// runReplan performs the replan itself under the entry lock: seed the
+// replan performs the replan itself under the entry lock: seed the
 // planner with a cold search when the entry is fresh, then run one
 // warm-startable replanning round and encode the response. The caller holds
 // entry.mu.
-func (s *Server) runReplan(ctx context.Context, req request.ReplanRequest, hash string, entry *replanEntry, warm bool) ([]byte, *httpError) {
+func (s *Server) replan(ctx context.Context, req request.ReplanRequest, hash string, entry *replanEntry, warm bool) ([]byte, *httpError) {
 	if !warm {
 		pl, err := req.Request.NewPlanner(s.cfg.Workers)
 		if err != nil {
@@ -183,9 +99,7 @@ func (s *Server) runReplan(ctx context.Context, req request.ReplanRequest, hash 
 		}
 		s.attachStore(pl)
 		s.searches.Add(1)
-		s.inFlight.Add(1)
 		plan, err := pl.PlanContext(ctx)
-		s.inFlight.Add(-1)
 		if err != nil {
 			he := s.searchErr(ctx, err)
 			return nil, &httpError{he.status, he.code, "seeding warm planner: " + err.Error()}
@@ -196,9 +110,7 @@ func (s *Server) runReplan(ctx context.Context, req request.ReplanRequest, hash 
 
 	before := pl.StatsSnapshot()
 	s.searches.Add(1)
-	s.inFlight.Add(1)
 	rep, err := pl.ReplanWithScaleContext(ctx, entry.plan, req.Scale)
-	s.inFlight.Add(-1)
 	if err != nil {
 		he := s.searchErr(ctx, err)
 		return nil, &httpError{he.status, he.code, err.Error()}
@@ -235,25 +147,4 @@ func (s *Server) runReplan(ctx context.Context, req request.ReplanRequest, hash 
 		return nil, &httpError{http.StatusInternalServerError, request.ErrCodeInternal, err.Error()}
 	}
 	return body, nil
-}
-
-// parseReplanRequest reads, parses and validates the replan request body,
-// and hashes the inner plan request (the warm-planner identity).
-func (s *Server) parseReplanRequest(w http.ResponseWriter, r *http.Request) (request.ReplanRequest, string, *httpError) {
-	if r.Method != http.MethodPost {
-		return request.ReplanRequest{}, "", &httpError{http.StatusMethodNotAllowed, request.ErrCodeMethodNotAllowed, "replan accepts POST only"}
-	}
-	body, herr := readRequestBody(w, r)
-	if herr != nil {
-		return request.ReplanRequest{}, "", herr
-	}
-	req, err := request.ParseReplanRequest(body)
-	if err != nil {
-		return request.ReplanRequest{}, "", &httpError{http.StatusBadRequest, request.ErrCodeInvalidRequest, err.Error()}
-	}
-	hash, err := req.Request.Hash()
-	if err != nil {
-		return request.ReplanRequest{}, "", &httpError{http.StatusBadRequest, request.ErrCodeInvalidRequest, err.Error()}
-	}
-	return req, hash, nil
 }

@@ -5,11 +5,10 @@
 // plan search across requests the same way §5.3 amortizes knapsack solves
 // across ranges inside one search:
 //
-//   - a bounded LRU cache keyed by the request's canonical hash returns
-//     byte-identical responses for repeated searches without re-running the
-//     DP;
-//   - singleflight coalescing collapses N concurrent identical requests into
-//     one search whose result every waiter shares;
+//   - one compute-once bounded cache (internal/memo) keyed by the request's
+//     canonical hash returns byte-identical responses for repeated searches
+//     without re-running the DP, and collapses N concurrent identical
+//     requests into one search whose result every waiter shares;
 //   - a bounded-concurrency admission gate caps simultaneous searches, and
 //     each admitted search runs under a deadline threaded down into the
 //     parallel search (core.PlanContext / pool.RunContext), so a shutdown or
@@ -18,6 +17,11 @@
 //     every planner the server constructs, so distinct requests of one cost
 //     family — a sweep's grid points, a replan's cold seed, repeat plans with
 //     different batch sizes — reuse each other's knapsack solves.
+//
+// The four POST endpoints are one request pipeline (pipeline.go) run over
+// four endpoint descriptions: decode, cache and coalesce, admission, the
+// endpoint's own run body, and one epilogue that records the trace, the
+// latency histogram, the headers and the log line.
 //
 // Everything observable is deterministic: cached, coalesced and cold
 // responses for one request are the same bytes. Every failure, on every
@@ -30,7 +34,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -42,6 +45,7 @@ import (
 	"adapipe/internal/baseline"
 	"adapipe/internal/core"
 	"adapipe/internal/coststore"
+	"adapipe/internal/memo"
 	"adapipe/internal/obs"
 	"adapipe/internal/pool"
 	"adapipe/internal/request"
@@ -138,16 +142,20 @@ func (c Config) withDefaults() Config {
 // Server is the planner service. Create it with New, expose it via Handler,
 // and Close it to cancel in-flight searches on shutdown.
 type Server struct {
-	cfg      Config
-	base     context.Context
-	cancel   context.CancelFunc
-	sem      chan struct{}
-	cache    *lruCache
-	flight   *flightGroup
-	clock    obs.Clock
-	logger   *slog.Logger
-	traces   *traceStore
-	planners *plannerStore
+	cfg    Config
+	base   context.Context
+	cancel context.CancelFunc
+	sem    chan struct{}
+	clock  obs.Clock
+	logger *slog.Logger
+	traces *traceStore
+	// cache holds the encoded 200 responses of the cacheable endpoints by
+	// request hash, and coalesces concurrent requests for one missing hash.
+	cache *memo.Cache[string, result]
+	// planners holds the warm planners behind POST /v1/replan by plan-request
+	// hash. Eviction drops the planner: the next replan for that hash runs
+	// cold again, slower but identical.
+	planners *memo.Cache[string, *replanEntry]
 	// costs is the shared cost store under every planner this server
 	// constructs; nil when disabled (CostStoreSize < 0).
 	costs *coststore.Store
@@ -189,12 +197,11 @@ func New(cfg Config) *Server {
 		base:     base,
 		cancel:   cancel,
 		sem:      make(chan struct{}, cfg.MaxInFlight),
-		cache:    newLRUCache(cfg.CacheSize),
-		flight:   newFlightGroup(),
 		clock:    cfg.Clock,
 		logger:   cfg.Logger,
 		traces:   newTraceStore(cfg.TraceBuffer),
-		planners: newPlannerStore(cfg.PlannerStoreSize),
+		cache:    memo.New[string, result](cfg.CacheSize),
+		planners: memo.New[string, *replanEntry](cfg.PlannerStoreSize),
 	}
 	if cfg.CostStoreSize > 0 {
 		s.costs = coststore.New(cfg.CostStoreSize)
@@ -254,10 +261,10 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/v1/plan", s.handlePlan)
-	mux.HandleFunc("/v1/simulate", s.handleSimulate)
-	mux.HandleFunc("/v1/replan", s.handleReplan)
-	mux.HandleFunc("/v1/sweep", s.handleSweep)
+	mux.HandleFunc("/v1/plan", handle(s, s.planEndpoint()))
+	mux.HandleFunc("/v1/simulate", handle(s, s.simulateEndpoint()))
+	mux.HandleFunc("/v1/replan", handle(s, s.replanEndpoint()))
+	mux.HandleFunc("/v1/sweep", handle(s, s.sweepEndpoint()))
 	mux.HandleFunc("/v1/trace/", s.handleTrace)
 	return mux
 }
@@ -303,7 +310,7 @@ func (s *Server) Stats() obs.ServeStats {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.writeError(w, http.StatusMethodNotAllowed, request.ErrCodeMethodNotAllowed, "healthz accepts GET only")
+		s.writeResult(w, "", errResult(http.StatusMethodNotAllowed, request.ErrCodeMethodNotAllowed, "healthz accepts GET only"))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -312,7 +319,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.writeError(w, http.StatusMethodNotAllowed, request.ErrCodeMethodNotAllowed, "metrics accepts GET only")
+		s.writeResult(w, "", errResult(http.StatusMethodNotAllowed, request.ErrCodeMethodNotAllowed, "metrics accepts GET only"))
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
@@ -333,114 +340,47 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // the renderer's ordering is deterministic).
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.writeError(w, http.StatusMethodNotAllowed, request.ErrCodeMethodNotAllowed, "trace accepts GET only")
+		s.writeResult(w, "", errResult(http.StatusMethodNotAllowed, request.ErrCodeMethodNotAllowed, "trace accepts GET only"))
 		return
 	}
 	id := strings.TrimPrefix(r.URL.Path, "/v1/trace/")
 	tr, ok := s.traces.Get(id)
 	if id == "" || !ok {
-		s.writeError(w, http.StatusNotFound, request.ErrCodeNotFound, "unknown trace id (the ring keeps the most recent traces only)")
+		s.writeResult(w, "", errResult(http.StatusNotFound, request.ErrCodeNotFound, "unknown trace id (the ring keeps the most recent traces only)"))
 		return
 	}
 	body, err := tr.Chrome()
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, request.ErrCodeInternal, err.Error())
+		s.writeResult(w, "", errResult(http.StatusInternalServerError, request.ErrCodeInternal, err.Error()))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(body)
 }
 
-// handlePlan serves POST /v1/plan: parse and validate the request, answer
-// from the cache when the canonical hash is known, otherwise coalesce into
-// (or lead) the one search for that hash. Every request runs under a tracer
-// whose id comes back in X-Adapipe-Trace; the trace is stored in the ring
-// BEFORE the response is written, so a client that fetches /v1/trace/{id}
-// the moment it sees the response always finds it.
-func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	tr := s.newTracer()
-	reqStart := s.clock()
-	hash, disposition, res := s.planResult(w, r, tr)
-	reqEnd := s.clock()
-	tr.Add("request", obs.CatRequest, 0, reqStart, reqEnd)
-	s.histRequest.Observe(reqEnd.Sub(reqStart))
-	s.traces.Put(tr)
-	if id := tr.ID(); id != "" {
-		w.Header().Set(headerTrace, id)
+// planEndpoint describes POST /v1/plan: the request is answered from the
+// cache when its canonical hash is known, otherwise it coalesces into (or
+// leads) the one search for that hash.
+func (s *Server) planEndpoint() endpoint[request.PlanRequest] {
+	return endpoint[request.PlanRequest]{
+		parse:     request.ParsePlanRequest,
+		hash:      request.PlanRequest.Hash,
+		accepted:  &s.planReqs,
+		cacheable: true,
+		header:    headerCache,
+		run:       s.runPlan,
 	}
-	s.writeResult(w, hash, disposition, res)
-	s.logRequest(r, tr.ID(), hash, disposition, res.status, reqEnd.Sub(reqStart))
 }
 
-// planResult runs a plan request through its phases — decode, cache lookup,
-// coalesced search — recording one CatPhase span per phase. An empty
-// disposition means the failure happened before (or instead of) a
-// cache-classified outcome and no X-Adapipe-Cache header applies.
-func (s *Server) planResult(w http.ResponseWriter, r *http.Request, tr *obs.Tracer) (hash, disposition string, res flightResult) {
-	decStart := s.clock()
-	req, hash, herr := s.parsePlanRequest(w, r)
-	tr.Add("decode", obs.CatPhase, 0, decStart, s.clock())
-	if herr != nil {
-		return hash, "", errResult(herr.status, herr.code, herr.msg)
-	}
-	s.planReqs.Add(1)
-
-	lookStart := s.clock()
-	body, cached := s.cache.Get(hash)
-	lookEnd := s.clock()
-	tr.Add("cache", obs.CatPhase, 0, lookStart, lookEnd)
-	s.histCache.Observe(lookEnd.Sub(lookStart))
-	if cached {
-		s.hits.Add(1)
-		return hash, CacheHit, flightResult{status: http.StatusOK, body: body}
-	}
-
-	flightStart := s.clock()
-	fres, coalesced, err := s.flight.Do(r.Context(), hash, func() flightResult {
-		return s.runPlanSearch(req, hash, tr)
-	})
-	if err != nil {
-		// This waiter's own context ended before the leader finished; the
-		// leader keeps running for everyone else.
-		return hash, "", errResult(http.StatusGatewayTimeout, request.ErrCodeTimeout, "request cancelled while waiting for a coalesced search")
-	}
-	if coalesced {
-		// The search ran under the leader's trace; this request only
-		// waited, and that wait is its whole story.
-		tr.Add("coalesce", obs.CatPhase, 0, flightStart, s.clock())
-		s.coalescedCount.Add(1)
-		return hash, CacheCoalesced, fres
-	}
-	if fres.status == http.StatusOK {
-		s.misses.Add(1)
-	}
-	return hash, CacheMiss, fres
-}
-
-// runPlanSearch is the singleflight leader body: admission, the search
-// itself, response encoding, cache insertion. The leader's tracer rides the
-// search context down through core.PlanContext to the knapsack solvers.
-func (s *Server) runPlanSearch(req request.PlanRequest, hash string, tr *obs.Tracer) flightResult {
-	qStart := s.clock()
-	ctx, cancel, admitted := s.admit()
-	defer cancel()
-	qEnd := s.clock()
-	tr.Add("queue", obs.CatPhase, 0, qStart, qEnd)
-	s.histQueue.Observe(qEnd.Sub(qStart))
-	if !admitted {
-		s.rejected.Add(1)
-		return s.admissionErrResult()
-	}
-	defer s.release()
-
+// runPlan is the plan leader's body: the search itself, then response
+// encoding. The leader's tracer rides the search context down through
+// core.PlanContext to the knapsack solvers.
+func (s *Server) runPlan(ctx context.Context, tr *obs.Tracer, req request.PlanRequest, _ string) result {
 	searchStart := s.clock()
 	plan, err := s.planFn(obs.WithTracer(ctx, tr), req)
-	searchEnd := s.clock()
-	tr.Add("search", obs.CatPhase, 0, searchStart, searchEnd)
-	s.histSearch.Observe(searchEnd.Sub(searchStart))
-	s.searchWallNanos.Add(int64(searchEnd.Sub(searchStart)))
+	s.observeSearch(tr, searchStart)
 	if err != nil {
-		return s.searchErrResult(ctx, err)
+		return s.searchErr(ctx, err).result()
 	}
 	s.knapsackRuns.Add(int64(plan.Search.KnapsackRuns))
 	encStart := s.clock()
@@ -452,87 +392,58 @@ func (s *Server) runPlanSearch(req request.PlanRequest, hash string, tr *obs.Tra
 	if err != nil {
 		return errResult(http.StatusInternalServerError, request.ErrCodeInternal, err.Error())
 	}
-	s.cache.Put(hash, body)
 	tr.Add("encode", obs.CatPhase, 0, encStart, s.clock())
-	return flightResult{status: http.StatusOK, body: body}
+	return result{status: http.StatusOK, body: body}
 }
 
-// handleSimulate serves POST /v1/simulate: the same request schema, planned
-// and then executed on the discrete-event simulator under the method's
-// pipeline schedule. Simulation output depends on the full outcome (per-
-// device series), so it bypasses the plan cache; the admission gate and
-// deadline still apply. Traced like /v1/plan: phase spans, a stored trace,
-// and an X-Adapipe-Trace header.
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	tr := s.newTracer()
-	reqStart := s.clock()
-	hash, disposition, res := s.simResult(w, r, tr)
-	reqEnd := s.clock()
-	tr.Add("request", obs.CatRequest, 0, reqStart, reqEnd)
-	s.histRequest.Observe(reqEnd.Sub(reqStart))
-	s.traces.Put(tr)
-	if id := tr.ID(); id != "" {
-		w.Header().Set(headerTrace, id)
+// simulateEndpoint describes POST /v1/simulate: the plan request schema,
+// planned and then executed on the discrete-event simulator under the
+// method's pipeline schedule. Simulation output depends on the full outcome
+// (per-device series), so it bypasses the response cache; the admission gate
+// and deadline still apply.
+func (s *Server) simulateEndpoint() endpoint[request.PlanRequest] {
+	return endpoint[request.PlanRequest]{
+		parse:    request.ParsePlanRequest,
+		hash:     request.PlanRequest.Hash,
+		accepted: &s.simReqs,
+		header:   headerCache,
+		run:      s.runSimulate,
 	}
-	s.writeResult(w, hash, disposition, res)
-	s.logRequest(r, tr.ID(), hash, disposition, res.status, reqEnd.Sub(reqStart))
 }
 
-// simResult runs a simulate request through its phases (decode, queue,
-// search, encode), recording one CatPhase span per phase.
-func (s *Server) simResult(w http.ResponseWriter, r *http.Request, tr *obs.Tracer) (hash, disposition string, res flightResult) {
-	decStart := s.clock()
-	req, hash, herr := s.parsePlanRequest(w, r)
-	tr.Add("decode", obs.CatPhase, 0, decStart, s.clock())
-	if herr != nil {
-		return hash, "", errResult(herr.status, herr.code, herr.msg)
-	}
-	s.simReqs.Add(1)
-
-	qStart := s.clock()
-	ctx, cancel, admitted := s.admit()
-	defer cancel()
-	qEnd := s.clock()
-	tr.Add("queue", obs.CatPhase, 0, qStart, qEnd)
-	s.histQueue.Observe(qEnd.Sub(qStart))
-	if !admitted {
-		s.rejected.Add(1)
-		return hash, "", s.admissionErrResult()
-	}
-	defer s.release()
-
+// runSimulate plans and simulates one request. A search that ran (or failed
+// as a search) reports X-Adapipe-Cache: miss; every other failure carries no
+// disposition.
+func (s *Server) runSimulate(ctx context.Context, tr *obs.Tracer, req request.PlanRequest, hash string) result {
 	meth, err := req.MethodConfig()
 	if err != nil {
-		return hash, "", errResult(http.StatusBadRequest, request.ErrCodeInvalidRequest, err.Error())
+		return errResult(http.StatusBadRequest, request.ErrCodeInvalidRequest, err.Error())
 	}
 	cfg, err := req.ModelConfig()
 	if err != nil {
-		return hash, "", errResult(http.StatusBadRequest, request.ErrCodeInvalidRequest, err.Error())
+		return errResult(http.StatusBadRequest, request.ErrCodeInvalidRequest, err.Error())
 	}
 	cl, err := req.ClusterConfig()
 	if err != nil {
-		return hash, "", errResult(http.StatusBadRequest, request.ErrCodeInvalidRequest, err.Error())
+		return errResult(http.StatusBadRequest, request.ErrCodeInvalidRequest, err.Error())
 	}
 	s.searches.Add(1)
-	s.inFlight.Add(1)
 	searchStart := s.clock()
 	outcome := baseline.EvaluateContext(obs.WithTracer(ctx, tr), meth, cfg, cl, req.Strategy(), req.TrainingConfig(), mustOptions(req, s.cfg.Workers))
-	searchEnd := s.clock()
-	tr.Add("search", obs.CatPhase, 0, searchStart, searchEnd)
-	s.histSearch.Observe(searchEnd.Sub(searchStart))
-	s.searchWallNanos.Add(int64(searchEnd.Sub(searchStart)))
-	s.inFlight.Add(-1)
+	s.observeSearch(tr, searchStart)
 	if outcome.Err != nil {
-		return hash, CacheMiss, s.searchErrResult(ctx, outcome.Err)
+		res := s.searchErr(ctx, outcome.Err).result()
+		res.disposition = CacheMiss
+		return res
 	}
 	if outcome.Plan == nil {
-		return hash, "", errResult(http.StatusUnprocessableEntity, request.ErrCodeInfeasible, "configuration is infeasible (OOM) under the requested method")
+		return errResult(http.StatusUnprocessableEntity, request.ErrCodeInfeasible, "configuration is infeasible (OOM) under the requested method")
 	}
 	s.knapsackRuns.Add(int64(outcome.Plan.Search.KnapsackRuns))
 	encStart := s.clock()
 	planJSON, err := json.Marshal(outcome.Plan)
 	if err != nil {
-		return hash, "", errResult(http.StatusInternalServerError, request.ErrCodeInternal, err.Error())
+		return errResult(http.StatusInternalServerError, request.ErrCodeInternal, err.Error())
 	}
 	resp := request.SimulateResponse{
 		ResponseEnvelope: request.ResponseEnvelope{
@@ -549,54 +460,32 @@ func (s *Server) simResult(w http.ResponseWriter, r *http.Request, tr *obs.Trace
 	}
 	body, err := json.Marshal(resp)
 	if err != nil {
-		return hash, "", errResult(http.StatusInternalServerError, request.ErrCodeInternal, err.Error())
+		return errResult(http.StatusInternalServerError, request.ErrCodeInternal, err.Error())
 	}
 	tr.Add("encode", obs.CatPhase, 0, encStart, s.clock())
-	return hash, CacheMiss, flightResult{status: http.StatusOK, body: body}
+	return result{status: http.StatusOK, body: body, disposition: CacheMiss}
 }
 
-// httpError carries a failure's HTTP mapping out of the phase helpers: the
-// status, the stable machine-readable code of the canonical error envelope,
-// and the human-readable message.
+// observeSearch closes a request's "search" phase, which began at start: the
+// span, the search-latency histogram and the search-wall counter.
+func (s *Server) observeSearch(tr *obs.Tracer, start time.Time) {
+	end := s.clock()
+	tr.Add("search", obs.CatPhase, 0, start, end)
+	s.histSearch.Observe(end.Sub(start))
+	s.searchWallNanos.Add(int64(end.Sub(start)))
+}
+
+// httpError carries a failure's HTTP mapping: the status, the stable
+// machine-readable code of the canonical error envelope, and the
+// human-readable message.
 type httpError struct {
 	status int
 	code   string
 	msg    string
 }
 
-// readRequestBody reads a bounded request body (w is needed by MaxBytesReader to
-// arm connection close on overflow).
-func readRequestBody(w http.ResponseWriter, r *http.Request) ([]byte, *httpError) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return nil, &httpError{http.StatusRequestEntityTooLarge, request.ErrCodePayloadTooLarge, "request body exceeds 1 MiB"}
-		}
-		return nil, &httpError{http.StatusBadRequest, request.ErrCodeInvalidRequest, "reading request body: " + err.Error()}
-	}
-	return body, nil
-}
-
-// parsePlanRequest reads, parses, validates and hashes the request body.
-func (s *Server) parsePlanRequest(w http.ResponseWriter, r *http.Request) (request.PlanRequest, string, *httpError) {
-	if r.Method != http.MethodPost {
-		return request.PlanRequest{}, "", &httpError{http.StatusMethodNotAllowed, request.ErrCodeMethodNotAllowed, "plan endpoints accept POST only"}
-	}
-	body, herr := readRequestBody(w, r)
-	if herr != nil {
-		return request.PlanRequest{}, "", herr
-	}
-	req, err := request.ParsePlanRequest(body)
-	if err != nil {
-		return request.PlanRequest{}, "", &httpError{http.StatusBadRequest, request.ErrCodeInvalidRequest, err.Error()}
-	}
-	hash, err := req.Hash()
-	if err != nil {
-		return request.PlanRequest{}, "", &httpError{http.StatusBadRequest, request.ErrCodeInvalidRequest, err.Error()}
-	}
-	return req, hash, nil
-}
+// result renders the failure as a ready-to-write result.
+func (e *httpError) result() result { return errResult(e.status, e.code, e.msg) }
 
 // logRequest emits one structured record per request. The trace ID is the
 // join key: a slow request in the log leads straight to its span breakdown
@@ -616,22 +505,6 @@ func (s *Server) logRequest(r *http.Request, id, hash, disposition string, statu
 	)
 }
 
-// admit acquires an admission slot under a fresh request deadline derived
-// from the server's base context (so a shutdown cancels queued waiters too).
-// The returned context governs the whole search; cancel must always be
-// called. admitted=false means the deadline or shutdown arrived first.
-func (s *Server) admit() (ctx context.Context, cancel context.CancelFunc, admitted bool) {
-	ctx, cancel = context.WithTimeout(s.base, s.cfg.RequestTimeout)
-	select {
-	case s.sem <- struct{}{}:
-		return ctx, cancel, true
-	case <-ctx.Done():
-		return ctx, cancel, false
-	}
-}
-
-func (s *Server) release() { <-s.sem }
-
 // searchPlan is the production planFn: build the planner from the request
 // schema, point it at the shared cost store, and run the context-aware
 // search.
@@ -642,8 +515,6 @@ func (s *Server) searchPlan(ctx context.Context, req request.PlanRequest) (*core
 	}
 	s.attachStore(pl)
 	s.searches.Add(1)
-	s.inFlight.Add(1)
-	defer s.inFlight.Add(-1)
 	return pl.PlanContext(ctx)
 }
 
@@ -661,22 +532,6 @@ func (s *Server) searchErr(ctx context.Context, err error) *httpError {
 	}
 }
 
-// searchErrResult is searchErr rendered as a ready-to-write flightResult.
-func (s *Server) searchErrResult(ctx context.Context, err error) flightResult {
-	he := s.searchErr(ctx, err)
-	return errResult(he.status, he.code, he.msg)
-}
-
-// admissionErrResult maps an admission failure onto its canonical code: a
-// shutdown cancels queued waiters (shutting_down), everything else is the
-// queue deadline expiring under load (over_capacity). Both map to 503.
-func (s *Server) admissionErrResult() flightResult {
-	if s.base.Err() != nil {
-		return errResult(http.StatusServiceUnavailable, request.ErrCodeShuttingDown, "server shutting down")
-	}
-	return errResult(http.StatusServiceUnavailable, request.ErrCodeOverCapacity, "admission queue timeout: server at capacity")
-}
-
 // mustOptions builds the method-applied planner options; the request was
 // already normalized by decodeRequest, so this cannot fail.
 func mustOptions(req request.PlanRequest, workers int) core.Options {
@@ -689,35 +544,24 @@ func mustOptions(req request.PlanRequest, workers int) core.Options {
 	return opts
 }
 
-// errResult builds a failed flightResult carrying the canonical error
-// envelope {"error": {"code", "message", "status"}} — the one failure shape
-// every /v1/* endpoint speaks.
-func errResult(status int, code, msg string) flightResult {
-	return flightResult{status: status, body: request.NewErrorResponse(code, msg, status).Encode()}
+// errResult builds a failed result carrying the canonical error envelope
+// {"error": {"code", "message", "status"}} — the one failure shape every
+// /v1/* endpoint speaks.
+func errResult(status int, code, msg string) result {
+	return result{status: status, body: request.NewErrorResponse(code, msg, status).Encode()}
 }
 
-// writeResult emits a search result with the cache-disposition headers
-// (omitted when the failure preceded hashing or cache classification). Error
-// statuses are counted once here, whichever path produced them.
-func (s *Server) writeResult(w http.ResponseWriter, hash, disposition string, res flightResult) {
+// writeResult emits a result, with the request-hash header once the request
+// got as far as hashing. Error statuses are counted once here, whichever
+// path produced them.
+func (s *Server) writeResult(w http.ResponseWriter, hash string, res result) {
 	if res.status < 200 || res.status >= 300 {
 		s.errorCount.Add(1)
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if disposition != "" {
-		w.Header().Set(headerCache, disposition)
-	}
 	if hash != "" {
 		w.Header().Set(headerHash, hash)
 	}
-	w.WriteHeader(res.status)
-	w.Write(res.body)
-}
-
-func (s *Server) writeError(w http.ResponseWriter, status int, code, msg string) {
-	s.errorCount.Add(1)
-	res := errResult(status, code, msg)
-	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(res.status)
 	w.Write(res.body)
 }

@@ -10,91 +10,35 @@ import (
 	"adapipe/internal/request"
 )
 
-// handleSweep serves POST /v1/sweep: one request, a server-side grid of plan
-// searches. The sweep is where the shared cost store earns its keep — grid
-// points of one cost family (say a global-batch axis) differ only in the
+// sweepEndpoint describes POST /v1/sweep: one request, a server-side grid of
+// plan searches. The sweep is where the shared cost store earns its keep —
+// grid points of one cost family (say a global-batch axis) differ only in the
 // partition DP, so every point after the first answers its knapsack lookups
 // from the store and the whole grid costs barely more knapsack work than a
 // single point (asserted by servesmoke against /metrics).
 //
-// Sweeps ride the same machinery as single plans: the whole sweep is cached
+// Sweeps ride the same pipeline as single plans: the whole sweep is cached
 // and coalesced under the sweep's own canonical hash, each point's plan
 // response is cached under the point's hash (so /v1/plan and /v1/sweep feed
 // each other's caches), and the sweep holds exactly one admission slot for
 // its whole run — a 256-point sweep cannot starve interactive requests any
 // harder than one slow plan.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	tr := s.newTracer()
-	reqStart := s.clock()
-	hash, disposition, res := s.sweepResult(w, r, tr)
-	reqEnd := s.clock()
-	tr.Add("request", obs.CatRequest, 0, reqStart, reqEnd)
-	s.histRequest.Observe(reqEnd.Sub(reqStart))
-	s.traces.Put(tr)
-	if id := tr.ID(); id != "" {
-		w.Header().Set(headerTrace, id)
+func (s *Server) sweepEndpoint() endpoint[request.SweepRequest] {
+	return endpoint[request.SweepRequest]{
+		parse:     request.ParseSweepRequest,
+		hash:      request.SweepRequest.Hash,
+		accepted:  &s.sweepReqs,
+		cacheable: true,
+		header:    headerCache,
+		run:       s.runSweep,
 	}
-	s.writeResult(w, hash, disposition, res)
-	s.logRequest(r, tr.ID(), hash, disposition, res.status, reqEnd.Sub(reqStart))
 }
 
-// sweepResult runs a sweep request through its phases — decode, cache
-// lookup, coalesced grid run — mirroring planResult.
-func (s *Server) sweepResult(w http.ResponseWriter, r *http.Request, tr *obs.Tracer) (hash, disposition string, res flightResult) {
-	decStart := s.clock()
-	req, hash, herr := s.parseSweepRequest(w, r)
-	tr.Add("decode", obs.CatPhase, 0, decStart, s.clock())
-	if herr != nil {
-		return hash, "", errResult(herr.status, herr.code, herr.msg)
-	}
-	s.sweepReqs.Add(1)
-
-	lookStart := s.clock()
-	body, cached := s.cache.Get(hash)
-	lookEnd := s.clock()
-	tr.Add("cache", obs.CatPhase, 0, lookStart, lookEnd)
-	s.histCache.Observe(lookEnd.Sub(lookStart))
-	if cached {
-		s.hits.Add(1)
-		return hash, CacheHit, flightResult{status: http.StatusOK, body: body}
-	}
-
-	flightStart := s.clock()
-	fres, coalesced, err := s.flight.Do(r.Context(), hash, func() flightResult {
-		return s.runSweep(req, hash, tr)
-	})
-	if err != nil {
-		return hash, "", errResult(http.StatusGatewayTimeout, request.ErrCodeTimeout, "request cancelled while waiting for a coalesced sweep")
-	}
-	if coalesced {
-		tr.Add("coalesce", obs.CatPhase, 0, flightStart, s.clock())
-		s.coalescedCount.Add(1)
-		return hash, CacheCoalesced, fres
-	}
-	if fres.status == http.StatusOK {
-		s.misses.Add(1)
-	}
-	return hash, CacheMiss, fres
-}
-
-// runSweep is the singleflight leader body: admission (one slot for the
-// whole grid), point-by-point planning with dedup and response-cache reuse,
-// ranking, encoding, cache insertion. A deadline or shutdown mid-grid fails
-// the whole sweep — the cost store's entries are complete-or-absent, so an
-// aborted sweep leaves it clean.
-func (s *Server) runSweep(req request.SweepRequest, hash string, tr *obs.Tracer) flightResult {
-	qStart := s.clock()
-	ctx, cancel, admitted := s.admit()
-	defer cancel()
-	qEnd := s.clock()
-	tr.Add("queue", obs.CatPhase, 0, qStart, qEnd)
-	s.histQueue.Observe(qEnd.Sub(qStart))
-	if !admitted {
-		s.rejected.Add(1)
-		return s.admissionErrResult()
-	}
-	defer s.release()
-
+// runSweep is the sweep leader's body: point-by-point planning with dedup and
+// response-cache reuse, ranking, encoding. A deadline or shutdown mid-grid
+// fails the whole sweep — the cost store's entries are complete-or-absent, so
+// an aborted sweep leaves it clean.
+func (s *Server) runSweep(ctx context.Context, tr *obs.Tracer, req request.SweepRequest, hash string) result {
 	points, err := req.Expand()
 	if err != nil {
 		// Unreachable after ParseSweepRequest normalized the sweep.
@@ -110,7 +54,7 @@ func (s *Server) runSweep(req request.SweepRequest, hash string, tr *obs.Tracer)
 	seen := make(map[string]*request.SweepPointResult, len(points))
 	for i, pt := range points {
 		if ctx.Err() != nil {
-			return s.searchErrResult(ctx, ctx.Err())
+			return s.searchErr(ctx, ctx.Err()).result()
 		}
 		ptStart := s.clock()
 		results[i] = s.sweepPoint(ctx, i, pt, seen, &stats)
@@ -118,7 +62,7 @@ func (s *Server) runSweep(req request.SweepRequest, hash string, tr *obs.Tracer)
 		if results[i].Error != nil && ctx.Err() != nil {
 			// The point failed because the sweep's context ended; report the
 			// cancellation, not a half-built grid.
-			return s.searchErrResult(ctx, ctx.Err())
+			return s.searchErr(ctx, ctx.Err()).result()
 		}
 	}
 	s.sweepPlanned.Add(int64(stats.Planned))
@@ -141,9 +85,8 @@ func (s *Server) runSweep(req request.SweepRequest, hash string, tr *obs.Tracer)
 	if err != nil {
 		return errResult(http.StatusInternalServerError, request.ErrCodeInternal, err.Error())
 	}
-	s.cache.Put(hash, body)
 	tr.Add("encode", obs.CatPhase, 0, encStart, s.clock())
-	return flightResult{status: http.StatusOK, body: body}
+	return result{status: http.StatusOK, body: body}
 }
 
 // sweepPoint resolves one grid point: normalize, dedup against earlier
@@ -176,8 +119,8 @@ func (s *Server) sweepPoint(ctx context.Context, i int, pt request.PlanRequest, 
 		return res
 	}
 
-	if body, cached := s.cache.Get(ptHash); cached {
-		if pr, err := request.ParsePlanResponse(body); err == nil {
+	if cached, ok := s.cache.Get(ptHash); ok {
+		if pr, err := request.ParsePlanResponse(cached.body); err == nil {
 			s.hits.Add(1)
 			stats.Cached++
 			res.Plan = pr.Plan
@@ -207,7 +150,7 @@ func (s *Server) sweepPoint(ctx context.Context, i int, pt request.PlanRequest, 
 	if body, err := pr.Encode(); err == nil {
 		// Feed the point's plan response into the shared cache: a later
 		// /v1/plan for this exact point is a byte-identical cache hit.
-		s.cache.Put(ptHash, body)
+		s.cache.Put(ptHash, result{status: http.StatusOK, body: body})
 	}
 	res.Plan = pr.Plan
 	res.IterSec, _ = request.PlanIterSec(pr.Plan)
@@ -235,24 +178,4 @@ func rankPoints(results []request.SweepPointResult, topK int) []int {
 		ranking = ranking[:topK]
 	}
 	return ranking
-}
-
-// parseSweepRequest reads, parses, validates and hashes the sweep body.
-func (s *Server) parseSweepRequest(w http.ResponseWriter, r *http.Request) (request.SweepRequest, string, *httpError) {
-	if r.Method != http.MethodPost {
-		return request.SweepRequest{}, "", &httpError{http.StatusMethodNotAllowed, request.ErrCodeMethodNotAllowed, "sweep accepts POST only"}
-	}
-	body, herr := readRequestBody(w, r)
-	if herr != nil {
-		return request.SweepRequest{}, "", herr
-	}
-	req, err := request.ParseSweepRequest(body)
-	if err != nil {
-		return request.SweepRequest{}, "", &httpError{http.StatusBadRequest, request.ErrCodeInvalidRequest, err.Error()}
-	}
-	hash, err := req.Hash()
-	if err != nil {
-		return request.SweepRequest{}, "", &httpError{http.StatusBadRequest, request.ErrCodeInvalidRequest, err.Error()}
-	}
-	return req, hash, nil
 }
