@@ -1,7 +1,7 @@
 GO ?= go
 BIN := bin/adapipevet
 
-.PHONY: all build vet vet-selftest vet-sarif test fuzz-smoke race bench observe chaos serve-smoke loc ci clean
+.PHONY: all build vet vet-selftest vet-sarif test fuzz-smoke race observe chaos serve-smoke loc ci clean
 
 all: build
 
@@ -61,17 +61,6 @@ race:
 	$(GO) test -race ./internal/train/... ./internal/sim/... ./internal/pool/... ./internal/serve/... ./internal/fault/...
 	$(GO) test -race -run 'Concurrent|Parallel|Workers|Context|Cancel' ./internal/core/... ./internal/partition/...
 
-# bench runs the planner search benchmarks (serial vs parallel, cold and
-# incremental replan, grid sweeps cold vs store-warm) and writes
-# BENCH_planner.json: ns/op for every mode, the measured speedups (including
-# the cost store's sweep amortization), and the search-effort counters
-# (knapsack runs, iso-cache hit rate). The committed BENCH_planner.json
-# doubles as the regression baseline: a replan or warm-sweep latency more
-# than 25% above it fails the run. CI uploads the refreshed file as an artifact so search-performance
-# regressions leave a trail.
-bench:
-	$(GO) run ./cmd/planbench -workers 8 -baseline BENCH_planner.json -tolerance 0.25 -o BENCH_planner.json
-
 # observe runs the observability demo end to end: plan, execute with the op
 # recorder, simulate, and emit the drift report plus Chrome-trace/metrics
 # files under observe-out/. It fails if the drift report cannot be produced.
@@ -106,19 +95,18 @@ serve-smoke:
 	$(GO) run ./cmd/servesmoke -daemon bin/adapiped -trace-out servesmoke-trace.json
 
 # loc prints the non-test Go lines of every package directory (comments and
-# blank lines included), then the totals a change is judged by: internal/serve
-# + internal/coststore + internal/memo, and the repo outside bench/.
+# blank lines included), then the total a change is judged by: the repo
+# outside bench/.
 loc:
 	@git ls-files -co --exclude-standard '*.go' | grep -v '_test\.go$$' | grep -v '/testdata/' | xargs wc -l | awk ' \
 		$$2 == "total" { next } \
 		{ d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d] += $$1; \
-		  if (d ~ /^internal\/(serve|coststore|memo)$$/) core += $$1; \
 		  if (d !~ /^bench(\/|$$)/) repo += $$1 } \
 		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
-		      printf "%7d  internal/serve + internal/coststore + internal/memo\n%7d  repo outside bench/\n", core, repo }'
+		      printf "%7d  repo outside bench/\n", repo }'
 
 # ci is the full gate the GitHub Actions workflow runs.
-ci: build vet vet-selftest test fuzz-smoke race bench observe chaos serve-smoke
+ci: build vet vet-selftest test fuzz-smoke race observe chaos serve-smoke
 
 clean:
-	rm -rf bin observe-out BENCH_planner.json adapipevet.sarif servesmoke-trace.json chaos-metrics.prom
+	rm -rf bin observe-out adapipevet.sarif servesmoke-trace.json chaos-metrics.prom

@@ -1,11 +1,11 @@
 package adapipe_test
 
 import (
-	"runtime"
 	"testing"
 
 	"adapipe"
 	"adapipe/internal/core"
+	"adapipe/internal/coststore"
 	"adapipe/internal/experiments"
 	"adapipe/internal/hardware"
 	"adapipe/internal/model"
@@ -111,15 +111,25 @@ func BenchmarkFigure10(b *testing.B) {
 
 // ---- Component benchmarks: the costs behind the search itself. ----
 
-func gptPlanner(b *testing.B, opts core.Options) *core.Planner {
+// searchWorkers is the worker-pool size of the parallel, replan and sweep
+// rows: with `-cpu 1,2` it prices eight workers on one CPU (where a pool can
+// only cost) and on two, the two settings DESIGN §4e records.
+const searchWorkers = 8
+
+func planner(b *testing.B, cfg model.Config, seqLen, globalBatch int, opts core.Options) *core.Planner {
 	b.Helper()
-	pl, err := core.NewPlanner(model.GPT3_175B(), hardware.ClusterA(),
+	pl, err := core.NewPlanner(cfg, hardware.ClusterA(),
 		parallel.Strategy{TP: 8, PP: 8, DP: 1},
-		parallel.Config{GlobalBatch: 32, MicroBatch: 1, SeqLen: 16384}, opts)
+		parallel.Config{GlobalBatch: globalBatch, MicroBatch: 1, SeqLen: seqLen}, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return pl
+}
+
+func gptPlanner(b *testing.B, opts core.Options) *core.Planner {
+	b.Helper()
+	return planner(b, model.GPT3_175B(), 16384, 32, opts)
 }
 
 // BenchmarkSearchAdaPipe times the full two-level DP for GPT-3 (the paper
@@ -133,14 +143,43 @@ func BenchmarkSearchAdaPipe(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanSearch is the serial baseline of the parallel-search pair:
-// the full GPT-3 two-level DP at Workers=1. Compare against
-// BenchmarkPlanSearchParallel (cmd/planbench runs the same pair and writes
-// BENCH_planner.json).
+// The planner rows of the developer loop (DESIGN §4e, §4i, §4j):
+//
+//	go test -run '^$' -bench 'PlanSearch|Replan|SweepGrid' -cpu 1,2 .
+//
+// They are reported, not gated; the gate on each is a BENCHMARK.json metric.
+
+// BenchmarkPlanSearch is the cold serial search (Workers=1), planner
+// construction included: the paper's GPT-3 shape, and the Llama-2 70B shape
+// that is the heaviest family of the repo benchmark's plan_cold mix and sets
+// its op_p95_ms. gpt3 is the serial baseline of BenchmarkPlanSearchParallel.
 func BenchmarkPlanSearch(b *testing.B) {
-	b.ReportAllocs()
 	opts := core.DefaultOptions()
 	opts.Workers = 1
+	for _, m := range []struct {
+		name   string
+		cfg    model.Config
+		seqLen int
+	}{{"gpt3", model.GPT3_175B(), 16384}, {"llama2", model.Llama2_70B(), 20032}} {
+		b.Run(m.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := planner(b, m.cfg, m.seqLen, 32, opts).Plan(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPlanSearchParallel is the same GPT-3 search with the knapsack
+// prefill and partition DP fanned across searchWorkers workers. The plan is
+// byte-identical to the serial one (TestParallelPlanMatchesSerial); only the
+// wall time may differ.
+func BenchmarkPlanSearchParallel(b *testing.B) {
+	b.ReportAllocs()
+	opts := core.DefaultOptions()
+	opts.Workers = searchWorkers
 	for i := 0; i < b.N; i++ {
 		pl := gptPlanner(b, opts)
 		if _, err := pl.Plan(); err != nil {
@@ -149,19 +188,39 @@ func BenchmarkPlanSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanSearchParallel is the same search with the knapsack prefill
-// and partition DP fanned across GOMAXPROCS workers. The plan is
-// byte-identical to the serial one (TestParallelPlanMatchesSerial); only the
-// wall time may differ.
-func BenchmarkPlanSearchParallel(b *testing.B) {
-	b.ReportAllocs()
+// BenchmarkSweepGrid times one point of a same-family sweep — the GPT-3 shape
+// over global batch 32, 64, 96, the /v1/sweep sweet spot. cold: no cost store,
+// every point pays its own knapsack work. warm: the points share one store
+// prewarmed (outside the timer) by a single point of the family, the price
+// every sweep point after the first pays; cold/warm is the store's measured
+// amortization.
+func BenchmarkSweepGrid(b *testing.B) {
 	opts := core.DefaultOptions()
-	opts.Workers = runtime.GOMAXPROCS(0)
-	for i := 0; i < b.N; i++ {
-		pl := gptPlanner(b, opts)
+	opts.Workers = searchWorkers
+	grid := []int{32, 64, 96}
+	point := func(b *testing.B, globalBatch int, store *coststore.Store) {
+		pl := planner(b, model.GPT3_175B(), 16384, globalBatch, opts)
+		if store != nil {
+			if err := pl.SetCostSource(store); err != nil {
+				b.Fatal(err)
+			}
+		}
 		if _, err := pl.Plan(); err != nil {
 			b.Fatal(err)
 		}
+	}
+	for _, name := range []string{"cold", "warm"} {
+		var store *coststore.Store
+		if name == "warm" {
+			store = coststore.New(0)
+			point(b, grid[0], store)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				point(b, grid[i%len(grid)], store)
+			}
+		})
 	}
 }
 
@@ -174,7 +233,7 @@ func BenchmarkPlanSearchParallel(b *testing.B) {
 func BenchmarkReplanWithScale(b *testing.B) {
 	b.ReportAllocs()
 	opts := core.DefaultOptions()
-	opts.Workers = runtime.GOMAXPROCS(0)
+	opts.Workers = searchWorkers
 	pl := gptPlanner(b, opts)
 	plan, err := pl.Plan()
 	if err != nil {
@@ -199,7 +258,7 @@ func BenchmarkReplanWithScale(b *testing.B) {
 func BenchmarkReplanIncremental(b *testing.B) {
 	b.ReportAllocs()
 	opts := core.DefaultOptions()
-	opts.Workers = runtime.GOMAXPROCS(0)
+	opts.Workers = searchWorkers
 	pl := gptPlanner(b, opts)
 	plan, err := pl.Plan()
 	if err != nil {

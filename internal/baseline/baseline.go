@@ -164,22 +164,7 @@ func EvaluateContext(ctx context.Context, m Method, cfg model.Config, cluster ha
 }
 
 // StageCosts converts a plan into simulator stage costs.
-func StageCosts(plan *core.Plan) []sim.StageCost {
-	costs := make([]sim.StageCost, len(plan.Stages))
-	for i, s := range plan.Stages {
-		costs[i] = sim.StageCost{
-			Fwd:            s.Fwd,
-			Bwd:            s.Bwd,
-			CommFwd:        plan.CommFwd,
-			CommBwd:        plan.CommBwd,
-			SavedPerMicro:  s.Mem.SavedPerMicro,
-			Static:         s.Mem.Static(),
-			StaticSharded:  s.Mem.Optimizer,
-			StaticOverhead: s.Mem.Overhead,
-		}
-	}
-	return costs
-}
+func StageCosts(plan *core.Plan) []sim.StageCost { return plan.StageCosts() }
 
 func buildSchedule(kind ScheduleKind, p, n int) (*schedule.Schedule, error) {
 	switch kind {

@@ -21,10 +21,9 @@ type warmStart struct {
 	// it after the claim are consistent even if SetStageScale races the
 	// solve (the planner replaces the slice wholesale, never in place).
 	scale []float64
-	// memo / exact is the checked-out DP table for the active partition
-	// mode; nil entries mean the mode does not use that table.
-	memo  *partition.Memo
-	exact *partition.ExactMemo
+	// memo is the checked-out Algorithm 1 DP table; nil when the fast path
+	// is not usable.
+	memo *partition.Memo
 	// stale is the highest stage whose scale differs from the memo's
 	// (−1 when none do: the solve is pure reassembly).
 	stale int
@@ -64,7 +63,8 @@ func maxStaleStage(cur, old []float64, p int) int {
 }
 
 // claimWarmStart snapshots the stage scale and, when the planner holds a
-// completed DP memo for the active partition mode, checks the memo out.
+// completed DP memo (Algorithm 1 only — even and exact partitioning keep
+// none and search cold), checks the memo out.
 // Checking it out (leaving the field nil) serializes warm-started solves
 // without holding mu across the DP: a second concurrent search finds no
 // memo and runs the cold path, which is merely slower, never wrong.
@@ -79,25 +79,11 @@ func (pl *Planner) claimWarmStart() warmStart {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	ws.scale = pl.scale
-	if pl.opts.DisableIsomorphism {
+	if pl.opts.DisableIsomorphism || !pl.partMemo.Valid(L, p, pl.n) {
 		return ws
 	}
-	switch pl.opts.Partition {
-	case PartitionExact:
-		if !pl.exactMemo.Valid(L, p, pl.n, pl.frontierCap()) {
-			return ws
-		}
-		ws.exact = pl.exactMemo
-		pl.exactMemo = nil
-	case PartitionEven:
-		return ws
-	default:
-		if !pl.partMemo.Valid(L, p, pl.n) {
-			return ws
-		}
-		ws.memo = pl.partMemo
-		pl.partMemo = nil
-	}
+	ws.memo = pl.partMemo
+	pl.partMemo = nil
 	ws.stale = maxStaleStage(ws.scale, pl.memoScale, p)
 	for s := 0; s <= ws.stale; s++ {
 		if scaleChanged(ws.scale, pl.memoScale, s) {
@@ -109,7 +95,7 @@ func (pl *Planner) claimWarmStart() warmStart {
 }
 
 // ResetIncremental drops the planner's warm-start state — the partition DP
-// memos and the scale they were computed under — so the next Plan runs the
+// memo and the scale it was computed under — so the next Plan runs the
 // full cold search. Benchmarks and differential tests use it to compare
 // cold and warm-started searches on one planner; production callers never
 // need it (stale memos invalidate themselves).
@@ -117,7 +103,6 @@ func (pl *Planner) ResetIncremental() {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	pl.partMemo = nil
-	pl.exactMemo = nil
 	pl.memoScale = nil
 }
 

@@ -70,7 +70,8 @@ const (
 	PartitionEven
 	// PartitionExact runs the Pareto-frontier variant of Algorithm 1,
 	// which is globally optimal under the §5.1 cost model (an extension:
-	// it quantifies how close the paper's near-optimal DP gets).
+	// it quantifies how close the paper's near-optimal DP gets). It always
+	// searches cold and serial: no warm-start memo, no sharded DP.
 	PartitionExact
 )
 
@@ -248,7 +249,7 @@ type Planner struct {
 	table *costTable
 
 	// mu guards Stats, the stage scale, the solver pool, the attached cost
-	// source and the warm-start memos. Everything above it is immutable
+	// source and the warm-start memo. Everything above it is immutable
 	// after construction. Concurrent Plan/CostFor calls on one planner are
 	// safe (TestPlannerConcurrent) and their knapsack solves overlap: mu is
 	// held only around this bookkeeping, never across a lookup or a solve.
@@ -274,15 +275,13 @@ type Planner struct {
 	// every request. A solve borrows one exclusively and parks it back.
 	// guarded by mu
 	solverPool []*stageSolver
-	// partMemo and exactMemo hold the partition-DP tables of the last
-	// completed search, kept to warm-start the next one; nil while a solve
-	// has one checked out or before the first search completes.
+	// partMemo holds the partition-DP table of the last completed search,
+	// kept to warm-start the next one; nil while a solve has it checked out,
+	// before the first search completes, and always under PartitionEven and
+	// PartitionExact, which search cold every time.
 	// guarded by mu
 	partMemo *partition.Memo
-	// exactMemo is partMemo's counterpart for PartitionExact.
-	// guarded by mu
-	exactMemo *partition.ExactMemo
-	// memoScale is the stage-scale vector the memos were computed under
+	// memoScale is the stage-scale vector the memo was computed under
 	// (nil = nominal), compared bit-wise against scale to decide which DP
 	// levels a warm-started search must recompute.
 	// guarded by mu
@@ -705,7 +704,7 @@ func (pl *Planner) PlanContext(ctx context.Context) (*Plan, error) {
 	spClaim := tr.Start("search.invalidate", obs.CatSearch, 0)
 	ws := pl.claimWarmStart()
 	spClaim.End()
-	memo, exact, stale := ws.memo, ws.exact, ws.stale
+	memo, stale := ws.memo, ws.stale
 
 	// The search counts its lookups privately and merges them into Stats
 	// once: unpublished lookups as they happen (they are rare), everything
@@ -727,25 +726,16 @@ func (pl *Planner) PlanContext(ctx context.Context) (*Plan, error) {
 		if memo != nil {
 			pl.partMemo = memo
 		}
-		if exact != nil {
-			pl.exactMemo = exact
-		}
 		pl.Stats.CostEvaluations += prefilled + int(misses.Load())
 		pl.mu.Unlock()
 	}()
 
 	if !ws.ok {
 		stale = p - 1
-		// A cold search on the memoizable modes fills a fresh memo so the
-		// next search can warm-start from it.
-		if !pl.opts.DisableIsomorphism {
-			switch pl.opts.Partition {
-			case PartitionExact:
-				exact = &partition.ExactMemo{}
-			case PartitionEven:
-			default:
-				memo = &partition.Memo{}
-			}
+		// A cold Algorithm 1 search fills a fresh memo so the next search can
+		// warm-start from it.
+		if !pl.opts.DisableIsomorphism && pl.opts.Partition == PartitionAdaptive {
+			memo = &partition.Memo{}
 		}
 		if workers > 1 && pl.opts.Partition != PartitionEven {
 			sp := tr.Start("search.prefill", obs.CatSearch, 0)
@@ -793,7 +783,7 @@ func (pl *Planner) PlanContext(ctx context.Context) (*Plan, error) {
 	spDP := tr.Start(spanName, obs.CatSearch, 0)
 	switch pl.opts.Partition {
 	case PartitionExact:
-		sol, _, err := partition.SolveExactMemo(L, p, pl.n, cost, pl.frontierCap(), exact, stale, workers)
+		sol, _, err := partition.SolveExact(L, p, pl.n, cost, pl.frontierCap())
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return nil, cerr
@@ -802,7 +792,7 @@ func (pl *Planner) PlanContext(ctx context.Context) (*Plan, error) {
 		}
 		bounds = sol.Bounds
 		total, w, e, m = sol.Total, sol.W, sol.E, sol.M
-		cellsAdd, frontierAdd, warmAdd = sol.DPCells, sol.FrontierStates, sol.WarmCells
+		cellsAdd, frontierAdd = sol.DPCells, sol.FrontierStates
 	case PartitionEven:
 		bounds = partition.Even(L, p)
 		var ok bool
@@ -862,9 +852,6 @@ func (pl *Planner) PlanContext(ctx context.Context) (*Plan, error) {
 	pl.memoScale = ws.scale
 	if memo != nil {
 		pl.partMemo = memo
-	}
-	if exact != nil {
-		pl.exactMemo = exact
 	}
 	installed = true
 	pl.mu.Unlock()

@@ -152,26 +152,29 @@ func (pl *Planner) planForBounds(bounds []int) (*Plan, error) {
 	return plan, nil
 }
 
-// simulate runs a plan's 1F1B schedule through the discrete-event simulator.
-// (This mirrors baseline.StageCosts, which cannot be imported here: baseline
-// depends on core.)
-func (pl *Planner) simulate(plan *Plan) (sim.Result, error) {
-	sched, err := schedule.OneFOneB(pl.strat.PP, plan.MicroBatches)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	costs := make([]sim.StageCost, len(plan.Stages))
-	for i, s := range plan.Stages {
+// StageCosts converts the plan into the simulator's per-stage costs.
+func (p *Plan) StageCosts() []sim.StageCost {
+	costs := make([]sim.StageCost, len(p.Stages))
+	for i, s := range p.Stages {
 		costs[i] = sim.StageCost{
 			Fwd:            s.Fwd,
 			Bwd:            s.Bwd,
-			CommFwd:        plan.CommFwd,
-			CommBwd:        plan.CommBwd,
+			CommFwd:        p.CommFwd,
+			CommBwd:        p.CommBwd,
 			SavedPerMicro:  s.Mem.SavedPerMicro,
 			Static:         s.Mem.Static(),
 			StaticSharded:  s.Mem.Optimizer,
 			StaticOverhead: s.Mem.Overhead,
 		}
 	}
-	return sim.Run(sim.Input{Sched: sched, Stages: costs})
+	return costs
+}
+
+// simulate runs a plan's 1F1B schedule through the discrete-event simulator.
+func (pl *Planner) simulate(plan *Plan) (sim.Result, error) {
+	sched, err := schedule.OneFOneB(pl.strat.PP, plan.MicroBatches)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	return sim.Run(sim.Input{Sched: sched, Stages: plan.StageCosts()})
 }

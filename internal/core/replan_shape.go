@@ -96,7 +96,6 @@ func (pl *Planner) ReplanWithShape(cluster hardware.Cluster) (*ShapeReplan, erro
 			// candidate carries no scale, so the warm-started solve
 			// recomputes exactly the levels the dropped scale had touched.
 			cand.partMemo = pl.partMemo.Clone()
-			cand.exactMemo = pl.exactMemo.Clone()
 			cand.memoScale = pl.memoScale
 			pl.mu.Unlock()
 		}

@@ -33,7 +33,7 @@ func fuzzCost(seed uint32, infeasibleMod int) CostFn {
 //   - Solve never beats BruteForce (it is a heuristic over the same model);
 //   - SolveExact with an unlimited frontier matches BruteForce exactly;
 //   - all three agree on feasibility;
-//   - the workers=4 variants are bit-identical to their serial counterparts.
+//   - SolveWorkers(4) is bit-identical to Solve.
 func FuzzPartitionSolveVsBruteForce(f *testing.F) {
 	f.Add(uint32(1), uint8(6), uint8(3), uint8(8), uint8(0))
 	f.Add(uint32(42), uint8(7), uint8(7), uint8(7), uint8(4))
@@ -80,14 +80,6 @@ func FuzzPartitionSolveVsBruteForce(f *testing.F) {
 		if heurErr == nil && !reflect.DeepEqual(heur, heurW) {
 			t.Fatalf("SolveWorkers(4) differs from Solve:\n%+v\nvs\n%+v", heurW, heur)
 		}
-		exactW, isExactW, exactWErr := SolveExactWorkers(L, p, n, cost, 0, 4)
-		if (exactWErr == nil) != (exactErr == nil) || isExactW != isExact {
-			t.Fatalf("SolveExactWorkers mismatch: err %v vs %v, exact %v vs %v",
-				exactWErr, exactErr, isExactW, isExact)
-		}
-		if exactErr == nil && !reflect.DeepEqual(exact, exactW) {
-			t.Fatalf("SolveExactWorkers(4) differs from SolveExact:\n%+v\nvs\n%+v", exactW, exact)
-		}
 
 		// Dominance-pruning property: with the dominance filter disabled the
 		// per-cell frontiers are supersets of the pruned ones, and the
@@ -95,7 +87,7 @@ func FuzzPartitionSolveVsBruteForce(f *testing.F) {
 		// monotone in every state component, so a dominated state can never
 		// derive a smaller total than its dominator's chain, in IEEE float
 		// arithmetic as well as in the reals.
-		oracle, _, oracleErr := solveExactMemo(L, p, n, cost, 0, nil, p-1, 1, true)
+		oracle, _, oracleErr := solveExact(L, p, n, cost, 0, true)
 		if (oracleErr == nil) != (exactErr == nil) {
 			t.Fatalf("feasibility disagreement: unpruned oracle err=%v, SolveExact err=%v", oracleErr, exactErr)
 		}
@@ -134,8 +126,7 @@ func stageScaled(base CostFn, sc []float64) CostFn {
 // warm-started solving: a memo built under one per-stage scale vector and
 // re-solved under another (recomputing only the levels at or below the
 // highest changed stage) must be bit-identical to a cold solve under the new
-// vector — for the Algorithm 1 solver and the exact Pareto variant, serial
-// and sharded, including a trimming frontier cap.
+// vector, serial and sharded.
 func FuzzPartitionMemoVsCold(f *testing.F) {
 	f.Add(uint32(1), uint8(6), uint8(3), uint8(8), uint8(0), uint8(1), uint8(0))
 	f.Add(uint32(42), uint8(7), uint8(7), uint8(7), uint8(4), uint8(3), uint8(1))
@@ -195,29 +186,6 @@ func FuzzPartitionMemoVsCold(f *testing.F) {
 				}
 				if coldErr == nil && stale < p-1 && warm.WarmCells == 0 && warm0.DPCells > 0 {
 					t.Fatalf("warm solve with stale=%d reused no cells", stale)
-				}
-			}
-
-			// The exact variant under the same repricing, with a small cap so
-			// trimmed frontiers go through the memo path too.
-			for _, fcap := range []int{0, 2} {
-				em := &ExactMemo{}
-				_, _, eerr0 := SolveExactMemo(L, p, n, stageScaled(base, ones), fcap, em, p-1, workers)
-				coldE, coldExactFlag, coldEErr := SolveExactWorkers(L, p, n, stageScaled(base, scale), fcap, workers)
-				warmE, warmExactFlag, warmEErr := SolveExactMemo(L, p, n, stageScaled(base, scale), fcap, em, stale, workers)
-				if eerr0 != nil {
-					if coldEErr == nil || warmEErr == nil {
-						t.Fatalf("infeasible exact instance became feasible: cold=%v warm=%v", coldEErr, warmEErr)
-					}
-					continue
-				}
-				if (warmEErr == nil) != (coldEErr == nil) || warmExactFlag != coldExactFlag {
-					t.Fatalf("exact warm/cold disagreement: err %v vs %v, exact %v vs %v",
-						warmEErr, coldEErr, warmExactFlag, coldExactFlag)
-				}
-				if coldEErr == nil && !reflect.DeepEqual(stripEffort(warmE), stripEffort(coldE)) {
-					t.Fatalf("warm-started exact solve differs from cold (workers=%d, fcap=%d, stale=%d):\n%+v\nvs\n%+v",
-						workers, fcap, stale, warmE, coldE)
 				}
 			}
 		}

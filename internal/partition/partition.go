@@ -55,7 +55,7 @@ type Plan struct {
 	DPCells int
 	// WarmCells counts the cost evaluations represented by DP levels reused
 	// from a warm-start memo instead of being recomputed; nonzero only for
-	// SolveMemo/SolveExactMemo runs that actually reused levels.
+	// SolveMemo runs that actually reused levels.
 	WarmCells int
 	// FrontierStates is the total number of Pareto states kept across all
 	// DP cells; nonzero only for SolveExact.

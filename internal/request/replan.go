@@ -1,10 +1,8 @@
 package request
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 )
 
@@ -51,20 +49,10 @@ func (r ReplanRequest) Normalize() (ReplanRequest, error) {
 }
 
 // ParseReplanRequest decodes and validates a replan request from its JSON
-// encoding. Unknown fields and trailing data are rejected, mirroring
+// encoding. Unknown fields and trailing data are rejected, as for
 // ParsePlanRequest.
 func ParseReplanRequest(data []byte) (ReplanRequest, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var r ReplanRequest
-	if err := dec.Decode(&r); err != nil {
-		return r, fmt.Errorf("request: decoding replan request: %w", err)
-	}
-	var extra json.RawMessage
-	if err := dec.Decode(&extra); err != io.EOF {
-		return r, fmt.Errorf("request: trailing data after replan request")
-	}
-	return r.Normalize()
+	return parseStrict[ReplanRequest](data, "replan")
 }
 
 // ReplanResponse is the versioned reply to a replan request: the adoption

@@ -1,7 +1,7 @@
 // Package request defines the versioned, machine-readable planning API every
-// entry point shares: the adapipe CLI, the planbench harness and the adapiped
-// daemon all construct planners from one PlanRequest schema, so the flag
-// surface and the HTTP surface can never drift. Requests have a canonical
+// entry point shares: the adapipe CLI and the adapiped daemon both construct
+// planners from one PlanRequest schema, so the flag surface and the HTTP
+// surface can never drift. Requests have a canonical
 // (sorted-key, deterministic) JSON encoding and a content hash over it — the
 // identity the daemon's plan cache and request coalescing key on.
 package request
@@ -128,15 +128,23 @@ func (r PlanRequest) Normalize() (PlanRequest, error) {
 // Unknown fields are rejected (a typoed field name must not silently select a
 // default), and the returned request is normalized.
 func ParsePlanRequest(data []byte) (PlanRequest, error) {
+	return parseStrict[PlanRequest](data, "plan")
+}
+
+// parseStrict is the one strict decoder behind ParsePlanRequest,
+// ParseReplanRequest and ParseSweepRequest: unknown fields and anything after
+// the one JSON value are rejected, and the result is normalized. kind names
+// the request in the error strings.
+func parseStrict[R interface{ Normalize() (R, error) }](data []byte, kind string) (R, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	var r PlanRequest
+	var r R
 	if err := dec.Decode(&r); err != nil {
-		return r, fmt.Errorf("request: decoding plan request: %w", err)
+		return r, fmt.Errorf("request: decoding %s request: %w", kind, err)
 	}
 	var extra json.RawMessage
 	if err := dec.Decode(&extra); err != io.EOF {
-		return r, fmt.Errorf("request: trailing data after plan request")
+		return r, fmt.Errorf("request: trailing data after %s request", kind)
 	}
 	return r.Normalize()
 }

@@ -1,12 +1,10 @@
 package request
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 )
 
 // MaxSweepPoints bounds the server-side grid expansion of one sweep request.
@@ -108,20 +106,10 @@ func (r SweepRequest) Normalize() (SweepRequest, error) {
 }
 
 // ParseSweepRequest decodes and validates a sweep request from its JSON
-// encoding. Unknown fields and trailing data are rejected, mirroring
+// encoding. Unknown fields and trailing data are rejected, as for
 // ParsePlanRequest.
 func ParseSweepRequest(data []byte) (SweepRequest, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var r SweepRequest
-	if err := dec.Decode(&r); err != nil {
-		return r, fmt.Errorf("request: decoding sweep request: %w", err)
-	}
-	var extra json.RawMessage
-	if err := dec.Decode(&extra); err != io.EOF {
-		return r, fmt.Errorf("request: trailing data after sweep request")
-	}
-	return r.Normalize()
+	return parseStrict[SweepRequest](data, "sweep")
 }
 
 // Expand materializes the grid in the fixed expansion order. The returned

@@ -155,9 +155,9 @@ func decode[R any](ep endpoint[R], w http.ResponseWriter, r *http.Request) (req 
 // context (so a shutdown cancels queued waiters and running searches alike),
 // and never from the client's — a coalescing leader must outlive an impatient
 // client. Everything it acquires is released by defer, so a search that
-// panics leaves the slot free and the in-flight gauge balanced. A request
-// that is not admitted fails as shutting_down when the server is closing and
-// as over_capacity when the queue deadline expired under load.
+// panics leaves the slot free (the in-flight gauge is the slots held). A
+// request that is not admitted fails as shutting_down when the server is
+// closing and as over_capacity when the queue deadline expired under load.
 func (s *Server) admitted(tr *obs.Tracer, fn func(ctx context.Context) result) result {
 	qStart := s.clock()
 	ctx, cancel := context.WithTimeout(s.base, s.cfg.RequestTimeout)
@@ -179,7 +179,5 @@ func (s *Server) admitted(tr *obs.Tracer, fn func(ctx context.Context) result) r
 		return errResult(http.StatusServiceUnavailable, request.ErrCodeOverCapacity, "admission queue timeout: server at capacity")
 	}
 	defer func() { <-s.sem }()
-	s.inFlight.Add(1)
-	defer s.inFlight.Add(-1)
 	return fn(ctx)
 }

@@ -55,8 +55,8 @@ func TestPanickingSearchDoesNotPoisonHash(t *testing.T) {
 		if _, p := serveRecovering(h, ctx, tc.path, tc.body); p != "worker died" {
 			t.Fatalf("%s: the search's panic did not reach the caller (recovered %v)", tc.path, p)
 		}
-		if st := s.Stats(); st.InFlight != 0 || len(s.sem) != 0 {
-			t.Fatalf("%s: after the panic in_flight = %d and %d admission slots are held, want 0 and 0", tc.path, st.InFlight, len(s.sem))
+		if st := readSamples(t, s); st("in_flight") != 0 || len(s.sem) != 0 {
+			t.Fatalf("%s: after the panic in_flight = %d and %d admission slots are held, want 0 and 0", tc.path, st("in_flight"), len(s.sem))
 		}
 		for _, body := range []string{tc.body, tc.other} {
 			rec, p := serveRecovering(h, ctx, tc.path, body)
@@ -147,26 +147,26 @@ func TestMixedLoadCountersBalance(t *testing.T) {
 	}
 	ts.Close() // returns once every handler has, including those whose client left
 
-	st := s.Stats()
-	if st.InFlight != 0 || len(s.sem) != 0 {
-		t.Errorf("after the load in_flight = %d and %d admission slots are held, want 0 and 0", st.InFlight, len(s.sem))
+	st := readSamples(t, s)
+	if st("in_flight") != 0 || len(s.sem) != 0 {
+		t.Errorf("after the load in_flight = %d and %d admission slots are held, want 0 and 0", st("in_flight"), len(s.sem))
 	}
 	// A client that left early may never reach a handler, or may reach it
 	// with a body that cannot be read any more: handled <= sent, and the
 	// requests that decoded are at most the handled ones and at least the 2xx.
-	accepted := st.PlanRequests + st.SimulateRequests + st.ReplanRequests + st.SweepRequests
+	accepted := st("requests_total{endpoint=\"plan\"}") + st("requests_total{endpoint=\"simulate\"}") + st("replan_requests_total") + st("sweep_requests_total")
 	handled := s.histRequest.Count()
 	if handled > int64(len(calls))+1 || accepted > handled || accepted < ok.Load() {
 		t.Errorf("%d requests sent, %d handled, %d accepted, %d answered 2xx", len(calls), handled, accepted, ok.Load())
 	}
-	if ok.Load()+st.Errors != handled || failed.Load() != st.Errors {
-		t.Errorf("%d handled != %d 2xx + %d errors_total (server wrote %d non-2xx)", handled, ok.Load(), st.Errors, failed.Load())
+	if ok.Load()+st("errors_total") != handled || failed.Load() != st("errors_total") {
+		t.Errorf("%d handled != %d 2xx + %d errors_total (server wrote %d non-2xx)", handled, ok.Load(), st("errors_total"), failed.Load())
 	}
-	if ok.Load() == 0 || st.Errors == 0 {
-		t.Errorf("the load mixes outcomes by construction, yet %d 2xx and %d errors", ok.Load(), st.Errors)
+	if ok.Load() == 0 || st("errors_total") == 0 {
+		t.Errorf("the load mixes outcomes by construction, yet %d 2xx and %d errors", ok.Load(), st("errors_total"))
 	}
-	if st.CacheHits+st.CacheMisses+st.Coalesced > st.PlanRequests+st.SweepRequests+st.SweepPointsCached {
-		t.Errorf("cache dispositions exceed the cacheable requests: %+v", st)
+	if st("cache_hits_total")+st("cache_misses_total")+st("coalesced_total") > st("requests_total{endpoint=\"plan\"}")+st("sweep_requests_total")+st("sweep_points_cached_total") {
+		t.Errorf("cache dispositions exceed the cacheable requests: %s", dumpSamples(s))
 	}
 }
 

@@ -96,19 +96,15 @@ func TestReplanEndpointWarmStartsAndMatchesOffline(t *testing.T) {
 		}
 	}
 
-	st := s.Stats()
-	if st.ReplanRequests != 2 || st.ReplanCold != 1 || st.ReplanIncremental != 1 {
-		t.Fatalf("replan counters: %+v", st)
+	st := readSamples(t, s)
+	if st("replan_requests_total") != 2 || st("replans_cold_total") != 1 || st("replans_incremental_total") != 1 {
+		t.Fatalf("replan counters: %s", dumpSamples(s))
 	}
-	if st.ReplanPlanners != 1 {
-		t.Fatalf("planner store holds %d planners, want 1", st.ReplanPlanners)
+	if st("replan_planners") != 1 {
+		t.Fatalf("planner store holds %d planners, want 1", st("replan_planners"))
 	}
 
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics := string(readBody(t, mresp))
+	metrics := scrapeMetrics(t, ts)
 	for _, want := range []string{
 		"adapipe_serve_replan_requests_total 2",
 		"adapipe_serve_replans_incremental_total 1",
@@ -174,7 +170,7 @@ func TestReplanBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/replan: status %d, want 405", resp.StatusCode)
 	}
-	if s.Stats().Searches != 0 {
+	if readSamples(t, s)("searches_total") != 0 {
 		t.Fatal("bad replans ran searches")
 	}
 }

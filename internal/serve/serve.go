@@ -170,9 +170,7 @@ type Server struct {
 	searches, rejected, errorCount atomic.Int64
 	replanReqs, replanWarm         atomic.Int64
 	replanCold, replanAdopted      atomic.Int64
-	inFlight                       atomic.Int64
 	knapsackRuns                   atomic.Int64
-	searchWallNanos                atomic.Int64
 	traceSeq                       atomic.Int64
 	sweepReqs, sweepPoints         atomic.Int64
 	sweepPlanned, sweepDeduped     atomic.Int64
@@ -269,43 +267,48 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// Stats snapshots the serving counters.
-func (s *Server) Stats() obs.ServeStats {
-	st := obs.ServeStats{
-		PlanRequests:       s.planReqs.Load(),
-		SimulateRequests:   s.simReqs.Load(),
-		CacheHits:          s.hits.Load(),
-		CacheMisses:        s.misses.Load(),
-		CacheEvictions:     s.cache.Evictions(),
-		CacheEntries:       int64(s.cache.Len()),
-		Coalesced:          s.coalescedCount.Load(),
-		Searches:           s.searches.Load(),
-		KnapsackRuns:       s.knapsackRuns.Load(),
-		SearchWallSeconds:  time.Duration(s.searchWallNanos.Load()).Seconds(),
-		ReplanRequests:     s.replanReqs.Load(),
-		ReplanIncremental:  s.replanWarm.Load(),
-		ReplanCold:         s.replanCold.Load(),
-		ReplanAdopted:      s.replanAdopted.Load(),
-		ReplanPlanners:     int64(s.planners.Len()),
-		InFlight:           s.inFlight.Load(),
-		Rejected:           s.rejected.Load(),
-		Errors:             s.errorCount.Load(),
-		SweepRequests:      s.sweepReqs.Load(),
-		SweepPoints:        s.sweepPoints.Load(),
-		SweepPointsPlanned: s.sweepPlanned.Load(),
-		SweepPointsDeduped: s.sweepDeduped.Load(),
-		SweepPointsCached:  s.sweepCached.Load(),
-		SweepPointsFailed:  s.sweepFailed.Load(),
-	}
+// samples is the one exposition table behind GET /metrics: each counter and
+// gauge appears here once — name, help, labels and the atomic, cache,
+// semaphore, histogram or cost-store reading it reports — in exposition order.
+// bench/ and servesmoke scrape these names, and TestMetricsExpositionUnchanged
+// pins the rendered bytes. The cost-store rows read zero when the store is
+// disabled.
+func (s *Server) samples() []obs.Metric {
+	var cs coststore.Stats
 	if s.costs != nil {
-		cs := s.costs.StatsSnapshot()
-		st.CostStoreEntries = cs.Entries
-		st.CostStoreHits = cs.Hits
-		st.CostStoreMisses = cs.Misses
-		st.CostStoreShared = cs.Shared
-		st.CostStoreEvictions = cs.Evictions
+		cs = s.costs.StatsSnapshot()
 	}
-	return st
+	return []obs.Metric{
+		{Name: "adapipe_serve_requests_total", Help: "accepted requests by endpoint", Labels: [][2]string{{"endpoint", "plan"}}, Value: float64(s.planReqs.Load())},
+		{Name: "adapipe_serve_requests_total", Labels: [][2]string{{"endpoint", "simulate"}}, Value: float64(s.simReqs.Load())},
+		{Name: "adapipe_serve_cache_hits_total", Help: "plan lookups served from the LRU response cache", Value: float64(s.hits.Load())},
+		{Name: "adapipe_serve_cache_misses_total", Help: "plan lookups that required a search", Value: float64(s.misses.Load())},
+		{Name: "adapipe_serve_cache_evictions_total", Help: "cached responses evicted by the LRU bound", Value: float64(s.cache.Evictions())},
+		{Name: "adapipe_serve_cache_entries", Help: "responses currently cached", Value: float64(s.cache.Len())},
+		{Name: "adapipe_serve_coalesced_total", Help: "requests that shared another request's in-flight search", Value: float64(s.coalescedCount.Load())},
+		{Name: "adapipe_serve_searches_total", Help: "plan searches executed", Value: float64(s.searches.Load())},
+		{Name: "adapipe_serve_knapsack_runs_total", Help: "recomputation DPs solved across all searches", Value: float64(s.knapsackRuns.Load())},
+		{Name: "adapipe_serve_search_wall_seconds_total", Help: "summed search wall time in seconds", Value: time.Duration(s.histSearch.Snapshot().SumNanos).Seconds()},
+		{Name: "adapipe_serve_replan_requests_total", Help: "accepted replan requests", Value: float64(s.replanReqs.Load())},
+		{Name: "adapipe_serve_replans_incremental_total", Help: "replans served by a warm-started incremental search", Value: float64(s.replanWarm.Load())},
+		{Name: "adapipe_serve_replans_cold_total", Help: "replans that first ran the cold search seeding a warm planner", Value: float64(s.replanCold.Load())},
+		{Name: "adapipe_serve_replans_adopted_total", Help: "replans whose re-searched plan beat the repriced incumbent", Value: float64(s.replanAdopted.Load())},
+		{Name: "adapipe_serve_replan_planners", Help: "warm planners currently held for replanning", Value: float64(s.planners.Len())},
+		{Name: "adapipe_serve_in_flight", Help: "searches currently holding an admission slot", Value: float64(len(s.sem))},
+		{Name: "adapipe_serve_rejected_total", Help: "requests that timed out waiting for admission", Value: float64(s.rejected.Load())},
+		{Name: "adapipe_serve_errors_total", Help: "requests answered with a non-2xx status", Value: float64(s.errorCount.Load())},
+		{Name: "adapipe_serve_sweep_requests_total", Help: "accepted sweep requests", Value: float64(s.sweepReqs.Load())},
+		{Name: "adapipe_serve_sweep_points_total", Help: "grid points expanded across all sweeps", Value: float64(s.sweepPoints.Load())},
+		{Name: "adapipe_serve_sweep_points_planned_total", Help: "sweep points that ran a fresh search", Value: float64(s.sweepPlanned.Load())},
+		{Name: "adapipe_serve_sweep_points_deduped_total", Help: "sweep points served by copying a duplicate point's result", Value: float64(s.sweepDeduped.Load())},
+		{Name: "adapipe_serve_sweep_points_cached_total", Help: "sweep points served from the response cache", Value: float64(s.sweepCached.Load())},
+		{Name: "adapipe_serve_sweep_points_failed_total", Help: "sweep points that produced a per-point error", Value: float64(s.sweepFailed.Load())},
+		{Name: "adapipe_serve_cost_store_entries", Help: "entries currently held by the shared cost store", Value: float64(cs.Entries)},
+		{Name: "adapipe_serve_cost_store_hits_total", Help: "cost-store lookups served by a stored entry", Value: float64(cs.Hits)},
+		{Name: "adapipe_serve_cost_store_misses_total", Help: "cost-store lookups that led a fresh solve", Value: float64(cs.Misses)},
+		{Name: "adapipe_serve_cost_store_shared_total", Help: "cost-store lookups that shared another planner's in-flight solve", Value: float64(cs.Shared)},
+		{Name: "adapipe_serve_cost_store_evictions_total", Help: "cost-store entries evicted by the LRU bound", Value: float64(cs.Evictions)},
+	}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -323,7 +326,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	fmt.Fprint(w, obs.RenderProm(obs.ServeMetrics("adapipe_serve", s.Stats())))
+	fmt.Fprint(w, obs.RenderProm(s.samples()))
 	fmt.Fprint(w, obs.RenderPromHistogram("adapipe_serve_request_seconds",
 		"End-to-end plan/simulate request latency.", s.histRequest.Snapshot()))
 	fmt.Fprint(w, obs.RenderPromHistogram("adapipe_serve_search_seconds",
@@ -467,12 +470,11 @@ func (s *Server) runSimulate(ctx context.Context, tr *obs.Tracer, req request.Pl
 }
 
 // observeSearch closes a request's "search" phase, which began at start: the
-// span, the search-latency histogram and the search-wall counter.
+// span and the search-latency histogram, whose sum is the search-wall counter.
 func (s *Server) observeSearch(tr *obs.Tracer, start time.Time) {
 	end := s.clock()
 	tr.Add("search", obs.CatPhase, 0, start, end)
 	s.histSearch.Observe(end.Sub(start))
-	s.searchWallNanos.Add(int64(end.Sub(start)))
 }
 
 // httpError carries a failure's HTTP mapping: the status, the stable

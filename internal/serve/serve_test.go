@@ -14,6 +14,7 @@ import (
 
 	"adapipe/internal/baseline"
 	"adapipe/internal/core"
+	"adapipe/internal/obs"
 	"adapipe/internal/request"
 )
 
@@ -142,11 +143,11 @@ func TestPlanCacheHitIsByteIdenticalAndFree(t *testing.T) {
 	if cold.StatusCode != http.StatusOK || cold.Header.Get(headerCache) != CacheMiss {
 		t.Fatalf("cold: status %d disposition %q", cold.StatusCode, cold.Header.Get(headerCache))
 	}
-	after := s.Stats()
-	if after.Searches != 1 || after.CacheMisses != 1 {
-		t.Fatalf("cold stats: %+v", after)
+	after := readSamples(t, s)
+	if after("searches_total") != 1 || after("cache_misses_total") != 1 {
+		t.Fatalf("cold stats: %s", dumpSamples(s))
 	}
-	knapsacks := after.KnapsackRuns
+	knapsacks := after("knapsack_runs_total")
 	if knapsacks == 0 {
 		t.Fatal("cold adaptive search reported zero knapsack runs")
 	}
@@ -159,15 +160,15 @@ func TestPlanCacheHitIsByteIdenticalAndFree(t *testing.T) {
 	if !bytes.Equal(coldBytes, warmBytes) {
 		t.Fatalf("cached response differs from cold response:\n%s\n%s", coldBytes, warmBytes)
 	}
-	final := s.Stats()
-	if final.Searches != 1 {
-		t.Fatalf("cache hit ran a search: %+v", final)
+	final := readSamples(t, s)
+	if final("searches_total") != 1 {
+		t.Fatalf("cache hit ran a search: %s", dumpSamples(s))
 	}
-	if final.KnapsackRuns != knapsacks {
-		t.Fatalf("cache hit ran knapsacks: %d -> %d", knapsacks, final.KnapsackRuns)
+	if final("knapsack_runs_total") != knapsacks {
+		t.Fatalf("cache hit ran knapsacks: %d -> %d", knapsacks, final("knapsack_runs_total"))
 	}
-	if final.CacheHits != 1 {
-		t.Fatalf("cache hits = %d, want 1", final.CacheHits)
+	if final("cache_hits_total") != 1 {
+		t.Fatalf("cache hits = %d, want 1", final("cache_hits_total"))
 	}
 
 	// A request that differs only in representation (field order, explicit
@@ -218,12 +219,12 @@ func TestConcurrentIdenticalRequestsSearchOnce(t *testing.T) {
 			t.Fatalf("response %d differs from response 0", i)
 		}
 	}
-	stats := s.Stats()
-	if stats.Searches != 1 {
-		t.Fatalf("%d concurrent identical requests ran %d searches, want exactly 1", n, stats.Searches)
+	stats := readSamples(t, s)
+	if stats("searches_total") != 1 {
+		t.Fatalf("%d concurrent identical requests ran %d searches, want exactly 1", n, stats("searches_total"))
 	}
-	if stats.CacheHits+stats.Coalesced != n-1 {
-		t.Fatalf("hit+coalesced = %d+%d, want %d in total", stats.CacheHits, stats.Coalesced, n-1)
+	if stats("cache_hits_total")+stats("coalesced_total") != n-1 {
+		t.Fatalf("hit+coalesced = %d+%d, want %d in total", stats("cache_hits_total"), stats("coalesced_total"), n-1)
 	}
 }
 
@@ -296,8 +297,8 @@ func TestCoalescingSharesOneScriptedSearch(t *testing.T) {
 	if miss != 1 || coalesced != n-1 {
 		t.Fatalf("dispositions: %v (want 1 miss, %d coalesced)", results, n-1)
 	}
-	if s.Stats().Coalesced != int64(n-1) {
-		t.Fatalf("coalesced counter = %d, want %d", s.Stats().Coalesced, n-1)
+	if readSamples(t, s)("coalesced_total") != int64(n-1) {
+		t.Fatalf("coalesced counter = %d, want %d", readSamples(t, s)("coalesced_total"), n-1)
 	}
 }
 
@@ -318,7 +319,7 @@ func TestRequestTimeoutCancelsSearch(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("timeout took %v", elapsed)
 	}
-	if s.Stats().Errors == 0 {
+	if readSamples(t, s)("errors_total") == 0 {
 		t.Fatal("timeout not counted as an error")
 	}
 }
@@ -394,8 +395,8 @@ func TestAdmissionGateRejectsWhenSaturated(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", resp.StatusCode)
 	}
-	if s.Stats().Rejected != 1 {
-		t.Fatalf("rejected = %d, want 1", s.Stats().Rejected)
+	if readSamples(t, s)("rejected_total") != 1 {
+		t.Fatalf("rejected = %d, want 1", readSamples(t, s)("rejected_total"))
 	}
 }
 
@@ -410,9 +411,9 @@ func TestLRUEvictionAtHTTPLayer(t *testing.T) {
 		t.Fatalf("evicted entry served as %q", resp.Header.Get(headerCache))
 	}
 	// b evicted a, then re-caching a evicted b: two evictions, one entry.
-	st := s.Stats()
-	if st.CacheEvictions != 2 || st.CacheEntries != 1 {
-		t.Fatalf("evictions=%d entries=%d, want 2 and 1", st.CacheEvictions, st.CacheEntries)
+	st := readSamples(t, s)
+	if st("cache_evictions_total") != 2 || st("cache_entries") != 1 {
+		t.Fatalf("evictions=%d entries=%d, want 2 and 1", st("cache_evictions_total"), st("cache_entries"))
 	}
 }
 
@@ -444,8 +445,8 @@ func TestSimulateEndpoint(t *testing.T) {
 	if sr.IterSec != want.Sim.IterTime {
 		t.Fatalf("served iter %g, offline iter %g", sr.IterSec, want.Sim.IterTime)
 	}
-	if s.Stats().SimulateRequests != 1 {
-		t.Fatalf("simulate requests = %d, want 1", s.Stats().SimulateRequests)
+	if readSamples(t, s)("requests_total{endpoint=\"simulate\"}") != 1 {
+		t.Fatalf("simulate requests = %d, want 1", readSamples(t, s)("requests_total{endpoint=\"simulate\"}"))
 	}
 }
 
@@ -483,10 +484,10 @@ func TestBadRequestsAreRejected(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/plan: status %d, want 405", resp.StatusCode)
 	}
-	if s.Stats().Errors == 0 {
+	if readSamples(t, s)("errors_total") == 0 {
 		t.Fatal("errors counter untouched")
 	}
-	if s.Stats().Searches != 0 {
+	if readSamples(t, s)("searches_total") != 0 {
 		t.Fatal("bad requests ran searches")
 	}
 }
@@ -502,11 +503,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 	readBody(t, postPlan(t, ts, tinyBody(2, 8)))
 	readBody(t, postPlan(t, ts, tinyBody(2, 8)))
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics := string(readBody(t, mresp))
+	metrics := scrapeMetrics(t, ts)
 	for _, want := range []string{
 		`adapipe_serve_requests_total{endpoint="plan"} 2`,
 		"adapipe_serve_cache_hits_total 1",
@@ -520,3 +517,30 @@ func TestHealthzAndMetrics(t *testing.T) {
 		}
 	}
 }
+
+// readSamples snapshots the server's exposition table — the rows /metrics
+// renders — and returns a reader of one sample by its name without the
+// adapipe_serve_ prefix, a labelled row as name{key="value"}. An unknown name
+// fails the test.
+func readSamples(t *testing.T, s *Server) func(name string) int64 {
+	t.Helper()
+	vals := map[string]float64{}
+	for _, m := range s.samples() {
+		key := strings.TrimPrefix(m.Name, "adapipe_serve_")
+		for _, l := range m.Labels {
+			key += fmt.Sprintf("{%s=%q}", l[0], l[1])
+		}
+		vals[key] = m.Value
+	}
+	return func(name string) int64 {
+		t.Helper()
+		v, ok := vals[name]
+		if !ok {
+			t.Fatalf("no /metrics sample named %q", name)
+		}
+		return int64(v)
+	}
+}
+
+// dumpSamples renders the exposition table for a failure message.
+func dumpSamples(s *Server) string { return obs.RenderProm(s.samples()) }

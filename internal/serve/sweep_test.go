@@ -79,11 +79,11 @@ func TestSweepAmortizesKnapsacksOverStore(t *testing.T) {
 	s, ts := testServer(t, Config{})
 
 	readBody(t, postPlan(t, ts, tightBody(4, 8)))
-	cold := s.Stats()
-	if cold.KnapsackRuns == 0 {
+	cold := readSamples(t, s)
+	if cold("knapsack_runs_total") == 0 {
 		t.Fatal("cold plan reported zero knapsack runs")
 	}
-	if cold.CostStoreMisses == 0 {
+	if cold("cost_store_misses_total") == 0 {
 		t.Fatal("cold plan did not populate the cost store")
 	}
 
@@ -99,17 +99,17 @@ func TestSweepAmortizesKnapsacksOverStore(t *testing.T) {
 	if sr.Stats.Points != 3 || sr.Stats.Cached != 1 || sr.Stats.Planned != 2 || sr.Stats.Failed != 0 {
 		t.Fatalf("sweep stats %+v, want 3 points = 1 cached + 2 planned", sr.Stats)
 	}
-	warm := s.Stats()
-	perPoint := cold.KnapsackRuns
-	if delta := warm.KnapsackRuns - cold.KnapsackRuns; delta >= 2*perPoint {
+	warm := readSamples(t, s)
+	perPoint := cold("knapsack_runs_total")
+	if delta := warm("knapsack_runs_total") - cold("knapsack_runs_total"); delta >= 2*perPoint {
 		t.Fatalf("sweep added %d knapsack runs, want < %d (2 fresh points × %d cold runs, amortized by the store)",
 			delta, 2*perPoint, perPoint)
 	}
-	if warm.CostStoreHits == 0 {
+	if warm("cost_store_hits_total") == 0 {
 		t.Fatal("sweep recorded no cost-store hits")
 	}
-	if warm.SweepRequests != 1 || warm.SweepPoints != 3 || warm.SweepPointsPlanned != 2 || warm.SweepPointsCached != 1 {
-		t.Fatalf("daemon sweep counters %+v inconsistent with one 3-point sweep", warm)
+	if warm("sweep_requests_total") != 1 || warm("sweep_points_total") != 3 || warm("sweep_points_planned_total") != 2 || warm("sweep_points_cached_total") != 1 {
+		t.Fatalf("daemon sweep counters %s inconsistent with one 3-point sweep", dumpSamples(s))
 	}
 	// Every grid point matches its offline plan byte for byte.
 	for i, gb := range []int{8, 16, 24} {
@@ -136,7 +136,7 @@ func TestSweepEmptyAxisRejected(t *testing.T) {
 	if e.Err.Code != request.ErrCodeInvalidRequest || !strings.Contains(e.Err.Message, `axis "tp" is empty`) {
 		t.Fatalf("envelope %+v", e.Err)
 	}
-	if s.Stats().Searches != 0 {
+	if readSamples(t, s)("searches_total") != 0 {
 		t.Fatal("rejected sweep ran a search")
 	}
 }
@@ -323,8 +323,8 @@ func TestSweepCacheHitIsByteIdentical(t *testing.T) {
 	if !bytes.Equal(coldBytes, warmBytes) {
 		t.Fatal("cached sweep differs from cold sweep")
 	}
-	if s.Stats().SweepRequests != 2 {
-		t.Fatalf("sweep requests = %d, want 2", s.Stats().SweepRequests)
+	if readSamples(t, s)("sweep_requests_total") != 2 {
+		t.Fatalf("sweep requests = %d, want 2", readSamples(t, s)("sweep_requests_total"))
 	}
 }
 
@@ -434,11 +434,11 @@ func TestSweepSnapshotPersistsAcrossRestart(t *testing.T) {
 	if !bytes.Equal(first, second) {
 		t.Fatal("restored-store sweep differs from the original server's sweep")
 	}
-	st := s2.Stats()
-	if st.KnapsackRuns != 0 {
-		t.Fatalf("restarted server solved %d knapsacks, want 0 (all from the restored store)", st.KnapsackRuns)
+	st := readSamples(t, s2)
+	if st("knapsack_runs_total") != 0 {
+		t.Fatalf("restarted server solved %d knapsacks, want 0 (all from the restored store)", st("knapsack_runs_total"))
 	}
-	if st.CostStoreHits == 0 {
+	if st("cost_store_hits_total") == 0 {
 		t.Fatal("restarted server recorded no cost-store hits")
 	}
 }

@@ -224,11 +224,7 @@ func TestMetricsHistograms(t *testing.T) {
 	_, ts := testServer(t, Config{Clock: clk.Now})
 	readBody(t, postPlan(t, ts, tinyBody(2, 8)))
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(readBody(t, resp))
+	body := scrapeMetrics(t, ts)
 	for _, fam := range []string{
 		"adapipe_serve_request_seconds",
 		"adapipe_serve_search_seconds",

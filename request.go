@@ -7,8 +7,8 @@ import (
 	"adapipe/internal/request"
 )
 
-// Versioned request API: every entry point — the adapipe CLI, the planbench
-// harness and the adapiped daemon — constructs planners from one PlanRequest
+// Versioned request API: every entry point — the adapipe CLI and the adapiped
+// daemon — constructs planners from one PlanRequest
 // schema, so the flag surface and the HTTP surface cannot drift. Requests have
 // a canonical (sorted-key, deterministic) JSON encoding and a SHA-256 content
 // hash over it, which is the identity the daemon's plan cache keys on.
