@@ -53,13 +53,14 @@ fuzz-smoke:
 	done
 
 # race exercises the concurrent packages under the race detector: the 1F1B
-# executor and simulator in full, plus the parallel-search suite (concurrent
-# planners, worker-sharded DP, differential parallel-vs-serial checks) of the
-# planner packages — run-filtered so the GPT-3-scale timing tests stay out of
-# the slow race build.
+# executor, the simulator, the daemon, the fault layer and the two concurrency
+# primitives (the compute-once cache and the cost store over it) in full, plus
+# the concurrent-search, context and cancellation tests of the planner —
+# run-filtered so the GPT-3-scale timing tests stay out of the slow race
+# build.
 race:
-	$(GO) test -race ./internal/train/... ./internal/sim/... ./internal/pool/... ./internal/serve/... ./internal/fault/...
-	$(GO) test -race -run 'Concurrent|Parallel|Workers|Context|Cancel' ./internal/core/... ./internal/partition/...
+	$(GO) test -race ./internal/train/... ./internal/sim/... ./internal/serve/... ./internal/fault/... ./internal/memo/... ./internal/coststore/...
+	$(GO) test -race -run 'Concurrent|Context|Cancel' ./internal/core/...
 
 # observe runs the observability demo end to end: plan, execute with the op
 # recorder, simulate, and emit the drift report plus Chrome-trace/metrics

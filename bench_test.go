@@ -111,11 +111,6 @@ func BenchmarkFigure10(b *testing.B) {
 
 // ---- Component benchmarks: the costs behind the search itself. ----
 
-// searchWorkers is the worker-pool size of the parallel, replan and sweep
-// rows: with `-cpu 1,2` it prices eight workers on one CPU (where a pool can
-// only cost) and on two, the two settings DESIGN §4e records.
-const searchWorkers = 8
-
 func planner(b *testing.B, cfg model.Config, seqLen, globalBatch int, opts core.Options) *core.Planner {
 	b.Helper()
 	pl, err := core.NewPlanner(cfg, hardware.ClusterA(),
@@ -149,13 +144,11 @@ func BenchmarkSearchAdaPipe(b *testing.B) {
 //
 // They are reported, not gated; the gate on each is a BENCHMARK.json metric.
 
-// BenchmarkPlanSearch is the cold serial search (Workers=1), planner
-// construction included: the paper's GPT-3 shape, and the Llama-2 70B shape
-// that is the heaviest family of the repo benchmark's plan_cold mix and sets
-// its op_p95_ms. gpt3 is the serial baseline of BenchmarkPlanSearchParallel.
+// BenchmarkPlanSearch is the cold search, planner construction included: the
+// paper's GPT-3 shape, and the Llama-2 70B shape that is the heaviest family
+// of the repo benchmark's plan_cold mix and sets its op_p95_ms.
 func BenchmarkPlanSearch(b *testing.B) {
 	opts := core.DefaultOptions()
-	opts.Workers = 1
 	for _, m := range []struct {
 		name   string
 		cfg    model.Config
@@ -172,22 +165,6 @@ func BenchmarkPlanSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanSearchParallel is the same GPT-3 search with the knapsack
-// prefill and partition DP fanned across searchWorkers workers. The plan is
-// byte-identical to the serial one (TestParallelPlanMatchesSerial); only the
-// wall time may differ.
-func BenchmarkPlanSearchParallel(b *testing.B) {
-	b.ReportAllocs()
-	opts := core.DefaultOptions()
-	opts.Workers = searchWorkers
-	for i := 0; i < b.N; i++ {
-		pl := gptPlanner(b, opts)
-		if _, err := pl.Plan(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSweepGrid times one point of a same-family sweep — the GPT-3 shape
 // over global batch 32, 64, 96, the /v1/sweep sweet spot. cold: no cost store,
 // every point pays its own knapsack work. warm: the points share one store
@@ -196,7 +173,6 @@ func BenchmarkPlanSearchParallel(b *testing.B) {
 // amortization.
 func BenchmarkSweepGrid(b *testing.B) {
 	opts := core.DefaultOptions()
-	opts.Workers = searchWorkers
 	grid := []int{32, 64, 96}
 	point := func(b *testing.B, globalBatch int, store *coststore.Store) {
 		pl := planner(b, model.GPT3_175B(), 16384, globalBatch, opts)
@@ -232,9 +208,7 @@ func BenchmarkSweepGrid(b *testing.B) {
 // the warm counterpart.
 func BenchmarkReplanWithScale(b *testing.B) {
 	b.ReportAllocs()
-	opts := core.DefaultOptions()
-	opts.Workers = searchWorkers
-	pl := gptPlanner(b, opts)
+	pl := gptPlanner(b, core.DefaultOptions())
 	plan, err := pl.Plan()
 	if err != nil {
 		b.Fatal(err)
@@ -257,9 +231,7 @@ func BenchmarkReplanWithScale(b *testing.B) {
 // reassembling a stale=-1 no-op.
 func BenchmarkReplanIncremental(b *testing.B) {
 	b.ReportAllocs()
-	opts := core.DefaultOptions()
-	opts.Workers = searchWorkers
-	pl := gptPlanner(b, opts)
+	pl := gptPlanner(b, core.DefaultOptions())
 	plan, err := pl.Plan()
 	if err != nil {
 		b.Fatal(err)

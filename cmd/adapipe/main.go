@@ -15,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"adapipe"
 )
@@ -38,7 +37,6 @@ func main() {
 		memcsv    = flag.String("memcsv", "", "write the per-device memory timeline as CSV to this file")
 		traceOut  = flag.String("trace", "", "write the simulated timeline as Chrome-trace JSON (chrome://tracing, Perfetto) to this file")
 		metrics   = flag.String("metrics", "", "write search and simulation metrics in Prometheus text format to this file")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "search worker-pool size; 1 runs fully serial (plans are identical either way)")
 	)
 	flag.Parse()
 
@@ -71,7 +69,7 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	opts, err := req.Options(*workers)
+	opts, err := req.Options()
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -97,7 +95,7 @@ func main() {
 	}
 
 	strat := req.Strategy()
-	o, err := adapipe.SimulateContext(context.Background(), req, *workers)
+	o, err := adapipe.SimulateContext(context.Background(), req)
 	if err != nil {
 		fatalf("%v", err)
 	}

@@ -37,7 +37,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -49,9 +48,8 @@ func main() {
 		addr      = flag.String("addr", ":8844", "listen address (host:port; port 0 picks a free port)")
 		addrFile  = flag.String("addr-file", "", "write the actual listen address to this file once serving (for harnesses using port 0)")
 		cache     = flag.Int("cache", 256, "plan-cache bound in entries (negative disables caching)")
-		inflight  = flag.Int("inflight", 2, "max concurrently executing searches (the admission gate)")
+		inflight  = flag.Int("inflight", serve.DefaultMaxInFlight(), "max concurrently executing searches, one goroutine each (the admission gate and the only parallelism setting)")
 		timeout   = flag.Duration("timeout", 30*time.Second, "per-request search deadline, admission queueing included")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "search worker-pool size per request")
 		grace     = flag.Duration("grace", 10*time.Second, "graceful-shutdown drain budget")
 		traces    = flag.Int("trace-buffer", 64, "request-trace ring size served by /v1/trace/{id} (negative disables tracing)")
 		planners  = flag.Int("planner-store", 64, "warm replanner store bound in live planners (evicted replans re-seed cold)")
@@ -70,7 +68,6 @@ func main() {
 		CacheSize:        *cache,
 		MaxInFlight:      *inflight,
 		RequestTimeout:   *timeout,
-		Workers:          *workers,
 		TraceBuffer:      *traces,
 		PlannerStoreSize: *planners,
 		CostStoreSize:    *costSize,
@@ -125,8 +122,8 @@ func main() {
 		done <- err
 	}()
 
-	fmt.Printf("adapiped: listening on %s (cache %d entries, %d in-flight, %s timeout, %d workers)\n",
-		bound, *cache, *inflight, *timeout, *workers)
+	fmt.Printf("adapiped: listening on %s (cache %d entries, %d in-flight, %s timeout)\n",
+		bound, *cache, *inflight, *timeout)
 	if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatalf("%v", err)
 	}

@@ -21,7 +21,7 @@ func ExamplePlanContext() {
 		MicroBatch:  1,
 		SeqLen:      1024,
 	}
-	plan, err := adapipe.PlanContext(context.Background(), req, 0)
+	plan, err := adapipe.PlanContext(context.Background(), req)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -48,7 +48,7 @@ func ExampleSimulate() {
 		MicroBatch:  1,
 		SeqLen:      1024,
 	}
-	plan, err := adapipe.PlanContext(context.Background(), req, 0)
+	plan, err := adapipe.PlanContext(context.Background(), req)
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -38,7 +38,7 @@ func main() {
 		Model: "gpt3", Cluster: "a",
 		TP: 8, PP: 8, DP: 1,
 		GlobalBatch: 32, MicroBatch: 1, SeqLen: 16384,
-	}, 0)
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

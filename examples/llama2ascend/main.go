@@ -30,7 +30,7 @@ func main() {
 	for _, name := range []string{"DAPPLE-Full", "DAPPLE-Non", "Even Partitioning", "AdaPipe"} {
 		r := req
 		r.Method = name
-		o, err := adapipe.SimulateContext(ctx, r, 0)
+		o, err := adapipe.SimulateContext(ctx, r)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -41,7 +41,7 @@ func main() {
 		fmt.Printf("%-18s %8.2fs  peak %.1f GiB\n", name, o.IterTime, float64(o.Sim.MaxPeakMem())/(1<<30))
 	}
 
-	plan, err := adapipe.PlanContext(ctx, req, 0)
+	plan, err := adapipe.PlanContext(ctx, req)
 	if err != nil {
 		log.Fatal(err)
 	}

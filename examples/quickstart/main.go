@@ -28,7 +28,7 @@ func main() {
 
 	// Search: adaptive recomputation (per-stage knapsack) + adaptive
 	// partitioning (stage-boundary DP).
-	plan, err := adapipe.PlanContext(ctx, req, 0)
+	plan, err := adapipe.PlanContext(ctx, req)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func main() {
 	// same request with only the method switched.
 	baseReq := req
 	baseReq.Method = "DAPPLE-Full"
-	base, err := adapipe.SimulateContext(ctx, baseReq, 0)
+	base, err := adapipe.SimulateContext(ctx, baseReq)
 	if err != nil {
 		log.Fatal(err)
 	}

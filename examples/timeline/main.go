@@ -26,7 +26,7 @@ func main() {
 		MicroBatch:  1,
 		SeqLen:      2048,
 	}
-	planner, err := adapipe.NewPlannerFromRequest(req, 0)
+	planner, err := adapipe.NewPlannerFromRequest(req)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func TestScopes(t *testing.T) {
 			[]string{"adapipe/internal/core", "adapipe"}, "pipesync"},
 		{ErrCheckCmd, []string{"adapipe/cmd/adapipe", "adapipe/cmd/experiments", "adapipe/examples/quickstart"},
 			[]string{"adapipe", "adapipe/internal/core"}, "errcheckcmd"},
-		{CtxProp, []string{"adapipe/internal/core", "adapipe/internal/pool", "adapipe/internal/serve", "adapipe/internal/baseline", "adapipe/internal/train"},
+		{CtxProp, []string{"adapipe/internal/core", "adapipe/internal/serve", "adapipe/internal/baseline", "adapipe/internal/train"},
 			[]string{"adapipe", "adapipe/internal/sim", "adapipe/cmd/adapipe"}, "ctxprop"},
 		{DetRand, []string{"adapipe/internal/core", "adapipe/internal/request", "adapipe/internal/trace", "adapipe/internal/profile"},
 			[]string{"adapipe", "adapipe/internal/train", "adapipe/cmd/adapipe"}, "detrand"},

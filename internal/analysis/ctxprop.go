@@ -8,12 +8,12 @@ import (
 )
 
 // CtxProp enforces context propagation in the library packages that sit on
-// the search and serving paths (internal/core, internal/pool, internal/serve,
+// the search and serving paths (internal/core, internal/serve,
 // internal/baseline, internal/train). PR 5 threaded cancellation through the
-// whole search (pool.RunContext → core.PlanContext → baseline.EvaluateContext
-// → train.RunContext); a single function that drops the context silently
-// severs that chain — a cancelled daemon request would keep burning a worker
-// pool on a search nobody is waiting for. Three patterns are flagged:
+// whole search (core.PlanContext → baseline.EvaluateContext →
+// train.RunContext); a single function that drops the context silently severs
+// that chain — a cancelled daemon request would keep burning an admission
+// slot on a search nobody is waiting for. Three patterns are flagged:
 //
 //  1. context.Background() or context.TODO() called inside a function that
 //     already receives a context — the fresh root context discards the
@@ -38,7 +38,6 @@ var CtxProp = &Analyzer{
 	Applies: pathMatcher(
 		nil,
 		"adapipe/internal/core",
-		"adapipe/internal/pool",
 		"adapipe/internal/serve",
 		"adapipe/internal/baseline",
 		"adapipe/internal/train",

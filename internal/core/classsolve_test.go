@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -34,10 +33,8 @@ var pressureCases = []pressureCase{
 	{"llama2_p8", model.Llama2_70B(), parallel.Strategy{TP: 8, PP: 8, DP: 1}, 16384, 0.15, 167},
 }
 
-func (c pressureCase) planner(t testing.TB, mode RecomputeMode, noIso bool, workers int) *Planner {
-	pl := referencePlanner(t, c.model, c.strat, c.seq, mode, noIso, c.reserve)
-	pl.opts.Workers = workers
-	return pl
+func (c pressureCase) planner(t testing.TB, mode RecomputeMode, noIso bool) *Planner {
+	return referencePlanner(t, c.model, c.strat, c.seq, mode, noIso, c.reserve)
 }
 
 // ranges lists the sampled (i, j) layer ranges of the case.
@@ -110,10 +107,8 @@ func (f *forgetfulSource) GetOrCompute(key coststore.Key, compute func() coststo
 // between — depends on the request order; the published entries must not.
 // Every (stage, range) is checked bit for bit against referenceStageCost
 // after requesting the stages in ascending, descending and shuffled order,
-// serially with and without a cost source (one that forgets half its keys,
-// so tables are also filled part-way down a claim list), and after a
-// parallel prefill at 2, 4 and 8 workers, whose plan must also match the
-// serial one byte for byte.
+// with and without a cost source (one that forgets half its keys, so tables
+// are also filled part-way down a claim list).
 func TestClassSolveOrderIndependent(t *testing.T) {
 	for _, c := range pressureCases {
 		modes := []RecomputeMode{RecomputeAdaptive}
@@ -135,7 +130,7 @@ func TestClassSolveOrderIndependent(t *testing.T) {
 					orders["shuffled"] = rand.New(rand.NewSource(int64(p))).Perm(p)
 
 					for name, order := range orders {
-						pl := c.planner(t, mode, noIso, 1)
+						pl := c.planner(t, mode, noIso)
 						for _, r := range c.ranges(pl.LayerCount()) {
 							// The first stage of the order runs the class
 							// solve; the checks after it read what that
@@ -155,7 +150,7 @@ func TestClassSolveOrderIndependent(t *testing.T) {
 					// second sees every other key missing.
 					src := &forgetfulSource{entries: map[coststore.Key]coststore.Entry{}}
 					for round := 0; round < 2; round++ {
-						pl := c.planner(t, mode, noIso, 1)
+						pl := c.planner(t, mode, noIso)
 						if err := pl.SetCostSource(src); err != nil {
 							t.Fatal(err)
 						}
@@ -172,45 +167,12 @@ func TestClassSolveOrderIndependent(t *testing.T) {
 					// A lookup that misses runs one class solve, which fills
 					// at most one table; the siblings it publishes are hits
 					// only once something looks them up.
-					invariant := func(pl *Planner) {
-						t.Helper()
-						if st := pl.StatsSnapshot(); st.KnapsackRuns+st.CacheHits > st.CostEvaluations {
-							t.Errorf("workers=%d: runs %d + hits %d > evals %d", st.Workers, st.KnapsackRuns, st.CacheHits, st.CostEvaluations)
-						}
-					}
-					serialPl := c.planner(t, mode, noIso, 1)
-					serial, err := serialPl.Plan()
-					if err != nil {
+					pl := c.planner(t, mode, noIso)
+					if _, err := pl.Plan(); err != nil {
 						t.Fatal(err)
 					}
-					invariant(serialPl)
-					want, err := json.Marshal(serial)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, workers := range []int{2, 4, 8} {
-						pl := c.planner(t, mode, noIso, workers)
-						if _, err := pl.prefillCosts(context.Background(), workers); err != nil {
-							t.Fatal(err)
-						}
-						for _, r := range c.ranges(pl.LayerCount()) {
-							for s := 0; s < p; s++ {
-								checkAgainstReference(t, pl, s, r[0], r[1])
-							}
-						}
-						pl = c.planner(t, mode, noIso, workers)
-						plan, err := pl.Plan()
-						if err != nil {
-							t.Fatal(err)
-						}
-						invariant(pl)
-						got, err := json.Marshal(plan)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !bytes.Equal(got, want) {
-							t.Errorf("workers=%d: plan differs from serial\nserial:   %s\nparallel: %s", workers, want, got)
-						}
+					if st := pl.StatsSnapshot(); st.KnapsackRuns+st.CacheHits > st.CostEvaluations {
+						t.Errorf("runs %d + hits %d > evals %d", st.KnapsackRuns, st.CacheHits, st.CostEvaluations)
 					}
 				})
 			}
@@ -218,45 +180,42 @@ func TestClassSolveOrderIndependent(t *testing.T) {
 	}
 }
 
-// TestPrefillDomainReachable checks that a parallel search — prefill, the
-// sibling entries its class solves publish on the side, and the DP's own
-// lookups — publishes nothing outside the reachable domain, and that the
-// serial search, which publishes siblings too, does not either. An entry
-// outside it can never be read by a plan; solving one is pure waste.
-func TestPrefillDomainReachable(t *testing.T) {
+// TestSearchPublishesOnlyReachable checks that a search — the DP's own
+// lookups and the sibling entries its class solves publish on the side —
+// publishes nothing outside the reachable domain. An entry outside it can
+// never be read by a plan; solving one is pure waste.
+func TestSearchPublishesOnlyReachable(t *testing.T) {
 	for _, c := range pressureCases {
 		for _, part := range []PartitionMode{PartitionAdaptive, PartitionExact} {
 			for _, noIso := range []bool{false, true} {
 				if noIso && c.stride > 1 {
 					continue // O(pL²) raw entries on the big models
 				}
-				for _, workers := range []int{1, 4} {
-					pl := c.planner(t, RecomputeAdaptive, noIso, workers)
-					pl.opts.Partition = part
-					if _, err := pl.Plan(); err != nil {
-						t.Fatal(err)
-					}
-					L, published := pl.LayerCount(), 0
-					for s := 0; s < c.strat.PP; s++ {
-						for i := 0; i < L; i++ {
-							for j := i; j < L; j++ {
-								if pl.table.hot[pl.table.index(s, i, j)].state.Load() < costInfeasible {
-									continue
-								}
-								published++
-								if !referenceReachable(pl, s, i, j) {
-									t.Fatalf("%s %s noiso=%v workers=%d: entry (%d,%d,%d) is published but no partitioning can reach it",
-										c.name, part, noIso, workers, s, i, j)
-								}
-								if !pl.table.reachable(s, i, j) {
-									t.Fatalf("%s: costTable.reachable(%d,%d,%d) = false, first principles say reachable", c.name, s, i, j)
-								}
+				pl := c.planner(t, RecomputeAdaptive, noIso)
+				pl.opts.Partition = part
+				if _, err := pl.Plan(); err != nil {
+					t.Fatal(err)
+				}
+				L, published := pl.LayerCount(), 0
+				for s := 0; s < c.strat.PP; s++ {
+					for i := 0; i < L; i++ {
+						for j := i; j < L; j++ {
+							if pl.table.hot[pl.table.index(s, i, j)].state.Load() < costInfeasible {
+								continue
+							}
+							published++
+							if !referenceReachable(pl, s, i, j) {
+								t.Fatalf("%s %s noiso=%v: entry (%d,%d,%d) is published but no partitioning can reach it",
+									c.name, part, noIso, s, i, j)
+							}
+							if !pl.table.reachable(s, i, j) {
+								t.Fatalf("%s: costTable.reachable(%d,%d,%d) = false, first principles say reachable", c.name, s, i, j)
 							}
 						}
 					}
-					if published == 0 {
-						t.Fatalf("%s: search published nothing", c.name)
-					}
+				}
+				if published == 0 {
+					t.Fatalf("%s: search published nothing", c.name)
 				}
 			}
 		}
@@ -293,7 +252,7 @@ func TestReachableMatchesFirstPrinciples(t *testing.T) {
 // under the race detector.
 func TestConcurrentSearchesShareClassSolves(t *testing.T) {
 	c := pressureCases[0]
-	serial, err := c.planner(t, RecomputeAdaptive, false, 1).Plan()
+	serial, err := c.planner(t, RecomputeAdaptive, false).Plan()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,40 +260,38 @@ func TestConcurrentSearchesShareClassSolves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		pl := c.planner(t, RecomputeAdaptive, false, workers)
-		const goroutines = 8
-		plans := make([][]byte, goroutines)
-		var wg sync.WaitGroup
-		for g := 0; g < goroutines; g++ {
-			g := g
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				p, err := pl.Plan()
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if plans[g], err = json.Marshal(p); err != nil {
-					t.Error(err)
-				}
-			}()
-		}
-		wg.Wait()
-		for g, got := range plans {
-			if !bytes.Equal(got, want) {
-				t.Errorf("workers=%d goroutine %d: plan differs from serial\n%s\nvs\n%s", workers, g, got, want)
+	pl := c.planner(t, RecomputeAdaptive, false)
+	const goroutines = 8
+	plans := make([][]byte, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		g := g
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p, err := pl.Plan()
+			if err != nil {
+				t.Error(err)
+				return
 			}
-		}
-		for k := range pl.table.hot {
-			if pl.table.hot[k].state.Load() == costSolving {
-				t.Fatalf("workers=%d: entry %d left in flight", workers, k)
+			if plans[g], err = json.Marshal(p); err != nil {
+				t.Error(err)
 			}
+		}()
+	}
+	wg.Wait()
+	for g, got := range plans {
+		if !bytes.Equal(got, want) {
+			t.Errorf("goroutine %d: plan differs from serial\n%s\nvs\n%s", g, got, want)
 		}
-		st := pl.StatsSnapshot()
-		if st.KnapsackRuns == 0 || st.KnapsackRuns+st.CacheHits > st.CostEvaluations {
-			t.Errorf("workers=%d: runs %d + hits %d vs evals %d", workers, st.KnapsackRuns, st.CacheHits, st.CostEvaluations)
+	}
+	for k := range pl.table.hot {
+		if pl.table.hot[k].state.Load() == costSolving {
+			t.Fatalf("entry %d left in flight", k)
 		}
+	}
+	st := pl.StatsSnapshot()
+	if st.KnapsackRuns == 0 || st.KnapsackRuns+st.CacheHits > st.CostEvaluations {
+		t.Errorf("runs %d + hits %d vs evals %d", st.KnapsackRuns, st.CacheHits, st.CostEvaluations)
 	}
 }

@@ -10,14 +10,37 @@ import (
 	"time"
 
 	"adapipe/internal/coststore"
+	"adapipe/internal/hardware"
+	"adapipe/internal/model"
+	"adapipe/internal/parallel"
 )
+
+// tinyPlanner builds a planner over a Tiny model for differential and
+// concurrency tests. decoders controls the layer-sequence length
+// (2*decoders + 2), pp the stage count, n the micro-batch count.
+func tinyPlanner(t testing.TB, decoders, pp, n int, reserve float64, part PartitionMode) *Planner {
+	t.Helper()
+	cfg := model.Tiny(decoders)
+	cl := hardware.ClusterA()
+	strat := parallel.Strategy{TP: 1, PP: pp, DP: 1}
+	train := parallel.Config{GlobalBatch: n, MicroBatch: 1, SeqLen: 2048}
+	opts := DefaultOptions()
+	opts.MemoryReserve = reserve
+	opts.Recompute = RecomputeAdaptive
+	opts.Partition = part
+	pl, err := NewPlanner(cfg, cl, strat, train, opts)
+	if err != nil {
+		t.Fatalf("planner (L=%d p=%d): %v", 2*decoders+2, pp, err)
+	}
+	return pl
+}
 
 // TestPlannerConcurrent hammers one shared planner from many goroutines — the
 // situation the mu lock exists for. Every Plan call must succeed and produce
 // the same bytes, CostFor must agree with the plan's stage costs, and the
 // whole test must be clean under -race (the `make race` gate runs it there).
 func TestPlannerConcurrent(t *testing.T) {
-	pl := tinyPlanner(t, 6, 4, 8, 0.15, PartitionAdaptive, 4)
+	pl := tinyPlanner(t, 6, 4, 8, 0.15, PartitionAdaptive)
 
 	const goroutines = 8
 	plans := make([][]byte, goroutines)
@@ -70,7 +93,7 @@ func TestPlannerConcurrent(t *testing.T) {
 // state. The plans themselves differ (scales differ), so this test only
 // asserts absence of errors and races.
 func TestPlannerConcurrentWithReplanning(t *testing.T) {
-	pl := tinyPlanner(t, 6, 4, 8, 0.15, PartitionAdaptive, 2)
+	pl := tinyPlanner(t, 6, 4, 8, 0.15, PartitionAdaptive)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -137,7 +160,7 @@ func (g *gatedSource) GetOrCompute(_ coststore.Key, compute func() coststore.Ent
 // undisturbed planner. (When the planner mutex was held across GetOrCompute,
 // the first probe below never returned.)
 func TestConcurrentColdSearchesOverlapSolves(t *testing.T) {
-	clean, err := tinyPlanner(t, 6, 4, 8, 0.15, PartitionAdaptive, 1).Plan()
+	clean, err := tinyPlanner(t, 6, 4, 8, 0.15, PartitionAdaptive).Plan()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +169,7 @@ func TestConcurrentColdSearchesOverlapSolves(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pl := tinyPlanner(t, 6, 4, 8, 0.15, PartitionAdaptive, 1)
+	pl := tinyPlanner(t, 6, 4, 8, 0.15, PartitionAdaptive)
 	src := &gatedSource{entered: make(chan struct{}), release: make(chan struct{})}
 	if err := pl.SetCostSource(src); err != nil {
 		t.Fatal(err)
@@ -204,3 +227,78 @@ var errTestInfeasible = errInfeasibleSentinel{}
 type errInfeasibleSentinel struct{}
 
 func (errInfeasibleSentinel) Error() string { return "CostFor reported infeasible" }
+
+// TestConcurrentPlannersShareStore is the parallelism a daemon actually has:
+// K requests of one cost family (they differ in global batch only), each its
+// own planner on its own goroutine, over one shared cost store. Every plan
+// must be the bytes its planner produces alone and cold; the store must have
+// served some lookups (a stored entry or another planner's in-flight solve);
+// and together the planners must fill fewer knapsack tables than K solo
+// searches would. The `make race` gate runs it under the race detector.
+func TestConcurrentPlannersShareStore(t *testing.T) {
+	c := pressureCases[0]
+	newPlanner := func(globalBatch int) *Planner {
+		opts := DefaultOptions()
+		opts.MemoryReserve = c.reserve
+		pl, err := NewPlanner(c.model, hardware.ClusterA(), c.strat,
+			parallel.Config{GlobalBatch: globalBatch, MicroBatch: 1, SeqLen: c.seq}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pl
+	}
+	const K = 6
+	want := make([][]byte, K)
+	soloRuns := 0
+	for k := range want {
+		pl := newPlanner(8 + 4*k)
+		p, err := pl.Plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[k], err = json.Marshal(p); err != nil {
+			t.Fatal(err)
+		}
+		soloRuns += pl.Stats.KnapsackRuns
+	}
+	if soloRuns == 0 {
+		t.Fatal("test setup: the solo searches filled no knapsack table")
+	}
+
+	store := coststore.New(0)
+	planners := make([]*Planner, K)
+	got := make([][]byte, K)
+	var wg sync.WaitGroup
+	for k := range planners {
+		planners[k] = newPlanner(8 + 4*k)
+		if err := planners[k].SetCostSource(store); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p, err := planners[k].PlanContext(context.Background())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if got[k], err = json.Marshal(p); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	sharedRuns := 0
+	for k, pl := range planners {
+		if !bytes.Equal(got[k], want[k]) {
+			t.Errorf("planner %d: plan over the shared store differs from its solo cold plan\n%s\nvs\n%s", k, got[k], want[k])
+		}
+		sharedRuns += pl.Stats.KnapsackRuns
+	}
+	if st := store.StatsSnapshot(); st.Hits+st.Shared == 0 {
+		t.Errorf("the store served no lookup: %+v", st)
+	}
+	if sharedRuns >= soloRuns {
+		t.Errorf("%d planners over one store filled %d knapsack tables, %d alone", K, sharedRuns, soloRuns)
+	}
+}

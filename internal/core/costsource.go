@@ -24,7 +24,7 @@ import (
 // the iso-class coordinates, so two planners that derive the same key would
 // compute bit-identical entries. A source may therefore return any stored
 // entry for the key, and plans built from source hits are byte-identical to
-// plans built cold for every worker count and store state
+// plans built cold for every store state
 // (TestCostStorePlanMatchesSeed).
 type CostSource interface {
 	GetOrCompute(key coststore.Key, compute func() coststore.Entry) (coststore.Entry, coststore.Disposition)
@@ -32,13 +32,12 @@ type CostSource interface {
 
 // familyInputs is the serialized family fingerprint: every planner input the
 // per-range solve depends on. Notably NOT included: GlobalBatch (it only
-// sets n, which shapes the partition DP, never a stage cost), the partition
-// mode (same reason) and Workers (execution knob) — which is exactly what
-// lets a sweep over micro-batch counts or partition policies share all of
-// its knapsack entries. The profile embeds the model config, device and
-// strategy (TP shards the unit costs, DP the optimizer states, PP the
-// in-flight count), so hashing it covers the derived numeric content rather
-// than config names.
+// sets n, which shapes the partition DP, never a stage cost) and the
+// partition mode (same reason) — which is exactly what lets a sweep over
+// micro-batch counts or partition policies share all of its knapsack entries.
+// The profile embeds the model config, device and strategy (TP shards the
+// unit costs, DP the optimizer states, PP the in-flight count), so hashing it
+// covers the derived numeric content rather than config names.
 type familyInputs struct {
 	Profile        *profile.Profile `json:"profile"`
 	MemCapacity    int64            `json:"mem_capacity"`

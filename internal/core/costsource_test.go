@@ -10,9 +10,8 @@ import (
 	"adapipe/internal/coststore"
 )
 
-// TestCostStorePlanMatchesSeed is the tentpole's differential proof: for every
-// worker count and every store state — no store (the seed planner), a cold
-// store, a store warmed by a previous identical search, and a store saved to
+// TestCostStorePlanMatchesSeed is the store's differential proof: for every
+// store state — no store (the seed planner), a cold store, a store warmed by a previous identical search, and a store saved to
 // disk and restored into a fresh one — the produced plan serializes to
 // byte-identical JSON. The shared cost store may change how a stage cost is
 // obtained, never what it is.
@@ -32,97 +31,92 @@ func TestCostStorePlanMatchesSeed(t *testing.T) {
 		c := c
 		name := fmt.Sprintf("L%d_p%d_n%d_r%.2f_%s", 2*c.decoders+2, c.pp, c.n, c.reserve, c.part)
 		t.Run(name, func(t *testing.T) {
-			for _, workers := range []int{1, 2, 4, 8} {
-				// Seed: no store attached.
-				seed, err := tinyPlanner(t, c.decoders, c.pp, c.n, c.reserve, c.part, workers).Plan()
-				if err != nil {
-					t.Fatalf("workers=%d seed: %v", workers, err)
-				}
-				want, err := json.Marshal(seed)
-				if err != nil {
-					t.Fatal(err)
-				}
+			// Seed: no store attached.
+			seed, err := tinyPlanner(t, c.decoders, c.pp, c.n, c.reserve, c.part).Plan()
+			if err != nil {
+				t.Fatalf("seed: %v", err)
+			}
+			want, err := json.Marshal(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-				// Cold store: every lookup is a store miss solved and published.
-				store := coststore.New(8192)
-				cold := tinyPlanner(t, c.decoders, c.pp, c.n, c.reserve, c.part, workers)
-				if err := cold.SetCostSource(store); err != nil {
-					t.Fatalf("workers=%d attach: %v", workers, err)
-				}
-				coldPlan, err := cold.Plan()
-				if err != nil {
-					t.Fatalf("workers=%d cold: %v", workers, err)
-				}
-				got, err := json.Marshal(coldPlan)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("workers=%d: cold-store plan differs from seed\nseed: %s\ngot:  %s", workers, want, got)
-				}
-				if cold.Stats.StoreMisses == 0 {
-					t.Errorf("workers=%d: cold planner recorded no store misses", workers)
-				}
+			// Cold store: every lookup is a store miss solved and published.
+			store := coststore.New(8192)
+			cold := tinyPlanner(t, c.decoders, c.pp, c.n, c.reserve, c.part)
+			if err := cold.SetCostSource(store); err != nil {
+				t.Fatalf("attach: %v", err)
+			}
+			coldPlan, err := cold.Plan()
+			if err != nil {
+				t.Fatalf("cold: %v", err)
+			}
+			got, err := json.Marshal(coldPlan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("cold-store plan differs from seed\nseed: %s\ngot:  %s", want, got)
+			}
+			if cold.Stats.StoreMisses == 0 {
+				t.Errorf("cold planner recorded no store misses")
+			}
 
-				// Warm store: a second planner answers every knapsack from the
-				// store — zero fresh solves, the cross-request reuse the store
-				// exists for.
-				warm := tinyPlanner(t, c.decoders, c.pp, c.n, c.reserve, c.part, workers)
-				if err := warm.SetCostSource(store); err != nil {
-					t.Fatal(err)
-				}
-				warmPlan, err := warm.Plan()
-				if err != nil {
-					t.Fatalf("workers=%d warm: %v", workers, err)
-				}
-				got, err = json.Marshal(warmPlan)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("workers=%d: warm-store plan differs from seed", workers)
-				}
-				if warm.Stats.KnapsackRuns != 0 {
-					t.Errorf("workers=%d: warm planner solved %d knapsacks, want 0 (all served by the store)",
-						workers, warm.Stats.KnapsackRuns)
-				}
-				if warm.Stats.StoreHits == 0 {
-					t.Errorf("workers=%d: warm planner recorded no store hits", workers)
-				}
-				if warm.Stats.StoreMisses != 0 {
-					t.Errorf("workers=%d: warm planner recorded %d store misses, want 0",
-						workers, warm.Stats.StoreMisses)
-				}
+			// Warm store: a second planner answers every knapsack from the
+			// store — zero fresh solves, the cross-request reuse the store
+			// exists for.
+			warm := tinyPlanner(t, c.decoders, c.pp, c.n, c.reserve, c.part)
+			if err := warm.SetCostSource(store); err != nil {
+				t.Fatal(err)
+			}
+			warmPlan, err := warm.Plan()
+			if err != nil {
+				t.Fatalf("warm: %v", err)
+			}
+			got, err = json.Marshal(warmPlan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("warm-store plan differs from seed")
+			}
+			if warm.Stats.KnapsackRuns != 0 {
+				t.Errorf("warm planner solved %d knapsacks, want 0 (all served by the store)", warm.Stats.KnapsackRuns)
+			}
+			if warm.Stats.StoreHits == 0 {
+				t.Errorf("warm planner recorded no store hits")
+			}
+			if warm.Stats.StoreMisses != 0 {
+				t.Errorf("warm planner recorded %d store misses, want 0", warm.Stats.StoreMisses)
+			}
 
-				// Restored-from-disk: save the warm store, load into a fresh
-				// one, plan again.
-				path := filepath.Join(t.TempDir(), "store.json")
-				if err := store.SaveSnapshot(path); err != nil {
-					t.Fatal(err)
-				}
-				restored := coststore.New(8192)
-				if err := restored.LoadSnapshot(path); err != nil {
-					t.Fatal(err)
-				}
-				rest := tinyPlanner(t, c.decoders, c.pp, c.n, c.reserve, c.part, workers)
-				if err := rest.SetCostSource(restored); err != nil {
-					t.Fatal(err)
-				}
-				restPlan, err := rest.Plan()
-				if err != nil {
-					t.Fatalf("workers=%d restored: %v", workers, err)
-				}
-				got, err = json.Marshal(restPlan)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("workers=%d: restored-store plan differs from seed", workers)
-				}
-				if rest.Stats.KnapsackRuns != 0 {
-					t.Errorf("workers=%d: restored-store planner solved %d knapsacks, want 0",
-						workers, rest.Stats.KnapsackRuns)
-				}
+			// Restored-from-disk: save the warm store, load into a fresh
+			// one, plan again.
+			path := filepath.Join(t.TempDir(), "store.json")
+			if err := store.SaveSnapshot(path); err != nil {
+				t.Fatal(err)
+			}
+			restored := coststore.New(8192)
+			if err := restored.LoadSnapshot(path); err != nil {
+				t.Fatal(err)
+			}
+			rest := tinyPlanner(t, c.decoders, c.pp, c.n, c.reserve, c.part)
+			if err := rest.SetCostSource(restored); err != nil {
+				t.Fatal(err)
+			}
+			restPlan, err := rest.Plan()
+			if err != nil {
+				t.Fatalf("restored: %v", err)
+			}
+			got, err = json.Marshal(restPlan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("restored-store plan differs from seed")
+			}
+			if rest.Stats.KnapsackRuns != 0 {
+				t.Errorf("restored-store planner solved %d knapsacks, want 0", rest.Stats.KnapsackRuns)
 			}
 		})
 	}
@@ -135,7 +129,7 @@ func TestCostStorePlanMatchesSeed(t *testing.T) {
 func TestCostFamilySeparation(t *testing.T) {
 	store := coststore.New(8192)
 
-	a := tinyPlanner(t, 6, 4, 8, 0.15, PartitionAdaptive, 1)
+	a := tinyPlanner(t, 6, 4, 8, 0.15, PartitionAdaptive)
 	if err := a.SetCostSource(store); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +142,7 @@ func TestCostFamilySeparation(t *testing.T) {
 
 	// Same family, different global batch: the partition DP changes, the
 	// stage costs do not — every lookup must hit.
-	b := tinyPlanner(t, 6, 4, 16, 0.15, PartitionAdaptive, 1)
+	b := tinyPlanner(t, 6, 4, 16, 0.15, PartitionAdaptive)
 	if err := b.SetCostSource(store); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +158,7 @@ func TestCostFamilySeparation(t *testing.T) {
 
 	// Different memory reserve: a different budget is a different family —
 	// nothing may be shared.
-	c := tinyPlanner(t, 6, 4, 8, 0.60, PartitionAdaptive, 1)
+	c := tinyPlanner(t, 6, 4, 8, 0.60, PartitionAdaptive)
 	if err := c.SetCostSource(store); err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +174,7 @@ func TestCostFamilySeparation(t *testing.T) {
 // planner goes back to private solving.
 func TestSetCostSourceDetach(t *testing.T) {
 	store := coststore.New(64)
-	pl := tinyPlanner(t, 3, 2, 4, 0.15, PartitionAdaptive, 1)
+	pl := tinyPlanner(t, 3, 2, 4, 0.15, PartitionAdaptive)
 	if err := pl.SetCostSource(store); err != nil {
 		t.Fatal(err)
 	}

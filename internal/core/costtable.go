@@ -81,7 +81,7 @@ type classClaim struct {
 	perMicro int64
 }
 
-// stageSolver is one worker's solve scratch: the knapsack arena, the group
+// stageSolver is one class solve's scratch: the knapsack arena, the group
 // list handed to it, and the entries, budgets and strategies of the class
 // solve in progress. The filled knapsack table lives in knap and is
 // overwritten by the next solve.

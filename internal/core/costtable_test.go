@@ -269,11 +269,11 @@ func (p *scriptedSource) GetOrCompute(_ coststore.Key, compute func() coststore.
 // published stay, the rest go back to absent, and a search parked on one of
 // them wakes up and solves it itself.
 func TestSolvePanicLeavesTableUsable(t *testing.T) {
-	want, err := tinyPlanner(t, 6, 4, 8, 0.15, PartitionAdaptive, 1).Plan()
+	want, err := tinyPlanner(t, 6, 4, 8, 0.15, PartitionAdaptive).Plan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := tinyPlanner(t, 6, 4, 8, 0.15, PartitionAdaptive, 1)
+	pl := tinyPlanner(t, 6, 4, 8, 0.15, PartitionAdaptive)
 	if err := pl.SetCostSource(&scriptedSource{panicAt: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestSolvePanicLeavesTableUsable(t *testing.T) {
 	var stages []int
 	var ci, cj int
 	for _, r := range tight.ranges(2*8 + 2) {
-		scout := tight.planner(t, RecomputeAdaptive, false, 1)
+		scout := tight.planner(t, RecomputeAdaptive, false)
 		if !scout.table.reachable(1, r[0], r[1]) {
 			continue
 		}
@@ -338,7 +338,7 @@ func TestSolvePanicLeavesTableUsable(t *testing.T) {
 
 	// The second claim's compute panics: the first stays published, the
 	// second and every later one return to absent.
-	pl = tight.planner(t, RecomputeAdaptive, false, 1)
+	pl = tight.planner(t, RecomputeAdaptive, false)
 	if err := pl.SetCostSource(&scriptedSource{panicAt: 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestSolvePanicLeavesTableUsable(t *testing.T) {
 	}
 
 	// The same panic with a search parked on the last claim.
-	pl = tight.planner(t, RecomputeAdaptive, false, 1)
+	pl = tight.planner(t, RecomputeAdaptive, false)
 	src := &scriptedSource{panicAt: 2, entered: make(chan struct{}), release: make(chan struct{})}
 	if err := pl.SetCostSource(src); err != nil {
 		t.Fatal(err)

@@ -19,12 +19,12 @@ import (
 // same scale, and the fast path must never run more knapsacks than the cold
 // search does.
 func FuzzReplanIncrementalVsFull(f *testing.F) {
-	f.Add(uint8(3), uint8(2), uint8(4), uint8(0), uint8(1), uint8(0), uint8(0))   // identity
-	f.Add(uint8(6), uint8(4), uint8(8), uint8(0), uint8(4), uint8(2), uint8(1))   // single-stage bump
-	f.Add(uint8(6), uint8(4), uint8(8), uint8(2), uint8(8), uint8(0), uint8(2))   // all stages
-	f.Add(uint8(10), uint8(6), uint8(12), uint8(0), uint8(2), uint8(5), uint8(3)) // extreme 10x
-	f.Add(uint8(6), uint8(4), uint8(8), uint8(1), uint8(4), uint8(2), uint8(1))   // exact partitioning: the replan searches cold
-	f.Fuzz(func(t *testing.T, dec8, pp8, n8, part8, workers8, st8, kind8 uint8) {
+	f.Add(uint8(3), uint8(2), uint8(4), uint8(0), uint8(0), uint8(0))   // identity
+	f.Add(uint8(6), uint8(4), uint8(8), uint8(0), uint8(2), uint8(1))   // single-stage bump
+	f.Add(uint8(6), uint8(4), uint8(8), uint8(2), uint8(0), uint8(2))   // all stages
+	f.Add(uint8(10), uint8(6), uint8(12), uint8(0), uint8(5), uint8(3)) // extreme 10x
+	f.Add(uint8(6), uint8(4), uint8(8), uint8(1), uint8(2), uint8(1))   // exact partitioning: the replan searches cold
+	f.Fuzz(func(t *testing.T, dec8, pp8, n8, part8, st8, kind8 uint8) {
 		decoders := int(dec8%10) + 1
 		L := 2*decoders + 2
 		pp := int(pp8%uint8(L)) + 1
@@ -33,7 +33,6 @@ func FuzzReplanIncrementalVsFull(f *testing.F) {
 		}
 		n := pp + int(n8%16)
 		part := []PartitionMode{PartitionAdaptive, PartitionExact}[part8%2]
-		workers := int(workers8 % 9)
 
 		scale := make([]float64, pp)
 		for s := range scale {
@@ -51,7 +50,7 @@ func FuzzReplanIncrementalVsFull(f *testing.F) {
 			scale[int(st8)%pp] = 10
 		}
 
-		warm := tinyPlanner(t, decoders, pp, n, 0.15, part, workers)
+		warm := tinyPlanner(t, decoders, pp, n, 0.15, part)
 		old, err := warm.Plan()
 		if err != nil {
 			return // infeasible — nothing to replan
@@ -67,7 +66,7 @@ func FuzzReplanIncrementalVsFull(f *testing.F) {
 			t.Fatalf("fast path not taken: ReplanIncremental = %d", warm.Stats.ReplanIncremental)
 		}
 
-		cold := tinyPlanner(t, decoders, pp, n, 0.15, part, workers)
+		cold := tinyPlanner(t, decoders, pp, n, 0.15, part)
 		if err := cold.SetStageScale(scale); err != nil {
 			t.Fatal(err)
 		}
@@ -99,11 +98,11 @@ func FuzzReplanIncrementalVsFull(f *testing.F) {
 // with byte-identical JSON (the serialization contract execution engines
 // rely on).
 func FuzzPlannerPlanRoundTrip(f *testing.F) {
-	f.Add(uint8(3), uint8(2), uint8(4), uint8(0), uint8(0), uint8(1))
-	f.Add(uint8(3), uint8(8), uint8(8), uint8(1), uint8(1), uint8(4)) // L == p
-	f.Add(uint8(6), uint8(4), uint8(8), uint8(9), uint8(2), uint8(8)) // tiny budget
-	f.Add(uint8(15), uint8(8), uint8(16), uint8(0), uint8(2), uint8(2))
-	f.Fuzz(func(t *testing.T, dec8, pp8, n8, res8, part8, workers8 uint8) {
+	f.Add(uint8(3), uint8(2), uint8(4), uint8(0), uint8(0))
+	f.Add(uint8(3), uint8(8), uint8(8), uint8(1), uint8(1)) // L == p
+	f.Add(uint8(6), uint8(4), uint8(8), uint8(9), uint8(2)) // tiny budget
+	f.Add(uint8(15), uint8(8), uint8(16), uint8(0), uint8(2))
+	f.Fuzz(func(t *testing.T, dec8, pp8, n8, res8, part8 uint8) {
 		decoders := int(dec8%15) + 1
 		L := 2*decoders + 2
 		pp := int(pp8%uint8(L)) + 1
@@ -115,7 +114,6 @@ func FuzzPlannerPlanRoundTrip(f *testing.F) {
 		// zero, the "capacity 0" degenerate case.
 		reserve := float64(res8%100) / 100
 		part := []PartitionMode{PartitionAdaptive, PartitionEven, PartitionExact}[part8%3]
-		workers := int(workers8 % 9)
 
 		cfg := model.Tiny(decoders)
 		cl := hardware.ClusterA()
@@ -125,7 +123,6 @@ func FuzzPlannerPlanRoundTrip(f *testing.F) {
 		opts.MemoryReserve = reserve
 		opts.Recompute = RecomputeAdaptive
 		opts.Partition = part
-		opts.Workers = workers
 		pl, err := NewPlanner(cfg, cl, strat, train, opts)
 		if err != nil {
 			t.Skip() // invalid configuration, rejected up front

@@ -71,7 +71,7 @@ const (
 	// PartitionExact runs the Pareto-frontier variant of Algorithm 1,
 	// which is globally optimal under the §5.1 cost model (an extension:
 	// it quantifies how close the paper's near-optimal DP gets). It always
-	// searches cold and serial: no warm-start memo, no sharded DP.
+	// searches cold: no warm-start memo.
 	PartitionExact
 )
 
@@ -122,14 +122,6 @@ type Options struct {
 	// the peak consumption of OOM configurations (Figure 8). It has no
 	// effect on the adaptive search, which needs the constraint.
 	IgnoreMemoryLimit bool
-	// Workers bounds the planner's worker pool: the independent class
-	// solves (one knapsack table per iso-class and rounding quantum, read at
-	// every stage that shares it) are fanned across Workers goroutines
-	// before the partition DP runs, and the DP's per-level cells
-	// are sharded the same way. 0 or 1 selects the fully serial search.
-	// Plans are byte-identical for every value — parallelism changes wall
-	// time only, never the result (see TestParallelPlanMatchesSerial).
-	Workers int
 }
 
 // DefaultOptions returns the configuration used in the evaluation.
@@ -237,9 +229,9 @@ type Planner struct {
 	prof   *profile.Profile
 	layers []model.Layer
 	n      int
-	// clock times the search's wall counters (SearchWall, ParallelWall,
-	// per-worker busy time). RealClock() at construction; SetClock swaps in
-	// a fake for deterministic tests. Immutable once planning starts.
+	// clock times the search's wall counter (SearchWall). RealClock() at
+	// construction; SetClock swaps in a fake for deterministic tests.
+	// Immutable once planning starts.
 	clock obs.Clock
 
 	// table is the dense per-(stage, iso-class) cost table together with the
@@ -426,13 +418,11 @@ func (pl *Planner) resolve(tr *obs.Tracer, idx, s, i, j int) uint32 {
 			return state
 		}
 	}
-	var one [1]*stageSolver
-	src, family := pl.borrowSolvers(one[:])
-	// Lazy solves render on track 0 next to the request phases.
-	one[0].knap.Trace = tr
+	sv, src, family := pl.borrowSolver()
+	sv.knap.Trace = tr
 	var st SearchStats
-	pl.solveClass(src, family, s, i, j, perMicro, one[0], &st)
-	pl.returnSolvers(one[:], st)
+	pl.solveClass(src, family, s, i, j, perMicro, sv, &st)
+	pl.returnSolver(sv, st)
 	return e.state.Load()
 }
 
@@ -476,13 +466,12 @@ func (pl *Planner) microBudget(s, i, j int) (perMicro int64, fits bool) {
 // ever — its own store key when a source is attached, its own absent →
 // solving → published walk — and the table is filled only when the first of
 // them actually has to be computed, for it and the claims after it. If the
-// solve panics (the pool re-raises worker panics after the join) every
-// unpublished claim goes back to absent, so a search parked on one retries
-// instead of waiting forever.
+// solve panics every unpublished claim goes back to absent, so a search
+// parked on one retries instead of waiting forever.
 //
 // It reads only immutable planner state, runs on sv's scratch and counts
-// effort into st — so concurrent searches and prefill workers run it in
-// parallel, each with a private solver and stats shard.
+// effort into st — so concurrent searches run it in parallel, each with a
+// private solver and stats shard.
 func (pl *Planner) solveClass(src CostSource, family []byte, s, i, j int, perMicro int64, sv *stageSolver, st *SearchStats) {
 	t := pl.table
 	sh := &t.shapes[t.shapeIndex(i, j)]
@@ -614,36 +603,31 @@ func (pl *Planner) fixedPolicyEntry(s int, sh *classShape, input int64) coststor
 	return coststore.Entry{Fwd: sh.fwd, Bwd: bwd, Sol: sol, Mem: mem, OK: ok}
 }
 
-// borrowSolvers fills dst with solve scratch checked out of the planner's
-// pool (building what the pool lacks) and returns the attached cost source
-// with its family prefix. The borrowed solvers are exclusively owned until
-// returnSolvers parks them back.
-func (pl *Planner) borrowSolvers(dst []*stageSolver) (CostSource, []byte) {
+// borrowSolver checks one solve scratch out of the planner's pool (building
+// one if the pool is empty) and returns it with the attached cost source and
+// its family prefix. The solver is exclusively owned until returnSolver parks
+// it back.
+func (pl *Planner) borrowSolver() (*stageSolver, CostSource, []byte) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	for k := range dst {
-		if n := len(pl.solverPool); n > 0 {
-			dst[k] = pl.solverPool[n-1]
-			pl.solverPool[n-1] = nil
-			pl.solverPool = pl.solverPool[:n-1]
-		} else {
-			dst[k] = new(stageSolver)
-		}
+	n := len(pl.solverPool)
+	if n == 0 {
+		return new(stageSolver), pl.source, pl.family
 	}
-	return pl.source, pl.family
+	sv := pl.solverPool[n-1]
+	pl.solverPool[n-1] = nil
+	pl.solverPool = pl.solverPool[:n-1]
+	return sv, pl.source, pl.family
 }
 
-// returnSolvers parks borrowed solvers for the next solve — dropping their
+// returnSolver parks a borrowed solver for the next solve — dropping its
 // tracer so a later request cannot cross-attribute knapsack spans — and
-// merges the effort their solves counted into Stats.
-func (pl *Planner) returnSolvers(svs []*stageSolver, st SearchStats) {
+// merges the effort its solve counted into Stats.
+func (pl *Planner) returnSolver(sv *stageSolver, st SearchStats) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	for _, sv := range svs {
-		sv.knap.Trace = nil
-		sv.knap.Tid = 0
-		pl.solverPool = append(pl.solverPool, sv)
-	}
+	sv.knap.Trace = nil
+	pl.solverPool = append(pl.solverPool, sv)
 	pl.Stats.addSolves(st)
 }
 
@@ -664,19 +648,17 @@ func (pl *Planner) quantumFor(budget int64) int64 {
 	return q
 }
 
-// Plan runs the configured search and assembles the plan. With Options.
-// Workers > 1 the independent class solves of the reachable domain are
-// prefilled across the worker pool and the partition DP shards its per-level
-// cells the same way; the resulting plan is byte-identical to the serial
-// search. Plan is safe to call concurrently on one planner: searches share
-// the cost table, and their solves overlap.
+// Plan runs the configured search and assembles the plan. The search is one
+// goroutine: the partition DP resolves each class the first time it looks it
+// up. Plan is safe to call concurrently on one planner: searches share the
+// cost table, and their solves overlap.
 func (pl *Planner) Plan() (*Plan, error) {
 	return pl.PlanContext(context.Background())
 }
 
-// PlanContext is Plan with cooperative cancellation: the prefill worker pool
-// stops pulling solves once ctx is done, the partition DP short-circuits its
-// remaining cost evaluations, and ctx.Err() is returned instead of a plan.
+// PlanContext is Plan with cooperative cancellation: once ctx is done the
+// partition DP short-circuits its remaining cost evaluations, and ctx.Err()
+// is returned instead of a plan.
 // Cancellation is result-safe — a cancelled search publishes only
 // fully-computed cost entries into the table, so a later search on the same
 // planner still produces plans byte-identical to a never-cancelled one
@@ -690,7 +672,6 @@ func (pl *Planner) PlanContext(ctx context.Context) (*Plan, error) {
 	searchStart := pl.clock()
 	L := len(pl.layers)
 	p := pl.strat.PP
-	workers := pl.workerCount()
 
 	// The DP asks "cancelled?" once per cell; ctx.Err() takes the context's
 	// mutex, so the cells read a flag armed by the context instead.
@@ -709,8 +690,7 @@ func (pl *Planner) PlanContext(ctx context.Context) (*Plan, error) {
 	// The search counts its lookups privately and merges them into Stats
 	// once: unpublished lookups as they happen (they are rare), everything
 	// else from the DP's own cell count at the end.
-	var prefilled int
-	var misses atomic.Int64
+	var misses int
 	// The claimed memo must flow back to the planner on every exit: a
 	// completed solve revalidated it, which is what makes the next replan
 	// warm. A failed or cancelled solve leaves the memo's own valid flag
@@ -726,7 +706,7 @@ func (pl *Planner) PlanContext(ctx context.Context) (*Plan, error) {
 		if memo != nil {
 			pl.partMemo = memo
 		}
-		pl.Stats.CostEvaluations += prefilled + int(misses.Load())
+		pl.Stats.CostEvaluations += misses
 		pl.mu.Unlock()
 	}()
 
@@ -736,15 +716,6 @@ func (pl *Planner) PlanContext(ctx context.Context) (*Plan, error) {
 		// warm-start from it.
 		if !pl.opts.DisableIsomorphism && pl.opts.Partition == PartitionAdaptive {
 			memo = &partition.Memo{}
-		}
-		if workers > 1 && pl.opts.Partition != PartitionEven {
-			sp := tr.Start("search.prefill", obs.CatSearch, 0)
-			var err error
-			prefilled, err = pl.prefillCosts(ctx, workers)
-			sp.End()
-			if err != nil {
-				return nil, err
-			}
 		}
 	}
 	// The DP's cost function, cold or warm-started: a lock-free read of the
@@ -761,7 +732,7 @@ func (pl *Planner) PlanContext(ctx context.Context) (*Plan, error) {
 		}
 		idx, ok, hit := pl.lookup(tr, s, i, j)
 		if !hit {
-			misses.Add(1)
+			misses++
 		}
 		f, b := hot[idx].fwd, hot[idx].bwd
 		if scale != nil {
@@ -806,7 +777,7 @@ func (pl *Planner) PlanContext(ctx context.Context) (*Plan, error) {
 		}
 		cellsAdd = p
 	default:
-		sol, err := partition.SolveMemo(L, p, pl.n, cost, memo, stale, workers)
+		sol, err := partition.SolveMemo(L, p, pl.n, cost, memo, stale)
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return nil, cerr
@@ -835,8 +806,8 @@ func (pl *Planner) PlanContext(ctx context.Context) (*Plan, error) {
 	// cellsAdd counts exactly the cost evaluations the DP made (partition.
 	// Plan.DPCells); the assembly read one more entry per stage.
 	evals := cellsAdd + p
-	pl.Stats.CostEvaluations += prefilled + evals
-	pl.Stats.CacheHits += evals - int(misses.Load())
+	pl.Stats.CostEvaluations += evals
+	pl.Stats.CacheHits += evals - misses
 	pl.Stats.PartitionCells += cellsAdd
 	pl.Stats.FrontierStates += frontierAdd
 	pl.Stats.WarmStartCells += warmAdd
@@ -844,7 +815,6 @@ func (pl *Planner) PlanContext(ctx context.Context) (*Plan, error) {
 		pl.Stats.ReplanIncremental++
 		pl.Stats.InvalidatedIsoClasses += ws.invalidated
 	}
-	pl.Stats.Workers = workers
 	pl.Stats.SearchWall += pl.clock().Sub(searchStart)
 	plan.Search = pl.Stats
 	// Install the completed solve's memo and the scale it was computed

@@ -38,9 +38,8 @@ func scaleVectors(p int) [][]float64 {
 }
 
 // TestReplanIncrementalMatrix is the seed-matrix differential suite of the
-// incremental replanner: over models, stage counts, partition modes and
-// workers ∈ {1, 2, 4, 8}, a warm planner replanned through a sequence of
-// scale vectors must produce, at every step, a plan byte-identical
+// incremental replanner: over models, stage counts and partition modes, a
+// warm planner replanned through a sequence of scale vectors must produce, at every step, a plan byte-identical
 // (canonical Plan JSON) to a cold full search on a fresh planner under the
 // same scale — while actually taking the fast path (ReplanIncremental
 // advances) and never running more knapsacks than the cold search.
@@ -57,52 +56,50 @@ func TestReplanIncrementalMatrix(t *testing.T) {
 		{3, 7, 8, PartitionAdaptive}, // L=8: one layer per stage almost everywhere
 	}
 	for _, tc := range cases {
-		for _, workers := range []int{1, 2, 4, 8} {
-			t.Run(fmt.Sprintf("dec%d_pp%d_%s_w%d", tc.decoders, tc.pp, tc.part, workers), func(t *testing.T) {
-				warm := tinyPlanner(t, tc.decoders, tc.pp, tc.n, 0.15, tc.part, workers)
-				old, err := warm.Plan()
+		t.Run(fmt.Sprintf("dec%d_pp%d_%s", tc.decoders, tc.pp, tc.part), func(t *testing.T) {
+			warm := tinyPlanner(t, tc.decoders, tc.pp, tc.n, 0.15, tc.part)
+			old, err := warm.Plan()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for step, scale := range scaleVectors(tc.pp) {
+				before := warm.Stats
+				r, err := warm.ReplanWithScale(old, scale)
 				if err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				after := warm.Stats
+				if got := after.ReplanIncremental - before.ReplanIncremental; got != 1 && tc.part != PartitionExact {
+					t.Fatalf("step %d: fast path not taken (ReplanIncremental advanced by %d)", step, got)
+				}
+
+				cold := tinyPlanner(t, tc.decoders, tc.pp, tc.n, 0.15, tc.part)
+				if err := cold.SetStageScale(scale); err != nil {
 					t.Fatal(err)
 				}
-				for step, scale := range scaleVectors(tc.pp) {
-					before := warm.Stats
-					r, err := warm.ReplanWithScale(old, scale)
-					if err != nil {
-						t.Fatalf("step %d: %v", step, err)
-					}
-					after := warm.Stats
-					if got := after.ReplanIncremental - before.ReplanIncremental; got != 1 && tc.part != PartitionExact {
-						t.Fatalf("step %d: fast path not taken (ReplanIncremental advanced by %d)", step, got)
-					}
-
-					cold := tinyPlanner(t, tc.decoders, tc.pp, tc.n, 0.15, tc.part, workers)
-					if err := cold.SetStageScale(scale); err != nil {
-						t.Fatal(err)
-					}
-					coldPlan, err := cold.Plan()
-					if err != nil {
-						t.Fatalf("step %d cold: %v", step, err)
-					}
-					if got, want := mustPlanJSON(t, r.New), mustPlanJSON(t, coldPlan); !bytes.Equal(got, want) {
-						t.Fatalf("step %d (scale %v): incremental plan differs from cold search:\n%s\nvs\n%s",
-							step, scale, got, want)
-					}
-					if incr, coldRuns := after.KnapsackRuns-before.KnapsackRuns, cold.Stats.KnapsackRuns; incr > coldRuns {
-						t.Fatalf("step %d: incremental replan ran %d knapsacks, cold search only %d", step, incr, coldRuns)
-					}
-					old = r.New
+				coldPlan, err := cold.Plan()
+				if err != nil {
+					t.Fatalf("step %d cold: %v", step, err)
 				}
-				if tc.part == PartitionExact {
-					return
+				if got, want := mustPlanJSON(t, r.New), mustPlanJSON(t, coldPlan); !bytes.Equal(got, want) {
+					t.Fatalf("step %d (scale %v): incremental plan differs from cold search:\n%s\nvs\n%s",
+						step, scale, got, want)
 				}
-				if warm.Stats.InvalidatedIsoClasses == 0 {
-					t.Error("no iso classes were ever invalidated across the scale sequence")
+				if incr, coldRuns := after.KnapsackRuns-before.KnapsackRuns, cold.Stats.KnapsackRuns; incr > coldRuns {
+					t.Fatalf("step %d: incremental replan ran %d knapsacks, cold search only %d", step, incr, coldRuns)
 				}
-				if warm.Stats.WarmStartCells == 0 {
-					t.Error("no DP cells were ever reused across the scale sequence")
-				}
-			})
-		}
+				old = r.New
+			}
+			if tc.part == PartitionExact {
+				return
+			}
+			if warm.Stats.InvalidatedIsoClasses == 0 {
+				t.Error("no iso classes were ever invalidated across the scale sequence")
+			}
+			if warm.Stats.WarmStartCells == 0 {
+				t.Error("no DP cells were ever reused across the scale sequence")
+			}
+		})
 	}
 }
 
@@ -112,7 +109,6 @@ func TestReplanIncrementalMatrix(t *testing.T) {
 func TestReplanIncrementalGPT3(t *testing.T) {
 	cfg, cl, strat, train := gptSetup()
 	opts := DefaultOptions()
-	opts.Workers = 8
 	warm, err := NewPlanner(cfg, cl, strat, train, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +155,7 @@ func TestReplanIncrementalGPT3(t *testing.T) {
 // cluster — whether or not the winning candidate warm-started from the old
 // planner's memo (it does when it keeps the old pipeline depth).
 func TestReplanWithShapeWarmStartByteIdentity(t *testing.T) {
-	pl := tinyPlanner(t, 6, 4, 8, 0.15, PartitionAdaptive, 4)
+	pl := tinyPlanner(t, 6, 4, 8, 0.15, PartitionAdaptive)
 	if _, err := pl.Plan(); err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +192,7 @@ func TestReplanWithShapeWarmStartByteIdentity(t *testing.T) {
 // byte-identical to what a cold planner computes for the same scale. Run
 // under -race by the Makefile's filtered race target.
 func TestReplanConcurrentSharedPool(t *testing.T) {
-	pl := tinyPlanner(t, 6, 4, 12, 0.15, PartitionAdaptive, 4)
+	pl := tinyPlanner(t, 6, 4, 12, 0.15, PartitionAdaptive)
 	old, err := pl.Plan()
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +231,7 @@ func TestReplanConcurrentSharedPool(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cold := tinyPlanner(t, 6, 4, 12, 0.15, PartitionAdaptive, 4)
+	cold := tinyPlanner(t, 6, 4, 12, 0.15, PartitionAdaptive)
 	if err := cold.SetStageScale(scale); err != nil {
 		t.Fatal(err)
 	}
@@ -253,18 +249,17 @@ func TestReplanConcurrentSharedPool(t *testing.T) {
 	pooled := len(pl.solverPool)
 	pl.mu.Unlock()
 	if pooled == 0 {
-		t.Error("no prefill solvers were parked back on the pool")
+		t.Error("no solver was parked back on the pool")
 	}
 }
 
 // TestReplanAllocsBounded pins the allocation cost of the warm replanning
 // fast path: with the memo, dense cost snapshot and knapsack solvers all
 // pooled on the planner, an incremental replan must stay orders of magnitude
-// below the cold search's ~20k allocations (the parallel-path regression the
-// pooling work killed). The two scales alternate so every run recomputes
+// below the cold search's ~20k allocations. The two scales alternate so every run recomputes
 // levels, not just reassembles.
 func TestReplanAllocsBounded(t *testing.T) {
-	warm := tinyPlanner(t, 6, 4, 8, 0.15, PartitionAdaptive, 8)
+	warm := tinyPlanner(t, 6, 4, 8, 0.15, PartitionAdaptive)
 	plan, err := warm.Plan()
 	if err != nil {
 		t.Fatal(err)
@@ -299,7 +294,7 @@ func TestReplanAllocsBounded(t *testing.T) {
 func TestSearchAllocsBounded(t *testing.T) {
 	planners := make([]*Planner, 4)
 	for k := range planners {
-		planners[k] = gptPlannerCtx(t, 1)
+		planners[k] = gptPlannerCtx(t)
 	}
 	k := 0
 	// AllocsPerRun calls the function once to warm up, then `runs` times.

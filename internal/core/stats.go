@@ -70,20 +70,11 @@ type SearchStats struct {
 	// deliberately excluded from plan serialization: plans must stay
 	// byte-identical across runs.
 	SearchWall time.Duration
-	// Workers is the worker-pool size of the most recent Plan call (1 for
-	// the serial search).
-	Workers int
-	// ParallelWall is the wall-clock time spent inside parallel prefill
-	// sections, and ParallelBusy the per-worker busy time summed across
-	// workers. Their ratio is the effective parallel speedup actually
-	// realized (bounded by the core count); both are wall-clock figures and,
-	// like SearchWall, excluded from plan serialization.
-	ParallelWall, ParallelBusy time.Duration
 }
 
-// addSolves folds in the counters a batch of stage-cost solves accumulated
-// on a private shard: knapsack effort, shared-store dispositions and
-// parallel-section times. All are commutative sums.
+// addSolves folds in the counters a stage-cost solve accumulated on a private
+// shard: knapsack effort and shared-store dispositions. All are commutative
+// sums.
 func (s *SearchStats) addSolves(o SearchStats) {
 	s.KnapsackRuns += o.KnapsackRuns
 	s.KnapsackShared += o.KnapsackShared
@@ -92,8 +83,6 @@ func (s *SearchStats) addSolves(o SearchStats) {
 	s.QuantaAfterGCD += o.QuantaAfterGCD
 	s.StoreHits += o.StoreHits
 	s.StoreMisses += o.StoreMisses
-	s.ParallelBusy += o.ParallelBusy
-	s.ParallelWall += o.ParallelWall
 }
 
 // CacheHitRate returns the fraction of stage-cost lookups the isomorphism
@@ -124,16 +113,6 @@ func (s SearchStats) GCDReduction() float64 {
 	return float64(s.QuantaBeforeGCD) / float64(s.QuantaAfterGCD)
 }
 
-// ParallelSpeedup returns the effective parallelism of the worker pool: the
-// summed per-worker busy time divided by the wall-clock time of the parallel
-// sections. 1 when the search ran serially (no parallel section at all).
-func (s SearchStats) ParallelSpeedup() float64 {
-	if s.ParallelWall <= 0 || s.ParallelBusy <= 0 {
-		return 1
-	}
-	return float64(s.ParallelBusy) / float64(s.ParallelWall)
-}
-
 // String renders the counters as the one-line summary Describe prints.
 func (s SearchStats) String() string {
 	var b strings.Builder
@@ -149,9 +128,6 @@ func (s SearchStats) String() string {
 	if s.StoreHits+s.StoreMisses > 0 {
 		fmt.Fprintf(&b, ", %.0f%% shared-store hits (%d of %d lookups)",
 			100*s.StoreHitRate(), s.StoreHits, s.StoreHits+s.StoreMisses)
-	}
-	if s.Workers > 1 {
-		fmt.Fprintf(&b, ", %d workers (%.1fx effective parallelism)", s.Workers, s.ParallelSpeedup())
 	}
 	if s.SearchWall > 0 {
 		fmt.Fprintf(&b, ", wall %s", s.SearchWall.Round(time.Microsecond))
@@ -173,9 +149,6 @@ func (s SearchStats) PromMetrics(prefix string) []obs.Metric {
 		{Name: prefix + "_partition_cells", Help: "partitioning DP cells evaluated", Value: float64(s.PartitionCells)},
 		{Name: prefix + "_frontier_states", Help: "Pareto states kept (exact partitioning only)", Value: float64(s.FrontierStates)},
 		{Name: prefix + "_wall_seconds", Help: "search wall-clock seconds", Value: s.SearchWall.Seconds()},
-		{Name: prefix + "_workers", Help: "worker-pool size of the most recent search (1 = serial)", Value: float64(s.Workers)},
-		{Name: prefix + "_parallel_speedup", Help: "effective parallelism of the worker pool (busy/wall over parallel sections)", Value: s.ParallelSpeedup()},
-		{Name: prefix + "_parallel_wall_seconds", Help: "wall-clock seconds inside parallel prefill sections", Value: s.ParallelWall.Seconds()},
 		{Name: prefix + "_replans_incremental", Help: "searches served by the warm-started incremental fast path", Value: float64(s.ReplanIncremental)},
 		{Name: prefix + "_invalidated_iso_classes", Help: "iso-cache classes invalidated by stage-scale changes across warm-started searches", Value: float64(s.InvalidatedIsoClasses)},
 		{Name: prefix + "_warm_start_cells", Help: "partition DP cost evaluations reused from warm-start memos", Value: float64(s.WarmStartCells)},

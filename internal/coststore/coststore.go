@@ -15,9 +15,7 @@
 // have solved itself, so plans built from store hits are identical to plans
 // built cold (proved end to end by TestCostStorePlanMatchesSeed).
 //
-// The store is sharded 16 ways (key byte 0 selects the shard) so concurrent
-// prefill workers from many planners do not serialize on one mutex. Each
-// shard is one memo.Cache — the repo's compute-once bounded cache — so it
+// The store is one memo.Cache — the repo's compute-once bounded cache — so it
 // bounds its memory with an LRU list and computes a missing key once: when N
 // planners ask for it at the same time, one computes and N-1 wait and share,
 // which is the §5.3 iso-class amortization lifted from "within one search" to
@@ -43,7 +41,7 @@ import (
 
 // Key is the 32-byte content address of one cost entry (a SHA-256 over the
 // canonical solve inputs; the planner computes it, the store never inspects
-// it beyond shard selection).
+// it).
 type Key [32]byte
 
 // String returns the lowercase-hex form of the key.
@@ -97,9 +95,9 @@ type Stats struct {
 	// knapsack runs the store saved. Misses counts the solves that actually
 	// ran (the cold path).
 	Hits, Misses, Shared int64
-	// Evictions counts entries the per-shard LRU bound pushed out.
+	// Evictions counts entries the LRU bound pushed out.
 	Evictions int64
-	// Entries is the current population across all shards.
+	// Entries is the current population.
 	Entries int64
 }
 
@@ -113,39 +111,21 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits+s.Shared) / float64(total)
 }
 
-// numShards is the fixed shard count; key byte 0 (uniform, it is SHA-256
-// output) selects the shard, so one mutex never serializes all planners.
-const numShards = 16
-
-// Store is a concurrency-safe, sharded, LRU-bounded cost store: sixteen
-// memo.Cache shards plus the lookup counters. The zero value is not usable;
-// construct with New.
+// Store is a concurrency-safe, LRU-bounded cost store: one memo.Cache plus
+// the lookup counters. The zero value is not usable; construct with New.
 type Store struct {
-	shards [numShards]*memo.Cache[Key, Entry]
+	cache *memo.Cache[Key, Entry]
 
 	hits, misses, shared atomic.Int64
 }
 
-// New builds a store bounding roughly max entries across all shards (each
-// shard holds max/16, minimum 1). max <= 0 selects the default of 4096.
+// New builds a store bounded to max entries. max <= 0 selects the default of
+// 4096.
 func New(max int) *Store {
 	if max <= 0 {
 		max = 4096
 	}
-	per := max / numShards
-	if per < 1 {
-		per = 1
-	}
-	st := &Store{}
-	for i := range st.shards {
-		st.shards[i] = memo.New[Key, Entry](per)
-	}
-	return st
-}
-
-// shard returns the lock domain key lives in.
-func (st *Store) shard(key Key) *memo.Cache[Key, Entry] {
-	return st.shards[key[0]%numShards]
+	return &Store{cache: memo.New[Key, Entry](max)}
 }
 
 // GetOrCompute returns the entry for key, computing and storing it via
@@ -161,7 +141,7 @@ func (st *Store) shard(key Key) *memo.Cache[Key, Entry] {
 func (st *Store) GetOrCompute(key Key, compute func() Entry) (Entry, Disposition) {
 	// The CostSource signature carries no context: a planner that waits on
 	// another planner's solve waits it out, so the error is always nil.
-	e, disp, _ := st.shard(key).GetOrCompute(context.TODO(), key, func() (Entry, bool) { return compute(), true })
+	e, disp, _ := st.cache.GetOrCompute(context.TODO(), key, func() (Entry, bool) { return compute(), true })
 	switch disp {
 	case Hit:
 		st.hits.Add(1)
@@ -173,27 +153,18 @@ func (st *Store) GetOrCompute(key Key, compute func() Entry) (Entry, Disposition
 	return e, disp
 }
 
-// Len returns the current entry count across all shards.
-func (st *Store) Len() int {
-	n := 0
-	for _, sh := range st.shards {
-		n += sh.Len()
-	}
-	return n
-}
+// Len returns the current entry count.
+func (st *Store) Len() int { return st.cache.Len() }
 
 // StatsSnapshot returns a consistent-enough snapshot of the counters (each
 // counter is read atomically; the set is not a single atomic cut, which is
 // fine for monitoring).
 func (st *Store) StatsSnapshot() Stats {
-	s := Stats{
-		Hits:    st.hits.Load(),
-		Misses:  st.misses.Load(),
-		Shared:  st.shared.Load(),
-		Entries: int64(st.Len()),
+	return Stats{
+		Hits:      st.hits.Load(),
+		Misses:    st.misses.Load(),
+		Shared:    st.shared.Load(),
+		Evictions: st.cache.Evictions(),
+		Entries:   int64(st.Len()),
 	}
-	for _, sh := range st.shards {
-		s.Evictions += sh.Evictions()
-	}
-	return s
 }

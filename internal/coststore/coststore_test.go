@@ -1,9 +1,13 @@
 package coststore
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -53,21 +57,24 @@ func TestGetOrComputeComputesOnce(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	// 16 entries total = 1 per shard; two same-shard keys evict the older.
-	st := New(16)
-	a, b := testKey(0x10), testKey(0x20)
-	a[0], b[0] = 3, 3 // same shard
-	b[1] = 99         // different key
-	st.GetOrCompute(a, func() Entry { return testEntry(1) })
-	st.GetOrCompute(b, func() Entry { return testEntry(2) })
-	if got := st.Len(); got != 1 {
-		t.Fatalf("Len = %d after overflow, want 1", got)
+	// The bound is exactly max entries, whatever the keys: the (max+1)th
+	// distinct key evicts the least recently used one.
+	const max = 3
+	st := New(max)
+	for i := 0; i <= max; i++ {
+		st.GetOrCompute(testKey(i), func() Entry { return testEntry(i) })
 	}
-	if s := st.StatsSnapshot(); s.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", s.Evictions)
+	if got := st.Len(); got != max {
+		t.Fatalf("Len = %d after overflow, want %d", got, max)
 	}
-	// a was evicted: looking it up computes again.
-	if _, disp := st.GetOrCompute(a, func() Entry { return testEntry(1) }); disp != Computed {
+	if s := st.StatsSnapshot(); s.Evictions != 1 || s.Entries != max {
+		t.Fatalf("evictions = %d, entries = %d; want 1, %d", s.Evictions, s.Entries, max)
+	}
+	// Key 1 survived; key 0 was evicted, so looking it up computes again.
+	if _, disp := st.GetOrCompute(testKey(1), func() Entry { return testEntry(1) }); disp != Hit {
+		t.Fatalf("surviving key came back as %v, want hit", disp)
+	}
+	if _, disp := st.GetOrCompute(testKey(0), func() Entry { return testEntry(0) }); disp != Computed {
 		t.Fatalf("evicted key came back as %v, want computed", disp)
 	}
 }
@@ -278,4 +285,78 @@ func TestSnapshotRejectsCorruptionAndVersionSkew(t *testing.T) {
 	if err := New(64).LoadSnapshot(filepath.Join(dir, "nope.json")); !os.IsNotExist(err) {
 		t.Fatalf("missing snapshot: err = %v, want IsNotExist", err)
 	}
+}
+
+// snapshotBytes renders entries (an arbitrary JSON payload) as a snapshot file
+// whose version, count and checksum are all valid.
+func snapshotBytes(t testing.TB, count int, entries string) []byte {
+	t.Helper()
+	sum := sha256.Sum256([]byte(entries))
+	data, err := json.Marshal(snapshotFile{
+		Version:  SnapshotVersion,
+		Count:    count,
+		Checksum: hex.EncodeToString(sum[:]),
+		Entries:  json.RawMessage(entries),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// badKeySnapshot is a checksum-valid snapshot whose second key is malformed.
+func badKeySnapshot(t testing.TB) []byte {
+	return snapshotBytes(t, 2, fmt.Sprintf(`[{"key":%q,"entry":{"Fwd":1}},{"key":"zz","entry":{"Fwd":2}}]`, testKey(1)))
+}
+
+// TestLoadSnapshotAllOrNothing: a snapshot that passes the checksum but
+// carries one malformed key must fail without inserting the entries before
+// it — serve.New logs and skips such a file, and must not keep a prefix.
+func TestLoadSnapshotAllOrNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "badkey.json")
+	if err := os.WriteFile(path, badKeySnapshot(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st := New(64)
+	if err := st.LoadSnapshot(path); err == nil || !strings.Contains(err.Error(), "invalid key") {
+		t.Fatalf("malformed key loaded: %v", err)
+	}
+	if got := st.Len(); got != 0 {
+		t.Fatalf("failed load left %d entries behind, want 0", got)
+	}
+}
+
+// FuzzSnapshotLoad feeds arbitrary bytes to LoadSnapshot on a populated
+// store: it must never panic, and a load that reports an error must leave the
+// store's population exactly as it was.
+func FuzzSnapshotLoad(f *testing.F) {
+	valid := New(64)
+	for i := 0; i < 3; i++ {
+		valid.GetOrCompute(testKey(10+i), func() Entry { return testEntry(i) })
+	}
+	vp := filepath.Join(f.TempDir(), "valid.json")
+	if err := valid.SaveSnapshot(vp); err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(vp)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add(badKeySnapshot(f))
+	f.Add(snapshotBytes(f, 1, `[]`))
+	f.Add([]byte(`{"version":1,"count":0,"checksum":"","entries":null}`))
+	f.Add([]byte("not json"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st := New(64)
+		st.GetOrCompute(testKey(1), func() Entry { return testEntry(1) })
+		st.GetOrCompute(testKey(2), func() Entry { return testEntry(2) })
+		before := st.cache.Snapshot()
+		if st.restore("fuzz", data) == nil {
+			return
+		}
+		if after := st.cache.Snapshot(); !reflect.DeepEqual(after, before) {
+			t.Fatalf("failed load changed the store:\nbefore %+v\nafter  %+v", before, after)
+		}
+	})
 }

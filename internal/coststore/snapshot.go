@@ -40,16 +40,11 @@ type snapshotEntry struct {
 // encoding is deterministic for a given population: entries sorted by key,
 // version-stamped and checksummed.
 func (st *Store) SaveSnapshot(path string) error {
-	var entries []snapshotEntry
-	for _, sh := range st.shards {
-		for _, p := range sh.Snapshot() {
-			entries = append(entries, snapshotEntry{Key: p.Key.String(), Entry: p.Val})
-		}
+	entries := []snapshotEntry{} // an empty store marshals as [], not null
+	for _, p := range st.cache.Snapshot() {
+		entries = append(entries, snapshotEntry{Key: p.Key.String(), Entry: p.Val})
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
-	if entries == nil {
-		entries = []snapshotEntry{} // marshal an empty store as [], not null
-	}
 	payload, err := json.Marshal(entries)
 	if err != nil {
 		return fmt.Errorf("coststore: encoding snapshot: %w", err)
@@ -87,15 +82,22 @@ func (st *Store) SaveSnapshot(path string) error {
 
 // LoadSnapshot restores a snapshot previously written by SaveSnapshot into
 // the store, verifying the version stamp and the payload checksum before
-// decoding a single entry. Entries are inserted in key order; if the
-// snapshot exceeds the store's bound, the LRU drops the earliest-inserted
-// keys deterministically. A key the store already holds is refreshed with the
-// snapshot's entry — both are the same pure function of the key.
+// decoding a single entry, and every key before inserting one: a snapshot
+// that fails to load leaves the store exactly as it was. Entries are inserted
+// in key order; if the snapshot exceeds the store's bound, the LRU drops the
+// earliest-inserted keys deterministically. A key the store already holds is
+// refreshed with the snapshot's entry — both are the same pure function of
+// the key.
 func (st *Store) LoadSnapshot(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
+	return st.restore(path, data)
+}
+
+// restore is LoadSnapshot on the file's bytes; path only labels errors.
+func (st *Store) restore(path string, data []byte) error {
 	var f snapshotFile
 	if err := json.Unmarshal(data, &f); err != nil {
 		return fmt.Errorf("coststore: decoding snapshot %s: %w", path, err)
@@ -114,12 +116,15 @@ func (st *Store) LoadSnapshot(path string) error {
 	if len(entries) != f.Count {
 		return fmt.Errorf("coststore: snapshot %s carries %d entries, header says %d", path, len(entries), f.Count)
 	}
-	for _, se := range entries {
-		key, err := ParseKey(se.Key)
-		if err != nil {
+	keys := make([]Key, len(entries))
+	for i, se := range entries {
+		var err error
+		if keys[i], err = ParseKey(se.Key); err != nil {
 			return fmt.Errorf("coststore: snapshot %s: %w", path, err)
 		}
-		st.shard(key).Put(key, se.Entry)
+	}
+	for i, se := range entries {
+		st.cache.Put(keys[i], se.Entry)
 	}
 	return nil
 }

@@ -42,8 +42,8 @@ func (w *waiterCtx) Done() <-chan struct{} {
 func stored(v int) func() (int, bool) { return func() (int, bool) { return v, true } }
 
 // TestCache is the contract of the one cache under every user: the response
-// cache and coalescing of internal/serve, its warm-planner store, and each
-// shard of internal/coststore.
+// cache and coalescing of internal/serve, its warm-planner store, and
+// internal/coststore.
 func TestCache(t *testing.T) {
 	bg := context.Background()
 	tests := []struct {

@@ -28,10 +28,10 @@ const (
 	// search, simulate, encode, coalesce). Phases are disjoint: their
 	// summed duration is the accounted share of the request wall time.
 	CatPhase = "phase"
-	// CatSearch marks a search sub-phase inside the planner (knapsack
-	// prefill, result merge, partition DP, stage assembly).
+	// CatSearch marks a search sub-phase inside the planner (memo claim,
+	// partition DP, stage assembly).
 	CatSearch = "search"
-	// CatSolve marks one knapsack solve inside the prefill fan-out. Solve
+	// CatSolve marks one knapsack solve inside the partition DP. Solve
 	// spans are the only category subject to the tracer's span limit:
 	// when the limit is reached further solves are counted as dropped
 	// rather than recorded, so the structural spans always survive.
@@ -48,8 +48,7 @@ type TraceSpan struct {
 	Name string
 	// Cat is the span's category (CatRequest, CatPhase, ...).
 	Cat string
-	// Tid is the logical track: 0 for the request-serial phases, 1+w for
-	// prefill worker w's solve spans.
+	// Tid is the logical track; every span of a request is on track 0.
 	Tid int
 	// Start and End bound the interval as offsets from the trace origin.
 	Start, End time.Duration
@@ -63,8 +62,7 @@ type TraceSpan struct {
 // hot paths cost zero allocations when tracing is off
 // (TestNilTracerZeroAllocs).
 //
-// Concurrent Start/End calls are safe: prefill workers record their solve
-// spans into the same tracer under the mutex.
+// Concurrent Start/End calls are safe: spans are recorded under the mutex.
 type Tracer struct {
 	id     string
 	clock  Clock
@@ -81,7 +79,7 @@ type Tracer struct {
 }
 
 // DefaultSpanLimit bounds the CatSolve spans kept per trace: a GPT-3-scale
-// prefill runs thousands of knapsack solves, and a trace exists to show the
+// search runs thousands of knapsack solves, and a trace exists to show the
 // phase anatomy, not to grow without bound. Structural spans (request,
 // phases, search sub-phases) are never dropped.
 const DefaultSpanLimit = 4096
@@ -198,8 +196,8 @@ func (t *Tracer) Chrome() ([]byte, error) {
 type tracerKey struct{}
 
 // WithTracer returns a context carrying the tracer. Everything downstream of
-// the serving layer — core.PlanContext, the prefill workers,
-// baseline.EvaluateContext — picks it up via TracerFrom.
+// the serving layer — core.PlanContext, baseline.EvaluateContext — picks it
+// up via TracerFrom.
 func WithTracer(ctx context.Context, t *Tracer) context.Context {
 	if t == nil {
 		return ctx

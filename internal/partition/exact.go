@@ -20,9 +20,8 @@ import (
 // (it keeps the locally-best states by T), which the returned exact flag
 // reports.
 //
-// Unlike Solve it has no warm-start memo and no worker sharding: it is an
-// ablation baseline that runs one cold search (DESIGN §4b), so it is a plain
-// loop over the reachable starts of each level.
+// Unlike Solve it has no warm-start memo: it is an ablation baseline that
+// runs one cold search (DESIGN §4b).
 func SolveExact(L, p, n int, cost CostFn, maxFrontier int) (Plan, bool, error) {
 	return solveExact(L, p, n, cost, maxFrontier, false)
 }

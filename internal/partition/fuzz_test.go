@@ -8,8 +8,7 @@ import (
 
 // fuzzCost derives a deterministic cost function from a seed: per-(s,i,j)
 // forward/backward times from a small integer hash, with a tunable fraction of
-// infeasible cells so the solvers' feasibility handling is exercised. Pure and
-// stateless, so it is safe for the concurrent workers path.
+// infeasible cells so the solvers' feasibility handling is exercised.
 func fuzzCost(seed uint32, infeasibleMod int) CostFn {
 	return func(s, i, j int) (float64, float64, bool) {
 		h := seed
@@ -32,8 +31,7 @@ func fuzzCost(seed uint32, infeasibleMod int) CostFn {
 // 1, its exact Pareto variant and the exponential oracle:
 //   - Solve never beats BruteForce (it is a heuristic over the same model);
 //   - SolveExact with an unlimited frontier matches BruteForce exactly;
-//   - all three agree on feasibility;
-//   - SolveWorkers(4) is bit-identical to Solve.
+//   - all three agree on feasibility.
 func FuzzPartitionSolveVsBruteForce(f *testing.F) {
 	f.Add(uint32(1), uint8(6), uint8(3), uint8(8), uint8(0))
 	f.Add(uint32(42), uint8(7), uint8(7), uint8(7), uint8(4))
@@ -70,15 +68,6 @@ func FuzzPartitionSolveVsBruteForce(f *testing.F) {
 			if exact.Total > heur.Total+tol {
 				t.Fatalf("SolveExact %.12g worse than Solve %.12g", exact.Total, heur.Total)
 			}
-		}
-
-		// Worker sharding must be invisible: bit-identical plans and errors.
-		heurW, heurWErr := SolveWorkers(L, p, n, cost, 4)
-		if (heurWErr == nil) != (heurErr == nil) {
-			t.Fatalf("SolveWorkers error mismatch: %v vs %v", heurWErr, heurErr)
-		}
-		if heurErr == nil && !reflect.DeepEqual(heur, heurW) {
-			t.Fatalf("SolveWorkers(4) differs from Solve:\n%+v\nvs\n%+v", heurW, heur)
 		}
 
 		// Dominance-pruning property: with the dominance filter disabled the
@@ -126,7 +115,7 @@ func stageScaled(base CostFn, sc []float64) CostFn {
 // warm-started solving: a memo built under one per-stage scale vector and
 // re-solved under another (recomputing only the levels at or below the
 // highest changed stage) must be bit-identical to a cold solve under the new
-// vector, serial and sharded.
+// vector.
 func FuzzPartitionMemoVsCold(f *testing.F) {
 	f.Add(uint32(1), uint8(6), uint8(3), uint8(8), uint8(0), uint8(1), uint8(0))
 	f.Add(uint32(42), uint8(7), uint8(7), uint8(7), uint8(4), uint8(3), uint8(1))
@@ -165,28 +154,25 @@ func FuzzPartitionMemoVsCold(f *testing.F) {
 		for s := range ones {
 			ones[s] = 1
 		}
-		for _, workers := range []int{1, 4} {
-			memo := &Memo{}
-			warm0, err0 := SolveMemo(L, p, n, stageScaled(base, ones), memo, p-1, workers)
-			cold, coldErr := SolveWorkers(L, p, n, stageScaled(base, scale), workers)
-			warm, warmErr := SolveMemo(L, p, n, stageScaled(base, scale), memo, stale, workers)
-			if err0 != nil {
-				// Infeasible instances stay infeasible under any positive
-				// scale; both re-solves must agree.
-				if coldErr == nil || warmErr == nil {
-					t.Fatalf("infeasible instance became feasible: cold=%v warm=%v", coldErr, warmErr)
-				}
-			} else {
-				if (warmErr == nil) != (coldErr == nil) {
-					t.Fatalf("feasibility disagreement: warm err=%v, cold err=%v", warmErr, coldErr)
-				}
-				if coldErr == nil && !reflect.DeepEqual(stripEffort(warm), stripEffort(cold)) {
-					t.Fatalf("warm-started solve differs from cold (workers=%d, stale=%d):\n%+v\nvs\n%+v",
-						workers, stale, warm, cold)
-				}
-				if coldErr == nil && stale < p-1 && warm.WarmCells == 0 && warm0.DPCells > 0 {
-					t.Fatalf("warm solve with stale=%d reused no cells", stale)
-				}
+		memo := &Memo{}
+		warm0, err0 := SolveMemo(L, p, n, stageScaled(base, ones), memo, p-1)
+		cold, coldErr := Solve(L, p, n, stageScaled(base, scale))
+		warm, warmErr := SolveMemo(L, p, n, stageScaled(base, scale), memo, stale)
+		if err0 != nil {
+			// Infeasible instances stay infeasible under any positive
+			// scale; both re-solves must agree.
+			if coldErr == nil || warmErr == nil {
+				t.Fatalf("infeasible instance became feasible: cold=%v warm=%v", coldErr, warmErr)
+			}
+		} else {
+			if (warmErr == nil) != (coldErr == nil) {
+				t.Fatalf("feasibility disagreement: warm err=%v, cold err=%v", warmErr, coldErr)
+			}
+			if coldErr == nil && !reflect.DeepEqual(stripEffort(warm), stripEffort(cold)) {
+				t.Fatalf("warm-started solve differs from cold (stale=%d):\n%+v\nvs\n%+v", stale, warm, cold)
+			}
+			if coldErr == nil && stale < p-1 && warm.WarmCells == 0 && warm0.DPCells > 0 {
+				t.Fatalf("warm solve with stale=%d reused no cells", stale)
 			}
 		}
 	})

@@ -3,9 +3,6 @@ package partition
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
-
-	"adapipe/internal/pool"
 )
 
 // Memo is the saved DP table of a completed SolveMemo run, used to
@@ -22,7 +19,7 @@ import (
 type Memo struct {
 	l, p, n int
 	// levels[s][i] is the Algorithm 1 state for layers i..l−1 with stages
-	// s..p−1 — the P table of SolveWorkers, kept across solves.
+	// s..p−1 — the P table of Solve, kept across solves.
 	levels [][]State
 	// cells[s] counts the cost evaluations level s performed when it was
 	// last computed, so a warm-started solve can report how much work the
@@ -57,16 +54,19 @@ func (m *Memo) Clone() *Memo {
 // (stale = p−1 is a cold solve; stale = −1 reassembles the plan without
 // recomputing anything). The caller asserts that every stage cost at levels
 // above stale is unchanged since the memo was filled; under that contract
-// the result is bit-identical to a cold SolveWorkers run, because the
-// recomputed levels use the same serial ascending-j scan, the same float
-// operations and the same first-win tie-break as the cold path, and the
-// reused levels are the cold path's own outputs.
+// the result is bit-identical to a cold Solve run, because the recomputed
+// levels use the same ascending-j scan, the same float operations and the
+// same first-win tie-break as the cold path, and the reused levels are the
+// cold path's own outputs.
 //
 // An invalid or shape-mismatched memo (including nil) forces a cold solve.
 // A solve that fails — infeasible inputs or a cost function neutered by
 // context cancellation — leaves the memo invalid so the next solve starts
 // cold rather than trusting a partially-recomputed table.
-func SolveMemo(L, p, n int, cost CostFn, memo *Memo, stale, workers int) (Plan, error) {
+//
+// The ignored trailing ints exist only because the frozen bench/ still passes
+// a worker count; program call sites pass nothing.
+func SolveMemo(L, p, n int, cost CostFn, memo *Memo, stale int, _ ...int) (Plan, error) {
 	if err := check(L, p, n); err != nil {
 		return Plan{}, err
 	}
@@ -87,7 +87,7 @@ func SolveMemo(L, p, n int, cost CostFn, memo *Memo, stale, workers int) (Plan, 
 	}
 	memo.valid = false
 	for s := stale; s >= 0; s-- {
-		memo.cells[s] = solveLevel(L, p, n, s, cost, memo.levels, workers)
+		memo.cells[s] = solveLevel(L, p, n, s, cost, memo.levels)
 	}
 	plan, err := assembleStates(L, p, memo.levels)
 	if err != nil {
@@ -121,24 +121,20 @@ func StageStarts(L, p, s int) (lo, hi int) {
 }
 
 // solveLevel computes the reachable cells of DP level s of Algorithm 1 into
-// P[s], fanning the independent cells across the worker pool, and returns the
-// number of cost evaluations performed. Every reachable cell is overwritten
-// unconditionally so a reused table never leaks stale states into a
-// recomputed level.
-func solveLevel(L, p, n, s int, cost CostFn, P [][]State, workers int) int64 {
-	// Cell counting is a commutative sum, so an atomic keeps the tally exact
-	// (and deterministic) under any worker interleaving.
-	var cells atomic.Int64
+// P[s] and returns the number of cost evaluations performed. Every reachable
+// cell is overwritten unconditionally so a reused table never leaks stale
+// states into a recomputed level.
+func solveLevel(L, p, n, s int, cost CostFn, P [][]State) int64 {
+	var cells int64
 	lo, hi := StageStarts(L, p, s)
 	if s == p-1 {
 		// Base case: the last stage takes everything that remains.
-		pool.Run(workers, hi-lo+1, func(_, k int) {
-			i := lo + k
-			cells.Add(1)
+		for i := lo; i <= hi; i++ {
+			cells++
 			f, b, ok := cost(p-1, i, L-1)
 			if !ok {
 				P[p-1][i] = State{}
-				return
+				continue
 			}
 			P[p-1][i] = State{
 				W: f, E: b, M: f + b, F: f, B: b,
@@ -146,21 +142,20 @@ func solveLevel(L, p, n, s int, cost CostFn, P [][]State, workers int) int64 {
 				Split: L - 1,
 				OK:    true,
 			}
-		})
-		return cells.Load()
+		}
+		return cells
 	}
 	// Stage s must end no later than layer L−(p−s) so every later stage
 	// keeps at least one layer. Each cell i at this level reads only level
-	// s+1 and writes only P[s][i]: race-free sharding.
-	pool.Run(workers, hi-lo+1, func(_, k int) {
-		i := lo + k
+	// s+1 and writes only P[s][i].
+	for i := lo; i <= hi; i++ {
 		best := State{T: math.Inf(1)}
 		for j := i; j <= L-p+s; j++ {
 			next := P[s+1][j+1]
 			if !next.OK {
 				continue
 			}
-			cells.Add(1)
+			cells++
 			f, b, ok := cost(s, i, j)
 			if !ok {
 				continue
@@ -174,8 +169,8 @@ func solveLevel(L, p, n, s int, cost CostFn, P [][]State, workers int) int64 {
 			}
 		}
 		P[s][i] = best
-	})
-	return cells.Load()
+	}
+	return cells
 }
 
 // assembleStates reads the solved table back into a Plan by walking the

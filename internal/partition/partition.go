@@ -69,24 +69,13 @@ func (pl Plan) StageLayers(s int) (lo, hi int) { return pl.Bounds[s], pl.Bounds[
 // It returns an error when the inputs are malformed or no memory-feasible
 // partitioning exists.
 func Solve(L, p, n int, cost CostFn) (Plan, error) {
-	return SolveWorkers(L, p, n, cost, 1)
-}
-
-// SolveWorkers is Solve with the per-level DP cells fanned across a bounded
-// worker pool. The recurrence at level s depends only on level s+1, so every
-// cell (s, i) at one level is independent: workers shard the i axis while the
-// j-scan inside each cell stays serial and ascending, preserving the serial
-// solver's tie-breaking exactly. The result is bit-identical to Solve for
-// every worker count.
-//
-// With workers > 1 the cost function is called from multiple goroutines
-// concurrently and must be safe for concurrent use. workers <= 1 runs the
-// serial path with no goroutines.
-func SolveWorkers(L, p, n int, cost CostFn, workers int) (Plan, error) {
 	// A nil memo forces a cold solve: every level is computed from scratch
 	// by the shared level code in incremental.go.
-	return SolveMemo(L, p, n, cost, nil, p-1, workers)
+	return SolveMemo(L, p, n, cost, nil, p-1)
 }
+
+// SolveWorkers is Solve; it remains only because the frozen bench/ calls it.
+func SolveWorkers(L, p, n int, cost CostFn, _ int) (Plan, error) { return Solve(L, p, n, cost) }
 
 // Evaluate computes the modeled iteration time of an arbitrary partitioning
 // under the same 1F1B cost model Algorithm 1 optimizes (Eq. 3 recurrences).

@@ -135,9 +135,9 @@ func TestReachableLevelsMatchFullTable(t *testing.T) {
 			want, wantErr := assembleStates(L, p, ref)
 			memo := &Memo{}
 			if stale < p-1 {
-				_, _ = SolveMemo(L, p, n, stageScaled(base, ones), memo, p-1, 1)
+				_, _ = SolveMemo(L, p, n, stageScaled(base, ones), memo, p-1)
 			}
-			got, err := SolveMemo(L, p, n, cost, memo, stale, 2)
+			got, err := SolveMemo(L, p, n, cost, memo, stale)
 			if (err == nil) != (wantErr == nil) {
 				t.Fatalf("%s: pruned err %v, full table err %v", name, err, wantErr)
 			}

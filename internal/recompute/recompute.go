@@ -84,10 +84,10 @@ const defaultQuantum = int64(1) << 20
 // Solver runs knapsack solves with reusable scratch buffers. The DP table,
 // pseudo-item list and choice-tracking matrix dominate the allocation profile
 // of a full planner search (thousands of solves, each discarding megabytes of
-// scratch), so callers running many solves — one planner worker, a benchmark
+// scratch), so callers running many solves — a planner search, a benchmark
 // loop — hold one Solver per goroutine and amortize the buffers across
 // solves. The zero value is ready to use. A Solver is NOT safe for concurrent
-// use; give each worker its own.
+// use; give each goroutine its own.
 //
 // Solver.Optimize returns results bit-identical to the package-level Optimize
 // (same iteration orders, same tie-breaking); the scratch reuse is invisible.
@@ -100,13 +100,11 @@ type Solver struct {
 	counts []int
 
 	// Trace, when non-nil, records one obs.CatSolve span per Optimize call
-	// on track Tid — the deepest level of a request trace. The owner of the
-	// request wires it (the planner's prefill workers attach their tracer
-	// here); the nil check lives inside Tracer.Start, so an untraced solve
-	// pays a pointer test and zero allocations.
+	// — the deepest level of a request trace — on track 0, next to the
+	// request phases. The owner of the request wires it (the planner attaches
+	// the search's tracer here); the nil check lives inside Tracer.Start, so
+	// an untraced solve pays a pointer test and zero allocations.
 	Trace *obs.Tracer
-	// Tid is the trace track solve spans render on.
-	Tid int
 }
 
 // item is one 0/1 pseudo-item of the binary-split bounded knapsack.
@@ -157,7 +155,7 @@ func (sv *Solver) Optimize(groups []Group, capacity int64, opts Options) Solutio
 func (sv *Solver) OptimizeMany(groups []Group, capacities []int64, opts Options, out []Solution) int64 {
 	// The span name is a constant so traced and untraced solves allocate
 	// identically.
-	sp := sv.Trace.Start("knapsack", obs.CatSolve, sv.Tid)
+	sp := sv.Trace.Start("knapsack", obs.CatSolve, 0)
 	defer sp.End()
 	out = out[:len(capacities)]
 	quantum := opts.Quantum

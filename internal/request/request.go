@@ -234,10 +234,8 @@ func (r PlanRequest) MethodConfig() (baseline.Method, error) {
 
 // Options builds the planner options the request implies: the evaluation
 // defaults with the method's recomputation and partitioning modes applied.
-// workers sizes the search worker pool (an execution knob — deliberately not
-// part of the request schema or its hash, because plans are byte-identical
-// for every worker count).
-func (r PlanRequest) Options(workers int) (core.Options, error) {
+// The ignored ints exist only because the frozen bench/ passes a worker count.
+func (r PlanRequest) Options(_ ...int) (core.Options, error) {
 	m, err := r.MethodConfig()
 	if err != nil {
 		return core.Options{}, err
@@ -246,7 +244,6 @@ func (r PlanRequest) Options(workers int) (core.Options, error) {
 	opts.Recompute = m.Recompute
 	opts.Partition = m.Partition
 	opts.IgnoreMemoryLimit = !m.Adaptive()
-	opts.Workers = workers
 	if r.MemoryReserve > 0 {
 		opts.MemoryReserve = r.MemoryReserve
 	}
@@ -255,7 +252,8 @@ func (r PlanRequest) Options(workers int) (core.Options, error) {
 
 // NewPlanner constructs the planner the request describes — the single
 // request-driven construction path the CLI, benchmarks and daemon share.
-func (r PlanRequest) NewPlanner(workers int) (*core.Planner, error) {
+// The ignored ints exist only because the frozen bench/ passes a worker count.
+func (r PlanRequest) NewPlanner(_ ...int) (*core.Planner, error) {
 	n, err := r.Normalize()
 	if err != nil {
 		return nil, err
@@ -268,7 +266,7 @@ func (r PlanRequest) NewPlanner(workers int) (*core.Planner, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts, err := n.Options(workers)
+	opts, err := n.Options()
 	if err != nil {
 		return nil, err
 	}

@@ -170,7 +170,7 @@ func TestHashSeparatesDifferentSearches(t *testing.T) {
 // and the classic positional path build the same search: byte-identical plans.
 func TestNewPlannerMatchesPositionalPath(t *testing.T) {
 	req := PlanRequest{Model: "gpt3", Cluster: "a", TP: 8, PP: 8, DP: 1, SeqLen: 16384, GlobalBatch: 32}
-	pl, err := req.NewPlanner(0)
+	pl, err := req.NewPlanner()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestNewPlannerMatchesPositionalPath(t *testing.T) {
 	}
 	cfg, _ := req.ModelConfig()
 	cl, _ := req.ClusterConfig()
-	opts, _ := req.Options(0)
+	opts, _ := req.Options()
 	pl2, err := newPositional(cfg, cl, req, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +198,7 @@ func TestNewPlannerMatchesPositionalPath(t *testing.T) {
 
 func TestPlanResponseRoundTrip(t *testing.T) {
 	req := tinyReq()
-	pl, err := req.NewPlanner(0)
+	pl, err := req.NewPlanner()
 	if err != nil {
 		t.Fatal(err)
 	}

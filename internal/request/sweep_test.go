@@ -114,7 +114,7 @@ func TestMemoryReserveNormalizeAndHash(t *testing.T) {
 	if withReserve == plain {
 		t.Fatal("memory_reserve does not separate request identities")
 	}
-	opts, err := n.Options(1)
+	opts, err := n.Options()
 	if err != nil {
 		t.Fatal(err)
 	}

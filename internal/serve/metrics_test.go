@@ -21,9 +21,8 @@ func scrapeMetrics(t *testing.T, ts *httptest.Server) string {
 // against bodies captured at the commit before the counters moved into the
 // one exposition table (52f2ce8): sample names, HELP and TYPE lines, order and
 // labels, for a fresh server and for one that served a cold /v1/plan plus its
-// repeat under the fake clock (so the histogram sums are fixed; Workers: 1
-// because a pooled search reads the clock more often). With the cost store
-// disabled its rows must still be present, and zero. bench/ and servesmoke
+// repeat under the fake clock (so the histogram sums are fixed). With the
+// cost store disabled its rows must still be present, and zero. bench/ and servesmoke
 // scrape this body by name.
 func TestMetricsExpositionUnchanged(t *testing.T) {
 	cases := []struct {
@@ -32,8 +31,8 @@ func TestMetricsExpositionUnchanged(t *testing.T) {
 		plan   bool
 	}{
 		{"metrics_fresh.prom", Config{}, false},
-		{"metrics_planned.prom", Config{Workers: 1}, true},
-		{"metrics_planned_nostore.prom", Config{Workers: 1, CostStoreSize: -1}, true},
+		{"metrics_planned.prom", Config{}, true},
+		{"metrics_planned_nostore.prom", Config{CostStoreSize: -1}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.golden, func(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -25,8 +26,8 @@ func serveRecovering(h http.Handler, ctx context.Context, path, body string) (re
 	return rec, nil
 }
 
-// TestPanickingSearchDoesNotPoisonHash: a search that panics (pool.RunContext
-// re-raises worker panics by design) must cost exactly its own request. The
+// TestPanickingSearchDoesNotPoisonHash: a search that panics must cost
+// exactly its own request. The
 // in-flight call for its hash is deregistered, so the next identical request
 // searches afresh instead of waiting forever; the admission slot and the
 // in-flight gauge come back; other hashes never notice.
@@ -38,7 +39,7 @@ func TestPanickingSearchDoesNotPoisonHash(t *testing.T) {
 	realPlan := s.planFn
 	s.planFn = func(ctx context.Context, req request.PlanRequest) (*core.Plan, error) {
 		if panics.Add(-1) >= 0 {
-			panic("worker died")
+			panic("search died")
 		}
 		return realPlan(ctx, req)
 	}
@@ -52,7 +53,7 @@ func TestPanickingSearchDoesNotPoisonHash(t *testing.T) {
 		{"/v1/sweep", sweepBody(tinyBody(2, 16), `{}`), sweepBody(tinyBody(4, 16), `{}`)},
 	} {
 		panics.Store(1)
-		if _, p := serveRecovering(h, ctx, tc.path, tc.body); p != "worker died" {
+		if _, p := serveRecovering(h, ctx, tc.path, tc.body); p != "search died" {
 			t.Fatalf("%s: the search's panic did not reach the caller (recovered %v)", tc.path, p)
 		}
 		if st := readSamples(t, s); st("in_flight") != 0 || len(s.sem) != 0 {
@@ -254,5 +255,25 @@ func fuzzDecode[R any](t *testing.T, ep endpoint[R], body []byte) {
 	}
 	if _, rehash, herr := dec(again); herr != nil || rehash != hash {
 		t.Fatalf("re-encoded request decodes to hash %q (%v), want %q\nbody:    %s\nencoded: %s", rehash, herr, hash, body, again)
+	}
+}
+
+// TestDefaultInFlightTracksGOMAXPROCS pins the daemon's one parallelism
+// setting: a search is one goroutine, so the default admission bound is one
+// slot per core the Go scheduler runs, and never fewer than two.
+func TestDefaultInFlightTracksGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for procs, want := range map[int]int{1: 2, 2: 2, 3: 3, 8: 8} {
+		runtime.GOMAXPROCS(procs)
+		s := New(Config{})
+		if got := cap(s.sem); got != want {
+			t.Errorf("GOMAXPROCS %d: default MaxInFlight = %d, want %d", procs, got, want)
+		}
+		s.Close()
+	}
+	s := New(Config{MaxInFlight: 1})
+	defer s.Close()
+	if got := cap(s.sem); got != 1 {
+		t.Errorf("explicit MaxInFlight 1 became %d", got)
 	}
 }

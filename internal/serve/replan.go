@@ -93,7 +93,7 @@ func (s *Server) runReplan(ctx context.Context, tr *obs.Tracer, req request.Repl
 // entry.mu.
 func (s *Server) replan(ctx context.Context, req request.ReplanRequest, hash string, entry *replanEntry, warm bool) ([]byte, *httpError) {
 	if !warm {
-		pl, err := req.Request.NewPlanner(s.cfg.Workers)
+		pl, err := req.Request.NewPlanner()
 		if err != nil {
 			return nil, &httpError{http.StatusBadRequest, request.ErrCodeInvalidRequest, err.Error()}
 		}

@@ -43,7 +43,7 @@ func TestReplanEndpointWarmStartsAndMatchesOffline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := req.NewPlanner(0)
+	pl, err := req.NewPlanner()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,10 +9,11 @@
 //     canonical hash returns byte-identical responses for repeated searches
 //     without re-running the DP, and collapses N concurrent identical
 //     requests into one search whose result every waiter shares;
-//   - a bounded-concurrency admission gate caps simultaneous searches, and
-//     each admitted search runs under a deadline threaded down into the
-//     parallel search (core.PlanContext / pool.RunContext), so a shutdown or
-//     timeout cancels the knapsack fan-out instead of orphaning it;
+//   - a bounded-concurrency admission gate caps simultaneous searches — a
+//     search is one goroutine, so the gate is the daemon's only parallelism
+//     setting — and each admitted search runs under a deadline threaded down
+//     into core.PlanContext, so a shutdown or timeout cancels the search
+//     instead of orphaning it;
 //   - a shared content-addressed cost store (internal/coststore) sits under
 //     every planner the server constructs, so distinct requests of one cost
 //     family — a sweep's grid points, a replan's cold seed, repeat plans with
@@ -37,6 +38,7 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -47,7 +49,6 @@ import (
 	"adapipe/internal/coststore"
 	"adapipe/internal/memo"
 	"adapipe/internal/obs"
-	"adapipe/internal/pool"
 	"adapipe/internal/request"
 )
 
@@ -75,13 +76,12 @@ type Config struct {
 	CacheSize int
 	// MaxInFlight bounds concurrently executing searches; further requests
 	// queue on the admission gate until a slot frees or their deadline
-	// expires (default 2).
+	// expires (default DefaultMaxInFlight()). Each search runs on one
+	// goroutine, so this is how many cores the daemon's searches use.
 	MaxInFlight int
 	// RequestTimeout bounds one search end to end, queueing included
 	// (default 30s).
 	RequestTimeout time.Duration
-	// Workers sizes each search's worker pool (default GOMAXPROCS).
-	Workers int
 	// TraceBuffer bounds the ring of completed request traces served by
 	// GET /v1/trace/{id} (default 64; negative disables tracing — requests
 	// then run the nil-tracer hot path and carry no X-Adapipe-Trace
@@ -111,18 +111,20 @@ type Config struct {
 	Logger *slog.Logger
 }
 
+// DefaultMaxInFlight is the default admission bound: one search per core the
+// Go scheduler runs, and at least two so a long search never starves a short
+// one.
+func DefaultMaxInFlight() int { return max(2, runtime.GOMAXPROCS(0)) }
+
 func (c Config) withDefaults() Config {
 	if c.CacheSize == 0 {
 		c.CacheSize = 256
 	}
 	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 2
+		c.MaxInFlight = DefaultMaxInFlight()
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
-	}
-	if c.Workers <= 0 {
-		c.Workers = pool.Default()
 	}
 	if c.TraceBuffer == 0 {
 		c.TraceBuffer = 64
@@ -430,9 +432,13 @@ func (s *Server) runSimulate(ctx context.Context, tr *obs.Tracer, req request.Pl
 	if err != nil {
 		return errResult(http.StatusBadRequest, request.ErrCodeInvalidRequest, err.Error())
 	}
+	opts, err := req.Options()
+	if err != nil {
+		return errResult(http.StatusBadRequest, request.ErrCodeInvalidRequest, err.Error())
+	}
 	s.searches.Add(1)
 	searchStart := s.clock()
-	outcome := baseline.EvaluateContext(obs.WithTracer(ctx, tr), meth, cfg, cl, req.Strategy(), req.TrainingConfig(), mustOptions(req, s.cfg.Workers))
+	outcome := baseline.EvaluateContext(obs.WithTracer(ctx, tr), meth, cfg, cl, req.Strategy(), req.TrainingConfig(), opts)
 	s.observeSearch(tr, searchStart)
 	if outcome.Err != nil {
 		res := s.searchErr(ctx, outcome.Err).result()
@@ -511,7 +517,7 @@ func (s *Server) logRequest(r *http.Request, id, hash, disposition string, statu
 // schema, point it at the shared cost store, and run the context-aware
 // search.
 func (s *Server) searchPlan(ctx context.Context, req request.PlanRequest) (*core.Plan, error) {
-	pl, err := req.NewPlanner(s.cfg.Workers)
+	pl, err := req.NewPlanner()
 	if err != nil {
 		return nil, err
 	}
@@ -532,18 +538,6 @@ func (s *Server) searchErr(ctx context.Context, err error) *httpError {
 	default:
 		return &httpError{http.StatusUnprocessableEntity, request.ErrCodeInfeasible, err.Error()}
 	}
-}
-
-// mustOptions builds the method-applied planner options; the request was
-// already normalized by decodeRequest, so this cannot fail.
-func mustOptions(req request.PlanRequest, workers int) core.Options {
-	opts, err := req.Options(workers)
-	if err != nil {
-		// Unreachable after ParsePlanRequest; fall back to defaults.
-		opts = core.DefaultOptions()
-		opts.Workers = workers
-	}
-	return opts
 }
 
 // errResult builds a failed result carrying the canonical error envelope

@@ -67,7 +67,7 @@ func offlinePlanBytes(t *testing.T, reqJSON string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := req.NewPlanner(0)
+	pl, err := req.NewPlanner()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ func TestSimulateEndpoint(t *testing.T) {
 	meth, _ := req.MethodConfig()
 	cfg, _ := req.ModelConfig()
 	cl, _ := req.ClusterConfig()
-	opts, _ := req.Options(0)
+	opts, _ := req.Options()
 	want := baseline.Evaluate(meth, cfg, cl, req.Strategy(), req.TrainingConfig(), opts)
 	if sr.IterSec != want.Sim.IterTime {
 		t.Fatalf("served iter %g, offline iter %g", sr.IterSec, want.Sim.IterTime)

@@ -87,19 +87,16 @@ func ParseErrorResponse(data []byte) (ErrorResponse, error) {
 	return request.ParseErrorResponse(data)
 }
 
-// NewPlannerFromRequest constructs the planner a request describes. workers
-// sizes the search worker pool; it is an execution knob, deliberately outside
-// the request schema and its hash, because plans are byte-identical for every
-// worker count.
-func NewPlannerFromRequest(r PlanRequest, workers int) (*Planner, error) {
-	return r.NewPlanner(workers)
+// NewPlannerFromRequest constructs the planner a request describes.
+func NewPlannerFromRequest(r PlanRequest) (*Planner, error) {
+	return r.NewPlanner()
 }
 
 // PlanContext runs the request's search under ctx. Cancellation and deadlines
-// propagate into the parallel search: the planner stops dispatching work
-// promptly and returns ctx.Err() instead of a stale plan.
-func PlanContext(ctx context.Context, r PlanRequest, workers int) (*Plan, error) {
-	pl, err := r.NewPlanner(workers)
+// propagate into the search: the planner stops promptly and returns ctx.Err()
+// instead of a stale plan.
+func PlanContext(ctx context.Context, r PlanRequest) (*Plan, error) {
+	pl, err := r.NewPlanner()
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +107,7 @@ func PlanContext(ctx context.Context, r PlanRequest, workers int) (*Plan, error)
 // pipeline schedule, with ctx threaded through the search. The returned error
 // reports an invalid request; search and simulation failures (including
 // cancellation) are reported in Outcome.Err, matching Evaluate.
-func SimulateContext(ctx context.Context, r PlanRequest, workers int) (Outcome, error) {
+func SimulateContext(ctx context.Context, r PlanRequest) (Outcome, error) {
 	n, err := r.Normalize()
 	if err != nil {
 		return Outcome{}, err
@@ -127,7 +124,7 @@ func SimulateContext(ctx context.Context, r PlanRequest, workers int) (Outcome, 
 	if err != nil {
 		return Outcome{}, err
 	}
-	opts, err := n.Options(workers)
+	opts, err := n.Options()
 	if err != nil {
 		return Outcome{}, err
 	}
