@@ -1,7 +1,7 @@
 GO ?= go
 BIN := bin/adapipevet
 
-.PHONY: all build vet vet-selftest vet-sarif test fuzz-smoke race observe chaos serve-smoke loc ci clean
+.PHONY: all build vet vet-selftest vet-sarif test fuzz-smoke race figures observe chaos serve-smoke loc ci clean
 
 all: build
 
@@ -27,7 +27,7 @@ vet: $(BIN)
 	$(GO) vet -vettool=$(abspath $(BIN)) ./...
 
 # vet-selftest runs the suite over its own implementation: the analyzers, the
-# SARIF/JSON reporters and the drivers must satisfy every invariant they
+# SARIF reporter and the drivers must satisfy every invariant they
 # enforce (zero un-ignored diagnostics, zero stale ignores).
 vet-selftest: $(BIN)
 	./$(BIN) ./internal/analysis/... ./cmd/adapipevet/...
@@ -61,6 +61,13 @@ fuzz-smoke:
 race:
 	$(GO) test -race ./internal/train/... ./internal/sim/... ./internal/serve/... ./internal/fault/... ./internal/memo/... ./internal/coststore/...
 	$(GO) test -race -run 'Concurrent|Context|Cancel' ./internal/core/...
+
+# figures regenerates the three sub-second paper figures through their one
+# producer, cmd/experiments (the internal/experiments tests check the shapes of
+# all of them; `go run ./cmd/experiments -run all` rewrites EXPERIMENTS.md's
+# numbers in about a minute).
+figures:
+	$(GO) run ./cmd/experiments -run fig2,table3,accuracy
 
 # observe runs the observability demo end to end: plan, execute with the op
 # recorder, simulate, and emit the drift report plus Chrome-trace/metrics
@@ -96,18 +103,21 @@ serve-smoke:
 	$(GO) run ./cmd/servesmoke -daemon bin/adapiped -trace-out servesmoke-trace.json
 
 # loc prints the non-test Go lines of every package directory (comments and
-# blank lines included), then the total a change is judged by: the repo
-# outside bench/.
+# blank lines included), then the two totals a change is judged by: the repo
+# outside bench/, and the test lines outside bench/ — so product code cannot
+# hide in _test.go files.
 loc:
-	@git ls-files -co --exclude-standard '*.go' | grep -v '_test\.go$$' | grep -v '/testdata/' | xargs wc -l | awk ' \
+	@git ls-files -co --exclude-standard '*.go' | grep -v '/testdata/' | xargs wc -l | awk ' \
 		$$2 == "total" { next } \
-		{ d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d] += $$1; \
-		  if (d !~ /^bench(\/|$$)/) repo += $$1 } \
+		{ d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; inbench = d ~ /^bench(\/|$$)/; \
+		  if ($$2 ~ /_test\.go$$/) { if (!inbench) tests += $$1; next } \
+		  n[d] += $$1; if (!inbench) repo += $$1 } \
 		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
-		      printf "%7d  repo outside bench/\n", repo }'
+		      printf "%7d  repo outside bench/\n", repo; \
+		      printf "%7d  test lines outside bench/\n", tests }'
 
 # ci is the full gate the GitHub Actions workflow runs.
-ci: build vet vet-selftest test fuzz-smoke race observe chaos serve-smoke
+ci: build vet vet-selftest test fuzz-smoke race figures observe chaos serve-smoke
 
 clean:
 	rm -rf bin observe-out adapipevet.sarif servesmoke-trace.json chaos-metrics.prom

@@ -7,10 +7,10 @@ import (
 
 	"adapipe/internal/baseline"
 	"adapipe/internal/core"
+	"adapipe/internal/experiments"
 	"adapipe/internal/hardware"
 	"adapipe/internal/model"
 	"adapipe/internal/parallel"
-	"adapipe/internal/schedule"
 	"adapipe/internal/sim"
 	"adapipe/internal/trace"
 )
@@ -90,6 +90,25 @@ func ClusterBLarge() Cluster { return hardware.ClusterBLarge() }
 // conservative memory reserve, and the Megatron-style precision regime.
 func DefaultOptions() Options { return core.DefaultOptions() }
 
+// ToyCluster returns a single-node cluster of small synthetic accelerators
+// with the given per-device memory capacity: the hardware model of the toy
+// figures (3, 10) and of the examples that execute their plan on the pure-Go
+// engine, where the point is the mechanism, not the scale.
+func ToyCluster(devices int, capacity int64) Cluster {
+	return experiments.ToyCluster(devices, capacity)
+}
+
+// ToyOptions returns planner options scaled to megabyte-size models (the
+// datacenter framework overhead and reserve would swamp a toy).
+func ToyOptions() Options { return experiments.ToyOptions() }
+
+// ToyCapacity probes the no-recomputation footprint of a toy configuration
+// and returns a device capacity at which frac of the activations fit: full
+// recomputation fits everywhere, saving everything does not.
+func ToyCapacity(m Model, s Strategy, t TrainingConfig, frac float64) (int64, error) {
+	return experiments.ToyCapacity(m, s, t, frac)
+}
+
 // NewPlanner validates the inputs, profiles the model analytically and
 // returns a Planner for the given cluster, 3D strategy and training config.
 // It is the construction path for a caller-defined Model, Cluster or Options
@@ -147,20 +166,7 @@ func Simulate(p *Plan, kind ScheduleKind, captureTimeline bool) (SimResult, erro
 
 // SimulateWithOptions is Simulate with full capture control.
 func SimulateWithOptions(p *Plan, kind ScheduleKind, opts SimOptions) (SimResult, error) {
-	var sched *schedule.Schedule
-	var err error
-	switch kind {
-	case Sched1F1B:
-		sched, err = schedule.OneFOneB(p.Strategy.PP, p.MicroBatches)
-	case SchedGPipe:
-		sched, err = schedule.GPipe(p.Strategy.PP, p.MicroBatches)
-	case SchedChimera:
-		sched, err = schedule.Chimera(p.Strategy.PP, p.MicroBatches)
-	case SchedChimeraD:
-		sched, err = schedule.ChimeraD(p.Strategy.PP, p.MicroBatches)
-	default:
-		return SimResult{}, fmt.Errorf("adapipe: unknown schedule kind %d", int(kind))
-	}
+	sched, err := kind.Build(p.Strategy.PP, p.MicroBatches)
 	if err != nil {
 		return SimResult{}, err
 	}

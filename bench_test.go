@@ -6,7 +6,6 @@ import (
 	"adapipe"
 	"adapipe/internal/core"
 	"adapipe/internal/coststore"
-	"adapipe/internal/experiments"
 	"adapipe/internal/hardware"
 	"adapipe/internal/model"
 	"adapipe/internal/parallel"
@@ -14,102 +13,10 @@ import (
 	"adapipe/internal/recompute"
 )
 
-// One benchmark per table and figure of the paper's evaluation: each run
-// regenerates the corresponding rows/series on the simulated substrate and
-// reports the wall time of doing so. Run `go test -bench=. -benchmem` and
-// compare the printed shapes against EXPERIMENTS.md.
-
-func BenchmarkFigure1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure1(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure2(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure3(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure5(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure6(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure7(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure7(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table3(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure8(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure9(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure9(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table4(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure10(b *testing.B) {
-	cfg := experiments.DefaultFigure10Config()
-	cfg.Steps = 50 // a full 200-step curve per benchmark iteration is excessive
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure10(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// ---- Component benchmarks: the costs behind the search itself. ----
+// The paper's tables and figures have one producer, `go run ./cmd/experiments
+// -run ...` (it regenerates EXPERIMENTS.md), and the internal/experiments
+// tests check their shapes; nothing here wraps them. What stays is the cost of
+// the search itself and of its parts.
 
 func planner(b *testing.B, cfg model.Config, seqLen, globalBatch int, opts core.Options) *core.Planner {
 	b.Helper()
@@ -127,18 +34,21 @@ func gptPlanner(b *testing.B, opts core.Options) *core.Planner {
 	return planner(b, model.GPT3_175B(), 16384, 32, opts)
 }
 
-// BenchmarkSearchAdaPipe times the full two-level DP for GPT-3 (the paper
-// reports "only seconds" for the whole search, §5.3).
-func BenchmarkSearchAdaPipe(b *testing.B) {
+// coldSearch is the body of the search and ablation-timing rows: one cold
+// GPT-3 search per iteration, planner construction included.
+func coldSearch(b *testing.B, opts core.Options) {
 	for i := 0; i < b.N; i++ {
-		pl := gptPlanner(b, core.DefaultOptions())
-		if _, err := pl.Plan(); err != nil {
+		if _, err := gptPlanner(b, opts).Plan(); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// The planner rows of the developer loop (DESIGN §4e, §4i, §4j):
+// BenchmarkSearchAdaPipe times the full two-level DP for GPT-3 (the paper
+// reports "only seconds" for the whole search, §5.3).
+func BenchmarkSearchAdaPipe(b *testing.B) { coldSearch(b, core.DefaultOptions()) }
+
+// The planner rows of the developer loop (DESIGN §16):
 //
 //	go test -run '^$' -bench 'PlanSearch|Replan|SweepGrid' -cpu 1,2 .
 //
@@ -255,12 +165,7 @@ func BenchmarkReplanIncremental(b *testing.B) {
 func BenchmarkAblationIsomorphism(b *testing.B) {
 	opts := core.DefaultOptions()
 	opts.DisableIsomorphism = true
-	for i := 0; i < b.N; i++ {
-		pl := gptPlanner(b, opts)
-		if _, err := pl.Plan(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	coldSearch(b, opts)
 }
 
 // BenchmarkAblationGCD measures the search without the §5.3 GCD capacity
@@ -268,12 +173,7 @@ func BenchmarkAblationIsomorphism(b *testing.B) {
 func BenchmarkAblationGCD(b *testing.B) {
 	opts := core.DefaultOptions()
 	opts.DisableGCD = true
-	for i := 0; i < b.N; i++ {
-		pl := gptPlanner(b, opts)
-		if _, err := pl.Plan(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	coldSearch(b, opts)
 }
 
 // BenchmarkAblationFineQuantum measures the search at a 16x finer knapsack
@@ -281,12 +181,7 @@ func BenchmarkAblationGCD(b *testing.B) {
 func BenchmarkAblationFineQuantum(b *testing.B) {
 	opts := core.DefaultOptions()
 	opts.MaxDPStates = 65536
-	for i := 0; i < b.N; i++ {
-		pl := gptPlanner(b, opts)
-		if _, err := pl.Plan(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	coldSearch(b, opts)
 }
 
 // BenchmarkKnapsack times one stage-level recomputation DP at realistic
@@ -329,8 +224,9 @@ func BenchmarkPartitionDP(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulate1F1B times one simulated GPT-3 iteration.
-func BenchmarkSimulate1F1B(b *testing.B) {
+// simulateGPT3 times one simulated iteration of the GPT-3 AdaPipe plan under
+// the given pipeline mechanism.
+func simulateGPT3(b *testing.B, kind adapipe.ScheduleKind) {
 	plan, err := adapipe.PlanAdaPipe(adapipe.GPT3(), adapipe.ClusterA(),
 		adapipe.Strategy{TP: 8, PP: 8, DP: 1},
 		adapipe.TrainingConfig{GlobalBatch: 32, MicroBatch: 1, SeqLen: 16384})
@@ -339,47 +235,38 @@ func BenchmarkSimulate1F1B(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := adapipe.Simulate(plan, adapipe.Sched1F1B, false); err != nil {
+		if _, err := adapipe.Simulate(plan, kind, false); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
+
+// BenchmarkSimulate1F1B times one simulated GPT-3 iteration.
+func BenchmarkSimulate1F1B(b *testing.B) { simulateGPT3(b, adapipe.Sched1F1B) }
 
 // BenchmarkSimulateChimera times the greedy bidirectional schedule.
-func BenchmarkSimulateChimera(b *testing.B) {
-	plan, err := adapipe.PlanAdaPipe(adapipe.GPT3(), adapipe.ClusterA(),
-		adapipe.Strategy{TP: 8, PP: 8, DP: 1},
-		adapipe.TrainingConfig{GlobalBatch: 32, MicroBatch: 1, SeqLen: 16384})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := adapipe.Simulate(plan, adapipe.SchedChimera, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkSimulateChimera(b *testing.B) { simulateGPT3(b, adapipe.SchedChimera) }
 
-// BenchmarkTrainStep times one real pipelined training iteration of the
-// micro-transformer (execution-engine substrate).
-func BenchmarkTrainStep(b *testing.B) {
-	b.ReportAllocs()
-	res, err := adapipe.Train(adapipe.TrainRunConfig{
+// trainStep is one real pipelined training iteration of the micro-transformer
+// (execution-engine substrate), with or without the op recorder.
+func trainStep(record bool) (adapipe.TrainResult, error) {
+	return adapipe.Train(adapipe.TrainRunConfig{
 		Net:    adapipe.TrainConfig{Layers: 4, Dim: 64, Heads: 4, FFN: 128, Vocab: 64, Seq: 48, Seed: 1},
 		Bounds: []int{0, 5, 10},
 		Steps:  1, MicroBatches: 8, LR: 1e-3, DataSeed: 1,
+		Record: record,
 	})
-	if err != nil || len(res.Losses) != 1 {
+}
+
+// BenchmarkTrainStep times trainStep on the nil-recorder path.
+func BenchmarkTrainStep(b *testing.B) {
+	b.ReportAllocs()
+	if res, err := trainStep(false); err != nil || len(res.Losses) != 1 {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := adapipe.Train(adapipe.TrainRunConfig{
-			Net:    adapipe.TrainConfig{Layers: 4, Dim: 64, Heads: 4, FFN: 128, Vocab: 64, Seq: 48, Seed: 1},
-			Bounds: []int{0, 5, 10},
-			Steps:  1, MicroBatches: 8, LR: 1e-3, DataSeed: 1,
-		}); err != nil {
+		if _, err := trainStep(false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -392,12 +279,7 @@ func BenchmarkTrainStep(b *testing.B) {
 func BenchmarkTrainStepRecorded(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := adapipe.Train(adapipe.TrainRunConfig{
-			Net:    adapipe.TrainConfig{Layers: 4, Dim: 64, Heads: 4, FFN: 128, Vocab: 64, Seq: 48, Seed: 1},
-			Bounds: []int{0, 5, 10},
-			Steps:  1, MicroBatches: 8, LR: 1e-3, DataSeed: 1,
-			Record: true,
-		})
+		res, err := trainStep(true)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -407,35 +289,12 @@ func BenchmarkTrainStepRecorded(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation regenerates the design-choice ablation study.
-func BenchmarkAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Ablation(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkInterleaved regenerates the supplementary interleaved-1F1B study.
-func BenchmarkInterleaved(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Interleaved(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAblationExactPartition times the Pareto-frontier partition DP on
 // the full GPT-3 search (vs BenchmarkSearchAdaPipe's Algorithm 1).
 func BenchmarkAblationExactPartition(b *testing.B) {
 	opts := core.DefaultOptions()
 	opts.Partition = core.PartitionExact
-	for i := 0; i < b.N; i++ {
-		pl := gptPlanner(b, opts)
-		if _, err := pl.Plan(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	coldSearch(b, opts)
 }
 
 // BenchmarkAblationLayerGranularity times the whole-layer (vPipe-style)
@@ -444,28 +303,5 @@ func BenchmarkAblationLayerGranularity(b *testing.B) {
 	opts := core.DefaultOptions()
 	opts.Recompute = core.RecomputeLayerLevel
 	opts.Partition = core.PartitionEven
-	for i := 0; i < b.N; i++ {
-		pl := gptPlanner(b, opts)
-		if _, err := pl.Plan(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSequenceSweep regenerates the memory-pressure trend study.
-func BenchmarkSequenceSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.SequenceSweep(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkModelAccuracy regenerates the cost-model accuracy study.
-func BenchmarkModelAccuracy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ModelAccuracy(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	coldSearch(b, opts)
 }

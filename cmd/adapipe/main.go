@@ -43,7 +43,7 @@ func main() {
 	// All planning flows through the versioned request schema — the same
 	// schema the adapiped daemon serves — so the flag surface and the HTTP
 	// surface cannot drift.
-	req, err := adapipe.PlanRequest{
+	rs, err := adapipe.PlanRequest{
 		Model:       *modelName,
 		Cluster:     *cluster,
 		Method:      *method,
@@ -53,29 +53,14 @@ func main() {
 		SeqLen:      *seq,
 		GlobalBatch: *gbs,
 		MicroBatch:  *mbs,
-	}.Normalize()
+	}.Resolve()
 	if err != nil {
 		fatalf("%v", err)
 	}
-	m, err := req.ModelConfig()
-	if err != nil {
-		fatalf("%v", err)
-	}
-	cl, err := req.ClusterConfig()
-	if err != nil {
-		fatalf("%v", err)
-	}
-	meth, err := req.MethodConfig()
-	if err != nil {
-		fatalf("%v", err)
-	}
-	opts, err := req.Options()
-	if err != nil {
-		fatalf("%v", err)
-	}
+	meth, cl, strat := rs.Method, rs.Cluster, rs.Strategy
 
 	if *sweep {
-		best, all := adapipe.Best(meth, m, cl, *devices, req.TrainingConfig(), opts)
+		best, all := adapipe.Best(meth, rs.Model, cl, *devices, rs.Training, rs.Options)
 		fmt.Printf("%d candidate strategies evaluated for %d devices:\n", len(all), *devices)
 		for _, o := range all {
 			if o.Feasible() {
@@ -94,11 +79,7 @@ func main() {
 		return
 	}
 
-	strat := req.Strategy()
-	o, err := adapipe.SimulateContext(context.Background(), req)
-	if err != nil {
-		fatalf("%v", err)
-	}
+	o := rs.Evaluate(context.Background())
 	if o.Err != nil {
 		fatalf("%v", o.Err)
 	}

@@ -7,18 +7,17 @@
 // Standalone (multichecker-style) usage — loads packages itself:
 //
 //	adapipevet ./...
-//	adapipevet -analyzers maporder,floatcmp adapipe/internal/core
+//	adapipevet adapipe/internal/core
 //	adapipevet -sarif -o adapipevet.sarif ./...
-//	adapipevet -json ./...
 //
+// Every analyzer runs, over each package's in-package _test.go files too.
 // -sarif emits a SARIF 2.1.0 report (file URIs relative to the working
-// directory, for CI code-scanning upload); -json emits the flat machine
-// format. Both are byte-deterministic for a given tree. -o redirects either
-// report to a file; diagnostics still gate the exit status.
+// directory, for CI code-scanning upload), byte-deterministic for a given
+// tree; -o redirects it to a file; diagnostics still gate the exit status.
 //
 // Vet-tool (unitchecker-style) usage — driven by the go command, one
-// type-checked compilation unit per invocation (here -json means the go
-// command's unitchecker wire format, not the machine format):
+// type-checked compilation unit per invocation (-json is the go command's
+// unitchecker wire format and belongs to this mode only):
 //
 //	go vet -vettool=$(which adapipevet) ./...
 //
@@ -55,50 +54,33 @@ func main() {
 		}
 	}
 
-	names := flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
-	jsonOut := flag.Bool("json", false, "emit machine-readable JSON (standalone) or the unitchecker wire format (vet-tool)")
+	jsonOut := flag.Bool("json", false, "emit the unitchecker wire format (vet-tool mode only; go vet -json passes it)")
 	sarifOut := flag.Bool("sarif", false, "emit a SARIF 2.1.0 report (standalone mode only)")
-	outPath := flag.String("o", "", "write the -json/-sarif report to this file instead of stdout")
-	tests := flag.Bool("tests", true, "also analyze in-package _test.go files (standalone mode)")
+	outPath := flag.String("o", "", "write the -sarif report to this file instead of stdout")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: adapipevet [flags] [packages]\n       adapipevet <unit>.cfg  (as go vet -vettool)\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 
-	analyzers := analysis.All()
-	if *names != "" {
-		var err error
-		analyzers, err = analysis.ByName(strings.Split(*names, ","))
-		if err != nil {
-			fatal(err)
-		}
-	}
-	if *sarifOut && *jsonOut {
-		fatal(fmt.Errorf("-sarif and -json are mutually exclusive"))
-	}
-
 	args := flag.Args()
 	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
 		if *sarifOut {
 			fatal(fmt.Errorf("-sarif is a standalone-mode flag; the go vet driver consumes the wire format"))
 		}
-		os.Exit(unitcheck(args[0], analyzers, *jsonOut))
+		os.Exit(unitcheck(args[0], *jsonOut))
 	}
-	os.Exit(standalone(args, analyzers, reportMode{json: *jsonOut, sarif: *sarifOut, path: *outPath}, *tests))
-}
-
-// reportMode selects the standalone output format and destination.
-type reportMode struct {
-	json  bool
-	sarif bool
-	path  string
+	if *jsonOut {
+		fatal(fmt.Errorf("-json is the go vet driver's wire format; standalone reports are plain text or -sarif"))
+	}
+	os.Exit(standalone(args, *sarifOut, *outPath))
 }
 
 // standalone loads the named package patterns (default ./...) and runs the
 // suite over all of them in one process.
-func standalone(patterns []string, analyzers []*analysis.Analyzer, mode reportMode, tests bool) int {
-	pkgs, err := analysis.Load(patterns, analysis.LoadOptions{Tests: tests})
+func standalone(patterns []string, sarif bool, outPath string) int {
+	analyzers := analysis.All()
+	pkgs, err := analysis.Load("", patterns)
 	if err != nil {
 		fatal(err)
 	}
@@ -110,8 +92,8 @@ func standalone(patterns []string, analyzers []*analysis.Analyzer, mode reportMo
 
 	out := io.Writer(os.Stdout)
 	closeOut := func() error { return nil }
-	if mode.path != "" {
-		f, err := os.Create(mode.path)
+	if outPath != "" {
+		f, err := os.Create(outPath)
 		if err != nil {
 			fatal(err)
 		}
@@ -121,18 +103,14 @@ func standalone(patterns []string, analyzers []*analysis.Analyzer, mode reportMo
 	// Report file URIs are relative to the working directory — CI runs from
 	// the module root, so uploads carry repo-relative paths.
 	root, _ := os.Getwd()
-	switch {
-	case mode.sarif:
-		err = analysis.WriteSARIF(out, fset, analyzers, diags, root)
-	case mode.json:
-		err = analysis.WriteJSON(out, fset, diags, root)
-	default:
+	if sarif {
+		if err := analysis.WriteSARIF(out, fset, analyzers, diags, root); err != nil {
+			fatal(err)
+		}
+	} else {
 		for _, d := range diags {
 			fmt.Fprintf(os.Stderr, "%s: %s: %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)
 		}
-	}
-	if err != nil {
-		fatal(err)
 	}
 	if err := closeOut(); err != nil {
 		fatal(err)
@@ -166,7 +144,8 @@ type vetConfig struct {
 // unitcheck analyzes one compilation unit described by a go vet config. It
 // type-checks the unit's files against the export data the go command
 // already built for the dependencies, so no package loading happens here.
-func unitcheck(cfgPath string, analyzers []*analysis.Analyzer, jsonOut bool) int {
+func unitcheck(cfgPath string, jsonOut bool) int {
+	analyzers := analysis.All()
 	data, err := os.ReadFile(cfgPath)
 	if err != nil {
 		fatal(err)

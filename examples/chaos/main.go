@@ -57,11 +57,11 @@ func main() {
 	strat := adapipe.Strategy{TP: 1, PP: stages, DP: 1}
 	tc := adapipe.TrainingConfig{GlobalBatch: micros, MicroBatch: 1, SeqLen: seq}
 
-	capacity, err := toyCapacity(m, strat, tc, 0.6)
+	capacity, err := adapipe.ToyCapacity(m, strat, tc, 0.6)
 	if err != nil {
 		log.Fatal(err)
 	}
-	planner, err := adapipe.NewPlanner(m, toyCluster(stages, capacity), strat, tc, toyOptions())
+	planner, err := adapipe.NewPlanner(m, adapipe.ToyCluster(stages, capacity), strat, tc, adapipe.ToyOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -225,12 +225,12 @@ func elasticPhase(m adapipe.Model, net adapipe.TrainConfig) adapipe.FaultCounter
 	tc := adapipe.TrainingConfig{GlobalBatch: micros, MicroBatch: 1, SeqLen: seq}
 	// Size the device for the post-loss worst case: after the shrink, two
 	// stages must hold what three held.
-	capacity, err := toyCapacity(m, adapipe.Strategy{TP: 1, PP: estages - 1, DP: 1}, tc, 0.6)
+	capacity, err := adapipe.ToyCapacity(m, adapipe.Strategy{TP: 1, PP: estages - 1, DP: 1}, tc, 0.6)
 	if err != nil {
 		log.Fatal(err)
 	}
 	cluster := elasticCluster(estages, capacity)
-	planner, err := adapipe.NewPlanner(m, cluster, strat, tc, toyOptions())
+	planner, err := adapipe.NewPlanner(m, cluster, strat, tc, adapipe.ToyOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -341,67 +341,8 @@ func elasticPhase(m adapipe.Model, net adapipe.TrainConfig) adapipe.FaultCounter
 // elasticCluster is a toy cluster with one small accelerator per node, so a
 // node loss maps 1:1 onto a pipeline-stage loss.
 func elasticCluster(nodes int, capacity int64) adapipe.Cluster {
-	c := toyCluster(1, capacity)
+	c := adapipe.ToyCluster(1, capacity)
 	c.Name = "elastic-toy"
 	c.Nodes = nodes
 	return c
-}
-
-// toyCluster builds a single-node cluster of small synthetic accelerators;
-// the planner needs a hardware model even when the executor is the pure-Go
-// engine.
-func toyCluster(devices int, capacity int64) adapipe.Cluster {
-	return adapipe.Cluster{
-		Name: "toy",
-		Device: adapipe.Device{
-			Name:                "toy-accelerator",
-			PeakFLOPS:           10e12,
-			MemBandwidth:        500e9,
-			MemCapacity:         capacity,
-			GEMMEfficiency:      0.5,
-			AttnEfficiency:      0.4,
-			BandwidthEfficiency: 0.8,
-		},
-		DevicesPerNode:     devices,
-		Nodes:              1,
-		IntraNodeBandwidth: 50e9,
-		InterNodeBandwidth: 10e9,
-		LinkLatency:        2e-6,
-	}
-}
-
-// toyOptions scales the planner to megabyte-size models: the datacenter
-// framework overhead and reserve would swamp a toy.
-func toyOptions() adapipe.Options {
-	opts := adapipe.DefaultOptions()
-	opts.Memory.OverheadBytes = 16 << 20
-	opts.MemoryReserve = 0.05
-	opts.Quantum = 4096
-	return opts
-}
-
-// toyCapacity probes the no-recomputation memory footprint and returns a
-// device capacity where frac of the activation footprint fits.
-func toyCapacity(m adapipe.Model, strat adapipe.Strategy, tc adapipe.TrainingConfig, frac float64) (int64, error) {
-	opts := toyOptions()
-	opts.Recompute = adapipe.RecomputeNone
-	opts.Partition = adapipe.PartitionEven
-	opts.IgnoreMemoryLimit = true
-	probe, err := adapipe.NewPlanner(m, toyCluster(strat.PP, 1<<40), strat, tc, opts)
-	if err != nil {
-		return 0, err
-	}
-	plan, err := probe.Plan()
-	if err != nil {
-		return 0, err
-	}
-	var capacity int64
-	for _, st := range plan.Stages {
-		c := st.Mem.Static() + int64(frac*float64(st.Mem.Activations()))
-		if c > capacity {
-			capacity = c
-		}
-	}
-	// Inflate so the intended headroom survives the adaptive reserve.
-	return int64(float64(capacity) / (1 - toyOptions().MemoryReserve) * 1.02), nil
 }

@@ -53,12 +53,12 @@ func main() {
 
 	// Size a toy device so adaptive recomputation is forced to choose:
 	// large enough that full recomputation fits, too small to save all.
-	capacity, err := toyCapacity(m, strat, tc, 0.6)
+	capacity, err := adapipe.ToyCapacity(m, strat, tc, 0.6)
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts := toyOptions()
-	planner, err := adapipe.NewPlanner(m, toyCluster(stages, capacity), strat, tc, opts)
+	opts := adapipe.ToyOptions()
+	planner, err := adapipe.NewPlanner(m, adapipe.ToyCluster(stages, capacity), strat, tc, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -123,63 +123,4 @@ func writeFile(dir, name string, data []byte) {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote %s\n", path)
-}
-
-// toyCluster builds a single-node cluster of small synthetic accelerators;
-// the planner needs a hardware model even when the executor is the pure-Go
-// engine.
-func toyCluster(devices int, capacity int64) adapipe.Cluster {
-	return adapipe.Cluster{
-		Name: "toy",
-		Device: adapipe.Device{
-			Name:                "toy-accelerator",
-			PeakFLOPS:           10e12,
-			MemBandwidth:        500e9,
-			MemCapacity:         capacity,
-			GEMMEfficiency:      0.5,
-			AttnEfficiency:      0.4,
-			BandwidthEfficiency: 0.8,
-		},
-		DevicesPerNode:     devices,
-		Nodes:              1,
-		IntraNodeBandwidth: 50e9,
-		InterNodeBandwidth: 10e9,
-		LinkLatency:        2e-6,
-	}
-}
-
-// toyOptions scales the planner to megabyte-size models: the datacenter
-// framework overhead and reserve would swamp a toy.
-func toyOptions() adapipe.Options {
-	opts := adapipe.DefaultOptions()
-	opts.Memory.OverheadBytes = 16 << 20
-	opts.MemoryReserve = 0.05
-	opts.Quantum = 4096
-	return opts
-}
-
-// toyCapacity probes the no-recomputation memory footprint and returns a
-// device capacity where frac of the activation footprint fits.
-func toyCapacity(m adapipe.Model, strat adapipe.Strategy, tc adapipe.TrainingConfig, frac float64) (int64, error) {
-	opts := toyOptions()
-	opts.Recompute = adapipe.RecomputeNone
-	opts.Partition = adapipe.PartitionEven
-	opts.IgnoreMemoryLimit = true
-	probe, err := adapipe.NewPlanner(m, toyCluster(strat.PP, 1<<40), strat, tc, opts)
-	if err != nil {
-		return 0, err
-	}
-	plan, err := probe.Plan()
-	if err != nil {
-		return 0, err
-	}
-	var capacity int64
-	for _, st := range plan.Stages {
-		c := st.Mem.Static() + int64(frac*float64(st.Mem.Activations()))
-		if c > capacity {
-			capacity = c
-		}
-	}
-	// Inflate so the intended headroom survives the adaptive reserve.
-	return int64(float64(capacity) / (1 - toyOptions().MemoryReserve) * 1.02), nil
 }

@@ -9,16 +9,16 @@
 // deterministic (tests assert exact plan equality, and serialized plans are
 // diffed across runs) and because the 1F1B executor is multi-goroutine
 // channel code where races corrupt schedule comparisons silently. Eight
-// analyzers enforce the invariants — four syntactic (PR 1) and four
-// dataflow-aware (v2):
+// analyzers enforce the invariants (DESIGN.md "Static analysis" records the
+// defect in this repo's history that each one caught):
 //
 //   - maporder:    order-dependent iteration over Go maps in packages whose
-//     output must be reproducible (planner, serializer, trace, ...).
+//     output must be reproducible (planner, serializer, request, trace, ...).
 //   - floatcmp:    exact ==/!= between floating-point cost/time values in
 //     the solver packages, where an epsilon compare is required.
-//   - pipesync:    goroutine hygiene in the pipeline executors — loop
-//     variable capture, WaitGroup.Add inside the spawned goroutine, and
-//     channel sends while holding a mutex.
+//   - pipesync:    goroutine hygiene in the pipeline executors —
+//     WaitGroup.Add inside the spawned goroutine, channel sends while holding
+//     a mutex, and naked (non-select) channel ops in goroutine bodies.
 //   - errcheckcmd: dropped error returns in cmd/ and examples/.
 //   - ctxprop:     dropped context propagation in the search/serving
 //     libraries — context.Background()/TODO() where a ctx is in scope,
@@ -27,8 +27,7 @@
 //   - lockguard:   reads/writes of fields annotated `// guarded by <mu>`
 //     from methods that do not hold the named mutex on a dominating path.
 //   - detrand:     nondeterminism sources (time.Now/Since, global
-//     math/rand, %p formatting, unsorted map iteration) in the plan- and
-//     hash-producing packages.
+//     math/rand, %p formatting) in the plan- and hash-producing packages.
 //   - ignoreaudit: suppression hygiene — stale ignore directives, unknown
 //     analyzer names, missing reasons.
 //
@@ -39,6 +38,11 @@
 //
 // The reason is mandatory (ignoreaudit enforces it), and a directive that no
 // longer suppresses anything is itself a finding.
+//
+// Two drivers run the suite (cmd/adapipevet): Load type-checks packages from
+// source for the standalone mode, CheckFiles takes one compilation unit from
+// the go command for `go vet -vettool`. The only report format besides plain
+// text is SARIF (WriteSARIF); every run applies every analyzer.
 package analysis
 
 import (
@@ -240,23 +244,6 @@ func All() []*Analyzer {
 		MapOrder, FloatCmp, PipeSync, ErrCheckCmd,
 		CtxProp, LockGuard, DetRand, IgnoreAudit,
 	}
-}
-
-// ByName returns the named analyzers, or an error naming the unknown one.
-func ByName(names []string) ([]*Analyzer, error) {
-	byName := map[string]*Analyzer{}
-	for _, a := range All() {
-		byName[a.Name] = a
-	}
-	var out []*Analyzer
-	for _, n := range names {
-		a, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("analysis: unknown analyzer %q", n)
-		}
-		out = append(out, a)
-	}
-	return out, nil
 }
 
 // pathMatcher builds an Applies func: the analyzer runs on packages whose

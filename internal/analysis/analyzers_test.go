@@ -9,14 +9,14 @@ import (
 	"testing"
 )
 
-func TestMapOrderFixture(t *testing.T)    { RunFixture(t, FixtureDir("maporder"), MapOrder) }
-func TestFloatCmpFixture(t *testing.T)    { RunFixture(t, FixtureDir("floatcmp"), FloatCmp) }
-func TestPipeSyncFixture(t *testing.T)    { RunFixture(t, FixtureDir("pipesync"), PipeSync) }
-func TestErrCheckCmdFixture(t *testing.T) { RunFixture(t, FixtureDir("errcheckcmd"), ErrCheckCmd) }
-func TestCtxPropFixture(t *testing.T)     { RunFixture(t, FixtureDir("ctxprop"), CtxProp) }
-func TestLockGuardFixture(t *testing.T)   { RunFixture(t, FixtureDir("lockguard"), LockGuard) }
-func TestDetRandFixture(t *testing.T)     { RunFixture(t, FixtureDir("detrand"), DetRand) }
-func TestIgnoreAuditFixture(t *testing.T) { RunFixture(t, FixtureDir("ignoreaudit"), IgnoreAudit) }
+func TestMapOrderFixture(t *testing.T)    { runFixture(t, MapOrder) }
+func TestFloatCmpFixture(t *testing.T)    { runFixture(t, FloatCmp) }
+func TestPipeSyncFixture(t *testing.T)    { runFixture(t, PipeSync) }
+func TestErrCheckCmdFixture(t *testing.T) { runFixture(t, ErrCheckCmd) }
+func TestCtxPropFixture(t *testing.T)     { runFixture(t, CtxProp) }
+func TestLockGuardFixture(t *testing.T)   { runFixture(t, LockGuard) }
+func TestDetRandFixture(t *testing.T)     { runFixture(t, DetRand) }
+func TestIgnoreAuditFixture(t *testing.T) { runFixture(t, IgnoreAudit) }
 
 // TestAllOrderPinned freezes the suite order: SARIF rule indices and the
 // diagnostic tie-break both follow All(), so reordering would churn every
@@ -46,7 +46,7 @@ func TestScopes(t *testing.T) {
 		out  []string
 		name string
 	}{
-		{MapOrder, []string{"adapipe", "adapipe/internal/core", "adapipe/internal/trace", "adapipe/internal/recompute"},
+		{MapOrder, []string{"adapipe", "adapipe/internal/core", "adapipe/internal/trace", "adapipe/internal/recompute", "adapipe/internal/request"},
 			[]string{"adapipe/internal/train", "adapipe/cmd/adapipe"}, "maporder"},
 		{FloatCmp, []string{"adapipe/internal/core", "adapipe/internal/partition", "adapipe/internal/recompute"},
 			[]string{"adapipe", "adapipe/internal/sim"}, "floatcmp"},
@@ -89,7 +89,7 @@ func cmp(a, b float64) (bool, bool, bool) {
 	return x, y, z
 }
 `
-	if err := writeFile(filepath.Join(dir, "ig.go"), src); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "ig.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	fset := token.NewFileSet()
@@ -116,7 +116,7 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
 	}
-	pkgs, err := Load([]string{"adapipe/..."}, LoadOptions{Dir: moduleRoot(t), Tests: true})
+	pkgs, err := Load(moduleRoot(t), []string{"adapipe/..."})
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
 	}
@@ -143,7 +143,7 @@ func TestScopesUniversal(t *testing.T) {
 func BenchmarkAdapipevet(b *testing.B) {
 	root := moduleRoot(b)
 	for i := 0; i < b.N; i++ {
-		pkgs, err := Load([]string{"adapipe/..."}, LoadOptions{Dir: root, Tests: true})
+		pkgs, err := Load(root, []string{"adapipe/..."})
 		if err != nil {
 			b.Fatalf("loading module: %v", err)
 		}
@@ -160,8 +160,4 @@ func moduleRoot(tb testing.TB) string {
 		tb.Fatal(err)
 	}
 	return abs
-}
-
-func writeFile(path, content string) error {
-	return os.WriteFile(path, []byte(content), 0o644)
 }

@@ -12,7 +12,8 @@ import (
 // packages: the planner's exact-equality tests, the canonical request JSON
 // behind the daemon's cache identity, and the serialized Plan bytes the
 // response cache replays all require that no nondeterministic value can leak
-// into an output or a hash. Four sources are flagged:
+// into an output or a hash. Three sources are flagged (order-dependent map
+// iteration, the fourth, is maporder's rule; its scope covers these packages):
 //
 //  1. time.Now / time.Since — wall-clock readings differ between identical
 //     runs. The search-effort wall counters are the one deliberate use; they
@@ -22,14 +23,10 @@ import (
 //     nondeterministically; derive from rand.New(rand.NewSource(seed)).
 //  3. pointer formatting (%p) in fmt format strings — addresses differ per
 //     run and would poison any serialized or hashed output.
-//  4. order-dependent iteration over a map (the maporder rule), applied only
-//     where maporder itself is out of scope (the request package's canonical
-//     JSON path), so one defect never double-reports.
 var DetRand = &Analyzer{
 	Name: "detrand",
 	Doc: "flags nondeterminism sources (time.Now/Since, global math/rand, %p " +
-		"formatting, unsorted map iteration feeding output) in the plan- and " +
-		"hash-producing packages",
+		"formatting) in the plan- and hash-producing packages",
 	Applies: pathMatcher(
 		nil,
 		"adapipe/internal/core",
@@ -50,30 +47,10 @@ var DetRand = &Analyzer{
 var ptrVerbRx = regexp.MustCompile(`%[#+\-0 ]*[0-9.]*p`)
 
 func runDetRand(pass *Pass) error {
-	checkMaps := !MapOrder.Applies(pass.Pkg.Path())
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
-			switch st := n.(type) {
-			case *ast.CallExpr:
-				checkDetRandCall(pass, st)
-			case *ast.RangeStmt:
-				if !checkMaps {
-					return true
-				}
-				t := pass.TypeOf(st.X)
-				if t == nil {
-					return true
-				}
-				if _, isMap := t.Underlying().(*types.Map); !isMap {
-					return true
-				}
-				if orderInsensitiveBody(pass, st) {
-					return true
-				}
-				pass.Reportf(st.Pos(),
-					"range over map %s has an order-dependent body in a hash/serialization path; "+
-						"sort the keys first so canonical bytes stay canonical",
-					exprString(pass.Fset, st.X))
+			if call, ok := n.(*ast.CallExpr); ok {
+				checkDetRandCall(pass, call)
 			}
 			return true
 		})

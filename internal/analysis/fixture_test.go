@@ -15,15 +15,16 @@ import (
 // be double-quoted (Go escapes apply) or backquoted (taken verbatim).
 var wantRx = regexp.MustCompile("`([^`]*)`|\"((?:[^\"\\\\]|\\\\.)*)\"")
 
-// RunFixture is a self-contained analogue of
-// golang.org/x/tools/go/analysis/analysistest.Run: it loads the fixture
-// package rooted at dir, runs the analyzer, and matches the produced
-// diagnostics against `// want "regexp"` comments. Each diagnostic must be
+// runFixture is a self-contained analogue of
+// golang.org/x/tools/go/analysis/analysistest.Run: it loads the analyzer's
+// fixture package (testdata/src/<name>), runs the analyzer, and matches the
+// produced diagnostics against `// want "regexp"` comments. Each diagnostic must be
 // matched by a want on its line, and every want must be matched by a
 // diagnostic — so a fixture fails both when the analyzer misses a positive
 // case and when it fires on a suppressed-negative one.
-func RunFixture(t *testing.T, dir string, a *Analyzer) {
+func runFixture(t *testing.T, a *Analyzer) {
 	t.Helper()
+	dir := filepath.Join("testdata", "src", a.Name)
 	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil || len(files) == 0 {
 		t.Fatalf("fixture %s: no Go files (%v)", dir, err)
@@ -100,9 +101,4 @@ func RunFixture(t *testing.T, dir string, a *Analyzer) {
 			t.Errorf("%s:%d: expected diagnostic matching %q, got none", k.file, k.line, rx)
 		}
 	}
-}
-
-// FixtureDir returns the conventional fixture path for an analyzer name.
-func FixtureDir(name string) string {
-	return filepath.Join("testdata", "src", name)
 }

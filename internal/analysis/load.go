@@ -27,27 +27,19 @@ type listPackage struct {
 	Error       *struct{ Err string }
 }
 
-// LoadOptions configures Load.
-type LoadOptions struct {
-	// Dir is the working directory for package resolution (the module
-	// root); empty means the process working directory.
-	Dir string
-	// Tests includes in-package _test.go files in each unit. External
-	// (package foo_test) files are not loaded.
-	Tests bool
-}
-
 // Load enumerates the packages matching patterns with the go command, parses
 // their sources and type-checks them against a source importer, so the suite
-// needs no pre-built export data and no third-party loader. All returned
-// packages share one FileSet.
-func Load(patterns []string, opts LoadOptions) ([]*Package, error) {
+// needs no pre-built export data and no third-party loader. dir is the working
+// directory for package resolution (empty: the process's). Each unit includes
+// its in-package _test.go files; external (package foo_test) files are not
+// loaded. All returned packages share one FileSet.
+func Load(dir string, patterns []string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	args := append([]string{"list", "-e", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
-	cmd.Dir = opts.Dir
+	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
@@ -76,9 +68,7 @@ func Load(patterns []string, opts LoadOptions) ([]*Package, error) {
 		}
 		files := append([]string{}, lp.GoFiles...)
 		files = append(files, lp.CgoFiles...)
-		if opts.Tests {
-			files = append(files, lp.TestGoFiles...)
-		}
+		files = append(files, lp.TestGoFiles...)
 		if len(files) == 0 {
 			continue
 		}

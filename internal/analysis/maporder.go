@@ -32,6 +32,7 @@ var MapOrder = &Analyzer{
 		"adapipe/internal/schedule",
 		"adapipe/internal/profile",
 		"adapipe/internal/trace",
+		"adapipe/internal/request", // canonical JSON: the daemon's cache identity
 		"adapipe/internal/baseline",
 		"adapipe/internal/experiments",
 		"maporder", // fixture packages

@@ -9,30 +9,25 @@ import (
 // PipeSync enforces goroutine hygiene in the pipeline executors
 // (internal/train, internal/sim), where a silent race corrupts the schedule
 // comparison against the DAPPLE-style baselines instead of crashing. Three
-// patterns are flagged:
+// patterns are flagged (loop-variable capture is not one of them: go.mod pins
+// go 1.22, where every iteration has its own variable, and go vet's
+// loopclosure is the upstream check for older language versions):
 //
-//  1. a goroutine launched inside a loop whose function literal captures
-//     the loop variable instead of receiving it as an argument. Go ≥1.22
-//     gives each iteration a fresh variable, but the capture still couples
-//     the goroutine to mutation of the variable inside the iteration and
-//     breaks under toolchains built with older language versions — the
-//     executor passes stage/replica indices explicitly;
-//  2. WaitGroup.Add called inside the spawned goroutine itself, which races
+//  1. WaitGroup.Add called inside the spawned goroutine itself, which races
 //     with the parent's Wait;
-//  3. a channel send while a mutex is held (between Lock and Unlock, or
+//  2. a channel send while a mutex is held (between Lock and Unlock, or
 //     after a deferred Unlock), which blocks the pipeline with the lock
 //     taken as soon as the peer stage also needs it;
-//  4. a naked (non-select) channel send or receive inside a goroutine body.
+//  3. a naked (non-select) channel send or receive inside a goroutine body.
 //     In the 1F1B executor a stage that dies leaves its peers blocked on
 //     such an op forever — the deadlock the cancellation protocol exists to
 //     prevent — so every stage-goroutine channel op must be a select case
 //     alongside the iteration's done channel.
 var PipeSync = &Analyzer{
 	Name: "pipesync",
-	Doc: "flags loop-variable capture in go statements, WaitGroup.Add inside the " +
-		"spawned goroutine, channel sends while holding a mutex, and naked " +
-		"(non-select) channel ops in goroutine bodies in the pipeline " +
-		"executor packages",
+	Doc: "flags WaitGroup.Add inside the spawned goroutine, channel sends while " +
+		"holding a mutex, and naked (non-select) channel ops in goroutine bodies " +
+		"in the pipeline executor packages",
 	Applies: pathMatcher(
 		nil,
 		"adapipe/internal/train",
@@ -50,82 +45,18 @@ func runPipeSync(pass *Pass) error {
 	return nil
 }
 
-// checkGoStmts walks loops looking for `go func(){...}()` bodies that
-// capture the loop variables, and for WaitGroup.Add calls inside any
-// goroutine function literal.
+// checkGoStmts applies the goroutine-body rules to every `go func(){...}()`,
+// nested ones included.
 func checkGoStmts(pass *Pass, file *ast.File) {
-	// Collect the loop variables in scope at each go statement.
-	type frame struct{ vars []types.Object }
-	var stack []frame
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
-		ast.Inspect(n, func(n ast.Node) bool {
-			switch st := n.(type) {
-			case *ast.RangeStmt:
-				var vars []types.Object
-				for _, e := range []ast.Expr{st.Key, st.Value} {
-					if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-						if obj := pass.TypesInfo.ObjectOf(id); obj != nil {
-							vars = append(vars, obj)
-						}
-					}
-				}
-				stack = append(stack, frame{vars})
-				walk(st.Body)
-				stack = stack[:len(stack)-1]
-				return false
-			case *ast.ForStmt:
-				var vars []types.Object
-				if init, ok := st.Init.(*ast.AssignStmt); ok && init.Tok == token.DEFINE {
-					for _, e := range init.Lhs {
-						if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-							if obj := pass.TypesInfo.Defs[id]; obj != nil {
-								vars = append(vars, obj)
-							}
-						}
-					}
-				}
-				stack = append(stack, frame{vars})
-				if st.Body != nil {
-					walk(st.Body)
-				}
-				stack = stack[:len(stack)-1]
-				return false
-			case *ast.GoStmt:
-				fl, ok := st.Call.Fun.(*ast.FuncLit)
-				if !ok {
-					return true
-				}
-				for _, fr := range stack {
-					for _, obj := range fr.vars {
-						if usesObjectNode(pass, fl.Body, obj) {
-							pass.Reportf(st.Pos(),
-								"goroutine captures loop variable %s; pass it as an argument "+
-									"(go func(%s %s) {...}(%s)) so the stage binding is explicit",
-								obj.Name(), obj.Name(), obj.Type(), obj.Name())
-						}
-					}
-				}
+	ast.Inspect(file, func(n ast.Node) bool {
+		if st, ok := n.(*ast.GoStmt); ok {
+			if fl, ok := st.Call.Fun.(*ast.FuncLit); ok {
 				checkWaitGroupAdd(pass, fl)
 				checkNakedChannelOps(pass, fl)
-				return true
 			}
-			return true
-		})
-	}
-	walk(file)
-}
-
-// usesObject variant for statements.
-func usesObjectNode(pass *Pass, n ast.Node, obj types.Object) bool {
-	found := false
-	ast.Inspect(n, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && pass.TypesInfo.Uses[id] == obj {
-			found = true
 		}
-		return !found
+		return true
 	})
-	return found
 }
 
 // checkWaitGroupAdd flags wg.Add calls lexically inside a goroutine body:

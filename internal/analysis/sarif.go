@@ -8,8 +8,8 @@ import (
 	"strings"
 )
 
-// ToolName and ToolVersion identify the suite in machine-readable reports
-// and in the -V probe the go command sends a vet tool.
+// ToolName and ToolVersion identify the suite in the SARIF report and in the
+// -V probe the go command sends a vet tool.
 const (
 	ToolName    = "adapipevet"
 	ToolVersion = "2.0"
@@ -24,8 +24,8 @@ const (
 // The SARIF object model, restricted to the subset the suite emits. Field
 // order is fixed by these struct definitions, diagnostics arrive pre-sorted
 // from Run, and rules follow All() order — so the report bytes are a pure
-// function of the diagnostics and the tool version (TestSARIFDeterministic
-// asserts byte equality, golden files pin the shape).
+// function of the diagnostics and the tool version (TestReportsDeterministic
+// asserts byte equality, the golden file pins the shape).
 type sarifLog struct {
 	Schema  string     `json:"$schema"`
 	Version string     `json:"version"`
@@ -138,46 +138,12 @@ func WriteSARIF(w io.Writer, fset *token.FileSet, analyzers []*Analyzer, diags [
 			Results: results,
 		}},
 	}
-	return writeIndentedJSON(w, log)
-}
-
-// MachineDiagnostic is one finding in the -json machine format: a flat,
-// position-sorted record tools can consume without knowing the suite.
-type MachineDiagnostic struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// machineReport is the -json machine format envelope.
-type machineReport struct {
-	Tool        string              `json:"tool"`
-	Version     string              `json:"version"`
-	Diagnostics []MachineDiagnostic `json:"diagnostics"`
-}
-
-// WriteJSON renders diagnostics in the flat machine format. Like WriteSARIF
-// the output is byte-deterministic; an empty diagnostic list renders as an
-// empty array, never null, so `jq '.diagnostics | length'` always works.
-func WriteJSON(w io.Writer, fset *token.FileSet, diags []Diagnostic, root string) error {
-	out := machineReport{
-		Tool:        ToolName,
-		Version:     ToolVersion,
-		Diagnostics: make([]MachineDiagnostic, 0, len(diags)),
+	data, err := json.MarshalIndent(log, "", "\t")
+	if err != nil {
+		return err
 	}
-	for _, d := range diags {
-		md := MachineDiagnostic{Analyzer: d.Analyzer, Message: d.Message}
-		if d.Pos.IsValid() {
-			pos := fset.Position(d.Pos)
-			md.File = relURI(root, pos.Filename)
-			md.Line = pos.Line
-			md.Column = pos.Column
-		}
-		out.Diagnostics = append(out.Diagnostics, md)
-	}
-	return writeIndentedJSON(w, out)
+	_, err = w.Write(append(data, '\n'))
+	return err
 }
 
 // relURI relativizes filename against root and normalizes to forward
@@ -198,14 +164,4 @@ func shortDoc(doc string) string {
 		doc = doc[:i]
 	}
 	return strings.TrimSpace(doc)
-}
-
-// writeIndentedJSON marshals v with tab indentation and a trailing newline.
-func writeIndentedJSON(w io.Writer, v any) error {
-	data, err := json.MarshalIndent(v, "", "\t")
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(append(data, '\n'))
-	return err
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // goldenFixture builds a small synthetic diagnostic set with fully
-// deterministic positions, so the golden files pin the report shape without
+// deterministic positions, so the golden file pins the report shape without
 // depending on real source files. The set covers a located finding from two
 // different rules and a position-less analyzer failure.
 func goldenFixture() (*token.FileSet, []Diagnostic) {
@@ -62,36 +62,19 @@ func TestSARIFGolden(t *testing.T) {
 	checkGolden(t, "sarif.golden.json", buf.Bytes())
 }
 
-func TestJSONGolden(t *testing.T) {
-	fset, diags := goldenFixture()
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, fset, diags, goldenRoot); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "machine.golden.json", buf.Bytes())
-}
-
 // TestReportsDeterministic asserts byte-identical output across repeated
-// renders — the property the plan cache and CI diffing rely on.
+// renders — the property CI diffing relies on.
 func TestReportsDeterministic(t *testing.T) {
 	fset, diags := goldenFixture()
-	render := func() ([]byte, []byte) {
-		var s, j bytes.Buffer
+	render := func() []byte {
+		var s bytes.Buffer
 		if err := WriteSARIF(&s, fset, All(), diags, goldenRoot); err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteJSON(&j, fset, diags, goldenRoot); err != nil {
-			t.Fatal(err)
-		}
-		return s.Bytes(), j.Bytes()
+		return s.Bytes()
 	}
-	s1, j1 := render()
-	s2, j2 := render()
-	if !bytes.Equal(s1, s2) {
+	if !bytes.Equal(render(), render()) {
 		t.Error("SARIF output differs between identical renders")
-	}
-	if !bytes.Equal(j1, j2) {
-		t.Error("machine JSON output differs between identical renders")
 	}
 }
 
@@ -184,28 +167,5 @@ func TestSARIFShape(t *testing.T) {
 				t.Errorf("non-positive startLine %d", pl.Region.StartLine)
 			}
 		}
-	}
-}
-
-// TestMachineJSONEmpty pins the no-findings envelope: an empty array, never
-// null, so downstream jq filters need no null guard.
-func TestMachineJSONEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, token.NewFileSet(), nil, ""); err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Tool        string              `json:"tool"`
-		Version     string              `json:"version"`
-		Diagnostics []MachineDiagnostic `json:"diagnostics"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Diagnostics == nil {
-		t.Error("diagnostics is null, want []")
-	}
-	if !bytes.Contains(buf.Bytes(), []byte(`"diagnostics": []`)) {
-		t.Errorf("expected an empty array literal in:\n%s", buf.Bytes())
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
 	"time"
 )
 
@@ -69,36 +68,4 @@ func EscapedPercent(n int) string {
 // StableFormat has no pointer verbs — OK.
 func StableFormat(name string, n int) string {
 	return fmt.Sprintf("%s=%d", name, n)
-}
-
-// UnsortedEmit ranges a map straight into an output slice — flagged.
-func UnsortedEmit(m map[string]int) []int {
-	var out []int
-	for _, v := range m { // want `range over map m has an order-dependent body`
-		out = append(out, v)
-	}
-	return out
-}
-
-// SortedEmit collects the keys, sorts, then walks — OK.
-func SortedEmit(m map[string]int) []int {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]int, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, m[k])
-	}
-	return out
-}
-
-// Accumulate is order-insensitive (commutative fold) — OK.
-func Accumulate(m map[string]int) int {
-	total := 0
-	for _, v := range m {
-		total += v
-	}
-	return total
 }

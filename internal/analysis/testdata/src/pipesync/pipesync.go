@@ -3,33 +3,6 @@ package pipesync
 
 import "sync"
 
-// LaunchCaptured launches stage goroutines that capture the loop variable —
-// flagged.
-func LaunchCaptured(n int, work func(int)) {
-	var wg sync.WaitGroup
-	for s := 0; s < n; s++ {
-		wg.Add(1)
-		go func() { // want `goroutine captures loop variable s`
-			defer wg.Done()
-			work(s)
-		}()
-	}
-	wg.Wait()
-}
-
-// LaunchRangeCaptured captures a range variable — flagged.
-func LaunchRangeCaptured(stages []func()) {
-	var wg sync.WaitGroup
-	for _, stage := range stages {
-		wg.Add(1)
-		go func() { // want `goroutine captures loop variable stage`
-			defer wg.Done()
-			stage()
-		}()
-	}
-	wg.Wait()
-}
-
 // AddInside calls WaitGroup.Add inside the goroutine — flagged.
 func AddInside(n int, work func(int)) {
 	var wg sync.WaitGroup
@@ -77,8 +50,8 @@ func (s *SendLocked) EmitAfterUnlock() {
 	s.out <- v
 }
 
-// LaunchExplicit passes the loop variable as an argument and Adds before
-// launching — the approved executor pattern, not flagged.
+// LaunchExplicit Adds before launching — the approved executor pattern, not
+// flagged.
 func LaunchExplicit(n int, work func(int)) {
 	var wg sync.WaitGroup
 	for s := 0; s < n; s++ {
@@ -154,19 +127,5 @@ func SuppressedNakedSend(out chan int, v int) {
 		//adapipevet:ignore pipesync buffered result channel, receiver never exits early
 		out <- v
 	}()
-	wg.Wait()
-}
-
-// SuppressedCapture documents a harmless capture.
-func SuppressedCapture(n int, work func(int)) {
-	var wg sync.WaitGroup
-	for s := 0; s < n; s++ {
-		wg.Add(1)
-		//adapipevet:ignore pipesync go1.22 per-iteration variable, never mutated
-		go func() {
-			defer wg.Done()
-			work(s)
-		}()
-	}
 	wg.Wait()
 }

@@ -32,6 +32,37 @@ const (
 	SchedGPipe
 )
 
+// scheduleTable is the one place a pipeline mechanism is defined: its wire
+// label (the "schedule" field of a /v1/simulate response) and its builder.
+// A new schedule family is one more row.
+var scheduleTable = [...]struct {
+	label string
+	build func(p, n int) (*schedule.Schedule, error)
+}{
+	Sched1F1B:     {"1f1b", schedule.OneFOneB},
+	SchedChimera:  {"chimera", schedule.Chimera},
+	SchedChimeraD: {"chimerad", schedule.ChimeraD},
+	SchedGPipe:    {"gpipe", schedule.GPipe},
+}
+
+func (k ScheduleKind) known() bool { return k >= 0 && int(k) < len(scheduleTable) }
+
+// Build returns the kind's schedule for p stages and n micro-batches.
+func (k ScheduleKind) Build(p, n int) (*schedule.Schedule, error) {
+	if !k.known() {
+		return nil, fmt.Errorf("baseline: unknown schedule kind %d", int(k))
+	}
+	return scheduleTable[k].build(p, n)
+}
+
+// String returns the kind's wire label, "unknown" for a kind outside the table.
+func (k ScheduleKind) String() string {
+	if !k.known() {
+		return "unknown"
+	}
+	return scheduleTable[k].label
+}
+
 // Method is one end-to-end configuration of the evaluation.
 type Method struct {
 	// Name is the label used in the figures, e.g. "DAPPLE-Full".
@@ -140,7 +171,7 @@ func EvaluateContext(ctx context.Context, m Method, cfg model.Config, cluster ha
 	}
 	out.Plan = plan
 
-	sched, err := buildSchedule(m.Schedule, strat.PP, plan.MicroBatches)
+	sched, err := m.Schedule.Build(strat.PP, plan.MicroBatches)
 	if err != nil {
 		out.Err = err
 		return out
@@ -148,7 +179,7 @@ func EvaluateContext(ctx context.Context, m Method, cfg model.Config, cluster ha
 	costs := StageCosts(plan)
 	// The discrete-event replay gets its own span next to the planner's
 	// search.* spans (an error return leaves it unrecorded).
-	sp := obs.TracerFrom(ctx).Start("baseline.simulate", obs.CatSearch, 0)
+	sp := obs.TracerFrom(ctx).Start("baseline.simulate", obs.CatSearch)
 	res, err := sim.Run(sim.Input{Sched: sched, Stages: costs})
 	if err != nil {
 		out.Err = err
@@ -165,21 +196,6 @@ func EvaluateContext(ctx context.Context, m Method, cfg model.Config, cluster ha
 
 // StageCosts converts a plan into simulator stage costs.
 func StageCosts(plan *core.Plan) []sim.StageCost { return plan.StageCosts() }
-
-func buildSchedule(kind ScheduleKind, p, n int) (*schedule.Schedule, error) {
-	switch kind {
-	case Sched1F1B:
-		return schedule.OneFOneB(p, n)
-	case SchedChimera:
-		return schedule.Chimera(p, n)
-	case SchedChimeraD:
-		return schedule.ChimeraD(p, n)
-	case SchedGPipe:
-		return schedule.GPipe(p, n)
-	default:
-		return nil, fmt.Errorf("baseline: unknown schedule kind %d", int(kind))
-	}
-}
 
 // Best evaluates a method over every 3D strategy for the given device count
 // (the paper's cluster-A methodology, §7.1) and returns the fastest feasible

@@ -32,6 +32,44 @@ func TestMethodsList(t *testing.T) {
 	}
 }
 
+// TestScheduleKindTable covers the one schedule table: every kind builds a
+// schedule the validator accepts, String is the wire label /v1/simulate
+// reports, and a kind outside the table is an error, not a panic.
+func TestScheduleKindTable(t *testing.T) {
+	labels := map[ScheduleKind]string{
+		Sched1F1B: "1f1b", SchedGPipe: "gpipe", SchedChimera: "chimera", SchedChimeraD: "chimerad",
+	}
+	if len(labels) != len(scheduleTable) {
+		t.Fatalf("table has %d kinds, test knows %d", len(scheduleTable), len(labels))
+	}
+	for k, want := range labels {
+		if got := k.String(); got != want {
+			t.Errorf("kind %d label %q, want %q", int(k), got, want)
+		}
+		sched, err := k.Build(4, 8)
+		if err != nil {
+			t.Errorf("%s: Build(4, 8): %v", k, err)
+			continue
+		}
+		if err := sched.Validate(); err != nil {
+			t.Errorf("%s: built schedule fails validation: %v", k, err)
+		}
+	}
+	for _, k := range []ScheduleKind{-1, ScheduleKind(len(scheduleTable))} {
+		if _, err := k.Build(4, 8); err == nil {
+			t.Errorf("kind %d built a schedule", int(k))
+		}
+		if got := k.String(); got != "unknown" {
+			t.Errorf("kind %d label %q, want unknown", int(k), got)
+		}
+	}
+	for _, m := range Methods() {
+		if !m.Schedule.known() {
+			t.Errorf("method %s names schedule kind %d outside the table", m.Name, int(m.Schedule))
+		}
+	}
+}
+
 func TestMethodByName(t *testing.T) {
 	m, err := MethodByName("AdaPipe")
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 	"adapipe/internal/recompute"
 )
 
-// The planner's cost table (DESIGN §4e). One dense array, indexed by
+// The planner's cost table (DESIGN §6). One dense array, indexed by
 // (stage, isomorphism class), is at once the §5.3 isomorphic-range cache, the
 // working set the partition DP reads, the input of the incremental replanner
 // and the front of the shared cost store. Beside it sit the per-class shape

@@ -6,7 +6,7 @@ import (
 	"adapipe/internal/partition"
 )
 
-// The incremental replanning fast path (DESIGN §4i). A straggler repricing
+// The incremental replanning fast path (DESIGN §11). A straggler repricing
 // changes only the per-stage scale vector; the nominal cost table stays
 // valid, and the suffix partition DP only needs to recompute the levels at
 // or below the highest rescaled stage. claimWarmStart checks the previous

@@ -682,7 +682,7 @@ func (pl *Planner) PlanContext(ctx context.Context) (*Plan, error) {
 	// Try the incremental fast path first: if the last search's DP memo is
 	// still valid, check it out and recompute only the levels the scale
 	// change invalidated.
-	spClaim := tr.Start("search.invalidate", obs.CatSearch, 0)
+	spClaim := tr.Start("search.invalidate", obs.CatSearch)
 	ws := pl.claimWarmStart()
 	spClaim.End()
 	memo, stale := ws.memo, ws.stale
@@ -751,7 +751,7 @@ func (pl *Planner) PlanContext(ctx context.Context) (*Plan, error) {
 	if ws.ok {
 		spanName = "search.incremental"
 	}
-	spDP := tr.Start(spanName, obs.CatSearch, 0)
+	spDP := tr.Start(spanName, obs.CatSearch)
 	switch pl.opts.Partition {
 	case PartitionExact:
 		sol, _, err := partition.SolveExact(L, p, pl.n, cost, pl.frontierCap())
@@ -796,7 +796,7 @@ func (pl *Planner) PlanContext(ctx context.Context) (*Plan, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	spStages := tr.Start("search.stages", obs.CatSearch, 0)
+	spStages := tr.Start("search.stages", obs.CatSearch)
 	// The assembly prices stages under the same scale snapshot the DP used,
 	// so a racing SetStageScale cannot tear the plan. The DP evaluated every
 	// chosen stage, so these lookups are hits.

@@ -124,14 +124,14 @@ func Figure10(fc Figure10Config) ([]Figure10Curve, error) {
 
 	// Plan AdaPipe against a toy device sized so early stages must
 	// recompute while later stages can save.
-	capacity, err := toyCapacity(mcfg, strat, trainCfg, 0.6)
+	capacity, err := ToyCapacity(mcfg, strat, trainCfg, 0.6)
 	if err != nil {
 		return nil, err
 	}
-	opts := toyOptions()
+	opts := ToyOptions()
 	opts.Recompute = core.RecomputeAdaptive
 	opts.Partition = core.PartitionAdaptive
-	planner, err := core.NewPlanner(mcfg, toyCluster(fc.Stages, capacity), strat, trainCfg, opts)
+	planner, err := core.NewPlanner(mcfg, ToyCluster(fc.Stages, capacity), strat, trainCfg, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -72,10 +72,10 @@ func FormatFigure2(res []Figure2Result) string {
 	return b.String()
 }
 
-// toyCluster builds a single-node cluster of small synthetic accelerators
+// ToyCluster builds a single-node cluster of small synthetic accelerators
 // whose memory capacity is set by the caller, used by the overview and
 // convergence experiments where the point is the mechanism, not the scale.
-func toyCluster(devices int, capacity int64) hardware.Cluster {
+func ToyCluster(devices int, capacity int64) hardware.Cluster {
 	return hardware.Cluster{
 		Name: "toy",
 		Device: hardware.Device{
@@ -95,10 +95,10 @@ func toyCluster(devices int, capacity int64) hardware.Cluster {
 	}
 }
 
-// toyOptions returns planner options scaled for toy-size experiments: the
+// ToyOptions returns planner options scaled for toy-size experiments: the
 // datacenter-class framework overhead and conservative reserve would swamp a
 // megabyte-scale model.
-func toyOptions() core.Options {
+func ToyOptions() core.Options {
 	opts := core.DefaultOptions()
 	opts.Memory.OverheadBytes = 16 << 20
 	opts.MemoryReserve = 0.05
@@ -106,16 +106,16 @@ func toyOptions() core.Options {
 	return opts
 }
 
-// toyCapacity picks a device capacity that makes adaptive recomputation
+// ToyCapacity picks a device capacity that makes adaptive recomputation
 // interesting: large enough that maximum recomputation fits everywhere,
 // small enough that saving everything does not. frac is the fraction of the
 // no-recomputation activation footprint that fits.
-func toyCapacity(cfg model.Config, strat parallel.Strategy, train parallel.Config, frac float64) (int64, error) {
-	opts := toyOptions()
+func ToyCapacity(cfg model.Config, strat parallel.Strategy, train parallel.Config, frac float64) (int64, error) {
+	opts := ToyOptions()
 	opts.Recompute = core.RecomputeNone
 	opts.Partition = core.PartitionEven
 	opts.IgnoreMemoryLimit = true
-	probe, err := core.NewPlanner(cfg, toyCluster(strat.Devices(), 1<<40), strat, train, opts)
+	probe, err := core.NewPlanner(cfg, ToyCluster(strat.Devices(), 1<<40), strat, train, opts)
 	if err != nil {
 		return 0, err
 	}
@@ -132,7 +132,7 @@ func toyCapacity(cfg model.Config, strat parallel.Strategy, train parallel.Confi
 	}
 	// The adaptive search only sees capacity·(1−reserve); inflate so the
 	// intended activation headroom survives the reserve.
-	capacity = int64(float64(capacity) / (1 - toyOptions().MemoryReserve) * 1.02)
+	capacity = int64(float64(capacity) / (1 - ToyOptions().MemoryReserve) * 1.02)
 	return capacity, nil
 }
 
@@ -161,11 +161,11 @@ func Figure3() ([]Figure3Step, error) {
 	cfg := model.Tiny(20)
 	strat := parallel.Strategy{TP: 1, PP: 4, DP: 1}
 	train := parallel.Config{GlobalBatch: 12, MicroBatch: 1, SeqLen: 1024}
-	capacity, err := toyCapacity(cfg, strat, train, 0.5)
+	capacity, err := ToyCapacity(cfg, strat, train, 0.5)
 	if err != nil {
 		return nil, err
 	}
-	cl := toyCluster(4, capacity)
+	cl := ToyCluster(4, capacity)
 	steps := []struct {
 		name string
 		m    baseline.Method
@@ -179,7 +179,7 @@ func Figure3() ([]Figure3Step, error) {
 	}
 	var out []Figure3Step
 	for _, s := range steps {
-		opts := toyOptions()
+		opts := ToyOptions()
 		opts.Recompute = s.m.Recompute
 		opts.Partition = s.m.Partition
 		planner, err := core.NewPlanner(cfg, cl, strat, train, opts)

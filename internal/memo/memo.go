@@ -2,8 +2,8 @@
 // completed values plus the in-flight computations for missing keys, behind
 // a single mutex. It is §5.3's "solve each isomorphic class once, share the
 // result" lifted out of one search: the serving layer's response cache and
-// request coalescing, its warm-planner store and the shared cost store are
-// each one Cache.
+// request coalescing, its warm-planner store, its trace ring and the shared
+// cost store are each one Cache.
 //
 // The list and the in-flight map share a lock because the two questions "is
 // it stored?" and "is someone computing it?" must be answered together: a

@@ -48,7 +48,8 @@ type TraceSpan struct {
 	Name string
 	// Cat is the span's category (CatRequest, CatPhase, ...).
 	Cat string
-	// Tid is the logical track; every span of a request is on track 0.
+	// Tid is the logical track of the Chrome export. Every span of a request
+	// is on track 0 — a search is one goroutine — so nothing sets it.
 	Tid int
 	// Start and End bound the interval as offsets from the trace origin.
 	Start, End time.Duration
@@ -111,17 +112,16 @@ type SpanHandle struct {
 	t     *Tracer
 	name  string
 	cat   string
-	tid   int
 	start time.Duration
 }
 
 // Start opens a span. On a nil tracer it returns the zero handle without
 // reading the clock.
-func (t *Tracer) Start(name, cat string, tid int) SpanHandle {
+func (t *Tracer) Start(name, cat string) SpanHandle {
 	if t == nil {
 		return SpanHandle{}
 	}
-	return SpanHandle{t: t, name: name, cat: cat, tid: tid, start: t.clock().Sub(t.origin)}
+	return SpanHandle{t: t, name: name, cat: cat, start: t.clock().Sub(t.origin)}
 }
 
 // End closes the span and records it. No-op on the zero handle.
@@ -129,17 +129,17 @@ func (h SpanHandle) End() {
 	if h.t == nil {
 		return
 	}
-	h.t.record(TraceSpan{Name: h.name, Cat: h.cat, Tid: h.tid, Start: h.start, End: h.t.clock().Sub(h.t.origin)})
+	h.t.record(TraceSpan{Name: h.name, Cat: h.cat, Start: h.start, End: h.t.clock().Sub(h.t.origin)})
 }
 
 // Add records a completed interval measured by the caller with its own clock
 // readings — the serving layer measures each phase once and feeds the same
 // interval to both its latency histogram and the trace. No-op on nil.
-func (t *Tracer) Add(name, cat string, tid int, start, end time.Time) {
+func (t *Tracer) Add(name, cat string, start, end time.Time) {
 	if t == nil {
 		return
 	}
-	t.record(TraceSpan{Name: name, Cat: cat, Tid: tid, Start: start.Sub(t.origin), End: end.Sub(t.origin)})
+	t.record(TraceSpan{Name: name, Cat: cat, Start: start.Sub(t.origin), End: end.Sub(t.origin)})
 }
 
 func (t *Tracer) record(sp TraceSpan) {

@@ -31,7 +31,7 @@ func (c *fakeClock) Now() time.Time {
 func TestTracerSpanOffsets(t *testing.T) {
 	clk := newFakeClock(time.Millisecond)
 	tr := NewTracer("t1", clk.Now, 0) // origin consumes the first tick
-	sp := tr.Start("work", CatPhase, 0)
+	sp := tr.Start("work", CatPhase)
 	sp.End()
 	spans := tr.Spans()
 	if len(spans) != 1 {
@@ -52,7 +52,7 @@ func TestTracerAddUsesCallerIntervals(t *testing.T) {
 	tr := NewTracer("t2", clk.Now, 0)
 	start := clk.Now() // origin+1s
 	end := clk.Now()   // origin+2s
-	tr.Add("queue", CatPhase, 0, start, end)
+	tr.Add("queue", CatPhase, start, end)
 	spans := tr.Spans()
 	if len(spans) != 1 || spans[0].Start != time.Second || spans[0].End != 2*time.Second {
 		t.Errorf("spans = %+v, want one [1s,2s] span", spans)
@@ -64,9 +64,9 @@ func TestTracerNilSafety(t *testing.T) {
 	if tr.ID() != "" || tr.Spans() != nil || tr.Dropped() != 0 {
 		t.Error("nil tracer accessors must return zero values")
 	}
-	sp := tr.Start("x", CatSolve, 1)
+	sp := tr.Start("x", CatSolve)
 	sp.End() // must not panic
-	tr.Add("y", CatPhase, 0, time.Unix(0, 0), time.Unix(1, 0))
+	tr.Add("y", CatPhase, time.Unix(0, 0), time.Unix(1, 0))
 	if b, err := tr.Chrome(); err != nil || !bytes.Contains(b, []byte("traceEvents")) {
 		t.Errorf("nil tracer Chrome() = %s, %v; want empty document", b, err)
 	}
@@ -94,10 +94,10 @@ func TestTracerSolveLimit(t *testing.T) {
 	clk := newFakeClock(time.Microsecond)
 	tr := NewTracer("t4", clk.Now, 2)
 	for i := 0; i < 5; i++ {
-		tr.Start("knapsack", CatSolve, 1).End()
+		tr.Start("knapsack", CatSolve).End()
 	}
-	tr.Start("search.partition", CatSearch, 0).End()
-	tr.Start("request", CatRequest, 0).End()
+	tr.Start("search.partition", CatSearch).End()
+	tr.Start("request", CatRequest).End()
 	spans := tr.Spans()
 	if len(spans) != 4 {
 		t.Fatalf("got %d spans, want 2 solves + 2 structural", len(spans))
@@ -119,7 +119,7 @@ func TestTracerConcurrentRecording(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				tr.Start("knapsack", CatSolve, w+1).End()
+				tr.Start("knapsack", CatSolve).End()
 			}
 		}(w)
 	}
@@ -133,9 +133,9 @@ func TestTracerChromeDeterministic(t *testing.T) {
 	clk := newFakeClock(time.Millisecond)
 	tr := NewTracer("t6", clk.Now, 0)
 	for i := 0; i < 3; i++ {
-		tr.Start("knapsack", CatSolve, i+1).End()
+		tr.Start("knapsack", CatSolve).End()
 	}
-	tr.Start("search.partition", CatSearch, 0).End()
+	tr.Start("search.partition", CatSearch).End()
 	b1, err := tr.Chrome()
 	if err != nil {
 		t.Fatal(err)
@@ -166,8 +166,8 @@ func TestTracerChromeDeterministic(t *testing.T) {
 	// Events are ordered by start timestamp; the first solve began at
 	// origin+1ms and lasted one tick.
 	first := doc.TraceEvents[0]
-	if first.Ph != "X" || first.Ts != 1000 || first.Dur != 1000 || first.Tid != 1 {
-		t.Errorf("first event = %+v, want complete event at ts=1000us dur=1000us tid=1", first)
+	if first.Ph != "X" || first.Ts != 1000 || first.Dur != 1000 || first.Tid != 0 {
+		t.Errorf("first event = %+v, want complete event at ts=1000us dur=1000us tid=0", first)
 	}
 	if !strings.Contains(string(b1), `"cat": "search"`) {
 		t.Error("search-category span missing from export")
@@ -180,9 +180,9 @@ func TestTracerChromeDeterministic(t *testing.T) {
 func TestNilTracerZeroAllocs(t *testing.T) {
 	var tr *Tracer
 	allocs := testing.AllocsPerRun(1000, func() {
-		sp := tr.Start("knapsack", CatSolve, 1)
+		sp := tr.Start("knapsack", CatSolve)
 		sp.End()
-		tr.Add("phase", CatPhase, 0, time.Time{}, time.Time{})
+		tr.Add("phase", CatPhase, time.Time{}, time.Time{})
 	})
 	if allocs != 0 {
 		t.Errorf("nil-tracer span cycle allocated %v times per op, want 0", allocs)
@@ -193,7 +193,7 @@ func BenchmarkNilTracerSpan(b *testing.B) {
 	var tr *Tracer
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sp := tr.Start("knapsack", CatSolve, 1)
+		sp := tr.Start("knapsack", CatSolve)
 		sp.End()
 	}
 }
@@ -203,7 +203,7 @@ func BenchmarkTracerSpan(b *testing.B) {
 	tr := NewTracer("bench", clk.Now, 1<<30)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sp := tr.Start("knapsack", CatSolve, 1)
+		sp := tr.Start("knapsack", CatSolve)
 		sp.End()
 	}
 }

@@ -21,7 +21,7 @@ import (
 // reports.
 //
 // Unlike Solve it has no warm-start memo: it is an ablation baseline that
-// runs one cold search (DESIGN §4b).
+// runs one cold search (DESIGN §4).
 func SolveExact(L, p, n int, cost CostFn, maxFrontier int) (Plan, bool, error) {
 	return solveExact(L, p, n, cost, maxFrontier, false)
 }

@@ -155,7 +155,7 @@ func (sv *Solver) Optimize(groups []Group, capacity int64, opts Options) Solutio
 func (sv *Solver) OptimizeMany(groups []Group, capacities []int64, opts Options, out []Solution) int64 {
 	// The span name is a constant so traced and untraced solves allocate
 	// identically.
-	sp := sv.Trace.Start("knapsack", obs.CatSolve, 0)
+	sp := sv.Trace.Start("knapsack", obs.CatSolve)
 	defer sp.End()
 	out = out[:len(capacities)]
 	quantum := opts.Quantum

@@ -8,6 +8,7 @@ package request
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -191,86 +192,114 @@ func (r PlanRequest) TrainingConfig() parallel.Config {
 	return parallel.Config{GlobalBatch: r.GlobalBatch, MicroBatch: mb, SeqLen: r.SeqLen}
 }
 
-// ModelConfig resolves the architecture the request names.
-func (r PlanRequest) ModelConfig() (model.Config, error) {
+// Resolved is a request with every name looked up: the positional arguments
+// of core.NewPlanner and baseline.EvaluateContext.
+type Resolved struct {
+	// Request is the normalized request everything else was read from.
+	Request PlanRequest
+	// Method is the evaluation method; Options already carries its
+	// recomputation and partitioning modes.
+	Method   baseline.Method
+	Model    model.Config
+	Cluster  hardware.Cluster
+	Strategy parallel.Strategy
+	Training parallel.Config
+	// Options is the evaluation defaults with the method's modes and the
+	// request's memory reserve applied.
+	Options core.Options
+}
+
+// Resolve is the one request resolution: it normalizes once — the only
+// Normalize call on any path from a request to a planner or an evaluation —
+// and reads every field of the result from that normalized value. NewPlanner,
+// Evaluate and the four getters below are all projections of it.
+func (r PlanRequest) Resolve() (Resolved, error) {
 	n, err := r.Normalize()
 	if err != nil {
-		return model.Config{}, err
+		return Resolved{}, err
 	}
+	m, err := baseline.MethodByName(n.Method)
+	if err != nil {
+		return Resolved{}, err
+	}
+	res := Resolved{Request: n, Method: m, Strategy: n.Strategy(), Training: n.TrainingConfig(), Options: core.DefaultOptions()}
 	switch n.Model {
 	case "gpt3":
-		return model.GPT3_175B(), nil
+		res.Model = model.GPT3_175B()
 	case "llama2":
-		return model.Llama2_70B(), nil
+		res.Model = model.Llama2_70B()
 	default: // "tiny"; Normalize already rejected everything else
-		return model.Tiny(n.TinyLayers), nil
+		res.Model = model.Tiny(n.TinyLayers)
 	}
+	switch n.Cluster {
+	case "a":
+		res.Cluster = hardware.ClusterA()
+	case "b":
+		res.Cluster = hardware.ClusterB()
+	default: // "b-large"
+		res.Cluster = hardware.ClusterBLarge()
+	}
+	res.Options.Recompute = m.Recompute
+	res.Options.Partition = m.Partition
+	res.Options.IgnoreMemoryLimit = !m.Adaptive()
+	if n.MemoryReserve > 0 {
+		res.Options.MemoryReserve = n.MemoryReserve
+	}
+	return res, nil
+}
+
+// Evaluate plans the resolved request and simulates it under its method's
+// pipeline schedule; failures of the search or the simulation (cancellation
+// included) are reported in Outcome.Err.
+func (res Resolved) Evaluate(ctx context.Context) baseline.Outcome {
+	return baseline.EvaluateContext(ctx, res.Method, res.Model, res.Cluster, res.Strategy, res.Training, res.Options)
+}
+
+// Evaluate resolves the request and evaluates it; the error reports an invalid
+// request only.
+func (r PlanRequest) Evaluate(ctx context.Context) (baseline.Outcome, error) {
+	res, err := r.Resolve()
+	if err != nil {
+		return baseline.Outcome{}, err
+	}
+	return res.Evaluate(ctx), nil
+}
+
+// ModelConfig resolves the architecture the request names.
+func (r PlanRequest) ModelConfig() (model.Config, error) {
+	res, err := r.Resolve()
+	return res.Model, err
 }
 
 // ClusterConfig resolves the hardware model the request names.
 func (r PlanRequest) ClusterConfig() (hardware.Cluster, error) {
-	n, err := r.Normalize()
-	if err != nil {
-		return hardware.Cluster{}, err
-	}
-	switch n.Cluster {
-	case "a":
-		return hardware.ClusterA(), nil
-	case "b":
-		return hardware.ClusterB(), nil
-	default: // "b-large"
-		return hardware.ClusterBLarge(), nil
-	}
+	res, err := r.Resolve()
+	return res.Cluster, err
 }
 
 // MethodConfig resolves the evaluation method the request names.
 func (r PlanRequest) MethodConfig() (baseline.Method, error) {
-	n, err := r.Normalize()
-	if err != nil {
-		return baseline.Method{}, err
-	}
-	return baseline.MethodByName(n.Method)
+	res, err := r.Resolve()
+	return res.Method, err
 }
 
 // Options builds the planner options the request implies: the evaluation
 // defaults with the method's recomputation and partitioning modes applied.
 // The ignored ints exist only because the frozen bench/ passes a worker count.
 func (r PlanRequest) Options(_ ...int) (core.Options, error) {
-	m, err := r.MethodConfig()
-	if err != nil {
-		return core.Options{}, err
-	}
-	opts := core.DefaultOptions()
-	opts.Recompute = m.Recompute
-	opts.Partition = m.Partition
-	opts.IgnoreMemoryLimit = !m.Adaptive()
-	if r.MemoryReserve > 0 {
-		opts.MemoryReserve = r.MemoryReserve
-	}
-	return opts, nil
+	res, err := r.Resolve()
+	return res.Options, err
 }
 
 // NewPlanner constructs the planner the request describes — the single
 // request-driven construction path the CLI, benchmarks and daemon share.
 // The ignored ints exist only because the frozen bench/ passes a worker count.
 func (r PlanRequest) NewPlanner(_ ...int) (*core.Planner, error) {
-	n, err := r.Normalize()
+	res, err := r.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := n.ModelConfig()
-	if err != nil {
-		return nil, err
-	}
-	cl, err := n.ClusterConfig()
-	if err != nil {
-		return nil, err
-	}
-	opts, err := n.Options()
-	if err != nil {
-		return nil, err
-	}
-	return core.NewPlanner(cfg, cl, n.Strategy(), n.TrainingConfig(), opts)
+	return core.NewPlanner(res.Model, res.Cluster, res.Strategy, res.Training, res.Options)
 }
 
 // ResponseEnvelope is the shared leading section of every v1 success
@@ -360,21 +389,9 @@ type SimulateResponse struct {
 	Plan json.RawMessage `json:"plan"`
 }
 
-// ScheduleName returns the wire label of a schedule kind.
-func ScheduleName(k baseline.ScheduleKind) string {
-	switch k {
-	case baseline.Sched1F1B:
-		return "1f1b"
-	case baseline.SchedGPipe:
-		return "gpipe"
-	case baseline.SchedChimera:
-		return "chimera"
-	case baseline.SchedChimeraD:
-		return "chimerad"
-	default:
-		return "unknown"
-	}
-}
+// ScheduleName returns the wire label of a schedule kind: k.String(), under
+// the name the frozen bench/ calls.
+func ScheduleName(k baseline.ScheduleKind) string { return k.String() }
 
 // CanonicalizeJSON rewrites a JSON document into canonical form: object keys
 // sorted bytewise, arrays in place, no insignificant whitespace, numbers kept

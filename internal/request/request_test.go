@@ -2,23 +2,19 @@ package request
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"adapipe/internal/baseline"
 	"adapipe/internal/core"
-	"adapipe/internal/hardware"
-	"adapipe/internal/model"
 )
 
 func tinyReq() PlanRequest {
 	return PlanRequest{Model: "tiny", TP: 1, PP: 4, DP: 1, SeqLen: 2048, GlobalBatch: 8}
-}
-
-// newPositional is the scattered five-argument constructor the request path
-// replaces; the differential test below keeps the two in lockstep.
-func newPositional(cfg model.Config, cl hardware.Cluster, r PlanRequest, opts core.Options) (*core.Planner, error) {
-	return core.NewPlanner(cfg, cl, r.Strategy(), r.TrainingConfig(), opts)
 }
 
 func TestNormalizeAppliesDefaults(t *testing.T) {
@@ -181,7 +177,7 @@ func TestNewPlannerMatchesPositionalPath(t *testing.T) {
 	cfg, _ := req.ModelConfig()
 	cl, _ := req.ClusterConfig()
 	opts, _ := req.Options()
-	pl2, err := newPositional(cfg, cl, req, opts)
+	pl2, err := core.NewPlanner(cfg, cl, req.Strategy(), req.TrainingConfig(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,6 +189,54 @@ func TestNewPlannerMatchesPositionalPath(t *testing.T) {
 	j2, _ := json.Marshal(p2)
 	if !bytes.Equal(j1, j2) {
 		t.Fatalf("request-driven plan differs from positional plan:\n%s\n%s", j1, j2)
+	}
+}
+
+// TestResolveMatchesGetters ties the program's one resolution path to the
+// exported getters bench/ still calls one by one: over every model and every
+// method, Resolve equals the four getters field by field, and Evaluate equals
+// baseline.EvaluateContext on the getters' outputs.
+func TestResolveMatchesGetters(t *testing.T) {
+	bases := []PlanRequest{
+		{Model: "tiny", TP: 1, PP: 4, DP: 1, SeqLen: 16384, GlobalBatch: 8, MemoryReserve: 0.92},
+		{Model: "gpt3", TP: 8, PP: 8, DP: 1, SeqLen: 16384, GlobalBatch: 32},
+		{Model: "llama2", Cluster: "b", TP: 4, PP: 8, DP: 4, SeqLen: 4096, GlobalBatch: 128},
+	}
+	for _, base := range bases {
+		for _, m := range baseline.Methods() {
+			req := base
+			req.Method = m.Name
+			t.Run(req.Model+"/"+m.Name, func(t *testing.T) {
+				rs, err := req.Resolve()
+				if err != nil {
+					t.Fatal(err)
+				}
+				meth, _ := req.MethodConfig()
+				cfg, _ := req.ModelConfig()
+				cl, _ := req.ClusterConfig()
+				opts, _ := req.Options()
+				n, _ := req.Normalize()
+				want := Resolved{Request: n, Method: meth, Model: cfg, Cluster: cl,
+					Strategy: req.Strategy(), Training: req.TrainingConfig(), Options: opts}
+				if !reflect.DeepEqual(rs, want) {
+					t.Fatalf("Resolve() = %+v\ngetters   = %+v", rs, want)
+				}
+				got, err := req.Evaluate(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := baseline.EvaluateContext(context.Background(), meth, cfg, cl, req.Strategy(), req.TrainingConfig(), opts)
+				if m.Name == "AdaPipe" && !got.Feasible() {
+					t.Fatalf("AdaPipe infeasible (OOM %v, err %v): the comparison below would be vacuous", got.OOM, got.Err)
+				}
+				gj, _ := json.Marshal(got.Plan)
+				rj, _ := json.Marshal(ref.Plan)
+				if !bytes.Equal(gj, rj) || got.OOM != ref.OOM || fmt.Sprint(got.Err) != fmt.Sprint(ref.Err) ||
+					!reflect.DeepEqual(got.Sim, ref.Sim) {
+					t.Fatalf("Evaluate differs from EvaluateContext on the getters' outputs:\n%+v\n%+v", got, ref)
+				}
+			})
+		}
 	}
 }
 

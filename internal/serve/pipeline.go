@@ -58,10 +58,10 @@ func handle[R any](s *Server, ep endpoint[R]) http.HandlerFunc {
 		reqStart := s.clock()
 		hash, res := phases(s, ep, w, r, tr)
 		reqEnd := s.clock()
-		tr.Add("request", obs.CatRequest, 0, reqStart, reqEnd)
+		tr.Add("request", obs.CatRequest, reqStart, reqEnd)
 		s.histRequest.Observe(reqEnd.Sub(reqStart))
-		s.traces.Put(tr)
 		if id := tr.ID(); id != "" {
+			s.traces.Put(id, tr)
 			w.Header().Set(headerTrace, id)
 		}
 		if res.disposition != "" {
@@ -79,7 +79,7 @@ func handle[R any](s *Server, ep endpoint[R]) http.HandlerFunc {
 func phases[R any](s *Server, ep endpoint[R], w http.ResponseWriter, r *http.Request, tr *obs.Tracer) (hash string, res result) {
 	decStart := s.clock()
 	req, hash, herr := decode(ep, w, r)
-	tr.Add("decode", obs.CatPhase, 0, decStart, s.clock())
+	tr.Add("decode", obs.CatPhase, decStart, s.clock())
 	if herr != nil {
 		return "", herr.result()
 	}
@@ -92,7 +92,7 @@ func phases[R any](s *Server, ep endpoint[R], w http.ResponseWriter, r *http.Req
 	lookStart := s.clock()
 	res, cached := s.cache.Get(hash)
 	lookEnd := s.clock()
-	tr.Add("cache", obs.CatPhase, 0, lookStart, lookEnd)
+	tr.Add("cache", obs.CatPhase, lookStart, lookEnd)
 	s.histCache.Observe(lookEnd.Sub(lookStart))
 	disp := memo.Hit
 	if !cached {
@@ -115,7 +115,7 @@ func phases[R any](s *Server, ep endpoint[R], w http.ResponseWriter, r *http.Req
 	case memo.Shared:
 		// The search ran under the leader's trace; this request only waited,
 		// and that wait is its whole story.
-		tr.Add("coalesce", obs.CatPhase, 0, lookEnd, s.clock())
+		tr.Add("coalesce", obs.CatPhase, lookEnd, s.clock())
 		s.coalescedCount.Add(1)
 	case memo.Computed:
 		if res.status == http.StatusOK {
@@ -169,7 +169,7 @@ func (s *Server) admitted(tr *obs.Tracer, fn func(ctx context.Context) result) r
 	case <-ctx.Done():
 	}
 	qEnd := s.clock()
-	tr.Add("queue", obs.CatPhase, 0, qStart, qEnd)
+	tr.Add("queue", obs.CatPhase, qStart, qEnd)
 	s.histQueue.Observe(qEnd.Sub(qStart))
 	if !admitted {
 		s.rejected.Add(1)

@@ -15,9 +15,14 @@
 //     into core.PlanContext, so a shutdown or timeout cancels the search
 //     instead of orphaning it;
 //   - a shared content-addressed cost store (internal/coststore) sits under
-//     every planner the server constructs, so distinct requests of one cost
-//     family — a sweep's grid points, a replan's cold seed, repeat plans with
-//     different batch sizes — reuse each other's knapsack solves.
+//     the planners of /v1/plan and of every /v1/sweep point (both run
+//     searchPlan) and under a /v1/replan cold seed — the two attachStore call
+//     sites — so distinct requests of one cost family (a sweep's grid points,
+//     repeat plans with different batch sizes) reuse each other's knapsack
+//     solves. /v1/simulate does not sit on it: baseline.EvaluateContext
+//     constructs its own planner, its result bypasses the response cache too,
+//     and a simulate that opens a new family would only pay the store's
+//     per-cell hashing for entries nobody reads back.
 //
 // The four POST endpoints are one request pipeline (pipeline.go) run over
 // four endpoint descriptions: decode, cache and coalesce, admission, the
@@ -44,7 +49,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"adapipe/internal/baseline"
 	"adapipe/internal/core"
 	"adapipe/internal/coststore"
 	"adapipe/internal/memo"
@@ -85,7 +89,9 @@ type Config struct {
 	// TraceBuffer bounds the ring of completed request traces served by
 	// GET /v1/trace/{id} (default 64; negative disables tracing — requests
 	// then run the nil-tracer hot path and carry no X-Adapipe-Trace
-	// header).
+	// header). The ring is a memo.Cache keyed by trace id: ids are unique,
+	// so insertion order is eviction order, except that fetching a trace
+	// promotes it — a trace someone is reading outlives its neighbours.
 	TraceBuffer int
 	// PlannerStoreSize bounds the warm-planner store behind POST /v1/replan
 	// in planners (default 64, minimum 1). Each entry keeps a live planner —
@@ -150,7 +156,9 @@ type Server struct {
 	sem    chan struct{}
 	clock  obs.Clock
 	logger *slog.Logger
-	traces *traceStore
+	// traces is the ring of completed request traces behind GET
+	// /v1/trace/{id}, by trace id.
+	traces *memo.Cache[string, *obs.Tracer]
 	// cache holds the encoded 200 responses of the cacheable endpoints by
 	// request hash, and coalesces concurrent requests for one missing hash.
 	cache *memo.Cache[string, result]
@@ -158,8 +166,8 @@ type Server struct {
 	// hash. Eviction drops the planner: the next replan for that hash runs
 	// cold again, slower but identical.
 	planners *memo.Cache[string, *replanEntry]
-	// costs is the shared cost store under every planner this server
-	// constructs; nil when disabled (CostStoreSize < 0).
+	// costs is the shared cost store under the plan, replan-seed and
+	// sweep-point planners (attachStore); nil when disabled (CostStoreSize < 0).
 	costs *coststore.Store
 	// saveOnce makes the Close-time snapshot save idempotent.
 	saveOnce sync.Once
@@ -199,7 +207,7 @@ func New(cfg Config) *Server {
 		sem:      make(chan struct{}, cfg.MaxInFlight),
 		clock:    cfg.Clock,
 		logger:   cfg.Logger,
-		traces:   newTraceStore(cfg.TraceBuffer),
+		traces:   memo.New[string, *obs.Tracer](cfg.TraceBuffer),
 		cache:    memo.New[string, result](cfg.CacheSize),
 		planners: memo.New[string, *replanEntry](cfg.PlannerStoreSize),
 	}
@@ -397,7 +405,7 @@ func (s *Server) runPlan(ctx context.Context, tr *obs.Tracer, req request.PlanRe
 	if err != nil {
 		return errResult(http.StatusInternalServerError, request.ErrCodeInternal, err.Error())
 	}
-	tr.Add("encode", obs.CatPhase, 0, encStart, s.clock())
+	tr.Add("encode", obs.CatPhase, encStart, s.clock())
 	return result{status: http.StatusOK, body: body}
 }
 
@@ -420,25 +428,13 @@ func (s *Server) simulateEndpoint() endpoint[request.PlanRequest] {
 // as a search) reports X-Adapipe-Cache: miss; every other failure carries no
 // disposition.
 func (s *Server) runSimulate(ctx context.Context, tr *obs.Tracer, req request.PlanRequest, hash string) result {
-	meth, err := req.MethodConfig()
-	if err != nil {
-		return errResult(http.StatusBadRequest, request.ErrCodeInvalidRequest, err.Error())
-	}
-	cfg, err := req.ModelConfig()
-	if err != nil {
-		return errResult(http.StatusBadRequest, request.ErrCodeInvalidRequest, err.Error())
-	}
-	cl, err := req.ClusterConfig()
-	if err != nil {
-		return errResult(http.StatusBadRequest, request.ErrCodeInvalidRequest, err.Error())
-	}
-	opts, err := req.Options()
+	rs, err := req.Resolve()
 	if err != nil {
 		return errResult(http.StatusBadRequest, request.ErrCodeInvalidRequest, err.Error())
 	}
 	s.searches.Add(1)
 	searchStart := s.clock()
-	outcome := baseline.EvaluateContext(obs.WithTracer(ctx, tr), meth, cfg, cl, req.Strategy(), req.TrainingConfig(), opts)
+	outcome := rs.Evaluate(obs.WithTracer(ctx, tr))
 	s.observeSearch(tr, searchStart)
 	if outcome.Err != nil {
 		res := s.searchErr(ctx, outcome.Err).result()
@@ -458,9 +454,9 @@ func (s *Server) runSimulate(ctx context.Context, tr *obs.Tracer, req request.Pl
 		ResponseEnvelope: request.ResponseEnvelope{
 			Version:     request.Version,
 			RequestHash: hash,
-			Method:      meth.Name,
+			Method:      rs.Method.Name,
 		},
-		Schedule:    request.ScheduleName(meth.Schedule),
+		Schedule:    rs.Method.Schedule.String(),
 		IterSec:     outcome.Sim.IterTime,
 		BubbleRatio: outcome.Sim.BubbleRatio(),
 		PeakBytes:   outcome.Sim.PeakMem,
@@ -471,7 +467,7 @@ func (s *Server) runSimulate(ctx context.Context, tr *obs.Tracer, req request.Pl
 	if err != nil {
 		return errResult(http.StatusInternalServerError, request.ErrCodeInternal, err.Error())
 	}
-	tr.Add("encode", obs.CatPhase, 0, encStart, s.clock())
+	tr.Add("encode", obs.CatPhase, encStart, s.clock())
 	return result{status: http.StatusOK, body: body, disposition: CacheMiss}
 }
 
@@ -479,7 +475,7 @@ func (s *Server) runSimulate(ctx context.Context, tr *obs.Tracer, req request.Pl
 // span and the search-latency histogram, whose sum is the search-wall counter.
 func (s *Server) observeSearch(tr *obs.Tracer, start time.Time) {
 	end := s.clock()
-	tr.Add("search", obs.CatPhase, 0, start, end)
+	tr.Add("search", obs.CatPhase, start, end)
 	s.histSearch.Observe(end.Sub(start))
 }
 

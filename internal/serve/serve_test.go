@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"adapipe/internal/baseline"
 	"adapipe/internal/core"
 	"adapipe/internal/obs"
 	"adapipe/internal/request"
@@ -437,11 +436,7 @@ func TestSimulateEndpoint(t *testing.T) {
 	}
 	// The simulated outcome must agree with the offline evaluation path.
 	req, _ := request.ParsePlanRequest([]byte(body))
-	meth, _ := req.MethodConfig()
-	cfg, _ := req.ModelConfig()
-	cl, _ := req.ClusterConfig()
-	opts, _ := req.Options()
-	want := baseline.Evaluate(meth, cfg, cl, req.Strategy(), req.TrainingConfig(), opts)
+	want, _ := req.Evaluate(context.Background())
 	if sr.IterSec != want.Sim.IterTime {
 		t.Fatalf("served iter %g, offline iter %g", sr.IterSec, want.Sim.IterTime)
 	}

@@ -58,7 +58,7 @@ func (s *Server) runSweep(ctx context.Context, tr *obs.Tracer, req request.Sweep
 		}
 		ptStart := s.clock()
 		results[i] = s.sweepPoint(ctx, i, pt, seen, &stats)
-		tr.Add(fmt.Sprintf("point[%03d]", i), obs.CatPhase, 0, ptStart, s.clock())
+		tr.Add(fmt.Sprintf("point[%03d]", i), obs.CatPhase, ptStart, s.clock())
 		if results[i].Error != nil && ctx.Err() != nil {
 			// The point failed because the sweep's context ended; report the
 			// cancellation, not a half-built grid.
@@ -85,7 +85,7 @@ func (s *Server) runSweep(ctx context.Context, tr *obs.Tracer, req request.Sweep
 	if err != nil {
 		return errResult(http.StatusInternalServerError, request.ErrCodeInternal, err.Error())
 	}
-	tr.Add("encode", obs.CatPhase, 0, encStart, s.clock())
+	tr.Add("encode", obs.CatPhase, encStart, s.clock())
 	return result{status: http.StatusOK, body: body}
 }
 

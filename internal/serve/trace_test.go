@@ -5,6 +5,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -119,6 +121,25 @@ func TestPlanTraceEndToEnd(t *testing.T) {
 	_, again := getTraceDoc(t, ts, id)
 	if string(body) != string(again) {
 		t.Error("two exports of one trace differ")
+	}
+}
+
+// TestTraceBytesUnchanged holds /v1/trace/{id} byte for byte against the body
+// captured at the commit before the tracer lost its tid parameter and the
+// ring became a memo.Cache (10c9b18): a cold tightBody(4,8) plan under the
+// fake clock, so every offset is fixed.
+func TestTraceBytesUnchanged(t *testing.T) {
+	_, ts := testServer(t, Config{Clock: newTestClock().Now})
+	resp := postPlan(t, ts, tightBody(4, 8))
+	readBody(t, resp)
+	_, got := getTraceDoc(t, ts, resp.Header.Get(headerTrace))
+	path := filepath.Join("testdata", "trace_planned.json")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("/v1/trace differs from %s:\n--- got\n%s\n--- want\n%s", path, got, want)
 	}
 }
 

@@ -3,7 +3,6 @@ package adapipe
 import (
 	"context"
 
-	"adapipe/internal/baseline"
 	"adapipe/internal/request"
 )
 
@@ -15,6 +14,10 @@ import (
 type (
 	// PlanRequest is one plan-search request (schema version RequestVersion).
 	PlanRequest = request.PlanRequest
+	// ResolvedRequest is a PlanRequest with every name looked up (method,
+	// model, cluster, strategy, training config, options) — what
+	// PlanRequest.Resolve returns and Evaluate runs.
+	ResolvedRequest = request.Resolved
 	// PlanResponse is the versioned reply to a plan request; its Plan field
 	// embeds the plan's deterministic JSON verbatim.
 	PlanResponse = request.PlanResponse
@@ -108,25 +111,5 @@ func PlanContext(ctx context.Context, r PlanRequest) (*Plan, error) {
 // reports an invalid request; search and simulation failures (including
 // cancellation) are reported in Outcome.Err, matching Evaluate.
 func SimulateContext(ctx context.Context, r PlanRequest) (Outcome, error) {
-	n, err := r.Normalize()
-	if err != nil {
-		return Outcome{}, err
-	}
-	m, err := n.MethodConfig()
-	if err != nil {
-		return Outcome{}, err
-	}
-	cfg, err := n.ModelConfig()
-	if err != nil {
-		return Outcome{}, err
-	}
-	cl, err := n.ClusterConfig()
-	if err != nil {
-		return Outcome{}, err
-	}
-	opts, err := n.Options()
-	if err != nil {
-		return Outcome{}, err
-	}
-	return baseline.EvaluateContext(ctx, m, cfg, cl, n.Strategy(), n.TrainingConfig(), opts), nil
+	return r.Evaluate(ctx)
 }
