@@ -1,7 +1,7 @@
 GO ?= go
 BIN := bin/adapipevet
 
-.PHONY: all build vet vet-selftest vet-sarif test fuzz-smoke race figures observe chaos serve-smoke loc ci clean
+.PHONY: all build vet vet-selftest vet-sarif test fuzz-smoke race bench-smoke figures observe chaos serve-smoke loc ci clean
 
 all: build
 
@@ -62,6 +62,16 @@ race:
 	$(GO) test -race ./internal/train/... ./internal/sim/... ./internal/serve/... ./internal/fault/... ./internal/memo/... ./internal/coststore/...
 	$(GO) test -race -run 'Concurrent|Context|Cancel' ./internal/core/...
 
+# bench-smoke keeps the executor's developer-loop rows alive: each
+# BenchmarkTrainStep{,Recorded}/* and BenchmarkMatMul/* row builds, runs once
+# and (the train rows) checks its losses against the other save specs. go vet
+# over bench/ proves the frozen harness still type-checks against the tensor
+# and train entry points it calls. No wall-clock gate: speed is gated by the
+# repo benchmark (throughput_ops_s @ train_1f1b) alone.
+bench-smoke:
+	$(GO) test -run '^$$' -bench 'TrainStep|MatMul' -benchtime 1x .
+	$(GO) vet ./bench
+
 # figures regenerates the three sub-second paper figures through their one
 # producer, cmd/experiments (the internal/experiments tests check the shapes of
 # all of them; `go run ./cmd/experiments -run all` rewrites EXPERIMENTS.md's
@@ -117,7 +127,7 @@ loc:
 		      printf "%7d  test lines outside bench/\n", tests }'
 
 # ci is the full gate the GitHub Actions workflow runs.
-ci: build vet vet-selftest test fuzz-smoke race figures observe chaos serve-smoke
+ci: build vet vet-selftest test fuzz-smoke race bench-smoke figures observe chaos serve-smoke
 
 clean:
 	rm -rf bin observe-out adapipevet.sarif servesmoke-trace.json chaos-metrics.prom

@@ -1,10 +1,19 @@
 // Package tensor is a small, deterministic float64 matrix library backing the
 // train package — the execution-engine substrate that stands in for
 // MindSpore/PyTorch (§6). Everything is row-major 2-D; sequence models use
-// [tokens, features] matrices. Determinism matters: the recomputation
-// executor's correctness test asserts bit-identical gradients with and
-// without recomputation, which requires identical floating-point operation
-// order on every path.
+// [tokens, features] matrices.
+//
+// What is held is operation order, not just determinism. A deterministic
+// kernel gives the same answer twice; the executor needs more: the
+// recomputation test asserts bit-identical gradients with and without
+// recomputation, the pipeline must match the single-stage run whatever the
+// partition, and the losses are pinned to the bits an earlier commit produced
+// (train's TestLossesUnchangedFromParent). Floating-point addition does not
+// associate, so all of that holds only while every output element is the same
+// products added in the same order. The kernels are therefore free to change
+// how many sums are in flight and how operands are loaded — never the order
+// within a sum — and tensor_test.go holds them to the plain triple loops bit
+// for bit.
 package tensor
 
 import (
@@ -62,85 +71,214 @@ func (m *Mat) SameShape(o *Mat) bool { return m.Rows == o.Rows && m.Cols == o.Co
 // Bytes returns the memory footprint of the matrix payload.
 func (m *Mat) Bytes() int64 { return int64(len(m.Data)) * 8 }
 
+func checkDst(dst *Mat, rows, cols int, op string) {
+	if dst.Rows != rows || dst.Cols != cols {
+		panic(fmt.Sprintf("tensor: %s destination is %dx%d, want %dx%d", op, dst.Rows, dst.Cols, rows, cols))
+	}
+}
+
 func checkSame(a, b *Mat, op string) {
 	if !a.SameShape(b) {
 		panic(fmt.Sprintf("tensor: %s shape mismatch %dx%d vs %dx%d", op, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 }
 
-// MatMul returns a·b.
-func MatMul(a, b *Mat) *Mat {
+// The three products below are register-blocked, and the blocking is chosen
+// so that it cannot be observed: every output element is still the sum of the
+// same products added in ascending k, one rounding per multiply and one per
+// add (no math.FMA), so each kernel is bit-identical to the plain triple loop
+// kept as the oracle in tensor_test.go. Blocking only puts several
+// *independent* sums in flight at once and shares the loads between them.
+// (One thing no loop pins, the oracle included: a NaN result is NaN either
+// way, but which operand's payload it inherits is the hardware's choice.)
+//
+// Zero-skip contract. MatMul and TMatMul do not form a product whose a-side
+// factor is zero: a[i][k] == 0 (either sign) contributes nothing, so 0·Inf
+// and 0·NaN never poison an output and an all-zero row of a gives a row of
+// +0. (Against a finite b the skip changes nothing: an accumulator starts at
+// +0 and can never become −0, and adding ±0 to anything else is exact.) The
+// causal mask relies on it — P's upper triangle is exact zeros against
+// whatever V holds — and so does the fault layer: which products exist
+// decides where an injected NaN/Inf spreads and what the non-finite guard
+// sees. MatMulT has no skip: every product is formed and 0·Inf is NaN there.
+
+// MatMulInto sets dst = a·b under the zero-skip contract above and returns
+// dst, which must be a.Rows×b.Cols and must not alias a or b; its previous
+// contents are ignored.
+func MatMulInto(dst, a, b *Mat) *Mat {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmul inner mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := New(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out
+	checkDst(dst, a.Rows, b.Cols, "matmul")
+	mulAcc(dst, a.Data, a.Cols, 1, b)
+	return dst
 }
 
-// MatMulT returns a·bᵀ.
-func MatMulT(a, b *Mat) *Mat {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: matmulT inner mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := New(a.Rows, b.Rows)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Data[j*b.Cols : (j+1)*b.Cols]
-			var s float64
-			for k := range arow {
-				s += arow[k] * brow[k]
-			}
-			out.Data[i*out.Cols+j] = s
-		}
-	}
-	return out
-}
+// MatMul returns a·b in a fresh matrix; see MatMulInto.
+func MatMul(a, b *Mat) *Mat { return MatMulInto(New(a.Rows, b.Cols), a, b) }
 
-// TMatMul returns aᵀ·b.
-func TMatMul(a, b *Mat) *Mat {
+// TMatMulInto sets dst = aᵀ·b under the zero-skip contract above (the skipped
+// factor is a[k][i]) and returns dst, which must be a.Cols×b.Cols and must not
+// alias a or b; its previous contents are ignored.
+func TMatMulInto(dst, a, b *Mat) *Mat {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: TmatMul inner mismatch (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := New(a.Cols, b.Cols)
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Data[k*a.Cols : (k+1)*a.Cols]
-		brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out
+	checkDst(dst, a.Cols, b.Cols, "TmatMul")
+	mulAcc(dst, a.Data, 1, a.Cols, b)
+	return dst
 }
 
-// Add returns a+b.
-func Add(a, b *Mat) *Mat {
-	checkSame(a, b, "add")
-	out := New(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] + b.Data[i]
+// TMatMul returns aᵀ·b in a fresh matrix; see TMatMulInto.
+func TMatMul(a, b *Mat) *Mat { return TMatMulInto(New(a.Cols, b.Cols), a, b) }
+
+// mulAcc is the one loop nest behind MatMulInto and TMatMulInto:
+// dst[i][j] = Σₖ A(i,k)·b[k][j] with A(i,k) = ad[i*si+k*sk], so the two
+// products differ only in their strides. A block is two output rows by four
+// k: eight products per four loads of b, each output element accumulated as
+// ((((o + a₀b₀) + a₁b₁) + a₂b₂) + a₃b₃) — the order of the plain loop. A
+// block holding a zero factor, the k tail and an odd last row go through
+// axpy, one k at a time, which is where the skip lives.
+func mulAcc(dst *Mat, ad []float64, si, sk int, b *Mat) {
+	n, inner := b.Cols, b.Rows
+	bd := b.Data
+	clear(dst.Data)
+	i := 0
+	for ; i+2 <= dst.Rows; i += 2 {
+		o0 := dst.Data[i*n : (i+1)*n]
+		o1 := dst.Data[(i+1)*n : (i+2)*n]
+		p0, p1 := i*si, (i+1)*si
+		k := 0
+		for ; k+4 <= inner; k += 4 {
+			a00, a01, a02, a03 := ad[p0+k*sk], ad[p0+(k+1)*sk], ad[p0+(k+2)*sk], ad[p0+(k+3)*sk]
+			a10, a11, a12, a13 := ad[p1+k*sk], ad[p1+(k+1)*sk], ad[p1+(k+2)*sk], ad[p1+(k+3)*sk]
+			b0 := bd[k*n : (k+1)*n]
+			b1 := bd[(k+1)*n : (k+2)*n]
+			b2 := bd[(k+2)*n : (k+3)*n]
+			b3 := bd[(k+3)*n : (k+4)*n]
+			if a00 == 0 || a01 == 0 || a02 == 0 || a03 == 0 || a10 == 0 || a11 == 0 || a12 == 0 || a13 == 0 {
+				axpy(o0, a00, b0)
+				axpy(o0, a01, b1)
+				axpy(o0, a02, b2)
+				axpy(o0, a03, b3)
+				axpy(o1, a10, b0)
+				axpy(o1, a11, b1)
+				axpy(o1, a12, b2)
+				axpy(o1, a13, b3)
+				continue
+			}
+			o1 := o1[:len(o0)]
+			b0, b1, b2, b3 = b0[:len(o0)], b1[:len(o0)], b2[:len(o0)], b3[:len(o0)]
+			for j := range o0 {
+				x0, x1, x2, x3 := b0[j], b1[j], b2[j], b3[j]
+				o0[j] = o0[j] + a00*x0 + a01*x1 + a02*x2 + a03*x3
+				o1[j] = o1[j] + a10*x0 + a11*x1 + a12*x2 + a13*x3
+			}
+		}
+		for ; k < inner; k++ {
+			brow := bd[k*n : (k+1)*n]
+			axpy(o0, ad[p0+k*sk], brow)
+			axpy(o1, ad[p1+k*sk], brow)
+		}
 	}
-	return out
+	if i < dst.Rows {
+		o := dst.Data[i*n : (i+1)*n]
+		for k := 0; k < inner; k++ {
+			axpy(o, ad[i*si+k*sk], bd[k*n:(k+1)*n])
+		}
+	}
 }
+
+// axpy adds av·b to o element-wise, unless av is zero.
+func axpy(o []float64, av float64, b []float64) {
+	if av == 0 {
+		return
+	}
+	b = b[:len(o)]
+	for j := range o {
+		o[j] += av * b[j]
+	}
+}
+
+// MatMulTInto sets dst = a·bᵀ and returns dst, which must be a.Rows×b.Rows
+// and must not alias a or b; its previous contents are ignored. No product is
+// skipped (see the contract above). A block is two rows of a against four
+// rows of b: eight independent dot products, each summed from +0 in
+// ascending k like the plain loop's single chain.
+func MatMulTInto(dst, a, b *Mat) *Mat {
+	if a.Cols != b.Cols {
+		panic(fmt.Sprintf("tensor: matmulT inner mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	checkDst(dst, a.Rows, b.Rows, "matmulT")
+	inner, n := a.Cols, b.Rows
+	i := 0
+	for ; i+2 <= a.Rows; i += 2 {
+		a0 := a.Data[i*inner : (i+1)*inner]
+		a1 := a.Data[(i+1)*inner : (i+2)*inner][:len(a0)]
+		o0 := dst.Data[i*n : (i+1)*n]
+		o1 := dst.Data[(i+1)*n : (i+2)*n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			b0 := b.Data[j*inner : (j+1)*inner][:len(a0)]
+			b1 := b.Data[(j+1)*inner : (j+2)*inner][:len(a0)]
+			b2 := b.Data[(j+2)*inner : (j+3)*inner][:len(a0)]
+			b3 := b.Data[(j+3)*inner : (j+4)*inner][:len(a0)]
+			var s00, s01, s02, s03, s10, s11, s12, s13 float64
+			for k, x0 := range a0 {
+				x1 := a1[k]
+				y0, y1, y2, y3 := b0[k], b1[k], b2[k], b3[k]
+				s00 += x0 * y0
+				s01 += x0 * y1
+				s02 += x0 * y2
+				s03 += x0 * y3
+				s10 += x1 * y0
+				s11 += x1 * y1
+				s12 += x1 * y2
+				s13 += x1 * y3
+			}
+			o0[j], o0[j+1], o0[j+2], o0[j+3] = s00, s01, s02, s03
+			o1[j], o1[j+1], o1[j+2], o1[j+3] = s10, s11, s12, s13
+		}
+		for ; j < n; j++ {
+			brow := b.Data[j*inner : (j+1)*inner]
+			o0[j] = dot(a0, brow)
+			o1[j] = dot(a1, brow)
+		}
+	}
+	if i < a.Rows {
+		arow := a.Data[i*inner : (i+1)*inner]
+		for j := 0; j < n; j++ {
+			dst.Data[i*n+j] = dot(arow, b.Data[j*inner:(j+1)*inner])
+		}
+	}
+	return dst
+}
+
+// MatMulT returns a·bᵀ in a fresh matrix; see MatMulTInto.
+func MatMulT(a, b *Mat) *Mat { return MatMulTInto(New(a.Rows, b.Rows), a, b) }
+
+// dot sums a[k]·b[k] from +0 in ascending k.
+func dot(a, b []float64) float64 {
+	b = b[:len(a)]
+	var s float64
+	for k, av := range a {
+		s += av * b[k]
+	}
+	return s
+}
+
+// AddInto sets dst = a+b and returns dst, which may be a or b.
+func AddInto(dst, a, b *Mat) *Mat {
+	checkSame(a, b, "add")
+	checkSame(dst, a, "add")
+	for i := range a.Data {
+		dst.Data[i] = a.Data[i] + b.Data[i]
+	}
+	return dst
+}
+
+// Add returns a+b in a fresh matrix.
+func Add(a, b *Mat) *Mat { return AddInto(New(a.Rows, a.Cols), a, b) }
 
 // AddInPlace accumulates b into a.
 func AddInPlace(a, b *Mat) {
@@ -169,13 +307,14 @@ func Mul(a, b *Mat) *Mat {
 	return out
 }
 
-// SoftmaxRows returns row-wise softmax with the usual max-subtraction for
-// stability; rows masked entirely to -Inf become zero rows.
-func SoftmaxRows(a *Mat) *Mat {
-	out := New(a.Rows, a.Cols)
+// SoftmaxRowsInto sets dst to the row-wise softmax of a, with the usual
+// max-subtraction for stability, and returns dst, which may be a; rows masked
+// entirely to -Inf become zero rows.
+func SoftmaxRowsInto(dst, a *Mat) *Mat {
+	checkSame(dst, a, "softmax")
 	for i := 0; i < a.Rows; i++ {
 		row := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := out.Data[i*a.Cols : (i+1)*a.Cols]
+		orow := dst.Data[i*a.Cols : (i+1)*a.Cols]
 		max := math.Inf(-1)
 		for _, v := range row {
 			if v > max {
@@ -183,6 +322,7 @@ func SoftmaxRows(a *Mat) *Mat {
 			}
 		}
 		if math.IsInf(max, -1) {
+			clear(orow)
 			continue
 		}
 		var sum float64
@@ -199,8 +339,12 @@ func SoftmaxRows(a *Mat) *Mat {
 			orow[j] *= inv
 		}
 	}
-	return out
+	return dst
 }
+
+// SoftmaxRows returns the row-wise softmax of a in a fresh matrix; see
+// SoftmaxRowsInto.
+func SoftmaxRows(a *Mat) *Mat { return SoftmaxRowsInto(New(a.Rows, a.Cols), a) }
 
 // RNG is a small deterministic xorshift64* generator, so training runs are
 // reproducible across machines without pulling in math/rand ordering

@@ -1,0 +1,250 @@
+package train
+
+import (
+	"encoding/json"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+	"time"
+
+	"adapipe/internal/fault"
+	"adapipe/internal/tensor"
+)
+
+// The train_1f1b workload of bench/train.go: the shape the repo benchmark
+// gates, so the tests below speak about the executor the benchmark measures.
+var (
+	benchShape  = Config{Layers: 4, Dim: 64, Heads: 4, FFN: 128, Vocab: 64, Seq: 32, Seed: 1}
+	benchBounds = []int{0, 4, 7, 10}
+	benchSpecs  = []string{"saveall", "savenone", "alternate"}
+)
+
+const (
+	benchMicros = 8
+	benchLR     = 1e-3
+)
+
+// benchRig is one pipeline at the bench shape plus the batch stream it trains
+// on (bench/train.go's trainRig, seed 1).
+type benchRig struct {
+	pipe   *Pipeline
+	corpus *Corpus
+	rng    *tensor.RNG
+}
+
+// benchPipe builds a bench-shaped pipeline under one of the three save
+// policies. With poison set every stage arena NaN-fills what is released to
+// it, so a read after release cannot go unnoticed.
+func benchPipe(t testing.TB, bounds []int, spec string, poison bool) *Pipeline {
+	t.Helper()
+	net, err := NewNet(benchShape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stages, err := Split(net, bounds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := 0
+	for _, st := range stages {
+		st.arena.poison = poison
+		for b := range st.Saves {
+			if spec == "saveall" || spec == "alternate" && block%2 == 0 {
+				st.Saves[b] = SaveAll()
+			} else {
+				st.Saves[b] = SaveNone()
+			}
+			block++
+		}
+	}
+	return NewPipeline(stages, benchLR)
+}
+
+func newBenchRig(t testing.TB, bounds []int, spec string, poison bool) *benchRig {
+	return &benchRig{
+		pipe:   benchPipe(t, bounds, spec, poison),
+		corpus: NewCorpus(benchShape.Vocab, 1<<16, benchShape.Seed+7),
+		rng:    tensor.NewRNG(benchShape.Seed),
+	}
+}
+
+func (r *benchRig) batches() []Batch { return r.corpus.Batches(benchMicros, benchShape.Seq, r.rng) }
+
+// parentRun is one entry of testdata/losses_bench_shape.json: what the
+// executor reported at the commit before the blocked kernels and the arena
+// (2d08acb) — naive triple loops, every matrix from the garbage collector.
+type parentRun struct {
+	LossBits     []string `json:"loss_bits"`
+	PeakActBytes []int64  `json:"peak_act_bytes"`
+}
+
+func parentRuns(t testing.TB) map[string]parentRun {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "losses_bench_shape.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs map[string]parentRun
+	if err := json.Unmarshal(raw, &runs); err != nil {
+		t.Fatal(err)
+	}
+	return runs
+}
+
+// checkLosses holds losses, step by step, to the parent's bit patterns.
+func checkLosses(t *testing.T, name string, got []float64, want []string) {
+	t.Helper()
+	for i, l := range got {
+		if bits := fmt.Sprintf("%016x", math.Float64bits(l)); bits != want[i] {
+			t.Fatalf("%s step %d: loss %v (bits %s), the parent commit reported bits %s", name, i, l, bits, want[i])
+		}
+	}
+}
+
+// TestLossesUnchangedFromParent is the proof that the kernels and the arena
+// moved no bit — not merely that today's paths agree with each other: twelve
+// steps under each save policy and of the single-stage baseline, against the
+// file captured at the parent commit and never regenerated. The same run
+// holds PeakActBytes to the parent's values: the arena recycles buffers, it
+// does not change what a context pins.
+func TestLossesUnchangedFromParent(t *testing.T) {
+	parent := parentRuns(t)
+	for _, c := range []struct {
+		name   string
+		bounds []int
+		spec   string
+	}{
+		{"saveall", benchBounds, "saveall"},
+		{"savenone", benchBounds, "savenone"},
+		{"alternate", benchBounds, "alternate"},
+		{"baseline", []int{0, 10}, "saveall"},
+	} {
+		want, ok := parent[c.name]
+		if !ok {
+			t.Fatalf("no %q run in the parent file", c.name)
+		}
+		rig := newBenchRig(t, c.bounds, c.spec, false)
+		var losses []float64
+		for range want.LossBits {
+			l, err := rig.pipe.Step(rig.batches())
+			if err != nil {
+				t.Fatal(err)
+			}
+			losses = append(losses, l)
+		}
+		checkLosses(t, c.name, losses, want.LossBits)
+		if fmt.Sprint(rig.pipe.PeakActBytes) != fmt.Sprint(want.PeakActBytes) {
+			t.Errorf("%s: PeakActBytes %v, the parent commit reported %v", c.name, rig.pipe.PeakActBytes, want.PeakActBytes)
+		}
+	}
+}
+
+// TestArenaPoisonedReleaseLeavesLossesAlone: with every released buffer
+// NaN-filled (and a double release a panic), a step still reports the
+// parent's loss under all three policies — nothing reads a buffer it gave
+// back, and nothing relies on a taken buffer being zero.
+func TestArenaPoisonedReleaseLeavesLossesAlone(t *testing.T) {
+	parent := parentRuns(t)
+	for _, spec := range benchSpecs {
+		rig := newBenchRig(t, benchBounds, spec, true)
+		var losses []float64
+		for i := 0; i < 4; i++ {
+			l, err := rig.pipe.Step(rig.batches())
+			if err != nil {
+				t.Fatal(err)
+			}
+			losses = append(losses, l)
+		}
+		checkLosses(t, spec+" (poisoned)", losses, parent[spec].LossBits)
+	}
+}
+
+// TestArenaSurvivesFailedIteration: an iteration killed mid-backward leaves
+// buffers in flight — pinned contexts, boundary tensors in the channels, the
+// failing op's scratch. They are dropped, never released, so the supervisor's
+// retry from the snapshot reuses only buffers nobody holds and reports the
+// fault-free losses bit for bit, poisoned arenas included.
+func TestArenaSurvivesFailedIteration(t *testing.T) {
+	parent := parentRuns(t)
+	rig := newBenchRig(t, benchBounds, "alternate", true)
+	rig.pipe.Fault = fault.MustNew(1, fault.On(fault.Panic).AtStage(1).AtMicro(3).OnPhase(fault.PhaseBackward).AtAttempt(2))
+	rig.pipe.Watchdog = 30 * time.Second
+	sup, err := NewSupervisor(rig.pipe, Recovery{MaxRetries: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var losses []float64
+	for i := 0; i < 5; i++ {
+		l, err := sup.Step(rig.batches())
+		if err != nil {
+			t.Fatal(err)
+		}
+		losses = append(losses, l)
+	}
+	if c := sup.Counters(); c.Panics != 1 || c.Retries != 1 {
+		t.Fatalf("fault counters = %+v, want 1 panic and 1 retry", c)
+	}
+	checkLosses(t, "retried", losses, parent["alternate"].LossBits)
+}
+
+// TestArenaAcrossRebind: a Rebind from three stages to two moves the training
+// state onto stages with arenas of their own; the old stages' free lists go
+// with them, and the losses continue as if nothing had been reshaped.
+func TestArenaAcrossRebind(t *testing.T) {
+	parent := parentRuns(t)
+	rig := newBenchRig(t, benchBounds, "savenone", true)
+	sup, err := NewSupervisor(rig.pipe, Recovery{MaxRetries: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var losses []float64
+	for i := 0; i < 6; i++ {
+		if i == 3 {
+			if err := sup.Rebind(benchPipe(t, []int{0, 5, 10}, "alternate", true)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l, err := sup.Step(rig.batches())
+		if err != nil {
+			t.Fatal(err)
+		}
+		losses = append(losses, l)
+	}
+	checkLosses(t, "rebound 3→2", losses, parent["savenone"].LossBits)
+}
+
+// TestStepAllocsBounded: a steady-state step takes its matrices from the
+// arenas. What is left is per-step bookkeeping (contexts, the schedule, the
+// channels, the goroutines, the batch slices); the parent commit allocated
+// 8071 objects and 42.7 MB per step here.
+func TestStepAllocsBounded(t *testing.T) {
+	const maxAllocs, maxBytes = 800, 2 << 20
+	for _, spec := range benchSpecs {
+		rig := newBenchRig(t, benchBounds, spec, false)
+		step := func() {
+			if _, err := rig.pipe.Step(rig.batches()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			step()
+		}
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(runs, step)
+		runtime.ReadMemStats(&after)
+		// AllocsPerRun makes one warm-up call before the counted ones.
+		bytes := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+		t.Logf("%s: %.0f allocs, %d KiB per step", spec, allocs, bytes>>10)
+		if allocs > maxAllocs {
+			t.Errorf("%s: %.0f allocs per step, want <= %d", spec, allocs, maxAllocs)
+		}
+		if bytes > maxBytes {
+			t.Errorf("%s: %d bytes per step, want <= %d", spec, bytes, maxBytes)
+		}
+	}
+}

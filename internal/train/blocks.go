@@ -31,11 +31,13 @@ type Block interface {
 	// Kind reports the block's layer kind.
 	Kind() model.LayerKind
 	// Forward runs the block, saving activations per spec. The returned
-	// context is passed to Backward.
-	Forward(x *tensor.Mat, save SaveSpec) (*tensor.Mat, BlockCtx)
+	// context is passed to Backward. The block takes over x: the context
+	// pins it until Backward (see arena for the ownership rule).
+	Forward(a *arena, x *tensor.Mat, save SaveSpec) (*tensor.Mat, BlockCtx)
 	// Backward recomputes dropped activations, accumulates parameter
-	// gradients and returns dx.
-	Backward(ctx BlockCtx, dy *tensor.Mat) *tensor.Mat
+	// gradients and returns dx. It consumes ctx and dy: every buffer either
+	// holds is released to a, and neither may be used again.
+	Backward(a *arena, ctx BlockCtx, dy *tensor.Mat) *tensor.Mat
 	// Params returns the trainable parameters.
 	Params() []*Param
 }
@@ -86,56 +88,49 @@ func (b *AttnBlock) Params() []*Param {
 type attnCtx struct {
 	x    *tensor.Mat // input boundary, always kept
 	ln   *tensor.Mat
-	lnSt *lnCtx
+	lnSt lnCtx
 	q    *tensor.Mat
 	k    *tensor.Mat
 	v    *tensor.Mat
 	att  *tensor.Mat
-	core *coreCtx
+	core coreCtx
 }
 
 // SavedBytes sums the pinned activation payloads.
 func (c *attnCtx) SavedBytes() int64 {
 	var n int64
-	for _, m := range []*tensor.Mat{c.x, c.ln, c.q, c.k, c.v, c.att} {
+	for _, m := range [...]*tensor.Mat{c.x, c.ln, c.q, c.k, c.v, c.att} {
 		if m != nil {
 			n += m.Bytes()
 		}
 	}
-	if c.lnSt != nil {
-		n += c.lnSt.xhat.Bytes() + int64(len(c.lnSt.rstd))*8
-	}
-	if c.core != nil {
-		for _, p := range c.core.probs {
-			n += p.Bytes()
-		}
+	n += c.lnSt.bytes()
+	for _, p := range c.core.probs {
+		n += p.Bytes()
 	}
 	return n
 }
 
-// Forward runs the sub-layer keeping only the units selected by save.
-func (b *AttnBlock) Forward(x *tensor.Mat, save SaveSpec) (*tensor.Mat, BlockCtx) {
+// Forward runs the sub-layer keeping only the units selected by save; what
+// is not kept goes back to the arena before it returns.
+func (b *AttnBlock) Forward(a *arena, x *tensor.Mat, save SaveSpec) (*tensor.Mat, BlockCtx) {
 	ctx := &attnCtx{x: x}
-	ln, lnSt := b.LN.Forward(x)
-	q := b.Q.Forward(ln)
-	k := b.K.Forward(ln)
-	v := b.V.Forward(ln)
-	att, core := attentionCore(q, k, v, b.Heads)
-	y := tensor.Add(x, b.Out.Forward(att))
-	if save[model.UnitLayerNorm] {
-		ctx.ln, ctx.lnSt = ln, &lnSt
-	}
-	if save[model.UnitQProj] {
-		ctx.q = q
-	}
-	if save[model.UnitKProj] {
-		ctx.k = k
-	}
-	if save[model.UnitVProj] {
-		ctx.v = v
-	}
+	ln, lnSt := b.LN.Forward(a, x)
+	q := b.Q.Forward(a, ln)
+	k := b.K.Forward(a, ln)
+	v := b.V.Forward(a, ln)
+	att, core := attentionCore(a, q, k, v, b.Heads)
+	out := b.Out.Forward(a, att)
+	y := tensor.AddInto(out, x, out)
+	ctx.ln, ctx.lnSt = lnSt.keep(a, save[model.UnitLayerNorm], ln)
+	ctx.q = a.keep(save[model.UnitQProj], q)
+	ctx.k = a.keep(save[model.UnitKProj], k)
+	ctx.v = a.keep(save[model.UnitVProj], v)
 	if save[model.UnitCoreAttention] {
-		ctx.att, ctx.core = att, &core
+		ctx.att, ctx.core = att, core
+	} else {
+		a.put(att)
+		core.release(a)
 	}
 	return y, ctx
 }
@@ -144,39 +139,42 @@ func (b *AttnBlock) Forward(x *tensor.Mat, save SaveSpec) (*tensor.Mat, BlockCtx
 // gradient computation. The replay executes the identical float operations
 // as the original forward, so gradients are bit-identical to the no-
 // recomputation path.
-func (b *AttnBlock) Backward(bc BlockCtx, dy *tensor.Mat) *tensor.Mat {
+func (b *AttnBlock) Backward(a *arena, bc BlockCtx, dy *tensor.Mat) *tensor.Mat {
 	ctx := bc.(*attnCtx)
 	ln, lnSt := ctx.ln, ctx.lnSt
 	if ln == nil {
-		l, st := b.LN.Forward(ctx.x)
-		ln, lnSt = l, &st
+		ln, lnSt = b.LN.Forward(a, ctx.x)
 	}
 	q := ctx.q
 	if q == nil {
-		q = b.Q.Forward(ln)
+		q = b.Q.Forward(a, ln)
 	}
 	k := ctx.k
 	if k == nil {
-		k = b.K.Forward(ln)
+		k = b.K.Forward(a, ln)
 	}
 	v := ctx.v
 	if v == nil {
-		v = b.V.Forward(ln)
+		v = b.V.Forward(a, ln)
 	}
 	att, core := ctx.att, ctx.core
 	if att == nil {
-		a, c := attentionCore(q, k, v, b.Heads)
-		att, core = a, &c
+		att, core = attentionCore(a, q, k, v, b.Heads)
 	}
 
 	// y = x + Out(att): residual passes dy through.
-	datt := b.Out.Backward(att, dy)
-	dq, dk, dv := attentionCoreBackward(*core, q, k, v, datt, b.Heads)
-	dln := b.Q.Backward(ln, dq)
-	tensor.AddInPlace(dln, b.K.Backward(ln, dk))
-	tensor.AddInPlace(dln, b.V.Backward(ln, dv))
-	dx := b.LN.Backward(*lnSt, dln)
+	datt := b.Out.Backward(a, att, dy)
+	dq, dk, dv := attentionCoreBackward(a, core, q, k, v, datt, b.Heads)
+	dln := b.Q.Backward(a, ln, dq)
+	dlnK := b.K.Backward(a, ln, dk)
+	tensor.AddInPlace(dln, dlnK)
+	dlnV := b.V.Backward(a, ln, dv)
+	tensor.AddInPlace(dln, dlnV)
+	dx := b.LN.Backward(a, lnSt, dln)
 	tensor.AddInPlace(dx, dy)
+	a.put(ctx.x, ln, q, k, v, att, datt, dq, dk, dv, dln, dlnK, dlnV, dy)
+	lnSt.release(a)
+	core.release(a)
 	return dx
 }
 
@@ -212,7 +210,7 @@ func (b *FFNBlock) Params() []*Param {
 type ffnCtx struct {
 	x    *tensor.Mat
 	ln   *tensor.Mat
-	lnSt *lnCtx
+	lnSt lnCtx
 	up   *tensor.Mat
 	act  *tensor.Mat
 }
@@ -220,57 +218,50 @@ type ffnCtx struct {
 // SavedBytes sums the pinned activation payloads.
 func (c *ffnCtx) SavedBytes() int64 {
 	var n int64
-	for _, m := range []*tensor.Mat{c.x, c.ln, c.up, c.act} {
+	for _, m := range [...]*tensor.Mat{c.x, c.ln, c.up, c.act} {
 		if m != nil {
 			n += m.Bytes()
 		}
 	}
-	if c.lnSt != nil {
-		n += c.lnSt.xhat.Bytes() + int64(len(c.lnSt.rstd))*8
-	}
-	return n
+	return n + c.lnSt.bytes()
 }
 
 // Forward runs the sub-layer keeping only the units selected by save.
-func (b *FFNBlock) Forward(x *tensor.Mat, save SaveSpec) (*tensor.Mat, BlockCtx) {
+func (b *FFNBlock) Forward(a *arena, x *tensor.Mat, save SaveSpec) (*tensor.Mat, BlockCtx) {
 	ctx := &ffnCtx{x: x}
-	ln, lnSt := b.LN.Forward(x)
-	up := b.Up.Forward(ln)
-	act := geluForward(up)
-	y := tensor.Add(x, b.Down.Forward(act))
-	if save[model.UnitLayerNorm] {
-		ctx.ln, ctx.lnSt = ln, &lnSt
-	}
-	if save[model.UnitFFNUp] {
-		ctx.up = up
-	}
-	if save[model.UnitFFNAct] {
-		ctx.act = act
-	}
+	ln, lnSt := b.LN.Forward(a, x)
+	up := b.Up.Forward(a, ln)
+	act := geluForward(a, up)
+	down := b.Down.Forward(a, act)
+	y := tensor.AddInto(down, x, down)
+	ctx.ln, ctx.lnSt = lnSt.keep(a, save[model.UnitLayerNorm], ln)
+	ctx.up = a.keep(save[model.UnitFFNUp], up)
+	ctx.act = a.keep(save[model.UnitFFNAct], act)
 	return y, ctx
 }
 
 // Backward replays dropped units and computes gradients.
-func (b *FFNBlock) Backward(bc BlockCtx, dy *tensor.Mat) *tensor.Mat {
+func (b *FFNBlock) Backward(a *arena, bc BlockCtx, dy *tensor.Mat) *tensor.Mat {
 	ctx := bc.(*ffnCtx)
 	ln, lnSt := ctx.ln, ctx.lnSt
 	if ln == nil {
-		l, st := b.LN.Forward(ctx.x)
-		ln, lnSt = l, &st
+		ln, lnSt = b.LN.Forward(a, ctx.x)
 	}
 	up := ctx.up
 	if up == nil {
-		up = b.Up.Forward(ln)
+		up = b.Up.Forward(a, ln)
 	}
 	act := ctx.act
 	if act == nil {
-		act = geluForward(up)
+		act = geluForward(a, up)
 	}
 
-	dact := b.Down.Backward(act, dy)
-	dup := geluBackward(up, dact)
-	dln := b.Up.Backward(ln, dup)
-	dx := b.LN.Backward(*lnSt, dln)
+	dact := b.Down.Backward(a, act, dy)
+	dup := geluBackward(a, up, dact)
+	dln := b.Up.Backward(a, ln, dup)
+	dx := b.LN.Backward(a, lnSt, dln)
 	tensor.AddInPlace(dx, dy)
+	a.put(ctx.x, ln, up, act, dact, dup, dln, dy)
+	lnSt.release(a)
 	return dx
 }

@@ -42,7 +42,7 @@ func (b *GatedFFNBlock) Params() []*Param {
 type gatedCtx struct {
 	x    *tensor.Mat
 	ln   *tensor.Mat
-	lnSt *lnCtx
+	lnSt lnCtx
 	up   *tensor.Mat
 	gate *tensor.Mat
 	act  *tensor.Mat // SiLU(gate) ⊙ up
@@ -51,35 +51,28 @@ type gatedCtx struct {
 // SavedBytes sums the pinned activation payloads.
 func (c *gatedCtx) SavedBytes() int64 {
 	var n int64
-	for _, m := range []*tensor.Mat{c.x, c.ln, c.up, c.gate, c.act} {
+	for _, m := range [...]*tensor.Mat{c.x, c.ln, c.up, c.gate, c.act} {
 		if m != nil {
 			n += m.Bytes()
 		}
 	}
-	if c.lnSt != nil {
-		n += c.lnSt.xhat.Bytes() + int64(len(c.lnSt.rstd))*8
-	}
-	return n
+	return n + c.lnSt.bytes()
 }
 
-// siluForward applies x·σ(x) element-wise.
-func siluForward(x *tensor.Mat) *tensor.Mat {
-	y := tensor.New(x.Rows, x.Cols)
-	for i, v := range x.Data {
-		y.Data[i] = v / (1 + math.Exp(-v))
+// gatedAct computes SiLU(gate) ⊙ up, with SiLU(g) = g·σ(g), element-wise.
+func gatedAct(a *arena, up, gate *tensor.Mat) *tensor.Mat {
+	y := a.get(up.Rows, up.Cols)
+	for i, g := range gate.Data {
+		silu := g / (1 + math.Exp(-g))
+		y.Data[i] = silu * up.Data[i]
 	}
 	return y
 }
 
-// gatedAct computes SiLU(gate) ⊙ up.
-func gatedAct(up, gate *tensor.Mat) *tensor.Mat {
-	return tensor.Mul(siluForward(gate), up)
-}
-
 // gatedActBackward returns (dup, dgate) given the forward inputs.
-func gatedActBackward(up, gate, dy *tensor.Mat) (*tensor.Mat, *tensor.Mat) {
-	dup := tensor.New(up.Rows, up.Cols)
-	dgate := tensor.New(up.Rows, up.Cols)
+func gatedActBackward(a *arena, up, gate, dy *tensor.Mat) (*tensor.Mat, *tensor.Mat) {
+	dup := a.get(up.Rows, up.Cols)
+	dgate := a.get(up.Rows, up.Cols)
 	for i := range up.Data {
 		g := gate.Data[i]
 		sig := 1 / (1 + math.Exp(-g))
@@ -92,54 +85,49 @@ func gatedActBackward(up, gate, dy *tensor.Mat) (*tensor.Mat, *tensor.Mat) {
 }
 
 // Forward runs the sub-layer keeping only the units selected by save.
-func (b *GatedFFNBlock) Forward(x *tensor.Mat, save SaveSpec) (*tensor.Mat, BlockCtx) {
+func (b *GatedFFNBlock) Forward(a *arena, x *tensor.Mat, save SaveSpec) (*tensor.Mat, BlockCtx) {
 	ctx := &gatedCtx{x: x}
-	ln, lnSt := b.LN.Forward(x)
-	up := b.Up.Forward(ln)
-	gate := b.Gate.Forward(ln)
-	act := gatedAct(up, gate)
-	y := tensor.Add(x, b.Down.Forward(act))
-	if save[model.UnitLayerNorm] {
-		ctx.ln, ctx.lnSt = ln, &lnSt
-	}
-	if save[model.UnitFFNUp] {
-		ctx.up = up
-	}
-	if save[model.UnitFFNGate] {
-		ctx.gate = gate
-	}
-	if save[model.UnitFFNAct] {
-		ctx.act = act
-	}
+	ln, lnSt := b.LN.Forward(a, x)
+	up := b.Up.Forward(a, ln)
+	gate := b.Gate.Forward(a, ln)
+	act := gatedAct(a, up, gate)
+	down := b.Down.Forward(a, act)
+	y := tensor.AddInto(down, x, down)
+	ctx.ln, ctx.lnSt = lnSt.keep(a, save[model.UnitLayerNorm], ln)
+	ctx.up = a.keep(save[model.UnitFFNUp], up)
+	ctx.gate = a.keep(save[model.UnitFFNGate], gate)
+	ctx.act = a.keep(save[model.UnitFFNAct], act)
 	return y, ctx
 }
 
 // Backward replays dropped units and computes gradients.
-func (b *GatedFFNBlock) Backward(bc BlockCtx, dy *tensor.Mat) *tensor.Mat {
+func (b *GatedFFNBlock) Backward(a *arena, bc BlockCtx, dy *tensor.Mat) *tensor.Mat {
 	ctx := bc.(*gatedCtx)
 	ln, lnSt := ctx.ln, ctx.lnSt
 	if ln == nil {
-		l, st := b.LN.Forward(ctx.x)
-		ln, lnSt = l, &st
+		ln, lnSt = b.LN.Forward(a, ctx.x)
 	}
 	up := ctx.up
 	if up == nil {
-		up = b.Up.Forward(ln)
+		up = b.Up.Forward(a, ln)
 	}
 	gate := ctx.gate
 	if gate == nil {
-		gate = b.Gate.Forward(ln)
+		gate = b.Gate.Forward(a, ln)
 	}
 	act := ctx.act
 	if act == nil {
-		act = gatedAct(up, gate)
+		act = gatedAct(a, up, gate)
 	}
 
-	dact := b.Down.Backward(act, dy)
-	dup, dgate := gatedActBackward(up, gate, dact)
-	dln := b.Up.Backward(ln, dup)
-	tensor.AddInPlace(dln, b.Gate.Backward(ln, dgate))
-	dx := b.LN.Backward(*lnSt, dln)
+	dact := b.Down.Backward(a, act, dy)
+	dup, dgate := gatedActBackward(a, up, gate, dact)
+	dln := b.Up.Backward(a, ln, dup)
+	dlnGate := b.Gate.Backward(a, ln, dgate)
+	tensor.AddInPlace(dln, dlnGate)
+	dx := b.LN.Backward(a, lnSt, dln)
 	tensor.AddInPlace(dx, dy)
+	a.put(ctx.x, ln, up, gate, act, dact, dup, dgate, dln, dlnGate, dy)
+	lnSt.release(a)
 	return dx
 }

@@ -55,11 +55,11 @@ func TestLinearGradients(t *testing.T) {
 	l := NewLinear("l", 5, 4, 0.5, rng)
 	x := tensor.RandNorm(rng, 3, 5, 1)
 	proj := tensor.RandNorm(rng, 3, 4, 1)
-	loss := func() float64 { return projLoss(l.Forward(x), proj) }
+	loss := func() float64 { return projLoss(l.Forward(nil, x), proj) }
 
 	l.W.G.Zero()
 	l.B.G.Zero()
-	dx := l.Backward(x, proj)
+	dx := l.Backward(nil, x, proj)
 
 	if e := maxRelErr(l.W.G.Data, numericGrad(loss, l.W.W.Data)); e > gradTol {
 		t.Errorf("dW rel err %g", e)
@@ -83,13 +83,13 @@ func TestLayerNormGradients(t *testing.T) {
 	x := tensor.RandNorm(rng, 4, 6, 1)
 	proj := tensor.RandNorm(rng, 4, 6, 1)
 	loss := func() float64 {
-		y, _ := l.Forward(x)
+		y, _ := l.Forward(nil, x)
 		return projLoss(y, proj)
 	}
 	l.G.G.Zero()
 	l.B.G.Zero()
-	_, ctx := l.Forward(x)
-	dx := l.Backward(ctx, proj)
+	_, ctx := l.Forward(nil, x)
+	dx := l.Backward(nil, ctx, proj)
 
 	if e := maxRelErr(dx.Data, numericGrad(loss, x.Data)); e > gradTol {
 		t.Errorf("dx rel err %g", e)
@@ -106,8 +106,8 @@ func TestGELUGradients(t *testing.T) {
 	rng := tensor.NewRNG(13)
 	x := tensor.RandNorm(rng, 3, 7, 2)
 	proj := tensor.RandNorm(rng, 3, 7, 1)
-	loss := func() float64 { return projLoss(geluForward(x), proj) }
-	dx := geluBackward(x, proj)
+	loss := func() float64 { return projLoss(geluForward(nil, x), proj) }
+	dx := geluBackward(nil, x, proj)
 	if e := maxRelErr(dx.Data, numericGrad(loss, x.Data)); e > gradTol {
 		t.Errorf("gelu dx rel err %g", e)
 	}
@@ -121,11 +121,11 @@ func TestAttentionCoreGradients(t *testing.T) {
 	v := tensor.RandNorm(rng, T, dim, 1)
 	proj := tensor.RandNorm(rng, T, dim, 1)
 	loss := func() float64 {
-		y, _ := attentionCore(q, k, v, heads)
+		y, _ := attentionCore(nil, q, k, v, heads)
 		return projLoss(y, proj)
 	}
-	_, ctx := attentionCore(q, k, v, heads)
-	dq, dk, dv := attentionCoreBackward(ctx, q, k, v, proj, heads)
+	_, ctx := attentionCore(nil, q, k, v, heads)
+	dq, dk, dv := attentionCoreBackward(nil, ctx, q, k, v, proj, heads)
 	if e := maxRelErr(dq.Data, numericGrad(loss, q.Data)); e > gradTol {
 		t.Errorf("dq rel err %g", e)
 	}
@@ -143,11 +143,11 @@ func TestAttentionCausality(t *testing.T) {
 	q := tensor.RandNorm(rng, T, dim, 1)
 	k := tensor.RandNorm(rng, T, dim, 1)
 	v := tensor.RandNorm(rng, T, dim, 1)
-	y1, _ := attentionCore(q, k, v, heads)
+	y1, _ := attentionCore(nil, q, k, v, heads)
 	// Perturbing a future position must not change earlier outputs.
 	k.Set(T-1, 0, k.At(T-1, 0)+10)
 	v.Set(T-1, 3, v.At(T-1, 3)-7)
-	y2, _ := attentionCore(q, k, v, heads)
+	y2, _ := attentionCore(nil, q, k, v, heads)
 	for i := 0; i < T-1; i++ {
 		for j := 0; j < dim; j++ {
 			if y1.At(i, j) != y2.At(i, j) {
@@ -162,7 +162,7 @@ func TestEmbeddingGradients(t *testing.T) {
 	e := NewEmbedding("e", 10, 8, 4, 0.5, rng)
 	tokens := []int{3, 1, 3, 7}
 	proj := tensor.RandNorm(rng, 4, 4, 1)
-	loss := func() float64 { return projLoss(e.Forward(tokens), proj) }
+	loss := func() float64 { return projLoss(e.Forward(nil, tokens), proj) }
 	e.Tok.G.Zero()
 	e.Pos.G.Zero()
 	e.Backward(tokens, proj)
@@ -187,16 +187,16 @@ func TestCrossEntropyGradients(t *testing.T) {
 	logits := tensor.RandNorm(rng, 4, 6, 1)
 	targets := []int{2, 0, 5, 1}
 	loss := func() float64 {
-		l, _ := CrossEntropy(logits, targets)
+		l, _ := CrossEntropy(nil, logits, targets)
 		return l
 	}
-	_, dlogits := CrossEntropy(logits, targets)
+	_, dlogits := CrossEntropy(nil, logits, targets)
 	if e := maxRelErr(dlogits.Data, numericGrad(loss, logits.Data)); e > gradTol {
 		t.Errorf("dlogits rel err %g", e)
 	}
 	// Loss of a uniform distribution is log(vocab).
 	uniform := tensor.New(2, 8)
-	l, _ := CrossEntropy(uniform, []int{0, 3})
+	l, _ := CrossEntropy(nil, uniform, []int{0, 3})
 	if math.Abs(l-math.Log(8)) > 1e-12 {
 		t.Errorf("uniform CE = %g, want log 8 = %g", l, math.Log(8))
 	}
@@ -208,11 +208,11 @@ func TestAttnBlockGradients(t *testing.T) {
 	x := tensor.RandNorm(rng, 4, 8, 1)
 	proj := tensor.RandNorm(rng, 4, 8, 1)
 	loss := func() float64 {
-		y, _ := b.Forward(x, SaveAll())
+		y, _ := b.Forward(nil, x, SaveAll())
 		return projLoss(y, proj)
 	}
-	_, ctx := b.Forward(x, SaveAll())
-	dx := b.Backward(ctx, proj)
+	_, ctx := b.Forward(nil, x, SaveAll())
+	dx := b.Backward(nil, ctx, proj)
 	if e := maxRelErr(dx.Data, numericGrad(loss, x.Data)); e > gradTol {
 		t.Errorf("attn block dx rel err %g", e)
 	}
@@ -233,11 +233,11 @@ func TestFFNBlockGradients(t *testing.T) {
 	x := tensor.RandNorm(rng, 3, 6, 1)
 	proj := tensor.RandNorm(rng, 3, 6, 1)
 	loss := func() float64 {
-		y, _ := b.Forward(x, SaveAll())
+		y, _ := b.Forward(nil, x, SaveAll())
 		return projLoss(y, proj)
 	}
-	_, ctx := b.Forward(x, SaveAll())
-	dx := b.Backward(ctx, proj)
+	_, ctx := b.Forward(nil, x, SaveAll())
+	dx := b.Backward(nil, ctx, proj)
 	if e := maxRelErr(dx.Data, numericGrad(loss, x.Data)); e > gradTol {
 		t.Errorf("ffn block dx rel err %g", e)
 	}
@@ -258,11 +258,11 @@ func TestGatedFFNBlockGradients(t *testing.T) {
 	x := tensor.RandNorm(rng, 3, 6, 1)
 	proj := tensor.RandNorm(rng, 3, 6, 1)
 	loss := func() float64 {
-		y, _ := b.Forward(x, SaveAll())
+		y, _ := b.Forward(nil, x, SaveAll())
 		return projLoss(y, proj)
 	}
-	_, ctx := b.Forward(x, SaveAll())
-	dx := b.Backward(ctx, proj)
+	_, ctx := b.Forward(nil, x, SaveAll())
+	dx := b.Backward(nil, ctx, proj)
 	if e := maxRelErr(dx.Data, numericGrad(loss, x.Data)); e > gradTol {
 		t.Errorf("gated ffn dx rel err %g", e)
 	}

@@ -117,6 +117,9 @@ type Stage struct {
 	// SaveHeadLN keeps the head LayerNorm input/stats instead of
 	// recomputing them.
 	SaveHeadLN bool
+	// arena recycles the stage's activation, gradient and scratch buffers
+	// across micro-batches and steps.
+	arena arena
 }
 
 // Params returns the stage's trainable parameters.
@@ -146,7 +149,7 @@ type StageCtx struct {
 	// head state (last stage only)
 	headIn   *tensor.Mat
 	headLn   *tensor.Mat
-	headLnSt *lnCtx
+	headLnSt lnCtx
 	logits   *tensor.Mat
 }
 
@@ -159,7 +162,7 @@ func (c *StageCtx) SavedBytes() int64 {
 	for _, b := range c.blocks {
 		n += b.SavedBytes()
 	}
-	for _, m := range []*tensor.Mat{c.headIn, c.headLn, c.logits} {
+	for _, m := range [...]*tensor.Mat{c.headIn, c.headLn, c.logits} {
 		if m != nil {
 			n += m.Bytes()
 		}
@@ -168,26 +171,26 @@ func (c *StageCtx) SavedBytes() int64 {
 }
 
 // Forward runs one micro-batch through the stage. The first stage consumes
-// tokens; later stages consume the boundary activation x. The last stage
-// returns logits.
+// tokens; later stages consume the boundary activation x, which the stage
+// takes over. The last stage returns logits, which its context pins; any
+// other stage's output belongs to the caller (the next stage, once sent).
 func (s *Stage) Forward(tokens []int, x *tensor.Mat) (*tensor.Mat, *StageCtx) {
+	a := &s.arena
 	ctx := &StageCtx{tokens: tokens}
 	if s.Embed != nil {
-		x = s.Embed.Forward(tokens)
+		x = s.Embed.Forward(a, tokens)
 	} else {
 		ctx.input = x
 	}
 	ctx.blocks = make([]BlockCtx, len(s.Blocks))
 	for i, b := range s.Blocks {
-		x, ctx.blocks[i] = b.Forward(x, s.Saves[i])
+		x, ctx.blocks[i] = b.Forward(a, x, s.Saves[i])
 	}
 	if s.HeadProj != nil {
 		ctx.headIn = x
-		ln, st := s.HeadLN.Forward(x)
-		if s.SaveHeadLN {
-			ctx.headLn, ctx.headLnSt = ln, &st
-		}
-		logits := s.HeadProj.Forward(ln)
+		ln, st := s.HeadLN.Forward(a, x)
+		logits := s.HeadProj.Forward(a, ln)
+		ctx.headLn, ctx.headLnSt = st.keep(a, s.SaveHeadLN, ln)
 		ctx.logits = logits
 		return logits, ctx
 	}
@@ -195,22 +198,30 @@ func (s *Stage) Forward(tokens []int, x *tensor.Mat) (*tensor.Mat, *StageCtx) {
 }
 
 // Backward propagates dy through the stage, accumulating parameter gradients
-// and returning the gradient of the stage input (nil on the first stage).
+// and returning the gradient of the stage input (nil on the first stage). It
+// consumes ctx and dy: everything the micro-batch pinned goes back to the
+// stage's arena the moment its gradients are out.
 func (s *Stage) Backward(ctx *StageCtx, dy *tensor.Mat) *tensor.Mat {
+	a := &s.arena
 	if s.HeadProj != nil {
 		ln, lnSt := ctx.headLn, ctx.headLnSt
 		if ln == nil {
-			l, st := s.HeadLN.Forward(ctx.headIn)
-			ln, lnSt = l, &st
+			ln, lnSt = s.HeadLN.Forward(a, ctx.headIn)
 		}
-		dln := s.HeadProj.Backward(ln, dy)
-		dy = s.HeadLN.Backward(*lnSt, dln)
+		dln := s.HeadProj.Backward(a, ln, dy)
+		dx := s.HeadLN.Backward(a, lnSt, dln)
+		// headIn is the last block's output — or, on a head-only stage, the
+		// stage input itself, which no block will release.
+		a.put(ctx.headIn, ln, ctx.logits, dln, dy)
+		lnSt.release(a)
+		dy = dx
 	}
 	for i := len(s.Blocks) - 1; i >= 0; i-- {
-		dy = s.Blocks[i].Backward(ctx.blocks[i], dy)
+		dy = s.Blocks[i].Backward(a, ctx.blocks[i], dy)
 	}
 	if s.Embed != nil {
 		s.Embed.Backward(ctx.tokens, dy)
+		a.put(dy)
 		return nil
 	}
 	return dy

@@ -361,7 +361,7 @@ func (r *iterRun) stage(s int) {
 				if stage.HeadProj == nil {
 					panic("last stage has no head")
 				}
-				loss, dl := CrossEntropy(y, r.batches[m].Targets)
+				loss, dl := CrossEntropy(&stage.arena, y, r.batches[m].Targets)
 				r.losses[m] = loss
 				dlogits[m] = dl
 			} else {

@@ -46,7 +46,7 @@ func runOnce(t *testing.T, stages []*Stage, tokens, targets []int) float64 {
 	for i, s := range stages {
 		x, ctxs[i] = s.Forward(tokens, x)
 	}
-	loss, dy := CrossEntropy(x, targets)
+	loss, dy := CrossEntropy(&stages[len(stages)-1].arena, x, targets)
 	for i := len(stages) - 1; i >= 0; i-- {
 		dy = stages[i].Backward(ctxs[i], dy)
 	}
@@ -123,7 +123,7 @@ func runOnceQuick(stages []*Stage, tokens, targets []int) float64 {
 	for i, s := range stages {
 		x, ctxs[i] = s.Forward(tokens, x)
 	}
-	loss, dy := CrossEntropy(x, targets)
+	loss, dy := CrossEntropy(&stages[len(stages)-1].arena, x, targets)
 	for i := len(stages) - 1; i >= 0; i-- {
 		dy = stages[i].Backward(ctxs[i], dy)
 	}
@@ -270,8 +270,8 @@ func TestSaveSpecControlsContextSize(t *testing.T) {
 	rng := tensor.NewRNG(33)
 	b := NewAttnBlock("b", 16, 2, rng)
 	x := tensor.RandNorm(rng, 8, 16, 1)
-	_, full := b.Forward(x, SaveAll())
-	_, none := b.Forward(x, SaveNone())
+	_, full := b.Forward(nil, x, SaveAll())
+	_, none := b.Forward(nil, x, SaveNone())
 	if none.SavedBytes() >= full.SavedBytes() {
 		t.Errorf("SaveNone ctx %d >= SaveAll ctx %d", none.SavedBytes(), full.SavedBytes())
 	}
@@ -281,7 +281,7 @@ func TestSaveSpecControlsContextSize(t *testing.T) {
 	}
 	// Core attention dominates: saving it costs at least the per-head
 	// probability matrices.
-	_, coreOnly := b.Forward(x, SaveSpec{model.UnitCoreAttention: true})
+	_, coreOnly := b.Forward(nil, x, SaveSpec{model.UnitCoreAttention: true})
 	if coreOnly.SavedBytes() <= none.SavedBytes() {
 		t.Error("saving core attention did not grow the context")
 	}

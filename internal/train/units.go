@@ -46,8 +46,8 @@ func NewLinear(name string, in, out int, std float64, rng *tensor.RNG) *Linear {
 }
 
 // Forward computes y = x·W + b.
-func (l *Linear) Forward(x *tensor.Mat) *tensor.Mat {
-	y := tensor.MatMul(x, l.W.W)
+func (l *Linear) Forward(a *arena, x *tensor.Mat) *tensor.Mat {
+	y := tensor.MatMulInto(a.get(x.Rows, l.W.W.Cols), x, l.W.W)
 	for i := 0; i < y.Rows; i++ {
 		row := y.Data[i*y.Cols : (i+1)*y.Cols]
 		for j := range row {
@@ -58,16 +58,21 @@ func (l *Linear) Forward(x *tensor.Mat) *tensor.Mat {
 }
 
 // Backward accumulates parameter gradients and returns dx. x must be the
-// forward input (saved or recomputed).
-func (l *Linear) Backward(x, dy *tensor.Mat) *tensor.Mat {
-	tensor.AddInPlace(l.W.G, tensor.TMatMul(x, dy))
+// forward input (saved or recomputed). xᵀ·dy is formed in a temporary and
+// then added: accumulating it into W.G product by product would interleave
+// this micro-batch's terms with the earlier ones' sum and reorder the
+// additions.
+func (l *Linear) Backward(a *arena, x, dy *tensor.Mat) *tensor.Mat {
+	g := tensor.TMatMulInto(a.get(x.Cols, dy.Cols), x, dy)
+	tensor.AddInPlace(l.W.G, g)
+	a.put(g)
 	for i := 0; i < dy.Rows; i++ {
 		row := dy.Data[i*dy.Cols : (i+1)*dy.Cols]
 		for j := range row {
 			l.B.G.Data[j] += row[j]
 		}
 	}
-	return tensor.MatMulT(dy, l.W.W)
+	return tensor.MatMulTInto(a.get(dy.Rows, l.W.W.Rows), dy, l.W.W)
 }
 
 // Params returns the trainable parameters.
@@ -93,16 +98,37 @@ func NewLayerNorm(name string, dim int) *LayerNorm {
 	return &LayerNorm{G: newParam(name+".G", g), B: newParam(name+".B", tensor.New(1, dim)), Eps: 1e-5}
 }
 
-// lnCtx holds the per-row statistics LayerNorm's backward needs.
+// lnCtx holds the per-row statistics LayerNorm's backward needs; the zero
+// value is "not saved".
 type lnCtx struct {
 	xhat *tensor.Mat // normalized input
-	rstd []float64   // per-row 1/σ
+	rstd *tensor.Mat // [1, rows] per-row 1/σ
+}
+
+func (c lnCtx) bytes() int64 {
+	if c.xhat == nil {
+		return 0
+	}
+	return c.xhat.Bytes() + c.rstd.Bytes()
+}
+
+func (c lnCtx) release(a *arena) { a.put(c.xhat, c.rstd) }
+
+// keep returns the LayerNorm output ln and its context if saved; otherwise it
+// releases both and returns the zero pair, so Backward recomputes them.
+func (c lnCtx) keep(a *arena, saved bool, ln *tensor.Mat) (*tensor.Mat, lnCtx) {
+	if saved {
+		return ln, c
+	}
+	a.put(ln)
+	c.release(a)
+	return nil, lnCtx{}
 }
 
 // Forward returns the normalized output and its backward context.
-func (l *LayerNorm) Forward(x *tensor.Mat) (*tensor.Mat, lnCtx) {
-	y := tensor.New(x.Rows, x.Cols)
-	ctx := lnCtx{xhat: tensor.New(x.Rows, x.Cols), rstd: make([]float64, x.Rows)}
+func (l *LayerNorm) Forward(a *arena, x *tensor.Mat) (*tensor.Mat, lnCtx) {
+	y := a.get(x.Rows, x.Cols)
+	ctx := lnCtx{xhat: a.get(x.Rows, x.Cols), rstd: a.get(1, x.Rows)}
 	for i := 0; i < x.Rows; i++ {
 		row := x.Data[i*x.Cols : (i+1)*x.Cols]
 		var mean float64
@@ -116,7 +142,7 @@ func (l *LayerNorm) Forward(x *tensor.Mat) (*tensor.Mat, lnCtx) {
 			varsum += d * d
 		}
 		rstd := 1 / math.Sqrt(varsum/float64(len(row))+l.Eps)
-		ctx.rstd[i] = rstd
+		ctx.rstd.Data[i] = rstd
 		xh := ctx.xhat.Data[i*x.Cols : (i+1)*x.Cols]
 		yr := y.Data[i*x.Cols : (i+1)*x.Cols]
 		for j, v := range row {
@@ -128,8 +154,8 @@ func (l *LayerNorm) Forward(x *tensor.Mat) (*tensor.Mat, lnCtx) {
 }
 
 // Backward accumulates gain/bias gradients and returns dx.
-func (l *LayerNorm) Backward(ctx lnCtx, dy *tensor.Mat) *tensor.Mat {
-	dx := tensor.New(dy.Rows, dy.Cols)
+func (l *LayerNorm) Backward(a *arena, ctx lnCtx, dy *tensor.Mat) *tensor.Mat {
+	dx := a.get(dy.Rows, dy.Cols)
 	n := float64(dy.Cols)
 	for i := 0; i < dy.Rows; i++ {
 		dyr := dy.Data[i*dy.Cols : (i+1)*dy.Cols]
@@ -145,7 +171,7 @@ func (l *LayerNorm) Backward(ctx lnCtx, dy *tensor.Mat) *tensor.Mat {
 		dxr := dx.Data[i*dy.Cols : (i+1)*dy.Cols]
 		for j, v := range dyr {
 			g := v * l.G.W.Data[j]
-			dxr[j] = (g - sumDy/n - xh[j]*sumDyXh/n) * ctx.rstd[i]
+			dxr[j] = (g - sumDy/n - xh[j]*sumDyXh/n) * ctx.rstd.Data[i]
 		}
 	}
 	return dx
@@ -155,8 +181,8 @@ func (l *LayerNorm) Backward(ctx lnCtx, dy *tensor.Mat) *tensor.Mat {
 func (l *LayerNorm) Params() []*Param { return []*Param{l.G, l.B} }
 
 // geluForward applies the tanh-approximated GELU element-wise.
-func geluForward(x *tensor.Mat) *tensor.Mat {
-	y := tensor.New(x.Rows, x.Cols)
+func geluForward(a *arena, x *tensor.Mat) *tensor.Mat {
+	y := a.get(x.Rows, x.Cols)
 	for i, v := range x.Data {
 		y.Data[i] = 0.5 * v * (1 + math.Tanh(geluK*(v+geluC*v*v*v)))
 	}
@@ -169,8 +195,8 @@ const (
 )
 
 // geluBackward returns dx given the forward input.
-func geluBackward(x, dy *tensor.Mat) *tensor.Mat {
-	dx := tensor.New(x.Rows, x.Cols)
+func geluBackward(a *arena, x, dy *tensor.Mat) *tensor.Mat {
+	dx := a.get(x.Rows, x.Cols)
 	for i, v := range x.Data {
 		inner := geluK * (v + geluC*v*v*v)
 		t := math.Tanh(inner)
@@ -183,85 +209,91 @@ func geluBackward(x, dy *tensor.Mat) *tensor.Mat {
 // attentionCore computes multi-head causal attention O = softmax(QKᵀ/√dh)·V
 // head by head. It is the naive counterpart of the paper's FlashAttention
 // unit; the per-head probability matrices are its "internally saved tensors".
+// The zero coreCtx is "not saved".
 type coreCtx struct {
 	probs []*tensor.Mat // per-head [T, T] softmax outputs
 }
 
-func attentionCore(q, k, v *tensor.Mat, heads int) (*tensor.Mat, coreCtx) {
+func (c coreCtx) release(a *arena) { a.put(c.probs...) }
+
+func attentionCore(a *arena, q, k, v *tensor.Mat, heads int) (*tensor.Mat, coreCtx) {
 	T := q.Rows
 	dh := q.Cols / heads
-	out := tensor.New(T, q.Cols)
+	out := a.get(T, q.Cols)
 	ctx := coreCtx{probs: make([]*tensor.Mat, heads)}
 	scale := 1 / math.Sqrt(float64(dh))
+	qh, kh, vh, oh := a.get(T, dh), a.get(T, dh), a.get(T, dh), a.get(T, dh)
 	for h := 0; h < heads; h++ {
-		qh := headView(q, h, dh)
-		kh := headView(k, h, dh)
-		vh := headView(v, h, dh)
-		scores := tensor.MatMulT(qh, kh)
+		headView(qh, q, h)
+		headView(kh, k, h)
+		headView(vh, v, h)
+		scores := tensor.MatMulTInto(a.get(T, T), qh, kh)
 		for i := 0; i < T; i++ {
+			row := scores.Data[i*T : (i+1)*T]
 			for j := 0; j <= i; j++ {
-				scores.Set(i, j, scores.At(i, j)*scale)
+				row[j] *= scale
 			}
 			for j := i + 1; j < T; j++ {
-				scores.Set(i, j, math.Inf(-1))
+				row[j] = math.Inf(-1)
 			}
 		}
-		p := tensor.SoftmaxRows(scores)
+		// The masked scores are dead once normalized: softmax in place.
+		p := tensor.SoftmaxRowsInto(scores, scores)
 		ctx.probs[h] = p
-		oh := tensor.MatMul(p, vh)
-		writeHead(out, oh, h, dh)
+		writeHead(out, tensor.MatMulInto(oh, p, vh), h)
 	}
+	a.put(qh, kh, vh, oh)
 	return out, ctx
 }
 
 // attentionCoreBackward returns dq, dk, dv given the forward inputs and the
 // saved probability matrices.
-func attentionCoreBackward(ctx coreCtx, q, k, v, dout *tensor.Mat, heads int) (dq, dk, dv *tensor.Mat) {
+func attentionCoreBackward(a *arena, ctx coreCtx, q, k, v, dout *tensor.Mat, heads int) (dq, dk, dv *tensor.Mat) {
 	T := q.Rows
 	dh := q.Cols / heads
-	dq = tensor.New(T, q.Cols)
-	dk = tensor.New(T, q.Cols)
-	dv = tensor.New(T, q.Cols)
+	dq, dk, dv = a.get(T, q.Cols), a.get(T, q.Cols), a.get(T, q.Cols)
 	scale := 1 / math.Sqrt(float64(dh))
+	qh, kh, vh, doh, tmp := a.get(T, dh), a.get(T, dh), a.get(T, dh), a.get(T, dh), a.get(T, dh)
+	ds := a.get(T, T)
 	for h := 0; h < heads; h++ {
-		qh := headView(q, h, dh)
-		kh := headView(k, h, dh)
-		vh := headView(v, h, dh)
-		doh := headView(dout, h, dh)
+		headView(qh, q, h)
+		headView(kh, k, h)
+		headView(vh, v, h)
+		headView(doh, dout, h)
 		p := ctx.probs[h]
-		dvh := tensor.TMatMul(p, doh)
-		dp := tensor.MatMulT(doh, vh)
-		// Softmax backward: dS = P ⊙ (dP − rowsum(dP⊙P)).
-		ds := tensor.New(T, T)
+		writeHead(dv, tensor.TMatMulInto(tmp, p, doh), h)
+		// Softmax backward, row by row over dP = dO·Vᵀ in place:
+		// dS = P ⊙ (dP − rowsum(dP⊙P)), zero above the diagonal.
+		tensor.MatMulTInto(ds, doh, vh)
 		for i := 0; i < T; i++ {
+			prow, drow := p.Data[i*T:(i+1)*T], ds.Data[i*T:(i+1)*T]
 			var dot float64
 			for j := 0; j <= i; j++ {
-				dot += dp.At(i, j) * p.At(i, j)
+				dot += drow[j] * prow[j]
 			}
 			for j := 0; j <= i; j++ {
-				ds.Set(i, j, p.At(i, j)*(dp.At(i, j)-dot)*scale)
+				drow[j] = prow[j] * (drow[j] - dot) * scale
 			}
+			clear(drow[i+1:])
 		}
-		dqh := tensor.MatMul(ds, kh)
-		dkh := tensor.TMatMul(ds, qh)
-		writeHead(dq, dqh, h, dh)
-		writeHead(dk, dkh, h, dh)
-		writeHead(dv, dvh, h, dh)
+		writeHead(dq, tensor.MatMulInto(tmp, ds, kh), h)
+		writeHead(dk, tensor.TMatMulInto(tmp, ds, qh), h)
 	}
+	a.put(qh, kh, vh, doh, tmp, ds)
 	return dq, dk, dv
 }
 
-// headView copies head h's columns into a [T, dh] matrix.
-func headView(m *tensor.Mat, h, dh int) *tensor.Mat {
-	out := tensor.New(m.Rows, dh)
+// headView copies head h's columns of m into the [T, dh] matrix dst.
+func headView(dst, m *tensor.Mat, h int) {
+	dh := dst.Cols
 	for i := 0; i < m.Rows; i++ {
-		copy(out.Data[i*dh:(i+1)*dh], m.Data[i*m.Cols+h*dh:i*m.Cols+(h+1)*dh])
+		copy(dst.Data[i*dh:(i+1)*dh], m.Data[i*m.Cols+h*dh:i*m.Cols+(h+1)*dh])
 	}
-	return out
 }
 
 // writeHead copies a [T, dh] matrix into head h's columns of m.
-func writeHead(m, src *tensor.Mat, h, dh int) {
+func writeHead(m, src *tensor.Mat, h int) {
+	dh := src.Cols
 	for i := 0; i < src.Rows; i++ {
 		copy(m.Data[i*m.Cols+h*dh:i*m.Cols+(h+1)*dh], src.Data[i*dh:(i+1)*dh])
 	}
@@ -284,9 +316,9 @@ func NewEmbedding(name string, vocab, maxSeq, dim int, std float64, rng *tensor.
 }
 
 // Forward returns the [len(tokens), dim] embedded sequence.
-func (e *Embedding) Forward(tokens []int) *tensor.Mat {
+func (e *Embedding) Forward(a *arena, tokens []int) *tensor.Mat {
 	dim := e.Tok.W.Cols
-	out := tensor.New(len(tokens), dim)
+	out := a.get(len(tokens), dim)
 	for i, t := range tokens {
 		if t < 0 || t >= e.Tok.W.Rows {
 			panic(fmt.Sprintf("train: token %d out of vocab %d", t, e.Tok.W.Rows))
@@ -314,21 +346,21 @@ func (e *Embedding) Backward(tokens []int, dy *tensor.Mat) {
 func (e *Embedding) Params() []*Param { return []*Param{e.Tok, e.Pos} }
 
 // CrossEntropy computes the mean next-token loss and the logits gradient.
-func CrossEntropy(logits *tensor.Mat, targets []int) (float64, *tensor.Mat) {
+func CrossEntropy(a *arena, logits *tensor.Mat, targets []int) (float64, *tensor.Mat) {
 	if len(targets) != logits.Rows {
 		panic(fmt.Sprintf("train: %d targets for %d logit rows", len(targets), logits.Rows))
 	}
-	probs := tensor.SoftmaxRows(logits)
-	dlogits := probs.Clone()
+	// dlogits = (softmax − onehot)/n, built in the buffer holding the softmax.
+	dlogits := tensor.SoftmaxRowsInto(a.get(logits.Rows, logits.Cols), logits)
 	var loss float64
 	inv := 1 / float64(len(targets))
 	for i, t := range targets {
-		p := probs.At(i, t)
-		if p < 1e-12 {
-			p = 1e-12
+		prob := dlogits.At(i, t)
+		dlogits.Set(i, t, prob-1)
+		if prob < 1e-12 {
+			prob = 1e-12
 		}
-		loss -= math.Log(p)
-		dlogits.Set(i, t, dlogits.At(i, t)-1)
+		loss -= math.Log(prob)
 	}
 	for i := range dlogits.Data {
 		dlogits.Data[i] *= inv
