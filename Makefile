@@ -1,12 +1,21 @@
 GO ?= go
 BIN := bin/adapipevet
 
-.PHONY: all build vet vet-selftest vet-sarif test fuzz-smoke race bench-smoke figures observe chaos serve-smoke loc ci clean
+.PHONY: all build cross vet vet-selftest vet-sarif test fuzz-smoke race bench-smoke figures observe chaos serve-smoke loc ci clean
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# cross keeps the portable product loops compiling and vetted where they are
+# the only path: internal/tensor's AVX2 kernels are amd64 assembly, so an
+# arm64 vet of the executor's packages and a 386 build of everything prove
+# the fallback still stands on its own. (On amd64, go vet's asmdecl checks the
+# assembly against its Go declarations.)
+cross:
+	GOARCH=arm64 $(GO) vet ./internal/tensor ./internal/train
+	GOARCH=386 $(GO) build ./...
 
 $(BIN): FORCE
 	$(GO) build -o $(BIN) ./cmd/adapipevet
@@ -53,14 +62,14 @@ fuzz-smoke:
 	done
 
 # race exercises the concurrent packages under the race detector: the 1F1B
-# executor, the simulator, the daemon, the fault layer and the two concurrency
+# executor and the tensor kernels under it, the simulator, the daemon, the fault layer and the two concurrency
 # primitives (the compute-once cache and the cost store over it) in full, plus
 # the planner's differential runner (every leg of every row, the concurrent
 # and interrupted legs included) and its remaining lock and context tests —
 # run-filtered so the GPT-3-scale oracle and timing tests stay out of the slow
 # race build.
 race:
-	$(GO) test -race ./internal/train/... ./internal/sim/... ./internal/serve/... ./internal/fault/... ./internal/memo/... ./internal/coststore/...
+	$(GO) test -race ./internal/tensor/... ./internal/train/... ./internal/sim/... ./internal/serve/... ./internal/fault/... ./internal/memo/... ./internal/coststore/...
 	$(GO) test -race -run 'TestDifferential|Concurrent|Context|Cancel' ./internal/core/...
 
 # bench-smoke keeps the executor's developer-loop rows alive: each
@@ -132,7 +141,7 @@ loc:
 		      printf "%7d  test lines outside bench/\n", tests }'
 
 # ci is the full gate the GitHub Actions workflow runs.
-ci: build vet vet-selftest test fuzz-smoke race bench-smoke figures observe chaos serve-smoke
+ci: build cross vet vet-selftest test fuzz-smoke race bench-smoke figures observe chaos serve-smoke
 
 clean:
 	rm -rf bin observe-out adapipevet.sarif servesmoke-trace.json chaos-metrics.prom

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	_ "unsafe" // go:linkname
 
 	"adapipe"
 	"adapipe/internal/core"
@@ -338,10 +339,25 @@ func BenchmarkTrainStep(b *testing.B) { benchTrainStep(b, false) }
 // beyond the baseline.
 func BenchmarkTrainStepRecorded(b *testing.B) { benchTrainStep(b, true) }
 
+// tensorSetAVX2 is internal/tensor's test hook (setAVX2): it turns the vector
+// path of the product kernels on (where the CPU has it) or off and returns
+// the previous setting. The hook is unexported so that no caller outside the
+// tests can pick a path; linkname is how this package's benchmark reaches it.
+//
+//go:linkname tensorSetAVX2 adapipe/internal/tensor.setAVX2
+func tensorSetAVX2(on bool) (was bool)
+
 // BenchmarkMatMul times the three product kernels on the five shapes
 // bench/train.go's tensorProbe uses (m×k×n: an m×n result over inner k) and
 // reports each as GFLOP/s; the ledger row tensor.matmul_gflops is their mix.
+// Each shape has a simd row (the AVX2 kernels, skipped on a CPU without
+// them) and a generic row (the portable loops), so the kernel gain is one
+// command: go test -run '^$' -bench MatMul .
 func BenchmarkMatMul(b *testing.B) {
+	// The hook turns the vector path on only where the CPU has it: ask for
+	// it, and the setting it hands back on restore says whether it took.
+	was := tensorSetAVX2(true)
+	haveSIMD := tensorSetAVX2(was)
 	s, dm, f := stepNet.Seq, stepNet.Dim, stepNet.FFN
 	rng := tensor.NewRNG(1)
 	x := tensor.RandNorm(rng, s, dm, 1)
@@ -360,14 +376,23 @@ func BenchmarkMatMul(b *testing.B) {
 		{"MatMulT", tensor.MatMulTInto, h, wUp, s, f, dm}, // dy·Wᵀ
 		{"TMatMul", tensor.TMatMulInto, x, h, dm, s, f},   // xᵀ·dy
 	} {
-		b.Run(fmt.Sprintf("%s/%dx%dx%d", c.name, c.m, c.k, c.n), func(b *testing.B) {
-			dst := tensor.New(c.m, c.n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.into(dst, c.a, c.b)
-			}
-			b.ReportMetric(2*float64(c.m*c.k*c.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-		})
+		for _, path := range []struct {
+			name string
+			simd bool
+		}{{"simd", true}, {"generic", false}} {
+			b.Run(fmt.Sprintf("%s/%dx%dx%d/%s", c.name, c.m, c.k, c.n, path.name), func(b *testing.B) {
+				if path.simd && !haveSIMD {
+					b.Skip("no AVX2 on this CPU")
+				}
+				defer tensorSetAVX2(tensorSetAVX2(path.simd))
+				dst := tensor.New(c.m, c.n)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					c.into(dst, c.a, c.b)
+				}
+				b.ReportMetric(2*float64(c.m*c.k*c.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
 	}
 }
 

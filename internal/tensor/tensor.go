@@ -102,6 +102,18 @@ func checkSame(a, b *Mat, op string) {
 // decides where an injected NaN/Inf spreads and what the non-finite guard
 // sees. MatMulT has no skip: every product is formed and 0·Inf is NaN there.
 
+// useAVX2 selects the vector path (kernel_amd64.go) for the three products.
+// It is decided once, from the CPU; nothing but setAVX2 changes it.
+var useAVX2 = haveAVX2
+
+// setAVX2 is the test hook: it turns the vector path on (where the CPU has
+// it) or off and returns the previous setting, so the tests and the root
+// package's BenchmarkMatMul can hold both paths to the same oracle.
+func setAVX2(on bool) (was bool) {
+	was, useAVX2 = useAVX2, on && haveAVX2
+	return was
+}
+
 // MatMulInto sets dst = a·b under the zero-skip contract above and returns
 // dst, which must be a.Rows×b.Cols and must not alias a or b; its previous
 // contents are ignored.
@@ -132,30 +144,45 @@ func TMatMulInto(dst, a, b *Mat) *Mat {
 // TMatMul returns aᵀ·b in a fresh matrix; see TMatMulInto.
 func TMatMul(a, b *Mat) *Mat { return TMatMulInto(New(a.Cols, b.Cols), a, b) }
 
-// mulAcc is the one loop nest behind MatMulInto and TMatMulInto:
+// mulAcc is the one product behind MatMulInto and TMatMulInto:
 // dst[i][j] = Σₖ A(i,k)·b[k][j] with A(i,k) = ad[i*si+k*sk], so the two
-// products differ only in their strides. A block is two output rows by four
-// k: eight products per four loads of b, each output element accumulated as
-// ((((o + a₀b₀) + a₁b₁) + a₂b₂) + a₃b₃) — the order of the plain loop. A
-// block holding a zero factor, the k tail and an odd last row go through
-// axpy, one k at a time, which is where the skip lives.
+// products differ only in their strides. The vector path, when on, computes
+// a block of rows [0, rows) × columns [0, cols); the portable loop does the
+// columns right of it and the rows below it.
 func mulAcc(dst *Mat, ad []float64, si, sk int, b *Mat) {
+	rows, cols := 0, 0
+	if useAVX2 {
+		rows, cols = mulAccAVX2(dst, ad, si, sk, b)
+	}
+	mulAccGo(dst, ad, si, sk, b, 0, rows, cols)
+	mulAccGo(dst, ad, si, sk, b, rows, dst.Rows, 0)
+}
+
+// mulAccGo is mulAcc's portable loop over rows [i0, i1) × columns [j0, n). A
+// block is two output rows by four k: eight products per four loads of b,
+// each output element accumulated as ((((o + a₀b₀) + a₁b₁) + a₂b₂) + a₃b₃) —
+// the order of the plain loop. A block holding a zero factor, the k tail and
+// an odd last row go through axpy, one k at a time, which is where the skip
+// lives.
+func mulAccGo(dst *Mat, ad []float64, si, sk int, b *Mat, i0, i1, j0 int) {
 	n, inner := b.Cols, b.Rows
+	if j0 == n {
+		return
+	}
 	bd := b.Data
-	clear(dst.Data)
-	i := 0
-	for ; i+2 <= dst.Rows; i += 2 {
-		o0 := dst.Data[i*n : (i+1)*n]
-		o1 := dst.Data[(i+1)*n : (i+2)*n]
+	row := func(i int) []float64 { return dst.Data[i*n+j0 : (i+1)*n] }
+	brow := func(k int) []float64 { return bd[k*n+j0 : (k+1)*n] }
+	i := i0
+	for ; i+2 <= i1; i += 2 {
+		o0, o1 := row(i), row(i+1)
+		clear(o0)
+		clear(o1)
 		p0, p1 := i*si, (i+1)*si
 		k := 0
 		for ; k+4 <= inner; k += 4 {
 			a00, a01, a02, a03 := ad[p0+k*sk], ad[p0+(k+1)*sk], ad[p0+(k+2)*sk], ad[p0+(k+3)*sk]
 			a10, a11, a12, a13 := ad[p1+k*sk], ad[p1+(k+1)*sk], ad[p1+(k+2)*sk], ad[p1+(k+3)*sk]
-			b0 := bd[k*n : (k+1)*n]
-			b1 := bd[(k+1)*n : (k+2)*n]
-			b2 := bd[(k+2)*n : (k+3)*n]
-			b3 := bd[(k+3)*n : (k+4)*n]
+			b0, b1, b2, b3 := brow(k), brow(k+1), brow(k+2), brow(k+3)
 			if a00 == 0 || a01 == 0 || a02 == 0 || a03 == 0 || a10 == 0 || a11 == 0 || a12 == 0 || a13 == 0 {
 				axpy(o0, a00, b0)
 				axpy(o0, a01, b1)
@@ -176,15 +203,15 @@ func mulAcc(dst *Mat, ad []float64, si, sk int, b *Mat) {
 			}
 		}
 		for ; k < inner; k++ {
-			brow := bd[k*n : (k+1)*n]
-			axpy(o0, ad[p0+k*sk], brow)
-			axpy(o1, ad[p1+k*sk], brow)
+			axpy(o0, ad[p0+k*sk], brow(k))
+			axpy(o1, ad[p1+k*sk], brow(k))
 		}
 	}
-	if i < dst.Rows {
-		o := dst.Data[i*n : (i+1)*n]
+	if i < i1 {
+		o := row(i)
+		clear(o)
 		for k := 0; k < inner; k++ {
-			axpy(o, ad[i*si+k*sk], bd[k*n:(k+1)*n])
+			axpy(o, ad[i*si+k*sk], brow(k))
 		}
 	}
 }
@@ -202,22 +229,41 @@ func axpy(o []float64, av float64, b []float64) {
 
 // MatMulTInto sets dst = a·bᵀ and returns dst, which must be a.Rows×b.Rows
 // and must not alias a or b; its previous contents are ignored. No product is
-// skipped (see the contract above). A block is two rows of a against four
-// rows of b: eight independent dot products, each summed from +0 in
-// ascending k like the plain loop's single chain.
+// skipped (see the contract above). The vector path, when on, computes a block
+// of rows [0, rows) × columns [0, cols); the portable loop does the rest.
 func MatMulTInto(dst, a, b *Mat) *Mat {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmulT inner mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	checkDst(dst, a.Rows, b.Rows, "matmulT")
+	rows, cols := 0, 0
+	if useAVX2 {
+		rows, cols = matMulTAVX2(dst, a, b)
+	}
+	matMulTGo(dst, a, b, 0, rows, cols)
+	matMulTGo(dst, a, b, rows, a.Rows, 0)
+	return dst
+}
+
+// MatMulT returns a·bᵀ in a fresh matrix; see MatMulTInto.
+func MatMulT(a, b *Mat) *Mat { return MatMulTInto(New(a.Rows, b.Rows), a, b) }
+
+// matMulTGo is MatMulTInto's portable loop over rows [i0, i1) × columns
+// [j0, n). A block is two rows of a against four rows of b: eight independent
+// dot products, each summed from +0 in ascending k like the plain loop's
+// single chain.
+func matMulTGo(dst, a, b *Mat, i0, i1, j0 int) {
 	inner, n := a.Cols, b.Rows
-	i := 0
-	for ; i+2 <= a.Rows; i += 2 {
+	if j0 == n {
+		return
+	}
+	i := i0
+	for ; i+2 <= i1; i += 2 {
 		a0 := a.Data[i*inner : (i+1)*inner]
 		a1 := a.Data[(i+1)*inner : (i+2)*inner][:len(a0)]
 		o0 := dst.Data[i*n : (i+1)*n]
 		o1 := dst.Data[(i+1)*n : (i+2)*n]
-		j := 0
+		j := j0
 		for ; j+4 <= n; j += 4 {
 			b0 := b.Data[j*inner : (j+1)*inner][:len(a0)]
 			b1 := b.Data[(j+1)*inner : (j+2)*inner][:len(a0)]
@@ -245,17 +291,13 @@ func MatMulTInto(dst, a, b *Mat) *Mat {
 			o1[j] = dot(a1, brow)
 		}
 	}
-	if i < a.Rows {
+	if i < i1 {
 		arow := a.Data[i*inner : (i+1)*inner]
-		for j := 0; j < n; j++ {
+		for j := j0; j < n; j++ {
 			dst.Data[i*n+j] = dot(arow, b.Data[j*inner:(j+1)*inner])
 		}
 	}
-	return dst
 }
-
-// MatMulT returns a·bᵀ in a fresh matrix; see MatMulTInto.
-func MatMulT(a, b *Mat) *Mat { return MatMulTInto(New(a.Rows, b.Rows), a, b) }
 
 // dot sums a[k]·b[k] from +0 in ascending k.
 func dot(a, b []float64) float64 {
@@ -283,8 +325,9 @@ func Add(a, b *Mat) *Mat { return AddInto(New(a.Rows, a.Cols), a, b) }
 // AddInPlace accumulates b into a.
 func AddInPlace(a, b *Mat) {
 	checkSame(a, b, "addInPlace")
+	bd := b.Data[:len(a.Data)]
 	for i := range a.Data {
-		a.Data[i] += b.Data[i]
+		a.Data[i] += bd[i]
 	}
 }
 

@@ -330,8 +330,9 @@ func plant(rng *RNG, m *Mat, every int, v float64) {
 
 // kernelOperands draws the four operands checkKernels wants. zeros plants
 // exact zeros (both signs) in a, the skipped side; specials plants ±Inf and
-// NaN in the other operands, and in a too when zeros is off — so a zero in a
-// meets a non-finite b, and MatMulT, which skips nothing, meets 0·Inf.
+// NaN in the other operands, and −Inf and NaN in a — so a zero in a meets a
+// non-finite b, MatMulT, which skips nothing, meets 0·Inf, and a NaN factor,
+// which is not zero although it compares unordered, must still be formed.
 func kernelOperands(rng *RNG, m, k, n int, zeros, specials bool) (a, b, bt, c *Mat) {
 	a, b, bt, c = randMat(rng, m, k), randMat(rng, k, n), randMat(rng, n, k), randMat(rng, m, n)
 	if zeros {
@@ -344,115 +345,151 @@ func kernelOperands(rng *RNG, m, k, n int, zeros, specials bool) (a, b, bt, c *M
 			plant(rng, o, 5, math.Inf(-1))
 			plant(rng, o, 9, math.NaN())
 		}
-		if !zeros {
-			plant(rng, a, 11, math.Inf(-1))
-		}
+		plant(rng, a, 11, math.Inf(-1))
+		plant(rng, a, 13, math.NaN())
 	}
 	return a, b, bt, c
 }
 
+// kernelPaths are the two product paths: the AVX2 kernels and the portable
+// loops.
+var kernelPaths = []struct {
+	name string
+	simd bool
+}{{"simd", true}, {"generic", false}}
+
+// onEachPath runs test once per kernel path this CPU has, switched through
+// the hook.
+func onEachPath(t *testing.T, test func(t *testing.T)) {
+	for _, p := range kernelPaths {
+		if p.simd && !haveAVX2 {
+			t.Logf("%s: not on this CPU", p.name)
+			continue
+		}
+		t.Run(p.name, func(t *testing.T) {
+			defer setAVX2(setAVX2(p.simd))
+			test(t)
+		})
+	}
+}
+
 // TestKernelsBitIdenticalToReference is the equality the executor's
-// bit-identical losses rest on: every residue of rows, inner and cols modulo
-// the block widths (2 rows, 4 wide), the degenerate shapes, and the five
-// shapes of the train_1f1b workload, with and without planted zeros and
-// non-finite values. Float64bits, not a tolerance.
+// bit-identical losses rest on, on each kernel path: every residue of rows
+// and cols modulo the block widths of both paths (the vector tile is 4 rows
+// by 8 columns, the portable block 2 by 4) and inner 0..9, the degenerate
+// shapes, inner dimensions long enough to make MatMulT pack in chunks and in
+// groups of panels, and the shapes of the train_1f1b workload — with and
+// without planted zeros and non-finite values. Float64bits, not a tolerance.
 func TestKernelsBitIdenticalToReference(t *testing.T) {
 	type shape struct{ m, k, n int }
 	var shapes []shape
-	for m := 1; m <= 5; m++ {
-		for k := 1; k <= 9; k++ {
-			for n := 1; n <= 9; n++ {
+	for m := 1; m <= 9; m++ {
+		for k := 0; k <= 9; k++ {
+			for n := 1; n <= 17; n++ {
 				shapes = append(shapes, shape{m, k, n})
 			}
 		}
 	}
 	shapes = append(shapes,
-		shape{1, 1, 1}, shape{1, 1, 13}, shape{1, 13, 1}, shape{13, 1, 1}, shape{0, 3, 2}, shape{3, 0, 2}, shape{3, 2, 0},
+		shape{1, 1, 13}, shape{1, 13, 1}, shape{13, 1, 1}, shape{0, 3, 2}, shape{3, 2, 0},
+		// MatMulT's panels: one chunk in groups of 2 panels, then 2 and 3 chunks.
+		shape{8, 100, 40}, shape{4, 300, 8}, shape{5, 600, 17},
 		// bench/train.go tensorProbe: x·W_up, x·W_q, q·kᵀ, dy·Wᵀ, xᵀ·dy — and the per-head attention products.
 		shape{32, 64, 128}, shape{32, 64, 64}, shape{32, 64, 32}, shape{32, 128, 64}, shape{64, 32, 128},
 		shape{32, 16, 32}, shape{32, 32, 16})
-	rng := NewRNG(24)
-	for _, s := range shapes {
-		for variant := 0; variant < 4; variant++ {
-			a, b, bt, c := kernelOperands(rng, s.m, s.k, s.n, variant&1 != 0, variant&2 != 0)
-			checkKernels(t, a, b, bt, c)
+	onEachPath(t, func(t *testing.T) {
+		rng := NewRNG(24)
+		for _, s := range shapes {
+			for variant := 0; variant < 4; variant++ {
+				a, b, bt, c := kernelOperands(rng, s.m, s.k, s.n, variant&1 != 0, variant&2 != 0)
+				checkKernels(t, a, b, bt, c)
+			}
 		}
-	}
+	})
 }
 
 // TestZeroSkipContract pins which products the kernels form (see the comment
 // above MatMulInto): the fault layer's NaN/Inf corruption and the non-finite
 // guard see exactly these.
 func TestZeroSkipContract(t *testing.T) {
-	inf, nan, negZero := math.Inf(1), math.NaN(), math.Copysign(0, -1)
-	finite := func(name string, m *Mat) {
-		t.Helper()
-		for i, v := range m.Data {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Errorf("%s: element %d = %v, the zero factor was multiplied", name, i, v)
+	onEachPath(t, func(t *testing.T) {
+		inf, nan, negZero := math.Inf(1), math.NaN(), math.Copysign(0, -1)
+		finite := func(name string, m *Mat) {
+			t.Helper()
+			for i, v := range m.Data {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Errorf("%s: element %d = %v, the zero factor was multiplied", name, i, v)
+				}
 			}
 		}
-	}
-	// A zero of either sign in a meets ±Inf and NaN in b: skipped, no NaN.
-	a := FromSlice(2, 4, []float64{0, 2, negZero, 1, negZero, 3, 0, 0})
-	b := FromSlice(4, 2, []float64{inf, nan, 1, 2, -inf, nan, 3, 4})
-	got := MatMul(a, b)
-	finite("MatMul", got)
-	if want := []float64{5, 8, 3, 6}; !matsClose(got, FromSlice(2, 2, want), 0) {
-		t.Errorf("MatMul = %v, want %v", got.Data, want)
-	}
-	// The same zeros read down a column: TMatMul skips a[k][i] == 0.
-	at := transpose(FromSlice(1, 4, []float64{0, 2, negZero, 1}))
-	finite("TMatMul", TMatMul(at, b))
-	// An all-zero row of a gives a row of +0 whatever b holds.
-	zeroRow := MatMul(FromSlice(1, 4, []float64{0, negZero, 0, negZero}), b)
-	for i, v := range zeroRow.Data {
-		if math.Float64bits(v) != 0 {
-			t.Errorf("all-zero row: element %d = %v (bits %#x), want +0", i, v, math.Float64bits(v))
+		// A zero of either sign in a meets ±Inf and NaN in b: skipped, no NaN.
+		a := FromSlice(2, 4, []float64{0, 2, negZero, 1, negZero, 3, 0, 0})
+		b := FromSlice(4, 2, []float64{inf, nan, 1, 2, -inf, nan, 3, 4})
+		got := MatMul(a, b)
+		finite("MatMul", got)
+		if want := []float64{5, 8, 3, 6}; !matsClose(got, FromSlice(2, 2, want), 0) {
+			t.Errorf("MatMul = %v, want %v", got.Data, want)
 		}
-	}
-	// MatMulT has no skip: 0·Inf is NaN there.
-	if v := MatMulT(FromSlice(1, 2, []float64{0, 1}), FromSlice(1, 2, []float64{inf, 1})).Data[0]; !math.IsNaN(v) {
-		t.Errorf("MatMulT formed 0·Inf = %v, want NaN", v)
-	}
-	// The causal mask: P is lower-triangular with exact zeros above the
-	// diagonal, so P·V reads V's future rows not at all — a non-finite value
-	// there reaches no earlier position, in P·V or in its gradient Pᵀ·dO.
-	const T, dh = 9, 5
-	rng := NewRNG(3)
-	p := randMat(rng, T, T)
-	for i := 0; i < T; i++ {
-		for j := i + 1; j < T; j++ {
-			p.Set(i, j, 0)
+		// The same zeros read down a column: TMatMul skips a[k][i] == 0.
+		at := transpose(FromSlice(1, 4, []float64{0, 2, negZero, 1}))
+		finite("TMatMul", TMatMul(at, b))
+		// An all-zero row of a gives a row of +0 whatever b holds.
+		zeroRow := MatMul(FromSlice(1, 4, []float64{0, negZero, 0, negZero}), b)
+		for i, v := range zeroRow.Data {
+			if math.Float64bits(v) != 0 {
+				t.Errorf("all-zero row: element %d = %v (bits %#x), want +0", i, v, math.Float64bits(v))
+			}
 		}
-	}
-	v := randMat(rng, T, dh)
-	for j := 0; j < dh; j++ {
-		v.Set(T-1, j, nan)
-	}
-	pv := MatMul(p, v)
-	finite("P·V above the poisoned row", FromSlice(T-1, dh, pv.Data[:(T-1)*dh]))
-	if !math.IsNaN(pv.At(T-1, 0)) {
-		t.Error("P·V: the last position attends to the poisoned row and must see it")
-	}
-	if i := sameBits(pv, refMatMul(p, v)); i >= 0 {
-		t.Errorf("P·V differs from the reference at %d", i)
-	}
-	if i := sameBits(TMatMul(p, v), refTMatMul(p, v)); i >= 0 {
-		t.Errorf("Pᵀ·dO differs from the reference at %d", i)
-	}
+		// MatMulT has no skip: 0·Inf is NaN there.
+		if v := MatMulT(FromSlice(1, 2, []float64{0, 1}), FromSlice(1, 2, []float64{inf, 1})).Data[0]; !math.IsNaN(v) {
+			t.Errorf("MatMulT formed 0·Inf = %v, want NaN", v)
+		}
+		// The causal mask: P is lower-triangular with exact zeros above the
+		// diagonal, so P·V reads V's future rows not at all — a non-finite value
+		// there reaches no earlier position, in P·V or in its gradient Pᵀ·dO.
+		const T, dh = 9, 5
+		rng := NewRNG(3)
+		p := randMat(rng, T, T)
+		for i := 0; i < T; i++ {
+			for j := i + 1; j < T; j++ {
+				p.Set(i, j, 0)
+			}
+		}
+		v := randMat(rng, T, dh)
+		for j := 0; j < dh; j++ {
+			v.Set(T-1, j, nan)
+		}
+		pv := MatMul(p, v)
+		finite("P·V above the poisoned row", FromSlice(T-1, dh, pv.Data[:(T-1)*dh]))
+		if !math.IsNaN(pv.At(T-1, 0)) {
+			t.Error("P·V: the last position attends to the poisoned row and must see it")
+		}
+		if i := sameBits(pv, refMatMul(p, v)); i >= 0 {
+			t.Errorf("P·V differs from the reference at %d", i)
+		}
+		if i := sameBits(TMatMul(p, v), refTMatMul(p, v)); i >= 0 {
+			t.Errorf("Pᵀ·dO differs from the reference at %d", i)
+		}
+
+	})
 }
 
 // FuzzKernelsVsReference draws the shape, the seed and the planting from the
-// fuzz input and holds the kernels to the oracle.
+// fuzz input and holds the kernels of each path to the oracle.
 func FuzzKernelsVsReference(f *testing.F) {
 	f.Add(uint8(32), uint8(64), uint8(128), uint64(1), uint8(0))
 	f.Add(uint8(5), uint8(7), uint8(3), uint64(2), uint8(3))
 	f.Add(uint8(1), uint8(1), uint8(1), uint64(3), uint8(1))
 	f.Add(uint8(2), uint8(9), uint8(6), uint64(4), uint8(2))
 	f.Fuzz(func(t *testing.T, m, k, n uint8, seed uint64, planting uint8) {
-		rng := NewRNG(seed)
-		a, b, bt, c := kernelOperands(rng, int(m%40), int(k%40), int(n%40), planting&1 != 0, planting&2 != 0)
-		checkKernels(t, a, b, bt, c)
+		a, b, bt, c := kernelOperands(NewRNG(seed), int(m%40), int(k%40), int(n%40), planting&1 != 0, planting&2 != 0)
+		for _, p := range kernelPaths { // without AVX2 the simd pass repeats the portable one
+			was := setAVX2(p.simd)
+			checkKernels(t, a, b, bt, c)
+			setAVX2(was)
+			if t.Failed() {
+				t.Fatalf("on the %s path", p.name)
+			}
+		}
 	})
 }

@@ -27,20 +27,59 @@ import (
 //     message. Stage s gives one y and gets one dy of the same size per
 //     micro-batch (and the reverse downstream), so the lists stay balanced.
 //
-// A failed or cancelled iteration never releases its in-flight buffers: they
-// are dropped to the garbage collector, the free lists hold only buffers
-// nobody references, and a retry from a snapshot — or a Rebind onto new
-// stages with new arenas — computes on exactly the values it would have
+// The contexts that pin a micro-batch's activations from its forward to its
+// backward pass are recycled under the same rule. Stage.Backward consumes its
+// StageCtx and hands it back with ctx; the block contexts it holds stay with
+// it, and the next Stage.Forward takes it, resets it and hands each block its
+// own consumed context to reset and refill. So a steady-state step allocates
+// no context either.
+//
+// A failed or cancelled iteration never releases its in-flight buffers or
+// contexts: they are dropped to the garbage collector, the free lists hold
+// only what nobody references, and a retry from a snapshot — or a Rebind onto
+// new stages with new arenas — computes on exactly the values it would have
 // without reuse.
 //
 // get does not clear: whoever takes a buffer writes all of it. A nil *arena
 // allocates and never reuses, which is what the unit-level tests pass.
 type arena struct {
 	free map[int][]*tensor.Mat
+	ctxs []*StageCtx
 	// poison is set by in-package tests only: a released buffer is filled
 	// with NaN, so a read after release turns the loss NaN, and a second
-	// release of the same buffer panics.
+	// release of the same buffer panics. A released context is overwritten
+	// with poisonMat, so a field its next Forward fails to reset is read as
+	// a 1×1 NaN matrix; a second release of it panics too.
 	poison bool
+}
+
+// poisonMat is what a poisoned arena writes into the fields of a released
+// context: any read of it breaks a shape check or turns the loss NaN.
+var poisonMat = tensor.FromSlice(1, 1, []float64{math.NaN()})
+
+// takeCtx returns a reset stage context for a stage of nblocks blocks,
+// keeping the consumed block contexts of a recycled one for reuse.
+func (a *arena) takeCtx(nblocks int) *StageCtx {
+	if n := len(a.ctxs); n > 0 {
+		c := a.ctxs[n-1]
+		a.ctxs = a.ctxs[:n-1]
+		*c = StageCtx{blocks: c.blocks}
+		return c
+	}
+	return &StageCtx{blocks: make([]BlockCtx, nblocks)}
+}
+
+// releaseCtx takes back a stage context that Stage.Backward has consumed.
+func (a *arena) releaseCtx(c *StageCtx) {
+	if a.poison {
+		for _, f := range a.ctxs {
+			if f == c {
+				panic("train: context released twice")
+			}
+		}
+		c.poison()
+	}
+	a.ctxs = append(a.ctxs, c)
 }
 
 // get returns a rows×cols matrix with unspecified contents.

@@ -3,6 +3,7 @@ package train
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -142,47 +143,103 @@ func TestLossesUnchangedFromParent(t *testing.T) {
 	}
 }
 
+// freeCtxs returns the stage contexts on the free lists of p's stages.
+func freeCtxs(p *Pipeline) map[*StageCtx]bool {
+	free := map[*StageCtx]bool{}
+	for _, st := range p.Stages {
+		for _, c := range st.arena.ctxs {
+			free[c] = true
+		}
+	}
+	return free
+}
+
 // TestArenaPoisonedReleaseLeavesLossesAlone: with every released buffer
-// NaN-filled (and a double release a panic), a step still reports the
-// parent's loss under all three policies — nothing reads a buffer it gave
-// back, and nothing relies on a taken buffer being zero.
+// NaN-filled, every released context overwritten with a 1×1 NaN matrix in
+// each field, and a double release of either a panic, a step still reports
+// the parent's loss and PeakActBytes under all three policies — nothing reads
+// a buffer it gave back, nothing relies on a taken buffer being zero, and a
+// recycled context is reset field by field before it is used: a stale field
+// would be read as the poison (a shape panic or a NaN loss) or counted in
+// the live bytes. From the second step on every context is a recycled one —
+// the free lists end each step holding the very contexts they held after
+// the first.
 func TestArenaPoisonedReleaseLeavesLossesAlone(t *testing.T) {
 	parent := parentRuns(t)
 	for _, spec := range benchSpecs {
 		rig := newBenchRig(t, benchBounds, spec, true)
 		var losses []float64
+		var first map[*StageCtx]bool
 		for i := 0; i < 4; i++ {
 			l, err := rig.pipe.Step(rig.batches())
 			if err != nil {
 				t.Fatal(err)
 			}
 			losses = append(losses, l)
+			free := freeCtxs(rig.pipe)
+			if i == 0 {
+				first = free
+			} else if !maps.Equal(free, first) {
+				t.Fatalf("%s step %d: the free lists hold %d contexts, not the %d recycled since the first step", spec, i, len(free), len(first))
+			}
 		}
 		checkLosses(t, spec+" (poisoned)", losses, parent[spec].LossBits)
+		if fmt.Sprint(rig.pipe.PeakActBytes) != fmt.Sprint(parent[spec].PeakActBytes) {
+			t.Errorf("%s (poisoned): PeakActBytes %v, the parent commit reported %v", spec, rig.pipe.PeakActBytes, parent[spec].PeakActBytes)
+		}
 	}
 }
 
 // TestArenaSurvivesFailedIteration: an iteration killed mid-backward leaves
-// buffers in flight — pinned contexts, boundary tensors in the channels, the
-// failing op's scratch. They are dropped, never released, so the supervisor's
-// retry from the snapshot reuses only buffers nobody holds and reports the
-// fault-free losses bit for bit, poisoned arenas included.
+// buffers and contexts in flight — pinned contexts, boundary tensors in the
+// channels, the failing op's scratch. They are dropped, never released, and
+// so is the iteration state that held them: the supervisor's retry from the
+// snapshot runs on fresh iteration state, reuses only buffers and contexts
+// nobody holds — no context in flight at the failure ever reaches a free
+// list again — and reports the fault-free losses bit for bit, poisoned arenas
+// included.
 func TestArenaSurvivesFailedIteration(t *testing.T) {
 	parent := parentRuns(t)
 	rig := newBenchRig(t, benchBounds, "alternate", true)
-	rig.pipe.Fault = fault.MustNew(1, fault.On(fault.Panic).AtStage(1).AtMicro(3).OnPhase(fault.PhaseBackward).AtAttempt(2))
+	const failing = 2 // the step whose first attempt (attempt 2) panics
+	rig.pipe.Fault = fault.MustNew(1, fault.On(fault.Panic).AtStage(1).AtMicro(3).OnPhase(fault.PhaseBackward).AtAttempt(failing))
 	rig.pipe.Watchdog = 30 * time.Second
 	sup, err := NewSupervisor(rig.pipe, Recovery{MaxRetries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var losses []float64
+	var failed *iterRun
+	inFlight := map[*StageCtx]bool{}
 	for i := 0; i < 5; i++ {
+		if i == failing {
+			failed = rig.pipe.run // the state the failing attempt runs on
+		}
 		l, err := sup.Step(rig.batches())
 		if err != nil {
 			t.Fatal(err)
 		}
 		losses = append(losses, l)
+		if i == failing {
+			if rig.pipe.run == failed {
+				t.Fatal("the retry ran on the failed iteration's state")
+			}
+			for _, slots := range failed.ctxs {
+				for _, c := range slots {
+					if c != nil {
+						inFlight[c] = true
+					}
+				}
+			}
+			if len(inFlight) == 0 {
+				t.Fatal("no context was in flight when the iteration failed")
+			}
+		}
+		for c := range freeCtxs(rig.pipe) {
+			if inFlight[c] {
+				t.Fatalf("step %d: a context in flight at the failure is back on a free list", i)
+			}
+		}
 	}
 	if c := sup.Counters(); c.Panics != 1 || c.Retries != 1 {
 		t.Fatalf("fault counters = %+v, want 1 panic and 1 retry", c)
@@ -191,8 +248,10 @@ func TestArenaSurvivesFailedIteration(t *testing.T) {
 }
 
 // TestArenaAcrossRebind: a Rebind from three stages to two moves the training
-// state onto stages with arenas of their own; the old stages' free lists go
-// with them, and the losses continue as if nothing had been reshaped.
+// state onto stages with arenas of their own; the old stages' free lists —
+// buffers and contexts — go with them, the new stages recycle only contexts
+// they made themselves, and the losses continue as if nothing had been
+// reshaped.
 func TestArenaAcrossRebind(t *testing.T) {
 	parent := parentRuns(t)
 	rig := newBenchRig(t, benchBounds, "savenone", true)
@@ -201,8 +260,10 @@ func TestArenaAcrossRebind(t *testing.T) {
 		t.Fatal(err)
 	}
 	var losses []float64
+	var old map[*StageCtx]bool
 	for i := 0; i < 6; i++ {
 		if i == 3 {
+			old = freeCtxs(sup.Pipe)
 			if err := sup.Rebind(benchPipe(t, []int{0, 5, 10}, "alternate", true)); err != nil {
 				t.Fatal(err)
 			}
@@ -212,16 +273,31 @@ func TestArenaAcrossRebind(t *testing.T) {
 			t.Fatal(err)
 		}
 		losses = append(losses, l)
+		if i >= 3 {
+			free := freeCtxs(sup.Pipe)
+			if len(free) == 0 {
+				t.Fatalf("step %d: the rebound stages recycle no context", i)
+			}
+			for c := range free {
+				if old[c] {
+					t.Fatalf("step %d: a context of the old stages is on a new stage's free list", i)
+				}
+			}
+		}
 	}
 	checkLosses(t, "rebound 3→2", losses, parent["savenone"].LossBits)
 }
 
-// TestStepAllocsBounded: a steady-state step takes its matrices from the
-// arenas. What is left is per-step bookkeeping (contexts, the schedule, the
-// channels, the goroutines, the batch slices); the parent commit allocated
-// 8071 objects and 42.7 MB per step here.
+// TestStepAllocsBounded: a steady-state step takes its matrices and contexts
+// from the arenas and its schedule, channels and goroutine bodies from the
+// iteration state the last step left, so what it allocates is the caller's
+// batch slice (one object, 384 bytes). Garbage per step is what the repo
+// benchmark's peak RSS grows by per step, since no GC cycle runs in its timed
+// window. Before the arenas a step allocated 8071 objects and 42.7 MB here;
+// before the recycled contexts and iteration state, 231–263 objects and
+// 16–17 KiB.
 func TestStepAllocsBounded(t *testing.T) {
-	const maxAllocs, maxBytes = 800, 2 << 20
+	const maxAllocs, maxBytes = 16, 1 << 10
 	for _, spec := range benchSpecs {
 		rig := newBenchRig(t, benchBounds, spec, false)
 		step := func() {
@@ -232,14 +308,14 @@ func TestStepAllocsBounded(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			step()
 		}
-		const runs = 5
+		const runs = 10
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		allocs := testing.AllocsPerRun(runs, step)
 		runtime.ReadMemStats(&after)
 		// AllocsPerRun makes one warm-up call before the counted ones.
 		bytes := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
-		t.Logf("%s: %.0f allocs, %d KiB per step", spec, allocs, bytes>>10)
+		t.Logf("%s: %.0f allocs, %d bytes per step", spec, allocs, bytes)
 		if allocs > maxAllocs {
 			t.Errorf("%s: %.0f allocs per step, want <= %d", spec, allocs, maxAllocs)
 		}

@@ -32,8 +32,10 @@ type Block interface {
 	Kind() model.LayerKind
 	// Forward runs the block, saving activations per spec. The returned
 	// context is passed to Backward. The block takes over x: the context
-	// pins it until Backward (see arena for the ownership rule).
-	Forward(a *arena, x *tensor.Mat, save SaveSpec) (*tensor.Mat, BlockCtx)
+	// pins it until Backward (see arena for the ownership rule). reuse, when
+	// non-nil, is a context of this block that Backward has consumed; Forward
+	// resets and returns it instead of allocating one.
+	Forward(a *arena, x *tensor.Mat, save SaveSpec, reuse BlockCtx) (*tensor.Mat, BlockCtx)
 	// Backward recomputes dropped activations, accumulates parameter
 	// gradients and returns dx. It consumes ctx and dy: every buffer either
 	// holds is released to a, and neither may be used again.
@@ -47,6 +49,9 @@ type BlockCtx interface {
 	// SavedBytes reports the activation memory the context pins, used by
 	// the engine's live-memory accounting tests.
 	SavedBytes() int64
+	// poison overwrites a consumed context with values no forward pass
+	// writes (see arena.poison).
+	poison()
 }
 
 // AttnBlock is a causal self-attention sub-layer:
@@ -111,15 +116,25 @@ func (c *attnCtx) SavedBytes() int64 {
 	return n
 }
 
+func (c *attnCtx) poison() {
+	p := poisonMat
+	*c = attnCtx{x: p, ln: p, lnSt: lnCtx{p, p}, q: p, k: p, v: p, att: p, core: coreCtx{append(c.core.probs[:0], p)}}
+}
+
 // Forward runs the sub-layer keeping only the units selected by save; what
-// is not kept goes back to the arena before it returns.
-func (b *AttnBlock) Forward(a *arena, x *tensor.Mat, save SaveSpec) (*tensor.Mat, BlockCtx) {
-	ctx := &attnCtx{x: x}
+// is not kept goes back to the arena before it returns. The context keeps
+// its per-head slice from one use to the next.
+func (b *AttnBlock) Forward(a *arena, x *tensor.Mat, save SaveSpec, reuse BlockCtx) (*tensor.Mat, BlockCtx) {
+	ctx, _ := reuse.(*attnCtx)
+	if ctx == nil {
+		ctx = new(attnCtx)
+	}
+	*ctx = attnCtx{x: x, core: coreCtx{ctx.core.probs[:0]}}
 	ln, lnSt := b.LN.Forward(a, x)
 	q := b.Q.Forward(a, ln)
 	k := b.K.Forward(a, ln)
 	v := b.V.Forward(a, ln)
-	att, core := attentionCore(a, q, k, v, b.Heads)
+	att, core := attentionCore(a, q, k, v, b.Heads, ctx.core.probs)
 	out := b.Out.Forward(a, att)
 	y := tensor.AddInto(out, x, out)
 	ctx.ln, ctx.lnSt = lnSt.keep(a, save[model.UnitLayerNorm], ln)
@@ -127,11 +142,12 @@ func (b *AttnBlock) Forward(a *arena, x *tensor.Mat, save SaveSpec) (*tensor.Mat
 	ctx.k = a.keep(save[model.UnitKProj], k)
 	ctx.v = a.keep(save[model.UnitVProj], v)
 	if save[model.UnitCoreAttention] {
-		ctx.att, ctx.core = att, core
+		ctx.att = att
 	} else {
 		a.put(att)
 		core.release(a)
 	}
+	ctx.core = core
 	return y, ctx
 }
 
@@ -159,7 +175,7 @@ func (b *AttnBlock) Backward(a *arena, bc BlockCtx, dy *tensor.Mat) *tensor.Mat 
 	}
 	att, core := ctx.att, ctx.core
 	if att == nil {
-		att, core = attentionCore(a, q, k, v, b.Heads)
+		att, core = attentionCore(a, q, k, v, b.Heads, ctx.core.probs)
 	}
 
 	// y = x + Out(att): residual passes dy through.
@@ -175,6 +191,7 @@ func (b *AttnBlock) Backward(a *arena, bc BlockCtx, dy *tensor.Mat) *tensor.Mat 
 	a.put(ctx.x, ln, q, k, v, att, datt, dq, dk, dv, dln, dlnK, dlnV, dy)
 	lnSt.release(a)
 	core.release(a)
+	ctx.core = core
 	return dx
 }
 
@@ -226,9 +243,18 @@ func (c *ffnCtx) SavedBytes() int64 {
 	return n + c.lnSt.bytes()
 }
 
+func (c *ffnCtx) poison() {
+	p := poisonMat
+	*c = ffnCtx{x: p, ln: p, lnSt: lnCtx{p, p}, up: p, act: p}
+}
+
 // Forward runs the sub-layer keeping only the units selected by save.
-func (b *FFNBlock) Forward(a *arena, x *tensor.Mat, save SaveSpec) (*tensor.Mat, BlockCtx) {
-	ctx := &ffnCtx{x: x}
+func (b *FFNBlock) Forward(a *arena, x *tensor.Mat, save SaveSpec, reuse BlockCtx) (*tensor.Mat, BlockCtx) {
+	ctx, _ := reuse.(*ffnCtx)
+	if ctx == nil {
+		ctx = new(ffnCtx)
+	}
+	*ctx = ffnCtx{x: x}
 	ln, lnSt := b.LN.Forward(a, x)
 	up := b.Up.Forward(a, ln)
 	act := geluForward(a, up)

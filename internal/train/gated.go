@@ -84,9 +84,18 @@ func gatedActBackward(a *arena, up, gate, dy *tensor.Mat) (*tensor.Mat, *tensor.
 	return dup, dgate
 }
 
+func (c *gatedCtx) poison() {
+	p := poisonMat
+	*c = gatedCtx{x: p, ln: p, lnSt: lnCtx{p, p}, up: p, gate: p, act: p}
+}
+
 // Forward runs the sub-layer keeping only the units selected by save.
-func (b *GatedFFNBlock) Forward(a *arena, x *tensor.Mat, save SaveSpec) (*tensor.Mat, BlockCtx) {
-	ctx := &gatedCtx{x: x}
+func (b *GatedFFNBlock) Forward(a *arena, x *tensor.Mat, save SaveSpec, reuse BlockCtx) (*tensor.Mat, BlockCtx) {
+	ctx, _ := reuse.(*gatedCtx)
+	if ctx == nil {
+		ctx = new(gatedCtx)
+	}
+	*ctx = gatedCtx{x: x}
 	ln, lnSt := b.LN.Forward(a, x)
 	up := b.Up.Forward(a, ln)
 	gate := b.Gate.Forward(a, ln)

@@ -121,10 +121,10 @@ func TestAttentionCoreGradients(t *testing.T) {
 	v := tensor.RandNorm(rng, T, dim, 1)
 	proj := tensor.RandNorm(rng, T, dim, 1)
 	loss := func() float64 {
-		y, _ := attentionCore(nil, q, k, v, heads)
+		y, _ := attentionCore(nil, q, k, v, heads, nil)
 		return projLoss(y, proj)
 	}
-	_, ctx := attentionCore(nil, q, k, v, heads)
+	_, ctx := attentionCore(nil, q, k, v, heads, nil)
 	dq, dk, dv := attentionCoreBackward(nil, ctx, q, k, v, proj, heads)
 	if e := maxRelErr(dq.Data, numericGrad(loss, q.Data)); e > gradTol {
 		t.Errorf("dq rel err %g", e)
@@ -143,11 +143,11 @@ func TestAttentionCausality(t *testing.T) {
 	q := tensor.RandNorm(rng, T, dim, 1)
 	k := tensor.RandNorm(rng, T, dim, 1)
 	v := tensor.RandNorm(rng, T, dim, 1)
-	y1, _ := attentionCore(nil, q, k, v, heads)
+	y1, _ := attentionCore(nil, q, k, v, heads, nil)
 	// Perturbing a future position must not change earlier outputs.
 	k.Set(T-1, 0, k.At(T-1, 0)+10)
 	v.Set(T-1, 3, v.At(T-1, 3)-7)
-	y2, _ := attentionCore(nil, q, k, v, heads)
+	y2, _ := attentionCore(nil, q, k, v, heads, nil)
 	for i := 0; i < T-1; i++ {
 		for j := 0; j < dim; j++ {
 			if y1.At(i, j) != y2.At(i, j) {
@@ -208,10 +208,10 @@ func TestAttnBlockGradients(t *testing.T) {
 	x := tensor.RandNorm(rng, 4, 8, 1)
 	proj := tensor.RandNorm(rng, 4, 8, 1)
 	loss := func() float64 {
-		y, _ := b.Forward(nil, x, SaveAll())
+		y, _ := b.Forward(nil, x, SaveAll(), nil)
 		return projLoss(y, proj)
 	}
-	_, ctx := b.Forward(nil, x, SaveAll())
+	_, ctx := b.Forward(nil, x, SaveAll(), nil)
 	dx := b.Backward(nil, ctx, proj)
 	if e := maxRelErr(dx.Data, numericGrad(loss, x.Data)); e > gradTol {
 		t.Errorf("attn block dx rel err %g", e)
@@ -233,10 +233,10 @@ func TestFFNBlockGradients(t *testing.T) {
 	x := tensor.RandNorm(rng, 3, 6, 1)
 	proj := tensor.RandNorm(rng, 3, 6, 1)
 	loss := func() float64 {
-		y, _ := b.Forward(nil, x, SaveAll())
+		y, _ := b.Forward(nil, x, SaveAll(), nil)
 		return projLoss(y, proj)
 	}
-	_, ctx := b.Forward(nil, x, SaveAll())
+	_, ctx := b.Forward(nil, x, SaveAll(), nil)
 	dx := b.Backward(nil, ctx, proj)
 	if e := maxRelErr(dx.Data, numericGrad(loss, x.Data)); e > gradTol {
 		t.Errorf("ffn block dx rel err %g", e)
@@ -258,10 +258,10 @@ func TestGatedFFNBlockGradients(t *testing.T) {
 	x := tensor.RandNorm(rng, 3, 6, 1)
 	proj := tensor.RandNorm(rng, 3, 6, 1)
 	loss := func() float64 {
-		y, _ := b.Forward(nil, x, SaveAll())
+		y, _ := b.Forward(nil, x, SaveAll(), nil)
 		return projLoss(y, proj)
 	}
-	_, ctx := b.Forward(nil, x, SaveAll())
+	_, ctx := b.Forward(nil, x, SaveAll(), nil)
 	dx := b.Backward(nil, ctx, proj)
 	if e := maxRelErr(dx.Data, numericGrad(loss, x.Data)); e > gradTol {
 		t.Errorf("gated ffn dx rel err %g", e)

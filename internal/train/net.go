@@ -153,6 +153,14 @@ type StageCtx struct {
 	logits   *tensor.Mat
 }
 
+func (c *StageCtx) poison() {
+	p := poisonMat
+	*c = StageCtx{tokens: []int{-1}, input: p, blocks: c.blocks, headIn: p, headLn: p, headLnSt: lnCtx{p, p}, logits: p}
+	for _, b := range c.blocks {
+		b.poison()
+	}
+}
+
 // SavedBytes reports the activation memory the context pins.
 func (c *StageCtx) SavedBytes() int64 {
 	var n int64
@@ -176,15 +184,15 @@ func (c *StageCtx) SavedBytes() int64 {
 // other stage's output belongs to the caller (the next stage, once sent).
 func (s *Stage) Forward(tokens []int, x *tensor.Mat) (*tensor.Mat, *StageCtx) {
 	a := &s.arena
-	ctx := &StageCtx{tokens: tokens}
+	ctx := a.takeCtx(len(s.Blocks))
+	ctx.tokens = tokens
 	if s.Embed != nil {
 		x = s.Embed.Forward(a, tokens)
 	} else {
 		ctx.input = x
 	}
-	ctx.blocks = make([]BlockCtx, len(s.Blocks))
 	for i, b := range s.Blocks {
-		x, ctx.blocks[i] = b.Forward(a, x, s.Saves[i])
+		x, ctx.blocks[i] = b.Forward(a, x, s.Saves[i], ctx.blocks[i])
 	}
 	if s.HeadProj != nil {
 		ctx.headIn = x
@@ -200,7 +208,7 @@ func (s *Stage) Forward(tokens []int, x *tensor.Mat) (*tensor.Mat, *StageCtx) {
 // Backward propagates dy through the stage, accumulating parameter gradients
 // and returning the gradient of the stage input (nil on the first stage). It
 // consumes ctx and dy: everything the micro-batch pinned goes back to the
-// stage's arena the moment its gradients are out.
+// stage's arena the moment its gradients are out, and ctx itself after it.
 func (s *Stage) Backward(ctx *StageCtx, dy *tensor.Mat) *tensor.Mat {
 	a := &s.arena
 	if s.HeadProj != nil {
@@ -222,8 +230,9 @@ func (s *Stage) Backward(ctx *StageCtx, dy *tensor.Mat) *tensor.Mat {
 	if s.Embed != nil {
 		s.Embed.Backward(ctx.tokens, dy)
 		a.put(dy)
-		return nil
+		dy = nil
 	}
+	a.releaseCtx(ctx)
 	return dy
 }
 

@@ -85,6 +85,12 @@ type Pipeline struct {
 	// so attempt-targeted fault rules model transient failures: the fault
 	// fires once and the retry runs clean.
 	attempt int
+	// sched is the 1F1B schedule of the last (stages, micro-batches) pair;
+	// it is only ever read.
+	sched *schedule.Schedule
+	// run is the iteration state the last successful Accumulate left behind
+	// for the next one; a failed iteration drops its own.
+	run *iterRun
 }
 
 // NewPipeline wraps stages with per-stage Adam optimizers.
@@ -166,52 +172,44 @@ func (p *Pipeline) ZeroGrads() {
 // wg.Wait on a counterpart that will never send. On any failure the
 // accumulated gradients are partial garbage; callers must ZeroGrads (or
 // restore a checkpoint) before retrying — Supervisor does both.
+//
+// A successful iteration leaves its state — channels drained, done channel
+// open, every context slot empty — for the next call on the same schedule,
+// so a steady-state step allocates nothing here. A failed one drops it, with
+// the contexts and buffers still in flight.
 func (p *Pipeline) Accumulate(batches []Batch) (float64, error) {
 	n := len(batches)
 	np := len(p.Stages)
 	if n < np {
 		return 0, fmt.Errorf("train: %d micro-batches cannot fill a %d-stage pipeline", n, np)
 	}
-	sched, err := schedule.OneFOneB(np, n)
-	if err != nil {
-		return 0, err
+	if p.sched == nil || p.sched.Stages != np || p.sched.Micros != n {
+		sched, err := schedule.OneFOneB(np, n)
+		if err != nil {
+			return 0, err
+		}
+		p.sched = sched
 	}
-	rec := p.Recorder
-	if rec != nil {
-		rec.Reset(np)
+	run := p.run
+	p.run = nil
+	if run == nil || run.sched != p.sched {
+		run = newIterRun(p)
 	}
-	attempt := p.attempt
+	if p.Recorder != nil {
+		p.Recorder.Reset(np)
+	}
+	run.batches, run.attempt = batches, p.attempt
 	p.attempt++
 
-	run := &iterRun{
-		pipe:    p,
-		sched:   sched,
-		batches: batches,
-		attempt: attempt,
-		fwd:     make([]chan flowMsg, np-1),
-		bwd:     make([]chan flowMsg, np-1),
-		losses:  make([]float64, n),
-		errs:    make([]error, np),
-		done:    make(chan struct{}),
-	}
-	for i := range run.fwd {
-		run.fwd[i] = make(chan flowMsg, n)
-		run.bwd[i] = make(chan flowMsg, n)
-	}
-
-	var wg sync.WaitGroup
-	for s := 0; s < np; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			run.stage(s)
-		}(s)
+	for _, stage := range run.stages {
+		run.wg.Add(1)
+		go stage()
 	}
 
 	if p.Watchdog > 0 {
 		waited := make(chan struct{})
 		go func() {
-			wg.Wait()
+			run.wg.Wait()
 			close(waited)
 		}()
 		timer := time.NewTimer(p.Watchdog)
@@ -231,7 +229,7 @@ func (p *Pipeline) Accumulate(batches []Batch) (float64, error) {
 			return 0, fmt.Errorf("train: iteration exceeded %s: %w", p.Watchdog, ErrWatchdog)
 		}
 	} else {
-		wg.Wait()
+		run.wg.Wait()
 	}
 	if err := firstErr(run.errs); err != nil {
 		return 0, err
@@ -240,6 +238,8 @@ func (p *Pipeline) Accumulate(batches []Batch) (float64, error) {
 	for _, l := range run.losses {
 		mean += l
 	}
+	run.batches = nil
+	p.run = run
 	return mean / float64(n), nil
 }
 
@@ -252,8 +252,9 @@ func firstErr(errs []error) error {
 	return nil
 }
 
-// iterRun is the shared state of one Accumulate call: the schedule, the
-// inter-stage channels, and the cancellation plumbing.
+// iterRun is the shared state of an Accumulate call: the schedule, the
+// inter-stage channels, the in-flight contexts, and the cancellation
+// plumbing. It outlives the call only if the iteration succeeded.
 type iterRun struct {
 	pipe    *Pipeline
 	sched   *schedule.Schedule
@@ -261,10 +262,48 @@ type iterRun struct {
 	attempt int
 	fwd     []chan flowMsg
 	bwd     []chan flowMsg
+	// ctxs[s][m] holds stage s's context of micro-batch m from its forward
+	// to its backward op; dlogits[m] the last stage's loss gradient between
+	// the same two ops.
+	ctxs    [][]*StageCtx
+	dlogits []*tensor.Mat
 	losses  []float64
 	errs    []error
 	done    chan struct{}
 	once    sync.Once
+	wg      sync.WaitGroup
+	// stages are the stage goroutines' bodies, built once so that starting
+	// them allocates nothing.
+	stages []func()
+}
+
+// newIterRun builds the iteration state for p's current schedule.
+func newIterRun(p *Pipeline) *iterRun {
+	np, n := p.sched.Stages, p.sched.Micros
+	r := &iterRun{
+		pipe:    p,
+		sched:   p.sched,
+		fwd:     make([]chan flowMsg, np-1),
+		bwd:     make([]chan flowMsg, np-1),
+		ctxs:    make([][]*StageCtx, np),
+		dlogits: make([]*tensor.Mat, n),
+		losses:  make([]float64, n),
+		errs:    make([]error, np),
+		done:    make(chan struct{}),
+		stages:  make([]func(), np),
+	}
+	for i := range r.fwd {
+		r.fwd[i] = make(chan flowMsg, n)
+		r.bwd[i] = make(chan flowMsg, n)
+	}
+	for s := range r.stages {
+		r.ctxs[s] = make([]*StageCtx, n)
+		r.stages[s] = func() {
+			defer r.wg.Done()
+			r.stage(s)
+		}
+	}
+	return r
 }
 
 // cancel unblocks every stage goroutine; idempotent.
@@ -310,8 +349,7 @@ func (r *iterRun) stage(s int) {
 	if p.Recorder != nil {
 		sr = p.Recorder.Stage(s)
 	}
-	ctxs := make(map[int]*StageCtx, np)
-	dlogits := make(map[int]*tensor.Mat, np)
+	ctxs := r.ctxs[s]
 	var live int64
 	for _, op := range r.sched.Ops[s] {
 		m := op.Micros[0]
@@ -363,7 +401,7 @@ func (r *iterRun) stage(s int) {
 				}
 				loss, dl := CrossEntropy(&stage.arena, y, r.batches[m].Targets)
 				r.losses[m] = loss
-				dlogits[m] = dl
+				r.dlogits[m] = dl
 			} else {
 				if !r.send(r.fwd[s], flowMsg{micro: m, m: y}) {
 					return
@@ -375,8 +413,8 @@ func (r *iterRun) stage(s int) {
 		case schedule.Backward:
 			var dy *tensor.Mat
 			if s == np-1 {
-				dy = dlogits[m]
-				delete(dlogits, m)
+				dy = r.dlogits[m]
+				r.dlogits[m] = nil
 			} else {
 				if sr != nil {
 					waitStart = time.Now()
@@ -401,7 +439,7 @@ func (r *iterRun) stage(s int) {
 			}
 			ctx := ctxs[m]
 			live -= ctx.SavedBytes()
-			delete(ctxs, m)
+			ctxs[m] = nil
 			dx := stage.Backward(ctx, dy)
 			if s > 0 {
 				if fi != nil {

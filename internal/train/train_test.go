@@ -270,8 +270,8 @@ func TestSaveSpecControlsContextSize(t *testing.T) {
 	rng := tensor.NewRNG(33)
 	b := NewAttnBlock("b", 16, 2, rng)
 	x := tensor.RandNorm(rng, 8, 16, 1)
-	_, full := b.Forward(nil, x, SaveAll())
-	_, none := b.Forward(nil, x, SaveNone())
+	_, full := b.Forward(nil, x, SaveAll(), nil)
+	_, none := b.Forward(nil, x, SaveNone(), nil)
 	if none.SavedBytes() >= full.SavedBytes() {
 		t.Errorf("SaveNone ctx %d >= SaveAll ctx %d", none.SavedBytes(), full.SavedBytes())
 	}
@@ -281,7 +281,7 @@ func TestSaveSpecControlsContextSize(t *testing.T) {
 	}
 	// Core attention dominates: saving it costs at least the per-head
 	// probability matrices.
-	_, coreOnly := b.Forward(nil, x, SaveSpec{model.UnitCoreAttention: true})
+	_, coreOnly := b.Forward(nil, x, SaveSpec{model.UnitCoreAttention: true}, nil)
 	if coreOnly.SavedBytes() <= none.SavedBytes() {
 		t.Error("saving core attention did not grow the context")
 	}

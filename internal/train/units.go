@@ -209,18 +209,26 @@ func geluBackward(a *arena, x, dy *tensor.Mat) *tensor.Mat {
 // attentionCore computes multi-head causal attention O = softmax(QKᵀ/√dh)·V
 // head by head. It is the naive counterpart of the paper's FlashAttention
 // unit; the per-head probability matrices are its "internally saved tensors".
-// The zero coreCtx is "not saved".
+// A coreCtx with no matrices is "not saved".
 type coreCtx struct {
 	probs []*tensor.Mat // per-head [T, T] softmax outputs
 }
 
-func (c coreCtx) release(a *arena) { a.put(c.probs...) }
+// release returns the probability matrices to a and empties the context,
+// keeping the slice for the next attentionCore.
+func (c *coreCtx) release(a *arena) {
+	a.put(c.probs...)
+	clear(c.probs)
+	c.probs = c.probs[:0]
+}
 
-func attentionCore(a *arena, q, k, v *tensor.Mat, heads int) (*tensor.Mat, coreCtx) {
+// attentionCore appends the per-head probability matrices to probs, which
+// must be empty: a consumed context's slice, or nil.
+func attentionCore(a *arena, q, k, v *tensor.Mat, heads int, probs []*tensor.Mat) (*tensor.Mat, coreCtx) {
 	T := q.Rows
 	dh := q.Cols / heads
 	out := a.get(T, q.Cols)
-	ctx := coreCtx{probs: make([]*tensor.Mat, heads)}
+	ctx := coreCtx{probs: probs[:0]}
 	scale := 1 / math.Sqrt(float64(dh))
 	qh, kh, vh, oh := a.get(T, dh), a.get(T, dh), a.get(T, dh), a.get(T, dh)
 	for h := 0; h < heads; h++ {
@@ -239,7 +247,7 @@ func attentionCore(a *arena, q, k, v *tensor.Mat, heads int) (*tensor.Mat, coreC
 		}
 		// The masked scores are dead once normalized: softmax in place.
 		p := tensor.SoftmaxRowsInto(scores, scores)
-		ctx.probs[h] = p
+		ctx.probs = append(ctx.probs, p)
 		writeHead(out, tensor.MatMulInto(oh, p, vh), h)
 	}
 	a.put(qh, kh, vh, oh)
