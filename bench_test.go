@@ -190,8 +190,18 @@ func BenchmarkAblationFineQuantum(b *testing.B) {
 	coldSearch(b, opts)
 }
 
+// recomputeSetAVX2 is internal/recompute's test hook (setAVX2), reached the
+// way tensorSetAVX2 is: it turns the knapsack's vector row pass on (where the
+// CPU has it) or off and returns the previous setting.
+//
+//go:linkname recomputeSetAVX2 adapipe/internal/recompute.setAVX2
+func recomputeSetAVX2(on bool) (was bool)
+
 // BenchmarkKnapsack times one stage-level recomputation DP at realistic
-// sizes (a 24-layer GPT-3 stage).
+// sizes (a 24-layer GPT-3 stage) on a reused solver, as the planner runs it,
+// and reports the time per filled table cell. The simd row is the AVX2 row
+// pass (skipped on a CPU without it), the generic row the portable loop:
+// go test -run '^$' -bench Knapsack -cpu 1 .
 func BenchmarkKnapsack(b *testing.B) {
 	groups := []recompute.Group{
 		{Key: "Attention/LayerNorm", FwdTime: 1e-4, Bytes: 50 << 20, Count: 12},
@@ -205,12 +215,29 @@ func BenchmarkKnapsack(b *testing.B) {
 		{Key: "FFN/Act", FwdTime: 2e-4, Bytes: 200 << 20, Count: 12},
 		{Key: "FFN/Down", FwdTime: 1.2e-2, Bytes: 50 << 20, Count: 12, AlwaysSaved: true},
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sol := recompute.Optimize(groups, 8<<30, recompute.Options{Quantum: 1 << 20})
-		if !sol.Feasible {
-			b.Fatal("infeasible")
-		}
+	was := recomputeSetAVX2(true)
+	haveSIMD := recomputeSetAVX2(was)
+	for _, path := range []struct {
+		name string
+		simd bool
+	}{{"simd", true}, {"generic", false}} {
+		b.Run(path.name, func(b *testing.B) {
+			if path.simd && !haveSIMD {
+				b.Skip("no AVX2 on this CPU")
+			}
+			defer recomputeSetAVX2(recomputeSetAVX2(path.simd))
+			sv := recompute.NewSolver()
+			var cells int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sol := sv.Optimize(groups, 8<<30, recompute.Options{Quantum: 1 << 20})
+				if !sol.Feasible {
+					b.Fatal("infeasible")
+				}
+				cells = sol.DPCells
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
+		})
 	}
 }
 

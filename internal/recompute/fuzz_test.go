@@ -7,8 +7,8 @@ import (
 )
 
 // FuzzOptimizeAgainstBruteForce feeds arbitrary small knapsack instances to
-// the production solver and the exponential oracle, asserting equal optimal
-// values and internally consistent solutions.
+// the production solver, on each row-pass path, and the exponential oracle,
+// asserting equal optimal values and internally consistent solutions.
 func FuzzOptimizeAgainstBruteForce(f *testing.F) {
 	f.Add(uint8(3), uint8(4), uint8(2), uint8(7), uint8(1), uint8(5), uint16(20))
 	f.Add(uint8(1), uint8(1), uint8(1), uint8(1), uint8(1), uint8(1), uint16(0))
@@ -20,19 +20,23 @@ func FuzzOptimizeAgainstBruteForce(f *testing.F) {
 			{Key: "c", FwdTime: float64(t3%60) + 1, Bytes: int64(s3%50) + 1, Count: 2, AlwaysSaved: true},
 		}
 		cap := int64(capacity % 400)
-		got := Optimize(groups, cap, Options{Exact: true})
 		want := BruteForce(groups, cap)
-		if got.Feasible != want.Feasible {
-			t.Fatalf("feasibility mismatch: %v vs %v", got.Feasible, want.Feasible)
-		}
-		if !got.Feasible {
-			return
-		}
-		if math.Abs(got.SavedTime-want.SavedTime) > 1e-9 {
-			t.Fatalf("saved time %g, oracle %g", got.SavedTime, want.SavedTime)
-		}
-		if got.SavedBytes > cap {
-			t.Fatalf("solution uses %d bytes over capacity %d", got.SavedBytes, cap)
+		for _, p := range rowPaths { // without AVX2 the simd pass repeats the portable one
+			was := setAVX2(p.simd)
+			got := Optimize(groups, cap, Options{Exact: true})
+			setAVX2(was)
+			if got.Feasible != want.Feasible {
+				t.Fatalf("%s: feasibility mismatch: %v vs %v", p.name, got.Feasible, want.Feasible)
+			}
+			if !got.Feasible {
+				continue
+			}
+			if math.Abs(got.SavedTime-want.SavedTime) > 1e-9 {
+				t.Fatalf("%s: saved time %g, oracle %g", p.name, got.SavedTime, want.SavedTime)
+			}
+			if got.SavedBytes > cap {
+				t.Fatalf("%s: solution uses %d bytes over capacity %d", p.name, got.SavedBytes, cap)
+			}
 		}
 	})
 }
@@ -204,22 +208,27 @@ func FuzzOptimizeManyVsOptimize(f *testing.F) {
 		}
 		opts := Options{Exact: flags&1 == 1, DisableGCD: flags&2 == 2, Quantum: 1 + int64(quantum%24)}
 
-		out := make([]Solution, len(capacities))
-		cells := sv.OptimizeMany(groups, capacities, opts, out)
-		var wantCells int64
-		for k, c := range capacities {
-			want := referenceOptimize(groups, c, opts)
-			if !reflect.DeepEqual(out[k], want) {
-				t.Fatalf("capacity %d (#%d of %v), opts %+v, groups %+v:\nOptimizeMany %+v\nreference    %+v",
-					c, k, capacities, opts, groups, out[k], want)
-			}
-			if one := sv.Optimize(groups, c, opts); !reflect.DeepEqual(one, want) {
-				t.Fatalf("capacity %d, opts %+v, groups %+v:\nOptimize  %+v\nreference %+v", c, opts, groups, one, want)
-			}
-			wantCells = max(wantCells, want.DPCells)
-		}
-		if cells != wantCells {
-			t.Fatalf("OptimizeMany filled %d cells, the largest single table is %d", cells, wantCells)
+		for _, p := range rowPaths { // without AVX2 the simd pass repeats the portable one
+			func() {
+				defer setAVX2(setAVX2(p.simd))
+				out := make([]Solution, len(capacities))
+				cells := sv.OptimizeMany(groups, capacities, opts, out)
+				var wantCells int64
+				for k, c := range capacities {
+					want := referenceOptimize(groups, c, opts)
+					if !reflect.DeepEqual(out[k], want) {
+						t.Fatalf("%s: capacity %d (#%d of %v), opts %+v, groups %+v:\nOptimizeMany %+v\nreference    %+v",
+							p.name, c, k, capacities, opts, groups, out[k], want)
+					}
+					if one := sv.Optimize(groups, c, opts); !reflect.DeepEqual(one, want) {
+						t.Fatalf("%s: capacity %d, opts %+v, groups %+v:\nOptimize  %+v\nreference %+v", p.name, c, opts, groups, one, want)
+					}
+					wantCells = max(wantCells, want.DPCells)
+				}
+				if cells != wantCells {
+					t.Fatalf("%s: OptimizeMany filled %d cells, the largest single table is %d", p.name, cells, wantCells)
+				}
+			}()
 		}
 	})
 }

@@ -93,7 +93,7 @@ const defaultQuantum = int64(1) << 20
 // (same iteration orders, same tie-breaking); the scratch reuse is invisible.
 type Solver struct {
 	dp     []float64
-	taken  []bool // len(items) × (w+1), row-major
+	taken  []uint64 // len(items) rows of ⌈(w+1)/64⌉ choice words
 	items  []item
 	opt    []Group
 	scaled []int64
@@ -235,28 +235,22 @@ func (sv *Solver) OptimizeMany(groups []Group, capacities []int64, opts Options,
 	}
 	sv.items = items
 
-	// 0/1 knapsack with choice tracking. taken is row-major: row i holds the
-	// w+1 choice bits of pseudo-item i. Each item's pass runs over three
-	// equal-length windows — dst = dp[weight..w], src = dp[0..w−weight] and
-	// the matching tail of the item's choice row — so the descending scan
-	// indexes all three with one in-range loop variable.
+	// 0/1 knapsack with choice tracking. Each item's pass runs over two
+	// equal-length windows of one table, dst = dp[weight..w] and
+	// src = dp[0..w−weight] (rowpass.go). taken is row-major, rowWords words
+	// per pseudo-item, and its bits are relative to the item's weight: bit c
+	// of row i is cell weight+c. A pass writes every word its cells cover and
+	// the walk below reads no other bit, so taken is never cleared.
 	stride := int(w) + 1
+	rowWords := (stride + 63) / 64
 	dp := sv.dpBuf(stride)
-	taken := sv.takenBuf(len(items) * stride)
+	taken := sv.takenBuf(len(items) * rowWords)
 	for i, it := range items {
 		if it.weight > w {
 			continue
 		}
-		wt := int(it.weight)
-		dst := dp[wt:]
-		src := dp[:len(dst)]
-		row := taken[i*stride+wt:][:len(dst)]
-		for c := len(dst) - 1; c >= 0; c-- {
-			if v := src[c] + it.value; v > dst[c] {
-				dst[c] = v
-				row[c] = true
-			}
-		}
+		dst := dp[it.weight:]
+		rowPass(dst, dp[:len(dst)], it.value, taken[i*rowWords:][:rowWords])
 	}
 
 	// Reconstruct each searched capacity from its prefix of the table.
@@ -277,9 +271,12 @@ func (sv *Solver) OptimizeMany(groups []Group, capacities []int64, opts Options,
 		}
 		counts := sv.countsBuf(len(opt))
 		for i := len(items) - 1; i >= 0; i-- {
-			if taken[i*stride+bestCap] {
+			// An item heavier than bestCap was not taken there (its pass
+			// starts at its weight); a skipped item is heavier than w.
+			c := bestCap - int(items[i].weight)
+			if c >= 0 && taken[i*rowWords+c/64]>>(c%64)&1 != 0 {
 				counts[items[i].group] += items[i].copies
-				bestCap -= int(items[i].weight)
+				bestCap = c
 			}
 		}
 		for i, grp := range opt {
@@ -341,13 +338,13 @@ func (sv *Solver) dpBuf(n int) []float64 {
 	return sv.dp
 }
 
-// takenBuf returns a zeroed bool scratch slice of length n.
-func (sv *Solver) takenBuf(n int) []bool {
+// takenBuf returns a uint64 scratch slice of length n (contents overwritten
+// by the row passes where they are read).
+func (sv *Solver) takenBuf(n int) []uint64 {
 	if cap(sv.taken) < n {
-		sv.taken = make([]bool, n)
+		sv.taken = make([]uint64, n)
 	}
 	sv.taken = sv.taken[:n]
-	clear(sv.taken)
 	return sv.taken
 }
 

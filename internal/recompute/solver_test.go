@@ -8,8 +8,11 @@ import (
 // TestSolverReuseMatchesOptimize runs one Solver across a sequence of solves
 // with growing and shrinking problem sizes and checks each result against a
 // fresh package-level Optimize: scratch reuse must be invisible, including
-// when a large solve leaves stale bytes behind for a smaller one.
-func TestSolverReuseMatchesOptimize(t *testing.T) {
+// when a large solve leaves stale bytes behind for a smaller one — on each
+// row-pass path.
+func TestSolverReuseMatchesOptimize(t *testing.T) { onEachPath(t, testSolverReuse) }
+
+func testSolverReuse(t *testing.T) {
 	sv := NewSolver()
 	cases := []struct {
 		groups   []Group

@@ -19,6 +19,8 @@ package tensor
 import (
 	"fmt"
 	"math"
+
+	"adapipe/internal/cpu"
 )
 
 // Mat is a dense row-major matrix.
@@ -104,13 +106,13 @@ func checkSame(a, b *Mat, op string) {
 
 // useAVX2 selects the vector path (kernel_amd64.go) for the three products.
 // It is decided once, from the CPU; nothing but setAVX2 changes it.
-var useAVX2 = haveAVX2
+var useAVX2 = cpu.AVX2
 
 // setAVX2 is the test hook: it turns the vector path on (where the CPU has
 // it) or off and returns the previous setting, so the tests and the root
 // package's BenchmarkMatMul can hold both paths to the same oracle.
 func setAVX2(on bool) (was bool) {
-	was, useAVX2 = useAVX2, on && haveAVX2
+	was, useAVX2 = useAVX2, on && cpu.AVX2
 	return was
 }
 

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"adapipe/internal/cpu"
 )
 
 func randMat(rng *RNG, r, c int) *Mat { return RandNorm(rng, r, c, 1) }
@@ -362,7 +364,7 @@ var kernelPaths = []struct {
 // the hook.
 func onEachPath(t *testing.T, test func(t *testing.T)) {
 	for _, p := range kernelPaths {
-		if p.simd && !haveAVX2 {
+		if p.simd && !cpu.AVX2 {
 			t.Logf("%s: not on this CPU", p.name)
 			continue
 		}
