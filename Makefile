@@ -12,10 +12,12 @@ build:
 # path: internal/tensor's product kernels, internal/recompute's knapsack row
 # pass and internal/cpu's feature probe are amd64 assembly, so an arm64 vet of
 # those packages (and the executor over tensor) and a 386 build of everything
-# prove the fallbacks still stand on their own. (On amd64, go vet's asmdecl
-# checks the assembly against its Go declarations.)
+# prove the fallbacks still stand on their own. The planner (internal/partition
+# and internal/core) is vetted there too: arm64 fuses multiply-adds, which the
+# scan cut's error margin is argued to cover (DESIGN §5). (On amd64, go vet's
+# asmdecl checks the assembly against its Go declarations.)
 cross:
-	GOARCH=arm64 $(GO) vet ./internal/tensor ./internal/train ./internal/recompute ./internal/cpu
+	GOARCH=arm64 $(GO) vet ./internal/tensor ./internal/train ./internal/recompute ./internal/cpu ./internal/partition ./internal/core
 	GOARCH=386 $(GO) build ./...
 
 $(BIN): FORCE
@@ -73,15 +75,16 @@ race:
 	$(GO) test -race ./internal/tensor/... ./internal/train/... ./internal/sim/... ./internal/serve/... ./internal/fault/... ./internal/memo/... ./internal/coststore/...
 	$(GO) test -race -run 'TestDifferential|Concurrent|Context|Cancel' ./internal/core/...
 
-# bench-smoke keeps the kernel and executor developer-loop rows alive: each
-# BenchmarkTrainStep{,Recorded}/*, BenchmarkMatMul/* and BenchmarkKnapsack/*
+# bench-smoke keeps the kernel, executor and planner developer-loop rows
+# alive: each BenchmarkTrainStep{,Recorded}/*, BenchmarkMatMul/*,
+# BenchmarkKnapsack/*, BenchmarkPlanSearch/* and BenchmarkPartitionDP/{cut,uncut}
 # row builds, runs once and (the train rows) checks its losses against the
 # other save specs. go vet over bench/ proves the frozen harness still
 # type-checks against the tensor and train entry points it calls. No
 # wall-clock gate: speed is gated by the repo benchmark (throughput_ops_s @
 # train_1f1b, op_p95_ms @ plan_cold) alone.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'TrainStep|MatMul|Knapsack' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'TrainStep|MatMul|Knapsack|PlanSearch|PartitionDP' -benchtime 1x .
 	$(GO) vet ./bench
 
 # figures regenerates the three sub-second paper figures through their one

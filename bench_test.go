@@ -60,16 +60,22 @@ func BenchmarkSearchAdaPipe(b *testing.B) { coldSearch(b, core.DefaultOptions())
 //
 // They are reported, not gated; the gate on each is a BENCHMARK.json metric.
 
-// BenchmarkPlanSearch is the cold search, planner construction included: the
-// paper's GPT-3 shape, and the Llama-2 70B shape that is the heaviest family
-// of the repo benchmark's plan_cold mix and sets its op_p95_ms.
+// planSearchShapes are BenchmarkPlanSearch's rows: the paper's GPT-3 shape,
+// and the Llama-2 70B shape that is the heaviest family of the repo
+// benchmark's plan_cold mix and sets its op_p95_ms. cells is the cold
+// search's Stats.PartitionCells, which repeats exactly; uncut, Algorithm 1's
+// scans evaluate 82305 and 69565.
+var planSearchShapes = []struct {
+	name   string
+	cfg    model.Config
+	seqLen int
+	cells  int
+}{{"gpt3", model.GPT3_175B(), 16384, 32221}, {"llama2", model.Llama2_70B(), 20032, 19310}}
+
+// BenchmarkPlanSearch is the cold search, planner construction included.
 func BenchmarkPlanSearch(b *testing.B) {
 	opts := core.DefaultOptions()
-	for _, m := range []struct {
-		name   string
-		cfg    model.Config
-		seqLen int
-	}{{"gpt3", model.GPT3_175B(), 16384}, {"llama2", model.Llama2_70B(), 20032}} {
+	for _, m := range planSearchShapes {
 		b.Run(m.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -78,6 +84,25 @@ func BenchmarkPlanSearch(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestPlanSearchPartitionCells pins the partition-DP cells of
+// BenchmarkPlanSearch's cold searches, so a regressed scan cut fails here
+// rather than only slowing the benchmark down.
+func TestPlanSearchPartitionCells(t *testing.T) {
+	for _, m := range planSearchShapes {
+		pl, err := core.NewPlanner(m.cfg, hardware.ClusterA(), parallel.Strategy{TP: 8, PP: 8, DP: 1},
+			parallel.Config{GlobalBatch: 32, MicroBatch: 1, SeqLen: m.seqLen}, core.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pl.Plan(); err != nil {
+			t.Fatal(err)
+		}
+		if got := pl.Stats.PartitionCells; got != m.cells {
+			t.Errorf("%s: cold search evaluated %d partition cells, want %d", m.name, got, m.cells)
+		}
 	}
 }
 
@@ -242,18 +267,33 @@ func BenchmarkKnapsack(b *testing.B) {
 }
 
 // BenchmarkPartitionDP times Algorithm 1 alone over the GPT-3 layer
-// sequence with a synthetic cost function (no knapsack inside).
+// sequence with a synthetic cost function (no knapsack inside), with its
+// scans cut by the cost itself as the lower bound and uncut, and reports the
+// cost evaluations per solve.
 func BenchmarkPartitionDP(b *testing.B) {
 	const L, p, n = 194, 8, 32
 	cost := func(s, i, j int) (float64, float64, bool) {
 		layers := float64(j - i + 1)
 		return layers * 0.03, layers * 0.08, true
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := partition.Solve(L, p, n, cost); err != nil {
-			b.Fatal(err)
-		}
+	for _, row := range []struct {
+		name  string
+		bound partition.BoundFn
+	}{
+		{"cut", func(s, i, j int) (float64, float64) { f, b, _ := cost(s, i, j); return f, b }},
+		{"uncut", nil},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			var cells int
+			for i := 0; i < b.N; i++ {
+				sol, err := partition.SolveBounded(L, p, n, cost, row.bound, nil, p-1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cells = sol.DPCells
+			}
+			b.ReportMetric(float64(cells), "cells/op")
+		})
 	}
 }
 

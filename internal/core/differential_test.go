@@ -28,8 +28,8 @@ import (
 // whose stages fill knapsack tables and save different sets.
 
 // row is one planner configuration: a model and pipeline shape under a
-// memory budget, with the three search knobs. Its planner method is the
-// package tests' one planner builder.
+// memory budget, with the three search knobs and the scan-cut switch. Its
+// planner method is the package tests' one planner builder.
 type row struct {
 	name    string
 	model   model.Config
@@ -39,6 +39,8 @@ type row struct {
 	part    PartitionMode
 	rec     RecomputeMode
 	noIso   bool
+	// uncut runs Algorithm 1's scans without their lower-bound cut.
+	uncut bool
 	// stride samples the (i, j) ranges the class-solve oracles walk on the
 	// row; 0 leaves the row to the runner.
 	stride int
@@ -53,6 +55,7 @@ func (r row) planner(t testing.TB) *Planner {
 	if err != nil {
 		t.Fatalf("%s: %v", r.name, err)
 	}
+	pl.uncut = r.uncut
 	return pl
 }
 
@@ -116,7 +119,7 @@ func (r row) variants() []row {
 }
 
 // diff is one row under test: the cold reference plan, its bytes, and the
-// knapsack tables the cold search filled.
+// knapsack tables the cold search filled with the scan cut off.
 type diff struct {
 	row
 	ref    *Plan
@@ -124,7 +127,10 @@ type diff struct {
 	tables int
 }
 
-// newDiff plans r on a fresh planner with no store; err is the search's.
+// newDiff plans r on a fresh planner with no store; err is the search's. A
+// second cold search with the scan cut off must give the same bytes; its
+// table count is the row's, since how many tables the cut spares is no
+// measure of what the row exercises.
 func newDiff(t testing.TB, r row) (*diff, error) {
 	t.Helper()
 	r.n = cmp.Or(r.n, 4*r.pp)
@@ -133,7 +139,13 @@ func newDiff(t testing.TB, r row) (*diff, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &diff{row: r, ref: p, json: planned(t, pl, p, nil), tables: pl.Stats.KnapsackRuns}, nil
+	d := &diff{row: r, ref: p, json: planned(t, pl, p, nil)}
+	r.uncut = true
+	uncut := r.planner(t)
+	up, err := uncut.Plan()
+	d.same(t, uncut, up, err)
+	d.tables = uncut.Stats.KnapsackRuns
+	return d, nil
 }
 
 // planned requires p to be a valid plan of pl and pl's table to be settled,
@@ -362,6 +374,7 @@ var legs = []struct {
 		d.interrupt(t, errPanicked, func(context.CancelFunc) { panic("scripted source failure") })
 	}},
 	{"replan", legReplan},
+	{"uncut", legUncut},
 	{"shape", legShape},
 }
 
@@ -497,6 +510,40 @@ func legReplan(t *testing.T, d *diff) {
 	}
 }
 
+// legUncut drives the scaleVectors sequence through ReplanWithScale on one
+// warm planner whose scans run uncut. Every step must give a cut cold
+// search's bytes under the same scale — the cut changes which cells a search
+// evaluates, never a state it keeps — and the uncut searches must evaluate at
+// least the cells the cut ones did: as many under even and exact
+// partitioning, which have no cut.
+func legUncut(t *testing.T, d *diff) {
+	u := d.row
+	u.uncut = true
+	pl := u.planner(t)
+	p, err := pl.Plan()
+	d.same(t, pl, p, err)
+	cells, uncutCells := d.ref.Search.PartitionCells, pl.Stats.PartitionCells
+	for step, scale := range scaleVectors(d.pp) {
+		before := pl.Stats.PartitionCells
+		r, err := pl.ReplanWithScale(p, scale)
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		cold, want := d.scaledCold(t, scale)
+		if got := planned(t, pl, r.New, nil); !bytes.Equal(got, want) {
+			t.Fatalf("step %d (scale %v): uncut replan differs from a cut cold search:\n%s\nvs\n%s", step, scale, got, want)
+		}
+		if !d.fast() {
+			cells += cold.Stats.PartitionCells
+			uncutCells += pl.Stats.PartitionCells - before
+		}
+		p = r.New
+	}
+	if uncutCells < cells || (d.part != PartitionAdaptive && uncutCells != cells) {
+		t.Errorf("uncut searches evaluated %d cells, cut ones %d", uncutCells, cells)
+	}
+}
+
 // legShape replans a warm planner onto ClusterA at all and at half its nodes.
 // The adopted plan must be a cold planner's for the adopted strategy, warm
 // started when it keeps the depth on the fast path; when no depth fits, no
@@ -542,8 +589,8 @@ func legShape(t *testing.T, d *diff) {
 
 // TestDifferential runs every leg on every variant of every shape. A variant
 // that searches its partition (Algorithm 1 or exact) and fills no knapsack
-// table on its cold search fails as vacuous; even partitioning reads only p
-// entries, so its rows log their count instead.
+// table on its uncut cold search fails as vacuous; even partitioning reads
+// only p entries, so its rows log their count instead.
 func TestDifferential(t *testing.T) {
 	for _, shape := range shapes {
 		for _, r := range shape.variants() {
@@ -554,9 +601,9 @@ func TestDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				if d.tables == 0 && r.part != PartitionEven {
-					t.Fatal("vacuous row: the cold search filled no knapsack table")
+					t.Fatal("vacuous row: the uncut cold search filled no knapsack table")
 				}
-				t.Logf("cold search filled %d knapsack tables", d.tables)
+				t.Logf("cold search filled %d knapsack tables uncut, %d cut", d.tables, d.ref.Search.KnapsackRuns)
 				for _, leg := range legs {
 					t.Run(leg.name, func(t *testing.T) {
 						t.Parallel()

@@ -69,9 +69,11 @@ func maxStaleStage(cur, old []float64, p int) int {
 // without holding mu across the DP: a second concurrent search finds no
 // memo and runs the cold path, which is merely slower, never wrong.
 //
-// The fast path requires the isomorphism cache: with it, the set of cost
-// evaluations the DP makes is scale-independent, so every class a
-// warm-started recompute touches was published by the memo-building run.
+// The fast path requires the isomorphism cache, without which a search keeps
+// no memo. The classes a search evaluates depend on the scale and on n, since
+// the scan cut (scanBound) ends each scan where the scaled costs let it: a
+// warm-started recompute may look up a class the memo-building run never
+// touched, and resolves it like any miss.
 func (pl *Planner) claimWarmStart() warmStart {
 	L := len(pl.layers)
 	p := pl.strat.PP

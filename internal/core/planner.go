@@ -285,6 +285,11 @@ type Planner struct {
 	// Read it only after all concurrent Plan calls have returned.
 	// guarded by mu
 	Stats SearchStats
+
+	// uncut turns off the lower-bound cut of Algorithm 1's scans (scanBound).
+	// It is the tests' switch, set before the first Plan and never changed:
+	// plans must not depend on it, only the cells a search evaluates.
+	uncut bool
 }
 
 // NewPlanner validates the inputs, profiles the model analytically and
@@ -398,6 +403,29 @@ func (pl *Planner) lookup(tr *obs.Tracer, s, i, j int) (idx int, feasible, hit b
 		state = pl.resolve(tr, idx, s, i, j)
 	}
 	return idx, state == costFeasible, hit
+}
+
+// scanBound is the lower bound that cuts Algorithm 1's scans under the
+// stage-scale snapshot scale, or nil when the planner runs them uncut. It
+// reads the class shape table only, so a cut candidate costs no lookup and
+// no knapsack. Every entry's Fwd is sh.fwd and its Bwd is sh.bwd plus what
+// its strategy re-executes (nothing under none), both scaled like the bound:
+// the bound's forward is the entry's bit for bit, and its backward exceeds
+// the entry's by a few ulps at most, the slack partition.BoundFn permits
+// (DESIGN §5). A scanned stage is never the last, so its range stops short
+// of the head, and the shape sums only grow with j.
+func (pl *Planner) scanBound(scale []float64) partition.BoundFn {
+	if pl.uncut {
+		return nil
+	}
+	t := pl.table
+	return func(s, i, j int) (float64, float64) {
+		sh := &t.shapes[t.shapeIndex(i, j)]
+		if scale == nil {
+			return sh.fwd, sh.bwd
+		}
+		return sh.fwd * scale[s], sh.bwd * scale[s]
+	}
 }
 
 // resolve publishes the unpublished entry idx of layers i..j at stage s and
@@ -776,7 +804,7 @@ func (pl *Planner) PlanContext(ctx context.Context) (*Plan, error) {
 		}
 		cellsAdd = p
 	default:
-		sol, err := partition.SolveMemo(L, p, pl.n, cost, memo, stale)
+		sol, err := partition.SolveBounded(L, p, pl.n, cost, pl.scanBound(scale), memo, stale)
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return nil, cerr

@@ -27,11 +27,43 @@ func fuzzCost(seed uint32, infeasibleMod int) CostFn {
 	}
 }
 
+// spanBound is a valid BoundFn for fuzzCost repriced by the per-stage scale
+// sc (nil: nominal): each component fuzzCost draws is at least the range's
+// span, and the span grows with j.
+func spanBound(sc []float64) BoundFn {
+	return func(s, i, j int) (float64, float64) {
+		span := float64(j - i + 1)
+		if sc != nil {
+			span *= sc[s]
+		}
+		return span, span
+	}
+}
+
+// sameCut requires a solve cut by a valid bound to give the uncut solve's
+// plan, or its error, after evaluating no more cells.
+func sameCut(t *testing.T, uncut Plan, uncutErr error, cut Plan, cutErr error) {
+	t.Helper()
+	if (cutErr == nil) != (uncutErr == nil) {
+		t.Fatalf("feasibility disagreement: cut err=%v, uncut err=%v", cutErr, uncutErr)
+	}
+	if uncutErr != nil {
+		return
+	}
+	if !reflect.DeepEqual(stripEffort(cut), stripEffort(uncut)) {
+		t.Fatalf("cut solve differs from uncut:\n%+v\nvs\n%+v", cut, uncut)
+	}
+	if cut.DPCells > uncut.DPCells {
+		t.Fatalf("cut solve evaluated %d cells, uncut %d", cut.DPCells, uncut.DPCells)
+	}
+}
+
 // FuzzPartitionSolveVsBruteForce feeds arbitrary small instances to Algorithm
 // 1, its exact Pareto variant and the exponential oracle:
 //   - Solve never beats BruteForce (it is a heuristic over the same model);
 //   - SolveExact with an unlimited frontier matches BruteForce exactly;
-//   - all three agree on feasibility.
+//   - all three agree on feasibility;
+//   - Solve cut by a valid bound is Solve.
 func FuzzPartitionSolveVsBruteForce(f *testing.F) {
 	f.Add(uint32(1), uint8(6), uint8(3), uint8(8), uint8(0))
 	f.Add(uint32(42), uint8(7), uint8(7), uint8(7), uint8(4))
@@ -46,6 +78,8 @@ func FuzzPartitionSolveVsBruteForce(f *testing.F) {
 		heur, heurErr := Solve(L, p, n, cost)
 		exact, isExact, exactErr := SolveExact(L, p, n, cost, 0)
 		brute, bruteErr := BruteForce(L, p, n, cost)
+		cut, cutErr := SolveBounded(L, p, n, cost, spanBound(nil), nil, p-1)
+		sameCut(t, heur, heurErr, cut, cutErr)
 
 		if (heurErr == nil) != (bruteErr == nil) {
 			t.Fatalf("feasibility disagreement: Solve err=%v, BruteForce err=%v", heurErr, bruteErr)
@@ -115,7 +149,8 @@ func stageScaled(base CostFn, sc []float64) CostFn {
 // warm-started solving: a memo built under one per-stage scale vector and
 // re-solved under another (recomputing only the levels at or below the
 // highest changed stage) must be bit-identical to a cold solve under the new
-// vector.
+// vector. The cold solve and the memo's two solves, each repeated with scans
+// cut by a valid bound, must give the uncut results.
 func FuzzPartitionMemoVsCold(f *testing.F) {
 	f.Add(uint32(1), uint8(6), uint8(3), uint8(8), uint8(0), uint8(1), uint8(0))
 	f.Add(uint32(42), uint8(7), uint8(7), uint8(7), uint8(4), uint8(3), uint8(1))
@@ -154,10 +189,16 @@ func FuzzPartitionMemoVsCold(f *testing.F) {
 		for s := range ones {
 			ones[s] = 1
 		}
-		memo := &Memo{}
+		memo, memoCut := &Memo{}, &Memo{}
 		warm0, err0 := SolveMemo(L, p, n, stageScaled(base, ones), memo, p-1)
 		cold, coldErr := Solve(L, p, n, stageScaled(base, scale))
 		warm, warmErr := SolveMemo(L, p, n, stageScaled(base, scale), memo, stale)
+		cut0, cutErr0 := SolveBounded(L, p, n, stageScaled(base, ones), spanBound(ones), memoCut, p-1)
+		sameCut(t, warm0, err0, cut0, cutErr0)
+		cut, cutErr := SolveBounded(L, p, n, stageScaled(base, scale), spanBound(scale), nil, p-1)
+		sameCut(t, cold, coldErr, cut, cutErr)
+		cut, cutErr = SolveBounded(L, p, n, stageScaled(base, scale), spanBound(scale), memoCut, stale)
+		sameCut(t, warm, warmErr, cut, cutErr)
 		if err0 != nil {
 			// Infeasible instances stay infeasible under any positive
 			// scale; both re-solves must agree.

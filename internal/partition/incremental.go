@@ -67,6 +67,15 @@ func (m *Memo) Clone() *Memo {
 // The ignored trailing ints exist only because the frozen bench/ still passes
 // a worker count; program call sites pass nothing.
 func SolveMemo(L, p, n int, cost CostFn, memo *Memo, stale int, _ ...int) (Plan, error) {
+	return SolveBounded(L, p, n, cost, nil, memo, stale)
+}
+
+// SolveBounded is SolveMemo with every scan of a recomputed level cut by
+// bound (nil cuts nothing): a scan ends at the first stage end whose bound
+// proves no candidate from there on can beat the cell's best so far. The
+// levels, and so the plan, are bit-identical to an uncut solve; DPCells counts
+// only the evaluations the cut left.
+func SolveBounded(L, p, n int, cost CostFn, bound BoundFn, memo *Memo, stale int) (Plan, error) {
 	if err := check(L, p, n); err != nil {
 		return Plan{}, err
 	}
@@ -87,7 +96,7 @@ func SolveMemo(L, p, n int, cost CostFn, memo *Memo, stale int, _ ...int) (Plan,
 	}
 	memo.valid = false
 	for s := stale; s >= 0; s-- {
-		memo.cells[s] = solveLevel(L, p, n, s, cost, memo.levels)
+		memo.cells[s] = solveLevel(L, p, n, s, cost, bound, memo.levels)
 	}
 	plan, err := assembleStates(L, p, memo.levels)
 	if err != nil {
@@ -124,7 +133,7 @@ func StageStarts(L, p, s int) (lo, hi int) {
 // P[s] and returns the number of cost evaluations performed. Every reachable
 // cell is overwritten unconditionally so a reused table never leaks stale
 // states into a recomputed level.
-func solveLevel(L, p, n, s int, cost CostFn, P [][]State) int64 {
+func solveLevel(L, p, n, s int, cost CostFn, bound BoundFn, P [][]State) int64 {
 	var cells int64
 	lo, hi := StageStarts(L, p, s)
 	if s == p-1 {
@@ -148,11 +157,21 @@ func solveLevel(L, p, n, s int, cost CostFn, P [][]State) int64 {
 	// Stage s must end no later than layer L−(p−s) so every later stage
 	// keeps at least one layer. Each cell i at this level reads only level
 	// s+1 and writes only P[s][i].
+	next, later, steady, nf := P[s+1], float64(p-s-1), float64(n-p+s), float64(n)
 	for i := lo; i <= hi; i++ {
 		best := State{T: math.Inf(1)}
 		for j := i; j <= L-p+s; j++ {
-			next := P[s+1][j+1]
-			if !next.OK {
+			// t ≥ n·(f+b) for every candidate (DESIGN §5), and the bound only
+			// grows with j: once it passes best.T no later j can win the
+			// strict compare below, so the scan ends before their lookups.
+			if bound != nil {
+				lf, lb := bound(s, i, j)
+				if nf*(lf+lb)*cutMargin > best.T {
+					break
+				}
+			}
+			nx := &next[j+1]
+			if !nx.OK {
 				continue
 			}
 			cells++
@@ -160,10 +179,10 @@ func solveLevel(L, p, n, s int, cost CostFn, P [][]State) int64 {
 			if !ok {
 				continue
 			}
-			w := f + math.Max(next.W+next.B, float64(p-s-1)*f)
-			e := b + math.Max(next.E+next.F, float64(p-s-1)*b)
-			m := math.Max(next.M, f+b)
-			t := w + e + float64(n-p+s)*m
+			w := f + math.Max(nx.W+nx.B, later*f)
+			e := b + math.Max(nx.E+nx.F, later*b)
+			m := math.Max(nx.M, f+b)
+			t := w + e + steady*m
 			if t < best.T {
 				best = State{W: w, E: e, M: m, F: f, B: b, T: t, Split: j, OK: true}
 			}
@@ -172,6 +191,11 @@ func solveLevel(L, p, n, s int, cost CostFn, P [][]State) int64 {
 	}
 	return cells
 }
+
+// cutMargin shrinks the scan cut's bound by a relative 2⁻³⁰, which covers a
+// BoundFn's permitted 2⁻³¹ excess and the few roundings between n·(f+b) and
+// the t the scan computes (DESIGN §5).
+const cutMargin = 1 - 0x1p-30
 
 // assembleStates reads the solved table back into a Plan by walking the
 // split chain from the root state.

@@ -16,6 +16,14 @@ import (
 // the f[s,i,j] / b[s,i,j] arrays of Algorithm 1.
 type CostFn func(s, i, j int) (fwd, bwd float64, ok bool)
 
+// BoundFn reports lower bounds on the forward and backward times of layers
+// i..j run as stage s, known before the cost itself is asked for. It lets
+// Algorithm 1 end a scan early without changing a bit of its result (DESIGN
+// §5). Two properties are the caller's to keep: for every (s, i, j) the cost
+// reports feasible, fwd+bwd does not exceed the cost's f+b by more than a
+// relative 2⁻³¹; and for fixed (s, i), fwd+bwd is nondecreasing in j.
+type BoundFn func(s, i, j int) (fwd, bwd float64)
+
 // State is the DP state of Algorithm 1: the best result for the layer suffix
 // starting at some layer when stages s..p−1 remain.
 type State struct {

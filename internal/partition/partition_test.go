@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -370,5 +371,62 @@ func TestSolveCountsDPCells(t *testing.T) {
 	}
 	if exact.FrontierStates <= 0 {
 		t.Error("SolveExact counted no frontier states")
+	}
+}
+
+// TestSolveBoundedCutsOnlyWithAValidBound is the other side of the fuzzers'
+// cut legs. A bound within BoundFn's contract leaves the plan as it was in
+// fewer cells, while one above the cost moves it: the check the legs make can
+// fail. On the tight instance the winning candidate's t is its own bound,
+// n·(f+b), and beats the scan's first candidate by 2·10⁻⁸, so a cut that
+// fired short of the proof — on best.T shrunk by a relative 10⁻⁸ — would keep
+// the first.
+func TestSolveBoundedCutsOnlyWithAValidBound(t *testing.T) {
+	itself := func(cost CostFn) BoundFn {
+		return func(s, i, j int) (float64, float64) { f, b, _ := cost(s, i, j); return f, b }
+	}
+	uniform := uniformCost(1, 2)
+	// Stage 0 as layer 0 alone gives t = 102; as layers 0..1, whose cost
+	// exceeds the rest's, w = 2f, e = 2b and m = f+b, so t = n·(f+b).
+	tight := func(s, i, j int) (float64, float64, bool) {
+		if s == 1 {
+			c := [...]float64{0, 5, 1, 0.5}[i]
+			return c, c, true
+		}
+		c := [...]float64{1, 5.1 - 1e-9, 9}[j]
+		return c, c, true
+	}
+	for _, tc := range []struct {
+		name    string
+		L, p, n int
+		cost    CostFn
+		bound   BoundFn
+		valid   bool
+	}{
+		{"uniform/the cost itself", 12, 3, 16, uniform, itself(uniform), true},
+		{"uniform/half the cost", 12, 3, 16, uniform, func(s, i, j int) (float64, float64) {
+			f, b, _ := uniform(s, i, j)
+			return f / 2, b / 2
+		}, true},
+		{"uniform/above the cost", 12, 3, 16, uniform, func(s, i, j int) (float64, float64) { return 100, 100 }, false},
+		{"tight/the cost itself", 4, 2, 10, tight, itself(tight), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			uncut, err := Solve(tc.L, tc.p, tc.n, tc.cost)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cut, err := SolveBounded(tc.L, tc.p, tc.n, tc.cost, tc.bound, nil, tc.p-1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if same := reflect.DeepEqual(stripEffort(cut), stripEffort(uncut)); same != tc.valid {
+				t.Fatalf("cut plan %v (total %.17g), uncut %v (total %.17g): same = %v, want %v",
+					cut.Bounds, cut.Total, uncut.Bounds, uncut.Total, same, tc.valid)
+			}
+			if tc.valid && cut.DPCells >= uncut.DPCells {
+				t.Errorf("cut solve evaluated %d cells, uncut %d", cut.DPCells, uncut.DPCells)
+			}
+		})
 	}
 }

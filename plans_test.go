@@ -5,6 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand/v2"
 	"testing"
 
 	"adapipe"
@@ -87,5 +90,91 @@ func coldPlansDigest(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != coldPlansSHA256 {
 		t.Fatalf("plan digest %s, want %s (captured at 8e8ff7b)", got, coldPlansSHA256)
+	}
+}
+
+// widePlansSHA256 is the digest of TestWidePlansUnchangedFromParent as the
+// planner produced it at commit 2b7641b, before Algorithm 1's scans were cut
+// by a lower bound. It is never regenerated.
+const widePlansSHA256 = "e0bc8c82fad5b1bc1852ecb9f4a706c46f5ee7ad4b88d85243da4883090c8ac8"
+
+// replanRuns are the four training runs of the repo benchmark's replan_sweep.
+var replanRuns = []adapipe.PlanRequest{
+	{Model: "gpt3", Cluster: "a", TP: 8, PP: 8, SeqLen: 16384, GlobalBatch: 32},
+	{Model: "llama2", Cluster: "a", TP: 4, PP: 16, SeqLen: 8192, GlobalBatch: 64},
+	{Model: "gpt3", Cluster: "b", TP: 8, PP: 16, SeqLen: 4096, GlobalBatch: 32},
+	{Model: "llama2", Cluster: "b", TP: 8, PP: 8, SeqLen: 8192, GlobalBatch: 32},
+}
+
+// TestWidePlansUnchangedFromParent covers what the cold digest, at n ≈ p,
+// does not: every plan_cold shape at its largest seq_len with global batch
+// 256, where n ≫ p, and a seeded walk of 12 warm replans per replan_sweep
+// run, each moving one or two stage scales by 0.05 inside [1.0, 1.5]. It
+// hashes every plan's JSON and, per replan, the repriced incumbent, the
+// adoption and both simulated iteration times.
+func TestWidePlansUnchangedFromParent(t *testing.T) {
+	h := sha256.New()
+	write := func(p *adapipe.Plan) {
+		b, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(append(b, '\n'))
+	}
+	for _, s := range coldShapes {
+		req := adapipe.PlanRequest{
+			Version: adapipe.RequestVersion, Model: s.model, Cluster: s.cluster, Method: "AdaPipe",
+			TP: s.tp, PP: s.pp, DP: 1, SeqLen: s.maxSeq, GlobalBatch: 256, MicroBatch: 1,
+		}
+		plan, err := adapipe.PlanContext(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%+v: %v", req, err)
+		}
+		write(plan)
+	}
+	r := rand.New(rand.NewPCG(29, 1))
+	adopted := 0
+	for _, req := range replanRuns {
+		req.Version, req.Method, req.DP, req.MicroBatch = adapipe.RequestVersion, "AdaPipe", 1, 1
+		pl, err := adapipe.NewPlannerFromRequest(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := pl.Plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps := make([]int, req.PP)
+		for range 12 {
+			for k := 1 + r.IntN(2); k > 0; k-- {
+				st, d := r.IntN(len(steps)), 1-2*r.IntN(2)
+				if steps[st]+d < 0 || steps[st]+d > 10 {
+					d = -d
+				}
+				steps[st] += d
+			}
+			scale := make([]float64, len(steps))
+			for st, v := range steps {
+				scale[st] = 1 + float64(v)*0.05
+			}
+			rp, err := pl.ReplanWithScale(plan, scale)
+			if err != nil {
+				t.Fatalf("%+v under %v: %v", req, scale, err)
+			}
+			write(rp.Old)
+			write(rp.New)
+			fmt.Fprintf(h, "%t %x %x\n", rp.Adopted, math.Float64bits(rp.OldSim.IterTime), math.Float64bits(rp.NewSim.IterTime))
+			if rp.Adopted {
+				plan = rp.New
+				adopted++
+			}
+		}
+		if pl.Stats.ReplanIncremental != 12 {
+			t.Errorf("%s pp%d: %d of 12 replans warm-started", req.Model, req.PP, pl.Stats.ReplanIncremental)
+		}
+	}
+	t.Logf("%d of %d replans adopted", adopted, 12*len(replanRuns))
+	if got := hex.EncodeToString(h.Sum(nil)); got != widePlansSHA256 {
+		t.Fatalf("plan digest %s, want %s (captured at 2b7641b)", got, widePlansSHA256)
 	}
 }
