@@ -1,11 +1,14 @@
 package adapipe_test
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
 	"adapipe"
+	"adapipe/internal/baseline"
 )
 
 func TestPlanAdaPipeQuickstart(t *testing.T) {
@@ -191,5 +194,45 @@ func TestMemoryCSVFacade(t *testing.T) {
 	}
 	if len(res.MemTimeline) != 2 {
 		t.Errorf("%d curves", len(res.MemTimeline))
+	}
+}
+
+// TestContextAlreadyCancelled: a pre-cancelled ctx surfaces context.Canceled
+// from every context-taking entry point above the planner — as the error of
+// PlanContext, and as Outcome.Err of a simulation.
+func TestContextAlreadyCancelled(t *testing.T) {
+	req, err := adapipe.ParsePlanRequest([]byte(`{"model":"tiny","tp":1,"pp":4,"dp":1,"seq_len":2048,"global_batch":16}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := req.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		run  func(ctx context.Context) error
+	}{
+		{"PlanContext", func(ctx context.Context) error {
+			_, err := adapipe.PlanContext(ctx, req)
+			return err
+		}},
+		{"SimulateContext", func(ctx context.Context) error {
+			o, err := adapipe.SimulateContext(ctx, req)
+			if err != nil {
+				t.Fatalf("valid request rejected: %v", err)
+			}
+			return o.Err
+		}},
+		{"baseline.EvaluateContext", func(ctx context.Context) error {
+			return baseline.EvaluateContext(ctx, res.Method, res.Model, res.Cluster, res.Strategy, res.Training, res.Options).Err
+		}},
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range cases {
+		if err := tc.run(ctx); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: want context.Canceled, got %v", tc.name, err)
+		}
 	}
 }

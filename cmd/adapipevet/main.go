@@ -1,8 +1,9 @@
-// Command adapipevet runs the AdaPipe lint suite (internal/analysis): eight
+// Command adapipevet runs the AdaPipe lint suite (internal/analysis): seven
 // analyzers enforcing planner determinism (maporder, floatcmp, detrand),
 // pipeline and planner concurrency hygiene (pipesync, lockguard), context
-// propagation (ctxprop), error handling in the binaries (errcheckcmd) and
-// suppression hygiene (ignoreaudit).
+// propagation (ctxprop) and error handling in the binaries (errcheckcmd).
+// No finding can be suppressed: fix the code, or narrow the analyzer's rule
+// or scope with a fixture case.
 //
 // Standalone (multichecker-style) usage — loads packages itself:
 //

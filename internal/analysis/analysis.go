@@ -8,7 +8,7 @@
 // The suite exists because the planner's two-level DP must be bit-for-bit
 // deterministic (tests assert exact plan equality, and serialized plans are
 // diffed across runs) and because the 1F1B executor is multi-goroutine
-// channel code where races corrupt schedule comparisons silently. Eight
+// channel code where races corrupt schedule comparisons silently. Seven
 // analyzers enforce the invariants (DESIGN.md "Static analysis" records the
 // defect in this repo's history that each one caught):
 //
@@ -26,18 +26,13 @@
 //     never check ctx.
 //   - lockguard:   reads/writes of fields annotated `// guarded by <mu>`
 //     from methods that do not hold the named mutex on a dominating path.
-//   - detrand:     nondeterminism sources (time.Now/Since, global
-//     math/rand, %p formatting) in the plan- and hash-producing packages.
-//   - ignoreaudit: suppression hygiene — stale ignore directives, unknown
-//     analyzer names, missing reasons.
+//   - detrand:     nondeterminism sources (time.Now/Since/Until, called or
+//     taken as a func value, global math/rand, %p formatting) in the plan-
+//     and hash-producing packages.
 //
-// A finding can be suppressed with a trailing or preceding line comment of
-// the form:
-//
-//	//adapipevet:ignore <analyzer-name> <reason>
-//
-// The reason is mandatory (ignoreaudit enforces it), and a directive that no
-// longer suppresses anything is itself a finding.
+// There is no suppression mechanism. A finding is fixed in the code; a false
+// positive is fixed by narrowing the analyzer's rule or scope, with a fixture
+// case that pins the narrowing.
 //
 // Two drivers run the suite (cmd/adapipevet): Load type-checks packages from
 // source for the standalone mode, CheckFiles takes one compilation unit from
@@ -56,7 +51,7 @@ import (
 
 // Analyzer describes one static-analysis pass.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and ignore directives.
+	// Name identifies the analyzer in diagnostics and SARIF rules.
 	Name string
 	// Doc is a one-paragraph description.
 	Doc string
@@ -96,20 +91,11 @@ type Pass struct {
 	// TypesInfo holds type and object resolution for the syntax.
 	TypesInfo *types.Info
 
-	diags   []Diagnostic
-	ignores map[int]map[string]bool // file-line -> analyzer name (or "") -> ignored
-
-	// noIgnore disables the suppression directives; the ignoreaudit analyzer
-	// sets it on the sub-passes it re-runs to learn what a directive would
-	// have suppressed.
-	noIgnore bool
+	diags []Diagnostic
 }
 
-// Reportf records a diagnostic at pos unless an ignore directive covers it.
+// Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	if p.ignored(pos) {
-		return
-	}
 	p.diags = append(p.diags, Diagnostic{
 		Pos:      pos,
 		Analyzer: p.Analyzer.Name,
@@ -120,42 +106,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // TypeOf returns the type of e, or nil when unknown.
 func (p *Pass) TypeOf(e ast.Expr) types.Type {
 	return p.TypesInfo.TypeOf(e)
-}
-
-// ignored reports whether an //adapipevet:ignore directive on the finding's
-// line, or on the line directly above it, names this analyzer.
-func (p *Pass) ignored(pos token.Pos) bool {
-	if p.noIgnore {
-		return false
-	}
-	if p.ignores == nil {
-		p.ignores = map[int]map[string]bool{}
-		for _, f := range p.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					text := strings.TrimPrefix(c.Text, "//")
-					text = strings.TrimSpace(text)
-					if !strings.HasPrefix(text, "adapipevet:ignore") {
-						continue
-					}
-					rest := strings.TrimSpace(strings.TrimPrefix(text, "adapipevet:ignore"))
-					name := rest
-					if i := strings.IndexAny(rest, " \t"); i >= 0 {
-						name = rest[:i]
-					}
-					line := p.Fset.Position(c.Pos()).Line
-					for _, l := range []int{line, line + 1} {
-						if p.ignores[l] == nil {
-							p.ignores[l] = map[string]bool{}
-						}
-						p.ignores[l][name] = true
-					}
-				}
-			}
-		}
-	}
-	byName := p.ignores[p.Fset.Position(pos).Line]
-	return byName != nil && (byName[p.Analyzer.Name] || byName[""] || byName["all"])
 }
 
 // Package is one loaded, type-checked package ready for analysis.
@@ -242,7 +192,7 @@ func sortDiagnostics(fset *token.FileSet, diags []Diagnostic) {
 func All() []*Analyzer {
 	return []*Analyzer{
 		MapOrder, FloatCmp, PipeSync, ErrCheckCmd,
-		CtxProp, LockGuard, DetRand, IgnoreAudit,
+		CtxProp, LockGuard, DetRand,
 	}
 }
 

@@ -1,9 +1,7 @@
 package analysis
 
 import (
-	"go/importer"
-	"go/token"
-	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -16,7 +14,6 @@ func TestErrCheckCmdFixture(t *testing.T) { runFixture(t, ErrCheckCmd) }
 func TestCtxPropFixture(t *testing.T)     { runFixture(t, CtxProp) }
 func TestLockGuardFixture(t *testing.T)   { runFixture(t, LockGuard) }
 func TestDetRandFixture(t *testing.T)     { runFixture(t, DetRand) }
-func TestIgnoreAuditFixture(t *testing.T) { runFixture(t, IgnoreAudit) }
 
 // TestAllOrderPinned freezes the suite order: SARIF rule indices and the
 // diagnostic tie-break both follow All(), so reordering would churn every
@@ -24,7 +21,7 @@ func TestIgnoreAuditFixture(t *testing.T) { runFixture(t, IgnoreAudit) }
 func TestAllOrderPinned(t *testing.T) {
 	want := []string{
 		"maporder", "floatcmp", "pipesync", "errcheckcmd",
-		"ctxprop", "lockguard", "detrand", "ignoreaudit",
+		"ctxprop", "lockguard", "detrand",
 	}
 	all := All()
 	if len(all) != len(want) {
@@ -54,8 +51,8 @@ func TestScopes(t *testing.T) {
 			[]string{"adapipe/internal/core", "adapipe"}, "pipesync"},
 		{ErrCheckCmd, []string{"adapipe/cmd/adapipe", "adapipe/cmd/experiments", "adapipe/examples/quickstart"},
 			[]string{"adapipe", "adapipe/internal/core"}, "errcheckcmd"},
-		{CtxProp, []string{"adapipe/internal/core", "adapipe/internal/serve", "adapipe/internal/baseline", "adapipe/internal/train"},
-			[]string{"adapipe", "adapipe/internal/sim", "adapipe/cmd/adapipe"}, "ctxprop"},
+		{CtxProp, []string{"adapipe", "adapipe/internal/request", "adapipe/internal/core", "adapipe/internal/serve", "adapipe/internal/baseline", "adapipe/internal/train"},
+			[]string{"adapipe/internal/sim", "adapipe/cmd/adapipe", "adapipe/examples/quickstart"}, "ctxprop"},
 		{DetRand, []string{"adapipe/internal/core", "adapipe/internal/request", "adapipe/internal/trace", "adapipe/internal/profile"},
 			[]string{"adapipe", "adapipe/internal/train", "adapipe/cmd/adapipe"}, "detrand"},
 	}
@@ -73,39 +70,6 @@ func TestScopes(t *testing.T) {
 		if !tc.a.Applies(tc.name) {
 			t.Errorf("%s: should apply to its own fixture package", tc.name)
 		}
-	}
-}
-
-// TestIgnoreDirective checks suppression on the same and the preceding line.
-func TestIgnoreDirective(t *testing.T) {
-	dir := t.TempDir()
-	src := `package ig
-
-func cmp(a, b float64) (bool, bool, bool) {
-	x := a == b //adapipevet:ignore floatcmp reason
-	//adapipevet:ignore floatcmp reason
-	y := a == b
-	z := a == b
-	return x, y, z
-}
-`
-	if err := os.WriteFile(filepath.Join(dir, "ig.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	pkg, err := CheckFiles(fset, "floatcmp_ignore", []string{filepath.Join(dir, "ig.go")}, importer.ForCompiler(fset, "source", nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := Run([]*Package{pkg}, []*Analyzer{FloatCmp})
-	if len(diags) != 1 {
-		t.Fatalf("got %d diagnostics, want exactly the unsuppressed one: %v", len(diags), diags)
-	}
-	if line := fset.Position(diags[0].Pos).Line; line != 7 {
-		t.Errorf("diagnostic on line %d, want 7 (the z assignment)", line)
-	}
-	if !strings.Contains(diags[0].Message, "exact ==") {
-		t.Errorf("unexpected message %q", diags[0].Message)
 	}
 }
 
@@ -128,11 +92,32 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 	}
 }
 
+// TestExecutorImportsNoPlanner pins the layering: the 1F1B executor builds
+// without any package of the planner, so neither can grow a dependency on
+// the other's internals unnoticed.
+func TestExecutorImportsNoPlanner(t *testing.T) {
+	cmd := exec.Command("go", "list", "-deps", "adapipe/internal/train")
+	cmd.Dir = moduleRoot(t)
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list -deps: %v", err)
+	}
+	planner := map[string]bool{}
+	for _, p := range []string{"core", "partition", "recompute", "coststore", "memo", "profile", "memory", "hardware", "parallel"} {
+		planner["adapipe/internal/"+p] = true
+	}
+	for _, dep := range strings.Fields(string(out)) {
+		if planner[dep] {
+			t.Errorf("adapipe/internal/train depends on planner package %s", dep)
+		}
+	}
+}
+
 // TestScopesUniversal pins the analyzers that deliberately apply everywhere.
 func TestScopesUniversal(t *testing.T) {
-	for _, a := range []*Analyzer{LockGuard, IgnoreAudit} {
+	for _, a := range []*Analyzer{LockGuard} {
 		if a.Applies != nil {
-			t.Errorf("%s: expected a nil Applies (annotations and directives can appear in any package)", a.Name)
+			t.Errorf("%s: expected a nil Applies (annotations can appear in any package)", a.Name)
 		}
 	}
 }

@@ -8,18 +8,19 @@ import (
 )
 
 // CtxProp enforces context propagation in the library packages that sit on
-// the search and serving paths (internal/core, internal/serve,
-// internal/baseline, internal/train). PR 5 threaded cancellation through the
-// whole search (core.PlanContext → baseline.EvaluateContext →
-// train.RunContext); a single function that drops the context silently severs
-// that chain — a cancelled daemon request would keep burning an admission
-// slot on a search nobody is waiting for. Three patterns are flagged:
+// the search and serving paths (the root adapipe façade, internal/request,
+// internal/core, internal/serve, internal/baseline, internal/train).
+// Cancellation is threaded through the whole search (core.PlanContext →
+// baseline.EvaluateContext → train.RunContext); a single function that drops
+// the context silently severs that chain — a cancelled daemon request would
+// keep burning an admission slot on a search nobody is waiting for. Three
+// patterns are flagged:
 //
 //  1. context.Background() or context.TODO() called inside a function that
 //     already receives a context — the fresh root context discards the
-//     caller's deadline and cancellation. Deliberate detachment (the serve
-//     coalescing leader runs under the server's base context on purpose)
-//     must carry an ignore directive explaining why.
+//     caller's deadline and cancellation. Deliberate detachment is built
+//     where no ctx is in scope: the serve coalescing leader runs under the
+//     server's base context, which New derives from context.Background().
 //  2. a call that drops the in-scope context when a context-aware variant of
 //     the same callee exists: calling X() where XContext(ctx, ...) is
 //     defined on the same receiver or in the same package. This is exactly
@@ -36,7 +37,8 @@ var CtxProp = &Analyzer{
 		"existing Context-variant of the callee, and blocking loops that never " +
 		"check ctx.Done()/ctx.Err()",
 	Applies: pathMatcher(
-		nil,
+		[]string{"adapipe"},
+		"adapipe/internal/request",
 		"adapipe/internal/core",
 		"adapipe/internal/serve",
 		"adapipe/internal/baseline",
@@ -102,8 +104,7 @@ func ctxWalkFunc(pass *Pass, body ast.Node, ctxObj types.Object) {
 			}
 			if name, ok := contextRootCall(pass, st); ok {
 				pass.Reportf(st.Pos(),
-					"context.%s() discards the in-scope ctx; derive from ctx "+
-						"(or ignore with the reason the detachment is deliberate)", name)
+					"context.%s() discards the in-scope ctx; derive from ctx", name)
 				return true
 			}
 			checkDroppedContextVariant(pass, st, ctxObj)

@@ -15,10 +15,10 @@ import (
 // into an output or a hash. Three sources are flagged (order-dependent map
 // iteration, the fourth, is maporder's rule; its scope covers these packages):
 //
-//  1. time.Now / time.Since — wall-clock readings differ between identical
-//     runs. The search-effort wall counters are the one deliberate use; they
-//     are excluded from plan serialization and carry ignore directives
-//     saying so.
+//  1. time.Now / time.Since / time.Until, called or referenced as a func
+//     value (`clock: time.Now`) — wall-clock readings differ between
+//     identical runs. The search-effort wall counters read an injected
+//     obs.Clock; obs.RealClock, outside this scope, is the one real clock.
 //  2. math/rand package-level functions — the global source is seeded
 //     nondeterministically; derive from rand.New(rand.NewSource(seed)).
 //  3. pointer formatting (%p) in fmt format strings — addresses differ per
@@ -49,13 +49,32 @@ var ptrVerbRx = regexp.MustCompile(`%[#+\-0 ]*[0-9.]*p`)
 func runDetRand(pass *Pass) error {
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				checkDetRandCall(pass, call)
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				checkDetRandClock(pass, n)
+			case *ast.CallExpr:
+				checkDetRandCall(pass, n)
 			}
 			return true
 		})
 	}
 	return nil
+}
+
+// checkDetRandClock flags every reference to time.Now, time.Since or
+// time.Until — a call, or a func value that becomes a clock elsewhere.
+func checkDetRandClock(pass *Pass, sel *ast.SelectorExpr) {
+	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" {
+		return
+	}
+	switch fn.Name() {
+	case "Now", "Since", "Until":
+		pass.Reportf(sel.Pos(),
+			"time.%s reads the wall clock in a determinism-critical package; "+
+				"clock values must never reach plans, canonical JSON or hashes",
+			fn.Name())
+	}
 }
 
 func checkDetRandCall(pass *Pass, call *ast.CallExpr) {
@@ -68,13 +87,6 @@ func checkDetRandCall(pass *Pass, call *ast.CallExpr) {
 		return
 	}
 	switch fn.Pkg().Path() {
-	case "time":
-		if fn.Name() == "Now" || fn.Name() == "Since" || fn.Name() == "Until" {
-			pass.Reportf(call.Pos(),
-				"time.%s reads the wall clock in a determinism-critical package; "+
-					"clock values must never reach plans, canonical JSON or hashes",
-				fn.Name())
-		}
 	case "math/rand", "math/rand/v2":
 		// Constructors are fine — a seeded *rand.Rand is deterministic.
 		// Methods on *rand.Rand have a receiver and are fine too; only the

@@ -21,7 +21,7 @@ var wantRx = regexp.MustCompile("`([^`]*)`|\"((?:[^\"\\\\]|\\\\.)*)\"")
 // produced diagnostics against `// want "regexp"` comments. Each diagnostic must be
 // matched by a want on its line, and every want must be matched by a
 // diagnostic — so a fixture fails both when the analyzer misses a positive
-// case and when it fires on a suppressed-negative one.
+// case and when it fires on a negative one.
 func runFixture(t *testing.T, a *Analyzer) {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", a.Name)
@@ -48,14 +48,7 @@ func runFixture(t *testing.T, a *Analyzer) {
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				// Both comment forms carry wants. The block form exists for
-				// lines already ending in a line comment — notably ignore
-				// directives, whose own diagnostics (ignoreaudit's) land on
-				// the directive line itself:
-				//   /* want `stale ignore` */ //adapipevet:ignore ...
-				text := strings.TrimPrefix(c.Text, "//")
-				text = strings.TrimSuffix(strings.TrimPrefix(text, "/*"), "*/")
-				text = strings.TrimSpace(text)
+				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
 				if !strings.HasPrefix(text, "want ") {
 					continue
 				}

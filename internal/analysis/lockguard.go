@@ -28,8 +28,7 @@ import (
 // checked (the guard is per-instance), and only methods in the annotated
 // struct's package (cross-package readers of exported fields, like the
 // Plan.Search stats snapshot, must be safe by publication discipline
-// instead). A deliberate unguarded access carries an ignore directive with
-// its reason.
+// instead).
 var LockGuard = &Analyzer{
 	Name: "lockguard",
 	Doc: "flags reads/writes of struct fields annotated `// guarded by <mu>` from " +

@@ -25,7 +25,7 @@ func goldenFixture() (*token.FileSet, []Diagnostic) {
 	diags := []Diagnostic{
 		{Pos: pos(3, 7), Analyzer: "maporder", Message: "range over map stageCosts has an order-dependent body"},
 		{Pos: pos(12, 2), Analyzer: "detrand", Message: "time.Now reads the wall clock in a determinism-critical package"},
-		{Pos: token.NoPos, Analyzer: "ignoreaudit", Message: "analyzer failed: example failure"},
+		{Pos: token.NoPos, Analyzer: "lockguard", Message: "analyzer failed: example failure"},
 	}
 	sortDiagnostics(fset, diags)
 	return fset, diags

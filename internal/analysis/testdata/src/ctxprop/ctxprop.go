@@ -154,9 +154,3 @@ func ClosureInheritsCtx(ctx context.Context, ch chan int) func() int {
 		return total
 	}
 }
-
-// DeliberateDetach is the documented escape hatch — suppressed.
-func DeliberateDetach(ctx context.Context) int {
-	//adapipevet:ignore ctxprop the coalescing leader must outlive any one requester
-	return SearchContext(context.Background(), 3)
-}

@@ -28,11 +28,17 @@ func Budget(d time.Duration) time.Duration {
 	return d * 2
 }
 
-// EffortCounter is the documented escape hatch — suppressed.
-func EffortCounter() time.Time {
-	//adapipevet:ignore detrand wall-clock effort counter, excluded from plan serialization
-	return time.Now()
+// clocked takes an injected clock, as the planner does.
+type clocked struct{ clock func() time.Time }
+
+// ClockValue hands time.Now over as a func value: it reads the wall clock
+// wherever it is called — flagged.
+func ClockValue() clocked {
+	return clocked{clock: time.Now} // want `time\.Now reads the wall clock`
 }
+
+// SinceValue binds time.Since as a value — flagged.
+var SinceValue = time.Since // want `time\.Since reads the wall clock`
 
 // GlobalRand draws from the global source — flagged.
 func GlobalRand() int {

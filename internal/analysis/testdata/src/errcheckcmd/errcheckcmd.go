@@ -64,8 +64,3 @@ func Printing() string {
 func ExplicitDrop() {
 	_ = plan()
 }
-
-// Suppressed documents an intentional drop.
-func Suppressed() {
-	plan() //adapipevet:ignore errcheckcmd best-effort cleanup on exit
-}

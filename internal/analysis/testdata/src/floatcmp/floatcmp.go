@@ -44,8 +44,3 @@ func ConstCheck() bool {
 func Ordered(a, b float64) bool {
 	return a < b || a >= b
 }
-
-// SuppressedZeroGuard documents an intentional exact comparison.
-func SuppressedZeroGuard(x float64) bool {
-	return x == 0 //adapipevet:ignore floatcmp exact zero sentinel from initialization
-}

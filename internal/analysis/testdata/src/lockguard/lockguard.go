@@ -93,12 +93,6 @@ func (c *Counter) SwitchAllPathsLocked(mode int) int {
 	return v
 }
 
-// DeliberateSnapshot documents an intentionally racy read — suppressed.
-func (c *Counter) DeliberateSnapshot() int {
-	//adapipevet:ignore lockguard approximate read for metrics; writers have all joined
-	return c.hits
-}
-
 // Table exercises RWMutex and reader locks.
 type Table struct {
 	rw sync.RWMutex

@@ -122,13 +122,3 @@ func MergeWorkerCounters(byWorker []map[string]int) map[string]int {
 	}
 	return merged
 }
-
-// Suppressed carries an explicit ignore directive.
-func Suppressed(saved map[string]int) []int {
-	var out []int
-	//adapipevet:ignore maporder order does not matter for this debug dump
-	for _, v := range saved {
-		out = append(out, v)
-	}
-	return out
-}

@@ -117,15 +117,3 @@ func CloseInGoroutine(wg *sync.WaitGroup) chan struct{} {
 	}()
 	return waited
 }
-
-// SuppressedNakedSend documents an op whose peer provably outlives it.
-func SuppressedNakedSend(out chan int, v int) {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		//adapipevet:ignore pipesync buffered result channel, receiver never exits early
-		out <- v
-	}()
-	wg.Wait()
-}

@@ -8,16 +8,42 @@ import (
 	"time"
 )
 
+// TestPlanContextAlreadyCancelled: a pre-cancelled ctx surfaces
+// context.Canceled from each of the planner's context-taking searches, and a
+// cold search returns before it evaluates a single cost.
 func TestPlanContextAlreadyCancelled(t *testing.T) {
-	pl := roomy.planner(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	p, err := pl.PlanContext(ctx)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got plan=%v err=%v", p, err)
+	cases := []struct {
+		name string
+		// search runs the entry point under ctx on a fresh planner; cold
+		// entry points must evaluate no cost before noticing ctx.
+		search func(t *testing.T, ctx context.Context, pl *Planner) error
+		cold   bool
+	}{
+		{"PlanContext", func(t *testing.T, ctx context.Context, pl *Planner) error {
+			_, err := pl.PlanContext(ctx)
+			return err
+		}, true},
+		{"ReplanWithScaleContext", func(t *testing.T, ctx context.Context, pl *Planner) error {
+			old, err := pl.Plan()
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = pl.ReplanWithScaleContext(ctx, old, []float64{1, 1.5, 1, 1})
+			return err
+		}, false},
 	}
-	if pl.Stats.CostEvaluations != 0 {
-		t.Fatalf("pre-cancelled search still evaluated %d costs", pl.Stats.CostEvaluations)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pl := roomy.planner(t)
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if err := tc.search(t, ctx, pl); !errors.Is(err, context.Canceled) {
+				t.Fatalf("want context.Canceled, got %v", err)
+			}
+			if tc.cold && pl.Stats.CostEvaluations != 0 {
+				t.Fatalf("pre-cancelled search still evaluated %d costs", pl.Stats.CostEvaluations)
+			}
+		})
 	}
 }
 

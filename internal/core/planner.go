@@ -229,7 +229,7 @@ type Planner struct {
 	prof   *profile.Profile
 	layers []model.Layer
 	n      int
-	// clock times the search's wall counter (SearchWall). RealClock() at
+	// clock times the search's wall counter (SearchWall). obs.RealClock() at
 	// construction; SetClock swaps in a fake for deterministic tests.
 	// Immutable once planning starts.
 	clock obs.Clock
@@ -340,7 +340,7 @@ func NewPlannerWithProfile(cfg model.Config, cluster hardware.Cluster, strat par
 		prof:    prof,
 		layers:  cfg.LayerSequence(),
 		n:       n,
-		clock:   RealClock(),
+		clock:   obs.RealClock(),
 	}
 	pl.table = newCostTable(pl)
 	return pl, nil

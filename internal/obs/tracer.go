@@ -12,9 +12,12 @@ import (
 // search paths that needs a timestamp — the request tracer, the latency
 // histograms, the planner's SearchStats effort counters — takes an injected
 // Clock instead of calling time.Now directly, so tests can drive spans and
-// wall counters off a deterministic fake. core.RealClock is the single place
-// the process constructs the real clock.
+// wall counters off a deterministic fake. RealClock is the single place the
+// process constructs the real clock.
 type Clock func() time.Time
+
+// RealClock returns the process wall clock as a Clock.
+func RealClock() Clock { return time.Now }
 
 // Span category values. Categories let a consumer reason about a trace
 // without reconstructing the parent tree: exactly one CatRequest span bounds
@@ -87,7 +90,7 @@ const DefaultSpanLimit = 4096
 
 // NewTracer builds a tracer for one request. id is the trace identity the
 // ring buffer and the X-Adapipe-Trace header use; clock must be non-nil
-// (inject core.RealClock() in production, a fake in tests); limit bounds the
+// (inject RealClock() in production, a fake in tests); limit bounds the
 // CatSolve spans kept (0 selects DefaultSpanLimit). The trace origin is the
 // clock reading at construction.
 func NewTracer(id string, clock Clock, limit int) *Tracer {

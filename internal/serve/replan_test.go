@@ -62,6 +62,9 @@ func TestReplanEndpointWarmStartsAndMatchesOffline(t *testing.T) {
 		if got := resp.Header.Get(headerReplan); got != wantDisposition[i] {
 			t.Fatalf("replan %d disposition %q, want %q", i, got, wantDisposition[i])
 		}
+		// The warm replan runs no seeding search, so its search.* spans
+		// can only come from the re-search itself.
+		requireSearchSpan(t, ts, resp)
 		rr, err := request.ParseReplanResponse(data)
 		if err != nil {
 			t.Fatalf("replan %d: %v", i, err)

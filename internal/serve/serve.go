@@ -109,7 +109,7 @@ type Config struct {
 	CostStorePath string
 	// Clock supplies every timestamp the serving layer takes (trace spans,
 	// latency histograms, search-wall counters). Nil selects
-	// core.RealClock(); tests inject a fake for deterministic traces.
+	// obs.RealClock(); tests inject a fake for deterministic traces.
 	Clock obs.Clock
 	// Logger receives one structured record per plan/simulate request,
 	// carrying the trace ID so log lines join to traces. Nil disables
@@ -142,7 +142,7 @@ func (c Config) withDefaults() Config {
 		c.CostStoreSize = 4096
 	}
 	if c.Clock == nil {
-		c.Clock = core.RealClock()
+		c.Clock = obs.RealClock()
 	}
 	return c
 }

@@ -434,6 +434,7 @@ func TestSimulateEndpoint(t *testing.T) {
 	if sr.Version != request.Version || sr.Schedule != "1f1b" || sr.IterSec <= 0 || len(sr.PeakBytes) != 4 {
 		t.Fatalf("unexpected simulate response: %+v", sr)
 	}
+	requireSearchSpan(t, ts, resp)
 	// The simulated outcome must agree with the offline evaluation path.
 	req, _ := request.ParsePlanRequest([]byte(body))
 	want, _ := req.Evaluate(context.Background())

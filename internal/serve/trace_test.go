@@ -52,6 +52,24 @@ func getTraceDoc(t *testing.T, ts *httptest.Server, id string) (*http.Response, 
 	return resp, readBody(t, resp)
 }
 
+// requireSearchSpan fails unless the trace resp points to holds a search.*
+// span: proof that the endpoint handed its ctx, and the tracer riding on it,
+// down into the planner's search.
+func requireSearchSpan(t *testing.T, ts *httptest.Server, resp *http.Response) {
+	t.Helper()
+	_, body := getTraceDoc(t, ts, resp.Header.Get(headerTrace))
+	var doc chromeDoc
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatalf("trace is not Chrome trace JSON: %v", err)
+	}
+	for _, ev := range doc.TraceEvents {
+		if strings.HasPrefix(ev.Name, "search.") {
+			return
+		}
+	}
+	t.Fatalf("%s trace holds no search.* span: its ctx did not reach the search:\n%s", resp.Request.URL.Path, body)
+}
+
 // TestPlanTraceEndToEnd is the tentpole proof at the unit level: a cold
 // /v1/plan returns a trace id, the stored trace decomposes the request into
 // its serving phases AND reaches down through the search into the knapsack

@@ -7,7 +7,6 @@ import (
 	"math"
 	"time"
 
-	"adapipe/internal/core"
 	"adapipe/internal/obs"
 )
 
@@ -91,7 +90,7 @@ type Supervisor struct {
 	// Elastic is the elastic recovery policy; the zero value disables it.
 	Elastic Elastic
 	// Clock injects time for retry backoff and resize wall-time accounting;
-	// nil uses core.RealClock().
+	// nil uses obs.RealClock().
 	Clock obs.Clock
 	// Stats counts recovery actions (retries, skips, watchdog trips,
 	// losses detected, resizes). Injected-fault counts live in the
@@ -340,7 +339,7 @@ func (sup *Supervisor) clock() obs.Clock {
 	if sup.Clock != nil {
 		return sup.Clock
 	}
-	return core.RealClock()
+	return obs.RealClock()
 }
 
 // sleep pauses for d as measured on the supervisor's clock. Under the real
