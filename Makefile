@@ -9,16 +9,21 @@ build:
 	$(GO) build ./...
 
 # cross keeps the portable loops compiling and vetted where they are the only
-# path: internal/tensor's product kernels, internal/recompute's knapsack row
-# pass and internal/cpu's feature probe are amd64 assembly, so an arm64 vet of
-# those packages (and the executor over tensor) and a 386 build of everything
-# prove the fallbacks still stand on their own. The planner (internal/partition
-# and internal/core) is vetted there too: arm64 fuses multiply-adds, which the
-# scan cut's error margin is argued to cover (DESIGN §5). (On amd64, go vet's
-# asmdecl checks the assembly against its Go declarations.)
+# path: internal/tensor's kernels, internal/recompute's knapsack row pass and
+# internal/cpu's feature probe are amd64 assembly, so an arm64 vet of those
+# packages (and the executor over tensor) and a 386 build of everything prove
+# the fallbacks still stand on their own. The planner (internal/partition and
+# internal/core) is vetted there too: arm64 fuses multiply-adds, which the
+# scan cut's error margin is argued to cover (DESIGN §5). The GOAMD64=v3 leg
+# guards the other direction: the vector exp and tanh copy math.Exp's
+# instructions and math.tanh's Go code rounding for rounding, which holds only
+# while the compiler does not contract that Go code into FMAs where the CPU
+# has them; the kernel, lane and loss tests must pass there too. (On amd64,
+# go vet's asmdecl checks the assembly against its Go declarations.)
 cross:
 	GOARCH=arm64 $(GO) vet ./internal/tensor ./internal/train ./internal/recompute ./internal/cpu ./internal/partition ./internal/core
 	GOARCH=386 $(GO) build ./...
+	GOAMD64=v3 $(GO) test -run 'Kernel|Elementwise|Lanes|LossesUnchanged' ./internal/tensor ./internal/train
 
 $(BIN): FORCE
 	$(GO) build -o $(BIN) ./cmd/adapipevet
@@ -77,14 +82,15 @@ race:
 
 # bench-smoke keeps the kernel, executor and planner developer-loop rows
 # alive: each BenchmarkTrainStep{,Recorded}/*, BenchmarkMatMul/*,
-# BenchmarkKnapsack/*, BenchmarkPlanSearch/* and BenchmarkPartitionDP/{cut,uncut}
+# BenchmarkElementwise/*, BenchmarkKnapsack/*, BenchmarkPlanSearch/* and
+# BenchmarkPartitionDP/{cut,uncut}
 # row builds, runs once and (the train rows) checks its losses against the
 # other save specs. go vet over bench/ proves the frozen harness still
 # type-checks against the tensor and train entry points it calls. No
 # wall-clock gate: speed is gated by the repo benchmark (throughput_ops_s @
 # train_1f1b, op_p95_ms @ plan_cold) alone.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'TrainStep|MatMul|Knapsack|PlanSearch|PartitionDP' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'TrainStep|MatMul|Elementwise|Knapsack|PlanSearch|PartitionDP' -benchtime 1x .
 	$(GO) vet ./bench
 
 # figures regenerates the three sub-second paper figures through their one

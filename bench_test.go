@@ -407,9 +407,9 @@ func BenchmarkTrainStep(b *testing.B) { benchTrainStep(b, false) }
 func BenchmarkTrainStepRecorded(b *testing.B) { benchTrainStep(b, true) }
 
 // tensorSetAVX2 is internal/tensor's test hook (setAVX2): it turns the vector
-// path of the product kernels on (where the CPU has it) or off and returns
+// path of its kernels on (where the CPU has it) or off and returns
 // the previous setting. The hook is unexported so that no caller outside the
-// tests can pick a path; linkname is how this package's benchmark reaches it.
+// tests can pick a path; linkname is how this package's benchmarks reach it.
 //
 //go:linkname tensorSetAVX2 adapipe/internal/tensor.setAVX2
 func tensorSetAVX2(on bool) (was bool)
@@ -458,6 +458,67 @@ func BenchmarkMatMul(b *testing.B) {
 					c.into(dst, c.a, c.b)
 				}
 				b.ReportMetric(2*float64(c.m*c.k*c.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
+	}
+}
+
+// BenchmarkElementwise times the element-wise operations of a train_1f1b
+// step on its shapes — Adam over a 64×64 weight, LayerNorm forward and
+// backward over a 32×64 activation, the GELU pair over a 32×128 one, the row
+// softmax over tensorProbe's 32×32 scores (tensor.softmax_us) and the causal
+// softmax attention runs on them — and reports ns per element. Like
+// BenchmarkMatMul, each has a simd row (the AVX2 kernels, skipped on a CPU
+// without them) and a generic row (the portable loops):
+// go test -run '^$' -bench Elementwise -cpu 1 .
+func BenchmarkElementwise(b *testing.B) {
+	was := tensorSetAVX2(true)
+	haveSIMD := tensorSetAVX2(was)
+	s, dm, f := stepNet.Seq, stepNet.Dim, stepNet.FFN
+	rng := tensor.NewRNG(1)
+	mat := func(r, c int, std float64) *tensor.Mat { return tensor.RandNorm(rng, r, c, std) }
+	w, g0, m, v := mat(dm, dm, 0.02), mat(dm, dm, 1), mat(dm, dm, 0.1), mat(dm, dm, 0.1)
+	for i := range v.Data {
+		v.Data[i] = math.Abs(v.Data[i])
+	}
+	g := g0.Clone()
+	adam := &tensor.AdamStep{Inv: 1.0 / stepMicros, Beta1: 0.9, Beta2: 0.999, C1: 0.1, C2: 0.001, LR: 1e-3, Eps: 1e-8}
+	x, dy, y, xhat, dx := mat(s, dm, 1), mat(s, dm, 1), mat(s, dm, 1), mat(s, dm, 1), mat(s, dm, 1)
+	gain, bias, gg, gb, rstd := mat(1, dm, 1).Data, mat(1, dm, 1).Data, mat(1, dm, 1).Data, mat(1, dm, 1).Data, mat(1, s, 1).Data
+	up, dUp, act := mat(s, f, 0.2), mat(s, f, 1), mat(s, f, 1)
+	scores, probs := mat(s, s, 1), mat(s, s, 1)
+	for _, c := range []struct {
+		name string
+		n    int
+		run  func(b *testing.B)
+	}{
+		{"Adam/64x64", dm * dm, func(b *testing.B) {
+			b.StopTimer() // refill the gradients Adam zeroes
+			copy(g.Data, g0.Data)
+			b.StartTimer()
+			tensor.AdamUpdate(w.Data, g.Data, m.Data, v.Data, adam)
+		}},
+		{"LayerNorm/32x64", s * dm, func(*testing.B) { tensor.LayerNormInto(y, xhat, rstd, x, gain, bias, 1e-5) }},
+		{"LayerNormBackward/32x64", s * dm, func(*testing.B) { tensor.LayerNormBackwardInto(dx, dy, xhat, rstd, gain, gg, gb) }},
+		{"GELU/32x128", s * f, func(*testing.B) { tensor.GELUInto(act, up) }},
+		{"GELUBackward/32x128", s * f, func(*testing.B) { tensor.GELUBackwardInto(act, up, dUp) }},
+		{"Softmax/32x32", s * s, func(*testing.B) { tensor.SoftmaxRowsInto(probs, scores) }},
+		{"CausalSoftmax/32x32", s * s, func(*testing.B) { tensor.CausalSoftmaxInto(probs, scores) }},
+	} {
+		for _, path := range []struct {
+			name string
+			simd bool
+		}{{"simd", true}, {"generic", false}} {
+			b.Run(c.name+"/"+path.name, func(b *testing.B) {
+				if path.simd && !haveSIMD {
+					b.Skip("no AVX2 on this CPU")
+				}
+				defer tensorSetAVX2(tensorSetAVX2(path.simd))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					c.run(b)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.n), "ns/element")
 			})
 		}
 	}

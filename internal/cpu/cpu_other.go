@@ -2,5 +2,6 @@
 
 package cpu
 
-// AVX2 is an amd64 feature; elsewhere the portable loops are the only path.
-const AVX2 = false
+// AVX2 and FMA are amd64 features; elsewhere the portable loops are the only
+// path.
+const AVX2, FMA = false, false

@@ -19,15 +19,20 @@ func mulTilesAVX2(dst *float64, ldd uintptr, a *float64, si, sk uintptr, b *floa
 
 // mulAccAVX2 computes rows [0, rows) × columns [0, cols) of mulAcc's product
 // and reports the block it covered.
-func mulAccAVX2(dst *Mat, ad []float64, si, sk int, b *Mat) (rows, cols int) {
+func mulAccAVX2(dst *Mat, ad []float64, si, sk int, b *Mat, tri triangle) (rows, cols int) {
 	n, inner := b.Cols, b.Rows
 	rows, cols = dst.Rows&^3, n&^7
 	if rows == 0 || cols == 0 || inner == 0 {
 		return 0, 0
 	}
 	for i := 0; i < rows; i += 4 {
-		mulTilesAVX2(&dst.Data[i*n], uintptr(n*8), &ad[i*si], uintptr(si*8), uintptr(sk*8),
-			&b.Data[0], uintptr(n*8), 64, inner, cols/8, 0, 1)
+		k0, k1 := tri.span(i, 4, inner)
+		terms := k1 - k0
+		if terms == 0 {
+			k0 = 0 // the tiles are only cleared
+		}
+		mulTilesAVX2(&dst.Data[i*n], uintptr(n*8), &ad[i*si+k0*sk], uintptr(si*8), uintptr(sk*8),
+			&b.Data[k0*n], uintptr(n*8), 64, terms, cols/8, 0, 1)
 	}
 	return rows, cols
 }
@@ -36,13 +41,14 @@ func mulAccAVX2(dst *Mat, ad []float64, si, sk int, b *Mat) (rows, cols int) {
 // columns, 16 KiB.
 const panelLen = 2048
 
-// matMulTAVX2 computes rows [0, rows) × columns [0, cols) of a·bᵀ and reports
+// matMulTAVX2 computes rows [0, rows) × columns [0, cols) of a·bᵀ — or, if
+// lower, the tiles of that block that reach its lower triangle — and reports
 // the block it covered. The vector kernel wants b k-major, so b's rows are
 // packed, 8 at a time, into panels on the stack; a panel holds at most
 // panelLen/8 values of k, and a longer inner dimension is done in chunks whose
 // partial sums wait in dst — a float64 stored and reloaded is the same
 // float64, so the chain goes on exactly where it stopped.
-func matMulTAVX2(dst, a, b *Mat) (rows, cols int) {
+func matMulTAVX2(dst, a, b *Mat, lower bool) (rows, cols int) {
 	inner, n := a.Cols, b.Rows
 	rows, cols = a.Rows&^3, n&^7
 	if rows == 0 || cols == 0 || inner == 0 {
@@ -62,8 +68,14 @@ func matMulTAVX2(dst, a, b *Mat) (rows, cols int) {
 				load = 1
 			}
 			for i := 0; i < rows; i += 4 {
-				mulTilesAVX2(&dst.Data[i*n+8*t0], uintptr(n*8), &a.Data[i*inner+k0], uintptr(inner*8), 8,
-					&panel[0], 64, uintptr(kc*64), kc, tiles, load, 0)
+				reach := tiles
+				if lower {
+					reach = min(tiles, (i+3)/8+1-t0) // the tiles holding a column ≤ i+3
+				}
+				if reach > 0 {
+					mulTilesAVX2(&dst.Data[i*n+8*t0], uintptr(n*8), &a.Data[i*inner+k0], uintptr(inner*8), 8,
+						&panel[0], 64, uintptr(kc*64), kc, reach, load, 0)
+				}
 			}
 		}
 	}

@@ -12,8 +12,9 @@
 // associate, so all of that holds only while every output element is the same
 // products added in the same order. The kernels are therefore free to change
 // how many sums are in flight and how operands are loaded — never the order
-// within a sum — and tensor_test.go holds them to the plain triple loops bit
-// for bit.
+// within a sum — and the tests hold them to the plain loops bit for bit: the
+// products to the triple loops (tensor_test.go), the element-wise operations
+// to the loops they replaced (elementwise_test.go).
 package tensor
 
 import (
@@ -104,13 +105,15 @@ func checkSame(a, b *Mat, op string) {
 // decides where an injected NaN/Inf spreads and what the non-finite guard
 // sees. MatMulT has no skip: every product is formed and 0·Inf is NaN there.
 
-// useAVX2 selects the vector path (kernel_amd64.go) for the three products.
-// It is decided once, from the CPU; nothing but setAVX2 changes it.
+// useAVX2 selects the vector path (kernel_amd64.go, elementwise_amd64.go)
+// for the products and the element-wise operations. It is decided once, from
+// the CPU; nothing but setAVX2 changes it.
 var useAVX2 = cpu.AVX2
 
 // setAVX2 is the test hook: it turns the vector path on (where the CPU has
 // it) or off and returns the previous setting, so the tests and the root
-// package's BenchmarkMatMul can hold both paths to the same oracle.
+// package's BenchmarkMatMul and BenchmarkElementwise can hold both paths to
+// the same oracle.
 func setAVX2(on bool) (was bool) {
 	was, useAVX2 = useAVX2, on && cpu.AVX2
 	return was
@@ -119,12 +122,20 @@ func setAVX2(on bool) (was bool) {
 // MatMulInto sets dst = a·b under the zero-skip contract above and returns
 // dst, which must be a.Rows×b.Cols and must not alias a or b; its previous
 // contents are ignored.
-func MatMulInto(dst, a, b *Mat) *Mat {
+func MatMulInto(dst, a, b *Mat) *Mat { return matMul(dst, a, b, triFull) }
+
+// MatMulLowerInto is MatMulInto for an a whose upper triangle (a[i][k] for
+// k > i) is zero, a causal mask's probabilities: it skips the k that only
+// those zeros reach, which the zero-skip contract makes no-ops, so the result
+// is MatMulInto's bit for bit.
+func MatMulLowerInto(dst, a, b *Mat) *Mat { return matMul(dst, a, b, triLower) }
+
+func matMul(dst, a, b *Mat, tri triangle) *Mat {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmul inner mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	checkDst(dst, a.Rows, b.Cols, "matmul")
-	mulAcc(dst, a.Data, a.Cols, 1, b)
+	mulAcc(dst, a.Data, a.Cols, 1, b, tri)
 	return dst
 }
 
@@ -134,12 +145,19 @@ func MatMul(a, b *Mat) *Mat { return MatMulInto(New(a.Rows, b.Cols), a, b) }
 // TMatMulInto sets dst = aᵀ·b under the zero-skip contract above (the skipped
 // factor is a[k][i]) and returns dst, which must be a.Cols×b.Cols and must not
 // alias a or b; its previous contents are ignored.
-func TMatMulInto(dst, a, b *Mat) *Mat {
+func TMatMulInto(dst, a, b *Mat) *Mat { return tMatMul(dst, a, b, triFull) }
+
+// TMatMulLowerInto is TMatMulInto for an a whose upper triangle is zero, as
+// MatMulLowerInto is MatMulInto: output row i skips the k < i, where a[k][i]
+// is one of those zeros.
+func TMatMulLowerInto(dst, a, b *Mat) *Mat { return tMatMul(dst, a, b, triUpper) }
+
+func tMatMul(dst, a, b *Mat, tri triangle) *Mat {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: TmatMul inner mismatch (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	checkDst(dst, a.Cols, b.Cols, "TmatMul")
-	mulAcc(dst, a.Data, 1, a.Cols, b)
+	mulAcc(dst, a.Data, 1, a.Cols, b, tri)
 	return dst
 }
 
@@ -150,14 +168,37 @@ func TMatMul(a, b *Mat) *Mat { return TMatMulInto(New(a.Cols, b.Cols), a, b) }
 // dst[i][j] = Σₖ A(i,k)·b[k][j] with A(i,k) = ad[i*si+k*sk], so the two
 // products differ only in their strides. The vector path, when on, computes
 // a block of rows [0, rows) × columns [0, cols); the portable loop does the
-// columns right of it and the rows below it.
-func mulAcc(dst *Mat, ad []float64, si, sk int, b *Mat) {
+// columns right of it and the rows below it. tri says which A(i,k) may be
+// nonzero.
+func mulAcc(dst *Mat, ad []float64, si, sk int, b *Mat, tri triangle) {
 	rows, cols := 0, 0
 	if useAVX2 {
-		rows, cols = mulAccAVX2(dst, ad, si, sk, b)
+		rows, cols = mulAccAVX2(dst, ad, si, sk, b, tri)
 	}
-	mulAccGo(dst, ad, si, sk, b, 0, rows, cols)
-	mulAccGo(dst, ad, si, sk, b, rows, dst.Rows, 0)
+	mulAccGo(dst, ad, si, sk, b, 0, rows, cols, tri)
+	mulAccGo(dst, ad, si, sk, b, rows, dst.Rows, 0, tri)
+}
+
+// A triangle is the part of A(i,k) that may be nonzero: all of it, or the
+// part on and below (triLower) or on and above (triUpper) the diagonal. The
+// k a block of rows reaches only through zeros are not visited.
+type triangle int
+
+const (
+	triFull triangle = iota
+	triLower
+	triUpper
+)
+
+// span returns the k range [k0, k1) that output rows [i, i+h) read.
+func (t triangle) span(i, h, inner int) (k0, k1 int) {
+	switch t {
+	case triLower:
+		return 0, min(inner, i+h)
+	case triUpper:
+		return min(i, inner), inner
+	}
+	return 0, inner
 }
 
 // mulAccGo is mulAcc's portable loop over rows [i0, i1) × columns [j0, n). A
@@ -166,7 +207,7 @@ func mulAcc(dst *Mat, ad []float64, si, sk int, b *Mat) {
 // the order of the plain loop. A block holding a zero factor, the k tail and
 // an odd last row go through axpy, one k at a time, which is where the skip
 // lives.
-func mulAccGo(dst *Mat, ad []float64, si, sk int, b *Mat, i0, i1, j0 int) {
+func mulAccGo(dst *Mat, ad []float64, si, sk int, b *Mat, i0, i1, j0 int, tri triangle) {
 	n, inner := b.Cols, b.Rows
 	if j0 == n {
 		return
@@ -180,8 +221,8 @@ func mulAccGo(dst *Mat, ad []float64, si, sk int, b *Mat, i0, i1, j0 int) {
 		clear(o0)
 		clear(o1)
 		p0, p1 := i*si, (i+1)*si
-		k := 0
-		for ; k+4 <= inner; k += 4 {
+		k, k1 := tri.span(i, 2, inner)
+		for ; k+4 <= k1; k += 4 {
 			a00, a01, a02, a03 := ad[p0+k*sk], ad[p0+(k+1)*sk], ad[p0+(k+2)*sk], ad[p0+(k+3)*sk]
 			a10, a11, a12, a13 := ad[p1+k*sk], ad[p1+(k+1)*sk], ad[p1+(k+2)*sk], ad[p1+(k+3)*sk]
 			b0, b1, b2, b3 := brow(k), brow(k+1), brow(k+2), brow(k+3)
@@ -204,7 +245,7 @@ func mulAccGo(dst *Mat, ad []float64, si, sk int, b *Mat, i0, i1, j0 int) {
 				o1[j] = o1[j] + a10*x0 + a11*x1 + a12*x2 + a13*x3
 			}
 		}
-		for ; k < inner; k++ {
+		for ; k < k1; k++ {
 			axpy(o0, ad[p0+k*sk], brow(k))
 			axpy(o1, ad[p1+k*sk], brow(k))
 		}
@@ -212,7 +253,8 @@ func mulAccGo(dst *Mat, ad []float64, si, sk int, b *Mat, i0, i1, j0 int) {
 	if i < i1 {
 		o := row(i)
 		clear(o)
-		for k := 0; k < inner; k++ {
+		k0, k1 := tri.span(i, 1, inner)
+		for k := k0; k < k1; k++ {
 			axpy(o, ad[i*si+k*sk], brow(k))
 		}
 	}
@@ -233,31 +275,54 @@ func axpy(o []float64, av float64, b []float64) {
 // and must not alias a or b; its previous contents are ignored. No product is
 // skipped (see the contract above). The vector path, when on, computes a block
 // of rows [0, rows) × columns [0, cols); the portable loop does the rest.
-func MatMulTInto(dst, a, b *Mat) *Mat {
+func MatMulTInto(dst, a, b *Mat) *Mat { return matMulT(dst, a, b, false) }
+
+// MatMulT returns a·bᵀ in a fresh matrix; see MatMulTInto.
+func MatMulT(a, b *Mat) *Mat { return MatMulTInto(New(a.Rows, b.Rows), a, b) }
+
+// MatMulTLowerInto is MatMulTInto for the lower triangle only (a causal
+// mask): dst[i][j] for j ≤ i is the element MatMulTInto computes, bit for bit,
+// and every element above the diagonal is set to fill. Only the 4×8 tiles
+// (2×4 blocks on the portable path) that reach the triangle are computed.
+func MatMulTLowerInto(dst, a, b *Mat, fill float64) *Mat {
+	matMulT(dst, a, b, true)
+	for i := 0; i < dst.Rows; i++ {
+		if i+1 < dst.Cols {
+			row := dst.Data[i*dst.Cols+i+1 : (i+1)*dst.Cols]
+			for j := range row {
+				row[j] = fill
+			}
+		}
+	}
+	return dst
+}
+
+func matMulT(dst, a, b *Mat, lower bool) *Mat {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmulT inner mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	checkDst(dst, a.Rows, b.Rows, "matmulT")
 	rows, cols := 0, 0
 	if useAVX2 {
-		rows, cols = matMulTAVX2(dst, a, b)
+		rows, cols = matMulTAVX2(dst, a, b, lower)
 	}
-	matMulTGo(dst, a, b, 0, rows, cols)
-	matMulTGo(dst, a, b, rows, a.Rows, 0)
+	matMulTGo(dst, a, b, 0, rows, cols, lower)
+	matMulTGo(dst, a, b, rows, a.Rows, 0, lower)
 	return dst
 }
 
-// MatMulT returns a·bᵀ in a fresh matrix; see MatMulTInto.
-func MatMulT(a, b *Mat) *Mat { return MatMulTInto(New(a.Rows, b.Rows), a, b) }
-
 // matMulTGo is MatMulTInto's portable loop over rows [i0, i1) × columns
-// [j0, n). A block is two rows of a against four rows of b: eight independent
-// dot products, each summed from +0 in ascending k like the plain loop's
-// single chain.
-func matMulTGo(dst, a, b *Mat, i0, i1, j0 int) {
+// [j0, n), or, if lower, columns [j0, i+2) of a block starting at row i. A
+// block is two rows of a against four rows of b: eight independent dot
+// products, each summed from +0 in ascending k like the plain loop's single
+// chain.
+func matMulTGo(dst, a, b *Mat, i0, i1, j0 int, lower bool) {
 	inner, n := a.Cols, b.Rows
-	if j0 == n {
-		return
+	end := func(i int) int {
+		if lower {
+			return min(n, i+2)
+		}
+		return n
 	}
 	i := i0
 	for ; i+2 <= i1; i += 2 {
@@ -266,7 +331,7 @@ func matMulTGo(dst, a, b *Mat, i0, i1, j0 int) {
 		o0 := dst.Data[i*n : (i+1)*n]
 		o1 := dst.Data[(i+1)*n : (i+2)*n]
 		j := j0
-		for ; j+4 <= n; j += 4 {
+		for ; j+4 <= end(i); j += 4 {
 			b0 := b.Data[j*inner : (j+1)*inner][:len(a0)]
 			b1 := b.Data[(j+1)*inner : (j+2)*inner][:len(a0)]
 			b2 := b.Data[(j+2)*inner : (j+3)*inner][:len(a0)]
@@ -287,7 +352,7 @@ func matMulTGo(dst, a, b *Mat, i0, i1, j0 int) {
 			o0[j], o0[j+1], o0[j+2], o0[j+3] = s00, s01, s02, s03
 			o1[j], o1[j+1], o1[j+2], o1[j+3] = s10, s11, s12, s13
 		}
-		for ; j < n; j++ {
+		for ; j < end(i); j++ {
 			brow := b.Data[j*inner : (j+1)*inner]
 			o0[j] = dot(a0, brow)
 			o1[j] = dot(a1, brow)
@@ -295,7 +360,7 @@ func matMulTGo(dst, a, b *Mat, i0, i1, j0 int) {
 	}
 	if i < i1 {
 		arow := a.Data[i*inner : (i+1)*inner]
-		for j := j0; j < n; j++ {
+		for j := j0; j < end(i); j++ {
 			dst.Data[i*n+j] = dot(arow, b.Data[j*inner:(j+1)*inner])
 		}
 	}
@@ -310,86 +375,6 @@ func dot(a, b []float64) float64 {
 	}
 	return s
 }
-
-// AddInto sets dst = a+b and returns dst, which may be a or b.
-func AddInto(dst, a, b *Mat) *Mat {
-	checkSame(a, b, "add")
-	checkSame(dst, a, "add")
-	for i := range a.Data {
-		dst.Data[i] = a.Data[i] + b.Data[i]
-	}
-	return dst
-}
-
-// Add returns a+b in a fresh matrix.
-func Add(a, b *Mat) *Mat { return AddInto(New(a.Rows, a.Cols), a, b) }
-
-// AddInPlace accumulates b into a.
-func AddInPlace(a, b *Mat) {
-	checkSame(a, b, "addInPlace")
-	bd := b.Data[:len(a.Data)]
-	for i := range a.Data {
-		a.Data[i] += bd[i]
-	}
-}
-
-// Scale returns s·a.
-func Scale(a *Mat, s float64) *Mat {
-	out := New(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] * s
-	}
-	return out
-}
-
-// Mul returns the element-wise product a⊙b.
-func Mul(a, b *Mat) *Mat {
-	checkSame(a, b, "mul")
-	out := New(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] * b.Data[i]
-	}
-	return out
-}
-
-// SoftmaxRowsInto sets dst to the row-wise softmax of a, with the usual
-// max-subtraction for stability, and returns dst, which may be a; rows masked
-// entirely to -Inf become zero rows.
-func SoftmaxRowsInto(dst, a *Mat) *Mat {
-	checkSame(dst, a, "softmax")
-	for i := 0; i < a.Rows; i++ {
-		row := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := dst.Data[i*a.Cols : (i+1)*a.Cols]
-		max := math.Inf(-1)
-		for _, v := range row {
-			if v > max {
-				max = v
-			}
-		}
-		if math.IsInf(max, -1) {
-			clear(orow)
-			continue
-		}
-		var sum float64
-		for j, v := range row {
-			e := math.Exp(v - max)
-			orow[j] = e
-			sum += e
-		}
-		if sum == 0 {
-			continue
-		}
-		inv := 1 / sum
-		for j := range orow {
-			orow[j] *= inv
-		}
-	}
-	return dst
-}
-
-// SoftmaxRows returns the row-wise softmax of a in a fresh matrix; see
-// SoftmaxRowsInto.
-func SoftmaxRows(a *Mat) *Mat { return SoftmaxRowsInto(New(a.Rows, a.Cols), a) }
 
 // RNG is a small deterministic xorshift64* generator, so training runs are
 // reproducible across machines without pulling in math/rand ordering

@@ -68,16 +68,10 @@ func TestAddAndScale(t *testing.T) {
 	rng := NewRNG(2)
 	a := randMat(rng, 3, 3)
 	b := randMat(rng, 3, 3)
-	sum := Add(a, b)
+	sum := AddInto(New(3, 3), a, b)
 	for i := range sum.Data {
 		if sum.Data[i] != a.Data[i]+b.Data[i] {
 			t.Fatal("add mismatch")
-		}
-	}
-	s := Scale(a, 2.5)
-	for i := range s.Data {
-		if s.Data[i] != 2.5*a.Data[i] {
-			t.Fatal("scale mismatch")
 		}
 	}
 	c := a.Clone()
@@ -85,10 +79,10 @@ func TestAddAndScale(t *testing.T) {
 	if !matsClose(c, sum, 0) {
 		t.Fatal("AddInPlace mismatch")
 	}
-	m := Mul(a, b)
-	for i := range m.Data {
-		if m.Data[i] != a.Data[i]*b.Data[i] {
-			t.Fatal("mul mismatch")
+	ScaleInPlace(c, 2.5)
+	for i := range c.Data {
+		if c.Data[i] != sum.Data[i]*2.5 {
+			t.Fatal("scale mismatch")
 		}
 	}
 }
@@ -200,7 +194,7 @@ func TestPanicsOnShapeErrors(t *testing.T) {
 	checkPanics("matmul", func() { MatMul(a, b) })
 	checkPanics("matmulT bad", func() { MatMulT(a, New(4, 5)) })
 	checkPanics("TmatMul bad", func() { TMatMul(a, New(3, 3)) })
-	checkPanics("add", func() { Add(a, New(3, 2)) })
+	checkPanics("add", func() { AddInto(a, a, New(3, 2)) })
 	checkPanics("fromSlice", func() { FromSlice(2, 2, []float64{1}) })
 	checkPanics("negative dims", func() { New(-1, 2) })
 	checkPanics("intn zero", func() { NewRNG(1).Intn(0) })
@@ -306,8 +300,9 @@ func poisoned(rows, cols int) *Mat {
 	return m
 }
 
-// checkKernels holds the three kernels to the oracle, bit for bit, on the
-// products of an m×k, a k×n, an n×k and an m×n operand.
+// checkKernels holds the three kernels and their causal variants to the
+// oracle, bit for bit, on the products of an m×k, a k×n, an n×k and an m×n
+// operand.
 func checkKernels(t testing.TB, a, b, bt, c *Mat) {
 	t.Helper()
 	if i := sameBits(MatMulInto(poisoned(a.Rows, b.Cols), a, b), refMatMul(a, b)); i >= 0 {
@@ -318,6 +313,29 @@ func checkKernels(t testing.TB, a, b, bt, c *Mat) {
 	}
 	if i := sameBits(TMatMulInto(poisoned(a.Cols, c.Cols), a, c), refTMatMul(a, c)); i >= 0 {
 		t.Errorf("TMatMul (%dx%d)ᵀ·%dx%d: element %d differs from the reference", a.Rows, a.Cols, c.Rows, c.Cols, i)
+	}
+	lower := refMatMulT(a, bt)
+	for i := 0; i < lower.Rows; i++ {
+		for j := i + 1; j < lower.Cols; j++ {
+			lower.Set(i, j, math.Inf(-1))
+		}
+	}
+	if i := sameBits(MatMulTLowerInto(poisoned(a.Rows, bt.Rows), a, bt, math.Inf(-1)), lower); i >= 0 {
+		t.Errorf("MatMulTLower %dx%d·(%dx%d)ᵀ: element %d differs from the reference", a.Rows, a.Cols, bt.Rows, bt.Cols, i)
+	}
+	// The causal variants of the zero-skipping products, on an a whose
+	// upper triangle is zero.
+	tri := a.Clone()
+	for i := 0; i < a.Rows; i++ {
+		for k := i + 1; k < a.Cols; k++ {
+			tri.Set(i, k, 0)
+		}
+	}
+	if i := sameBits(MatMulLowerInto(poisoned(a.Rows, b.Cols), tri, b), refMatMul(tri, b)); i >= 0 {
+		t.Errorf("MatMulLower %dx%d·%dx%d: element %d differs from the reference", a.Rows, a.Cols, b.Rows, b.Cols, i)
+	}
+	if i := sameBits(TMatMulLowerInto(poisoned(a.Cols, c.Cols), tri, c), refTMatMul(tri, c)); i >= 0 {
+		t.Errorf("TMatMulLower (%dx%d)ᵀ·%dx%d: element %d differs from the reference", a.Rows, a.Cols, c.Rows, c.Cols, i)
 	}
 }
 

@@ -42,17 +42,9 @@ func (a *Adam) Step(gradScale float64) {
 	if gradScale != 0 {
 		inv = 1 / gradScale
 	}
+	s := tensor.AdamStep{Inv: inv, Beta1: a.Beta1, Beta2: a.Beta2, C1: c1, C2: c2, LR: a.LR, Eps: a.Eps}
 	for i, p := range a.params {
-		m, v := a.m[i], a.v[i]
-		for j := range p.W.Data {
-			g := p.G.Data[j] * inv
-			m.Data[j] = a.Beta1*m.Data[j] + (1-a.Beta1)*g
-			v.Data[j] = a.Beta2*v.Data[j] + (1-a.Beta2)*g*g
-			mh := m.Data[j] / c1
-			vh := v.Data[j] / c2
-			p.W.Data[j] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
-			p.G.Data[j] = 0
-		}
+		tensor.AdamUpdate(p.W.Data, p.G.Data, a.m[i].Data, a.v[i].Data, &s)
 	}
 }
 

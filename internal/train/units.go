@@ -48,12 +48,7 @@ func NewLinear(name string, in, out int, std float64, rng *tensor.RNG) *Linear {
 // Forward computes y = x·W + b.
 func (l *Linear) Forward(a *arena, x *tensor.Mat) *tensor.Mat {
 	y := tensor.MatMulInto(a.get(x.Rows, l.W.W.Cols), x, l.W.W)
-	for i := 0; i < y.Rows; i++ {
-		row := y.Data[i*y.Cols : (i+1)*y.Cols]
-		for j := range row {
-			row[j] += l.B.W.Data[j]
-		}
-	}
+	tensor.AddRowInPlace(y, l.B.W.Data)
 	return y
 }
 
@@ -66,12 +61,7 @@ func (l *Linear) Backward(a *arena, x, dy *tensor.Mat) *tensor.Mat {
 	g := tensor.TMatMulInto(a.get(x.Cols, dy.Cols), x, dy)
 	tensor.AddInPlace(l.W.G, g)
 	a.put(g)
-	for i := 0; i < dy.Rows; i++ {
-		row := dy.Data[i*dy.Cols : (i+1)*dy.Cols]
-		for j := range row {
-			l.B.G.Data[j] += row[j]
-		}
-	}
+	tensor.AccumulateRows(l.B.G.Data, dy)
 	return tensor.MatMulTInto(a.get(dy.Rows, l.W.W.Rows), dy, l.W.W)
 }
 
@@ -129,52 +119,13 @@ func (c lnCtx) keep(a *arena, saved bool, ln *tensor.Mat) (*tensor.Mat, lnCtx) {
 func (l *LayerNorm) Forward(a *arena, x *tensor.Mat) (*tensor.Mat, lnCtx) {
 	y := a.get(x.Rows, x.Cols)
 	ctx := lnCtx{xhat: a.get(x.Rows, x.Cols), rstd: a.get(1, x.Rows)}
-	for i := 0; i < x.Rows; i++ {
-		row := x.Data[i*x.Cols : (i+1)*x.Cols]
-		var mean float64
-		for _, v := range row {
-			mean += v
-		}
-		mean /= float64(len(row))
-		var varsum float64
-		for _, v := range row {
-			d := v - mean
-			varsum += d * d
-		}
-		rstd := 1 / math.Sqrt(varsum/float64(len(row))+l.Eps)
-		ctx.rstd.Data[i] = rstd
-		xh := ctx.xhat.Data[i*x.Cols : (i+1)*x.Cols]
-		yr := y.Data[i*x.Cols : (i+1)*x.Cols]
-		for j, v := range row {
-			xh[j] = (v - mean) * rstd
-			yr[j] = xh[j]*l.G.W.Data[j] + l.B.W.Data[j]
-		}
-	}
+	tensor.LayerNormInto(y, ctx.xhat, ctx.rstd.Data, x, l.G.W.Data, l.B.W.Data, l.Eps)
 	return y, ctx
 }
 
 // Backward accumulates gain/bias gradients and returns dx.
 func (l *LayerNorm) Backward(a *arena, ctx lnCtx, dy *tensor.Mat) *tensor.Mat {
-	dx := a.get(dy.Rows, dy.Cols)
-	n := float64(dy.Cols)
-	for i := 0; i < dy.Rows; i++ {
-		dyr := dy.Data[i*dy.Cols : (i+1)*dy.Cols]
-		xh := ctx.xhat.Data[i*dy.Cols : (i+1)*dy.Cols]
-		var sumDy, sumDyXh float64
-		for j, v := range dyr {
-			g := v * l.G.W.Data[j]
-			sumDy += g
-			sumDyXh += g * xh[j]
-			l.G.G.Data[j] += v * xh[j]
-			l.B.G.Data[j] += v
-		}
-		dxr := dx.Data[i*dy.Cols : (i+1)*dy.Cols]
-		for j, v := range dyr {
-			g := v * l.G.W.Data[j]
-			dxr[j] = (g - sumDy/n - xh[j]*sumDyXh/n) * ctx.rstd.Data[i]
-		}
-	}
-	return dx
+	return tensor.LayerNormBackwardInto(a.get(dy.Rows, dy.Cols), dy, ctx.xhat, ctx.rstd.Data, l.G.W.Data, l.G.G.Data, l.B.G.Data)
 }
 
 // Params returns the trainable parameters.
@@ -182,28 +133,12 @@ func (l *LayerNorm) Params() []*Param { return []*Param{l.G, l.B} }
 
 // geluForward applies the tanh-approximated GELU element-wise.
 func geluForward(a *arena, x *tensor.Mat) *tensor.Mat {
-	y := a.get(x.Rows, x.Cols)
-	for i, v := range x.Data {
-		y.Data[i] = 0.5 * v * (1 + math.Tanh(geluK*(v+geluC*v*v*v)))
-	}
-	return y
+	return tensor.GELUInto(a.get(x.Rows, x.Cols), x)
 }
-
-const (
-	geluK = 0.7978845608028654 // √(2/π)
-	geluC = 0.044715
-)
 
 // geluBackward returns dx given the forward input.
 func geluBackward(a *arena, x, dy *tensor.Mat) *tensor.Mat {
-	dx := a.get(x.Rows, x.Cols)
-	for i, v := range x.Data {
-		inner := geluK * (v + geluC*v*v*v)
-		t := math.Tanh(inner)
-		dinner := geluK * (1 + 3*geluC*v*v)
-		dx.Data[i] = dy.Data[i] * (0.5*(1+t) + 0.5*v*(1-t*t)*dinner)
-	}
-	return dx
+	return tensor.GELUBackwardInto(a.get(x.Rows, x.Cols), x, dy)
 }
 
 // attentionCore computes multi-head causal attention O = softmax(QKᵀ/√dh)·V
@@ -235,20 +170,18 @@ func attentionCore(a *arena, q, k, v *tensor.Mat, heads int, probs []*tensor.Mat
 		headView(qh, q, h)
 		headView(kh, k, h)
 		headView(vh, v, h)
-		scores := tensor.MatMulTInto(a.get(T, T), qh, kh)
+		// The causal mask: only j ≤ i is formed, the rest is -Inf.
+		scores := tensor.MatMulTLowerInto(a.get(T, T), qh, kh, math.Inf(-1))
 		for i := 0; i < T; i++ {
-			row := scores.Data[i*T : (i+1)*T]
-			for j := 0; j <= i; j++ {
+			row := scores.Data[i*T : i*T+i+1]
+			for j := range row {
 				row[j] *= scale
-			}
-			for j := i + 1; j < T; j++ {
-				row[j] = math.Inf(-1)
 			}
 		}
 		// The masked scores are dead once normalized: softmax in place.
-		p := tensor.SoftmaxRowsInto(scores, scores)
+		p := tensor.CausalSoftmaxInto(scores, scores)
 		ctx.probs = append(ctx.probs, p)
-		writeHead(out, tensor.MatMulInto(oh, p, vh), h)
+		writeHead(out, tensor.MatMulLowerInto(oh, p, vh), h)
 	}
 	a.put(qh, kh, vh, oh)
 	return out, ctx
@@ -269,10 +202,10 @@ func attentionCoreBackward(a *arena, ctx coreCtx, q, k, v, dout *tensor.Mat, hea
 		headView(vh, v, h)
 		headView(doh, dout, h)
 		p := ctx.probs[h]
-		writeHead(dv, tensor.TMatMulInto(tmp, p, doh), h)
+		writeHead(dv, tensor.TMatMulLowerInto(tmp, p, doh), h)
 		// Softmax backward, row by row over dP = dO·Vᵀ in place:
 		// dS = P ⊙ (dP − rowsum(dP⊙P)), zero above the diagonal.
-		tensor.MatMulTInto(ds, doh, vh)
+		tensor.MatMulTLowerInto(ds, doh, vh, 0)
 		for i := 0; i < T; i++ {
 			prow, drow := p.Data[i*T:(i+1)*T], ds.Data[i*T:(i+1)*T]
 			var dot float64
@@ -282,10 +215,9 @@ func attentionCoreBackward(a *arena, ctx coreCtx, q, k, v, dout *tensor.Mat, hea
 			for j := 0; j <= i; j++ {
 				drow[j] = prow[j] * (drow[j] - dot) * scale
 			}
-			clear(drow[i+1:])
 		}
-		writeHead(dq, tensor.MatMulInto(tmp, ds, kh), h)
-		writeHead(dk, tensor.TMatMulInto(tmp, ds, qh), h)
+		writeHead(dq, tensor.MatMulLowerInto(tmp, ds, kh), h)
+		writeHead(dk, tensor.TMatMulLowerInto(tmp, ds, qh), h)
 	}
 	a.put(qh, kh, vh, doh, tmp, ds)
 	return dq, dk, dv
@@ -370,8 +302,6 @@ func CrossEntropy(a *arena, logits *tensor.Mat, targets []int) (float64, *tensor
 		}
 		loss -= math.Log(prob)
 	}
-	for i := range dlogits.Data {
-		dlogits.Data[i] *= inv
-	}
+	tensor.ScaleInPlace(dlogits, inv)
 	return loss * inv, dlogits
 }
