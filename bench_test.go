@@ -215,17 +215,29 @@ func BenchmarkAblationFineQuantum(b *testing.B) {
 	coldSearch(b, opts)
 }
 
-// recomputeSetAVX2 is internal/recompute's test hook (setAVX2), reached the
-// way tensorSetAVX2 is: it turns the knapsack's vector row pass on (where the
-// CPU has it) or off and returns the previous setting.
+// recomputeSetRowLevel is internal/recompute's test hook (setRowLevel),
+// reached the way tensorSetAVX2 is: it selects the knapsack's row-pass path by
+// name — "avx512", "avx2" or "generic", or the widest narrower one where the
+// CPU lacks it — and returns the previous path's name.
 //
-//go:linkname recomputeSetAVX2 adapipe/internal/recompute.setAVX2
-func recomputeSetAVX2(on bool) (was bool)
+//go:linkname recomputeSetRowLevel adapipe/internal/recompute.setRowLevel
+func recomputeSetRowLevel(name string) (was string)
+
+// rowPaths are the knapsack's three row-pass paths, widest first.
+var rowPaths = []string{"avx512", "avx2", "generic"}
+
+// hasRowPath reports whether this CPU runs the named row-pass path.
+func hasRowPath(name string) bool {
+	was := recomputeSetRowLevel(name)
+	return recomputeSetRowLevel(was) == name
+}
 
 // BenchmarkKnapsack times one stage-level recomputation DP at realistic
 // sizes (a 24-layer GPT-3 stage) on a reused solver, as the planner runs it,
-// and reports the time per filled table cell. The simd row is the AVX2 row
-// pass (skipped on a CPU without it), the generic row the portable loop:
+// once per row-pass path (a path the CPU lacks is skipped). ns/cell is per
+// table cell (pseudo-items × capacity states), the unit the rows have always
+// used; live-share is the share of those cells the row passes compute, the
+// rest being the saturated tails they skip:
 // go test -run '^$' -bench Knapsack -cpu 1 .
 func BenchmarkKnapsack(b *testing.B) {
 	groups := []recompute.Group{
@@ -240,28 +252,25 @@ func BenchmarkKnapsack(b *testing.B) {
 		{Key: "FFN/Act", FwdTime: 2e-4, Bytes: 200 << 20, Count: 12},
 		{Key: "FFN/Down", FwdTime: 1.2e-2, Bytes: 50 << 20, Count: 12, AlwaysSaved: true},
 	}
-	was := recomputeSetAVX2(true)
-	haveSIMD := recomputeSetAVX2(was)
-	for _, path := range []struct {
-		name string
-		simd bool
-	}{{"simd", true}, {"generic", false}} {
-		b.Run(path.name, func(b *testing.B) {
-			if path.simd && !haveSIMD {
-				b.Skip("no AVX2 on this CPU")
+	for _, path := range rowPaths {
+		b.Run(path, func(b *testing.B) {
+			if !hasRowPath(path) {
+				b.Skipf("no %s on this CPU", path)
 			}
-			defer recomputeSetAVX2(recomputeSetAVX2(path.simd))
+			defer recomputeSetRowLevel(recomputeSetRowLevel(path))
 			sv := recompute.NewSolver()
-			var cells int64
+			capacities := []int64{8 << 30}
+			var out [1]recompute.Solution
+			var table, live int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sol := sv.Optimize(groups, 8<<30, recompute.Options{Quantum: 1 << 20})
-				if !sol.Feasible {
+				table, live = sv.OptimizeMany(groups, capacities, recompute.Options{Quantum: 1 << 20}, out[:])
+				if !out[0].Feasible {
 					b.Fatal("infeasible")
 				}
-				cells = sol.DPCells
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(table), "ns/cell")
+			b.ReportMetric(float64(live)/float64(table), "live-share")
 		})
 	}
 }

@@ -592,7 +592,7 @@ func (pl *Planner) searchStrategies(sh *classShape, from int, quantum int64, sv 
 	for k, c := range sv.claims[from:] {
 		budgets[k] = c.perMicro
 	}
-	cells := sv.knap.OptimizeMany(sv.groups, budgets, recompute.Options{
+	cells, live := sv.knap.OptimizeMany(sv.groups, budgets, recompute.Options{
 		Quantum:    quantum,
 		DisableGCD: pl.opts.DisableGCD,
 	}, sols)
@@ -607,6 +607,7 @@ func (pl *Planner) searchStrategies(sh *classShape, from int, quantum int64, sv 
 	if cells > 0 {
 		st.KnapsackRuns++
 		st.KnapsackCells += cells
+		st.KnapsackLiveCells += live
 		st.KnapsackShared += served - 1
 	}
 	return recompute.TotalOptionalTime(sv.groups)

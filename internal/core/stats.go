@@ -40,9 +40,12 @@ type SearchStats struct {
 	// this planner ran itself and published. Both stay zero without an
 	// attached CostSource.
 	StoreHits, StoreMisses int
-	// KnapsackCells is the total knapsack DP table size filled across all
-	// runs (pseudo-items × capacity states of each table, filled once).
-	KnapsackCells int64
+	// KnapsackCells is the total size of the knapsack DP tables across all
+	// runs (pseudo-items × capacity states of each table). It counts the
+	// tables, not the work: KnapsackLiveCells is what the row passes
+	// computed, the tables less their saturated tails (recompute's
+	// OptimizeMany).
+	KnapsackCells, KnapsackLiveCells int64
 	// QuantaBeforeGCD and QuantaAfterGCD sum, over the stage strategies read
 	// from a table, the knapsack capacity in rounding quanta before and after
 	// the §5.3 GCD reduction; their ratio is the average capacity shrink the
@@ -79,6 +82,7 @@ func (s *SearchStats) addSolves(o SearchStats) {
 	s.KnapsackRuns += o.KnapsackRuns
 	s.KnapsackShared += o.KnapsackShared
 	s.KnapsackCells += o.KnapsackCells
+	s.KnapsackLiveCells += o.KnapsackLiveCells
 	s.QuantaBeforeGCD += o.QuantaBeforeGCD
 	s.QuantaAfterGCD += o.QuantaAfterGCD
 	s.StoreHits += o.StoreHits
@@ -144,7 +148,8 @@ func (s SearchStats) PromMetrics(prefix string) []obs.Metric {
 		{Name: prefix + "_cache_hits", Help: "stage-cost lookups served by the isomorphic-range cache", Value: float64(s.CacheHits)},
 		{Name: prefix + "_cache_hit_rate", Help: "fraction of stage-cost lookups served from cache", Value: s.CacheHitRate()},
 		{Name: prefix + "_cost_evaluations", Help: "total stage-cost lookups", Value: float64(s.CostEvaluations)},
-		{Name: prefix + "_knapsack_cells", Help: "knapsack DP cells filled across all runs", Value: float64(s.KnapsackCells)},
+		{Name: prefix + "_knapsack_cells", Help: "knapsack DP table size (items x capacity states) summed over all runs", Value: float64(s.KnapsackCells)},
+		{Name: prefix + "_knapsack_live_cells", Help: "knapsack DP cells the row passes computed: the tables less their saturated tails", Value: float64(s.KnapsackLiveCells)},
 		{Name: prefix + "_gcd_reduction", Help: "average knapsack capacity shrink from the GCD reduction", Value: s.GCDReduction()},
 		{Name: prefix + "_partition_cells", Help: "partitioning DP cells evaluated", Value: float64(s.PartitionCells)},
 		{Name: prefix + "_frontier_states", Help: "Pareto states kept (exact partitioning only)", Value: float64(s.FrontierStates)},

@@ -21,21 +21,21 @@ func FuzzOptimizeAgainstBruteForce(f *testing.F) {
 		}
 		cap := int64(capacity % 400)
 		want := BruteForce(groups, cap)
-		for _, p := range rowPaths { // without AVX2 the simd pass repeats the portable one
-			was := setAVX2(p.simd)
+		for _, p := range rowPaths { // a path the CPU lacks repeats the next narrower one
+			was := setRowLevel(p)
 			got := Optimize(groups, cap, Options{Exact: true})
-			setAVX2(was)
+			setRowLevel(was)
 			if got.Feasible != want.Feasible {
-				t.Fatalf("%s: feasibility mismatch: %v vs %v", p.name, got.Feasible, want.Feasible)
+				t.Fatalf("%s: feasibility mismatch: %v vs %v", p, got.Feasible, want.Feasible)
 			}
 			if !got.Feasible {
 				continue
 			}
 			if math.Abs(got.SavedTime-want.SavedTime) > 1e-9 {
-				t.Fatalf("%s: saved time %g, oracle %g", p.name, got.SavedTime, want.SavedTime)
+				t.Fatalf("%s: saved time %g, oracle %g", p, got.SavedTime, want.SavedTime)
 			}
 			if got.SavedBytes > cap {
-				t.Fatalf("%s: solution uses %d bytes over capacity %d", p.name, got.SavedBytes, cap)
+				t.Fatalf("%s: solution uses %d bytes over capacity %d", p, got.SavedBytes, cap)
 			}
 		}
 	})
@@ -177,8 +177,8 @@ func referenceOptimize(groups []Group, capacity int64, opts Options) Solution {
 // through zero to far beyond the total footprint. Every out[k] of one
 // OptimizeMany call on a reused solver must deep-equal what the per-call
 // reference returns for capacities[k] alone, counters included; Optimize must
-// agree too; and the reported fill must be the largest table any one of the
-// capacities needed, filled once.
+// agree too; and the reported table must be the largest any one of the
+// capacities needed, built once.
 func FuzzOptimizeManyVsOptimize(f *testing.F) {
 	f.Add([]byte{3, 9, 40, 5, 0, 4, 33, 2, 0, 7, 0, 3, 0, 250, 12, 1, 1}, []byte{200, 0, 0, 0, 255, 255, 90, 0, 200, 0, 255, 127}, uint8(0), uint8(0))
 	f.Add([]byte{2, 1, 1, 1, 0, 1, 1, 0, 0}, []byte{0, 0}, uint8(1), uint8(3))
@@ -208,25 +208,25 @@ func FuzzOptimizeManyVsOptimize(f *testing.F) {
 		}
 		opts := Options{Exact: flags&1 == 1, DisableGCD: flags&2 == 2, Quantum: 1 + int64(quantum%24)}
 
-		for _, p := range rowPaths { // without AVX2 the simd pass repeats the portable one
+		for _, p := range rowPaths { // a path the CPU lacks repeats the next narrower one
 			func() {
-				defer setAVX2(setAVX2(p.simd))
+				defer setRowLevel(setRowLevel(p))
 				out := make([]Solution, len(capacities))
-				cells := sv.OptimizeMany(groups, capacities, opts, out)
+				cells, _ := sv.OptimizeMany(groups, capacities, opts, out)
 				var wantCells int64
 				for k, c := range capacities {
 					want := referenceOptimize(groups, c, opts)
 					if !reflect.DeepEqual(out[k], want) {
 						t.Fatalf("%s: capacity %d (#%d of %v), opts %+v, groups %+v:\nOptimizeMany %+v\nreference    %+v",
-							p.name, c, k, capacities, opts, groups, out[k], want)
+							p, c, k, capacities, opts, groups, out[k], want)
 					}
 					if one := sv.Optimize(groups, c, opts); !reflect.DeepEqual(one, want) {
-						t.Fatalf("%s: capacity %d, opts %+v, groups %+v:\nOptimize  %+v\nreference %+v", p.name, c, opts, groups, one, want)
+						t.Fatalf("%s: capacity %d, opts %+v, groups %+v:\nOptimize  %+v\nreference %+v", p, c, opts, groups, one, want)
 					}
 					wantCells = max(wantCells, want.DPCells)
 				}
 				if cells != wantCells {
-					t.Fatalf("%s: OptimizeMany filled %d cells, the largest single table is %d", p.name, cells, wantCells)
+					t.Fatalf("%s: OptimizeMany's table has %d cells, the largest single table %d", p, cells, wantCells)
 				}
 			}()
 		}

@@ -60,8 +60,10 @@ type Solution struct {
 	// short-circuited without running the DP (everything fit, nothing
 	// optional, or no usable budget).
 	QuantaBeforeGCD, QuantaAfterGCD int64
-	// DPCells is the size of the knapsack table actually filled
-	// (pseudo-items × capacity states); zero when no DP ran.
+	// DPCells is the size of the knapsack table this capacity needs
+	// (pseudo-items × capacity states) — its size, not the cells the row
+	// passes compute, which the saturated-tail cut makes fewer; zero when no
+	// DP ran.
 	DPCells int64
 }
 
@@ -94,6 +96,7 @@ const defaultQuantum = int64(1) << 20
 type Solver struct {
 	dp     []float64
 	taken  []uint64 // len(items) rows of ⌈(w+1)/64⌉ choice words
+	order  []int    // the searched capacities, smallest table first
 	items  []item
 	opt    []Group
 	scaled []int64
@@ -107,12 +110,16 @@ type Solver struct {
 	Trace *obs.Tracer
 }
 
-// item is one 0/1 pseudo-item of the binary-split bounded knapsack.
+// item is one 0/1 pseudo-item of the binary-split bounded knapsack, with its
+// choice row's saturated tail: every cell at or above from made the same
+// choice, take.
 type item struct {
 	group  int
 	copies int
 	weight int64
 	value  float64
+	from   int
+	take   bool
 }
 
 // NewSolver returns an empty Solver (equivalent to new(Solver)).
@@ -138,21 +145,23 @@ func (sv *Solver) Optimize(groups []Group, capacity int64, opts Options) Solutio
 // OptimizeMany solves one group set at several capacities from a single
 // knapsack table — Equation 1's T̃_{s,N}(M) read at every M of interest. The
 // stages that may run one set of layers differ only in their budget, and a
-// 0/1 table filled to capacity w already holds the optimum and the choice
+// 0/1 table sized to capacity w already holds the optimum and the choice
 // bits of every capacity below w: dp[c] and taken[i][c] depend only on cells
 // ≤ c, never on the loop's upper bound. So the capacity-independent work
-// (rounding, GCD, binary splitting) runs once, the table is filled once to
-// the largest capacity that needs a search, and each capacity scans its
-// prefix of the last row and walks the choice rows. out[k] is bit-identical
-// to Optimize(groups, capacities[k], opts), including its DPCells and quanta
-// counters, which describe the table that capacity alone would have needed.
-// capacities need not be sorted or distinct; len(out) must be at least
-// len(capacities).
+// (rounding, GCD, binary splitting) runs once, the table is built once to
+// the largest capacity that needs a search, and each capacity reads its
+// best cell off one shared scan of the last row and walks the choice rows.
+// out[k] is bit-identical to Optimize(groups, capacities[k], opts), including
+// its DPCells and quanta counters, which describe the table that capacity
+// alone would have needed. capacities need not be sorted or distinct;
+// len(out) must be at least len(capacities).
 //
-// The return value is the number of table cells actually filled: zero when
+// table is the size of the table (pseudo-items × capacity states), zero when
 // every capacity short-circuited (infeasible, nothing optional, everything
-// fits, or no usable budget).
-func (sv *Solver) OptimizeMany(groups []Group, capacities []int64, opts Options, out []Solution) int64 {
+// fits, or no usable budget). live is the number of cells the row passes
+// computed: the table less the saturated tails they skip, and less the cells
+// below each item's weight, which no pass touches.
+func (sv *Solver) OptimizeMany(groups []Group, capacities []int64, opts Options, out []Solution) (table, live int64) {
 	// The span name is a constant so traced and untraced solves allocate
 	// identically.
 	sp := sv.Trace.Start("knapsack", obs.CatSolve)
@@ -212,7 +221,7 @@ func (sv *Solver) OptimizeMany(groups []Group, capacities []int64, opts Options,
 		w = max(w, remaining/g)
 	}
 	if w == 0 {
-		return 0
+		return 0, 0
 	}
 	for i := range scaled {
 		scaled[i] /= g
@@ -235,48 +244,78 @@ func (sv *Solver) OptimizeMany(groups []Group, capacities []int64, opts Options,
 	}
 	sv.items = items
 
-	// 0/1 knapsack with choice tracking. Each item's pass runs over two
-	// equal-length windows of one table, dst = dp[weight..w] and
-	// src = dp[0..w−weight] (rowpass.go). taken is row-major, rowWords words
-	// per pseudo-item, and its bits are relative to the item's weight: bit c
-	// of row i is cell weight+c. A pass writes every word its cells cover and
-	// the walk below reads no other bit, so taken is never cleared.
+	// 0/1 knapsack with choice tracking, cut at the saturated tail. Each
+	// item's pass runs over two equal-length windows of one table,
+	// dst = dp[weight:hi] and src = dp[:hi−weight] (rowpass.go). taken is
+	// row-major, rowWords words per pseudo-item, and its bits are relative to
+	// the item's weight: bit c of row i is cell weight+c.
+	//
+	// The cut (DESIGN §5): once the items so far weigh W in total, every cell
+	// of the full table at or above W holds the same value S — no step reads
+	// a cell below W for it — and only dp[0:hi], hi = min(W, w+1), is kept.
+	// An item of weight wt first extends the kept prefix to hi' = min(W+wt,
+	// w+1) with copies of S, then runs its pass over dp[wt:hi'] alone; above
+	// hi' every cell of the full table would have made the same choice,
+	// take = S+value > S, which the item records instead of its bits.
+	// So taken is never cleared: the walk below reads a row's bits only
+	// below its from, where the pass wrote every word.
 	stride := int(w) + 1
 	rowWords := (stride + 63) / 64
 	dp := sv.dpBuf(stride)
 	taken := sv.takenBuf(len(items) * rowWords)
-	for i, it := range items {
-		if it.weight > w {
-			continue
+	s, hi := 0.0, 0
+	for i := range items {
+		it := &items[i]
+		top := int(min(int64(hi)+it.weight, w+1))
+		fill := dp[hi:top]
+		for c := range fill {
+			fill[c] = s
 		}
-		dst := dp[it.weight:]
-		rowPass(dst, dp[:len(dst)], it.value, taken[i*rowWords:][:rowWords])
+		hi = top
+		it.from = hi
+		if v := s + it.value; v > s {
+			s, it.take = v, true
+		}
+		if wt := int(it.weight); wt < hi {
+			dst := dp[wt:hi]
+			rowPass(dst, dp[:len(dst)], it.value, taken[i*rowWords:][:rowWords])
+			live += int64(len(dst))
+		}
 	}
 
-	// Reconstruct each searched capacity from its prefix of the table.
-	for k := range out {
+	// Each searched capacity's best cell is the first maximum of its prefix
+	// of the last row. A searched capacity lies below the items' total weight
+	// (at or above it everything fits and nothing is searched), so the
+	// prefix lies inside the kept dp[:hi]. One ascending scan over the
+	// capacities in table-size order serves them all.
+	scanned, bestCap, best := 1, 0, dp[0]
+	for _, k := range sv.orderBuf(out) {
 		sol := &out[k]
 		wk := int(sol.QuantaAfterGCD)
-		if wk == 0 {
-			continue
-		}
 		sol.DPCells = int64(len(items)) * int64(wk+1)
-		bestCap := 0
-		best := dp[0]
-		for c := 1; c <= wk; c++ {
-			if dp[c] > best {
-				best = dp[c]
-				bestCap = c
+		if wk >= scanned {
+			for c, v := range dp[scanned : wk+1] {
+				if v > best {
+					best, bestCap = v, scanned+c
+				}
 			}
+			scanned = wk + 1
 		}
+		at := bestCap
 		counts := sv.countsBuf(len(opt))
 		for i := len(items) - 1; i >= 0; i-- {
-			// An item heavier than bestCap was not taken there (its pass
-			// starts at its weight); a skipped item is heavier than w.
-			c := bestCap - int(items[i].weight)
-			if c >= 0 && taken[i*rowWords+c/64]>>(c%64)&1 != 0 {
-				counts[items[i].group] += items[i].copies
-				bestCap = c
+			// Cells at or above the row's tail made the tail's choice; an
+			// item heavier than at was not taken there (its pass starts at
+			// its weight), nor was an item no pass ran for.
+			it := &items[i]
+			if at >= it.from {
+				if it.take {
+					counts[it.group] += it.copies
+					at -= int(it.weight)
+				}
+			} else if c := at - int(it.weight); c >= 0 && taken[i*rowWords+c/64]>>(c%64)&1 != 0 {
+				counts[it.group] += it.copies
+				at = c
 			}
 		}
 		for i, grp := range opt {
@@ -289,7 +328,7 @@ func (sv *Solver) OptimizeMany(groups []Group, capacities []int64, opts Options,
 			sol.SavedBytes += grp.Bytes * int64(counts[i])
 		}
 	}
-	return int64(len(items)) * int64(stride)
+	return int64(len(items)) * int64(stride), live
 }
 
 // unsearched builds the part of a solution that needs no table: the
@@ -328,14 +367,32 @@ func unsearched(groups, opt []Group, remaining, roundedTotal int64) Solution {
 	return sol
 }
 
-// dpBuf returns a zeroed float64 scratch slice of length n.
+// dpBuf returns a float64 scratch slice of length n (contents overwritten
+// by the solve before they are read).
 func (sv *Solver) dpBuf(n int) []float64 {
 	if cap(sv.dp) < n {
 		sv.dp = make([]float64, n)
 	}
 	sv.dp = sv.dp[:n]
-	clear(sv.dp)
 	return sv.dp
+}
+
+// orderBuf returns the indices of the searched solutions of out
+// (QuantaAfterGCD > 0), ordered by QuantaAfterGCD — an insertion sort, as
+// there are a handful and the scratch must not allocate.
+func (sv *Solver) orderBuf(out []Solution) []int {
+	order := sv.order[:0]
+	for k := range out {
+		if out[k].QuantaAfterGCD == 0 {
+			continue
+		}
+		order = append(order, k)
+		for j := len(order) - 1; j > 0 && out[order[j-1]].QuantaAfterGCD > out[k].QuantaAfterGCD; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
+	sv.order = order
+	return order
 }
 
 // takenBuf returns a uint64 scratch slice of length n (contents overwritten

@@ -7,3 +7,9 @@ package recompute
 //
 //go:noescape
 func rowBlocksAVX2(dst, src *float64, value float64, words *uint64, n int, acc uint64)
+
+// rowBlocksAVX512 is rowBlocksAVX2 with eight cells per block, n a positive
+// multiple of 8.
+//
+//go:noescape
+func rowBlocksAVX512(dst, src *float64, value float64, words *uint64, n int, acc uint64)

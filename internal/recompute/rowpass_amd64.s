@@ -47,3 +47,46 @@ next:
 	JNZ   block
 	VZEROUPPER
 	RET
+
+// The AVX-512 row pass: the same walk with eight-cell blocks, c0 a multiple
+// of 8, and the blend done by the store itself. Only AVX-512F instructions:
+//
+//	Z1 = src[c0..c0+7] + value        VADDPD
+//	K1 = Z1 > dst[c0..c0+7]           VCMPPD GT_OQ into an opmask
+//	dst[c0..c0+7] = Z1 where K1       VMOVUPD under K1: unset lanes keep dst
+//	acc |= K1 << c0%64                KMOVW (bits 8..15 of K1 are zero), SHLQ
+//
+// The block's two loads (VADDPD's source, VCMPPD's memory operand) precede
+// its one store, so the AVX2 pass's argument carries over for any weight ≥ 1.
+// Eight blocks fill a word. Register use as above, with Z0 the broadcast
+// value and K1 the block's choices.
+
+// func rowBlocksAVX512(dst, src *float64, value float64, words *uint64, n int, acc uint64)
+TEXT ·rowBlocksAVX512(SB), NOSPLIT, $0-48
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	VBROADCASTSD value+16(FP), Z0
+	MOVQ         words+24(FP), R8
+	MOVQ         n+32(FP), CX
+	MOVQ         acc+40(FP), AX
+
+block512:
+	SUBQ    $8, CX
+	VADDPD  (SI)(CX*8), Z0, Z1
+	VCMPPD  $0x1e, (DI)(CX*8), Z1, K1
+	VMOVUPD Z1, K1, (DI)(CX*8)
+	KMOVW   K1, DX
+	SHLQ    CX, DX
+	ORQ     DX, AX
+	TESTQ   $63, CX
+	JNZ     next512
+	MOVQ    CX, BX
+	SHRQ    $6, BX
+	MOVQ    AX, (R8)(BX*8)
+	XORQ    AX, AX
+
+next512:
+	TESTQ CX, CX
+	JNZ   block512
+	VZEROUPPER
+	RET

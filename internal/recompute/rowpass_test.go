@@ -4,26 +4,28 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"adapipe/internal/cpu"
 )
 
-// rowPaths are the two row-pass paths: the AVX2 blocks and the portable loop.
-var rowPaths = []struct {
-	name string
-	simd bool
-}{{"simd", true}, {"generic", false}}
+// rowPaths are the three row-pass paths, widest first: the AVX-512 blocks,
+// the AVX2 blocks and the portable loop.
+var rowPaths = []string{"avx512", "avx2", "generic"}
+
+// hasPath reports whether this CPU runs the named row-pass path.
+func hasPath(name string) bool {
+	was := setRowLevel(name)
+	return setRowLevel(was) == name
+}
 
 // onEachPath runs test once per row-pass path this CPU has, switched through
 // the hook.
 func onEachPath(t *testing.T, test func(t *testing.T)) {
 	for _, p := range rowPaths {
-		if p.simd && !cpu.AVX2 {
-			t.Logf("%s: not on this CPU", p.name)
+		if !hasPath(p) {
+			t.Logf("%s: not on this CPU", p)
 			continue
 		}
-		t.Run(p.name, func(t *testing.T) {
-			defer setAVX2(setAVX2(p.simd))
+		t.Run(p, func(t *testing.T) {
+			defer setRowLevel(setRowLevel(p))
 			test(t)
 		})
 	}
@@ -43,11 +45,12 @@ func refRowPass(dp []float64, wt int, value float64) []bool {
 }
 
 // TestRowPassMatchesScalar holds each path of rowPass to the scalar loop, bit
-// for bit in the table (Float64bits) and in the choice words: weights 1..9
-// (below 4 a block's source and destination windows overlap), every length
-// from 0 across three word boundaries and every tail residue, and tables and
-// values drawn from a small set — so sums tie with the cells they are
-// compared against — with ±0, NaN and ±Inf planted. Words the pass must not
+// for bit in the table (Float64bits) and in the choice words: weights 1..17
+// (below 8 an AVX-512 block's source and destination windows overlap, below
+// 4 an AVX2 block's), every length from 0 across three word boundaries and
+// every tail residue mod 8, and tables and values drawn from a small set —
+// so sums tie with the cells they are compared against — with ±0, NaN and
+// ±Inf planted. Words the pass must not
 // touch keep a sentinel, and the ones it writes start as garbage, so a word
 // left unwritten or written twice out of order shows.
 func TestRowPassMatchesScalar(t *testing.T) {
@@ -57,8 +60,8 @@ func TestRowPassMatchesScalar(t *testing.T) {
 	const sentinel = 0xdead_beef_dead_beef
 	onEachPath(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(28))
-		for wt := 1; wt <= 9; wt++ {
-			for n := 0; n <= 3*64+5; n++ {
+		for wt := 1; wt <= 17; wt++ {
+			for n := 0; n <= 3*64+8; n++ {
 				for _, value := range values {
 					dp := make([]float64, wt+n)
 					for i := range dp {

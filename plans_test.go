@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"adapipe"
+	"adapipe/internal/core"
 )
 
 // coldShapes are the 18 (model, cluster, tp, pp) rows of the repo benchmark's
@@ -45,24 +46,52 @@ var coldShapes = []struct {
 // means a plan changed, and the fix belongs in the code.
 const coldPlansSHA256 = "e4908ac4e1f76cc1d68e5dc63204770d143a942003eb006deadc9dd8428163e3"
 
-// TestColdPlansUnchangedFromParent plans every plan_cold shape at its largest
-// seq_len and at half of it (global batch max(32, pp)) and hashes the plan
-// JSON of all 36 searches, each followed by a newline — once on each path of
-// the knapsack's row pass (BenchmarkKnapsack's hook; without AVX2 the simd
-// pass repeats the portable one).
-func TestColdPlansUnchangedFromParent(t *testing.T) {
-	for _, path := range []struct {
-		name string
-		simd bool
-	}{{"simd", true}, {"generic", false}} {
-		t.Run(path.name, func(t *testing.T) {
-			defer recomputeSetAVX2(recomputeSetAVX2(path.simd))
-			coldPlansDigest(t)
+// onEachRowPath runs test once per row-pass path of the knapsack this CPU
+// has (BenchmarkKnapsack's hook), skipping the others.
+func onEachRowPath(t *testing.T, test func(t *testing.T)) {
+	for _, path := range rowPaths {
+		t.Run(path, func(t *testing.T) {
+			if !hasRowPath(path) {
+				t.Skipf("no %s on this CPU", path)
+			}
+			defer recomputeSetRowLevel(recomputeSetRowLevel(path))
+			test(t)
 		})
 	}
 }
 
-func coldPlansDigest(t *testing.T) {
+// TestColdPlansUnchangedFromParent plans every plan_cold shape at its largest
+// seq_len and at half of it (global batch max(32, pp)) and hashes the plan
+// JSON of all 36 searches, each followed by a newline — once on each path of
+// the knapsack's row pass.
+func TestColdPlansUnchangedFromParent(t *testing.T) {
+	onEachRowPath(t, func(t *testing.T) {
+		if got, _ := coldPlans(t); got != coldPlansSHA256 {
+			t.Fatalf("plan digest %s, want %s (captured at 8e8ff7b)", got, coldPlansSHA256)
+		}
+	})
+}
+
+// Over the 36 searches of the cold digest, the knapsack tables hold
+// coldTableCells cells and the row passes compute coldLiveCells of them; the
+// rest lie in the saturated tails the cut skips.
+const coldTableCells, coldLiveCells = 165286429, 80796033
+
+// TestKnapsackLiveCells pins both counts, so a saturated-tail cut that
+// weakens — computes cells it could skip — fails here rather than only
+// slowing the search down. The table size does not depend on the cut.
+func TestKnapsackLiveCells(t *testing.T) {
+	_, st := coldPlans(t)
+	if st.KnapsackCells != coldTableCells || st.KnapsackLiveCells != coldLiveCells {
+		t.Fatalf("knapsack cells: table %d, live %d (%.1f%%); want %d, %d",
+			st.KnapsackCells, st.KnapsackLiveCells, 100*float64(st.KnapsackLiveCells)/float64(st.KnapsackCells),
+			coldTableCells, coldLiveCells)
+	}
+}
+
+// coldPlans runs the cold digest's 36 searches and returns the digest and
+// the sum of their search counters' knapsack cells.
+func coldPlans(t *testing.T) (digest string, sum core.SearchStats) {
 	h := sha256.New()
 	filled := 0
 	for _, s := range coldShapes {
@@ -78,6 +107,8 @@ func coldPlansDigest(t *testing.T) {
 			if plan.Search.KnapsackRuns > 0 {
 				filled++
 			}
+			sum.KnapsackCells += plan.Search.KnapsackCells
+			sum.KnapsackLiveCells += plan.Search.KnapsackLiveCells
 			b, err := json.Marshal(plan)
 			if err != nil {
 				t.Fatal(err)
@@ -88,9 +119,7 @@ func coldPlansDigest(t *testing.T) {
 	if filled < 2*len(coldShapes) {
 		t.Errorf("only %d of %d searches filled a knapsack table: the digest would not cover the DP", filled, 2*len(coldShapes))
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != coldPlansSHA256 {
-		t.Fatalf("plan digest %s, want %s (captured at 8e8ff7b)", got, coldPlansSHA256)
-	}
+	return hex.EncodeToString(h.Sum(nil)), sum
 }
 
 // widePlansSHA256 is the digest of TestWidePlansUnchangedFromParent as the
@@ -111,8 +140,11 @@ var replanRuns = []adapipe.PlanRequest{
 // 256, where n ≫ p, and a seeded walk of 12 warm replans per replan_sweep
 // run, each moving one or two stage scales by 0.05 inside [1.0, 1.5]. It
 // hashes every plan's JSON and, per replan, the repriced incumbent, the
-// adoption and both simulated iteration times.
-func TestWidePlansUnchangedFromParent(t *testing.T) {
+// adoption and both simulated iteration times — once on each path of the
+// knapsack's row pass.
+func TestWidePlansUnchangedFromParent(t *testing.T) { onEachRowPath(t, widePlansDigest) }
+
+func widePlansDigest(t *testing.T) {
 	h := sha256.New()
 	write := func(p *adapipe.Plan) {
 		b, err := json.Marshal(p)
