@@ -101,8 +101,9 @@ figures:
 	$(GO) run ./cmd/experiments -run fig2,table3,accuracy
 
 # observe runs the observability demo end to end: plan, execute with the op
-# recorder, simulate, and emit the drift report plus Chrome-trace/metrics
-# files under observe-out/. It fails if the drift report cannot be produced.
+# recorder, simulate, and write both Chrome traces and metrics.prom under
+# observe-out/. It fails if the measured trace or any export cannot be
+# produced.
 observe:
 	$(GO) run ./examples/observe -dir observe-out
 

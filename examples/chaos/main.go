@@ -3,10 +3,10 @@
 // Phase A (transient faults): it plans a tiny model, trains it on the live
 // 1F1B engine while a deterministic fault injector attacks it (a persistent
 // straggler stage, a transient panic, a NaN corruption), survives everything
-// through the supervisor's retry-from-snapshot and non-finite guard, detects
-// the straggler from measured traces, replans the partition under the
-// degraded cost model, and adopts the new plan mid-run via a checkpoint-based
-// rebind — the full inject → survive → replan loop.
+// through the supervisor's retry-from-snapshot and non-finite guard, spots
+// the straggler against a calibrated baseline, replans the partition under
+// the degraded cost model, and adopts the new plan mid-run via a
+// checkpoint-based rebind — the full inject → survive → replan loop.
 //
 // Phase B (permanent loss): a separate 3-stage run loses one stage's node for
 // good mid-run. The membership model convicts the node after repeated
@@ -97,17 +97,13 @@ func main() {
 	}
 
 	// Phase 1 — calibrate: profile the healthy engine's per-stage
-	// micro-step times; they become the straggler detector's baseline.
+	// micro-step times; they become the straggler trigger's baseline.
 	predicted := make([]float64, stages)
 	for i := 0; i < calibrate; i++ {
 		tr := step("calibration")
 		for s, v := range tr.Result().MicroStep {
 			predicted[s] += v / calibrate
 		}
-	}
-	detector, err := adapipe.NewStragglerDetector(predicted, 1.5, 2)
-	if err != nil {
-		log.Fatal(err)
 	}
 
 	// Phase 2 — inject: stage 0 becomes a persistent straggler (every op
@@ -116,7 +112,7 @@ func main() {
 	// a micro-step is a forward plus a backward op, so the stage measures
 	// about 3x its baseline on any machine — a wall-clock constant would be
 	// a different slowdown on every box, and on a slow one falls under the
-	// detector's threshold. Attempts count Accumulate calls, so the targeted
+	// trigger's threshold. Attempts count Accumulate calls, so the targeted
 	// faults land inside the injected phase and never re-fire on the retry.
 	delay := time.Duration(predicted[0] * float64(time.Second))
 	inj, err := adapipe.NewFaultInjector(*seed,
@@ -130,18 +126,36 @@ func main() {
 	sup.Pipe.Fault = inj
 
 	var adopted *adapipe.Replan
+	streaks := make([]int, stages)
 	for i := 0; i < injected; i++ {
 		tr := step("injected")
 		if adopted != nil {
-			continue // one-shot: the detector's predictions died with the old partition
+			continue // one-shot: the baseline died with the old partition
 		}
-		straggler, ok := detector.Observe(tr)
-		if !ok {
+		// Straggler trigger: measured/calibrated ratio over the smallest one
+		// (a uniform clock mismatch divides out) at >= 1.5 for 2 steps in a row.
+		ratios, scales := tr.Result().MicroStep, make([]float64, stages)
+		minRatio := math.Inf(1)
+		for s := range ratios {
+			ratios[s] /= predicted[s]
+			minRatio = math.Min(minRatio, ratios[s])
+			scales[s] = 1
+		}
+		worst, slowdown := -1, 0.0
+		for s, r := range ratios {
+			if rel := r / minRatio; rel < 1.5 {
+				streaks[s] = 0
+			} else if streaks[s]++; streaks[s] >= 2 && rel > slowdown {
+				worst, slowdown = s, rel
+			}
+		}
+		if worst < 0 {
 			continue
 		}
 		fmt.Printf("\nstep %d: stage %d measured %.2fx slower than planned — replanning\n",
-			len(losses)-1, straggler.Stage, straggler.Slowdown)
-		r, err := planner.ReplanWithScale(plan, straggler.Scales(stages))
+			len(losses)-1, worst, slowdown)
+		scales[worst] = slowdown
+		r, err := planner.ReplanWithScale(plan, scales)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -2,14 +2,13 @@
 // model with the real two-level search, executes the plan on the pure-Go
 // 1F1B pipeline engine with the op recorder attached, renders the *measured*
 // timeline through the same Gantt/Chrome-trace renderers the simulator uses,
-// and aligns measured against predicted in a drift report.
+// and exports the simulated and measured runs side by side.
 //
 // Outputs (under -dir):
 //
 //	measured.trace.json   Chrome-trace JSON of the measured run (load in
 //	                      chrome://tracing or https://ui.perfetto.dev)
 //	simulated.trace.json  Chrome-trace JSON of the simulated timeline
-//	drift.txt             predicted-vs-measured drift report
 //	metrics.prom          search + simulation + measured-run gauges in
 //	                      Prometheus text format
 package main
@@ -25,7 +24,7 @@ import (
 )
 
 func main() {
-	dir := flag.String("dir", ".", "output directory for trace, drift and metrics files")
+	dir := flag.String("dir", ".", "output directory for trace and metrics files")
 	flag.Parse()
 	if err := os.MkdirAll(*dir, 0o755); err != nil {
 		log.Fatal(err)
@@ -86,19 +85,12 @@ func main() {
 		res.Trace.WallTime*1e3, res.Trace.StallRatio())
 	fmt.Print(adapipe.Gantt(measured, stages, 100))
 
-	// Simulate the same plan and align the two timelines.
+	// Simulate the same plan for the side-by-side exports.
 	simulated, err := adapipe.SimulateWithOptions(plan, adapipe.Sched1F1B,
 		adapipe.SimOptions{Timeline: true, Memory: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	drift, err := adapipe.Compare(measured, simulated)
-	if err != nil {
-		log.Fatalf("observe: drift report unavailable: %v", err)
-	}
-	fmt.Printf("\n%s", drift.String())
-
-	writeFile(*dir, "drift.txt", []byte(drift.String()))
 	meastr, err := adapipe.ChromeTrace(measured)
 	if err != nil {
 		log.Fatal(err)
@@ -113,7 +105,6 @@ func main() {
 	metrics := plan.Search.PromMetrics("adapipe_search")
 	metrics = append(metrics, adapipe.SimMetrics("adapipe_sim", simulated)...)
 	metrics = append(metrics, adapipe.TraceMetrics("adapipe_train", res.Trace)...)
-	metrics = append(metrics, adapipe.DriftMetrics("adapipe_drift", drift)...)
 	writeFile(*dir, "metrics.prom", []byte(adapipe.RenderProm(metrics)))
 }
 

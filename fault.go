@@ -9,8 +9,8 @@ import (
 )
 
 // Fault-tolerance façade: deterministic fault injection into the live 1F1B
-// engine, step-level recovery (snapshot/retry/skip), straggler detection from
-// measured traces, and the planner's straggler-driven replan entry point.
+// engine, step-level recovery (snapshot/retry/skip), and the planner's
+// replan entry points for a degraded stage or a resized cluster.
 type (
 	// FaultRule is one fault source: a kind (straggler delay, transient
 	// panic, NaN/Inf corruption) plus stage/micro/attempt/phase filters.
@@ -24,11 +24,6 @@ type (
 	FaultInjector = fault.Injector
 	// FaultCounters aggregates injected faults and recovery actions.
 	FaultCounters = obs.FaultCounters
-	// Straggler identifies a stage persistently slower than planned.
-	Straggler = obs.Straggler
-	// StragglerDetector watches measured traces for sustained per-stage
-	// slowdowns (min-ratio normalized, windowed, one-shot trigger).
-	StragglerDetector = obs.StragglerDetector
 	// TrainPipeline is the live 1F1B executor (cancellable, watchdogged).
 	TrainPipeline = train.Pipeline
 	// TrainRecovery is the step-level failure policy (retries, backoff,
@@ -140,13 +135,6 @@ func NewTrainCorpus(vocab, length int, seed uint64) *TrainCorpus {
 
 // NewRNG returns a deterministic generator for TrainCorpus.Batches.
 func NewRNG(seed uint64) *RNG { return tensor.NewRNG(seed) }
-
-// NewStragglerDetector builds a detector from per-stage predicted micro-step
-// times (plan forward+backward per micro), a relative-slowdown threshold
-// (e.g. 1.5) and a consecutive-step window.
-func NewStragglerDetector(predicted []float64, threshold float64, window int) (*StragglerDetector, error) {
-	return obs.NewStragglerDetector(predicted, threshold, window)
-}
 
 // NewMembership builds a health model for a pipeline of stages, each backed
 // by nodesPerStage nodes, declaring a node dead after threshold consecutive

@@ -107,11 +107,3 @@ func (pl *Planner) ResetIncremental() {
 	pl.partMemo = nil
 	pl.memoScale = nil
 }
-
-// frontierCap resolves Options.MaxFrontier (zero selects 128).
-func (pl *Planner) frontierCap() int {
-	if pl.opts.MaxFrontier <= 0 {
-		return 128
-	}
-	return pl.opts.MaxFrontier
-}

@@ -113,10 +113,6 @@ type Options struct {
 	Recompute RecomputeMode
 	// Partition selects the partitioning policy.
 	Partition PartitionMode
-	// MaxFrontier caps the Pareto frontier of PartitionExact per DP cell
-	// (zero selects 128). Larger values approach true optimality at the
-	// cost of search time.
-	MaxFrontier int
 	// IgnoreMemoryLimit plans full/no-recomputation baselines even when
 	// their modeled memory exceeds capacity, so the simulator can estimate
 	// the peak consumption of OOM configurations (Figure 8). It has no
@@ -782,7 +778,9 @@ func (pl *Planner) PlanContext(ctx context.Context) (*Plan, error) {
 	spDP := tr.Start(spanName, obs.CatSearch)
 	switch pl.opts.Partition {
 	case PartitionExact:
-		sol, _, err := partition.SolveExact(L, p, pl.n, cost, pl.frontierCap())
+		// PartitionExact keeps at most this many Pareto states per DP cell.
+		const maxFrontier = 128
+		sol, _, err := partition.SolveExact(L, p, pl.n, cost, maxFrontier)
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return nil, cerr

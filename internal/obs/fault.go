@@ -4,7 +4,7 @@ package obs
 // many faults were injected (by kind) and what the recovery layer did about
 // them. The injection counts come from the fault injector; the action counts
 // from the supervisor and replanning loop. Exported via FaultMetrics through
-// the same Prometheus text exposition as the sim/trace/drift gauges.
+// the same Prometheus text exposition as the sim and trace gauges.
 type FaultCounters struct {
 	// Stragglers, Panics, Corruptions and NodeLosses count injected faults
 	// by kind (NodeLosses counts ops killed by a dead node, so one lost node

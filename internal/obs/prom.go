@@ -111,22 +111,3 @@ func TraceMetrics(prefix string, t *Trace) []Metric {
 	}
 	return ms
 }
-
-// DriftMetrics converts a drift report into gauges: the time scale, the
-// makespan and bubble errors, and per-stage forward/backward/peak errors.
-func DriftMetrics(prefix string, d Drift) []Metric {
-	ms := []Metric{
-		{Name: prefix + "_time_scale", Help: "measured/simulated busy-time ratio factored out before errors", Value: d.TimeScale},
-		{Name: prefix + "_iter_rel_err", Help: "relative makespan error after rescaling", Value: d.IterErr},
-		{Name: prefix + "_bubble_abs_err", Help: "absolute bubble-fraction difference", Value: d.BubbleErr},
-	}
-	for _, s := range d.Stages {
-		stage := [2]string{"stage", strconv.Itoa(s.Stage)}
-		ms = append(ms,
-			Metric{Name: prefix + "_stage_fwd_rel_err", Help: "per-stage forward-time relative error", Labels: [][2]string{stage}, Value: s.FwdErr},
-			Metric{Name: prefix + "_stage_bwd_rel_err", Help: "per-stage backward-time relative error", Labels: [][2]string{stage}, Value: s.BwdErr},
-			Metric{Name: prefix + "_stage_peak_rel_err", Help: "per-stage peak-memory relative error", Labels: [][2]string{stage}, Value: s.PeakErr},
-		)
-	}
-	return ms
-}

@@ -1,14 +1,11 @@
 // Package obs is the observability layer of the live pipeline engine: a
-// wall-clock op recorder for the goroutine 1F1B executor, a drift report that
-// aligns measured runs against the discrete-event simulator for the same
-// plan, and a Prometheus-style text exposition of engine and search metrics.
+// wall-clock op recorder for the goroutine 1F1B executor, a context-propagated
+// request tracer, and a Prometheus-style text exposition of engine, search and
+// fault gauges and latency histograms.
 //
-// The paper validates its cost model by comparing modeled 1F1B phase times
-// against profiled runs (§6); this package is the measured half of that
-// comparison on the repo's substitute hardware. A recorded Trace is
-// structurally compatible with sim.Result (via Trace.Result), so the
-// trace-package renderers — Gantt, ChromeTrace, MemoryCSV — work on measured
-// runs unchanged.
+// A recorded Trace is structurally compatible with sim.Result (via
+// Trace.Result), so the trace-package renderers — Gantt, ChromeTrace,
+// MemoryCSV — work on measured runs unchanged.
 package obs
 
 import (

@@ -17,9 +17,6 @@ func fullTableOptimizeMany(groups []Group, capacities []int64, opts Options, out
 	if quantum <= 0 {
 		quantum = defaultQuantum
 	}
-	if opts.Exact {
-		quantum = 1
-	}
 	var mandatory int64
 	var opt []Group
 	for _, g := range groups {
@@ -39,10 +36,7 @@ func fullTableOptimizeMany(groups []Group, capacities []int64, opts Options, out
 		g = gcd64(g, scaled[i])
 	}
 	if opts.DisableGCD {
-		g = 1
-		if !opts.Exact {
-			g = quantum
-		}
+		g = quantum
 	}
 	var w int64
 	for k, capacity := range capacities {
@@ -200,7 +194,10 @@ func FuzzCutMatchesFullTable(f *testing.F) {
 			return
 		}
 		groups, capacities := cutInstance(shape, caps)
-		opts := Options{Quantum: 1 + int64(flags&0x3f), Exact: flags&0x40 != 0, DisableGCD: flags&0x80 != 0}
+		opts := Options{Quantum: 1 + int64(flags&0x3f), DisableGCD: flags&0x80 != 0}
+		if flags&0x40 != 0 {
+			opts.Quantum = 1 // exact: no rounding
+		}
 		for _, p := range rowPaths { // a path the CPU lacks repeats the next narrower one
 			func() {
 				defer setRowLevel(setRowLevel(p))
@@ -226,7 +223,8 @@ func TestCutMatchesFullTable(t *testing.T) {
 				caps[k], caps[k+1] = byte(c), byte(c>>8)
 			}
 			groups, capacities := cutInstance(shape, caps)
-			checkCut(t, sv, groups, capacities, Options{Exact: rng.Intn(2) == 0, Quantum: 1 + int64(rng.Intn(4))})
+			// Half the instances are exact (a 0 draw selects Quantum 1).
+			checkCut(t, sv, groups, capacities, Options{Quantum: 1 + int64(rng.Intn(2)*rng.Intn(4))})
 		}
 	})
 }

@@ -23,7 +23,7 @@ func FuzzOptimizeAgainstBruteForce(f *testing.F) {
 		want := BruteForce(groups, cap)
 		for _, p := range rowPaths { // a path the CPU lacks repeats the next narrower one
 			was := setRowLevel(p)
-			got := Optimize(groups, cap, Options{Exact: true})
+			got := Optimize(groups, cap, Options{Quantum: 1})
 			setRowLevel(was)
 			if got.Feasible != want.Feasible {
 				t.Fatalf("%s: feasibility mismatch: %v vs %v", p, got.Feasible, want.Feasible)
@@ -50,9 +50,6 @@ func referenceOptimize(groups []Group, capacity int64, opts Options) Solution {
 	quantum := opts.Quantum
 	if quantum <= 0 {
 		quantum = defaultQuantum
-	}
-	if opts.Exact {
-		quantum = 1
 	}
 	remaining := capacity
 	for _, g := range groups {
@@ -102,10 +99,7 @@ func referenceOptimize(groups []Group, capacity int64, opts Options) Solution {
 		return sol
 	}
 	if opts.DisableGCD {
-		g = 1
-		if !opts.Exact {
-			g = quantum
-		}
+		g = quantum
 	}
 	w := remaining / g
 	if w <= 0 {
@@ -206,7 +200,10 @@ func FuzzOptimizeManyVsOptimize(f *testing.F) {
 		for k := 0; 2*k+1 < len(caps) && k < 12; k++ {
 			capacities = append(capacities, int64(int16(uint16(caps[2*k])|uint16(caps[2*k+1])<<8)))
 		}
-		opts := Options{Exact: flags&1 == 1, DisableGCD: flags&2 == 2, Quantum: 1 + int64(quantum%24)}
+		opts := Options{DisableGCD: flags&2 == 2, Quantum: 1 + int64(quantum%24)}
+		if flags&1 == 1 {
+			opts.Quantum = 1 // exact: no rounding
+		}
 
 		for _, p := range rowPaths { // a path the CPU lacks repeats the next narrower one
 			func() {

@@ -76,9 +76,6 @@ type Options struct {
 	// DisableGCD turns off the §5.3 GCD capacity reduction (kept for the
 	// ablation benchmark).
 	DisableGCD bool
-	// Exact solves without quantum rounding (Quantum=1). Exponentially
-	// slower on real budgets; intended for tests.
-	Exact bool
 }
 
 const defaultQuantum = int64(1) << 20
@@ -171,9 +168,6 @@ func (sv *Solver) OptimizeMany(groups []Group, capacities []int64, opts Options,
 	if quantum <= 0 {
 		quantum = defaultQuantum
 	}
-	if opts.Exact {
-		quantum = 1
-	}
 
 	// Mandatory units come off every budget first; optional groups are
 	// searched, zero-size copies saved for free.
@@ -199,10 +193,7 @@ func (sv *Solver) OptimizeMany(groups []Group, capacities []int64, opts Options,
 		g = gcd64(g, scaled[i])
 	}
 	if opts.DisableGCD {
-		g = 1
-		if !opts.Exact {
-			g = quantum
-		}
+		g = quantum
 	}
 
 	// Settle what needs no search, size the table each remaining capacity

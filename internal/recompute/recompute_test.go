@@ -16,7 +16,7 @@ func TestOptimizeMatchesBruteForce(t *testing.T) {
 		{Key: "out", FwdTime: 1, Bytes: 2, Count: 2, AlwaysSaved: true},
 	}
 	for _, capacity := range []int64{0, 4, 5, 10, 15, 25, 100} {
-		got := Optimize(groups, capacity, Options{Exact: true})
+		got := Optimize(groups, capacity, Options{Quantum: 1})
 		want := BruteForce(groups, capacity)
 		if got.Feasible != want.Feasible {
 			t.Fatalf("cap %d: feasible %v vs brute %v", capacity, got.Feasible, want.Feasible)
@@ -46,7 +46,7 @@ func TestOptimizeBruteForceProperty(t *testing.T) {
 			})
 		}
 		capacity := int64(cap16 % 200)
-		got := Optimize(groups, capacity, Options{Exact: true})
+		got := Optimize(groups, capacity, Options{Quantum: 1})
 		want := BruteForce(groups, capacity)
 		return got.Feasible == want.Feasible && approxEq(got.SavedTime, want.SavedTime)
 	}
@@ -63,7 +63,7 @@ func TestSolutionInternalConsistency(t *testing.T) {
 			{Key: "z", FwdTime: float64(times[2]) + 1, Bytes: int64(sizes[2]) + 1, Count: 2, AlwaysSaved: true},
 		}
 		capacity := int64(cap16%2000) + 2*(int64(sizes[2])+1)
-		sol := Optimize(groups, capacity, Options{Exact: true})
+		sol := Optimize(groups, capacity, Options{Quantum: 1})
 		if !sol.Feasible {
 			return true
 		}
@@ -95,7 +95,7 @@ func TestAlwaysSavedOverflow(t *testing.T) {
 		{Key: "big", FwdTime: 1, Bytes: 100, Count: 2, AlwaysSaved: true},
 		{Key: "opt", FwdTime: 1, Bytes: 1, Count: 1},
 	}
-	sol := Optimize(groups, 150, Options{Exact: true})
+	sol := Optimize(groups, 150, Options{Quantum: 1})
 	if sol.Feasible {
 		t.Fatal("mandatory units exceed capacity but solution is feasible")
 	}
@@ -109,7 +109,7 @@ func TestZeroByteUnitsSavedFree(t *testing.T) {
 		{Key: "free", FwdTime: 10, Bytes: 0, Count: 5},
 		{Key: "paid", FwdTime: 1, Bytes: 10, Count: 1},
 	}
-	sol := Optimize(groups, 0, Options{Exact: true})
+	sol := Optimize(groups, 0, Options{Quantum: 1})
 	if !sol.Feasible {
 		t.Fatal("infeasible")
 	}
@@ -129,14 +129,14 @@ func TestMonotoneInCapacity(t *testing.T) {
 	}
 	prev := -1.0
 	for capacity := int64(0); capacity <= 120; capacity += 3 {
-		sol := Optimize(groups, capacity, Options{Exact: true})
+		sol := Optimize(groups, capacity, Options{Quantum: 1})
 		if sol.SavedTime < prev {
 			t.Fatalf("capacity %d: saved time %g dropped below %g", capacity, sol.SavedTime, prev)
 		}
 		prev = sol.SavedTime
 	}
 	// Unlimited capacity saves everything.
-	sol := Optimize(groups, 1<<40, Options{Exact: true})
+	sol := Optimize(groups, 1<<40, Options{Quantum: 1})
 	if sol.SavedTime != TotalOptionalTime(groups) {
 		t.Errorf("unlimited capacity saved %g, want %g", sol.SavedTime, TotalOptionalTime(groups))
 	}
@@ -194,7 +194,7 @@ func TestQuantumNeverBeatsExact(t *testing.T) {
 		{Key: "c", FwdTime: 5, Bytes: 260, Count: 3},
 	}
 	for _, capacity := range []int64{500, 1000, 2000} {
-		exact := Optimize(groups, capacity, Options{Exact: true})
+		exact := Optimize(groups, capacity, Options{Quantum: 1})
 		rounded := Optimize(groups, capacity, Options{Quantum: 128})
 		if rounded.SavedTime > exact.SavedTime+1e-9 {
 			t.Errorf("cap %d: rounded %g beats exact %g", capacity, rounded.SavedTime, exact.SavedTime)

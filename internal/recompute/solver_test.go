@@ -40,27 +40,27 @@ func testSolverReuse(t *testing.T) {
 			{Key: "more", FwdTime: 2, Bytes: 3, Count: 5},
 		}, 25},
 	}
-	for _, exact := range []bool{true, false} {
-		opts := Options{Exact: exact, Quantum: 2}
+	for _, quantum := range []int64{1, 2} {
+		opts := Options{Quantum: quantum}
 		for ci, c := range cases {
 			got := sv.Optimize(c.groups, c.capacity, opts)
 			want := Optimize(c.groups, c.capacity, opts)
 			if got.Feasible != want.Feasible {
-				t.Fatalf("case %d exact=%v: feasible %v vs %v", ci, exact, got.Feasible, want.Feasible)
+				t.Fatalf("case %d quantum=%d: feasible %v vs %v", ci, quantum, got.Feasible, want.Feasible)
 			}
 			if math.Abs(got.SavedTime-want.SavedTime) > 0 {
-				t.Errorf("case %d exact=%v: saved time %g vs %g", ci, exact, got.SavedTime, want.SavedTime)
+				t.Errorf("case %d quantum=%d: saved time %g vs %g", ci, quantum, got.SavedTime, want.SavedTime)
 			}
 			if got.SavedBytes != want.SavedBytes || got.SavedUnits != want.SavedUnits {
-				t.Errorf("case %d exact=%v: bytes/units %d/%d vs %d/%d",
-					ci, exact, got.SavedBytes, got.SavedUnits, want.SavedBytes, want.SavedUnits)
+				t.Errorf("case %d quantum=%d: bytes/units %d/%d vs %d/%d",
+					ci, quantum, got.SavedBytes, got.SavedUnits, want.SavedBytes, want.SavedUnits)
 			}
 			if got.DPCells != want.DPCells || got.QuantaAfterGCD != want.QuantaAfterGCD {
-				t.Errorf("case %d exact=%v: counters differ: %+v vs %+v", ci, exact, got, want)
+				t.Errorf("case %d quantum=%d: counters differ: %+v vs %+v", ci, quantum, got, want)
 			}
 			for k, v := range want.Saved {
 				if got.Saved[k] != v {
-					t.Errorf("case %d exact=%v: saved[%s] = %d, want %d", ci, exact, k, got.Saved[k], v)
+					t.Errorf("case %d quantum=%d: saved[%s] = %d, want %d", ci, quantum, k, got.Saved[k], v)
 				}
 			}
 		}

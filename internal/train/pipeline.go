@@ -358,7 +358,7 @@ func (r *iterRun) stage(s int) {
 		// behind a nil check so the default (nil recorder) hot path reads
 		// no clocks and allocates nothing extra. Injected faults run
 		// inside the compute bracket, so straggler delay is indistinguishable
-		// from slow compute — which is what the straggler detector keys on.
+		// from slow compute in a stage's measured micro-step time.
 		var opWait time.Duration
 		var opStart, waitStart time.Time
 		switch op.Kind {

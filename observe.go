@@ -6,20 +6,13 @@ import (
 	"adapipe/internal/train"
 )
 
-// Observability façade: measured-run tracing, predicted-vs-measured drift
-// reports and Prometheus-style metric exposition over the internal obs
-// package.
+// Observability façade: measured-run tracing and Prometheus-style metric
+// exposition over the internal obs package.
 type (
 	// TrainTrace is a measured pipeline iteration: per-op wall-clock spans,
 	// per-stage stall time and live-activation curves. Convert to a
 	// SimResult via its Result method to reuse Gantt/ChromeTrace/MemoryCSV.
 	TrainTrace = train.Trace
-	// Drift is a predicted-vs-measured comparison of one plan: per-stage
-	// forward/backward time error, bubble-fraction error and peak-memory
-	// error, normalized by the measured/modeled time scale.
-	Drift = obs.Drift
-	// StageDrift is the per-stage row of a Drift report.
-	StageDrift = obs.StageDrift
 	// Metric is one Prometheus-style gauge sample.
 	Metric = obs.Metric
 	// SearchStats counts the planner's search effort (knapsack runs,
@@ -27,17 +20,6 @@ type (
 	// in its Search field.
 	SearchStats = core.SearchStats
 )
-
-// Compare aligns a measured pipeline run against a simulated timeline of the
-// same plan and reports the drift: per-stage forward/backward time error,
-// bubble-fraction error and peak-memory error. Pass the measured trace
-// through TrainTrace.Result first. Measured wall time and modeled device
-// time live on different scales (the trainer is real Go math, the model an
-// accelerator), so Compare factors out the busy-time ratio and reports
-// schedule-shape drift.
-func Compare(measured, simulated SimResult) (Drift, error) {
-	return obs.Compare(measured, simulated)
-}
 
 // RenderProm serializes metrics in the Prometheus text exposition format.
 func RenderProm(metrics []Metric) string { return obs.RenderProm(metrics) }
@@ -49,7 +31,3 @@ func SimMetrics(prefix string, res SimResult) []Metric { return obs.SimMetrics(p
 // TraceMetrics converts a measured trace into gauges under the given name
 // prefix (wall time, stall ratio, per-stage busy/stall/peak-activation).
 func TraceMetrics(prefix string, t *TrainTrace) []Metric { return obs.TraceMetrics(prefix, t) }
-
-// DriftMetrics converts a drift report into gauges under the given name
-// prefix (time scale, iteration error, per-stage relative errors).
-func DriftMetrics(prefix string, d Drift) []Metric { return obs.DriftMetrics(prefix, d) }
