@@ -1,7 +1,7 @@
 GO ?= go
 BIN := bin/adapipevet
 
-.PHONY: all build cross vet vet-selftest vet-sarif test fuzz-smoke race bench-smoke figures observe chaos serve-smoke loc ci clean
+.PHONY: all build cross vet test fuzz-smoke race bench-smoke figures observe chaos serve-smoke loc ci clean
 
 all: build
 
@@ -33,26 +33,12 @@ FORCE:
 
 # vet runs go vet plus the repo's own seven-analyzer suite (maporder,
 # floatcmp, pipesync, errcheckcmd, ctxprop, lockguard, detrand) over every
-# package, in both driver modes: standalone (adapipevet loads and
-# type-checks the module itself) and as a go vet -vettool (the go command
-# hands it one compilation unit at a time with gc export data). Both must be
-# clean — the modes share the analyzers but not the loader, so passing both
-# proves the suite is loader-independent.
+# package, tests included, through its one driver: go vet -vettool, where the
+# go command hands adapipevet one compilation unit at a time with gc export
+# data. Both must be clean; the suite has no way to suppress a finding.
 vet: $(BIN)
 	$(GO) vet ./...
-	./$(BIN) ./...
 	$(GO) vet -vettool=$(abspath $(BIN)) ./...
-
-# vet-selftest runs the suite over its own implementation: the analyzers, the
-# SARIF reporter and the drivers must satisfy every invariant they
-# enforce (zero diagnostics; the suite has no way to suppress one).
-vet-selftest: $(BIN)
-	./$(BIN) ./internal/analysis/... ./cmd/adapipevet/...
-
-# vet-sarif writes the byte-deterministic SARIF 2.1.0 report CI uploads to
-# code scanning. The exit status still gates (non-zero on findings).
-vet-sarif: $(BIN)
-	./$(BIN) -sarif -o adapipevet.sarif ./...
 
 test:
 	$(GO) test ./...
@@ -154,7 +140,7 @@ loc:
 		      printf "%7d  test lines outside bench/\n", tests }'
 
 # ci is the full gate the GitHub Actions workflow runs.
-ci: build cross vet vet-selftest test fuzz-smoke race bench-smoke figures observe chaos serve-smoke
+ci: build cross vet test fuzz-smoke race bench-smoke figures observe chaos serve-smoke
 
 clean:
-	rm -rf bin observe-out adapipevet.sarif servesmoke-trace.json chaos-metrics.prom
+	rm -rf bin observe-out servesmoke-trace.json chaos-metrics.prom

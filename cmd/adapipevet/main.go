@@ -5,29 +5,25 @@
 // No finding can be suppressed: fix the code, or narrow the analyzer's rule
 // or scope with a fixture case.
 //
-// Standalone (multichecker-style) usage — loads packages itself:
+// The go command drives it as a vet tool, one compilation unit per
+// invocation, with the dependencies' export data already built:
 //
-//	adapipevet ./...
-//	adapipevet adapipe/internal/core
-//	adapipevet -sarif -o adapipevet.sarif ./...
+//	go build -o bin/adapipevet ./cmd/adapipevet
+//	go vet -vettool=$PWD/bin/adapipevet ./...
 //
-// Every analyzer runs, over each package's in-package _test.go files too.
-// -sarif emits a SARIF 2.1.0 report (file URIs relative to the working
-// directory, for CI code-scanning upload), byte-deterministic for a given
-// tree; -o redirects it to a file; diagnostics still gate the exit status.
+// Every analyzer runs over each package in its scope, in-package tests
+// included; an external test package (package x_test) is a unit of its own.
+// -json (what go vet -json passes) selects the go command's JSON wire format,
+// which reports findings without failing. Run any other way, with package
+// patterns say, it prints usage and exits 1.
 //
-// Vet-tool (unitchecker-style) usage — driven by the go command, one
-// type-checked compilation unit per invocation (-json is the go command's
-// unitchecker wire format and belongs to this mode only):
-//
-//	go vet -vettool=$(which adapipevet) ./...
-//
-// Exit status: 0 when clean, 1 on a driver error, 2 when diagnostics were
-// reported (matching go vet's convention).
+// Exit status: 0 when clean, 1 on a driver error or a unit that does not
+// type-check, 2 when diagnostics were reported. go vet exits 1 on either.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"go/importer"
@@ -41,85 +37,47 @@ import (
 	"adapipe/internal/analysis"
 )
 
+// version is what the -V=full probe reports; the go command keys its cache
+// of facts-only runs on that line.
+const version = "adapipevet-2.1"
+
+// jsonUsage describes -json, the tool's one flag.
+const jsonUsage = "emit the go command's JSON wire format (go vet -json passes it)"
+
 func main() {
 	// The go command probes its vet tool before use: -V=full must print a
 	// version line, -flags the tool's analyzer flags as JSON.
 	if len(os.Args) > 1 {
 		switch os.Args[1] {
 		case "-V=full", "-V":
-			fmt.Printf("%s version %s-%s\n", progName(), analysis.ToolName, analysis.ToolVersion)
+			fmt.Printf("%s version %s\n", progName(), version)
 			return
 		case "-flags":
-			fmt.Println("[]")
+			// go vet accepts on its command line only the flags listed here.
+			out, err := json.Marshal([]struct {
+				Name  string
+				Bool  bool
+				Usage string
+			}{{"json", true, jsonUsage}})
+			if err != nil {
+				fatal(err)
+			}
+			fmt.Println(string(out))
 			return
 		}
 	}
 
-	jsonOut := flag.Bool("json", false, "emit the unitchecker wire format (vet-tool mode only; go vet -json passes it)")
-	sarifOut := flag.Bool("sarif", false, "emit a SARIF 2.1.0 report (standalone mode only)")
-	outPath := flag.String("o", "", "write the -sarif report to this file instead of stdout")
+	jsonOut := flag.Bool("json", false, jsonUsage)
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: adapipevet [flags] [packages]\n       adapipevet <unit>.cfg  (as go vet -vettool)\n")
+		fmt.Fprintf(os.Stderr, "usage: go vet -vettool=$(which %s) [packages]\n", progName())
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		if *sarifOut {
-			fatal(fmt.Errorf("-sarif is a standalone-mode flag; the go vet driver consumes the wire format"))
-		}
-		os.Exit(unitcheck(args[0], *jsonOut))
+	if flag.NArg() != 1 || !strings.HasSuffix(flag.Arg(0), ".cfg") {
+		flag.Usage()
+		os.Exit(1)
 	}
-	if *jsonOut {
-		fatal(fmt.Errorf("-json is the go vet driver's wire format; standalone reports are plain text or -sarif"))
-	}
-	os.Exit(standalone(args, *sarifOut, *outPath))
-}
-
-// standalone loads the named package patterns (default ./...) and runs the
-// suite over all of them in one process.
-func standalone(patterns []string, sarif bool, outPath string) int {
-	analyzers := analysis.All()
-	pkgs, err := analysis.Load("", patterns)
-	if err != nil {
-		fatal(err)
-	}
-	if len(pkgs) == 0 {
-		fatal(fmt.Errorf("no packages matched %v", patterns))
-	}
-	fset := pkgs[0].Fset
-	diags := analysis.Run(pkgs, analyzers)
-
-	out := io.Writer(os.Stdout)
-	closeOut := func() error { return nil }
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			fatal(err)
-		}
-		out = f
-		closeOut = f.Close
-	}
-	// Report file URIs are relative to the working directory — CI runs from
-	// the module root, so uploads carry repo-relative paths.
-	root, _ := os.Getwd()
-	if sarif {
-		if err := analysis.WriteSARIF(out, fset, analyzers, diags, root); err != nil {
-			fatal(err)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Fprintf(os.Stderr, "%s: %s: %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)
-		}
-	}
-	if err := closeOut(); err != nil {
-		fatal(err)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
+	os.Exit(unitcheck(flag.Arg(0), *jsonOut))
 }
 
 // vetConfig is the JSON configuration the go command hands a -vettool for
@@ -146,7 +104,6 @@ type vetConfig struct {
 // type-checks the unit's files against the export data the go command
 // already built for the dependencies, so no package loading happens here.
 func unitcheck(cfgPath string, jsonOut bool) int {
-	analyzers := analysis.All()
 	data, err := os.ReadFile(cfgPath)
 	if err != nil {
 		fatal(err)
@@ -166,21 +123,13 @@ func unitcheck(cfgPath string, jsonOut bool) int {
 		return 0 // facts-only run for a dependency: nothing to report
 	}
 
-	applies := false
-	for _, a := range analyzers {
-		if a.Applies == nil || a.Applies(cfg.ImportPath) {
-			applies = true
-			break
-		}
-	}
-	if !applies || len(cfg.GoFiles) == 0 {
+	if len(cfg.GoFiles) == 0 {
 		return 0
 	}
 
 	fset := token.NewFileSet()
 	imp := &exportDataImporter{
-		fset: fset,
-		cfg:  &cfg,
+		cfg: &cfg,
 		base: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 			file, ok := cfg.PackageFile[path]
 			if !ok {
@@ -190,17 +139,26 @@ func unitcheck(cfgPath string, jsonOut bool) int {
 		}).(types.ImporterFrom),
 	}
 	pkg, err := analysis.CheckFiles(fset, cfg.ImportPath, cfg.GoFiles, imp)
+	if err == nil {
+		err = errors.Join(pkg.TypeErrors...)
+	}
 	if err != nil {
+		// A unit that does not type-check fails, as under go vet's own
+		// tool, unless the go command leaves the errors to the compiler.
 		if cfg.SucceedOnTypecheckFailure {
 			return 0
 		}
 		fatal(err)
 	}
-	if len(pkg.TypeErrors) > 0 && cfg.SucceedOnTypecheckFailure {
+	diags := analysis.Run([]*analysis.Package{pkg}, analysis.All())
+	if jsonOut {
+		// As under go vet's own tool, -json reports findings without failing.
+		printJSON(fset, cfg.ID, diags)
 		return 0
 	}
-	diags := analysis.Run([]*analysis.Package{pkg}, analyzers)
-	emit(fset, diags, jsonOut)
+	for _, d := range diags {
+		fmt.Fprintf(os.Stderr, "%s: %s: %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)
+	}
 	if len(diags) > 0 {
 		return 2
 	}
@@ -211,7 +169,6 @@ func unitcheck(cfgPath string, jsonOut bool) int {
 // (source import path → canonical path) and the gc export data files the go
 // command supplies in PackageFile.
 type exportDataImporter struct {
-	fset *token.FileSet
 	cfg  *vetConfig
 	base types.ImporterFrom
 }
@@ -230,15 +187,9 @@ func (e *exportDataImporter) ImportFrom(path, dir string, mode types.ImportMode)
 	return e.base.ImportFrom(path, dir, mode)
 }
 
-// emit prints diagnostics for the vet-tool mode: file:line:col: analyzer:
-// message to stderr, or the unitchecker JSON wire format to stdout.
-func emit(fset *token.FileSet, diags []analysis.Diagnostic, jsonOut bool) {
-	if !jsonOut {
-		for _, d := range diags {
-			fmt.Fprintf(os.Stderr, "%s: %s: %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)
-		}
-		return
-	}
+// printJSON writes diagnostics to stdout in the unitchecker JSON wire
+// format: unit ID → analyzer → findings.
+func printJSON(fset *token.FileSet, id string, diags []analysis.Diagnostic) {
 	type jsonDiag struct {
 		Posn    string `json:"posn"`
 		Message string `json:"message"`
@@ -250,7 +201,11 @@ func emit(fset *token.FileSet, diags []analysis.Diagnostic, jsonOut bool) {
 			Message: d.Message,
 		})
 	}
-	out, err := json.MarshalIndent(byAnalyzer, "", "\t")
+	tree := map[string]map[string][]jsonDiag{}
+	if len(diags) > 0 {
+		tree[id] = byAnalyzer
+	}
+	out, err := json.MarshalIndent(tree, "", "\t")
 	if err != nil {
 		fatal(err)
 	}

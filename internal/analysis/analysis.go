@@ -34,10 +34,10 @@
 // positive is fixed by narrowing the analyzer's rule or scope, with a fixture
 // case that pins the narrowing.
 //
-// Two drivers run the suite (cmd/adapipevet): Load type-checks packages from
-// source for the standalone mode, CheckFiles takes one compilation unit from
-// the go command for `go vet -vettool`. The only report format besides plain
-// text is SARIF (WriteSARIF); every run applies every analyzer.
+// One driver runs the suite: `go vet -vettool=bin/adapipevet` (cmd/adapipevet).
+// The go command loads each package, its tests included, and hands the tool
+// one compilation unit at a time; CheckFiles type-checks that unit against the
+// go command's export data. Every run applies every analyzer.
 package analysis
 
 import (
@@ -51,7 +51,7 @@ import (
 
 // Analyzer describes one static-analysis pass.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and SARIF rules.
+	// Name identifies the analyzer in diagnostics.
 	Name string
 	// Doc is a one-paragraph description.
 	Doc string
@@ -114,15 +114,15 @@ type Package struct {
 	Path string
 	// Fset maps positions for Files.
 	Fset *token.FileSet
-	// Files are the parsed sources (including in-package _test files when
-	// the loader was asked for them).
+	// Files are the parsed sources (the go command's test variant of a
+	// package includes its in-package _test files).
 	Files []*ast.File
 	// Types is the checked package.
 	Types *types.Package
 	// Info is the type information for Files.
 	Info *types.Info
-	// TypeErrors holds soft type-checking errors; analysis proceeds on a
-	// best-effort basis when non-empty.
+	// TypeErrors holds soft type-checking errors. The fixture runner fails
+	// on any; so does the vet driver, unless the go command asks it not to.
 	TypeErrors []error
 }
 
@@ -185,10 +185,9 @@ func sortDiagnostics(fset *token.FileSet, diags []Diagnostic) {
 	})
 }
 
-// All returns the full lint suite in stable order. The order is part of the
-// reporting contract: diagnostics tie-break on analyzer name, SARIF rule
-// indices follow this slice, and TestAllOrderPinned asserts it — append new
-// analyzers at the end.
+// All returns the full lint suite. TestAllOrderPinned pins its members;
+// diagnostics tie-break on analyzer name, so the slice order reaches no
+// output. Append new analyzers at the end.
 func All() []*Analyzer {
 	return []*Analyzer{
 		MapOrder, FloatCmp, PipeSync, ErrCheckCmd,

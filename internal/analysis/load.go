@@ -1,98 +1,17 @@
 package analysis
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"io"
-	"os/exec"
-	"path/filepath"
-	"strings"
 )
 
-// listPackage is the subset of `go list -json` output the loader needs.
-type listPackage struct {
-	Dir         string
-	ImportPath  string
-	Name        string
-	GoFiles     []string
-	CgoFiles    []string
-	TestGoFiles []string
-	Standard    bool
-	Error       *struct{ Err string }
-}
-
-// Load enumerates the packages matching patterns with the go command, parses
-// their sources and type-checks them against a source importer, so the suite
-// needs no pre-built export data and no third-party loader. dir is the working
-// directory for package resolution (empty: the process's). Each unit includes
-// its in-package _test.go files; external (package foo_test) files are not
-// loaded. All returned packages share one FileSet.
-func Load(dir string, patterns []string) ([]*Package, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	args := append([]string{"list", "-e", "-json"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout = &stdout
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("analysis: go list %s: %v\n%s", strings.Join(patterns, " "), err, stderr.String())
-	}
-
-	var metas []listPackage
-	dec := json.NewDecoder(&stdout)
-	for {
-		var lp listPackage
-		if err := dec.Decode(&lp); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("analysis: decoding go list output: %v", err)
-		}
-		metas = append(metas, lp)
-	}
-
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
-	var pkgs []*Package
-	for _, lp := range metas {
-		if lp.Error != nil {
-			return nil, fmt.Errorf("analysis: %s: %s", lp.ImportPath, lp.Error.Err)
-		}
-		files := append([]string{}, lp.GoFiles...)
-		files = append(files, lp.CgoFiles...)
-		files = append(files, lp.TestGoFiles...)
-		if len(files) == 0 {
-			continue
-		}
-		var paths []string
-		for _, f := range files {
-			paths = append(paths, filepath.Join(lp.Dir, f))
-		}
-		pkg, err := checkFiles(fset, lp.ImportPath, paths, imp)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs, nil
-}
-
 // CheckFiles parses and type-checks one package from explicit file paths,
-// resolving imports from source. It is the loading primitive shared by Load,
-// the fixture runner and the unitchecker driver.
+// resolving imports through imp. It is the loading primitive shared by the
+// fixture runner and the go vet driver (cmd/adapipevet).
 func CheckFiles(fset *token.FileSet, path string, filenames []string, imp types.Importer) (*Package, error) {
-	return checkFiles(fset, path, filenames, imp)
-}
-
-func checkFiles(fset *token.FileSet, path string, filenames []string, imp types.Importer) (*Package, error) {
 	var files []*ast.File
 	for _, fn := range filenames {
 		f, err := parser.ParseFile(fset, fn, nil, parser.ParseComments)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"adapipe/internal/partition"
 	"adapipe/internal/schedule"
@@ -28,8 +29,8 @@ func (pl *Planner) SetStageScale(scale []float64) error {
 		return fmt.Errorf("core: stage scale has %d entries, strategy has %d stages", len(scale), pl.strat.PP)
 	}
 	for s, v := range scale {
-		if !(v > 0) { // rejects zero, negatives and NaN
-			return fmt.Errorf("core: stage %d scale %g, want > 0", s, v)
+		if !(v > 0) || math.IsInf(v, 1) { // rejects zero, negatives, NaN and +Inf
+			return fmt.Errorf("core: stage %d scale %g, want finite and > 0", s, v)
 		}
 	}
 	pl.mu.Lock()

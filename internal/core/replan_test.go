@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -22,18 +23,27 @@ func replanSetup(t *testing.T) (*Planner, *Plan) {
 }
 
 func TestSetStageScaleValidation(t *testing.T) {
-	pl, _ := replanSetup(t)
+	pl, plan0 := replanSetup(t)
 	p := pl.strat.PP
 	bad := [][]float64{
 		make([]float64, p-1),
 		func() []float64 { s := ones(p); s[0] = 0; return s }(),
 		func() []float64 { s := ones(p); s[1] = -2; return s }(),
 		func() []float64 { s := ones(p); s[2] = math.NaN(); return s }(),
+		func() []float64 { s := ones(p); s[0] = math.Inf(1); return s }(),
 	}
 	for i, s := range bad {
 		if err := pl.SetStageScale(s); err == nil {
 			t.Errorf("case %d: scale %v accepted", i, s)
 		}
+		if _, err := pl.ReplanWithScale(plan0, s); err == nil {
+			t.Errorf("case %d: replan under scale %v accepted", i, s)
+		}
+	}
+	// A rejected scale installs nothing: the next search is the nominal one.
+	p1, err := pl.Plan()
+	if got, want := planned(t, pl, p1, err), planned(t, pl, plan0, nil); !bytes.Equal(got, want) {
+		t.Errorf("plan after rejected scales differs from the nominal plan:\n got %s\nwant %s", got, want)
 	}
 	if err := pl.SetStageScale(ones(p)); err != nil {
 		t.Fatal(err)
