@@ -18,8 +18,11 @@ build:
 # guards the other direction: the vector exp and tanh copy math.Exp's
 # instructions and math.tanh's Go code rounding for rounding, which holds only
 # while the compiler does not contract that Go code into FMAs where the CPU
-# has them; the kernel, lane and loss tests must pass there too. (On amd64,
-# go vet's asmdecl checks the assembly against its Go declarations.)
+# has them; the kernel, lane and loss tests must pass there too, on every
+# kernel path the CPU has (avx512, avx2, generic). There is no GOAMD64=v4 leg:
+# a v4 binary exits at start on a CPU without AVX-512, and the kernels pick
+# their path at run time with GOAMD64 left at v1. (On amd64, go vet's asmdecl
+# checks the assembly against its Go declarations.)
 cross:
 	GOARCH=arm64 $(GO) vet ./internal/tensor ./internal/train ./internal/recompute ./internal/cpu ./internal/partition ./internal/core
 	GOARCH=386 $(GO) build ./...

@@ -215,21 +215,25 @@ func BenchmarkAblationFineQuantum(b *testing.B) {
 	coldSearch(b, opts)
 }
 
-// recomputeSetRowLevel is internal/recompute's test hook (setRowLevel),
-// reached the way tensorSetAVX2 is: it selects the knapsack's row-pass path by
-// name — "avx512", "avx2" or "generic", or the widest narrower one where the
-// CPU lacks it — and returns the previous path's name.
+// recomputeSetRowLevel is internal/recompute's test hook (setRowLevel). The
+// hook is unexported so that no caller outside the tests can pick a path;
+// linkname is how this package's benchmarks reach it. It selects the
+// knapsack's row-pass path by name — "avx512", "avx2" or "generic", or the
+// widest narrower one where the CPU lacks it — and returns the previous
+// path's name.
 //
 //go:linkname recomputeSetRowLevel adapipe/internal/recompute.setRowLevel
 func recomputeSetRowLevel(name string) (was string)
 
-// rowPaths are the knapsack's three row-pass paths, widest first.
+// rowPaths are the knapsack's three row-pass paths, widest first; the tensor
+// kernels have paths of the same names.
 var rowPaths = []string{"avx512", "avx2", "generic"}
 
-// hasRowPath reports whether this CPU runs the named row-pass path.
-func hasRowPath(name string) bool {
-	was := recomputeSetRowLevel(name)
-	return recomputeSetRowLevel(was) == name
+// hasPath reports whether this CPU runs the named path of a hook's package
+// (recomputeSetRowLevel or tensorSetLevel).
+func hasPath(hook func(name string) (was string), name string) bool {
+	was := hook(name)
+	return hook(was) == name
 }
 
 // BenchmarkKnapsack times one stage-level recomputation DP at realistic
@@ -254,7 +258,7 @@ func BenchmarkKnapsack(b *testing.B) {
 	}
 	for _, path := range rowPaths {
 		b.Run(path, func(b *testing.B) {
-			if !hasRowPath(path) {
+			if !hasPath(recomputeSetRowLevel, path) {
 				b.Skipf("no %s on this CPU", path)
 			}
 			defer recomputeSetRowLevel(recomputeSetRowLevel(path))
@@ -415,25 +419,36 @@ func BenchmarkTrainStep(b *testing.B) { benchTrainStep(b, false) }
 // beyond the baseline.
 func BenchmarkTrainStepRecorded(b *testing.B) { benchTrainStep(b, true) }
 
-// tensorSetAVX2 is internal/tensor's test hook (setAVX2): it turns the vector
-// path of its kernels on (where the CPU has it) or off and returns
-// the previous setting. The hook is unexported so that no caller outside the
-// tests can pick a path; linkname is how this package's benchmarks reach it.
+// tensorSetLevel is internal/tensor's test hook (setLevel), reached the way
+// recomputeSetRowLevel is: it selects the kernel path of the products and
+// the element-wise operations by name — "avx512", "avx2" or "generic", or the
+// widest narrower one where the CPU lacks it — and returns the previous
+// path's name.
 //
-//go:linkname tensorSetAVX2 adapipe/internal/tensor.setAVX2
-func tensorSetAVX2(on bool) (was bool)
+//go:linkname tensorSetLevel adapipe/internal/tensor.setLevel
+func tensorSetLevel(name string) (was string)
+
+// benchTensorPaths runs bench once per named kernel path, skipping a path
+// the CPU lacks.
+func benchTensorPaths(b *testing.B, name string, paths []string, bench func(b *testing.B)) {
+	for _, path := range paths {
+		b.Run(name+"/"+path, func(b *testing.B) {
+			if !hasPath(tensorSetLevel, path) {
+				b.Skipf("no %s on this CPU", path)
+			}
+			defer tensorSetLevel(tensorSetLevel(path))
+			bench(b)
+		})
+	}
+}
 
 // BenchmarkMatMul times the three product kernels on the five shapes
 // bench/train.go's tensorProbe uses (m×k×n: an m×n result over inner k) and
 // reports each as GFLOP/s; the ledger row tensor.matmul_gflops is their mix.
-// Each shape has a simd row (the AVX2 kernels, skipped on a CPU without
-// them) and a generic row (the portable loops), so the kernel gain is one
-// command: go test -run '^$' -bench MatMul .
+// Each shape has a row per kernel path — avx512 (4×16 tiles), avx2 (4×8
+// tiles), a path the CPU lacks skipped, and generic (the portable loops) — so
+// the kernel gain is one command: go test -run '^$' -bench MatMul .
 func BenchmarkMatMul(b *testing.B) {
-	// The hook turns the vector path on only where the CPU has it: ask for
-	// it, and the setting it hands back on restore says whether it took.
-	was := tensorSetAVX2(true)
-	haveSIMD := tensorSetAVX2(was)
 	s, dm, f := stepNet.Seq, stepNet.Dim, stepNet.FFN
 	rng := tensor.NewRNG(1)
 	x := tensor.RandNorm(rng, s, dm, 1)
@@ -452,23 +467,14 @@ func BenchmarkMatMul(b *testing.B) {
 		{"MatMulT", tensor.MatMulTInto, h, wUp, s, f, dm}, // dy·Wᵀ
 		{"TMatMul", tensor.TMatMulInto, x, h, dm, s, f},   // xᵀ·dy
 	} {
-		for _, path := range []struct {
-			name string
-			simd bool
-		}{{"simd", true}, {"generic", false}} {
-			b.Run(fmt.Sprintf("%s/%dx%dx%d/%s", c.name, c.m, c.k, c.n, path.name), func(b *testing.B) {
-				if path.simd && !haveSIMD {
-					b.Skip("no AVX2 on this CPU")
-				}
-				defer tensorSetAVX2(tensorSetAVX2(path.simd))
-				dst := tensor.New(c.m, c.n)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					c.into(dst, c.a, c.b)
-				}
-				b.ReportMetric(2*float64(c.m*c.k*c.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-			})
-		}
+		benchTensorPaths(b, fmt.Sprintf("%s/%dx%dx%d", c.name, c.m, c.k, c.n), rowPaths, func(b *testing.B) {
+			dst := tensor.New(c.m, c.n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.into(dst, c.a, c.b)
+			}
+			b.ReportMetric(2*float64(c.m*c.k*c.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
 	}
 }
 
@@ -476,13 +482,11 @@ func BenchmarkMatMul(b *testing.B) {
 // step on its shapes — Adam over a 64×64 weight, LayerNorm forward and
 // backward over a 32×64 activation, the GELU pair over a 32×128 one, the row
 // softmax over tensorProbe's 32×32 scores (tensor.softmax_us) and the causal
-// softmax attention runs on them — and reports ns per element. Like
-// BenchmarkMatMul, each has a simd row (the AVX2 kernels, skipped on a CPU
-// without them) and a generic row (the portable loops):
-// go test -run '^$' -bench Elementwise -cpu 1 .
+// softmax attention runs on them — and reports ns per element. Each has an
+// avx2 row (the AVX2 kernels, skipped on a CPU without them; there is no
+// AVX-512 element-wise kernel, so avx512 would time the same code) and a
+// generic row (the portable loops): go test -run '^$' -bench Elementwise -cpu 1 .
 func BenchmarkElementwise(b *testing.B) {
-	was := tensorSetAVX2(true)
-	haveSIMD := tensorSetAVX2(was)
 	s, dm, f := stepNet.Seq, stepNet.Dim, stepNet.FFN
 	rng := tensor.NewRNG(1)
 	mat := func(r, c int, std float64) *tensor.Mat { return tensor.RandNorm(rng, r, c, std) }
@@ -514,22 +518,13 @@ func BenchmarkElementwise(b *testing.B) {
 		{"Softmax/32x32", s * s, func(*testing.B) { tensor.SoftmaxRowsInto(probs, scores) }},
 		{"CausalSoftmax/32x32", s * s, func(*testing.B) { tensor.CausalSoftmaxInto(probs, scores) }},
 	} {
-		for _, path := range []struct {
-			name string
-			simd bool
-		}{{"simd", true}, {"generic", false}} {
-			b.Run(c.name+"/"+path.name, func(b *testing.B) {
-				if path.simd && !haveSIMD {
-					b.Skip("no AVX2 on this CPU")
-				}
-				defer tensorSetAVX2(tensorSetAVX2(path.simd))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					c.run(b)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.n), "ns/element")
-			})
-		}
+		benchTensorPaths(b, c.name, []string{"avx2", "generic"}, func(b *testing.B) {
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.run(b)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.n), "ns/element")
+		})
 	}
 }
 

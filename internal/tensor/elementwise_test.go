@@ -326,12 +326,12 @@ func FuzzElementwiseVsScalar(f *testing.F) {
 	f.Add(uint8(9), uint8(17), uint64(4), false)
 	f.Fuzz(func(t *testing.T, rows, cols uint8, seed uint64, planted bool) {
 		r, c := int(rows%40)+1, int(cols%70)
-		for _, p := range kernelPaths { // without AVX2 the simd pass repeats the portable one
-			was := setAVX2(p.simd)
+		for _, p := range kernelPaths { // a path the CPU lacks repeats the widest narrower one
+			was := setLevel(p)
 			checkElementwise(t, NewRNG(seed), r, c, planted)
-			setAVX2(was)
+			setLevel(was)
 			if t.Failed() {
-				t.Fatalf("on the %s path", p.name)
+				t.Fatalf("on the %s path", p)
 			}
 		}
 	})

@@ -1,11 +1,13 @@
 package tensor
 
-// The vector path of the three products, for amd64 CPUs with AVX2. It covers
-// the largest block of dst whose rows are a multiple of 4 and whose columns
-// are a multiple of 8; the portable loops in tensor.go compute the rest. Each
-// output element is still one chain of products added in ascending k from +0
-// (see kernel_amd64.s), so the vector path and the portable one agree bit for
-// bit and either may compute any element.
+// The vector path of the three products, for amd64 CPUs with AVX2 or
+// AVX-512F. It covers the largest block of dst whose rows are a multiple of 4
+// and whose columns are a multiple of 8, in 4-row tiles: at avx512, 16-column
+// tiles up to the last multiple of 16 and one 8-column tile for the 8 columns
+// left over, if any; at avx2, 8-column tiles throughout. The portable loops in
+// tensor.go compute the rest. Each output element is still one chain of
+// products added in ascending k from +0 (see kernel_amd64.s), so the paths
+// agree bit for bit and any of them may compute any element.
 
 // mulTilesAVX2 sets, for each of tiles column tiles, the 4×8 block of dst
 // the tile covers to the product of a 4-row block of A and a k-row block of b,
@@ -17,64 +19,103 @@ package tensor
 //go:noescape
 func mulTilesAVX2(dst *float64, ldd uintptr, a *float64, si, sk uintptr, b *float64, ldb, bstep uintptr, k, tiles, load, skip int)
 
-// mulAccAVX2 computes rows [0, rows) × columns [0, cols) of mulAcc's product
+// mulTilesAVX512 is mulTilesAVX2 with 4×16 tiles: dst[r][16t+j], j < 16.
+//
+//go:noescape
+func mulTilesAVX512(dst *float64, ldd uintptr, a *float64, si, sk uintptr, b *float64, ldb, bstep uintptr, k, tiles, load, skip int)
+
+// mulTiles runs the tile kernel w columns wide, 16 or 8.
+func mulTiles(w int, dst *float64, ldd uintptr, a *float64, si, sk uintptr, b *float64, ldb, bstep uintptr, k, tiles, load, skip int) {
+	if w == 16 {
+		mulTilesAVX512(dst, ldd, a, si, sk, b, ldb, bstep, k, tiles, load, skip)
+	} else {
+		mulTilesAVX2(dst, ldd, a, si, sk, b, ldb, bstep, k, tiles, load, skip)
+	}
+}
+
+// A span is a run of column tiles w wide over columns [j0, j1).
+type span struct{ w, j0, j1 int }
+
+// tileSpans returns the tiles of an n-column product at the current level,
+// widest first; either span may be empty.
+func tileSpans(n int) [2]span {
+	j8 := 0 // where the 8-column tiles start
+	if level == levelAVX512 {
+		j8 = n &^ 15
+	}
+	return [2]span{{16, 0, j8}, {8, j8, n &^ 7}}
+}
+
+// mulAccTiles computes rows [0, rows) × columns [0, cols) of mulAcc's product
 // and reports the block it covered.
-func mulAccAVX2(dst *Mat, ad []float64, si, sk int, b *Mat, tri triangle) (rows, cols int) {
+func mulAccTiles(dst *Mat, ad []float64, si, sk int, b *Mat, tri triangle) (rows, cols int) {
 	n, inner := b.Cols, b.Rows
 	rows, cols = dst.Rows&^3, n&^7
 	if rows == 0 || cols == 0 || inner == 0 {
 		return 0, 0
 	}
+	spans := tileSpans(n)
 	for i := 0; i < rows; i += 4 {
 		k0, k1 := tri.span(i, 4, inner)
 		terms := k1 - k0
 		if terms == 0 {
 			k0 = 0 // the tiles are only cleared
 		}
-		mulTilesAVX2(&dst.Data[i*n], uintptr(n*8), &ad[i*si+k0*sk], uintptr(si*8), uintptr(sk*8),
-			&b.Data[k0*n], uintptr(n*8), 64, terms, cols/8, 0, 1)
+		for _, s := range spans {
+			if s.j1 > s.j0 {
+				mulTiles(s.w, &dst.Data[i*n+s.j0], uintptr(n*8), &ad[i*si+k0*sk], uintptr(si*8), uintptr(sk*8),
+					&b.Data[k0*n+s.j0], uintptr(n*8), uintptr(s.w*8), terms, (s.j1-s.j0)/s.w, 0, 1)
+			}
+		}
 	}
 	return rows, cols
 }
 
-// panelLen is the stack buffer MatMulT packs b into: k-major panels of 8
-// columns, 16 KiB.
+// panelLen is the stack buffer MatMulT packs b into: k-major panels of 16 or
+// 8 columns, 16 KiB.
 const panelLen = 2048
 
-// matMulTAVX2 computes rows [0, rows) × columns [0, cols) of a·bᵀ — or, if
+// matMulTTiles computes rows [0, rows) × columns [0, cols) of a·bᵀ — or, if
 // lower, the tiles of that block that reach its lower triangle — and reports
-// the block it covered. The vector kernel wants b k-major, so b's rows are
-// packed, 8 at a time, into panels on the stack; a panel holds at most
-// panelLen/8 values of k, and a longer inner dimension is done in chunks whose
-// partial sums wait in dst — a float64 stored and reloaded is the same
-// float64, so the chain goes on exactly where it stopped.
-func matMulTAVX2(dst, a, b *Mat, lower bool) (rows, cols int) {
+// the block it covered. The tile kernels want b k-major, so b's rows are
+// packed, a tile's width at a time, into panels on the stack; a panel holds
+// at most panelLen/w values of k (128 at 16 columns, 256 at 8), and a longer
+// inner dimension is done in chunks whose partial sums wait in dst — a
+// float64 stored and reloaded is the same float64, so the chain goes on
+// exactly where it stopped.
+func matMulTTiles(dst, a, b *Mat, lower bool) (rows, cols int) {
 	inner, n := a.Cols, b.Rows
 	rows, cols = a.Rows&^3, n&^7
 	if rows == 0 || cols == 0 || inner == 0 {
 		return 0, 0
 	}
 	var panel [panelLen]float64
-	for k0 := 0; k0 < inner; k0 += panelLen / 8 {
-		kc := min(inner-k0, panelLen/8)
-		group := panelLen / (8 * kc) // panels per packing
-		for t0 := 0; t0 < cols/8; t0 += group {
-			tiles := min(group, cols/8-t0)
-			for t := 0; t < tiles; t++ {
-				packPanel(panel[t*8*kc:(t+1)*8*kc], b.Data[8*(t0+t)*inner+k0:], inner, kc)
-			}
+	for _, s := range tileSpans(n) {
+		w, tiles := s.w, (s.j1-s.j0)/s.w
+		if tiles == 0 {
+			continue
+		}
+		for k0 := 0; k0 < inner; k0 += panelLen / w {
+			kc := min(inner-k0, panelLen/w)
+			group := panelLen / (w * kc) // panels per packing
 			load := 0
 			if k0 > 0 {
 				load = 1
 			}
-			for i := 0; i < rows; i += 4 {
-				reach := tiles
-				if lower {
-					reach = min(tiles, (i+3)/8+1-t0) // the tiles holding a column ≤ i+3
+			for t0 := 0; t0 < tiles; t0 += group {
+				g, j := min(group, tiles-t0), s.j0+w*t0 // the group's panels and first column
+				for t := 0; t < g; t++ {
+					packPanel(panel[t*w*kc:(t+1)*w*kc], b.Data[(j+w*t)*inner+k0:], inner, kc, w)
 				}
-				if reach > 0 {
-					mulTilesAVX2(&dst.Data[i*n+8*t0], uintptr(n*8), &a.Data[i*inner+k0], uintptr(inner*8), 8,
-						&panel[0], 64, uintptr(kc*64), kc, reach, load, 0)
+				for i := 0; i < rows; i += 4 {
+					reach := g
+					if lower {
+						reach = min(g, (i+3-j+w)/w) // the tiles holding a column ≤ i+3
+					}
+					if reach > 0 {
+						mulTiles(w, &dst.Data[i*n+j], uintptr(n*8), &a.Data[i*inner+k0], uintptr(inner*8), 8,
+							&panel[0], uintptr(w*8), uintptr(kc*w*8), kc, reach, load, 0)
+					}
 				}
 			}
 		}
@@ -82,11 +123,25 @@ func matMulTAVX2(dst, a, b *Mat, lower bool) (rows, cols int) {
 	return rows, cols
 }
 
-// packPanel writes k values of 8 rows of b, rows inner values apart from bd
-// on, k-major into p: p[8kk+jj] = bd[jj·inner+kk].
-func packPanel(p, bd []float64, inner, k int) {
+// packPanel writes k values of w rows of b (w is 16 or 8), rows inner values
+// apart from bd on, k-major into p: p[w·kk+jj] = bd[jj·inner+kk]. Both
+// widths are unrolled, so each k's w values are written together.
+func packPanel(p, bd []float64, inner, k, w int) {
 	r0, r1, r2, r3 := bd[:k], bd[inner:][:k], bd[2*inner:][:k], bd[3*inner:][:k]
 	r4, r5, r6, r7 := bd[4*inner:][:k], bd[5*inner:][:k], bd[6*inner:][:k], bd[7*inner:][:k]
+	if w == 16 {
+		r8, r9, r10, r11 := bd[8*inner:][:k], bd[9*inner:][:k], bd[10*inner:][:k], bd[11*inner:][:k]
+		r12, r13, r14, r15 := bd[12*inner:][:k], bd[13*inner:][:k], bd[14*inner:][:k], bd[15*inner:][:k]
+		p = p[:16*k]
+		for kk := range r0 {
+			q := p[16*kk : 16*kk+16]
+			q[0], q[1], q[2], q[3] = r0[kk], r1[kk], r2[kk], r3[kk]
+			q[4], q[5], q[6], q[7] = r4[kk], r5[kk], r6[kk], r7[kk]
+			q[8], q[9], q[10], q[11] = r8[kk], r9[kk], r10[kk], r11[kk]
+			q[12], q[13], q[14], q[15] = r12[kk], r13[kk], r14[kk], r15[kk]
+		}
+		return
+	}
 	p = p[:8*k]
 	for kk := range r0 {
 		q := p[8*kk : 8*kk+8]

@@ -1,11 +1,13 @@
 #include "textflag.h"
 
-// The AVX2 micro-kernel behind the three products (see kernel_amd64.go). One
-// call computes a 4-row block of dst across `tiles` tiles of 8 columns; each
-// tile keeps its 4×8 outputs in Y0–Y7 across the whole inner dimension:
+// The micro-kernels behind the three products (see kernel_amd64.go). One call
+// computes a 4-row block of dst across `tiles` column tiles; each tile keeps
+// its 4-row outputs in eight accumulators across the whole inner dimension.
+// mulTilesAVX2's tiles are 8 columns wide, in Y registers; mulTilesAVX512's
+// are 16 wide, in Z registers (AVX-512F instructions only):
 //
-//	Y0:Y1 row 0   Y2:Y3 row 1   Y4:Y5 row 2   Y6:Y7 row 3
-//	Y8:Y9 the b row of the current k   Y10 the broadcast a factor   Y11 a product
+//	0:1 row 0   2:3 row 1   4:5 row 2   6:7 row 3
+//	8:9 the b row of the current k   10 the broadcast a factor   11 a product
 //
 // Lane j of an accumulator holds one output element and sees, in ascending
 // k, one VMULPD (a rounded product) and one VADDPD (a rounded sum): exactly
@@ -17,61 +19,66 @@
 // or stored), R13 tiles left, R12 the zero-skip state, X15 +0. Strides are in
 // bytes.
 
-// STARTACC starts the accumulators of the tile at DI: from +0, or, when the
-// load argument is set, from the partial sums dst already holds. STOREACC
-// writes them back.
-#define STARTACC \
+// STARTACC starts the accumulators of the tile at DI: from +0 (zeroed by
+// xor), or, when the load argument is set, from the partial sums dst already
+// holds, the second register of a row half bytes on. STOREACC writes them
+// back.
+#define STARTACC(xor, half, r0, r1, r2, r3, r4, r5, r6, r7) \
 	CMPQ    load+80(FP), $0; \
 	JNE     loadacc; \
-	VXORPD  Y0, Y0, Y0; \
-	VXORPD  Y1, Y1, Y1; \
-	VXORPD  Y2, Y2, Y2; \
-	VXORPD  Y3, Y3, Y3; \
-	VXORPD  Y4, Y4, Y4; \
-	VXORPD  Y5, Y5, Y5; \
-	VXORPD  Y6, Y6, Y6; \
-	VXORPD  Y7, Y7, Y7; \
+	xor     r0, r0, r0; \
+	xor     r1, r1, r1; \
+	xor     r2, r2, r2; \
+	xor     r3, r3, r3; \
+	xor     r4, r4, r4; \
+	xor     r5, r5, r5; \
+	xor     r6, r6, r6; \
+	xor     r7, r7, r7; \
 	JMP     started; \
 loadacc: \
 	LEAQ    (DX)(DX*2), CX; \
-	VMOVUPD (DI), Y0; \
-	VMOVUPD 32(DI), Y1; \
-	VMOVUPD (DI)(DX*1), Y2; \
-	VMOVUPD 32(DI)(DX*1), Y3; \
-	VMOVUPD (DI)(DX*2), Y4; \
-	VMOVUPD 32(DI)(DX*2), Y5; \
-	VMOVUPD (DI)(CX*1), Y6; \
-	VMOVUPD 32(DI)(CX*1), Y7; \
+	VMOVUPD (DI), r0; \
+	VMOVUPD half(DI), r1; \
+	VMOVUPD (DI)(DX*1), r2; \
+	VMOVUPD half(DI)(DX*1), r3; \
+	VMOVUPD (DI)(DX*2), r4; \
+	VMOVUPD half(DI)(DX*2), r5; \
+	VMOVUPD (DI)(CX*1), r6; \
+	VMOVUPD half(DI)(CX*1), r7; \
 started:
 
-#define STOREACC \
+#define STOREACC(half, r0, r1, r2, r3, r4, r5, r6, r7) \
 	LEAQ    (DX)(DX*2), CX; \
-	VMOVUPD Y0, (DI); \
-	VMOVUPD Y1, 32(DI); \
-	VMOVUPD Y2, (DI)(DX*1); \
-	VMOVUPD Y3, 32(DI)(DX*1); \
-	VMOVUPD Y4, (DI)(DX*2); \
-	VMOVUPD Y5, 32(DI)(DX*2); \
-	VMOVUPD Y6, (DI)(CX*1); \
-	VMOVUPD Y7, 32(DI)(CX*1)
+	VMOVUPD r0, (DI); \
+	VMOVUPD r1, half(DI); \
+	VMOVUPD r2, (DI)(DX*1); \
+	VMOVUPD r3, half(DI)(DX*1); \
+	VMOVUPD r4, (DI)(DX*2); \
+	VMOVUPD r5, half(DI)(DX*2); \
+	VMOVUPD r6, (DI)(CX*1); \
+	VMOVUPD r7, half(DI)(CX*1)
 
-// ROW adds the a factor at addr times the b row in Y8:Y9 to lo:hi.
-#define ROW(addr, lo, hi) \
-	VBROADCASTSD addr, Y10; \
-	VMULPD       Y8, Y10, Y11; \
-	VADDPD       Y11, lo, lo; \
-	VMULPD       Y9, Y10, Y11; \
-	VADDPD       Y11, hi, hi
+// ROW adds the a factor at addr, broadcast to f, times the b row in b0:b1 to
+// lo:hi, with p for the products. YROW and ZROW fix the registers.
+#define ROW(addr, lo, hi, b0, b1, f, p) \
+	VBROADCASTSD addr, f; \
+	VMULPD       b0, f, p; \
+	VADDPD       p, lo, lo; \
+	VMULPD       b1, f, p; \
+	VADDPD       p, hi, hi
 
-// CHECKED is ROW under the zero-skip contract: VUCOMISD against +0 sets ZF
-// for a ±0 factor and also for an unordered (NaN) one; the out-of-line
-// zero block tells the two apart by the parity flag, which only the
-// unordered case sets, and sends NaN back to form its product.
-#define CHECKED(addr, lo, hi, zero, do, next) \
+#define YROW(addr, lo, hi) ROW(addr, lo, hi, Y8, Y9, Y10, Y11)
+#define ZROW(addr, lo, hi) ROW(addr, lo, hi, Z8, Z9, Z10, Z11)
+
+// CHECKED is row (YROW or ZROW) under the zero-skip contract: VUCOMISD
+// against +0 sets ZF for a ±0 factor and also for an unordered (NaN) one; the
+// out-of-line zero block tells the two apart by the parity flag, which only
+// the unordered case sets, and sends NaN back to form its product.
+#define CHECKED(row, addr, lo, hi, zero, do, next) \
 	VUCOMISD addr, X15; \
 	JEQ      zero; \
 do: \
-	ROW(addr, lo, hi); \
+	row(addr, lo, hi); \
 next:
 
 // ZERO is CHECKED's out-of-line block: a factor that compared equal to +0
@@ -82,6 +89,20 @@ zero: \
 	MOVQ $2, R12; \
 	JMP  next
 
+// PROLOGUE loads the arguments both kernels share.
+#define PROLOGUE \
+	MOVQ   dst+0(FP), DI; \
+	MOVQ   ldd+8(FP), DX; \
+	MOVQ   a+16(FP), SI; \
+	MOVQ   si+24(FP), R8; \
+	MOVQ   sk+32(FP), R9; \
+	MOVQ   b+40(FP), BX; \
+	MOVQ   ldb+48(FP), R10; \
+	MOVQ   tiles+72(FP), R13; \
+	MOVQ   skip+88(FP), R12; \
+	LEAQ   (R8)(R8*2), AX; \
+	VXORPD X15, X15, X15
+
 // func mulTilesAVX2(dst *float64, ldd uintptr, a *float64, si, sk uintptr, b *float64, ldb, bstep uintptr, k, tiles, load, skip int)
 //
 // With skip set the kernel honours the zero-skip contract, testing every
@@ -89,22 +110,12 @@ zero: \
 // known to hold none, and the remaining tiles run without the tests. R12 is
 // 0 (no tests), 1 (testing, no zero seen) or 2 (testing, a zero seen).
 TEXT ·mulTilesAVX2(SB), NOSPLIT, $0-96
-	MOVQ   dst+0(FP), DI
-	MOVQ   ldd+8(FP), DX
-	MOVQ   a+16(FP), SI
-	MOVQ   si+24(FP), R8
-	MOVQ   sk+32(FP), R9
-	MOVQ   b+40(FP), BX
-	MOVQ   ldb+48(FP), R10
-	MOVQ   tiles+72(FP), R13
-	MOVQ   skip+88(FP), R12
-	LEAQ   (R8)(R8*2), AX
-	VXORPD X15, X15, X15
-	TESTQ  R13, R13
-	JZ     done
+	PROLOGUE
+	TESTQ R13, R13
+	JZ    done
 
 tile:
-	STARTACC
+	STARTACC(VXORPD, 32, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7)
 	MOVQ  SI, R14
 	MOVQ  BX, R11
 	MOVQ  k+64(FP), CX
@@ -116,10 +127,10 @@ tile:
 dense:
 	VMOVUPD (R11), Y8
 	VMOVUPD 32(R11), Y9
-	ROW((R14), Y0, Y1)
-	ROW((R14)(R8*1), Y2, Y3)
-	ROW((R14)(R8*2), Y4, Y5)
-	ROW((R14)(AX*1), Y6, Y7)
+	YROW((R14), Y0, Y1)
+	YROW((R14)(R8*1), Y2, Y3)
+	YROW((R14)(R8*2), Y4, Y5)
+	YROW((R14)(AX*1), Y6, Y7)
 	ADDQ    R9, R14
 	ADDQ    R10, R11
 	DECQ    CX
@@ -129,10 +140,10 @@ dense:
 checked:
 	VMOVUPD (R11), Y8
 	VMOVUPD 32(R11), Y9
-	CHECKED((R14), Y0, Y1, zero0, do0, next0)
-	CHECKED((R14)(R8*1), Y2, Y3, zero1, do1, next1)
-	CHECKED((R14)(R8*2), Y4, Y5, zero2, do2, next2)
-	CHECKED((R14)(AX*1), Y6, Y7, zero3, do3, next3)
+	CHECKED(YROW, (R14), Y0, Y1, zero0, do0, next0)
+	CHECKED(YROW, (R14)(R8*1), Y2, Y3, zero1, do1, next1)
+	CHECKED(YROW, (R14)(R8*2), Y4, Y5, zero2, do2, next2)
+	CHECKED(YROW, (R14)(AX*1), Y6, Y7, zero3, do3, next3)
 	ADDQ    R9, R14
 	ADDQ    R10, R11
 	DECQ    CX
@@ -140,8 +151,70 @@ checked:
 	ANDQ    $2, R12 // a tile without a zero turns the tests off
 
 store:
-	STOREACC
+	STOREACC(32, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7)
 	ADDQ $64, DI
+	ADDQ bstep+56(FP), BX
+	DECQ R13
+	JNZ  tile
+
+done:
+	VZEROUPPER
+	RET
+
+	ZERO(zero0, do0, next0)
+	ZERO(zero1, do1, next1)
+	ZERO(zero2, do2, next2)
+	ZERO(zero3, do3, next3)
+
+// func mulTilesAVX512(dst *float64, ldd uintptr, a *float64, si, sk uintptr, b *float64, ldb, bstep uintptr, k, tiles, load, skip int)
+//
+// mulTilesAVX2 with 16-column tiles: the same walk, the same zero-skip
+// states, twice the lanes per instruction. The accumulators are zeroed with
+// VPXORQ (VXORPD on Z registers needs AVX-512DQ).
+TEXT ·mulTilesAVX512(SB), NOSPLIT, $0-96
+	PROLOGUE
+	TESTQ R13, R13
+	JZ    done
+
+tile:
+	STARTACC(VPXORQ, 64, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	MOVQ  SI, R14
+	MOVQ  BX, R11
+	MOVQ  k+64(FP), CX
+	TESTQ CX, CX
+	JZ    store
+	TESTQ R12, R12
+	JNZ   checked
+
+dense:
+	VMOVUPD (R11), Z8
+	VMOVUPD 64(R11), Z9
+	ZROW((R14), Z0, Z1)
+	ZROW((R14)(R8*1), Z2, Z3)
+	ZROW((R14)(R8*2), Z4, Z5)
+	ZROW((R14)(AX*1), Z6, Z7)
+	ADDQ    R9, R14
+	ADDQ    R10, R11
+	DECQ    CX
+	JNZ     dense
+	JMP     store
+
+checked:
+	VMOVUPD (R11), Z8
+	VMOVUPD 64(R11), Z9
+	CHECKED(ZROW, (R14), Z0, Z1, zero0, do0, next0)
+	CHECKED(ZROW, (R14)(R8*1), Z2, Z3, zero1, do1, next1)
+	CHECKED(ZROW, (R14)(R8*2), Z4, Z5, zero2, do2, next2)
+	CHECKED(ZROW, (R14)(AX*1), Z6, Z7, zero3, do3, next3)
+	ADDQ    R9, R14
+	ADDQ    R10, R11
+	DECQ    CX
+	JNZ     checked
+	ANDQ    $2, R12
+
+store:
+	STOREACC(64, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	ADDQ $128, DI
 	ADDQ bstep+56(FP), BX
 	DECQ R13
 	JNZ  tile

@@ -5,11 +5,11 @@ package tensor
 // Off amd64 there is no vector path: the portable loops in tensor.go compute
 // every element.
 
-func mulAccAVX2(dst *Mat, ad []float64, si, sk int, b *Mat, tri triangle) (rows, cols int) {
+func mulAccTiles(dst *Mat, ad []float64, si, sk int, b *Mat, tri triangle) (rows, cols int) {
 	return 0, 0
 }
 
-func matMulTAVX2(dst, a, b *Mat, lower bool) (rows, cols int) { return 0, 0 }
+func matMulTTiles(dst, a, b *Mat, lower bool) (rows, cols int) { return 0, 0 }
 
 func addAVX2(dst, a, b []float64) int                                            { return 0 }
 func scaleAVX2(dst []float64, s float64) int                                     { return 0 }

@@ -105,17 +105,49 @@ func checkSame(a, b *Mat, op string) {
 // decides where an injected NaN/Inf spreads and what the non-finite guard
 // sees. MatMulT has no skip: every product is formed and 0·Inf is NaN there.
 
-// useAVX2 selects the vector path (kernel_amd64.go, elementwise_amd64.go)
-// for the products and the element-wise operations. It is decided once, from
-// the CPU; nothing but setAVX2 changes it.
-var useAVX2 = cpu.AVX2
+// A simdLevel names a kernel path; a wider one is a larger value.
+type simdLevel int
 
-// setAVX2 is the test hook: it turns the vector path on (where the CPU has
-// it) or off and returns the previous setting, so the tests and the root
-// package's BenchmarkMatMul and BenchmarkElementwise can hold both paths to
-// the same oracle.
-func setAVX2(on bool) (was bool) {
-	was, useAVX2 = useAVX2, on && cpu.AVX2
+const (
+	levelGeneric simdLevel = iota // the portable loops alone
+	levelAVX2                     // 4×8 product tiles, the AVX2 element-wise kernels
+	levelAVX512                   // 4×16 product tiles, the same element-wise kernels
+)
+
+// levelNames are the paths as the test hook and the benchmark rows name them.
+var levelNames = [...]string{levelGeneric: "generic", levelAVX2: "avx2", levelAVX512: "avx512"}
+
+// cpuLevel is the widest path this CPU has.
+func cpuLevel() simdLevel {
+	switch {
+	case cpu.AVX512:
+		return levelAVX512
+	case cpu.AVX2:
+		return levelAVX2
+	}
+	return levelGeneric
+}
+
+// level selects the vector path (kernel_amd64.go, elementwise_amd64.go) of
+// the products and the element-wise operations; the element-wise kernels are
+// AVX2 at both vector levels. It is decided once, from the CPU; nothing but
+// setLevel changes it.
+var level = cpuLevel()
+
+// setLevel is the test hook: it selects the named path ("avx512", "avx2" or
+// "generic") — or, where the CPU lacks it, the widest narrower one it has —
+// and returns the previous path's name, so the tests and the root package's
+// BenchmarkMatMul and BenchmarkElementwise can hold every path to the same
+// oracle.
+func setLevel(name string) (was string) {
+	want := levelGeneric
+	for l, n := range levelNames {
+		if n == name {
+			want = simdLevel(l)
+		}
+	}
+	was = levelNames[level]
+	level = min(want, cpuLevel())
 	return was
 }
 
@@ -172,8 +204,8 @@ func TMatMul(a, b *Mat) *Mat { return TMatMulInto(New(a.Cols, b.Cols), a, b) }
 // nonzero.
 func mulAcc(dst *Mat, ad []float64, si, sk int, b *Mat, tri triangle) {
 	rows, cols := 0, 0
-	if useAVX2 {
-		rows, cols = mulAccAVX2(dst, ad, si, sk, b, tri)
+	if level > levelGeneric {
+		rows, cols = mulAccTiles(dst, ad, si, sk, b, tri)
 	}
 	mulAccGo(dst, ad, si, sk, b, 0, rows, cols, tri)
 	mulAccGo(dst, ad, si, sk, b, rows, dst.Rows, 0, tri)
@@ -282,8 +314,9 @@ func MatMulT(a, b *Mat) *Mat { return MatMulTInto(New(a.Rows, b.Rows), a, b) }
 
 // MatMulTLowerInto is MatMulTInto for the lower triangle only (a causal
 // mask): dst[i][j] for j ≤ i is the element MatMulTInto computes, bit for bit,
-// and every element above the diagonal is set to fill. Only the 4×8 tiles
-// (2×4 blocks on the portable path) that reach the triangle are computed.
+// and every element above the diagonal is set to fill. Only the tiles (4×16
+// and 4×8 on the vector paths, 2×4 blocks on the portable one) that reach the
+// triangle are computed.
 func MatMulTLowerInto(dst, a, b *Mat, fill float64) *Mat {
 	matMulT(dst, a, b, true)
 	for i := 0; i < dst.Rows; i++ {
@@ -303,8 +336,8 @@ func matMulT(dst, a, b *Mat, lower bool) *Mat {
 	}
 	checkDst(dst, a.Rows, b.Rows, "matmulT")
 	rows, cols := 0, 0
-	if useAVX2 {
-		rows, cols = matMulTAVX2(dst, a, b, lower)
+	if level > levelGeneric {
+		rows, cols = matMulTTiles(dst, a, b, lower)
 	}
 	matMulTGo(dst, a, b, 0, rows, cols, lower)
 	matMulTGo(dst, a, b, rows, a.Rows, 0, lower)
@@ -438,15 +471,22 @@ func Frobenius(a *Mat) float64 {
 	return math.Sqrt(s)
 }
 
-// MaxAbsDiff returns max |a−b| element-wise.
+// MaxAbsDiff returns max |a−b| element-wise. A position where exactly one
+// side is NaN counts as +Inf, so a NaN never passes for a match; two NaNs, or
+// equal values (equal infinities included), count as 0.
 func MaxAbsDiff(a, b *Mat) float64 {
 	checkSame(a, b, "maxAbsDiff")
 	var m float64
-	for i := range a.Data {
-		d := math.Abs(a.Data[i] - b.Data[i])
-		if d > m {
-			m = d
+	for i, x := range a.Data {
+		y := b.Data[i]
+		if x == y || math.IsNaN(x) && math.IsNaN(y) {
+			continue
 		}
+		d := math.Abs(x - y)
+		if math.IsNaN(d) {
+			d = math.Inf(1)
+		}
+		m = max(m, d)
 	}
 	return m
 }

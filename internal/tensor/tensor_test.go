@@ -178,6 +178,13 @@ func TestAccessorsAndHelpers(t *testing.T) {
 	if MaxAbsDiff(FromSlice(1, 2, []float64{1, 5}), FromSlice(1, 2, []float64{2, 3})) != 2 {
 		t.Error("MaxAbsDiff")
 	}
+	nan, inf := math.NaN(), math.Inf(1)
+	if d := MaxAbsDiff(FromSlice(1, 2, []float64{nan, 1}), FromSlice(1, 2, []float64{0, 1})); !math.IsInf(d, 1) {
+		t.Errorf("MaxAbsDiff(NaN vs 0) = %v, want +Inf", d)
+	}
+	if d := MaxAbsDiff(FromSlice(1, 3, []float64{nan, inf, -inf}), FromSlice(1, 3, []float64{nan, inf, -inf})); d != 0 {
+		t.Errorf("MaxAbsDiff(NaN vs NaN, equal infinities) = %v, want 0", d)
+	}
 }
 
 func TestPanicsOnShapeErrors(t *testing.T) {
@@ -371,41 +378,64 @@ func kernelOperands(rng *RNG, m, k, n int, zeros, specials bool) (a, b, bt, c *M
 	return a, b, bt, c
 }
 
-// kernelPaths are the two product paths: the AVX2 kernels and the portable
+// kernelPaths are the three kernel paths, widest first: the 4×16 tiles, the
+// 4×8 tiles (the element-wise kernels are AVX2 at both) and the portable
 // loops.
-var kernelPaths = []struct {
-	name string
-	simd bool
-}{{"simd", true}, {"generic", false}}
+var kernelPaths = []string{"avx512", "avx2", "generic"}
+
+// hasPath reports whether this CPU runs the named kernel path.
+func hasPath(name string) bool {
+	was := setLevel(name)
+	return setLevel(was) == name
+}
 
 // onEachPath runs test once per kernel path this CPU has, switched through
 // the hook.
 func onEachPath(t *testing.T, test func(t *testing.T)) {
 	for _, p := range kernelPaths {
-		if p.simd && !cpu.AVX2 {
-			t.Logf("%s: not on this CPU", p.name)
+		if !hasPath(p) {
+			t.Logf("%s: not on this CPU", p)
 			continue
 		}
-		t.Run(p.name, func(t *testing.T) {
-			defer setAVX2(setAVX2(p.simd))
+		t.Run(p, func(t *testing.T) {
+			defer setLevel(setLevel(p))
 			test(t)
 		})
 	}
 }
 
+// TestDefaultLevelIsWidest pins the dispatch itself, which no bit test can
+// see: every path computes the same bits, so a start-up level that stayed
+// narrower than the CPU allows would pass them all. The level is avx512
+// exactly when the CPU has AVX-512F, else avx2 exactly when it has AVX2.
+func TestDefaultLevelIsWidest(t *testing.T) {
+	want := "generic"
+	switch {
+	case cpu.AVX512:
+		want = "avx512"
+	case cpu.AVX2:
+		want = "avx2"
+	}
+	if got := levelNames[level]; got != want {
+		t.Errorf("start-up level %s, want %s (AVX512 %v, AVX2 %v)", got, want, cpu.AVX512, cpu.AVX2)
+	}
+}
+
 // TestKernelsBitIdenticalToReference is the equality the executor's
 // bit-identical losses rest on, on each kernel path: every residue of rows
-// and cols modulo the block widths of both paths (the vector tile is 4 rows
-// by 8 columns, the portable block 2 by 4) and inner 0..9, the degenerate
-// shapes, inner dimensions long enough to make MatMulT pack in chunks and in
-// groups of panels, and the shapes of the train_1f1b workload — with and
-// without planted zeros and non-finite values. Float64bits, not a tolerance.
+// and cols modulo the block widths of all paths (the vector tiles are 4 rows
+// by 16 and by 8 columns, the portable block 2 by 4; columns 1..33 hold a
+// 16-column tile, an 8-column one and a portable tail in one product) and
+// inner 0..9, the degenerate shapes, inner dimensions long enough to make
+// MatMulT pack in chunks and in groups of panels, and the shapes of the
+// train_1f1b workload — with and without planted zeros and non-finite values.
+// Float64bits, not a tolerance.
 func TestKernelsBitIdenticalToReference(t *testing.T) {
 	type shape struct{ m, k, n int }
 	var shapes []shape
 	for m := 1; m <= 9; m++ {
 		for k := 0; k <= 9; k++ {
-			for n := 1; n <= 17; n++ {
+			for n := 1; n <= 33; n++ {
 				shapes = append(shapes, shape{m, k, n})
 			}
 		}
@@ -414,6 +444,10 @@ func TestKernelsBitIdenticalToReference(t *testing.T) {
 		shape{1, 1, 13}, shape{1, 13, 1}, shape{13, 1, 1}, shape{0, 3, 2}, shape{3, 2, 0},
 		// MatMulT's panels: one chunk in groups of 2 panels, then 2 and 3 chunks.
 		shape{8, 100, 40}, shape{4, 300, 8}, shape{5, 600, 17},
+		// The 16-column panels: a chunk is 128 deep, so inner 128 is one chunk,
+		// 129 two and 257 three (two on the 8-column panels); 40 deep, three
+		// panels are packed at a time.
+		shape{4, 128, 24}, shape{5, 129, 40}, shape{8, 257, 33}, shape{8, 40, 64},
 		// bench/train.go tensorProbe: x·W_up, x·W_q, q·kᵀ, dy·Wᵀ, xᵀ·dy — and the per-head attention products.
 		shape{32, 64, 128}, shape{32, 64, 64}, shape{32, 64, 32}, shape{32, 128, 64}, shape{64, 32, 128},
 		shape{32, 16, 32}, shape{32, 32, 16})
@@ -490,7 +524,37 @@ func TestZeroSkipContract(t *testing.T) {
 		if i := sameBits(TMatMul(p, v), refTMatMul(p, v)); i >= 0 {
 			t.Errorf("Pᵀ·dO differs from the reference at %d", i)
 		}
-
+		// The vector tiles: 4 rows by 32 columns is two 16-column tiles or four
+		// 8-column ones. Every row meets its first zero at k = 2: b rows 2–4
+		// hold ±Inf and NaN, which only the zeros of a reach, and row 3 has a
+		// NaN factor at k = 5, which must still be multiplied.
+		const kw, nw = 6, 32
+		aw, bw := randMat(rng, 4, kw), randMat(rng, kw, nw)
+		for r := 0; r < 4; r++ {
+			for k := 2; k <= 4; k++ {
+				aw.Set(r, k, []float64{0, negZero}[(r+k)%2])
+			}
+		}
+		aw.Set(3, 5, nan)
+		for k := 2; k <= 4; k++ {
+			for j := 0; j < nw; j++ {
+				bw.Set(k, j, []float64{inf, -inf, nan}[(j+k)%3])
+			}
+		}
+		wide := MatMul(aw, bw)
+		finite("MatMul 4x32 rows 0-2", FromSlice(3, nw, wide.Data[:3*nw]))
+		for j := 0; j < nw; j++ {
+			if !math.IsNaN(wide.At(3, j)) {
+				t.Errorf("MatMul 4x32: element (3, %d) = %v, the NaN factor was skipped", j, wide.At(3, j))
+			}
+		}
+		if i := sameBits(wide, refMatMul(aw, bw)); i >= 0 {
+			t.Errorf("MatMul 4x32 differs from the reference at %d", i)
+		}
+		awt := transpose(aw)
+		if i := sameBits(TMatMul(awt, bw), refTMatMul(awt, bw)); i >= 0 {
+			t.Errorf("TMatMul 4x32 differs from the reference at %d", i)
+		}
 	})
 }
 
@@ -503,12 +567,12 @@ func FuzzKernelsVsReference(f *testing.F) {
 	f.Add(uint8(2), uint8(9), uint8(6), uint64(4), uint8(2))
 	f.Fuzz(func(t *testing.T, m, k, n uint8, seed uint64, planting uint8) {
 		a, b, bt, c := kernelOperands(NewRNG(seed), int(m%40), int(k%40), int(n%40), planting&1 != 0, planting&2 != 0)
-		for _, p := range kernelPaths { // without AVX2 the simd pass repeats the portable one
-			was := setAVX2(p.simd)
+		for _, p := range kernelPaths { // a path the CPU lacks repeats the widest narrower one
+			was := setLevel(p)
 			checkKernels(t, a, b, bt, c)
-			setAVX2(was)
+			setLevel(was)
 			if t.Failed() {
-				t.Fatalf("on the %s path", p.name)
+				t.Fatalf("on the %s path", p)
 			}
 		}
 	})

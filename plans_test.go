@@ -51,7 +51,7 @@ const coldPlansSHA256 = "e4908ac4e1f76cc1d68e5dc63204770d143a942003eb006deadc9dd
 func onEachRowPath(t *testing.T, test func(t *testing.T)) {
 	for _, path := range rowPaths {
 		t.Run(path, func(t *testing.T) {
-			if !hasRowPath(path) {
+			if !hasPath(recomputeSetRowLevel, path) {
 				t.Skipf("no %s on this CPU", path)
 			}
 			defer recomputeSetRowLevel(recomputeSetRowLevel(path))
