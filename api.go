@@ -240,7 +240,7 @@ func DescribeSaves(p *Plan) string {
 	// Collect every unit key present.
 	keySet := map[string]bool{}
 	for _, s := range p.Stages {
-		for k := range s.Recompute.Saved {
+		for k := range s.Saved {
 			keySet[k] = true
 		}
 	}
@@ -258,7 +258,7 @@ func DescribeSaves(p *Plan) string {
 	for _, k := range keys {
 		fmt.Fprintf(&b, "%-28s", k)
 		for _, s := range p.Stages {
-			fmt.Fprintf(&b, " %4d", s.Recompute.Saved[k])
+			fmt.Fprintf(&b, " %4d", s.Saved[k])
 		}
 		b.WriteString("\n")
 	}

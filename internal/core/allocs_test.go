@@ -3,14 +3,16 @@ package core
 import (
 	"runtime"
 	"testing"
+
+	"adapipe/internal/coststore"
 )
 
 // TestReplanAllocsBounded pins the allocation cost of the warm replanning
 // fast path: with the memo, dense cost snapshot and knapsack solvers all
-// pooled on the planner, an incremental replan must stay an order of
-// magnitude below the cold search's ~3.7k allocations (TestSearchAllocsBounded).
-// The two scales alternate so every run recomputes levels, not just
-// reassembles.
+// pooled on the planner, an incremental replan solves nothing and allocates
+// only its two plans (each stage's own strategy map), their simulations and
+// the recomputed DP levels. The two scales alternate so every run recomputes
+// levels, not just reassembles.
 func TestReplanAllocsBounded(t *testing.T) {
 	warm := roomy.planner(t)
 	plan, err := warm.Plan()
@@ -31,21 +33,23 @@ func TestReplanAllocsBounded(t *testing.T) {
 		i++
 	})
 	t.Logf("incremental replan: %.0f allocs/op", allocs)
-	const bound = 1024 // measured ~410/op; a cold search runs ~3.7k
+	const bound = 1024 // measured ~400/op
 	if allocs > bound {
 		t.Fatalf("incremental replan allocates %.0f/op, bound %d", allocs, bound)
 	}
 }
 
 // TestSearchAllocsBounded pins the allocation cost of one cold serial GPT-3
-// search (L=194, p=8), in objects and in bytes. What is left is the
-// knapsack's own per-strategy result (its Saved map) plus one side entry per
-// solved (stage, class) of the reachable domain; the bookkeeping around the
-// solves allocates nothing per class or per DP cell. The object bound is the
-// measured 3 656 + 25 % (6.2k before the searches stopped solving unreachable
-// level-0 classes, ~20.2k before the dense table). The byte bound is the
-// measured 729 KB + 25 %: the knapsack's choice matrix is packed bits, and
-// with a []bool matrix (8× the bytes) the same search allocated 1.18 MB.
+// search (L=194, p=8), in objects and in bytes. A class solve allocates
+// nothing of its own (TestClassSolveAllocatesNothing): its strategy vectors
+// and published entries come out of chunks, so what is left is the
+// planner's tables, the solver's scratch, the chunks and the plan. The
+// object bound is the measured 115 + 25 % (3.6k while every strategy was a
+// map with a heap side entry, 6.2k before the searches stopped solving
+// unreachable level-0 classes, ~20.2k before the dense table). The byte bound
+// is the measured 464 KB + 25 % (726 KB with the maps); the knapsack's choice
+// matrix is packed bits, and with a []bool matrix (8× the bytes) the same
+// search allocated 1.18 MB.
 func TestSearchAllocsBounded(t *testing.T) {
 	planners := make([]*Planner, 5)
 	for k := range planners {
@@ -66,11 +70,58 @@ func TestSearchAllocsBounded(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	bytes := after.TotalAlloc - before.TotalAlloc
 	t.Logf("cold serial GPT-3 search: %.0f allocs, %d bytes", allocs, bytes)
-	const bound, byteBound = 4570, 912_000
+	const bound, byteBound = 144, 580_000
 	if allocs > bound {
 		t.Fatalf("cold search allocates %.0f, bound %d", allocs, bound)
 	}
 	if bytes > byteBound {
 		t.Fatalf("cold search allocates %d bytes, bound %d", bytes, byteBound)
+	}
+}
+
+// passSource is a cost source that computes every key itself, so a solve
+// through it runs the store path of solveClass without a store's own memo.
+type passSource struct{}
+
+func (passSource) GetOrCompute(_ coststore.Key, compute func() coststore.Entry) (coststore.Entry, coststore.Disposition) {
+	return compute(), coststore.Computed
+}
+
+// TestClassSolveAllocatesNothing pins the steady state of a class solve on a
+// pooled solver: the knapsack, its strategies and the published entries
+// reuse the solver's scratch or come out of its chunks, which refill far less
+// than once per solve, so AllocsPerRun (whole allocations per run) is 0 —
+// with no cost source and through one. Each run re-solves a class that fills
+// a knapsack table, its entries reset to absent first.
+func TestClassSolveAllocatesNothing(t *testing.T) {
+	pl := shapes[0].planner(t)
+	family, err := pl.familyFingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := pl.table
+	for _, src := range []CostSource{nil, passSource{}} {
+		sv, _, _ := pl.borrowSolver()
+		s, i, j, perMicro := -1, 0, 0, int64(0)
+		solve := func() {
+			for k := range tab.hot {
+				tab.hot[k].state.Store(costAbsent)
+			}
+			pl.solveClass(src, family, s, i, j, perMicro, sv)
+		}
+		// The first class of stage 0 whose solve fills a table.
+		for j = 0; j < pl.LayerCount() && sv.st.KnapsackRuns == 0; j++ {
+			if pm, fits := pl.microBudget(0, 0, j); fits && tab.reachable(0, 0, j) {
+				s, perMicro = 0, pm
+				solve()
+			}
+		}
+		if sv.st.KnapsackRuns == 0 {
+			t.Fatal("no class of stage 0 fills a knapsack table")
+		}
+		j--
+		if allocs := testing.AllocsPerRun(200, solve); allocs != 0 {
+			t.Fatalf("source %T: a class solve of layers 0..%d allocates %.0f/op, want 0", src, j, allocs)
+		}
 	}
 }

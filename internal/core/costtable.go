@@ -58,6 +58,7 @@ type costEntry struct {
 // produces.
 type classShape struct {
 	counts [numKinds]int32
+	kinds  int // bit k set when the class has a layer of kind k
 	params int64
 	// static is the Const of §4.2 for the class (SavedPerMicro and InFlight
 	// are per stage and stay zero here).
@@ -82,15 +83,50 @@ type classClaim struct {
 }
 
 // stageSolver is one class solve's scratch: the knapsack arena, the group
-// list handed to it, and the entries, budgets and strategies of the class
-// solve in progress. The filled knapsack table lives in knap and is
-// overwritten by the next solve.
+// list handed to it, the entries, budgets and strategies of the class solve in
+// progress, and the effort it counted. The filled knapsack table lives in knap
+// and is overwritten by the next solve.
 type stageSolver struct {
+	pl      *Planner
 	knap    recompute.Solver
 	groups  []recompute.Group
 	claims  []classClaim
 	budgets []int64
 	sols    []recompute.Solution
+	st      SearchStats
+	// The class solve in progress, which solveClass sets and entry reads;
+	// compute is sv.entry bound once, so the cost source gets it for free.
+	sh             *classShape
+	input, quantum int64
+	solved, k      int // the first claim read off the table; the claim priced
+	optional       float64
+	compute        func() coststore.Entry
+	// counts and entries are the unused tails of the chunks strategy vectors
+	// and published entries are carved from, never reused: the table and the
+	// store point into them.
+	counts  []int32
+	entries []coststore.Entry
+}
+
+// carve returns n zeroed counts from the solver's count chunk.
+func (sv *stageSolver) carve(n int) []int32 {
+	if len(sv.counts) < n {
+		sv.counts = make([]int32, max(1024, n))
+	}
+	v := sv.counts[:n:n]
+	sv.counts = sv.counts[n:]
+	return v
+}
+
+// keep copies c into the solver's entry chunk and returns its address there.
+func (sv *stageSolver) keep(c coststore.Entry) *coststore.Entry {
+	if len(sv.entries) == 0 {
+		sv.entries = make([]coststore.Entry, 64)
+	}
+	e := &sv.entries[0]
+	sv.entries = sv.entries[1:]
+	*e = c
+	return e
 }
 
 type costTable struct {
@@ -113,6 +149,9 @@ type costTable struct {
 	units, keepUnits [numKinds]int
 	keepBytes        [numKinds]int64
 	templates        []groupTemplate
+	// keys[sh.kinds] names the groups of the classes with those kinds, in
+	// their order; every entry of the classes shares it.
+	keys [1 << numKinds][]string
 
 	hot []costEntry
 	// solved is the cold half of the entries, set only for classes that
@@ -177,6 +216,7 @@ func newCostTable(pl *Planner) *costTable {
 			buffer += kindBuffer[kind]
 		}
 		sh.counts[kind]++
+		sh.kinds |= 1 << kind
 		sh.params += kindParams[kind]
 		sh.fwd += layer[kind].FwdTime
 		sh.bwd += layer[kind].BwdTime
@@ -230,6 +270,13 @@ func newCostTable(pl *Planner) *costTable {
 		}
 	}
 	sort.Slice(t.templates, func(a, b int) bool { return t.templates[a].group.Key < t.templates[b].group.Key })
+	for m := range t.keys {
+		for _, tp := range t.templates {
+			if m>>tp.kind&1 != 0 {
+				t.keys[m] = append(t.keys[m], tp.group.Key)
+			}
+		}
+	}
 
 	t.stride = len(t.shapes)
 	if !t.iso {
@@ -301,12 +348,12 @@ func (t *costTable) cost(idx int) coststore.Entry {
 	return coststore.Entry{}
 }
 
-// publish installs a solved cost into an entry the caller owns (it won the
-// absent → solving transition) and wakes any search parked on it.
-func (t *costTable) publish(idx int, c coststore.Entry) {
+// publish installs c, kept and never written again, into an entry the caller
+// owns (it won the absent → solving transition) and wakes any parked search.
+func (t *costTable) publish(idx int, c *coststore.Entry) {
 	e := &t.hot[idx]
 	e.fwd, e.bwd = c.Fwd, c.Bwd
-	t.solved[idx] = &c
+	t.solved[idx] = c
 	state := costInfeasible
 	if c.OK {
 		state = costFeasible

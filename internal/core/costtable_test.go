@@ -61,7 +61,7 @@ func referenceStageCost(pl *Planner, s, i, j int) coststore.Entry {
 	switch pl.opts.Recompute {
 	case RecomputeFull:
 		var extra float64
-		sol := recompute.Solution{Feasible: true, Saved: map[string]int{}}
+		sol := recompute.Solution{Feasible: true}
 		for _, l := range layers {
 			lc := pl.prof.Layers[l.Kind]
 			switch l.Kind {
@@ -79,7 +79,7 @@ func referenceStageCost(pl *Planner, s, i, j int) coststore.Entry {
 
 	case RecomputeNone:
 		saved := memory.SavedAll(pl.prof, layers) + input
-		sol := recompute.Solution{Feasible: true, Saved: map[string]int{}, SavedBytes: saved}
+		sol := recompute.Solution{Feasible: true, SavedBytes: saved}
 		for _, l := range layers {
 			sol.SavedUnits += len(pl.prof.Layers[l.Kind].Units)
 			sol.TotalUnits += len(pl.prof.Layers[l.Kind].Units)
@@ -105,13 +105,17 @@ func referenceStageCost(pl *Planner, s, i, j int) coststore.Entry {
 			Quantum:    pl.quantumFor(perMicro),
 			DisableGCD: pl.opts.DisableGCD,
 		})
+		var keys []string
+		for _, g := range groups {
+			keys = append(keys, g.Key)
+		}
 		if !sol.Feasible {
-			return coststore.Entry{Sol: sol}
+			return coststore.Entry{Sol: sol, Keys: keys}
 		}
 		sol.SavedBytes += input
 		br := memory.Stage(pl.cfg, pl.prof, pl.strat, layers, s, sol.SavedBytes, pl.opts.Memory)
 		extra := recompute.TotalOptionalTime(groups) - sol.SavedTime
-		return coststore.Entry{Fwd: fwd, Bwd: bwd + extra, Sol: sol, Mem: br, OK: true}
+		return coststore.Entry{Fwd: fwd, Bwd: bwd + extra, Sol: sol, Keys: keys, Mem: br, OK: true}
 	}
 }
 
@@ -134,8 +138,8 @@ func checkAgainstReference(t testing.TB, pl *Planner, s, i, j int) {
 			math.Float64bits(want.Fwd), math.Float64bits(want.Bwd))
 	case got.Mem != want.Mem:
 		t.Fatalf("(%d,%d,%d): Mem = %+v, reference %+v", s, i, j, got.Mem, want.Mem)
-	case !reflect.DeepEqual(got.Sol, want.Sol):
-		t.Fatalf("(%d,%d,%d): Recompute = %+v, reference %+v", s, i, j, got.Sol, want.Sol)
+	case !reflect.DeepEqual(got.Sol, want.Sol), !reflect.DeepEqual(got.Keys, want.Keys):
+		t.Fatalf("(%d,%d,%d): Recompute = %+v of %q, reference %+v of %q", s, i, j, got.Sol, got.Keys, want.Sol, want.Keys)
 	}
 }
 

@@ -138,8 +138,11 @@ type StagePlan struct {
 	// Fwd and Bwd are the modeled per-micro-batch times in seconds; Bwd
 	// includes the recomputation overhead of the chosen strategy.
 	Fwd, Bwd float64
-	// Recompute is the chosen save/recompute strategy.
+	// Recompute is the chosen strategy's totals; its Saved is nil (see Saved).
 	Recompute recompute.Solution
+	// Saved maps a unit key (e.g. "FFN/FFNUp") to the copies the stage saves,
+	// non-zero counts only. The map is the plan's own.
+	Saved map[string]int
 	// Mem is the modeled peak memory.
 	Mem memory.Breakdown
 }
@@ -446,9 +449,8 @@ func (pl *Planner) resolve(tr *obs.Tracer, idx, s, i, j int) uint32 {
 	}
 	sv, src, family := pl.borrowSolver()
 	sv.knap.Trace = tr
-	var st SearchStats
-	pl.solveClass(src, family, s, i, j, perMicro, sv, &st)
-	pl.returnSolver(sv, st)
+	pl.solveClass(src, family, s, i, j, perMicro, sv)
+	pl.returnSolver(sv)
 	return e.state.Load()
 }
 
@@ -496,9 +498,9 @@ func (pl *Planner) microBudget(s, i, j int) (perMicro int64, fits bool) {
 // parked on one retries instead of waiting forever.
 //
 // It reads only immutable planner state, runs on sv's scratch and counts
-// effort into st — so concurrent searches run it in parallel, each with a
+// effort into sv.st — so concurrent searches run it in parallel, each with a
 // private solver and stats shard.
-func (pl *Planner) solveClass(src CostSource, family []byte, s, i, j int, perMicro int64, sv *stageSolver, st *SearchStats) {
+func (pl *Planner) solveClass(src CostSource, family []byte, s, i, j int, perMicro int64, sv *stageSolver) {
 	t := pl.table
 	sh := &t.shapes[t.shapeIndex(i, j)]
 	searched := pl.opts.Recompute != RecomputeFull && pl.opts.Recompute != RecomputeNone
@@ -528,94 +530,96 @@ func (pl *Planner) solveClass(src CostSource, family []byte, s, i, j int, perMic
 		}
 	}()
 
-	input := pl.stageInput(i)
-	// solved is the first claim whose strategy has been read from the table.
-	solved := len(claims)
-	var optional float64
-	entry := func(k int) coststore.Entry {
-		c := claims[k]
-		if !searched {
-			return pl.fixedPolicyEntry(c.s, sh, input)
-		}
-		if k < solved {
-			solved = k
-			optional = pl.searchStrategies(sh, k, quantum, sv, st)
-		}
-		sol := sv.sols[k]
-		if !sol.Feasible {
-			return coststore.Entry{Sol: sol}
-		}
-		mem := sh.static
-		mem.InFlight = memory.InFlight(pl.strat.PP, c.s)
-		sol.SavedBytes += input
-		mem.SavedPerMicro = sol.SavedBytes
-		return coststore.Entry{Fwd: sh.fwd, Bwd: sh.bwd + (optional - sol.SavedTime), Sol: sol, Mem: mem, OK: true}
-	}
+	sv.sh, sv.input, sv.quantum, sv.solved = sh, pl.stageInput(i), quantum, len(claims)
 	for k, c := range claims {
+		sv.k = k
 		var cost coststore.Entry
 		if src == nil {
-			cost = entry(k)
+			cost = sv.entry()
 		} else {
-			// The store runs the compute closure exactly once per key
+			// The store runs the compute function exactly once per key
 			// process-wide (singleflight), so the planner either solves and
 			// publishes, or adopts another planner's identical solve.
 			var disp coststore.Disposition
-			cost, disp = src.GetOrCompute(pl.storeKey(family, c.s, i, j), func() coststore.Entry { return entry(k) })
+			cost, disp = src.GetOrCompute(pl.storeKey(family, c.s, i, j), sv.compute)
 			if disp == coststore.Computed {
-				st.StoreMisses++
+				sv.st.StoreMisses++
 			} else {
-				st.StoreHits++
+				sv.st.StoreHits++
 			}
 		}
-		t.publish(c.idx, cost)
+		t.publish(c.idx, sv.keep(cost))
 		published = k + 1
 	}
 }
 
-// searchStrategies runs the §4 knapsack of a class once for sv.claims[from:]
+// entry prices claim sv.k of the class solve in progress, running the class's
+// knapsack the first time a claim needs a strategy from it.
+func (sv *stageSolver) entry() coststore.Entry {
+	pl, sh, c := sv.pl, sv.sh, sv.claims[sv.k]
+	if pl.opts.Recompute == RecomputeFull || pl.opts.Recompute == RecomputeNone {
+		return pl.fixedPolicyEntry(c.s, sh, sv.input)
+	}
+	if sv.k < sv.solved {
+		sv.solved = sv.k
+		sv.optional = sv.searchStrategies()
+	}
+	sol, keys := sv.sols[sv.k], pl.table.keys[sh.kinds]
+	if !sol.Feasible {
+		return coststore.Entry{Sol: sol, Keys: keys}
+	}
+	mem := sh.static
+	mem.InFlight = memory.InFlight(pl.strat.PP, c.s)
+	sol.SavedBytes += sv.input
+	mem.SavedPerMicro = sol.SavedBytes
+	return coststore.Entry{Fwd: sh.fwd, Bwd: sh.bwd + (sv.optional - sol.SavedTime), Sol: sol, Keys: keys, Mem: mem, OK: true}
+}
+
+// searchStrategies runs the §4 knapsack of the class once for sv.claims[sv.k:]
 // — one table, read at each claim's budget — leaving claim k's strategy in
-// sv.sols[k], and returns the class's total optional forward time (what a
+// sv.sols[k] and returns the class's total optional forward time (what a
 // stage that saves nothing re-executes).
-func (pl *Planner) searchStrategies(sh *classShape, from int, quantum int64, sv *stageSolver, st *SearchStats) float64 {
-	sv.groups = pl.table.groups(sh, sv.groups)
+func (sv *stageSolver) searchStrategies() float64 {
+	sv.groups = sv.pl.table.groups(sv.sh, sv.groups)
 	n := len(sv.claims)
 	if cap(sv.sols) < n {
 		sv.sols = make([]recompute.Solution, n)
 		sv.budgets = make([]int64, n)
 	}
 	sv.sols, sv.budgets = sv.sols[:n], sv.budgets[:n]
-	sols, budgets := sv.sols[from:], sv.budgets[from:]
-	for k, c := range sv.claims[from:] {
+	sols, budgets := sv.sols[sv.k:], sv.budgets[sv.k:]
+	for k, c := range sv.claims[sv.k:] {
 		budgets[k] = c.perMicro
+		sols[k].Saved = sv.carve(len(sv.groups))
 	}
 	cells, live := sv.knap.OptimizeMany(sv.groups, budgets, recompute.Options{
-		Quantum:    quantum,
-		DisableGCD: pl.opts.DisableGCD,
+		Quantum:    sv.quantum,
+		DisableGCD: sv.pl.opts.DisableGCD,
 	}, sols)
 	served := 0
 	for k := range sols {
 		if sols[k].DPCells > 0 {
 			served++
-			st.QuantaBeforeGCD += sols[k].QuantaBeforeGCD
-			st.QuantaAfterGCD += sols[k].QuantaAfterGCD
+			sv.st.QuantaBeforeGCD += sols[k].QuantaBeforeGCD
+			sv.st.QuantaAfterGCD += sols[k].QuantaAfterGCD
 		}
 	}
 	if cells > 0 {
-		st.KnapsackRuns++
-		st.KnapsackCells += cells
-		st.KnapsackLiveCells += live
-		st.KnapsackShared += served - 1
+		sv.st.KnapsackRuns++
+		sv.st.KnapsackCells += cells
+		sv.st.KnapsackLiveCells += live
+		sv.st.KnapsackShared += served - 1
 	}
 	return recompute.TotalOptionalTime(sv.groups)
 }
 
 // fixedPolicyEntry prices a class at stage s under classic full or no
-// recomputation, from the per-kind tables alone.
+// recomputation, from the per-kind tables alone. It saves no unit by key.
 func (pl *Planner) fixedPolicyEntry(s int, sh *classShape, input int64) coststore.Entry {
 	t := pl.table
 	mem := sh.static
 	mem.InFlight = memory.InFlight(pl.strat.PP, s)
-	sol := recompute.Solution{Feasible: true, Saved: map[string]int{}, SavedBytes: input}
+	sol := recompute.Solution{Feasible: true, SavedBytes: input}
 	for k, c := range sh.counts {
 		sol.TotalUnits += int(c) * t.units[k]
 		sol.SavedUnits += int(c) * t.keepUnits[k]
@@ -639,7 +643,9 @@ func (pl *Planner) borrowSolver() (*stageSolver, CostSource, []byte) {
 	defer pl.mu.Unlock()
 	n := len(pl.solverPool)
 	if n == 0 {
-		return new(stageSolver), pl.source, pl.family
+		sv := &stageSolver{pl: pl}
+		sv.compute = sv.entry
+		return sv, pl.source, pl.family
 	}
 	sv := pl.solverPool[n-1]
 	pl.solverPool[n-1] = nil
@@ -650,12 +656,13 @@ func (pl *Planner) borrowSolver() (*stageSolver, CostSource, []byte) {
 // returnSolver parks a borrowed solver for the next solve — dropping its
 // tracer so a later request cannot cross-attribute knapsack spans — and
 // merges the effort its solve counted into Stats.
-func (pl *Planner) returnSolver(sv *stageSolver, st SearchStats) {
+func (pl *Planner) returnSolver(sv *stageSolver) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	sv.knap.Trace = nil
 	pl.solverPool = append(pl.solverPool, sv)
-	pl.Stats.addSolves(st)
+	pl.Stats.addSolves(sv.st)
+	sv.st = SearchStats{}
 }
 
 // quantumFor grows the rounding quantum (in powers of two) until the budget
@@ -879,13 +886,16 @@ func (pl *Planner) assemble(bounds []int, scale []float64, total, w, e, m float6
 			c.Fwd *= scale[s]
 			c.Bwd *= scale[s]
 		}
+		sol := c.Sol
+		sol.Saved = nil // the plan gets its own map, not the table's vector
 		plan.Stages = append(plan.Stages, StagePlan{
 			Stage:     s,
 			LayerLo:   bounds[s],
 			LayerHi:   bounds[s+1],
 			Fwd:       c.Fwd,
 			Bwd:       c.Bwd,
-			Recompute: c.Sol,
+			Recompute: sol,
+			Saved:     c.Strategy(),
 			Mem:       c.Mem,
 		})
 	}

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"adapipe/internal/coststore"
 	"adapipe/internal/hardware"
 	"adapipe/internal/model"
 	"adapipe/internal/parallel"
@@ -479,5 +483,75 @@ func TestPlannerSingleStage(t *testing.T) {
 	}
 	if p.Stages[0].LayerLo != 0 || p.Stages[0].LayerHi != pl.LayerCount() {
 		t.Error("single stage must cover the whole model")
+	}
+}
+
+// scribble overwrites every number held in a map or slice reachable from v,
+// so a test can tell whether a plan shares its strategy with anything else.
+func scribble(v reflect.Value, held bool) {
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Interface:
+		if !v.IsNil() {
+			scribble(v.Elem(), held)
+		}
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if f := v.Field(i); f.CanSet() {
+				scribble(f, held)
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		for i := range v.Len() {
+			scribble(v.Index(i), true)
+		}
+	case reflect.Map:
+		for _, k := range v.MapKeys() {
+			e := reflect.New(v.Type().Elem()).Elem()
+			e.Set(v.MapIndex(k))
+			scribble(e, true)
+			v.SetMapIndex(k, e)
+		}
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		if held {
+			v.SetInt(999)
+		}
+	case reflect.Float32, reflect.Float64:
+		if held {
+			v.SetFloat(999)
+		}
+	}
+}
+
+// TestPlanStrategyIsPrivate overwrites every map and slice reachable from a
+// returned plan's stages and requires the next plans — from the same planner,
+// and from a second planner of the family reading the same cost store — to
+// be byte-identical to the first: a plan owns its strategy and shares nothing
+// with the cost table or the store.
+func TestPlanStrategyIsPrivate(t *testing.T) {
+	store := coststore.New(0)
+	planners := [2]*Planner{shapes[0].planner(t), shapes[0].planner(t)}
+	for _, pl := range planners {
+		if err := pl.SetCostSource(store); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := planners[0].Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pl := range append(planners[:], planners[0]) {
+		scribble(reflect.ValueOf(first.Stages), false)
+		next, err := pl.Plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := json.Marshal(next); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("plan after overwriting an earlier plan's strategy (err %v):\n%s\nwant\n%s", err, got, want)
+		}
+		first = next
 	}
 }

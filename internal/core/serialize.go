@@ -65,7 +65,7 @@ func (p *Plan) MarshalJSON() ([]byte, error) {
 			LayerHi:       s.LayerHi,
 			FwdSec:        s.Fwd,
 			BwdSec:        s.Bwd,
-			SavedUnits:    s.Recompute.Saved,
+			SavedUnits:    s.Saved,
 			SavedPerMicro: s.Mem.SavedPerMicro,
 			StaticBytes:   s.Mem.Static(),
 			PeakBytes:     s.Mem.Total(),
@@ -119,7 +119,7 @@ func (p *Plan) UnmarshalJSON(data []byte) error {
 			Bwd:     s.BwdSec,
 		}
 		sp.Recompute.Feasible = true
-		sp.Recompute.Saved = s.SavedUnits
+		sp.Saved = s.SavedUnits
 		for _, c := range s.SavedUnits {
 			sp.Recompute.SavedUnits += c
 		}

@@ -61,18 +61,32 @@ func ParseKey(s string) (Key, error) {
 // Entry is one solved stage cost in its shareable form: the modeled forward
 // and backward times, the chosen recomputation solution, the memory breakdown
 // and the feasibility verdict — exactly the fields the planner caches
-// per iso-class. Entries are immutable once stored; consumers must not
-// mutate the Solution's Saved map.
+// per iso-class. Entries are immutable once stored: Sol.Saved and Keys are
+// shared with every consumer, so a caller wanting a strategy of its own takes
+// Strategy.
 type Entry struct {
 	// Fwd and Bwd are the modeled per-micro-batch stage times in seconds
 	// (Bwd includes the recomputation overhead of the chosen strategy).
 	Fwd, Bwd float64
-	// Sol is the chosen save/recompute strategy.
-	Sol recompute.Solution
+	// Sol is the chosen save/recompute strategy; Sol.Saved[g] counts the
+	// saved copies of the unit Keys[g].
+	Sol  recompute.Solution
+	Keys []string
 	// Mem is the modeled peak memory.
 	Mem memory.Breakdown
 	// OK reports memory feasibility.
 	OK bool
+}
+
+// Strategy returns a new map of the entry's non-zero counts by unit key.
+func (e *Entry) Strategy() map[string]int {
+	m := make(map[string]int, len(e.Keys))
+	for g, c := range e.Sol.Saved {
+		if c != 0 {
+			m[e.Keys[g]] = int(c)
+		}
+	}
+	return m
 }
 
 // Disposition classifies how GetOrCompute satisfied a lookup.

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -26,10 +27,11 @@ func testKey(i int) Key {
 
 func testEntry(i int) Entry {
 	return Entry{
-		Fwd: float64(i) * 1.5,
-		Bwd: float64(i) * 3.25,
-		Sol: recompute.Solution{Feasible: true, SavedTime: float64(i), SavedBytes: int64(i), Saved: map[string]int{"attn": i}},
-		OK:  i%2 == 0,
+		Fwd:  float64(i) * 1.5,
+		Bwd:  float64(i) * 3.25,
+		Sol:  recompute.Solution{Feasible: true, SavedTime: float64(i), SavedBytes: int64(i), Saved: []int32{int32(i)}},
+		Keys: []string{"attn"},
+		OK:   i%2 == 0,
 	}
 }
 
@@ -48,7 +50,7 @@ func TestGetOrComputeComputesOnce(t *testing.T) {
 	if disp2 != Hit || calls != 1 {
 		t.Fatalf("second lookup: disposition %v, %d compute calls; want hit without recompute", disp2, calls)
 	}
-	if e2.Fwd != e.Fwd || e2.Sol.Saved["attn"] != 1 {
+	if e2.Fwd != e.Fwd || e2.Strategy()["attn"] != 1 {
 		t.Fatalf("hit returned a different entry: %+v", e2)
 	}
 	if got := st.Len(); got != 1 {
@@ -197,8 +199,40 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("key %d: disposition %v, want hit", i, disp)
 		}
 		want := testEntry(i)
-		if e.Fwd != want.Fwd || e.Bwd != want.Bwd || e.OK != want.OK || e.Sol.Saved["attn"] != i {
+		if e.Fwd != want.Fwd || e.Bwd != want.Bwd || e.OK != want.OK || e.Strategy()["attn"] != i {
 			t.Fatalf("key %d: restored entry %+v differs from saved %+v", i, e, want)
+		}
+	}
+}
+
+// TestEntryCodecSpellsStrategyByKey pins the wire form of a strategy: the
+// sorted object of its non-zero counts by key, {} when it names no unit, and
+// a decode that reads the same strategy back with the keys sorted.
+func TestEntryCodecSpellsStrategyByKey(t *testing.T) {
+	for _, c := range []struct {
+		e    Entry
+		want string
+	}{
+		{Entry{Sol: recompute.Solution{Saved: []int32{2, 0, 1}}, Keys: []string{"b", "c", "a"}}, `"Saved":{"a":1,"b":2}`},
+		{Entry{Sol: recompute.Solution{Feasible: true}}, `"Saved":{}`},
+	} {
+		data, err := json.Marshal(wire(c.e))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(data), c.want) {
+			t.Fatalf("%+v encodes as %s, want %s in it", c.e, data, c.want)
+		}
+		var w wireEntry
+		if err := json.Unmarshal(data, &w); err != nil {
+			t.Fatal(err)
+		}
+		back := w.entry()
+		if !reflect.DeepEqual(back.Strategy(), c.e.Strategy()) || !sort.StringsAreSorted(back.Keys) || len(back.Keys) != len(back.Sol.Saved) {
+			t.Fatalf("%s decodes as %+v, strategy %v; want %v", data, back, back.Strategy(), c.e.Strategy())
+		}
+		if again, err := json.Marshal(wire(back)); err != nil || string(again) != string(data) {
+			t.Fatalf("re-encoding %s gives %s (err %v)", data, again, err)
 		}
 	}
 }

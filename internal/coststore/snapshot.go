@@ -8,6 +8,9 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"adapipe/internal/memory"
+	"adapipe/internal/recompute"
 )
 
 // SnapshotVersion stamps the on-disk snapshot format. Loaders reject
@@ -27,12 +30,53 @@ type snapshotFile struct {
 
 // snapshotEntry is one serialized entry. Float64 fields round-trip exactly
 // through encoding/json (Go emits the shortest representation that parses
-// back to the same bits), and the Solution's Saved map marshals with sorted
+// back to the same bits), and the strategy marshals as a map with sorted
 // keys — so the whole snapshot is deterministic: saving one population twice
 // yields byte-identical files (TestSnapshotDeterministic).
 type snapshotEntry struct {
-	Key   string `json:"key"`
-	Entry Entry  `json:"entry"`
+	Key   string    `json:"key"`
+	Entry wireEntry `json:"entry"`
+}
+
+// wireEntry is an Entry in the layout encoding/json gave it while strategies
+// were maps from unit key to count, so snapshots keep their bytes across the
+// change (TestSnapshotBytesUnchangedFromParent).
+type wireEntry struct {
+	Fwd, Bwd float64
+	Sol      wireSolution
+	Mem      memory.Breakdown
+	OK       bool
+}
+
+// wireSolution puts Saved, the sorted object of non-zero counts by key, in its
+// old place: the fields above hide the embedded Solution's, the rest follow.
+type wireSolution struct {
+	Feasible   bool
+	SavedTime  float64
+	SavedBytes int64
+	Saved      map[string]int
+	recompute.Solution
+}
+
+// wire spells e in the snapshot's layout.
+func wire(e Entry) wireEntry {
+	s := wireSolution{e.Sol.Feasible, e.Sol.SavedTime, e.Sol.SavedBytes, e.Strategy(), e.Sol}
+	return wireEntry{e.Fwd, e.Bwd, s, e.Mem, e.OK}
+}
+
+// entry is the Entry w spells, its keys in sorted order.
+func (w *wireEntry) entry() Entry {
+	e := Entry{Fwd: w.Fwd, Bwd: w.Bwd, Sol: w.Sol.Solution, Mem: w.Mem, OK: w.OK}
+	e.Sol.Feasible, e.Sol.SavedTime, e.Sol.SavedBytes = w.Sol.Feasible, w.Sol.SavedTime, w.Sol.SavedBytes
+	e.Keys, e.Sol.Saved = make([]string, 0, len(w.Sol.Saved)), make([]int32, 0, len(w.Sol.Saved))
+	for key := range w.Sol.Saved {
+		e.Keys = append(e.Keys, key)
+	}
+	sort.Strings(e.Keys)
+	for _, key := range e.Keys {
+		e.Sol.Saved = append(e.Sol.Saved, int32(w.Sol.Saved[key]))
+	}
+	return e
 }
 
 // SaveSnapshot writes the store's current population to path, atomically
@@ -42,7 +86,7 @@ type snapshotEntry struct {
 func (st *Store) SaveSnapshot(path string) error {
 	entries := []snapshotEntry{} // an empty store marshals as [], not null
 	for _, p := range st.cache.Snapshot() {
-		entries = append(entries, snapshotEntry{Key: p.Key.String(), Entry: p.Val})
+		entries = append(entries, snapshotEntry{Key: p.Key.String(), Entry: wire(p.Val)})
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
 	payload, err := json.Marshal(entries)
@@ -124,7 +168,7 @@ func (st *Store) restore(path string, data []byte) error {
 		}
 	}
 	for i, se := range entries {
-		st.cache.Put(keys[i], se.Entry)
+		st.cache.Put(keys[i], se.Entry.entry())
 	}
 	return nil
 }

@@ -51,7 +51,7 @@ func SavesFromPlan(plan *core.Plan, seq []model.Layer) ([]int, [][]train.SaveSpe
 			}
 			for _, uk := range kinds {
 				key := kind.String() + "/" + uk.String()
-				c := st.Recompute.Saved[key]
+				c := st.Saved[key]
 				// Assign saved copies to the trailing blocks.
 				for i := len(of) - c; i < len(of); i++ {
 					if i >= 0 {

@@ -18,19 +18,20 @@ func fullTableOptimizeMany(groups []Group, capacities []int64, opts Options, out
 		quantum = defaultQuantum
 	}
 	var mandatory int64
-	var opt []Group
-	for _, g := range groups {
+	var opt []int
+	for i, g := range groups {
 		switch {
 		case g.AlwaysSaved:
 			mandatory += roundUp(g.Bytes, quantum) * int64(g.Count)
 		case g.Count > 0 && g.Bytes > 0:
-			opt = append(opt, g)
+			opt = append(opt, i)
 		}
 	}
 	scaled := make([]int64, len(opt))
 	g := int64(0)
 	var roundedTotal int64
-	for i, grp := range opt {
+	for i, gi := range opt {
+		grp := groups[gi]
 		scaled[i] = roundUp(grp.Bytes, quantum)
 		roundedTotal += scaled[i] * int64(grp.Count)
 		g = gcd64(g, scaled[i])
@@ -41,7 +42,7 @@ func fullTableOptimizeMany(groups []Group, capacities []int64, opts Options, out
 	var w int64
 	for k, capacity := range capacities {
 		remaining := capacity - mandatory
-		out[k] = unsearched(groups, opt, remaining, roundedTotal)
+		out[k] = unsearched(groups, opt, remaining, roundedTotal, nil)
 		if remaining <= 0 || remaining >= roundedTotal || remaining/g == 0 {
 			continue
 		}
@@ -56,7 +57,8 @@ func fullTableOptimizeMany(groups []Group, capacities []int64, opts Options, out
 		scaled[i] /= g
 	}
 	var items []item
-	for i, grp := range opt {
+	for i, gi := range opt {
+		grp := groups[gi]
 		c := grp.Count
 		for k := 1; c > 0; k *= 2 {
 			take := min(k, c)
@@ -98,11 +100,12 @@ func fullTableOptimizeMany(groups []Group, capacities []int64, opts Options, out
 				bestCap = c
 			}
 		}
-		for i, grp := range opt {
+		for i, gi := range opt {
 			if counts[i] == 0 {
 				continue
 			}
-			sol.Saved[grp.Key] += counts[i]
+			grp := groups[gi]
+			sol.Saved[gi] += int32(counts[i])
 			sol.SavedUnits += counts[i]
 			sol.SavedTime += grp.FwdTime * float64(counts[i])
 			sol.SavedBytes += grp.Bytes * int64(counts[i])

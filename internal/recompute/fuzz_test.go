@@ -46,17 +46,17 @@ func FuzzOptimizeAgainstBruteForce(f *testing.F) {
 // alone, one reconstruction. FuzzOptimizeManyVsOptimize holds OptimizeMany
 // (and Optimize, now its one-capacity case) to it.
 func referenceOptimize(groups []Group, capacity int64, opts Options) Solution {
-	sol := Solution{Saved: make(map[string]int, len(groups))}
+	sol := Solution{Saved: make([]int32, len(groups))}
 	quantum := opts.Quantum
 	if quantum <= 0 {
 		quantum = defaultQuantum
 	}
 	remaining := capacity
-	for _, g := range groups {
+	for i, g := range groups {
 		sol.TotalUnits += g.Count
 		if g.AlwaysSaved {
 			remaining -= roundUp(g.Bytes, quantum) * int64(g.Count)
-			sol.Saved[g.Key] = g.Count
+			sol.Saved[i] = int32(g.Count)
 			sol.SavedUnits += g.Count
 			sol.SavedBytes += g.Bytes * int64(g.Count)
 		}
@@ -65,18 +65,18 @@ func referenceOptimize(groups []Group, capacity int64, opts Options) Solution {
 		return Solution{Saved: sol.Saved, TotalUnits: sol.TotalUnits}
 	}
 	sol.Feasible = true
-	var opt []Group
-	for _, g := range groups {
+	var opt []int
+	for i, g := range groups {
 		if g.AlwaysSaved || g.Count <= 0 {
 			continue
 		}
 		if g.Bytes <= 0 {
-			sol.Saved[g.Key] += g.Count
+			sol.Saved[i] += int32(g.Count)
 			sol.SavedUnits += g.Count
 			sol.SavedTime += g.FwdTime * float64(g.Count)
 			continue
 		}
-		opt = append(opt, g)
+		opt = append(opt, i)
 	}
 	if len(opt) == 0 || remaining == 0 {
 		return sol
@@ -84,14 +84,15 @@ func referenceOptimize(groups []Group, capacity int64, opts Options) Solution {
 	scaled := make([]int64, len(opt))
 	g := int64(0)
 	var roundedTotal int64
-	for i, grp := range opt {
-		scaled[i] = roundUp(grp.Bytes, quantum)
-		roundedTotal += scaled[i] * int64(grp.Count)
+	for i, gi := range opt {
+		scaled[i] = roundUp(groups[gi].Bytes, quantum)
+		roundedTotal += scaled[i] * int64(groups[gi].Count)
 		g = gcd64(g, scaled[i])
 	}
 	if roundedTotal <= remaining {
-		for _, grp := range opt {
-			sol.Saved[grp.Key] += grp.Count
+		for _, gi := range opt {
+			grp := groups[gi]
+			sol.Saved[gi] += int32(grp.Count)
 			sol.SavedUnits += grp.Count
 			sol.SavedTime += grp.FwdTime * float64(grp.Count)
 			sol.SavedBytes += grp.Bytes * int64(grp.Count)
@@ -111,7 +112,8 @@ func referenceOptimize(groups []Group, capacity int64, opts Options) Solution {
 		scaled[i] /= g
 	}
 	var items []item
-	for i, grp := range opt {
+	for i, gi := range opt {
+		grp := groups[gi]
 		c := grp.Count
 		for k := 1; c > 0; k *= 2 {
 			take := k
@@ -153,11 +155,12 @@ func referenceOptimize(groups []Group, capacity int64, opts Options) Solution {
 			bestCap -= items[i].weight
 		}
 	}
-	for i, grp := range opt {
+	for i, gi := range opt {
 		if counts[i] == 0 {
 			continue
 		}
-		sol.Saved[grp.Key] += counts[i]
+		grp := groups[gi]
+		sol.Saved[gi] += int32(counts[i])
 		sol.SavedUnits += counts[i]
 		sol.SavedTime += grp.FwdTime * float64(counts[i])
 		sol.SavedBytes += grp.Bytes * int64(counts[i])

@@ -47,9 +47,9 @@ type Solution struct {
 	// SavedBytes is the per-micro-batch activation footprint of the chosen
 	// strategy, including AlwaysSaved units.
 	SavedBytes int64
-	// Saved maps group key to the number of copies saved (including
-	// AlwaysSaved groups at full count).
-	Saved map[string]int
+	// Saved[g] is the number of copies of groups[g] saved (AlwaysSaved
+	// groups at full count).
+	Saved []int32
 	// SavedUnits is the total number of saved copies.
 	SavedUnits int
 	// TotalUnits is the total number of copies in the stage.
@@ -95,9 +95,8 @@ type Solver struct {
 	taken  []uint64 // len(items) rows of ⌈(w+1)/64⌉ choice words
 	order  []int    // the searched capacities, smallest table first
 	items  []item
-	opt    []Group
+	opt    []int // indices of the searched groups
 	scaled []int64
-	counts []int
 
 	// Trace, when non-nil, records one obs.CatSolve span per Optimize call
 	// — the deepest level of a request trace — on track 0, next to the
@@ -151,7 +150,8 @@ func (sv *Solver) Optimize(groups []Group, capacity int64, opts Options) Solutio
 // out[k] is bit-identical to Optimize(groups, capacities[k], opts), including
 // its DPCells and quanta counters, which describe the table that capacity
 // alone would have needed. capacities need not be sorted or distinct;
-// len(out) must be at least len(capacities).
+// len(out) must be at least len(capacities). out[k].Saved is filled in place
+// when it can hold len(groups) counts, else allocated.
 //
 // table is the size of the table (pseudo-items × capacity states), zero when
 // every capacity short-circuited (infeasible, nothing optional, everything
@@ -173,12 +173,12 @@ func (sv *Solver) OptimizeMany(groups []Group, capacities []int64, opts Options,
 	// searched, zero-size copies saved for free.
 	var mandatory int64
 	opt := sv.opt[:0]
-	for _, g := range groups {
+	for i, g := range groups {
 		switch {
 		case g.AlwaysSaved:
 			mandatory += roundUp(g.Bytes, quantum) * int64(g.Count)
 		case g.Count > 0 && g.Bytes > 0:
-			opt = append(opt, g)
+			opt = append(opt, i)
 		}
 	}
 	sv.opt = opt
@@ -187,7 +187,8 @@ func (sv *Solver) OptimizeMany(groups []Group, capacities []int64, opts Options,
 	scaled := sv.scaledBuf(len(opt))
 	g := int64(0)
 	var roundedTotal int64
-	for i, grp := range opt {
+	for i, gi := range opt {
+		grp := &groups[gi]
 		scaled[i] = roundUp(grp.Bytes, quantum)
 		roundedTotal += scaled[i] * int64(grp.Count)
 		g = gcd64(g, scaled[i])
@@ -201,7 +202,7 @@ func (sv *Solver) OptimizeMany(groups []Group, capacities []int64, opts Options,
 	var w int64
 	for k, capacity := range capacities {
 		remaining := capacity - mandatory
-		out[k] = unsearched(groups, opt, remaining, roundedTotal)
+		out[k] = unsearched(groups, opt, remaining, roundedTotal, out[k].Saved)
 		// Everything fits at roundedTotal and beyond, which also keeps the
 		// table bounded for effectively unlimited budgets.
 		if remaining <= 0 || remaining >= roundedTotal || remaining/g == 0 {
@@ -220,7 +221,8 @@ func (sv *Solver) OptimizeMany(groups []Group, capacities []int64, opts Options,
 
 	// Binary-split bounded groups into 0/1 pseudo-items.
 	items := sv.items[:0]
-	for i, grp := range opt {
+	for i, gi := range opt {
+		grp := &groups[gi]
 		c := grp.Count
 		for k := 1; c > 0; k *= 2 {
 			take := min(k, c)
@@ -292,8 +294,9 @@ func (sv *Solver) OptimizeMany(groups []Group, capacities []int64, opts Options,
 			}
 			scanned = wk + 1
 		}
+		// A searched group has no count yet (unsearched fills only the
+		// mandatory and free ones), so the walk counts into Saved directly.
 		at := bestCap
-		counts := sv.countsBuf(len(opt))
 		for i := len(items) - 1; i >= 0; i-- {
 			// Cells at or above the row's tail made the tail's choice; an
 			// item heavier than at was not taken there (its pass starts at
@@ -301,22 +304,23 @@ func (sv *Solver) OptimizeMany(groups []Group, capacities []int64, opts Options,
 			it := &items[i]
 			if at >= it.from {
 				if it.take {
-					counts[it.group] += it.copies
+					sol.Saved[opt[it.group]] += int32(it.copies)
 					at -= int(it.weight)
 				}
 			} else if c := at - int(it.weight); c >= 0 && taken[i*rowWords+c/64]>>(c%64)&1 != 0 {
-				counts[it.group] += it.copies
+				sol.Saved[opt[it.group]] += int32(it.copies)
 				at = c
 			}
 		}
-		for i, grp := range opt {
-			if counts[i] == 0 {
+		for _, gi := range opt {
+			c := int(sol.Saved[gi])
+			if c == 0 {
 				continue
 			}
-			sol.Saved[grp.Key] += counts[i]
-			sol.SavedUnits += counts[i]
-			sol.SavedTime += grp.FwdTime * float64(counts[i])
-			sol.SavedBytes += grp.Bytes * int64(counts[i])
+			grp := &groups[gi]
+			sol.SavedUnits += c
+			sol.SavedTime += grp.FwdTime * float64(c)
+			sol.SavedBytes += grp.Bytes * int64(c)
 		}
 	}
 	return int64(len(items)) * int64(stride), live
@@ -324,32 +328,39 @@ func (sv *Solver) OptimizeMany(groups []Group, capacities []int64, opts Options,
 
 // unsearched builds the part of a solution that needs no table: the
 // mandatory units, the free zero-size copies and — when the whole rounded
-// optional footprint fits in what remains of the budget — every optional copy.
-// remaining is the budget left after the mandatory units (rounded up).
-func unsearched(groups, opt []Group, remaining, roundedTotal int64) Solution {
-	sol := Solution{Saved: make(map[string]int, len(groups))}
-	for _, g := range groups {
+// optional footprint fits in what remains of the budget — every optional copy
+// (opt indexes them). remaining is the budget left after the mandatory units
+// (rounded up). The counts go to saved's array when it holds len(groups).
+func unsearched(groups []Group, opt []int, remaining, roundedTotal int64, saved []int32) Solution {
+	if saved == nil || cap(saved) < len(groups) {
+		saved = make([]int32, len(groups))
+	}
+	saved = saved[:len(groups)]
+	clear(saved)
+	sol := Solution{Saved: saved}
+	for i, g := range groups {
 		sol.TotalUnits += g.Count
 		if g.AlwaysSaved {
-			sol.Saved[g.Key] = g.Count
+			saved[i] = int32(g.Count)
 			sol.SavedUnits += g.Count
 			sol.SavedBytes += g.Bytes * int64(g.Count)
 		}
 	}
 	if remaining < 0 {
-		return Solution{Saved: sol.Saved, TotalUnits: sol.TotalUnits}
+		return Solution{Saved: saved, TotalUnits: sol.TotalUnits}
 	}
 	sol.Feasible = true
-	for _, g := range groups {
+	for i, g := range groups {
 		if !g.AlwaysSaved && g.Count > 0 && g.Bytes <= 0 {
-			sol.Saved[g.Key] += g.Count
+			saved[i] = int32(g.Count)
 			sol.SavedUnits += g.Count
 			sol.SavedTime += g.FwdTime * float64(g.Count)
 		}
 	}
 	if remaining >= roundedTotal {
-		for _, grp := range opt {
-			sol.Saved[grp.Key] += grp.Count
+		for _, gi := range opt {
+			grp := &groups[gi]
+			saved[gi] = int32(grp.Count)
 			sol.SavedUnits += grp.Count
 			sol.SavedTime += grp.FwdTime * float64(grp.Count)
 			sol.SavedBytes += grp.Bytes * int64(grp.Count)
@@ -406,34 +417,24 @@ func (sv *Solver) scaledBuf(n int) []int64 {
 	return sv.scaled
 }
 
-// countsBuf returns a zeroed int scratch slice of length n.
-func (sv *Solver) countsBuf(n int) []int {
-	if cap(sv.counts) < n {
-		sv.counts = make([]int, n)
-	}
-	sv.counts = sv.counts[:n]
-	clear(sv.counts)
-	return sv.counts
-}
-
 // BruteForce solves the same problem by exhaustive enumeration over per-copy
 // decisions. It is exponential and exists as the test oracle. Sizes are not
 // rounded (exact bytes).
 func BruteForce(groups []Group, capacity int64) Solution {
-	sol := Solution{Saved: make(map[string]int, len(groups))}
+	sol := Solution{Saved: make([]int32, len(groups))}
 	remaining := capacity
-	var opt []Group
-	for _, g := range groups {
+	var opt []int // one group index per optional copy
+	for i, g := range groups {
 		sol.TotalUnits += g.Count
 		if g.AlwaysSaved {
 			remaining -= g.Bytes * int64(g.Count)
-			sol.Saved[g.Key] = g.Count
+			sol.Saved[i] = int32(g.Count)
 			sol.SavedUnits += g.Count
 			sol.SavedBytes += g.Bytes * int64(g.Count)
 			continue
 		}
-		for i := 0; i < g.Count; i++ {
-			opt = append(opt, Group{Key: g.Key, FwdTime: g.FwdTime, Bytes: g.Bytes, Count: 1})
+		for range g.Count {
+			opt = append(opt, i)
 		}
 	}
 	if remaining < 0 {
@@ -447,10 +448,10 @@ func BruteForce(groups []Group, capacity int64) Solution {
 	for mask := 0; mask < 1<<len(opt); mask++ {
 		var bytes int64
 		var val float64
-		for i, g := range opt {
+		for i, gi := range opt {
 			if mask&(1<<i) != 0 {
-				bytes += g.Bytes
-				val += g.FwdTime
+				bytes += groups[gi].Bytes
+				val += groups[gi].FwdTime
 			}
 		}
 		if bytes <= remaining && val > bestVal {
@@ -458,9 +459,9 @@ func BruteForce(groups []Group, capacity int64) Solution {
 			bestMask = mask
 		}
 	}
-	for i, g := range opt {
-		if bestMask&(1<<i) != 0 {
-			sol.Saved[g.Key]++
+	for i, gi := range opt {
+		if g := &groups[gi]; bestMask&(1<<i) != 0 {
+			sol.Saved[gi]++
 			sol.SavedUnits++
 			sol.SavedTime += g.FwdTime
 			sol.SavedBytes += g.Bytes

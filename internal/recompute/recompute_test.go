@@ -67,12 +67,12 @@ func TestSolutionInternalConsistency(t *testing.T) {
 		if !sol.Feasible {
 			return true
 		}
-		// Reconstruct totals from the Saved map.
+		// Reconstruct totals from the Saved vector.
 		var bytes int64
 		var time float64
 		units := 0
-		for _, g := range groups {
-			c := sol.Saved[g.Key]
+		for i, g := range groups {
+			c := int(sol.Saved[i])
 			if c < 0 || c > g.Count {
 				return false
 			}
@@ -113,10 +113,10 @@ func TestZeroByteUnitsSavedFree(t *testing.T) {
 	if !sol.Feasible {
 		t.Fatal("infeasible")
 	}
-	if sol.Saved["free"] != 5 || sol.SavedTime != 50 {
+	if sol.Saved[0] != 5 || sol.SavedTime != 50 {
 		t.Errorf("zero-byte units not saved for free: %+v", sol)
 	}
-	if sol.Saved["paid"] != 0 {
+	if sol.Saved[1] != 0 {
 		t.Error("paid unit saved with zero budget")
 	}
 }
@@ -176,9 +176,9 @@ func TestQuantumRoundingIsConservative(t *testing.T) {
 			return true
 		}
 		var rounded int64
-		for _, g := range groups {
+		for i, g := range groups {
 			r := (g.Bytes + q - 1) / q * q
-			rounded += r * int64(sol.Saved[g.Key])
+			rounded += r * int64(sol.Saved[i])
 		}
 		return rounded <= capacity && sol.SavedBytes <= capacity
 	}

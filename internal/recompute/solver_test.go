@@ -2,6 +2,7 @@ package recompute
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -58,10 +59,8 @@ func testSolverReuse(t *testing.T) {
 			if got.DPCells != want.DPCells || got.QuantaAfterGCD != want.QuantaAfterGCD {
 				t.Errorf("case %d quantum=%d: counters differ: %+v vs %+v", ci, quantum, got, want)
 			}
-			for k, v := range want.Saved {
-				if got.Saved[k] != v {
-					t.Errorf("case %d quantum=%d: saved[%s] = %d, want %d", ci, quantum, k, got.Saved[k], v)
-				}
+			if !slices.Equal(got.Saved, want.Saved) {
+				t.Errorf("case %d quantum=%d: saved %v, want %v", ci, quantum, got.Saved, want.Saved)
 			}
 		}
 	}
@@ -83,7 +82,8 @@ func TestSolverDoesNotAllocateSteadyState(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() {
 		sv.Optimize(groups, 4<<30, opts)
 	})
-	// The Solution map and opt slice still allocate; the big scratch must not.
+	// Optimize still allocates the Solution's Saved vector; the big scratch
+	// must not.
 	// Fresh Optimize allocates the full DP table + choice matrix every call.
 	fresh := testing.AllocsPerRun(20, func() {
 		Optimize(groups, 4<<30, opts)
