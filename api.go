@@ -39,6 +39,14 @@ type (
 	StagePlan = core.StagePlan
 	// Planner runs the two-level dynamic-programming search.
 	Planner = core.Planner
+	// Replan is the outcome of a straggler-driven replanning attempt:
+	// repriced incumbent, re-searched plan, both simulations, adoption
+	// verdict. Produced by Planner.ReplanWithScale.
+	Replan = core.Replan
+	// ShapeReplan is the outcome of a shape replan after a node count
+	// change: the planner and plan for the winning pipeline depth on the
+	// resized cluster. Produced by Planner.ReplanWithShape.
+	ShapeReplan = core.ShapeReplan
 	// Method is one evaluation configuration (e.g. "DAPPLE-Full").
 	Method = baseline.Method
 	// Outcome is one evaluated (method, strategy) point.

@@ -9,7 +9,7 @@ import (
 	"adapipe/internal/sim"
 )
 
-// ShapeReplan is the outcome of an elastic shape replan: the planner built
+// ShapeReplan is the outcome of a shape replan: the planner built
 // for the winning pipeline depth on the resized cluster, its plan, and the
 // plan's simulated 1F1B iteration. Unlike ReplanWithScale — which keeps the
 // cluster and reprices the incumbent bounds — a shape replan answers a
@@ -34,10 +34,9 @@ type ShapeReplan struct {
 	ReusedCostEntries int
 }
 
-// ReplanWithShape replans for a cluster whose node count changed — the
-// planning half of elastic recovery. It searches every feasible pipeline
-// depth on the new cluster (TP and DP are kept: they shard parameters and
-// gradients, and elastic recovery must not re-shard state mid-run), plans
+// ReplanWithShape replans for a cluster whose node count changed. It searches
+// every feasible pipeline depth on the new cluster (TP and DP are kept: they
+// shard parameters and gradients, so a resize must not re-shard state), plans
 // each candidate with the full two-level search, simulates the results, and
 // returns the fastest. Candidates that cannot fill a 1F1B pipeline or fit
 // device memory are skipped; if no depth survives, an error reports why.

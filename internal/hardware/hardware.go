@@ -83,8 +83,8 @@ type Cluster struct {
 func (c Cluster) Devices() int { return c.DevicesPerNode * c.Nodes }
 
 // Resize returns a copy of the cluster with the given node count — the shape
-// the elastic recovery loop replans for after a permanent node loss (fewer
-// nodes) or a scale-up arrival (more). Everything else (device model, links,
+// a shape replan (core's ReplanWithShape) plans for after nodes leave or
+// join. Everything else (device model, links,
 // per-node layout) is unchanged; the result is validated so a resize can
 // never produce a cluster the planner would reject later.
 func (c Cluster) Resize(nodes int) (Cluster, error) {

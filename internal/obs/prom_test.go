@@ -81,28 +81,3 @@ func TestMetricFamilies(t *testing.T) {
 		}
 	}
 }
-
-func TestFaultMetricsRender(t *testing.T) {
-	c := FaultCounters{Stragglers: 3, Panics: 1, Corruptions: 2, Retries: 4, SkippedSteps: 1, WatchdogTrips: 1, Replans: 1}
-	text := RenderProm(FaultMetrics("adapipe_fault", c))
-	for _, want := range []string{
-		`adapipe_fault_injected_total{kind="straggler"} 3`,
-		`adapipe_fault_injected_total{kind="panic"} 1`,
-		`adapipe_fault_injected_total{kind="corrupt"} 2`,
-		`adapipe_fault_retries_total 4`,
-		`adapipe_fault_skipped_steps_total 1`,
-		`adapipe_fault_watchdog_trips_total 1`,
-		`adapipe_fault_replans_total 1`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("exposition missing %q:\n%s", want, text)
-		}
-	}
-
-	var sum FaultCounters
-	sum.Add(c)
-	sum.Add(c)
-	if sum.Retries != 8 || sum.Replans != 2 {
-		t.Fatalf("Add merged to %+v", sum)
-	}
-}

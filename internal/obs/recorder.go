@@ -1,7 +1,7 @@
 // Package obs is the observability layer of the live pipeline engine: a
 // wall-clock op recorder for the goroutine 1F1B executor, a context-propagated
-// request tracer, and a Prometheus-style text exposition of engine, search and
-// fault gauges and latency histograms.
+// request tracer, and a Prometheus-style text exposition of engine and search
+// gauges and latency histograms.
 //
 // A recorded Trace is structurally compatible with sim.Result (via
 // Trace.Result), so the trace-package renderers — Gantt, ChromeTrace,

@@ -36,9 +36,8 @@ import (
 //
 // A failed or cancelled iteration never releases its in-flight buffers or
 // contexts: they are dropped to the garbage collector, the free lists hold
-// only what nobody references, and a retry from a snapshot — or a Rebind onto
-// new stages with new arenas — computes on exactly the values it would have
-// without reuse.
+// only what nobody references, and the next step computes on exactly the
+// values it would have without reuse.
 //
 // get does not clear: whoever takes a buffer writes all of it. A nil *arena
 // allocates and never reuses, which is what the unit-level tests pass.

@@ -9,9 +9,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
-	"time"
 
-	"adapipe/internal/fault"
 	"adapipe/internal/tensor"
 )
 
@@ -190,40 +188,29 @@ func TestArenaPoisonedReleaseLeavesLossesAlone(t *testing.T) {
 	}
 }
 
-// TestArenaSurvivesFailedIteration: an iteration killed mid-backward leaves
+// TestArenaSurvivesFailedIteration: an iteration killed mid-flight leaves
 // buffers and contexts in flight — pinned contexts, boundary tensors in the
 // channels, the failing op's scratch. They are dropped, never released, and
-// so is the iteration state that held them: the supervisor's retry from the
-// snapshot runs on fresh iteration state, reuses only buffers and contexts
+// so is the iteration state that held them: replaying the same batches after
+// ZeroGrads runs on fresh iteration state, reuses only buffers and contexts
 // nobody holds — no context in flight at the failure ever reaches a free
 // list again — and reports the fault-free losses bit for bit, poisoned arenas
 // included.
 func TestArenaSurvivesFailedIteration(t *testing.T) {
 	parent := parentRuns(t)
 	rig := newBenchRig(t, benchBounds, "alternate", true)
-	const failing = 2 // the step whose first attempt (attempt 2) panics
-	rig.pipe.Fault = fault.MustNew(1, fault.On(fault.Panic).AtStage(1).AtMicro(3).OnPhase(fault.PhaseBackward).AtAttempt(failing))
-	rig.pipe.Watchdog = 30 * time.Second
-	sup, err := NewSupervisor(rig.pipe, Recovery{MaxRetries: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	const failing = 2 // the step whose first try fails
 	var losses []float64
 	var failed *iterRun
 	inFlight := map[*StageCtx]bool{}
 	for i := 0; i < 5; i++ {
+		batches := rig.batches()
 		if i == failing {
-			failed = rig.pipe.run // the state the failing attempt runs on
-		}
-		l, err := sup.Step(rig.batches())
-		if err != nil {
-			t.Fatal(err)
-		}
-		losses = append(losses, l)
-		if i == failing {
-			if rig.pipe.run == failed {
-				t.Fatal("the retry ran on the failed iteration's state")
+			failed = rig.pipe.run // the state the failing try runs on
+			if _, err := rig.pipe.Step(truncated(batches, 3)); err == nil {
+				t.Fatal("a step with truncated targets succeeded")
 			}
+			rig.pipe.ZeroGrads()
 			for _, slots := range failed.ctxs {
 				for _, c := range slots {
 					if c != nil {
@@ -235,57 +222,21 @@ func TestArenaSurvivesFailedIteration(t *testing.T) {
 				t.Fatal("no context was in flight when the iteration failed")
 			}
 		}
+		l, err := rig.pipe.Step(batches)
+		if err != nil {
+			t.Fatal(err)
+		}
+		losses = append(losses, l)
+		if i == failing && rig.pipe.run == failed {
+			t.Fatal("the replay ran on the failed iteration's state")
+		}
 		for c := range freeCtxs(rig.pipe) {
 			if inFlight[c] {
 				t.Fatalf("step %d: a context in flight at the failure is back on a free list", i)
 			}
 		}
 	}
-	if c := sup.Counters(); c.Panics != 1 || c.Retries != 1 {
-		t.Fatalf("fault counters = %+v, want 1 panic and 1 retry", c)
-	}
-	checkLosses(t, "retried", losses, parent["alternate"].LossBits)
-}
-
-// TestArenaAcrossRebind: a Rebind from three stages to two moves the training
-// state onto stages with arenas of their own; the old stages' free lists —
-// buffers and contexts — go with them, the new stages recycle only contexts
-// they made themselves, and the losses continue as if nothing had been
-// reshaped.
-func TestArenaAcrossRebind(t *testing.T) {
-	parent := parentRuns(t)
-	rig := newBenchRig(t, benchBounds, "savenone", true)
-	sup, err := NewSupervisor(rig.pipe, Recovery{MaxRetries: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var losses []float64
-	var old map[*StageCtx]bool
-	for i := 0; i < 6; i++ {
-		if i == 3 {
-			old = freeCtxs(sup.Pipe)
-			if err := sup.Rebind(benchPipe(t, []int{0, 5, 10}, "alternate", true)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		l, err := sup.Step(rig.batches())
-		if err != nil {
-			t.Fatal(err)
-		}
-		losses = append(losses, l)
-		if i >= 3 {
-			free := freeCtxs(sup.Pipe)
-			if len(free) == 0 {
-				t.Fatalf("step %d: the rebound stages recycle no context", i)
-			}
-			for c := range free {
-				if old[c] {
-					t.Fatalf("step %d: a context of the old stages is on a new stage's free list", i)
-				}
-			}
-		}
-	}
-	checkLosses(t, "rebound 3→2", losses, parent["savenone"].LossBits)
+	checkLosses(t, "replayed", losses, parent["alternate"].LossBits)
 }
 
 // TestStepAllocsBounded: a steady-state step takes its matrices and contexts

@@ -1,10 +1,9 @@
 package train
 
 import (
+	"context"
 	"fmt"
 	"sync"
-
-	"adapipe/internal/tensor"
 )
 
 // DataParallel trains d replicated pipelines with synchronous gradient
@@ -135,37 +134,13 @@ func (dp *DataParallel) InSync() float64 {
 }
 
 // RunDataParallel is Run with d synchronized replicas: each step's
-// MicroBatches are split across replicas and gradients are all-reduced.
+// MicroBatches are split across replicas and gradients are all-reduced. The
+// result carries replica 0's activation peaks and, with RunConfig.Record,
+// its final-step trace.
 func RunDataParallel(d int, rc RunConfig) (RunResult, error) {
-	mk := func() (*Pipeline, error) {
-		net, err := NewNet(rc.Net)
-		if err != nil {
-			return nil, err
-		}
-		stages, err := Split(net, rc.Bounds, rc.Saves)
-		if err != nil {
-			return nil, err
-		}
-		return NewPipeline(stages, rc.LR), nil
-	}
-	dp, err := NewDataParallel(d, mk)
+	dp, err := NewDataParallel(d, func() (*Pipeline, error) { return newRunPipeline(rc) })
 	if err != nil {
 		return RunResult{}, err
 	}
-	corpus := NewCorpus(rc.Net.Vocab, 1<<16, rc.DataSeed+7)
-	rng := tensor.NewRNG(rc.DataSeed)
-	var res RunResult
-	for step := 0; step < rc.Steps; step++ {
-		batches := corpus.Batches(rc.MicroBatches, rc.Net.Seq, rng)
-		loss, err := dp.Step(batches)
-		if err != nil {
-			// Losses holds only the completed steps; the caller must not
-			// mistake a zero tail for converged loss.
-			res.PeakActBytes = dp.Replicas[0].PeakActBytes
-			return res, err
-		}
-		res.Losses = append(res.Losses, loss)
-	}
-	res.PeakActBytes = dp.Replicas[0].PeakActBytes
-	return res, nil
+	return runSteps(context.Background(), rc, dp.Replicas[0], dp.Step)
 }

@@ -7,19 +7,8 @@ import (
 	"adapipe/internal/tensor"
 )
 
-func mkReplica(t *testing.T, cfg Config, bounds []int, lr float64) func() (*Pipeline, error) {
-	t.Helper()
-	return func() (*Pipeline, error) {
-		net, err := NewNet(cfg)
-		if err != nil {
-			return nil, err
-		}
-		stages, err := Split(net, bounds, nil)
-		if err != nil {
-			return nil, err
-		}
-		return NewPipeline(stages, lr), nil
-	}
+func mkReplica(cfg Config, bounds []int, lr float64) func() (*Pipeline, error) {
+	return func() (*Pipeline, error) { return newRunPipeline(RunConfig{Net: cfg, Bounds: bounds, LR: lr}) }
 }
 
 func TestDataParallelMatchesSingleReplica(t *testing.T) {
@@ -27,11 +16,11 @@ func TestDataParallelMatchesSingleReplica(t *testing.T) {
 	const lr = 2e-3
 	corpus := NewCorpus(cfg.Vocab, 1<<14, 9)
 
-	dp1, err := NewDataParallel(1, mkReplica(t, cfg, []int{0, 3, 6}, lr))
+	dp1, err := NewDataParallel(1, mkReplica(cfg, []int{0, 3, 6}, lr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp2, err := NewDataParallel(2, mkReplica(t, cfg, []int{0, 3, 6}, lr))
+	dp2, err := NewDataParallel(2, mkReplica(cfg, []int{0, 3, 6}, lr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +54,7 @@ func TestDataParallelMatchesSingleReplica(t *testing.T) {
 
 func TestDataParallelReplicasStayInSync(t *testing.T) {
 	cfg := Config{Layers: 2, Dim: 16, Heads: 2, FFN: 32, Vocab: 20, Seq: 12, Seed: 21}
-	dp, err := NewDataParallel(4, mkReplica(t, cfg, []int{0, 6}, 1e-3))
+	dp, err := NewDataParallel(4, mkReplica(cfg, []int{0, 6}, 1e-3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,10 +77,10 @@ func TestDataParallelReplicasStayInSync(t *testing.T) {
 
 func TestDataParallelValidation(t *testing.T) {
 	cfg := Config{Layers: 1, Dim: 16, Heads: 2, FFN: 32, Vocab: 20, Seq: 12, Seed: 1}
-	if _, err := NewDataParallel(0, mkReplica(t, cfg, []int{0, 4}, 1e-3)); err == nil {
+	if _, err := NewDataParallel(0, mkReplica(cfg, []int{0, 4}, 1e-3)); err == nil {
 		t.Error("zero replicas accepted")
 	}
-	dp, err := NewDataParallel(2, mkReplica(t, cfg, []int{0, 4}, 1e-3))
+	dp, err := NewDataParallel(2, mkReplica(cfg, []int{0, 4}, 1e-3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,21 +95,38 @@ func TestDataParallelValidation(t *testing.T) {
 	calls := 0
 	mixed := func() (*Pipeline, error) {
 		calls++
-		use := cfg
 		if calls > 1 {
-			use = alt
+			return mkReplica(alt, []int{0, 4}, 1e-3)()
 		}
-		net, err := NewNet(use)
-		if err != nil {
-			return nil, err
-		}
-		stages, err := Split(net, []int{0, 4}, nil)
-		if err != nil {
-			return nil, err
-		}
-		return NewPipeline(stages, 1e-3), nil
+		return mkReplica(cfg, []int{0, 4}, 1e-3)()
 	}
 	if _, err := NewDataParallel(2, mixed); err == nil {
 		t.Error("mismatched replicas accepted")
+	}
+}
+
+// TestRunDataParallelRecordsTrace: RunConfig.Record reaches every replica, and
+// the run returns replica 0's final-step trace with ops on every stage.
+func TestRunDataParallelRecordsTrace(t *testing.T) {
+	const stages = 3
+	res, err := RunDataParallel(2, RunConfig{
+		Net: Config{Layers: 2, Dim: 16, Heads: 2, FFN: 32, Vocab: 20, Seq: 12, Seed: 13}, Bounds: []int{0, 2, 4, 6},
+		Steps: 2, MicroBatches: 8, LR: 2e-3, DataSeed: 9, Record: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Trace == nil {
+		t.Fatal("Record was set but RunDataParallel returned no trace")
+	}
+	perStage := make([]int, stages)
+	for _, sp := range res.Trace.Spans {
+		perStage[sp.Stage]++
+	}
+	// Replica 0 runs 4 of the 8 micro-batches: a forward and a backward each.
+	for s, n := range perStage {
+		if n != 2*4 {
+			t.Errorf("stage %d has %d ops in the trace, want %d", s, n, 2*4)
+		}
 	}
 }

@@ -22,38 +22,6 @@ type Trace = obs.Trace
 // before the iteration completes; test with errors.Is.
 var ErrWatchdog = errors.New("train: pipeline watchdog timeout")
 
-// FaultInjector is the hook the executor consults around every scheduled op.
-// *fault.Injector satisfies it; the executor depends only on this interface
-// so the fault package stays engine-agnostic (and train stays free of a
-// fault import). All methods must be safe for concurrent use from every
-// stage goroutine.
-type FaultInjector interface {
-	// OpStart runs pre-op faults (straggler delay, injected panic) for the
-	// identified op. cancel closes when the iteration is canceled, so
-	// injected delays must not outlive the pipeline.
-	OpStart(attempt, stage, micro int, backward bool, cancel <-chan struct{})
-	// Corrupt may overwrite elements of the op's output boundary tensor.
-	Corrupt(attempt, stage, micro int, backward bool, data []float64)
-	// InjectedCounts reports how many faults of each kind have fired.
-	InjectedCounts() (stragglers, panics, corruptions, nodeLosses int64)
-}
-
-// StageError is the error a stage goroutine's recovered panic becomes. It
-// preserves which stage failed and the original panic payload so the
-// supervisor's health model can attribute blame (a dead node manifests as the
-// same stage failing attempt after attempt) instead of parsing error text.
-type StageError struct {
-	// Stage is the pipeline stage whose goroutine panicked.
-	Stage int
-	// Cause is the recovered panic payload (e.g. fault.InjectedPanic or
-	// fault.InjectedNodeLoss for injected faults).
-	Cause any
-}
-
-func (e *StageError) Error() string {
-	return fmt.Sprintf("train: stage %d: %v", e.Stage, e.Cause)
-}
-
 // Pipeline executes synchronous 1F1B pipeline-parallel training: one
 // goroutine per stage, activations flowing forward and gradients backward
 // over channels, with per-stage gradient accumulation and a per-stage Adam
@@ -71,20 +39,12 @@ type Pipeline struct {
 	// Accumulate resets it). Nil — the default — keeps the hot path free of
 	// clock reads and recording allocations.
 	Recorder *obs.Recorder
-	// Fault, when non-nil, is consulted around every scheduled op and may
-	// delay it, panic it, or corrupt its output tensor. Nil — the default —
-	// costs one pointer check per op.
-	Fault FaultInjector
 	// Watchdog bounds one Accumulate call; past it the iteration is
 	// canceled and ErrWatchdog returned. Zero disables the watchdog. The
-	// cancellation protocol (every channel op selects on the done channel,
-	// injected delays select on it too) guarantees all stage goroutines
-	// exit promptly once canceled, so firing never leaks goroutines.
+	// cancellation protocol (every channel op selects on the done channel)
+	// guarantees all stage goroutines exit promptly once canceled, so firing
+	// never leaks goroutines.
 	Watchdog time.Duration
-	// attempt counts Accumulate calls, including retries of the same step,
-	// so attempt-targeted fault rules model transient failures: the fault
-	// fires once and the retry runs clean.
-	attempt int
 	// sched is the 1F1B schedule of the last (stages, micro-batches) pair;
 	// it is only ever read.
 	sched *schedule.Schedule
@@ -100,29 +60,6 @@ func NewPipeline(stages []*Stage, lr float64) *Pipeline {
 		p.opts = append(p.opts, NewAdam(s.Params(), lr))
 	}
 	return p
-}
-
-// Attempts reports how many Accumulate calls (including retries) have run —
-// the attempt counter fault rules target and the clock elastic scale-up
-// arrivals are measured against.
-func (p *Pipeline) Attempts() int { return p.attempt }
-
-// LayerCount is the total model layer count across all stages (embedding +
-// blocks + head), the invariant Rebind checks before migrating state between
-// pipelines of different stage counts: repartitioning moves layer boundaries,
-// it never creates or destroys layers.
-func (p *Pipeline) LayerCount() int {
-	n := 0
-	for _, s := range p.Stages {
-		if s.Embed != nil {
-			n++
-		}
-		n += len(s.Blocks)
-		if s.HeadProj != nil {
-			n++
-		}
-	}
-	return n
 }
 
 type flowMsg struct {
@@ -170,8 +107,8 @@ func (p *Pipeline) ZeroGrads() {
 // selects on a per-iteration done channel, so when one stage panics (or the
 // watchdog fires) its peers unblock and exit instead of deadlocking
 // wg.Wait on a counterpart that will never send. On any failure the
-// accumulated gradients are partial garbage; callers must ZeroGrads (or
-// restore a checkpoint) before retrying — Supervisor does both.
+// accumulated gradients are partial garbage; callers must ZeroGrads before
+// stepping again.
 //
 // A successful iteration leaves its state — channels drained, done channel
 // open, every context slot empty — for the next call on the same schedule,
@@ -198,8 +135,7 @@ func (p *Pipeline) Accumulate(batches []Batch) (float64, error) {
 	if p.Recorder != nil {
 		p.Recorder.Reset(np)
 	}
-	run.batches, run.attempt = batches, p.attempt
-	p.attempt++
+	run.batches = batches
 
 	for _, stage := range run.stages {
 		run.wg.Add(1)
@@ -259,7 +195,6 @@ type iterRun struct {
 	pipe    *Pipeline
 	sched   *schedule.Schedule
 	batches []Batch
-	attempt int
 	fwd     []chan flowMsg
 	bwd     []chan flowMsg
 	// ctxs[s][m] holds stage s's context of micro-batch m from its forward
@@ -331,20 +266,18 @@ func (r *iterRun) send(ch chan flowMsg, msg flowMsg) bool {
 	}
 }
 
-// stage runs stage s's schedule row. A panic (a real executor bug or an
-// injected fault) is recovered into errs[s] and cancels the iteration so
-// peer stages blocked on this one unblock and exit.
+// stage runs stage s's schedule row. A panic is recovered into errs[s] and
+// cancels the iteration so peer stages blocked on this one unblock and exit.
 func (r *iterRun) stage(s int) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			r.errs[s] = &StageError{Stage: s, Cause: rec}
+			r.errs[s] = fmt.Errorf("train: stage %d: %v", s, rec)
 			r.cancel()
 		}
 	}()
 	p := r.pipe
 	np := len(p.Stages)
 	stage := p.Stages[s]
-	fi := p.Fault
 	var sr *obs.StageRecorder
 	if p.Recorder != nil {
 		sr = p.Recorder.Stage(s)
@@ -356,9 +289,7 @@ func (r *iterRun) stage(s int) {
 		// Recording brackets each op: the channel receive is timed as
 		// stall, everything after it as compute. Every recording call sits
 		// behind a nil check so the default (nil recorder) hot path reads
-		// no clocks and allocates nothing extra. Injected faults run
-		// inside the compute bracket, so straggler delay is indistinguishable
-		// from slow compute in a stage's measured micro-step time.
+		// no clocks and allocates nothing extra.
 		var opWait time.Duration
 		var opStart, waitStart time.Time
 		switch op.Kind {
@@ -383,13 +314,7 @@ func (r *iterRun) stage(s int) {
 			if sr != nil {
 				opStart = time.Now()
 			}
-			if fi != nil {
-				fi.OpStart(r.attempt, s, m, false, r.done)
-			}
 			y, ctx := stage.Forward(r.batches[m].Tokens, x)
-			if fi != nil {
-				fi.Corrupt(r.attempt, s, m, false, y.Data)
-			}
 			ctxs[m] = ctx
 			live += ctx.SavedBytes()
 			if live > p.PeakActBytes[s] {
@@ -434,17 +359,11 @@ func (r *iterRun) stage(s int) {
 			if sr != nil {
 				opStart = time.Now()
 			}
-			if fi != nil {
-				fi.OpStart(r.attempt, s, m, true, r.done)
-			}
 			ctx := ctxs[m]
 			live -= ctx.SavedBytes()
 			ctxs[m] = nil
 			dx := stage.Backward(ctx, dy)
 			if s > 0 {
-				if fi != nil {
-					fi.Corrupt(r.attempt, s, m, true, dx.Data)
-				}
 				if !r.send(r.bwd[s-1], flowMsg{micro: m, m: dx}) {
 					return
 				}
@@ -480,14 +399,8 @@ type RunConfig struct {
 	// iteration, free of allocator warm-up). Off by default: recording
 	// reads two clocks per channel op and allocates span buffers.
 	Record bool
-	// Fault optionally injects faults into every iteration (see
-	// internal/fault). Nil disables injection.
-	Fault FaultInjector
 	// Watchdog bounds each iteration's wall time; zero disables it.
 	Watchdog time.Duration
-	// Recovery configures step-level retry and the non-finite guard; the
-	// zero value disables both (failures abort the run).
-	Recovery Recovery
 }
 
 // RunResult is a completed training run.
@@ -501,8 +414,6 @@ type RunResult struct {
 	// Trace is the measured trace of the final step when RunConfig.Record
 	// was set; nil otherwise.
 	Trace *Trace
-	// Fault counts injected faults and recovery actions over the run.
-	Fault obs.FaultCounters
 }
 
 // Run builds a network, partitions it, and trains it on a synthetic corpus.
@@ -515,47 +426,54 @@ func Run(rc RunConfig) (RunResult, error) {
 // ctx.Err(), exactly like any other mid-run failure (the tail is never
 // zero-padded). Steps themselves are atomic — cancellation never tears one.
 func RunContext(ctx context.Context, rc RunConfig) (RunResult, error) {
-	net, err := NewNet(rc.Net)
+	pipe, err := newRunPipeline(rc)
 	if err != nil {
 		return RunResult{}, err
+	}
+	return runSteps(ctx, rc, pipe, pipe.Step)
+}
+
+// newRunPipeline builds the pipeline a run trains: a network sized by rc.Net,
+// split at rc.Bounds under rc.Saves, with the run's watchdog and, when
+// rc.Record is set, an op recorder.
+func newRunPipeline(rc RunConfig) (*Pipeline, error) {
+	net, err := NewNet(rc.Net)
+	if err != nil {
+		return nil, err
 	}
 	stages, err := Split(net, rc.Bounds, rc.Saves)
 	if err != nil {
-		return RunResult{}, err
+		return nil, err
 	}
 	pipe := NewPipeline(stages, rc.LR)
-	pipe.Fault = rc.Fault
 	pipe.Watchdog = rc.Watchdog
 	if rc.Record {
 		pipe.Recorder = obs.NewRecorder()
 	}
-	sup, err := NewSupervisor(pipe, rc.Recovery)
-	if err != nil {
-		return RunResult{}, err
-	}
+	return pipe, nil
+}
+
+// runSteps feeds rc.Steps iterations of the run's batch stream to step,
+// checking ctx before each, and reports pipe's activation peaks and final
+// trace alongside the losses of the steps that completed.
+func runSteps(ctx context.Context, rc RunConfig, pipe *Pipeline, step func([]Batch) (float64, error)) (RunResult, error) {
 	corpus := NewCorpus(rc.Net.Vocab, 1<<16, rc.DataSeed+7)
 	rng := tensor.NewRNG(rc.DataSeed)
 	var res RunResult
-	finish := func() {
-		res.PeakActBytes = pipe.PeakActBytes
-		res.Fault = sup.Counters()
-		if pipe.Recorder != nil {
-			res.Trace = pipe.Recorder.Trace()
+	var err error
+	for i := 0; i < rc.Steps; i++ {
+		if err = ctx.Err(); err != nil {
+			break
 		}
-	}
-	for step := 0; step < rc.Steps; step++ {
-		if err := ctx.Err(); err != nil {
-			finish()
-			return res, err
-		}
-		batches := corpus.Batches(rc.MicroBatches, rc.Net.Seq, rng)
-		loss, err := sup.Step(batches)
-		if err != nil {
-			finish()
-			return res, err
+		var loss float64
+		if loss, err = step(corpus.Batches(rc.MicroBatches, rc.Net.Seq, rng)); err != nil {
+			break
 		}
 		res.Losses = append(res.Losses, loss)
 	}
-	finish()
-	return res, nil
+	res.PeakActBytes = pipe.PeakActBytes
+	if pipe.Recorder != nil {
+		res.Trace = pipe.Recorder.Trace()
+	}
+	return res, err
 }

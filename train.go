@@ -23,6 +23,10 @@ type (
 	SaveSpec = train.SaveSpec
 )
 
+// ErrWatchdog is wrapped by a training run's error when an iteration
+// outlives TrainRunConfig.Watchdog; test with errors.Is.
+var ErrWatchdog = train.ErrWatchdog
+
 // SaveAll returns a SaveSpec that keeps every unit (no recomputation).
 func SaveAll() SaveSpec { return train.SaveAll() }
 
