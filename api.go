@@ -43,10 +43,6 @@ type (
 	// repriced incumbent, re-searched plan, both simulations, adoption
 	// verdict. Produced by Planner.ReplanWithScale.
 	Replan = core.Replan
-	// ShapeReplan is the outcome of a shape replan after a node count
-	// change: the planner and plan for the winning pipeline depth on the
-	// resized cluster. Produced by Planner.ReplanWithShape.
-	ShapeReplan = core.ShapeReplan
 	// Method is one evaluation configuration (e.g. "DAPPLE-Full").
 	Method = baseline.Method
 	// Outcome is one evaluated (method, strategy) point.

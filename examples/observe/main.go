@@ -36,17 +36,14 @@ func main() {
 		micros = 8
 		seq    = 48
 	)
-	// The same architecture described twice: once for the planner's
-	// analytical cost model, once for the trainable engine. BytesPerValue
-	// matches the engine's float64 tensors so measured and modeled
-	// activation footprints live on the same scale.
-	m := adapipe.Model{
-		Name: "observe-tiny", DecoderLayers: layers, Hidden: 64, Heads: 4,
-		KVHeads: 4, FFNHidden: 128, Vocab: 64, BytesPerValue: 8,
-	}
+	// The net is described once. net.Model() is the same architecture for
+	// the planner's analytical cost model, with BytesPerValue 8 — the
+	// engine's float64 — so measured and modeled activation footprints live
+	// on the same scale.
 	net := adapipe.TrainConfig{
 		Layers: layers, Dim: 64, Heads: 4, FFN: 128, Vocab: 64, Seq: seq, Seed: 7,
 	}
+	m := net.Model()
 	strat := adapipe.Strategy{TP: 1, PP: stages, DP: 1}
 	tc := adapipe.TrainingConfig{GlobalBatch: micros, MicroBatch: 1, SeqLen: seq}
 

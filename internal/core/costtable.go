@@ -255,7 +255,7 @@ func newCostTable(pl *Planner) *costTable {
 		var groups []recompute.Group
 		for _, uc := range layer[k].Units {
 			groups = append(groups, recompute.Group{
-				Key:         kind.String() + "/" + uc.Unit.Kind.String(),
+				Key:         unitKey(kind, uc.Unit.Kind),
 				FwdTime:     uc.FwdTime,
 				Bytes:       uc.SavedBytes,
 				AlwaysSaved: uc.Unit.AlwaysSaved,
@@ -387,25 +387,6 @@ func (t *costTable) publishedAt(s int) int {
 		if t.hot[k].state.Load() >= costInfeasible {
 			n++
 		}
-	}
-	return n
-}
-
-// seedFrom copies every published entry of src — a table of the same shape
-// and cost family — into the still-private t and returns how many it copied.
-func (t *costTable) seedFrom(src *costTable) int {
-	n := 0
-	for k := range src.hot {
-		from := &src.hot[k]
-		state := from.state.Load()
-		if state < costInfeasible {
-			continue
-		}
-		to := &t.hot[k]
-		to.fwd, to.bwd = from.fwd, from.bwd
-		t.solved[k] = src.solved[k]
-		to.state.Store(state)
-		n++
 	}
 	return n
 }

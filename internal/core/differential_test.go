@@ -375,7 +375,6 @@ var legs = []struct {
 	}},
 	{"replan", legReplan},
 	{"uncut", legUncut},
-	{"shape", legShape},
 }
 
 // legConcurrent races, under -race in `make race`: K searches on one planner,
@@ -541,49 +540,6 @@ func legUncut(t *testing.T, d *diff) {
 	}
 	if uncutCells < cells || (d.part != PartitionAdaptive && uncutCells != cells) {
 		t.Errorf("uncut searches evaluated %d cells, cut ones %d", uncutCells, cells)
-	}
-}
-
-// legShape replans a warm planner onto ClusterA at all and at half its nodes.
-// The adopted plan must be a cold planner's for the adopted strategy, warm
-// started when it keeps the depth on the fast path; when no depth fits, no
-// cold planner may find one either.
-func legShape(t *testing.T, d *diff) {
-	pl := d.planner(t)
-	p, err := pl.Plan()
-	d.same(t, pl, p, err)
-	cl := hardware.ClusterA()
-	for _, nodes := range []int{cl.Nodes, cl.Nodes / 2} {
-		resized, err := cl.Resize(nodes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := pl.ReplanWithShape(resized)
-		if err != nil {
-			strat := pl.strat
-			for strat.PP = pl.LayerCount(); strat.PP > 0; strat.PP-- {
-				if strat.Devices() > resized.Devices() {
-					continue
-				}
-				if cold, err := NewPlanner(pl.cfg, resized, strat, pl.train, pl.opts); err == nil {
-					if _, err := cold.Plan(); err == nil {
-						t.Fatalf("%d nodes: %s fits cold, but the shape replan found nothing", nodes, strat)
-					}
-				}
-			}
-			continue
-		}
-		cold, err := NewPlanner(pl.cfg, resized, r.Strategy, pl.train, pl.opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := cold.Plan()
-		if got := planned(t, r.Planner, r.Plan, nil); !bytes.Equal(got, planned(t, cold, want, err)) {
-			t.Fatalf("shape replan to %d nodes differs from a cold search for %s", nodes, r.Strategy)
-		}
-		if r.Strategy.PP == d.pp && d.fast() && r.Planner.Stats.ReplanIncremental == 0 {
-			t.Errorf("unchanged-depth winner on %d nodes did not warm-start", nodes)
-		}
 	}
 }
 

@@ -216,6 +216,26 @@ func (p *Plan) StaticMem() []int64 {
 	return out
 }
 
+// Bounds returns the p+1 stage bounds over the layer sequence.
+func (p *Plan) Bounds() []int {
+	out := make([]int, 0, len(p.Stages)+1)
+	for _, s := range p.Stages {
+		out = append(out, s.LayerLo)
+	}
+	return append(out, p.Stages[len(p.Stages)-1].LayerHi)
+}
+
+// SavedCount returns how many of stage s's layers of the given kind save
+// the unit (the stage's Saved entry for that unit key).
+func (p *Plan) SavedCount(s int, layer model.LayerKind, unit model.UnitKind) int {
+	return p.Stages[s].Saved[unitKey(layer, unit)]
+}
+
+// unitKey names a unit of a layer kind in StagePlan.Saved, e.g. "FFN/FFNUp".
+func unitKey(layer model.LayerKind, unit model.UnitKind) string {
+	return layer.String() + "/" + unit.String()
+}
+
 // Planner runs the AdaPipe search for one (model, cluster, strategy,
 // training-config) tuple.
 type Planner struct {

@@ -98,12 +98,7 @@ func (pl *Planner) ReplanWithScaleContext(ctx context.Context, old *Plan, scale 
 		return nil, err
 	}
 
-	bounds := make([]int, pl.strat.PP+1)
-	for s, sp := range old.Stages {
-		bounds[s] = sp.LayerLo
-	}
-	bounds[pl.strat.PP] = old.Stages[pl.strat.PP-1].LayerHi
-	repriced, err := pl.planForBounds(bounds)
+	repriced, err := pl.planForBounds(old.Bounds())
 	if err != nil {
 		return nil, fmt.Errorf("core: repricing incumbent plan: %w", err)
 	}

@@ -1,9 +1,13 @@
 package experiments
 
 import (
-	"math"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+
+	"adapipe/internal/model"
+	"adapipe/internal/train"
 )
 
 func TestFigure1Shape(t *testing.T) {
@@ -227,25 +231,57 @@ func avg(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-func TestSavesFromPlanRoundTrip(t *testing.T) {
-	fc := DefaultFigure10Config()
-	fc.Steps = 25
-	curves, err := Figure10(fc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Implicitly exercises SavesFromPlan; also check determinism.
-	curves2, err := Figure10(fc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range curves {
-		if MaxCurveGap(curves[i], curves2[i]) != 0 {
-			t.Error("figure 10 is not deterministic")
+// TestStageSavesRoundTrip: counting the executor's save sets back per
+// (layer kind, unit kind) gives each stage's planned Saved exactly on the
+// blocks' optional units, for a gated and an ungated figure 10 plan whose
+// stages save differently.
+func TestStageSavesRoundTrip(t *testing.T) {
+	for _, gated := range []bool{false, true} {
+		fc := DefaultFigure10Config()
+		fc.GatedFFN = gated
+		plan, err := figure10Plan(fc)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if math.IsNaN(curves[0].Losses[len(curves[0].Losses)-1]) {
-		t.Error("NaN loss")
+		m := fc.Model()
+		seq := m.LayerSequence()
+		saves := train.StageSaves(m, plan.Bounds(), plan.SavedCount)
+		sets := map[string]bool{}
+		for s, st := range plan.Stages {
+			// The executor chooses the optional units of its blocks; the
+			// always-saved ones and the embedding and head are not its
+			// choice.
+			got, want := map[string]int{}, map[string]int{}
+			for _, kind := range []model.LayerKind{model.Attention, model.FFN} {
+				for _, u := range m.Units(kind) {
+					if key := kind.String() + "/" + u.Kind.String(); !u.AlwaysSaved && st.Saved[key] > 0 {
+						want[key] = st.Saved[key]
+					}
+				}
+			}
+			b := 0
+			for _, l := range seq[st.LayerLo:st.LayerHi] {
+				if l.Kind != model.Attention && l.Kind != model.FFN {
+					continue
+				}
+				for _, u := range m.Units(l.Kind) {
+					if !u.AlwaysSaved && saves[s][b].Has(u.Kind) {
+						got[l.Kind.String()+"/"+u.Kind.String()]++
+					}
+				}
+				b++
+			}
+			if b != len(saves[s]) {
+				t.Errorf("gated=%v stage %d: %d save sets for %d blocks", gated, s, len(saves[s]), b)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("gated=%v stage %d: executor saves %v, plan %v", gated, s, got, want)
+			}
+			sets[fmt.Sprint(want)] = true
+		}
+		if len(sets) < 2 {
+			t.Errorf("gated=%v: every stage saves %v; the round trip is vacuous", gated, plan.Stages[0].Saved)
+		}
 	}
 }
 

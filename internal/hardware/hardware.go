@@ -82,22 +82,6 @@ type Cluster struct {
 // Devices returns the total accelerator count.
 func (c Cluster) Devices() int { return c.DevicesPerNode * c.Nodes }
 
-// Resize returns a copy of the cluster with the given node count — the shape
-// a shape replan (core's ReplanWithShape) plans for after nodes leave or
-// join. Everything else (device model, links,
-// per-node layout) is unchanged; the result is validated so a resize can
-// never produce a cluster the planner would reject later.
-func (c Cluster) Resize(nodes int) (Cluster, error) {
-	if nodes <= 0 {
-		return Cluster{}, fmt.Errorf("hardware: %s: cannot resize to %d nodes", c.Name, nodes)
-	}
-	c.Nodes = nodes
-	if err := c.Validate(); err != nil {
-		return Cluster{}, err
-	}
-	return c, nil
-}
-
 // Validate reports whether the cluster parameters are meaningful.
 func (c Cluster) Validate() error {
 	if err := c.Device.Validate(); err != nil {

@@ -103,34 +103,3 @@ func TestPipelineBandwidth(t *testing.T) {
 		t.Errorf("single-node pipeline bandwidth = %g, want intra-node %g", got, single.IntraNodeBandwidth)
 	}
 }
-
-func TestClusterResize(t *testing.T) {
-	c := ClusterA()
-	shrunk, err := c.Resize(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shrunk.Nodes != 5 || shrunk.Devices() != 40 {
-		t.Errorf("shrunk to %d nodes / %d devices, want 5 / 40", shrunk.Nodes, shrunk.Devices())
-	}
-	if c.Nodes != 8 {
-		t.Errorf("Resize mutated the receiver: %d nodes", c.Nodes)
-	}
-	if shrunk.Device != c.Device || shrunk.InterNodeBandwidth != c.InterNodeBandwidth {
-		t.Error("Resize changed more than the node count")
-	}
-
-	grown, err := c.Resize(9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if grown.Devices() != 72 {
-		t.Errorf("grown devices = %d, want 72", grown.Devices())
-	}
-
-	for _, bad := range []int{0, -1} {
-		if _, err := c.Resize(bad); err == nil {
-			t.Errorf("Resize(%d) accepted", bad)
-		}
-	}
-}

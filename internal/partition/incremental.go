@@ -34,21 +34,6 @@ func (m *Memo) Valid(L, p, n int) bool {
 	return m != nil && m.valid && m.l == L && m.p == p && m.n == n
 }
 
-// Clone deep-copies the memo so two planners can warm-start independently
-// (shape replanning seeds the unchanged-depth candidate with a clone).
-func (m *Memo) Clone() *Memo {
-	if m == nil {
-		return nil
-	}
-	out := &Memo{l: m.l, p: m.p, n: m.n, valid: m.valid}
-	out.levels = make([][]State, len(m.levels))
-	for s := range m.levels {
-		out.levels[s] = append([]State(nil), m.levels[s]...)
-	}
-	out.cells = append([]int64(nil), m.cells...)
-	return out
-}
-
 // SolveMemo runs Algorithm 1 warm-started from memo: levels above stale are
 // reused from the previous solve and only levels 0..stale are recomputed
 // (stale = p−1 is a cold solve; stale = −1 reassembles the plan without

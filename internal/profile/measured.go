@@ -2,6 +2,7 @@ package profile
 
 import (
 	"fmt"
+	"math"
 
 	"adapipe/internal/hardware"
 	"adapipe/internal/model"
@@ -65,8 +66,8 @@ func FromMeasurements(cfg model.Config, strat parallel.Strategy, seqLen, microBa
 			if !ok {
 				return nil, fmt.Errorf("profile: missing measurement for %v/%v", kind, u.Kind)
 			}
-			if m.FwdSeconds <= 0 || m.BwdSeconds <= 0 || m.SavedBytes <= 0 {
-				return nil, fmt.Errorf("profile: non-positive measurement for %v/%v: %+v", kind, u.Kind, m)
+			if !positiveFinite(m.FwdSeconds) || !positiveFinite(m.BwdSeconds) || m.SavedBytes <= 0 {
+				return nil, fmt.Errorf("profile: non-positive or non-finite measurement for %v/%v: %+v", kind, u.Kind, m)
 			}
 			uc := UnitCost{Unit: u, FwdTime: m.FwdSeconds, BwdTime: m.BwdSeconds, SavedBytes: m.SavedBytes}
 			lc.Units = append(lc.Units, uc)
@@ -98,3 +99,7 @@ func (p *Profile) Measurements() map[MeasurementKey]Measurement {
 	}
 	return out
 }
+
+// positiveFinite reports whether x is a usable time: false for zero,
+// negatives, NaN and +Inf alike.
+func positiveFinite(x float64) bool { return x > 0 && x <= math.MaxFloat64 }

@@ -1,6 +1,8 @@
 package profile
 
 import (
+	"maps"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -262,25 +264,32 @@ func TestFromMeasurementsValidation(t *testing.T) {
 	full := analytic.Measurements()
 
 	// Missing unit.
-	partial := map[MeasurementKey]Measurement{}
-	for k, v := range full {
-		partial[k] = v
-	}
+	partial := maps.Clone(full)
 	delete(partial, MeasurementKey{Layer: model.Attention, Unit: model.UnitQProj})
 	if _, err := FromMeasurements(cfg, strat, 1024, 1, partial, analytic.CommBytes); err == nil {
 		t.Error("missing measurement accepted")
 	}
-	// Non-positive measurement.
-	bad := map[MeasurementKey]Measurement{}
-	for k, v := range full {
-		bad[k] = v
-	}
-	k := MeasurementKey{Layer: model.FFN, Unit: model.UnitFFNUp}
-	m := bad[k]
-	m.FwdSeconds = 0
-	bad[k] = m
-	if _, err := FromMeasurements(cfg, strat, 1024, 1, bad, analytic.CommBytes); err == nil {
-		t.Error("zero forward time accepted")
+	// A time that is not positive and finite. NaN fails every comparison,
+	// so a `<= 0` check alone lets it through.
+	for _, tc := range []struct {
+		name string
+		set  func(*Measurement)
+	}{
+		{"zero forward time", func(m *Measurement) { m.FwdSeconds = 0 }},
+		{"NaN forward time", func(m *Measurement) { m.FwdSeconds = math.NaN() }},
+		{"+Inf forward time", func(m *Measurement) { m.FwdSeconds = math.Inf(1) }},
+		{"negative backward time", func(m *Measurement) { m.BwdSeconds = -1 }},
+		{"NaN backward time", func(m *Measurement) { m.BwdSeconds = math.NaN() }},
+		{"+Inf backward time", func(m *Measurement) { m.BwdSeconds = math.Inf(1) }},
+	} {
+		bad := maps.Clone(full)
+		k := MeasurementKey{Layer: model.FFN, Unit: model.UnitFFNUp}
+		m := bad[k]
+		tc.set(&m)
+		bad[k] = m
+		if _, err := FromMeasurements(cfg, strat, 1024, 1, bad, analytic.CommBytes); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 	if _, err := FromMeasurements(cfg, strat, 1024, 1, full, 0); err == nil {
 		t.Error("zero boundary bytes accepted")

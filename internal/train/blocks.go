@@ -5,25 +5,27 @@ import (
 	"adapipe/internal/tensor"
 )
 
-// SaveSpec selects which computation units of a sub-layer keep their
-// activations after the forward pass. Units left false are recomputed from
-// the layer's input boundary right before the backward pass — the exact
-// mechanism of §4.1. The final GEMM output of each sub-layer (the boundary
-// tensor) is always saved, mirroring the planner's AlwaysSaved restriction.
-type SaveSpec map[model.UnitKind]bool
+// SaveSpec is the set of computation units of a sub-layer that keep their
+// activations after the forward pass, one bit per model.UnitKind. Units not
+// in the set are recomputed from the layer's input boundary right before the
+// backward pass — the exact mechanism of §4.1. The final GEMM output of each
+// sub-layer (the boundary tensor) is always saved, mirroring the planner's
+// AlwaysSaved restriction. The zero value saves nothing.
+type SaveSpec uint32
 
-// SaveAll returns a spec saving every unit (no recomputation).
-func SaveAll() SaveSpec {
-	return SaveSpec{
-		model.UnitLayerNorm: true, model.UnitQProj: true, model.UnitKProj: true,
-		model.UnitVProj: true, model.UnitCoreAttention: true,
-		model.UnitFFNUp: true, model.UnitFFNAct: true,
-	}
-}
+// SaveAll returns a spec saving every unit of any block (no recomputation):
+// every bit is set.
+func SaveAll() SaveSpec { return ^SaveSpec(0) }
 
 // SaveNone returns a spec recomputing every optional unit (the full-
-// recomputation baseline at unit granularity).
-func SaveNone() SaveSpec { return SaveSpec{} }
+// recomputation baseline at unit granularity): the zero value.
+func SaveNone() SaveSpec { return 0 }
+
+// Has reports whether the spec saves units of kind k.
+func (s SaveSpec) Has(k model.UnitKind) bool { return s&(1<<k) != 0 }
+
+// With returns the spec that also saves units of kind k.
+func (s SaveSpec) With(k model.UnitKind) SaveSpec { return s | 1<<k }
 
 // Block is a pipeline-partitionable sub-layer: an Attention or FFN block with
 // pre-LayerNorm and a residual connection.
@@ -137,11 +139,11 @@ func (b *AttnBlock) Forward(a *arena, x *tensor.Mat, save SaveSpec, reuse BlockC
 	att, core := attentionCore(a, q, k, v, b.Heads, ctx.core.probs)
 	out := b.Out.Forward(a, att)
 	y := tensor.AddInto(out, x, out)
-	ctx.ln, ctx.lnSt = lnSt.keep(a, save[model.UnitLayerNorm], ln)
-	ctx.q = a.keep(save[model.UnitQProj], q)
-	ctx.k = a.keep(save[model.UnitKProj], k)
-	ctx.v = a.keep(save[model.UnitVProj], v)
-	if save[model.UnitCoreAttention] {
+	ctx.ln, ctx.lnSt = lnSt.keep(a, save.Has(model.UnitLayerNorm), ln)
+	ctx.q = a.keep(save.Has(model.UnitQProj), q)
+	ctx.k = a.keep(save.Has(model.UnitKProj), k)
+	ctx.v = a.keep(save.Has(model.UnitVProj), v)
+	if save.Has(model.UnitCoreAttention) {
 		ctx.att = att
 	} else {
 		a.put(att)
@@ -260,9 +262,9 @@ func (b *FFNBlock) Forward(a *arena, x *tensor.Mat, save SaveSpec, reuse BlockCt
 	act := geluForward(a, up)
 	down := b.Down.Forward(a, act)
 	y := tensor.AddInto(down, x, down)
-	ctx.ln, ctx.lnSt = lnSt.keep(a, save[model.UnitLayerNorm], ln)
-	ctx.up = a.keep(save[model.UnitFFNUp], up)
-	ctx.act = a.keep(save[model.UnitFFNAct], act)
+	ctx.ln, ctx.lnSt = lnSt.keep(a, save.Has(model.UnitLayerNorm), ln)
+	ctx.up = a.keep(save.Has(model.UnitFFNUp), up)
+	ctx.act = a.keep(save.Has(model.UnitFFNAct), act)
 	return y, ctx
 }
 

@@ -15,6 +15,12 @@ import (
 type DataParallel struct {
 	// Replicas are the per-replica pipelines.
 	Replicas []*Pipeline
+	// params holds each replica's parameters, gathered and checked once by
+	// NewDataParallel; losses and errs are Step's per-replica results. Step
+	// and InSync reuse all three.
+	params [][]*Param
+	losses []float64
+	errs   []error
 }
 
 // NewDataParallel wraps d pipelines built by mk (which must construct
@@ -23,18 +29,18 @@ func NewDataParallel(d int, mk func() (*Pipeline, error)) (*DataParallel, error)
 	if d < 1 {
 		return nil, fmt.Errorf("train: need at least one replica, got %d", d)
 	}
-	dp := &DataParallel{}
+	dp := &DataParallel{losses: make([]float64, d), errs: make([]error, d)}
 	for r := 0; r < d; r++ {
 		pipe, err := mk()
 		if err != nil {
 			return nil, err
 		}
 		dp.Replicas = append(dp.Replicas, pipe)
+		dp.params = append(dp.params, paramsOf(pipe))
 	}
 	// All replicas must agree on the parameter layout.
-	ref := paramsOf(dp.Replicas[0])
-	for r := 1; r < d; r++ {
-		ps := paramsOf(dp.Replicas[r])
+	ref := dp.params[0]
+	for r, ps := range dp.params {
 		if len(ps) != len(ref) {
 			return nil, fmt.Errorf("train: replica %d has %d params, replica 0 has %d", r, len(ps), len(ref))
 		}
@@ -66,37 +72,31 @@ func (dp *DataParallel) Step(batches []Batch) (float64, error) {
 	}
 	per := len(batches) / d
 
-	losses := make([]float64, d)
-	errs := make([]error, d)
 	var wg sync.WaitGroup
 	for r := 0; r < d; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			losses[r], errs[r] = dp.Replicas[r].Accumulate(batches[r*per : (r+1)*per])
+			dp.losses[r], dp.errs[r] = dp.Replicas[r].Accumulate(batches[r*per : (r+1)*per])
 		}(r)
 	}
 	wg.Wait()
-	for _, err := range errs {
+	for _, err := range dp.errs {
 		if err != nil {
 			return 0, err
 		}
 	}
 
 	// All-reduce: sum gradients into replica 0's buffers, then broadcast.
-	replicaParams := make([][]*Param, d)
-	for r := 0; r < d; r++ {
-		replicaParams[r] = paramsOf(dp.Replicas[r])
-	}
-	for i := range replicaParams[0] {
-		g0 := replicaParams[0][i].G
+	for i, p0 := range dp.params[0] {
+		g0 := p0.G
 		for r := 1; r < d; r++ {
 			for j := range g0.Data {
-				g0.Data[j] += replicaParams[r][i].G.Data[j]
+				g0.Data[j] += dp.params[r][i].G.Data[j]
 			}
 		}
 		for r := 1; r < d; r++ {
-			copy(replicaParams[r][i].G.Data, g0.Data)
+			copy(dp.params[r][i].G.Data, g0.Data)
 		}
 	}
 	for r := 0; r < d; r++ {
@@ -104,7 +104,7 @@ func (dp *DataParallel) Step(batches []Batch) (float64, error) {
 	}
 
 	var mean float64
-	for _, l := range losses {
+	for _, l := range dp.losses {
 		mean += l
 	}
 	return mean / float64(d), nil
@@ -116,10 +116,9 @@ func (dp *DataParallel) InSync() float64 {
 	if len(dp.Replicas) < 2 {
 		return 0
 	}
-	ref := paramsOf(dp.Replicas[0])
+	ref := dp.params[0]
 	var worst float64
-	for r := 1; r < len(dp.Replicas); r++ {
-		ps := paramsOf(dp.Replicas[r])
+	for _, ps := range dp.params[1:] {
 		for i := range ps {
 			for j := range ps[i].W.Data {
 				if d := ps[i].W.Data[j] - ref[i].W.Data[j]; d > worst {

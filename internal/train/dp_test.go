@@ -130,3 +130,29 @@ func TestRunDataParallelRecordsTrace(t *testing.T) {
 		}
 	}
 }
+
+// TestDataParallelStepAllocsBounded: a steady-state step at the bench shape
+// allocates only what starting d replica goroutines takes — a goroutine and
+// a closure each, and the WaitGroup they share: at most 2·d + 1 objects.
+func TestDataParallelStepAllocsBounded(t *testing.T) {
+	for _, d := range []int{1, 2} {
+		dp, err := NewDataParallel(d, func() (*Pipeline, error) { return benchPipe(t, benchBounds, "saveall", false), nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches := NewCorpus(benchShape.Vocab, 1<<16, benchShape.Seed+7).Batches(benchMicros, benchShape.Seq, tensor.NewRNG(benchShape.Seed))
+		step := func() {
+			if _, err := dp.Step(batches); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			step()
+		}
+		allocs := testing.AllocsPerRun(10, step)
+		t.Logf("d=%d: %.0f allocs per step", d, allocs)
+		if allocs > float64(2*d+1) {
+			t.Errorf("d=%d: %.0f allocs per step, want <= %d", d, allocs, 2*d+1)
+		}
+	}
+}

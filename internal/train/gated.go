@@ -102,10 +102,10 @@ func (b *GatedFFNBlock) Forward(a *arena, x *tensor.Mat, save SaveSpec, reuse Bl
 	act := gatedAct(a, up, gate)
 	down := b.Down.Forward(a, act)
 	y := tensor.AddInto(down, x, down)
-	ctx.ln, ctx.lnSt = lnSt.keep(a, save[model.UnitLayerNorm], ln)
-	ctx.up = a.keep(save[model.UnitFFNUp], up)
-	ctx.gate = a.keep(save[model.UnitFFNGate], gate)
-	ctx.act = a.keep(save[model.UnitFFNAct], act)
+	ctx.ln, ctx.lnSt = lnSt.keep(a, save.Has(model.UnitLayerNorm), ln)
+	ctx.up = a.keep(save.Has(model.UnitFFNUp), up)
+	ctx.gate = a.keep(save.Has(model.UnitFFNGate), gate)
+	ctx.act = a.keep(save.Has(model.UnitFFNAct), act)
 	return y, ctx
 }
 

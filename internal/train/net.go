@@ -39,6 +39,16 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// Model returns the planner's description of the same net: every head is
+// its own key/value head, and a value is 8 bytes, the executor's float64.
+func (c Config) Model() model.Config {
+	return model.Config{
+		Name: fmt.Sprintf("train-%dL", c.Layers), DecoderLayers: c.Layers, Hidden: c.Dim,
+		Heads: c.Heads, KVHeads: c.Heads, FFNHidden: c.FFN, Vocab: c.Vocab,
+		GatedFFN: c.GatedFFN, BytesPerValue: 8,
+	}
+}
+
 // Net is the complete micro-transformer.
 type Net struct {
 	// Cfg echoes the construction config.
@@ -238,8 +248,8 @@ func (s *Stage) Backward(ctx *StageCtx, dy *tensor.Mat) *tensor.Mat {
 
 // Split partitions the network into p stages at the given layer bounds
 // (p+1 entries over the LayerSequence indices, as produced by the planner or
-// partition.Even). saves supplies one SaveSpec per block per stage; nil
-// means save everything.
+// partition.Even). saves supplies one SaveSpec per block per stage; a block
+// without an entry saves everything.
 func Split(n *Net, bounds []int, saves [][]SaveSpec) ([]*Stage, error) {
 	seq := n.LayerSequence()
 	p := len(bounds) - 1
@@ -252,7 +262,6 @@ func Split(n *Net, bounds []int, saves [][]SaveSpec) ([]*Stage, error) {
 			return nil, fmt.Errorf("train: stage %d is empty (bounds %v)", s, bounds)
 		}
 		st := &Stage{Index: s, SaveHeadLN: true}
-		blockIdx := 0
 		for li := bounds[s]; li < bounds[s+1]; li++ {
 			switch seq[li].Kind {
 			case model.Embedding:
@@ -261,20 +270,51 @@ func Split(n *Net, bounds []int, saves [][]SaveSpec) ([]*Stage, error) {
 				st.HeadLN = n.HeadLN
 				st.HeadProj = n.HeadProj
 			default:
+				spec := SaveAll()
+				if b := len(st.Blocks); s < len(saves) && b < len(saves[s]) {
+					spec = saves[s][b]
+				}
 				// Block index in n.Blocks is li-1 (embedding first).
 				st.Blocks = append(st.Blocks, n.Blocks[li-1])
-				var spec SaveSpec
-				if saves != nil && s < len(saves) && blockIdx < len(saves[s]) {
-					spec = saves[s][blockIdx]
-				}
-				if spec == nil {
-					spec = SaveAll()
-				}
 				st.Saves = append(st.Saves, spec)
-				blockIdx++
 			}
 		}
 		stages[s] = st
 	}
 	return stages, nil
+}
+
+// StageSaves maps a plan's per-stage saved counts onto Split's saves. bounds
+// are the stage bounds over m.LayerSequence(), and saved(s, layer, unit) is
+// how many of stage s's blocks of that layer kind keep the unit. Each
+// optional unit of m.Units goes to the stage's trailing blocks of its kind
+// (which copies are saved is immaterial to both time and memory — all copies
+// are isomorphic).
+func StageSaves(m model.Config, bounds []int, saved func(stage int, layer model.LayerKind, unit model.UnitKind) int) [][]SaveSpec {
+	seq := m.LayerSequence()
+	saves := make([][]SaveSpec, len(bounds)-1)
+	for s := range saves {
+		var kinds []model.LayerKind // the stage's blocks, in order
+		for _, l := range seq[bounds[s]:bounds[s+1]] {
+			if l.Kind == model.Attention || l.Kind == model.FFN {
+				kinds = append(kinds, l.Kind)
+			}
+		}
+		saves[s] = make([]SaveSpec, len(kinds))
+		for _, kind := range [...]model.LayerKind{model.Attention, model.FFN} {
+			for _, u := range m.Units(kind) {
+				if u.AlwaysSaved {
+					continue
+				}
+				c := saved(s, kind, u.Kind)
+				for b := len(kinds) - 1; b >= 0 && c > 0; b-- {
+					if kinds[b] == kind {
+						saves[s][b] = saves[s][b].With(u.Kind)
+						c--
+					}
+				}
+			}
+		}
+	}
+	return saves
 }

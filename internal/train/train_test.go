@@ -57,24 +57,14 @@ func runOnce(t *testing.T, stages []*Stage, tokens, targets []int) float64 {
 // replaying activations must leave every gradient bit-identical, for every
 // random save/recompute configuration.
 func TestRecomputationIsExact(t *testing.T) {
-	kinds := []model.UnitKind{
-		model.UnitLayerNorm, model.UnitQProj, model.UnitKProj, model.UnitVProj,
-		model.UnitCoreAttention, model.UnitFFNUp, model.UnitFFNAct,
-	}
-	f := func(mask uint16, seed uint16) bool {
-		net := mustNet(Config{Layers: 2, Dim: 16, Heads: 2, FFN: 32, Vocab: 20, Seq: 12, Seed: uint64(seed) + 1})
-		netRef := mustNet(Config{Layers: 2, Dim: 16, Heads: 2, FFN: 32, Vocab: 20, Seq: 12, Seed: uint64(seed) + 1})
+	f := func(masks [4]uint16, seed uint16) bool {
+		cfg := Config{Layers: 2, Dim: 16, Heads: 2, FFN: 32, Vocab: 20, Seq: 12, GatedFFN: seed%2 == 1, Seed: uint64(seed) + 1}
+		net, netRef := mustNet(cfg), mustNet(cfg)
 
-		// Random per-block save specs from the mask bits.
+		// Random per-block save sets: each mask bit is one unit kind.
 		saves := make([][]SaveSpec, 1)
-		for b := 0; b < 4; b++ {
-			spec := SaveSpec{}
-			for ki, k := range kinds {
-				if mask>>(uint(b*3+ki)%16)&1 == 1 {
-					spec[k] = true
-				}
-			}
-			saves[0] = append(saves[0], spec)
+		for _, m := range masks {
+			saves[0] = append(saves[0], SaveSpec(m))
 		}
 		stages, err := Split(net, []int{0, 6}, saves)
 		if err != nil {
@@ -281,9 +271,51 @@ func TestSaveSpecControlsContextSize(t *testing.T) {
 	}
 	// Core attention dominates: saving it costs at least the per-head
 	// probability matrices.
-	_, coreOnly := b.Forward(nil, x, SaveSpec{model.UnitCoreAttention: true}, nil)
+	_, coreOnly := b.Forward(nil, x, SaveNone().With(model.UnitCoreAttention), nil)
 	if coreOnly.SavedBytes() <= none.SavedBytes() {
 		t.Error("saving core attention did not grow the context")
+	}
+}
+
+// TestSaveAllSavesEveryListedUnit: on a gated net, SaveAll is exactly the
+// set of optional units model.Config.Units lists, and the executor reads
+// every one of them.
+func TestSaveAllSavesEveryListedUnit(t *testing.T) {
+	cfg := Config{Layers: 2, Dim: 32, Heads: 4, FFN: 48, Vocab: 32, Seq: 24, Seed: 4, GatedFFN: true}
+	net := mustNet(cfg)
+	listed := func(kind model.LayerKind) (spec SaveSpec, units []model.UnitKind) {
+		for _, u := range cfg.Model().Units(kind) {
+			if !u.AlwaysSaved {
+				spec, units = spec.With(u.Kind), append(units, u.Kind)
+			}
+		}
+		return spec, units
+	}
+	var all, each []SaveSpec
+	for _, b := range net.Blocks {
+		spec, _ := listed(b.Kind())
+		all, each = append(all, SaveAll()), append(each, spec)
+	}
+	peak := func(saves []SaveSpec) []int64 {
+		res, err := Run(RunConfig{Net: cfg, Bounds: []int{0, 6}, Saves: [][]SaveSpec{saves}, Steps: 1, MicroBatches: 2, LR: 1e-3, DataSeed: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.PeakActBytes
+	}
+	if got, want := peak(all), peak(each); got[0] != want[0] {
+		t.Errorf("peak with SaveAll %d B, with every listed unit %d B", got[0], want[0])
+	}
+
+	x := tensor.RandNorm(tensor.NewRNG(5), cfg.Seq, cfg.Dim, 1)
+	for i, b := range net.Blocks {
+		_, full := b.Forward(nil, x, SaveAll(), nil)
+		_, units := listed(b.Kind())
+		for _, u := range units {
+			if _, drop := b.Forward(nil, x, SaveAll()&^(SaveSpec(1)<<u), nil); drop.SavedBytes() >= full.SavedBytes() {
+				t.Errorf("block %d: dropping %v keeps %d B, SaveAll %d B", i, u, drop.SavedBytes(), full.SavedBytes())
+			}
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package adapipe
 import (
 	"context"
 
-	"adapipe/internal/experiments"
 	"adapipe/internal/train"
 )
 
@@ -18,7 +17,7 @@ type (
 	// TrainResult carries the per-step losses and per-stage activation
 	// high-water marks.
 	TrainResult = train.RunResult
-	// SaveSpec selects which computation units of a block keep their
+	// SaveSpec is the set of computation units of a block that keep their
 	// activations; unsaved units are recomputed before backward.
 	SaveSpec = train.SaveSpec
 )
@@ -27,7 +26,8 @@ type (
 // outlives TrainRunConfig.Watchdog; test with errors.Is.
 var ErrWatchdog = train.ErrWatchdog
 
-// SaveAll returns a SaveSpec that keeps every unit (no recomputation).
+// SaveAll returns a SaveSpec that keeps every unit of any block (no
+// recomputation).
 func SaveAll() SaveSpec { return train.SaveAll() }
 
 // SaveNone returns a SaveSpec that recomputes every optional unit.
@@ -57,5 +57,6 @@ func TrainDataParallel(d int, rc TrainRunConfig) (TrainResult, error) {
 // TrainSpecFromPlan converts a planner Plan into engine stage bounds and
 // per-block SaveSpecs, so a searched strategy can be executed for real.
 func TrainSpecFromPlan(p *Plan, m Model) (bounds []int, saves [][]SaveSpec) {
-	return experiments.SavesFromPlan(p, m.LayerSequence())
+	bounds = p.Bounds()
+	return bounds, train.StageSaves(m, bounds, p.SavedCount)
 }
