@@ -13,18 +13,39 @@ import (
 )
 
 func main() {
+	const stages, micros = 2, 8
 	net := adapipe.TrainConfig{
 		Layers: 4, Dim: 64, Heads: 4, FFN: 128, Vocab: 64, Seq: 48, Seed: 7,
 	}
 	// Layer sequence: Embedding + 2*Layers blocks + Head = 10 entries.
 	evenBounds := []int{0, 5, 10}
 
-	fullRecompute := make([][]adapipe.SaveSpec, 2)
+	fullRecompute := make([][]adapipe.SaveSpec, stages)
 	for s := range fullRecompute {
 		for b := 0; b < 4; b++ {
 			fullRecompute[s] = append(fullRecompute[s], adapipe.SaveNone())
 		}
 	}
+
+	// Plan the same net with the real two-level search on a toy device that
+	// holds full recomputation but not saving everything, so the plan must
+	// choose what each stage recomputes.
+	m := net.Model()
+	strat := adapipe.Strategy{TP: 1, PP: stages, DP: 1}
+	tc := adapipe.TrainingConfig{GlobalBatch: micros, MicroBatch: 1, SeqLen: net.Seq}
+	capacity, err := adapipe.ToyCapacity(m, strat, tc, 0.6)
+	if err != nil {
+		log.Fatal(err)
+	}
+	planner, err := adapipe.NewPlanner(m, adapipe.ToyCluster(stages, capacity), strat, tc, adapipe.ToyOptions())
+	if err != nil {
+		log.Fatal(err)
+	}
+	plan, err := planner.Plan()
+	if err != nil {
+		log.Fatal(err)
+	}
+	planBounds, planSaves := adapipe.TrainSpecFromPlan(plan, m)
 
 	runs := []struct {
 		name   string
@@ -32,14 +53,14 @@ func main() {
 		saves  [][]adapipe.SaveSpec
 	}{
 		{"DAPPLE-Full (recompute everything)", evenBounds, fullRecompute},
-		{"No recomputation (save everything)", evenBounds, nil},
+		{fmt.Sprintf("AdaPipe plan (bounds %v)", planBounds), planBounds, planSaves},
 	}
 
 	var curves [][]float64
 	for _, r := range runs {
 		res, err := adapipe.Train(adapipe.TrainRunConfig{
 			Net: net, Bounds: r.bounds, Saves: r.saves,
-			Steps: 150, MicroBatches: 8, LR: 1e-3, DataSeed: 7,
+			Steps: 150, MicroBatches: micros, LR: 1e-3, DataSeed: 7,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -48,7 +69,6 @@ func main() {
 		fmt.Printf("%-36s loss %0.4f → %0.4f   peak activations per stage: %v bytes\n",
 			r.name, res.Losses[0], res.Losses[len(res.Losses)-1], res.PeakActBytes)
 	}
-
 	var maxGap float64
 	for i := range curves[0] {
 		if d := curves[0][i] - curves[1][i]; d > maxGap || -d > maxGap {

@@ -226,10 +226,31 @@ func (p *Plan) Bounds() []int {
 }
 
 // SavedCount returns how many of stage s's layers of the given kind save
-// the unit (the stage's Saved entry for that unit key).
+// the unit under the plan's recompute mode — what the stage is priced as
+// keeping. Adaptive plans read the unit's Saved entry and layer-level plans
+// the kind's whole-layer entry. The fixed policies save by rule, as
+// fixedPolicyEntry prices them: under RecomputeNone every layer, under
+// RecomputeFull every layer but the decoder blocks. "Every layer" is the
+// stage's layer count, which no kind's share of the stage exceeds.
 func (p *Plan) SavedCount(s int, layer model.LayerKind, unit model.UnitKind) int {
-	return p.Stages[s].Saved[unitKey(layer, unit)]
+	st := p.Stages[s]
+	switch p.Recompute {
+	case RecomputeFull:
+		if layer == model.Attention || layer == model.FFN {
+			return 0
+		}
+		return st.Layers()
+	case RecomputeNone:
+		return st.Layers()
+	case RecomputeLayerLevel:
+		return st.Saved[layer.String()+wholeLayer]
+	}
+	return st.Saved[unitKey(layer, unit)]
 }
+
+// wholeLayer suffixes a layer kind in the key of its merged knapsack item
+// under RecomputeLayerLevel, e.g. "FFN/whole-layer".
+const wholeLayer = "/whole-layer"
 
 // unitKey names a unit of a layer kind in StagePlan.Saved, e.g. "FFN/FFNUp".
 func unitKey(layer model.LayerKind, unit model.UnitKind) string {
@@ -248,9 +269,8 @@ type Planner struct {
 	prof   *profile.Profile
 	layers []model.Layer
 	n      int
-	// clock times the search's wall counter (SearchWall). obs.RealClock() at
-	// construction; SetClock swaps in a fake for deterministic tests.
-	// Immutable once planning starts.
+	// clock times the search's wall counter (SearchWall): obs.RealClock(),
+	// set at construction and never changed.
 	clock obs.Clock
 
 	// table is the dense per-(stage, iso-class) cost table together with the
@@ -363,15 +383,6 @@ func NewPlannerWithProfile(cfg model.Config, cluster hardware.Cluster, strat par
 	}
 	pl.table = newCostTable(pl)
 	return pl, nil
-}
-
-// SetClock replaces the planner's wall-clock source so tests can drive the
-// SearchStats wall counters deterministically. Call it before the first
-// Plan/PlanContext; a nil clock is ignored.
-func (pl *Planner) SetClock(c obs.Clock) {
-	if c != nil {
-		pl.clock = c
-	}
 }
 
 // Profile exposes the synthesized cost profile.
@@ -964,7 +975,7 @@ func coarsenToLayers(groups []recompute.Group) []recompute.Group {
 		}
 		m, ok := merged[kind]
 		if !ok {
-			m = &recompute.Group{Key: kind + "/whole-layer", Count: g.Count}
+			m = &recompute.Group{Key: kind + wholeLayer, Count: g.Count}
 			merged[kind] = m
 		}
 		m.FwdTime += g.FwdTime

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"adapipe/internal/core"
 	"adapipe/internal/model"
 	"adapipe/internal/train"
 )
@@ -232,55 +233,90 @@ func avg(xs []float64) float64 {
 }
 
 // TestStageSavesRoundTrip: counting the executor's save sets back per
-// (layer kind, unit kind) gives each stage's planned Saved exactly on the
-// blocks' optional units, for a gated and an ungated figure 10 plan whose
-// stages save differently.
+// (layer kind, unit kind) gives each stage what the plan prices it as saving,
+// under every recompute mode, for a gated and an ungated figure 10 net.
+// Adaptive plans save their searched units (and their stages save
+// differently), layer-level plans that many whole layers of each kind, full
+// recomputation the head alone and no recomputation everything — so a
+// no-recomputation plan runs at the save-all peak.
 func TestStageSavesRoundTrip(t *testing.T) {
+	modes := []core.RecomputeMode{core.RecomputeAdaptive, core.RecomputeFull, core.RecomputeNone, core.RecomputeLayerLevel}
 	for _, gated := range []bool{false, true} {
-		fc := DefaultFigure10Config()
-		fc.GatedFFN = gated
-		plan, err := figure10Plan(fc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := fc.Model()
-		seq := m.LayerSequence()
-		saves := train.StageSaves(m, plan.Bounds(), plan.SavedCount)
-		sets := map[string]bool{}
-		for s, st := range plan.Stages {
-			// The executor chooses the optional units of its blocks; the
-			// always-saved ones and the embedding and head are not its
-			// choice.
-			got, want := map[string]int{}, map[string]int{}
-			for _, kind := range []model.LayerKind{model.Attention, model.FFN} {
-				for _, u := range m.Units(kind) {
-					if key := kind.String() + "/" + u.Kind.String(); !u.AlwaysSaved && st.Saved[key] > 0 {
-						want[key] = st.Saved[key]
+		for _, mode := range modes {
+			fc := DefaultFigure10Config()
+			fc.GatedFFN = gated
+			name := fmt.Sprintf("gated=%v %s", gated, mode)
+			plan, err := figure10Plan(fc, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := fc.Model()
+			seq := m.LayerSequence()
+			saves := train.StageSaves(m, plan.Bounds(), plan.SavedCount)
+			sets := map[string]bool{}
+			for s, st := range plan.Stages {
+				got, want := map[string]int{}, map[string]int{}
+				b := 0
+				for _, l := range seq[st.LayerLo:st.LayerHi] {
+					optional := false
+					for _, u := range m.Units(l.Kind) {
+						if u.AlwaysSaved {
+							continue
+						}
+						optional = true
+						key := l.Kind.String() + "/" + u.Kind.String()
+						if saves[s][b].Has(u.Kind) {
+							got[key]++
+						}
+						// Does the plan price this layer as keeping u? (The
+						// first layers of the kind take a unit's count here,
+						// StageSaves the last: the copies are isomorphic.)
+						var saved bool
+						switch mode {
+						case core.RecomputeAdaptive:
+							saved = want[key] < st.Saved[key]
+						case core.RecomputeLayerLevel:
+							saved = want[key] < st.Saved[l.Kind.String()+"/whole-layer"]
+						case core.RecomputeFull:
+							saved = l.Kind == model.Head
+						case core.RecomputeNone:
+							saved = true
+						}
+						if saved {
+							want[key]++
+						}
+					}
+					if optional {
+						b++
 					}
 				}
-			}
-			b := 0
-			for _, l := range seq[st.LayerLo:st.LayerHi] {
-				if l.Kind != model.Attention && l.Kind != model.FFN {
-					continue
+				if b != len(saves[s]) {
+					t.Errorf("%s stage %d: %d save sets for %d layers with optional units", name, s, len(saves[s]), b)
 				}
-				for _, u := range m.Units(l.Kind) {
-					if !u.AlwaysSaved && saves[s][b].Has(u.Kind) {
-						got[l.Kind.String()+"/"+u.Kind.String()]++
-					}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s stage %d: executor saves %v, plan %v", name, s, got, want)
 				}
-				b++
+				sets[fmt.Sprint(want)] = true
 			}
-			if b != len(saves[s]) {
-				t.Errorf("gated=%v stage %d: %d save sets for %d blocks", gated, s, len(saves[s]), b)
+			if mode == core.RecomputeAdaptive && len(sets) < 2 {
+				t.Errorf("%s: every stage saves %v; the round trip is vacuous", name, plan.Stages[0].Saved)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("gated=%v stage %d: executor saves %v, plan %v", gated, s, got, want)
+			if mode != core.RecomputeNone {
+				continue
 			}
-			sets[fmt.Sprint(want)] = true
-		}
-		if len(sets) < 2 {
-			t.Errorf("gated=%v: every stage saves %v; the round trip is vacuous", gated, plan.Stages[0].Saved)
+			peak := func(saves [][]train.SaveSpec) []int64 {
+				res, err := train.Run(train.RunConfig{
+					Net: fc.Config, Bounds: plan.Bounds(), Saves: saves,
+					Steps: 1, MicroBatches: fc.MicroBatches, LR: fc.LR, DataSeed: fc.Seed,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res.PeakActBytes
+			}
+			if got, all := peak(saves), peak(nil); !reflect.DeepEqual(got, all) {
+				t.Errorf("%s: peak %v B, saving everything %v B", name, got, all)
+			}
 		}
 	}
 }

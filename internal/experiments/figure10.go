@@ -53,16 +53,22 @@ func DefaultFigure10Config() Figure10Config {
 // curves differ only by initialization noise (§7.5).
 func Figure10(fc Figure10Config) ([]Figure10Curve, error) {
 	mcfg := fc.Model()
-	plan, err := figure10Plan(fc)
+	plan, err := figure10Plan(fc, core.RecomputeAdaptive)
 	if err != nil {
 		return nil, err
 	}
 	adaBounds := plan.Bounds()
 	adaSaves := train.StageSaves(mcfg, adaBounds, plan.SavedCount)
 
-	// DAPPLE-Full: even bounds, no optional unit saved anywhere.
+	// DAPPLE-Full: even bounds, no optional unit of a decoder block saved;
+	// the head keeps its LayerNorm, as the planner's full policy prices it.
 	evenBounds := partition.Even(len(mcfg.LayerSequence()), fc.Stages)
-	fullSaves := train.StageSaves(mcfg, evenBounds, func(int, model.LayerKind, model.UnitKind) int { return 0 })
+	fullSaves := train.StageSaves(mcfg, evenBounds, func(_ int, kind model.LayerKind, _ model.UnitKind) int {
+		if kind == model.Head {
+			return 1
+		}
+		return 0
+	})
 
 	runs := []struct {
 		name   string
@@ -86,9 +92,12 @@ func Figure10(fc Figure10Config) ([]Figure10Curve, error) {
 	return out, nil
 }
 
-// figure10Plan plans fc's net with the full AdaPipe search against a toy
+// figure10Plan plans fc's net with adaptive partitioning against a toy
 // device sized so early stages must recompute while later stages can save.
-func figure10Plan(fc Figure10Config) (*core.Plan, error) {
+// mode is the recompute policy (AdaPipe's is RecomputeAdaptive); the device
+// does not hold a plan that saves everything, so the fixed policies are
+// planned past its memory limit.
+func figure10Plan(fc Figure10Config, mode core.RecomputeMode) (*core.Plan, error) {
 	mcfg := fc.Model()
 	strat := parallel.Strategy{TP: 1, PP: fc.Stages, DP: 1}
 	trainCfg := parallel.Config{GlobalBatch: fc.MicroBatches, MicroBatch: 1, SeqLen: fc.Seq}
@@ -97,8 +106,9 @@ func figure10Plan(fc Figure10Config) (*core.Plan, error) {
 		return nil, err
 	}
 	opts := ToyOptions()
-	opts.Recompute = core.RecomputeAdaptive
+	opts.Recompute = mode
 	opts.Partition = core.PartitionAdaptive
+	opts.IgnoreMemoryLimit = true
 	planner, err := core.NewPlanner(mcfg, ToyCluster(fc.Stages, capacity), strat, trainCfg, opts)
 	if err != nil {
 		return nil, err

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 
 	"adapipe/internal/tensor"
 )
@@ -37,9 +38,9 @@ type benchRig struct {
 // benchPipe builds a bench-shaped pipeline under one of the three save
 // policies. With poison set every stage arena NaN-fills what is released to
 // it, so a read after release cannot go unnoticed.
-func benchPipe(t testing.TB, bounds []int, spec string, poison bool) *Pipeline {
+func benchPipe(t testing.TB, shape Config, bounds []int, spec string, poison bool) *Pipeline {
 	t.Helper()
-	net, err := NewNet(benchShape)
+	net, err := NewNet(shape)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,9 +63,9 @@ func benchPipe(t testing.TB, bounds []int, spec string, poison bool) *Pipeline {
 	return NewPipeline(stages, benchLR)
 }
 
-func newBenchRig(t testing.TB, bounds []int, spec string, poison bool) *benchRig {
+func newBenchRig(t testing.TB, shape Config, bounds []int, spec string, poison bool) *benchRig {
 	return &benchRig{
-		pipe:   benchPipe(t, bounds, spec, poison),
+		pipe:   benchPipe(t, shape, bounds, spec, poison),
 		corpus: NewCorpus(benchShape.Vocab, 1<<16, benchShape.Seed+7),
 		rng:    tensor.NewRNG(benchShape.Seed),
 	}
@@ -72,17 +73,21 @@ func newBenchRig(t testing.TB, bounds []int, spec string, poison bool) *benchRig
 
 func (r *benchRig) batches() []Batch { return r.corpus.Batches(benchMicros, benchShape.Seq, r.rng) }
 
-// parentRun is one entry of testdata/losses_bench_shape.json: what the
-// executor reported at the commit before the blocked kernels and the arena
-// (2d08acb) — naive triple loops, every matrix from the garbage collector.
+// parentRun is one entry of a file of runs captured once and never
+// regenerated. testdata/losses_bench_shape.json holds what the executor
+// reported at the commit before the blocked kernels and the arena (2d08acb)
+// — naive triple loops, every matrix from the garbage collector.
+// testdata/losses_gated_bench_shape.json holds the bench shape with SwiGLU
+// blocks, captured at 03522dc, while the gated block was still a type of its
+// own beside FFNBlock.
 type parentRun struct {
 	LossBits     []string `json:"loss_bits"`
 	PeakActBytes []int64  `json:"peak_act_bytes"`
 }
 
-func parentRuns(t testing.TB) map[string]parentRun {
+func parentRuns(t testing.TB, file string) map[string]parentRun {
 	t.Helper()
-	raw, err := os.ReadFile(filepath.Join("testdata", "losses_bench_shape.json"))
+	raw, err := os.ReadFile(filepath.Join("testdata", file))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,35 +113,44 @@ func checkLosses(t *testing.T, name string, got []float64, want []string) {
 // steps under each save policy and of the single-stage baseline, against the
 // file captured at the parent commit and never regenerated. The same run
 // holds PeakActBytes to the parent's values: the arena recycles buffers, it
-// does not change what a context pins.
+// does not change what a context pins. The gated file holds the SwiGLU form
+// of FFNBlock to the separate block it replaced.
 func TestLossesUnchangedFromParent(t *testing.T) {
-	parent := parentRuns(t)
-	for _, c := range []struct {
-		name   string
-		bounds []int
-		spec   string
-	}{
-		{"saveall", benchBounds, "saveall"},
-		{"savenone", benchBounds, "savenone"},
-		{"alternate", benchBounds, "alternate"},
-		{"baseline", []int{0, 10}, "saveall"},
-	} {
-		want, ok := parent[c.name]
-		if !ok {
-			t.Fatalf("no %q run in the parent file", c.name)
-		}
-		rig := newBenchRig(t, c.bounds, c.spec, false)
-		var losses []float64
-		for range want.LossBits {
-			l, err := rig.pipe.Step(rig.batches())
-			if err != nil {
-				t.Fatal(err)
+	gated := benchShape
+	gated.GatedFFN = true
+	for _, f := range []struct {
+		file  string
+		shape Config
+	}{{"losses_bench_shape.json", benchShape}, {"losses_gated_bench_shape.json", gated}} {
+		parent := parentRuns(t, f.file)
+		for _, c := range []struct {
+			name   string
+			bounds []int
+			spec   string
+		}{
+			{"saveall", benchBounds, "saveall"},
+			{"savenone", benchBounds, "savenone"},
+			{"alternate", benchBounds, "alternate"},
+			{"baseline", []int{0, 10}, "saveall"},
+		} {
+			name := f.file + " " + c.name
+			want, ok := parent[c.name]
+			if !ok {
+				t.Fatalf("no %q run in %s", c.name, f.file)
 			}
-			losses = append(losses, l)
-		}
-		checkLosses(t, c.name, losses, want.LossBits)
-		if fmt.Sprint(rig.pipe.PeakActBytes) != fmt.Sprint(want.PeakActBytes) {
-			t.Errorf("%s: PeakActBytes %v, the parent commit reported %v", c.name, rig.pipe.PeakActBytes, want.PeakActBytes)
+			rig := newBenchRig(t, f.shape, c.bounds, c.spec, false)
+			var losses []float64
+			for range want.LossBits {
+				l, err := rig.pipe.Step(rig.batches())
+				if err != nil {
+					t.Fatal(err)
+				}
+				losses = append(losses, l)
+			}
+			checkLosses(t, name, losses, want.LossBits)
+			if fmt.Sprint(rig.pipe.PeakActBytes) != fmt.Sprint(want.PeakActBytes) {
+				t.Errorf("%s: PeakActBytes %v, the parent commit reported %v", name, rig.pipe.PeakActBytes, want.PeakActBytes)
+			}
 		}
 	}
 }
@@ -163,9 +177,9 @@ func freeCtxs(p *Pipeline) map[*StageCtx]bool {
 // the free lists end each step holding the very contexts they held after
 // the first.
 func TestArenaPoisonedReleaseLeavesLossesAlone(t *testing.T) {
-	parent := parentRuns(t)
+	parent := parentRuns(t, "losses_bench_shape.json")
 	for _, spec := range benchSpecs {
-		rig := newBenchRig(t, benchBounds, spec, true)
+		rig := newBenchRig(t, benchShape, benchBounds, spec, true)
 		var losses []float64
 		var first map[*StageCtx]bool
 		for i := 0; i < 4; i++ {
@@ -197,8 +211,8 @@ func TestArenaPoisonedReleaseLeavesLossesAlone(t *testing.T) {
 // list again — and reports the fault-free losses bit for bit, poisoned arenas
 // included.
 func TestArenaSurvivesFailedIteration(t *testing.T) {
-	parent := parentRuns(t)
-	rig := newBenchRig(t, benchBounds, "alternate", true)
+	parent := parentRuns(t, "losses_bench_shape.json")
+	rig := newBenchRig(t, benchShape, benchBounds, "alternate", true)
 	const failing = 2 // the step whose first try fails
 	var losses []float64
 	var failed *iterRun
@@ -240,38 +254,49 @@ func TestArenaSurvivesFailedIteration(t *testing.T) {
 }
 
 // TestStepAllocsBounded: a steady-state step takes its matrices and contexts
-// from the arenas and its schedule, channels and goroutine bodies from the
-// iteration state the last step left, so what it allocates is the caller's
-// batch slice (one object, 384 bytes). Garbage per step is what the repo
-// benchmark's peak RSS grows by per step, since no GC cycle runs in its timed
-// window. Before the arenas a step allocated 8071 objects and 42.7 MB here;
-// before the recycled contexts and iteration state, 231–263 objects and
-// 16–17 KiB.
+// from the arenas and its schedule, channels, goroutine bodies and watchdog
+// timer from the iteration state the last step left, so what it allocates is
+// the caller's batch slice (one object, 384 bytes) — with the watchdog on or
+// off. Garbage per step is what the repo benchmark's peak RSS grows by per
+// step, since no GC cycle runs in its timed window. Before the arenas a step
+// allocated 8071 objects and 42.7 MB here; before the recycled contexts and
+// iteration state, 231–263 objects and 16–17 KiB; before the kept timer, a
+// watched step allocated 6 objects.
 func TestStepAllocsBounded(t *testing.T) {
 	const maxAllocs, maxBytes = 16, 1 << 10
 	for _, spec := range benchSpecs {
-		rig := newBenchRig(t, benchBounds, spec, false)
-		step := func() {
-			if _, err := rig.pipe.Step(rig.batches()); err != nil {
-				t.Fatal(err)
+		var unwatched float64
+		for _, watchdog := range []time.Duration{0, time.Minute} {
+			name := fmt.Sprintf("%s, watchdog %s", spec, watchdog)
+			rig := newBenchRig(t, benchShape, benchBounds, spec, false)
+			rig.pipe.Watchdog = watchdog
+			step := func() {
+				if _, err := rig.pipe.Step(rig.batches()); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		for i := 0; i < 3; i++ {
-			step()
-		}
-		const runs = 10
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		allocs := testing.AllocsPerRun(runs, step)
-		runtime.ReadMemStats(&after)
-		// AllocsPerRun makes one warm-up call before the counted ones.
-		bytes := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
-		t.Logf("%s: %.0f allocs, %d bytes per step", spec, allocs, bytes)
-		if allocs > maxAllocs {
-			t.Errorf("%s: %.0f allocs per step, want <= %d", spec, allocs, maxAllocs)
-		}
-		if bytes > maxBytes {
-			t.Errorf("%s: %d bytes per step, want <= %d", spec, bytes, maxBytes)
+			for i := 0; i < 3; i++ {
+				step()
+			}
+			const runs = 10
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			allocs := testing.AllocsPerRun(runs, step)
+			runtime.ReadMemStats(&after)
+			// AllocsPerRun makes one warm-up call before the counted ones.
+			bytes := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+			t.Logf("%s: %.0f allocs, %d bytes per step", name, allocs, bytes)
+			if allocs > maxAllocs {
+				t.Errorf("%s: %.0f allocs per step, want <= %d", name, allocs, maxAllocs)
+			}
+			if bytes > maxBytes {
+				t.Errorf("%s: %d bytes per step, want <= %d", name, bytes, maxBytes)
+			}
+			if watchdog == 0 {
+				unwatched = allocs
+			} else if allocs != unwatched {
+				t.Errorf("%s: %.0f allocs per step, %.0f without the watchdog", name, allocs, unwatched)
+			}
 		}
 	}
 }

@@ -197,33 +197,37 @@ func (b *AttnBlock) Backward(a *arena, bc BlockCtx, dy *tensor.Mat) *tensor.Mat 
 	return dx
 }
 
-// FFNBlock is a feed-forward sub-layer: y = x + Down(gelu(Up(ln))).
+// FFNBlock is a feed-forward sub-layer: y = x + Down(gelu(Up(ln))), or, with
+// a Gate, the SwiGLU form (Llama-2 style) y = x + Down(SiLU(Gate(ln)) ⊙ Up(ln)).
 type FFNBlock struct {
-	LN   *LayerNorm
-	Up   *Linear
+	LN *LayerNorm
+	Up *Linear
+	// Gate is the gate projection of a SwiGLU block; nil for GELU.
+	Gate *Linear
 	Down *Linear
 }
 
-// NewFFNBlock builds a feed-forward sub-layer.
-func NewFFNBlock(name string, dim, ffn int, rng *tensor.RNG) *FFNBlock {
+// NewFFNBlock builds a feed-forward sub-layer, gated (SwiGLU) if asked.
+func NewFFNBlock(name string, dim, ffn int, gated bool, rng *tensor.RNG) *FFNBlock {
 	std := 0.02
-	return &FFNBlock{
-		LN:   NewLayerNorm(name+".ln", dim),
-		Up:   NewLinear(name+".up", dim, ffn, std, rng),
-		Down: NewLinear(name+".down", ffn, dim, std, rng),
+	b := &FFNBlock{LN: NewLayerNorm(name+".ln", dim), Up: NewLinear(name+".up", dim, ffn, std, rng)}
+	if gated {
+		b.Gate = NewLinear(name+".gate", dim, ffn, std, rng)
 	}
+	b.Down = NewLinear(name+".down", ffn, dim, std, rng)
+	return b
 }
 
-// Kind returns model.FFN.
+// Kind returns model.FFN (gated and plain FFN layers partition identically).
 func (b *FFNBlock) Kind() model.LayerKind { return model.FFN }
 
 // Params returns all trainable parameters of the block.
 func (b *FFNBlock) Params() []*Param {
-	var ps []*Param
-	for _, u := range []interface{ Params() []*Param }{b.LN, b.Up, b.Down} {
-		ps = append(ps, u.Params()...)
+	ps := append(b.LN.Params(), b.Up.Params()...)
+	if b.Gate != nil {
+		ps = append(ps, b.Gate.Params()...)
 	}
-	return ps
+	return append(ps, b.Down.Params()...)
 }
 
 type ffnCtx struct {
@@ -231,13 +235,14 @@ type ffnCtx struct {
 	ln   *tensor.Mat
 	lnSt lnCtx
 	up   *tensor.Mat
+	gate *tensor.Mat
 	act  *tensor.Mat
 }
 
 // SavedBytes sums the pinned activation payloads.
 func (c *ffnCtx) SavedBytes() int64 {
 	var n int64
-	for _, m := range [...]*tensor.Mat{c.x, c.ln, c.up, c.act} {
+	for _, m := range [...]*tensor.Mat{c.x, c.ln, c.up, c.gate, c.act} {
 		if m != nil {
 			n += m.Bytes()
 		}
@@ -247,7 +252,15 @@ func (c *ffnCtx) SavedBytes() int64 {
 
 func (c *ffnCtx) poison() {
 	p := poisonMat
-	*c = ffnCtx{x: p, ln: p, lnSt: lnCtx{p, p}, up: p, act: p}
+	*c = ffnCtx{x: p, ln: p, lnSt: lnCtx{p, p}, up: p, gate: p, act: p}
+}
+
+// act runs the activation unit: gelu(up), or SiLU(gate) ⊙ up.
+func (b *FFNBlock) act(a *arena, up, gate *tensor.Mat) *tensor.Mat {
+	if b.Gate == nil {
+		return geluForward(a, up)
+	}
+	return gatedAct(a, up, gate)
 }
 
 // Forward runs the sub-layer keeping only the units selected by save.
@@ -259,11 +272,16 @@ func (b *FFNBlock) Forward(a *arena, x *tensor.Mat, save SaveSpec, reuse BlockCt
 	*ctx = ffnCtx{x: x}
 	ln, lnSt := b.LN.Forward(a, x)
 	up := b.Up.Forward(a, ln)
-	act := geluForward(a, up)
+	var gate *tensor.Mat
+	if b.Gate != nil {
+		gate = b.Gate.Forward(a, ln)
+	}
+	act := b.act(a, up, gate)
 	down := b.Down.Forward(a, act)
 	y := tensor.AddInto(down, x, down)
 	ctx.ln, ctx.lnSt = lnSt.keep(a, save.Has(model.UnitLayerNorm), ln)
 	ctx.up = a.keep(save.Has(model.UnitFFNUp), up)
+	ctx.gate = a.keep(save.Has(model.UnitFFNGate), gate)
 	ctx.act = a.keep(save.Has(model.UnitFFNAct), act)
 	return y, ctx
 }
@@ -279,17 +297,30 @@ func (b *FFNBlock) Backward(a *arena, bc BlockCtx, dy *tensor.Mat) *tensor.Mat {
 	if up == nil {
 		up = b.Up.Forward(a, ln)
 	}
+	gate := ctx.gate
+	if gate == nil && b.Gate != nil {
+		gate = b.Gate.Forward(a, ln)
+	}
 	act := ctx.act
 	if act == nil {
-		act = geluForward(a, up)
+		act = b.act(a, up, gate)
 	}
 
 	dact := b.Down.Backward(a, act, dy)
-	dup := geluBackward(a, up, dact)
+	var dup, dgate, dlnGate *tensor.Mat
+	if b.Gate == nil {
+		dup = geluBackward(a, up, dact)
+	} else {
+		dup, dgate = gatedActBackward(a, up, gate, dact)
+	}
 	dln := b.Up.Backward(a, ln, dup)
+	if b.Gate != nil {
+		dlnGate = b.Gate.Backward(a, ln, dgate)
+		tensor.AddInPlace(dln, dlnGate)
+	}
 	dx := b.LN.Backward(a, lnSt, dln)
 	tensor.AddInPlace(dx, dy)
-	a.put(ctx.x, ln, up, act, dact, dup, dln, dy)
+	a.put(ctx.x, ln, up, gate, act, dact, dup, dgate, dln, dlnGate, dy)
 	lnSt.release(a)
 	return dx
 }

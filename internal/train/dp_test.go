@@ -136,7 +136,7 @@ func TestRunDataParallelRecordsTrace(t *testing.T) {
 // a closure each, and the WaitGroup they share: at most 2·d + 1 objects.
 func TestDataParallelStepAllocsBounded(t *testing.T) {
 	for _, d := range []int{1, 2} {
-		dp, err := NewDataParallel(d, func() (*Pipeline, error) { return benchPipe(t, benchBounds, "saveall", false), nil })
+		dp, err := NewDataParallel(d, func() (*Pipeline, error) { return benchPipe(t, benchShape, benchBounds, "saveall", false), nil })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -227,53 +227,37 @@ func TestAttnBlockGradients(t *testing.T) {
 	}
 }
 
+// TestFFNBlockGradients checks both forms of the FFN block, GELU and SwiGLU.
 func TestFFNBlockGradients(t *testing.T) {
-	rng := tensor.NewRNG(19)
-	b := NewFFNBlock("b", 6, 12, rng)
-	x := tensor.RandNorm(rng, 3, 6, 1)
-	proj := tensor.RandNorm(rng, 3, 6, 1)
-	loss := func() float64 {
-		y, _ := b.Forward(nil, x, SaveAll(), nil)
-		return projLoss(y, proj)
-	}
-	_, ctx := b.Forward(nil, x, SaveAll(), nil)
-	dx := b.Backward(nil, ctx, proj)
-	if e := maxRelErr(dx.Data, numericGrad(loss, x.Data)); e > gradTol {
-		t.Errorf("ffn block dx rel err %g", e)
-	}
-	for _, p := range b.Params() {
-		analytic := append([]float64(nil), p.G.Data...)
-		for i := range p.G.Data {
-			p.G.Data[i] = 0
-		}
-		if e := maxRelErr(analytic, numericGrad(loss, p.W.Data)); e > gradTol {
-			t.Errorf("ffn block %s rel err %g", p.Name, e)
-		}
-	}
-}
-
-func TestGatedFFNBlockGradients(t *testing.T) {
-	rng := tensor.NewRNG(21)
-	b := NewGatedFFNBlock("b", 6, 12, rng)
-	x := tensor.RandNorm(rng, 3, 6, 1)
-	proj := tensor.RandNorm(rng, 3, 6, 1)
-	loss := func() float64 {
-		y, _ := b.Forward(nil, x, SaveAll(), nil)
-		return projLoss(y, proj)
-	}
-	_, ctx := b.Forward(nil, x, SaveAll(), nil)
-	dx := b.Backward(nil, ctx, proj)
-	if e := maxRelErr(dx.Data, numericGrad(loss, x.Data)); e > gradTol {
-		t.Errorf("gated ffn dx rel err %g", e)
-	}
-	for _, p := range b.Params() {
-		analytic := append([]float64(nil), p.G.Data...)
-		for i := range p.G.Data {
-			p.G.Data[i] = 0
-		}
-		if e := maxRelErr(analytic, numericGrad(loss, p.W.Data)); e > gradTol {
-			t.Errorf("gated ffn %s rel err %g", p.Name, e)
-		}
+	for _, c := range []struct {
+		name  string
+		gated bool
+		seed  uint64
+	}{{"gelu", false, 19}, {"swiglu", true, 21}} {
+		t.Run(c.name, func(t *testing.T) {
+			rng := tensor.NewRNG(c.seed)
+			b := NewFFNBlock("b", 6, 12, c.gated, rng)
+			x := tensor.RandNorm(rng, 3, 6, 1)
+			proj := tensor.RandNorm(rng, 3, 6, 1)
+			loss := func() float64 {
+				y, _ := b.Forward(nil, x, SaveAll(), nil)
+				return projLoss(y, proj)
+			}
+			_, ctx := b.Forward(nil, x, SaveAll(), nil)
+			dx := b.Backward(nil, ctx, proj)
+			if e := maxRelErr(dx.Data, numericGrad(loss, x.Data)); e > gradTol {
+				t.Errorf("dx rel err %g", e)
+			}
+			for _, p := range b.Params() {
+				analytic := append([]float64(nil), p.G.Data...)
+				for i := range p.G.Data {
+					p.G.Data[i] = 0
+				}
+				if e := maxRelErr(analytic, numericGrad(loss, p.W.Data)); e > gradTol {
+					t.Errorf("%s rel err %g", p.Name, e)
+				}
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package train
 
 import (
 	"fmt"
+	"slices"
 
 	"adapipe/internal/model"
 	"adapipe/internal/tensor"
@@ -74,12 +75,9 @@ func NewNet(cfg Config) (*Net, error) {
 	n := &Net{Cfg: cfg}
 	n.Embed = NewEmbedding("embed", cfg.Vocab, cfg.Seq, cfg.Dim, 0.02, stream(0))
 	for i := 0; i < cfg.Layers; i++ {
-		n.Blocks = append(n.Blocks, NewAttnBlock(fmt.Sprintf("b%d.attn", i), cfg.Dim, cfg.Heads, stream(1+2*i)))
-		if cfg.GatedFFN {
-			n.Blocks = append(n.Blocks, NewGatedFFNBlock(fmt.Sprintf("b%d.ffn", i), cfg.Dim, cfg.FFN, stream(2+2*i)))
-		} else {
-			n.Blocks = append(n.Blocks, NewFFNBlock(fmt.Sprintf("b%d.ffn", i), cfg.Dim, cfg.FFN, stream(2+2*i)))
-		}
+		n.Blocks = append(n.Blocks,
+			NewAttnBlock(fmt.Sprintf("b%d.attn", i), cfg.Dim, cfg.Heads, stream(1+2*i)),
+			NewFFNBlock(fmt.Sprintf("b%d.ffn", i), cfg.Dim, cfg.FFN, cfg.GatedFFN, stream(2+2*i)))
 	}
 	n.HeadLN = NewLayerNorm("head.ln", cfg.Dim)
 	n.HeadProj = NewLinear("head.proj", cfg.Dim, cfg.Vocab, 0.02, stream(1+2*cfg.Layers))
@@ -97,18 +95,6 @@ func (n *Net) Params() []*Param {
 	return ps
 }
 
-// LayerSequence returns the partitionable layer sequence matching
-// model.Config.LayerSequence for the same decoder count, so core.Plan layer
-// ranges map 1:1 onto engine stages.
-func (n *Net) LayerSequence() []model.Layer {
-	seq := []model.Layer{{Kind: model.Embedding, Index: 0}}
-	for i, b := range n.Blocks {
-		seq = append(seq, model.Layer{Kind: b.Kind(), Index: i + 1})
-	}
-	seq = append(seq, model.Layer{Kind: model.Head, Index: len(seq)})
-	return seq
-}
-
 // Stage owns a contiguous slice of the network: optionally the embedding,
 // a run of blocks, and optionally the head.
 type Stage struct {
@@ -124,9 +110,9 @@ type Stage struct {
 	// HeadLN and HeadProj are non-nil on the last stage.
 	HeadLN   *LayerNorm
 	HeadProj *Linear
-	// SaveHeadLN keeps the head LayerNorm input/stats instead of
-	// recomputing them.
-	SaveHeadLN bool
+	// HeadSave is the head's SaveSpec: its model.UnitHeadNorm bit keeps the
+	// head LayerNorm's output and statistics instead of recomputing them.
+	HeadSave SaveSpec
 	// arena recycles the stage's activation, gradient and scratch buffers
 	// across micro-batches and steps.
 	arena arena
@@ -208,7 +194,7 @@ func (s *Stage) Forward(tokens []int, x *tensor.Mat) (*tensor.Mat, *StageCtx) {
 		ctx.headIn = x
 		ln, st := s.HeadLN.Forward(a, x)
 		logits := s.HeadProj.Forward(a, ln)
-		ctx.headLn, ctx.headLnSt = st.keep(a, s.SaveHeadLN, ln)
+		ctx.headLn, ctx.headLnSt = st.keep(a, s.HeadSave.Has(model.UnitHeadNorm), ln)
 		ctx.logits = logits
 		return logits, ctx
 	}
@@ -247,11 +233,13 @@ func (s *Stage) Backward(ctx *StageCtx, dy *tensor.Mat) *tensor.Mat {
 }
 
 // Split partitions the network into p stages at the given layer bounds
-// (p+1 entries over the LayerSequence indices, as produced by the planner or
-// partition.Even). saves supplies one SaveSpec per block per stage; a block
-// without an entry saves everything.
+// (p+1 entries over the model's LayerSequence indices, as produced by the
+// planner or partition.Even). saves[s] supplies one SaveSpec per layer of
+// stage s that has an optional unit, in sequence order: its blocks, then its
+// head. A layer without an entry saves everything.
 func Split(n *Net, bounds []int, saves [][]SaveSpec) ([]*Stage, error) {
-	seq := n.LayerSequence()
+	m := n.Cfg.Model()
+	seq := m.LayerSequence()
 	p := len(bounds) - 1
 	if bounds[0] != 0 || bounds[p] != len(seq) {
 		return nil, fmt.Errorf("train: bounds must span the %d-layer sequence, got %v", len(seq), bounds)
@@ -261,21 +249,24 @@ func Split(n *Net, bounds []int, saves [][]SaveSpec) ([]*Stage, error) {
 		if bounds[s+1] <= bounds[s] {
 			return nil, fmt.Errorf("train: stage %d is empty (bounds %v)", s, bounds)
 		}
-		st := &Stage{Index: s, SaveHeadLN: true}
-		for li := bounds[s]; li < bounds[s+1]; li++ {
-			switch seq[li].Kind {
+		st := &Stage{Index: s}
+		var specs []SaveSpec
+		if s < len(saves) {
+			specs = saves[s]
+		}
+		for _, l := range seq[bounds[s]:bounds[s+1]] {
+			spec := SaveAll()
+			if hasOptional(m, l.Kind) && len(specs) > 0 {
+				spec, specs = specs[0], specs[1:]
+			}
+			switch l.Kind {
 			case model.Embedding:
 				st.Embed = n.Embed
 			case model.Head:
-				st.HeadLN = n.HeadLN
-				st.HeadProj = n.HeadProj
+				st.HeadLN, st.HeadProj, st.HeadSave = n.HeadLN, n.HeadProj, spec
 			default:
-				spec := SaveAll()
-				if b := len(st.Blocks); s < len(saves) && b < len(saves[s]) {
-					spec = saves[s][b]
-				}
-				// Block index in n.Blocks is li-1 (embedding first).
-				st.Blocks = append(st.Blocks, n.Blocks[li-1])
+				// Block index in n.Blocks is l.Index-1 (embedding first).
+				st.Blocks = append(st.Blocks, n.Blocks[l.Index-1])
 				st.Saves = append(st.Saves, spec)
 			}
 		}
@@ -284,24 +275,30 @@ func Split(n *Net, bounds []int, saves [][]SaveSpec) ([]*Stage, error) {
 	return stages, nil
 }
 
+// hasOptional reports whether layers of the given kind have a unit that is
+// not always saved, i.e. take an entry in Split's saves.
+func hasOptional(m model.Config, kind model.LayerKind) bool {
+	return slices.ContainsFunc(m.Units(kind), func(u model.Unit) bool { return !u.AlwaysSaved })
+}
+
 // StageSaves maps a plan's per-stage saved counts onto Split's saves. bounds
 // are the stage bounds over m.LayerSequence(), and saved(s, layer, unit) is
-// how many of stage s's blocks of that layer kind keep the unit. Each
-// optional unit of m.Units goes to the stage's trailing blocks of its kind
+// how many of stage s's layers of that kind keep the unit. Each optional
+// unit of every layer kind goes to the stage's trailing layers of its kind
 // (which copies are saved is immaterial to both time and memory — all copies
 // are isomorphic).
 func StageSaves(m model.Config, bounds []int, saved func(stage int, layer model.LayerKind, unit model.UnitKind) int) [][]SaveSpec {
 	seq := m.LayerSequence()
 	saves := make([][]SaveSpec, len(bounds)-1)
 	for s := range saves {
-		var kinds []model.LayerKind // the stage's blocks, in order
+		var kinds []model.LayerKind // the stage's layers with an optional unit, in order
 		for _, l := range seq[bounds[s]:bounds[s+1]] {
-			if l.Kind == model.Attention || l.Kind == model.FFN {
+			if hasOptional(m, l.Kind) {
 				kinds = append(kinds, l.Kind)
 			}
 		}
 		saves[s] = make([]SaveSpec, len(kinds))
-		for _, kind := range [...]model.LayerKind{model.Attention, model.FFN} {
+		for kind := model.Embedding; kind <= model.Head; kind++ {
 			for _, u := range m.Units(kind) {
 				if u.AlwaysSaved {
 					continue

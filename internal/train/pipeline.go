@@ -137,35 +137,29 @@ func (p *Pipeline) Accumulate(batches []Batch) (float64, error) {
 	}
 	run.batches = batches
 
+	if p.Watchdog > 0 {
+		if run.timer == nil {
+			run.timer = time.AfterFunc(p.Watchdog, run.cancel)
+		} else {
+			run.timer.Reset(p.Watchdog)
+		}
+	}
 	for _, stage := range run.stages {
 		run.wg.Add(1)
 		go stage()
 	}
 
-	if p.Watchdog > 0 {
-		waited := make(chan struct{})
-		go func() {
-			run.wg.Wait()
-			close(waited)
-		}()
-		timer := time.NewTimer(p.Watchdog)
-		defer timer.Stop()
-		select {
-		case <-waited:
-		case <-timer.C:
-			// Cancel and then wait for every stage goroutine to exit: the
-			// done-channel selects make that prompt, and returning only
-			// after wg.Wait means no goroutine outlives the call to race
-			// on losses/PeakActBytes.
-			run.cancel()
-			<-waited
-			if err := firstErr(run.errs); err != nil {
-				return 0, err
-			}
-			return 0, fmt.Errorf("train: iteration exceeded %s: %w", p.Watchdog, ErrWatchdog)
+	// The done-channel selects make every stage goroutine exit promptly once
+	// canceled, and returning only after wg.Wait means none outlives the
+	// call to race on losses/PeakActBytes.
+	run.wg.Wait()
+	if p.Watchdog > 0 && !run.timer.Stop() {
+		// The timer fired and canceled the run, whose done channel stays
+		// closed: the run is dropped like any failed one.
+		if err := firstErr(run.errs); err != nil {
+			return 0, err
 		}
-	} else {
-		run.wg.Wait()
+		return 0, fmt.Errorf("train: iteration exceeded %s: %w", p.Watchdog, ErrWatchdog)
 	}
 	if err := firstErr(run.errs); err != nil {
 		return 0, err
@@ -207,6 +201,9 @@ type iterRun struct {
 	done    chan struct{}
 	once    sync.Once
 	wg      sync.WaitGroup
+	// timer is the watchdog, which cancels the run when it fires; it is
+	// made on the run's first watched call and re-armed on each later one.
+	timer *time.Timer
 	// stages are the stage goroutines' bodies, built once so that starting
 	// them allocates nothing.
 	stages []func()

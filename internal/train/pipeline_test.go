@@ -93,8 +93,8 @@ func TestWatchdogTripsOnDeadlock(t *testing.T) {
 	if elapsed > 10*time.Second {
 		t.Fatalf("the watchdog returned after %s", elapsed)
 	}
-	// The goroutine that closes the watchdog's wait channel may still be
-	// on its way out when Accumulate returns.
+	// The timer goroutine that canceled the run may still be on its way out
+	// when Accumulate returns.
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines after the watchdog fired, %d before", runtime.NumGoroutine(), baseline)
