@@ -353,7 +353,7 @@ func NewPlannerWithProfile(cfg model.Config, cluster hardware.Cluster, strat par
 	if err := opts.Memory.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.MemoryReserve < 0 || opts.MemoryReserve >= 1 {
+	if !(opts.MemoryReserve >= 0 && opts.MemoryReserve < 1) { // NaN included
 		return nil, fmt.Errorf("core: MemoryReserve must be in [0,1), got %g", opts.MemoryReserve)
 	}
 	if strat.Devices() > cluster.Devices() {

@@ -278,10 +278,12 @@ func TestCostForBoundsChecks(t *testing.T) {
 
 func TestNewPlannerValidation(t *testing.T) {
 	cfg, cl, strat, train := gptSetup()
-	bad := DefaultOptions()
-	bad.MemoryReserve = 1.5
-	if _, err := NewPlanner(cfg, cl, strat, train, bad); err == nil {
-		t.Error("bad reserve accepted")
+	for _, reserve := range []float64{1.5, 1, -0.1, math.NaN()} {
+		bad := DefaultOptions()
+		bad.MemoryReserve = reserve
+		if _, err := NewPlanner(cfg, cl, strat, train, bad); err == nil {
+			t.Errorf("reserve %g accepted", reserve)
+		}
 	}
 	if _, err := NewPlanner(cfg, cl, parallel.Strategy{TP: 64, PP: 64, DP: 64}, train, DefaultOptions()); err == nil {
 		t.Error("oversized strategy accepted")

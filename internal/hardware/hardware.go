@@ -41,19 +41,20 @@ func (d Device) EffectiveAttnFLOPS() float64 { return d.PeakFLOPS * d.AttnEffici
 func (d Device) EffectiveBandwidth() float64 { return d.MemBandwidth * d.BandwidthEfficiency }
 
 // Validate reports whether the device parameters are physically meaningful.
+// Each check is written to fail on NaN.
 func (d Device) Validate() error {
 	switch {
-	case d.PeakFLOPS <= 0:
+	case !(d.PeakFLOPS > 0):
 		return fmt.Errorf("hardware: %s: PeakFLOPS must be positive", d.Name)
-	case d.MemBandwidth <= 0:
+	case !(d.MemBandwidth > 0):
 		return fmt.Errorf("hardware: %s: MemBandwidth must be positive", d.Name)
 	case d.MemCapacity <= 0:
 		return fmt.Errorf("hardware: %s: MemCapacity must be positive", d.Name)
-	case d.GEMMEfficiency <= 0 || d.GEMMEfficiency > 1:
+	case !(d.GEMMEfficiency > 0 && d.GEMMEfficiency <= 1):
 		return fmt.Errorf("hardware: %s: GEMMEfficiency out of (0,1]", d.Name)
-	case d.AttnEfficiency <= 0 || d.AttnEfficiency > 1:
+	case !(d.AttnEfficiency > 0 && d.AttnEfficiency <= 1):
 		return fmt.Errorf("hardware: %s: AttnEfficiency out of (0,1]", d.Name)
-	case d.BandwidthEfficiency <= 0 || d.BandwidthEfficiency > 1:
+	case !(d.BandwidthEfficiency > 0 && d.BandwidthEfficiency <= 1):
 		return fmt.Errorf("hardware: %s: BandwidthEfficiency out of (0,1]", d.Name)
 	}
 	return nil
@@ -92,9 +93,9 @@ func (c Cluster) Validate() error {
 		return fmt.Errorf("hardware: %s: DevicesPerNode must be positive", c.Name)
 	case c.Nodes <= 0:
 		return fmt.Errorf("hardware: %s: Nodes must be positive", c.Name)
-	case c.IntraNodeBandwidth <= 0 || c.InterNodeBandwidth <= 0:
+	case !(c.IntraNodeBandwidth > 0 && c.InterNodeBandwidth > 0):
 		return fmt.Errorf("hardware: %s: link bandwidths must be positive", c.Name)
-	case c.LinkLatency < 0:
+	case !(c.LinkLatency >= 0):
 		return fmt.Errorf("hardware: %s: LinkLatency must be non-negative", c.Name)
 	}
 	return nil

@@ -1,6 +1,9 @@
 package hardware
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestStockDevicesValid(t *testing.T) {
 	for _, d := range []Device{A100(), Ascend910()} {
@@ -61,6 +64,11 @@ func TestDeviceValidateRejects(t *testing.T) {
 		{"gemm eff zero", func(d *Device) { d.GEMMEfficiency = 0 }},
 		{"attn eff zero", func(d *Device) { d.AttnEfficiency = 0 }},
 		{"bw eff above one", func(d *Device) { d.BandwidthEfficiency = 2 }},
+		{"nan flops", func(d *Device) { d.PeakFLOPS = math.NaN() }},
+		{"nan bandwidth", func(d *Device) { d.MemBandwidth = math.NaN() }},
+		{"nan gemm eff", func(d *Device) { d.GEMMEfficiency = math.NaN() }},
+		{"nan attn eff", func(d *Device) { d.AttnEfficiency = math.NaN() }},
+		{"nan bw eff", func(d *Device) { d.BandwidthEfficiency = math.NaN() }},
 	}
 	for _, tc := range cases {
 		d := A100()
@@ -82,6 +90,9 @@ func TestClusterValidateRejects(t *testing.T) {
 		{"zero inter bw", func(c *Cluster) { c.InterNodeBandwidth = 0 }},
 		{"negative latency", func(c *Cluster) { c.LinkLatency = -1 }},
 		{"bad device", func(c *Cluster) { c.Device.PeakFLOPS = -1 }},
+		{"nan intra bw", func(c *Cluster) { c.IntraNodeBandwidth = math.NaN() }},
+		{"nan inter bw", func(c *Cluster) { c.InterNodeBandwidth = math.NaN() }},
+		{"nan latency", func(c *Cluster) { c.LinkLatency = math.NaN() }},
 	}
 	for _, tc := range cases {
 		c := ClusterA()

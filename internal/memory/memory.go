@@ -160,17 +160,6 @@ func SavedAll(prof *profile.Profile, layers []model.Layer) int64 {
 	return n
 }
 
-// SavedMin returns the per-micro-batch activation bytes with only the
-// AlwaysSaved units kept — AdaPipe's maximum-recomputation floor, which is
-// slightly above classic full recomputation (§7.3).
-func SavedMin(prof *profile.Profile, layers []model.Layer) int64 {
-	var n int64
-	for _, l := range layers {
-		n += prof.Layers[l.Kind].SavedBytesMin
-	}
-	return n
-}
-
 // SavedBoundary returns the per-micro-batch activation bytes of classic full
 // recomputation, which saves only the input of each decoder block (one
 // tensor per Attention+FFN pair) — half of AdaPipe's always-saved floor,

@@ -51,9 +51,6 @@ type TraceSpan struct {
 	Name string
 	// Cat is the span's category (CatRequest, CatPhase, ...).
 	Cat string
-	// Tid is the logical track of the Chrome export. Every span of a request
-	// is on track 0 — a search is one goroutine — so nothing sets it.
-	Tid int
 	// Start and End bound the interval as offsets from the trace origin.
 	Start, End time.Duration
 }
@@ -189,7 +186,6 @@ func (t *Tracer) Chrome() ([]byte, error) {
 			Cat:   sp.Cat,
 			Start: sp.Start.Seconds(),
 			Dur:   (sp.End - sp.Start).Seconds(),
-			Tid:   sp.Tid,
 		}
 	}
 	return trace.ChromeSpans(events)

@@ -38,7 +38,7 @@ func TestTracerSpanOffsets(t *testing.T) {
 		t.Fatalf("got %d spans, want 1", len(spans))
 	}
 	got := spans[0]
-	want := TraceSpan{Name: "work", Cat: CatPhase, Tid: 0, Start: time.Millisecond, End: 2 * time.Millisecond}
+	want := TraceSpan{Name: "work", Cat: CatPhase, Start: time.Millisecond, End: 2 * time.Millisecond}
 	if got != want {
 		t.Errorf("span = %+v, want %+v", got, want)
 	}

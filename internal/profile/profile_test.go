@@ -48,7 +48,7 @@ func TestBackwardAtLeastForward(t *testing.T) {
 	}
 }
 
-func TestSavedMinBelowAll(t *testing.T) {
+func TestSavedBytesMinBelowAll(t *testing.T) {
 	p := mustProfile(t, model.GPT3_175B(), parallel.Strategy{TP: 8, PP: 8, DP: 1}, 4096)
 	for _, kind := range []model.LayerKind{model.Attention, model.FFN} {
 		lc := p.Layers[kind]

@@ -116,7 +116,8 @@ func fullTableOptimizeMany(groups []Group, capacities []int64, opts Options, out
 
 // checkCut runs one OptimizeMany on sv and the full-table reference and
 // fails on any difference: the table size, and per capacity SavedTime by
-// Float64bits (NaN and -0 included), the save counts and every counter.
+// Float64bits (NaN and -0 included), the save counts and every counter. It
+// also fails unless the kept prefix of sv's last row is non-decreasing.
 func checkCut(t *testing.T, sv *Solver, groups []Group, capacities []int64, opts Options) {
 	t.Helper()
 	got := make([]Solution, len(capacities))
@@ -124,6 +125,16 @@ func checkCut(t *testing.T, sv *Solver, groups []Group, capacities []int64, opts
 	table, live := sv.OptimizeMany(groups, capacities, opts, got)
 	if ref := fullTableOptimizeMany(groups, capacities, opts, want); table != ref || live < 0 || live > table {
 		t.Fatalf("groups %+v, capacities %v, opts %+v: table %d (live %d), full table %d", groups, capacities, opts, table, live, ref)
+	}
+	// The best-cell bisection's precondition: the kept prefix of the last
+	// row, dp[:hi] with hi the last item's tail, is non-decreasing.
+	if table > 0 {
+		dp := sv.dp[:sv.items[len(sv.items)-1].from]
+		for c := 1; c < len(dp); c++ {
+			if !(dp[c] >= dp[c-1]) {
+				t.Fatalf("groups %+v, capacities %v, opts %+v: dp[%d] = %v below dp[%d] = %v", groups, capacities, opts, c, dp[c], c-1, dp[c-1])
+			}
+		}
 	}
 	for k := range want {
 		g, w := got[k], want[k]
@@ -170,8 +181,8 @@ func cutInstance(shape, caps []byte) ([]Group, []int64) {
 	return groups, capacities
 }
 
-// FuzzCutMatchesFullTable holds the saturated-tail cut and the shared
-// best-capacity scan to the full-table solver on every row-pass path, on one
+// FuzzCutMatchesFullTable holds the saturated-tail cut and the best-cell
+// bisection to the full-table solver on every row-pass path, on one
 // reused solver (the cut no longer clears its table, so stale cells from the
 // previous instance must never be read). The seeds plant NaN, ±Inf, ±0,
 // values below ulp(S)/2, items heavier than the whole table and single-item

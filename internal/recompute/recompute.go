@@ -93,7 +93,6 @@ const defaultQuantum = int64(1) << 20
 type Solver struct {
 	dp     []float64
 	taken  []uint64 // len(items) rows of ⌈(w+1)/64⌉ choice words
-	order  []int    // the searched capacities, smallest table first
 	items  []item
 	opt    []int // indices of the searched groups
 	scaled []int64
@@ -145,8 +144,8 @@ func (sv *Solver) Optimize(groups []Group, capacity int64, opts Options) Solutio
 // bits of every capacity below w: dp[c] and taken[i][c] depend only on cells
 // ≤ c, never on the loop's upper bound. So the capacity-independent work
 // (rounding, GCD, binary splitting) runs once, the table is built once to
-// the largest capacity that needs a search, and each capacity reads its
-// best cell off one shared scan of the last row and walks the choice rows.
+// the largest capacity that needs a search, and each capacity bisects the
+// last row for its best cell and walks the choice rows.
 // out[k] is bit-identical to Optimize(groups, capacities[k], opts), including
 // its DPCells and quanta counters, which describe the table that capacity
 // alone would have needed. capacities need not be sorted or distinct;
@@ -279,24 +278,19 @@ func (sv *Solver) OptimizeMany(groups []Group, capacities []int64, opts Options,
 	// Each searched capacity's best cell is the first maximum of its prefix
 	// of the last row. A searched capacity lies below the items' total weight
 	// (at or above it everything fits and nothing is searched), so the
-	// prefix lies inside the kept dp[:hi]. One ascending scan over the
-	// capacities in table-size order serves them all.
-	scanned, bestCap, best := 1, 0, dp[0]
-	for _, k := range sv.orderBuf(out) {
+	// prefix lies inside the kept dp[:hi], which is non-decreasing (DESIGN
+	// §5): the first maximum is the first cell at least dp[wk].
+	for k := range out {
 		sol := &out[k]
 		wk := int(sol.QuantaAfterGCD)
-		sol.DPCells = int64(len(items)) * int64(wk+1)
-		if wk >= scanned {
-			for c, v := range dp[scanned : wk+1] {
-				if v > best {
-					best, bestCap = v, scanned+c
-				}
-			}
-			scanned = wk + 1
+		if wk == 0 {
+			continue
 		}
+		sol.DPCells = int64(len(items)) * int64(wk+1)
+		top := dp[wk]
+		at := sort.Search(wk, func(c int) bool { return dp[c] >= top })
 		// A searched group has no count yet (unsearched fills only the
 		// mandatory and free ones), so the walk counts into Saved directly.
-		at := bestCap
 		for i := len(items) - 1; i >= 0; i-- {
 			// Cells at or above the row's tail made the tail's choice; an
 			// item heavier than at was not taken there (its pass starts at
@@ -377,24 +371,6 @@ func (sv *Solver) dpBuf(n int) []float64 {
 	}
 	sv.dp = sv.dp[:n]
 	return sv.dp
-}
-
-// orderBuf returns the indices of the searched solutions of out
-// (QuantaAfterGCD > 0), ordered by QuantaAfterGCD — an insertion sort, as
-// there are a handful and the scratch must not allocate.
-func (sv *Solver) orderBuf(out []Solution) []int {
-	order := sv.order[:0]
-	for k := range out {
-		if out[k].QuantaAfterGCD == 0 {
-			continue
-		}
-		order = append(order, k)
-		for j := len(order) - 1; j > 0 && out[order[j-1]].QuantaAfterGCD > out[k].QuantaAfterGCD; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	sv.order = order
-	return order
 }
 
 // takenBuf returns a uint64 scratch slice of length n (contents overwritten

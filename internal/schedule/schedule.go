@@ -78,18 +78,6 @@ type Schedule struct {
 // schedules host several virtual stages per device).
 func (s *Schedule) Devices() int { return len(s.Ops) }
 
-// DeviceForStage returns the device hosting the given logical stage of a
-// pipeline: stage s of the down pipeline lives on device s (mod device count
-// for interleaved schedules) and stage s of Chimera's up pipeline on device
-// p−1−s.
-func (s *Schedule) DeviceForStage(stage, pipeline int) int {
-	p := s.Devices()
-	if s.Bidirectional && pipeline == 1 {
-		return p - 1 - stage
-	}
-	return stage % p
-}
-
 // OneFOneB builds the 1F1B (DAPPLE) schedule: stage s runs p−s−1 warmup
 // forward passes, alternates one-forward-one-backward through the steady
 // phase, and drains backward passes in the ending phase (§2.1, Figure 2b).

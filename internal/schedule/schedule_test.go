@@ -238,20 +238,6 @@ func TestInterleaved(t *testing.T) {
 	}
 }
 
-func TestDeviceForStage(t *testing.T) {
-	s, _ := Chimera(4, 4)
-	if got := s.DeviceForStage(1, 0); got != 1 {
-		t.Errorf("down stage 1 on device %d", got)
-	}
-	if got := s.DeviceForStage(1, 1); got != 2 {
-		t.Errorf("up stage 1 on device %d, want 2", got)
-	}
-	i, _ := Interleaved(2, 4, 2)
-	if got := i.DeviceForStage(3, 0); got != 1 {
-		t.Errorf("interleaved stage 3 on device %d, want 1", got)
-	}
-}
-
 func TestValidateCatchesCorruption(t *testing.T) {
 	s, _ := OneFOneB(2, 2)
 	s.Ops[0] = append(s.Ops[0], Op{Kind: Forward, Micros: []int{0}, Stage: 0})

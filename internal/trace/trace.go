@@ -133,13 +133,12 @@ type SpanEvent struct {
 	Name, Cat string
 	// Start and Dur position the interval, in seconds from the origin.
 	Start, Dur float64
-	// Tid is the logical track the interval renders on.
-	Tid int
 }
 
 // ChromeSpans serializes request-scoped spans through the same Chrome
 // trace-event path as the simulated timelines, so a stored request trace
-// renders byte-identically on every export.
+// renders byte-identically on every export. Every span renders on track 0:
+// a request's spans come from one goroutine.
 func ChromeSpans(spans []SpanEvent) ([]byte, error) {
 	events := make([]chromeEvent, 0, len(spans))
 	for _, sp := range spans {
@@ -150,7 +149,6 @@ func ChromeSpans(spans []SpanEvent) ([]byte, error) {
 			Ts:   sp.Start * 1e6,
 			Dur:  sp.Dur * 1e6,
 			Pid:  0,
-			Tid:  sp.Tid,
 		})
 	}
 	return marshalChrome(events)

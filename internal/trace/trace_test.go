@@ -172,10 +172,10 @@ func TestChromeTraceDeterministic(t *testing.T) {
 
 func TestChromeSpans(t *testing.T) {
 	spans := []SpanEvent{
-		{Name: "request", Cat: "request", Start: 0, Dur: 0.010, Tid: 0},
-		{Name: "search", Cat: "phase", Start: 0.002, Dur: 0.007, Tid: 0},
-		{Name: "knapsack", Cat: "solve", Start: 0.003, Dur: 0.001, Tid: 1},
-		{Name: "knapsack", Cat: "solve", Start: 0.003, Dur: 0.002, Tid: 2},
+		{Name: "request", Cat: "request", Start: 0, Dur: 0.010},
+		{Name: "search", Cat: "phase", Start: 0.002, Dur: 0.007},
+		{Name: "search.partition", Cat: "phase", Start: 0.003, Dur: 0.002},
+		{Name: "knapsack", Cat: "solve", Start: 0.003, Dur: 0.001},
 	}
 	data, err := ChromeSpans(spans)
 	if err != nil {
@@ -201,10 +201,14 @@ func TestChromeSpans(t *testing.T) {
 	if ev := doc.TraceEvents[0]; ev.Name != "request" || ev.Ph != "X" || ev.Ts != 0 || ev.Dur != 10000 {
 		t.Errorf("first event = %+v, want the request span at ts=0 dur=10000us", ev)
 	}
-	// Equal-Ts events tie-break on Tid: the two knapsack solves keep their
-	// track order.
-	if doc.TraceEvents[2].Tid != 1 || doc.TraceEvents[3].Tid != 2 {
-		t.Errorf("equal-timestamp solves out of track order: %+v", doc.TraceEvents[2:])
+	// Every span renders on track 0, and equal-Ts events tie-break on Name.
+	for _, ev := range doc.TraceEvents {
+		if ev.Tid != 0 {
+			t.Errorf("event %+v off track 0", ev)
+		}
+	}
+	if doc.TraceEvents[2].Name != "knapsack" || doc.TraceEvents[3].Name != "search.partition" {
+		t.Errorf("equal-timestamp events out of name order: %+v", doc.TraceEvents[2:])
 	}
 
 	// Byte-determinism: reversed input order must serialize identically.
