@@ -326,6 +326,7 @@ func BenchmarkPartitionDP(b *testing.B) {
 // simulateGPT3 times one simulated iteration of the GPT-3 AdaPipe plan under
 // the given pipeline mechanism.
 func simulateGPT3(b *testing.B, kind adapipe.ScheduleKind) {
+	b.ReportAllocs()
 	plan, err := adapipe.PlanAdaPipe(adapipe.GPT3(), adapipe.ClusterA(),
 		adapipe.Strategy{TP: 8, PP: 8, DP: 1},
 		adapipe.TrainingConfig{GlobalBatch: 32, MicroBatch: 1, SeqLen: 16384})

@@ -5,14 +5,19 @@ import (
 	"testing"
 
 	"adapipe/internal/coststore"
+	"adapipe/internal/schedule"
+	"adapipe/internal/sim"
 )
 
 // TestReplanAllocsBounded pins the allocation cost of the warm replanning
 // fast path: with the memo, dense cost snapshot and knapsack solvers all
 // pooled on the planner, an incremental replan solves nothing and allocates
-// only its two plans (each stage's own strategy map), their simulations and
-// the recomputed DP levels. The two scales alternate so every run recomputes
-// levels, not just reassembles.
+// only its two plans (each stage's own strategy map), the one 1F1B schedule
+// both are simulated on, their simulations and the recomputed DP levels. The
+// two scales alternate so every run recomputes levels, not just reassembles.
+// The bound is the measured 84 + 25 % (396 while every op of a schedule had
+// its own micro-id slice, the simulator nested slices per stage and micro,
+// and each replan built its schedule twice).
 func TestReplanAllocsBounded(t *testing.T) {
 	warm := roomy.planner(t)
 	plan, err := warm.Plan()
@@ -33,9 +38,37 @@ func TestReplanAllocsBounded(t *testing.T) {
 		i++
 	})
 	t.Logf("incremental replan: %.0f allocs/op", allocs)
-	const bound = 1024 // measured ~400/op
+	const bound = 105
 	if allocs > bound {
 		t.Fatalf("incremental replan allocates %.0f/op, bound %d", allocs, bound)
+	}
+}
+
+// TestSimulateAllocsFlat pins sim.Run on the GPT-3 plan's 1F1B schedule:
+// its state is a few flat slices sized once, so the objects one simulation
+// allocates do not grow with the micro-batch count.
+func TestSimulateAllocsFlat(t *testing.T) {
+	plan, err := gpt3.planner(t).Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	costs := plan.StageCosts()
+	var allocs []float64
+	for _, n := range []int{plan.MicroBatches, 4 * plan.MicroBatches} {
+		sched, err := schedule.OneFOneB(len(costs), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs = append(allocs, testing.AllocsPerRun(5, func() {
+			if _, err := sim.Run(sim.Input{Sched: sched, Stages: costs}); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	t.Logf("sim.Run on the GPT-3 1F1B plan: %.0f allocs at n=%d, %.0f at n=%d",
+		allocs[0], plan.MicroBatches, allocs[1], 4*plan.MicroBatches)
+	if allocs[0] != allocs[1] || allocs[1] > 16 {
+		t.Fatalf("sim.Run allocates %.0f then %.0f objects as n grows 4x, want one count of at most 16", allocs[0], allocs[1])
 	}
 }
 

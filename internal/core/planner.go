@@ -908,7 +908,7 @@ func (pl *Planner) assemble(bounds []int, scale []float64, total, w, e, m float6
 		E:            e,
 		M:            m,
 	}
-	bw := pl.cluster.PipelineBandwidth(pl.strat.TP)
+	bw := pl.cluster.PipelineBandwidth()
 	plan.CommFwd = pl.prof.CommTime(bw, pl.cluster.LinkLatency)
 	plan.CommBwd = plan.CommFwd // gradient of the boundary tensor, same shape
 	for s := 0; s+1 < len(bounds); s++ {

@@ -107,11 +107,17 @@ func (pl *Planner) ReplanWithScaleContext(ctx context.Context, old *Plan, scale 
 		return nil, fmt.Errorf("core: replanning under scaled costs: %w", err)
 	}
 
-	r := &Replan{Old: repriced, New: next}
-	if r.OldSim, err = pl.simulate(repriced); err != nil {
+	// Both plans split the same n micro-batches over the same p stages,
+	// so one 1F1B schedule serves both simulations.
+	sched, err := schedule.OneFOneB(pl.strat.PP, pl.n)
+	if err != nil {
 		return nil, err
 	}
-	if r.NewSim, err = pl.simulate(next); err != nil {
+	r := &Replan{Old: repriced, New: next}
+	if r.OldSim, err = sim.Run(sim.Input{Sched: sched, Stages: repriced.StageCosts()}); err != nil {
+		return nil, err
+	}
+	if r.NewSim, err = sim.Run(sim.Input{Sched: sched, Stages: next.StageCosts()}); err != nil {
 		return nil, err
 	}
 	r.Adopted = r.NewSim.IterTime < r.OldSim.IterTime &&
@@ -164,13 +170,4 @@ func (p *Plan) StageCosts() []sim.StageCost {
 		}
 	}
 	return costs
-}
-
-// simulate runs a plan's 1F1B schedule through the discrete-event simulator.
-func (pl *Planner) simulate(plan *Plan) (sim.Result, error) {
-	sched, err := schedule.OneFOneB(pl.strat.PP, plan.MicroBatches)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return sim.Run(sim.Input{Sched: sched, Stages: plan.StageCosts()})
 }

@@ -8,7 +8,10 @@
 // activation sizes the search engine consumes.
 package hardware
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Device models a single accelerator.
 type Device struct {
@@ -40,14 +43,17 @@ func (d Device) EffectiveAttnFLOPS() float64 { return d.PeakFLOPS * d.AttnEffici
 // EffectiveBandwidth returns the realized element-wise bandwidth in bytes/s.
 func (d Device) EffectiveBandwidth() float64 { return d.MemBandwidth * d.BandwidthEfficiency }
 
+// positiveFinite reports 0 < x < +Inf; it is false for NaN.
+func positiveFinite(x float64) bool { return x > 0 && x <= math.MaxFloat64 }
+
 // Validate reports whether the device parameters are physically meaningful.
-// Each check is written to fail on NaN.
+// Each check is written to fail on NaN, and the rates on +Inf.
 func (d Device) Validate() error {
 	switch {
-	case !(d.PeakFLOPS > 0):
-		return fmt.Errorf("hardware: %s: PeakFLOPS must be positive", d.Name)
-	case !(d.MemBandwidth > 0):
-		return fmt.Errorf("hardware: %s: MemBandwidth must be positive", d.Name)
+	case !positiveFinite(d.PeakFLOPS):
+		return fmt.Errorf("hardware: %s: PeakFLOPS must be positive and finite", d.Name)
+	case !positiveFinite(d.MemBandwidth):
+		return fmt.Errorf("hardware: %s: MemBandwidth must be positive and finite", d.Name)
 	case d.MemCapacity <= 0:
 		return fmt.Errorf("hardware: %s: MemCapacity must be positive", d.Name)
 	case !(d.GEMMEfficiency > 0 && d.GEMMEfficiency <= 1):
@@ -93,28 +99,24 @@ func (c Cluster) Validate() error {
 		return fmt.Errorf("hardware: %s: DevicesPerNode must be positive", c.Name)
 	case c.Nodes <= 0:
 		return fmt.Errorf("hardware: %s: Nodes must be positive", c.Name)
-	case !(c.IntraNodeBandwidth > 0 && c.InterNodeBandwidth > 0):
-		return fmt.Errorf("hardware: %s: link bandwidths must be positive", c.Name)
-	case !(c.LinkLatency >= 0):
-		return fmt.Errorf("hardware: %s: LinkLatency must be non-negative", c.Name)
+	case !(positiveFinite(c.IntraNodeBandwidth) && positiveFinite(c.InterNodeBandwidth)):
+		return fmt.Errorf("hardware: %s: link bandwidths must be positive and finite", c.Name)
+	case !(c.LinkLatency >= 0 && c.LinkLatency <= math.MaxFloat64):
+		return fmt.Errorf("hardware: %s: LinkLatency must be non-negative and finite", c.Name)
 	}
 	return nil
 }
 
 // PipelineBandwidth returns the effective bandwidth for a point-to-point
-// activation transfer between adjacent pipeline stages when tensor
-// parallelism of size tp is in use. With tp ranks per stage the pipeline
+// activation transfer between adjacent pipeline stages. The pipeline
 // boundary crosses nodes (pipeline parallelism is the inter-node level of 3D
 // parallelism), and each TP rank sends its own activation shard over its NIC
-// share, so per-rank bandwidth is InterNodeBandwidth.
-//
-// When an entire pipeline pair fits inside one node (tp*2 <= DevicesPerNode
-// and the cluster has a single node), the faster intra-node links apply.
-func (c Cluster) PipelineBandwidth(tp int) float64 {
+// share, so per-rank bandwidth is InterNodeBandwidth. On a single-node
+// cluster the faster intra-node links apply.
+func (c Cluster) PipelineBandwidth() float64 {
 	if c.Nodes == 1 {
 		return c.IntraNodeBandwidth
 	}
-	_ = tp
 	return c.InterNodeBandwidth
 }
 

@@ -69,6 +69,8 @@ func TestDeviceValidateRejects(t *testing.T) {
 		{"nan gemm eff", func(d *Device) { d.GEMMEfficiency = math.NaN() }},
 		{"nan attn eff", func(d *Device) { d.AttnEfficiency = math.NaN() }},
 		{"nan bw eff", func(d *Device) { d.BandwidthEfficiency = math.NaN() }},
+		{"inf flops", func(d *Device) { d.PeakFLOPS = math.Inf(1) }},
+		{"inf bandwidth", func(d *Device) { d.MemBandwidth = math.Inf(1) }},
 	}
 	for _, tc := range cases {
 		d := A100()
@@ -93,6 +95,9 @@ func TestClusterValidateRejects(t *testing.T) {
 		{"nan intra bw", func(c *Cluster) { c.IntraNodeBandwidth = math.NaN() }},
 		{"nan inter bw", func(c *Cluster) { c.InterNodeBandwidth = math.NaN() }},
 		{"nan latency", func(c *Cluster) { c.LinkLatency = math.NaN() }},
+		{"inf intra bw", func(c *Cluster) { c.IntraNodeBandwidth = math.Inf(1) }},
+		{"inf inter bw", func(c *Cluster) { c.InterNodeBandwidth = math.Inf(1) }},
+		{"inf latency", func(c *Cluster) { c.LinkLatency = math.Inf(1) }},
 	}
 	for _, tc := range cases {
 		c := ClusterA()
@@ -105,12 +110,12 @@ func TestClusterValidateRejects(t *testing.T) {
 
 func TestPipelineBandwidth(t *testing.T) {
 	multi := ClusterA()
-	if got := multi.PipelineBandwidth(8); got != multi.InterNodeBandwidth {
+	if got := multi.PipelineBandwidth(); got != multi.InterNodeBandwidth {
 		t.Errorf("multi-node pipeline bandwidth = %g, want inter-node %g", got, multi.InterNodeBandwidth)
 	}
 	single := ClusterA()
 	single.Nodes = 1
-	if got := single.PipelineBandwidth(2); got != single.IntraNodeBandwidth {
+	if got := single.PipelineBandwidth(); got != single.IntraNodeBandwidth {
 		t.Errorf("single-node pipeline bandwidth = %g, want intra-node %g", got, single.IntraNodeBandwidth)
 	}
 }

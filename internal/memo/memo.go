@@ -5,17 +5,22 @@
 // request coalescing, its warm-planner store, its trace ring and the shared
 // cost store are each one Cache.
 //
-// The list and the in-flight map share a lock because the two questions "is
+// The LRU and the in-flight map share a lock because the two questions "is
 // it stored?" and "is someone computing it?" must be answered together: a
 // value moves from in flight to stored before its call is deregistered, so a
 // lookup never finds a key in neither place while its first computation is
 // still the only one needed.
+//
+// In steady state no operation allocates: the LRU's nodes live in one slice
+// linked by index and an eviction reuses the tail's slot, a call's done
+// channel is made only when a waiter arrives, and a call no waiter saw is
+// recycled.
 package memo
 
 import (
-	"container/list"
 	"context"
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -52,43 +57,41 @@ type Pair[K comparable, V any] struct {
 	Val V
 }
 
-// call is one in-flight computation. Waiters block on done; ok stays false
-// when the leader's computation panicked, which tells them to go around
-// again (and possibly lead).
+// call is one in-flight computation. Its first waiter makes done, under the
+// cache's mutex; a call that finishes with done still nil was seen by no
+// one and goes back to the cache's free list. ok stays false when the
+// leader's computation panicked, which tells the waiters to go around again
+// (and possibly lead).
 type call[V any] struct {
 	done chan struct{}
 	val  V
 	ok   bool
+	// next links the free list.
+	next *call[V]
 }
 
 // Cache is a concurrency-safe LRU bounded to max values, with compute-once
 // semantics for missing keys. Get, Put and GetOrCompute all count as use. The
 // zero value is not usable; construct with New.
 type Cache[K comparable, V any] struct {
-	mu  sync.Mutex
-	max int
-	// ll orders the stored *Pair values, front = most recently used.
+	mu sync.Mutex
+	// lru holds the stored values.
 	// guarded by mu
-	ll *list.List
-	// items indexes ll's elements by key.
-	// guarded by mu
-	items map[K]*list.Element
+	lru ring[K, V]
 	// calls holds the in-flight computation per missing key.
 	// guarded by mu
 	calls map[K]*call[V]
-	// evictions counts the values the bound pushed out.
+	// free heads the list of finished calls no waiter saw.
 	// guarded by mu
-	evictions int64
+	free *call[V]
 }
 
-// New builds a cache bounded to max values. max <= 0 stores nothing — every
-// Get misses and every Put is dropped — while concurrent GetOrCompute calls
-// for one key still share a single computation.
+// New builds a cache bounded to max values (at most math.MaxInt32). max <= 0
+// stores nothing — every Get misses and every Put is dropped — while
+// concurrent GetOrCompute calls for one key still share a single computation.
 func New[K comparable, V any](max int) *Cache[K, V] {
 	return &Cache[K, V]{
-		max:   max,
-		ll:    list.New(),
-		items: make(map[K]*list.Element),
+		lru:   ring[K, V]{max: min(max, math.MaxInt32), index: make(map[K]int32), head: -1, tail: -1},
 		calls: make(map[K]*call[V]),
 	}
 }
@@ -97,35 +100,15 @@ func New[K comparable, V any](max int) *Cache[K, V] {
 func (c *Cache[K, V]) Get(key K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		var zero V
-		return zero, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*Pair[K, V]).Val, true
+	return c.lru.get(key)
 }
 
-// Put stores (or replaces) the value for key as most recently used and evicts
-// from the tail until the bound holds again.
+// Put stores (or replaces) the value for key as most recently used, evicting
+// the least recently used value when the bound is reached.
 func (c *Cache[K, V]) Put(key K, val V) {
-	if c.max <= 0 {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		el.Value.(*Pair[K, V]).Val = val
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.ll.PushFront(&Pair[K, V]{Key: key, Val: val})
-	for c.ll.Len() > c.max {
-		tail := c.ll.Back()
-		c.ll.Remove(tail)
-		delete(c.items, tail.Value.(*Pair[K, V]).Key)
-		c.evictions++
-	}
+	c.lru.put(key, val)
 }
 
 // GetOrCompute returns the value for key, running fn when it is neither
@@ -142,16 +125,18 @@ func (c *Cache[K, V]) Put(key K, val V) {
 func (c *Cache[K, V]) GetOrCompute(ctx context.Context, key K, fn func() (val V, store bool)) (V, Disposition, error) {
 	for {
 		c.mu.Lock()
-		if el, ok := c.items[key]; ok {
-			c.ll.MoveToFront(el)
-			val := el.Value.(*Pair[K, V]).Val
+		if val, ok := c.lru.get(key); ok {
 			c.mu.Unlock()
 			return val, Hit, nil
 		}
 		if cl, ok := c.calls[key]; ok {
+			if cl.done == nil {
+				cl.done = make(chan struct{})
+			}
+			done := cl.done
 			c.mu.Unlock()
 			select {
-			case <-cl.done:
+			case <-done:
 			case <-ctx.Done():
 				var zero V
 				return zero, Shared, ctx.Err()
@@ -161,54 +146,163 @@ func (c *Cache[K, V]) GetOrCompute(ctx context.Context, key K, fn func() (val V,
 			}
 			continue
 		}
-		cl := &call[V]{done: make(chan struct{})}
+		cl := c.free
+		if cl != nil {
+			c.free, cl.next = cl.next, nil
+		} else {
+			cl = new(call[V])
+		}
 		c.calls[key] = cl
 		c.mu.Unlock()
-		c.lead(key, cl, fn)
-		return cl.val, Computed, nil
+		return c.lead(key, cl, fn), Computed, nil
 	}
 }
 
 // lead runs the leader's computation. The deferred cleanup runs even when fn
-// panics: a completed value is stored first, then the call is deregistered
-// and done is closed, so waiters never hang and a lookup arriving at any
-// moment finds the key stored or in flight.
-func (c *Cache[K, V]) lead(key K, cl *call[V], fn func() (V, bool)) {
-	store := false
+// panics, and in one critical section: a completed value is stored, then the
+// call is deregistered, so a lookup arriving at any moment finds the key
+// stored or in flight. A call with waiters gets the outcome and its done
+// channel is closed after the lock is released, so waiters never hang; a
+// call without is recycled.
+func (c *Cache[K, V]) lead(key K, cl *call[V], fn func() (V, bool)) (val V) {
+	ok, store := false, false
 	defer func() {
-		if store {
-			c.Put(key, cl.val)
-		}
 		c.mu.Lock()
+		if ok && store {
+			c.lru.put(key, val)
+		}
 		delete(c.calls, key)
+		done := cl.done
+		if done == nil {
+			*cl = call[V]{next: c.free}
+			c.free = cl
+		} else {
+			cl.val, cl.ok = val, ok
+		}
 		c.mu.Unlock()
-		close(cl.done)
+		if done != nil {
+			close(done)
+		}
 	}()
-	cl.val, store = fn()
-	cl.ok = true
+	val, store = fn()
+	ok = true
+	return val
 }
 
 // Len returns the number of stored values.
 func (c *Cache[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return len(c.lru.index)
 }
 
 // Evictions returns how many values the bound has pushed out so far.
 func (c *Cache[K, V]) Evictions() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.evictions
+	return c.lru.evictions
 }
 
 // Snapshot returns a copy of the stored pairs, most recently used first.
 func (c *Cache[K, V]) Snapshot() []Pair[K, V] {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]Pair[K, V], 0, c.ll.Len())
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		out = append(out, *el.Value.(*Pair[K, V]))
+	out := make([]Pair[K, V], 0, len(c.lru.index))
+	for i := c.lru.head; i >= 0; i = c.lru.nodes[i].next {
+		out = append(out, Pair[K, V]{Key: c.lru.nodes[i].key, Val: c.lru.nodes[i].val})
 	}
 	return out
+}
+
+// ring is an LRU list bounded to max values whose nodes live in one slice
+// and link each other by index, most recently used at head; index finds a
+// key's node. The slice grows to the bound and no further: from then on
+// each new key takes over the tail's slot. -1 is the null link.
+type ring[K comparable, V any] struct {
+	max        int
+	nodes      []node[K, V]
+	index      map[K]int32
+	head, tail int32
+	// evictions counts the values the bound pushed out.
+	evictions int64
+}
+
+// node is one stored value and its neighbours' indices.
+type node[K comparable, V any] struct {
+	key        K
+	val        V
+	prev, next int32
+}
+
+// get returns key's value and makes it the most recently used.
+func (r *ring[K, V]) get(key K) (V, bool) {
+	i, ok := r.index[key]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	r.toFront(i)
+	return r.nodes[i].val, true
+}
+
+// put stores val under key as the most recently used, in the tail's slot
+// when max values are stored already. With max <= 0 it stores nothing.
+func (r *ring[K, V]) put(key K, val V) {
+	if i, ok := r.index[key]; ok {
+		r.nodes[i].val = val
+		r.toFront(i)
+		return
+	}
+	var i int32
+	switch {
+	case r.max <= 0:
+		return
+	case len(r.nodes) < r.max:
+		i = int32(len(r.nodes))
+		r.nodes = append(r.nodes, node[K, V]{key: key, val: val, prev: -1, next: -1})
+	default:
+		i = r.tail
+		r.unlink(i)
+		delete(r.index, r.nodes[i].key)
+		r.nodes[i].key, r.nodes[i].val = key, val
+		r.evictions++
+	}
+	r.index[key] = i
+	r.pushFront(i)
+}
+
+// toFront moves node i to the head.
+func (r *ring[K, V]) toFront(i int32) {
+	if r.head != i {
+		r.unlink(i)
+		r.pushFront(i)
+	}
+}
+
+// unlink takes node i out of the list.
+func (r *ring[K, V]) unlink(i int32) {
+	n := &r.nodes[i]
+	if n.prev >= 0 {
+		r.nodes[n.prev].next = n.next
+	} else {
+		r.head = n.next
+	}
+	if n.next >= 0 {
+		r.nodes[n.next].prev = n.prev
+	} else {
+		r.tail = n.prev
+	}
+	n.prev, n.next = -1, -1
+}
+
+// pushFront links the unlinked node i in as the head.
+func (r *ring[K, V]) pushFront(i int32) {
+	n := &r.nodes[i]
+	n.prev, n.next = -1, r.head
+	if r.head >= 0 {
+		r.nodes[r.head].prev = i
+	} else {
+		r.tail = i
+	}
+	r.head = i
 }

@@ -165,6 +165,31 @@ func TestCache(t *testing.T) {
 				t.Fatalf("%d leaders, want 1 (%v)", leaders, disps)
 			}
 		}},
+		{"churn_hands_every_caller_its_own_keys_value", func(t *testing.T) {
+			// Few slots, more keys and callers: values are evicted, calls
+			// finish with and without waiters and are recycled, and every
+			// lookup must still return the value of the key it asked for.
+			c := New[int, int](4)
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < 2000; i++ {
+						k := (i*7 + g) % 16
+						v, _, err := c.GetOrCompute(bg, k, func() (int, bool) { return 100 + k, k%3 != 0 })
+						if v != 100+k || err != nil {
+							t.Errorf("key %d got %d, %v", k, v, err)
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			if c.Len() > 4 {
+				t.Fatalf("%d values stored under a bound of 4", c.Len())
+			}
+		}},
 		{"unstored_value_is_shared_but_not_cached", func(t *testing.T) {
 			c := New[string, int](8)
 			entered, release := make(chan struct{}), make(chan struct{})
@@ -250,5 +275,54 @@ func TestCache(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, tc.run)
+	}
+}
+
+// TestSteadyStateAllocatesNothing pins the cache's allocation discipline.
+// Once the LRU is at its bound and a finished call waits on the free list,
+// an uncontended miss that stores (and so evicts), a hit, and a Put that
+// evicts each allocate nothing: the new key takes the tail's slot, the
+// recycled call needs no done channel because no one waits on it.
+func TestSteadyStateAllocatesNothing(t *testing.T) {
+	const max = 64
+	bg := context.Background()
+	keys := make([]string, 16*max)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%d", i)
+	}
+	c := New[string, int](max)
+	next := 0
+	missStore := func() {
+		k := next % len(keys)
+		next++
+		if _, disp, _ := c.GetOrCompute(bg, keys[k], func() (int, bool) { return k, true }); disp != Computed {
+			t.Fatalf("key %d came back %v, want computed", k, disp)
+		}
+	}
+	for i := 0; i < len(keys); i++ {
+		missStore()
+	}
+	evictions := c.Evictions()
+	if a := testing.AllocsPerRun(200, missStore); a != 0 {
+		t.Errorf("a miss that stores allocates %.0f/op, want 0", a)
+	}
+	hit := func() {
+		if _, disp, _ := c.GetOrCompute(bg, keys[(next-1)%len(keys)], stored(-1)); disp != Hit {
+			t.Fatalf("recent key came back %v, want hit", disp)
+		}
+	}
+	if a := testing.AllocsPerRun(200, hit); a != 0 {
+		t.Errorf("a hit allocates %.0f/op, want 0", a)
+	}
+	put := func() {
+		c.Put(keys[next%len(keys)], next)
+		next++
+	}
+	if a := testing.AllocsPerRun(200, put); a != 0 {
+		t.Errorf("a Put that evicts allocates %.0f/op, want 0", a)
+	}
+	// AllocsPerRun runs each body once more to warm up.
+	if got, want := c.Evictions()-evictions, int64(2*201); got != want || c.Len() != max {
+		t.Fatalf("%d evictions with %d stored, want %d with %d: the pinned misses and Puts did not evict", got, c.Len(), want, max)
 	}
 }

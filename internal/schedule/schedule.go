@@ -9,8 +9,9 @@
 package schedule
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Kind distinguishes forward from backward passes.
@@ -78,6 +79,33 @@ type Schedule struct {
 // schedules host several virtual stages per device).
 func (s *Schedule) Devices() int { return len(s.Ops) }
 
+// microIDs holds the ids 0..n−1 once; every op of a built schedule slices
+// its Micros from it. Each slice is capped at its length, so an append to
+// one op's Micros copies instead of overwriting its neighbour's ids.
+type microIDs []int
+
+// one returns the ids [m].
+func (ids microIDs) one(m int) []int { return ids[m : m+1 : m+1] }
+
+// pair returns the ids [m, m+1].
+func (ids microIDs) pair(m int) []int { return ids[m : m+2 : m+2] }
+
+// carve gives each of the devices an empty op list with room for perDevice
+// ops, all cut from one slab (each capped like microIDs' slices), and
+// returns the ids of the schedule's micro-batches.
+func (s *Schedule) carve(devices, perDevice int) microIDs {
+	slab := make([]Op, devices*perDevice)
+	s.Ops = make([][]Op, devices)
+	for d := range s.Ops {
+		s.Ops[d] = slab[d*perDevice : d*perDevice : (d+1)*perDevice]
+	}
+	ids := make(microIDs, s.Micros)
+	for m := range ids {
+		ids[m] = m
+	}
+	return ids
+}
+
 // OneFOneB builds the 1F1B (DAPPLE) schedule: stage s runs p−s−1 warmup
 // forward passes, alternates one-forward-one-backward through the steady
 // phase, and drains backward passes in the ending phase (§2.1, Figure 2b).
@@ -85,21 +113,22 @@ func OneFOneB(p, n int) (*Schedule, error) {
 	if err := checkPN(p, n); err != nil {
 		return nil, err
 	}
-	s := &Schedule{Name: "1F1B", Stages: p, Micros: n, Ops: make([][]Op, p), InOrder: true}
+	s := &Schedule{Name: "1F1B", Stages: p, Micros: n, InOrder: true}
+	ids := s.carve(p, 2*n)
 	for st := 0; st < p; st++ {
 		warmup := p - st - 1
 		if warmup > n {
 			warmup = n
 		}
-		var ops []Op
+		ops := s.Ops[st]
 		for m := 0; m < warmup; m++ {
-			ops = append(ops, Op{Kind: Forward, Micros: []int{m}, Stage: st})
+			ops = append(ops, Op{Kind: Forward, Micros: ids.one(m), Stage: st})
 		}
 		for k := 0; k < n; k++ {
 			if warmup+k < n {
-				ops = append(ops, Op{Kind: Forward, Micros: []int{warmup + k}, Stage: st})
+				ops = append(ops, Op{Kind: Forward, Micros: ids.one(warmup + k), Stage: st})
 			}
-			ops = append(ops, Op{Kind: Backward, Micros: []int{k}, Stage: st})
+			ops = append(ops, Op{Kind: Backward, Micros: ids.one(k), Stage: st})
 		}
 		s.Ops[st] = ops
 	}
@@ -112,14 +141,15 @@ func GPipe(p, n int) (*Schedule, error) {
 	if err := checkPN(p, n); err != nil {
 		return nil, err
 	}
-	s := &Schedule{Name: "GPipe", Stages: p, Micros: n, Ops: make([][]Op, p), InOrder: true}
+	s := &Schedule{Name: "GPipe", Stages: p, Micros: n, InOrder: true}
+	ids := s.carve(p, 2*n)
 	for st := 0; st < p; st++ {
-		var ops []Op
+		ops := s.Ops[st]
 		for m := 0; m < n; m++ {
-			ops = append(ops, Op{Kind: Forward, Micros: []int{m}, Stage: st})
+			ops = append(ops, Op{Kind: Forward, Micros: ids.one(m), Stage: st})
 		}
 		for m := n - 1; m >= 0; m-- {
-			ops = append(ops, Op{Kind: Backward, Micros: []int{m}, Stage: st})
+			ops = append(ops, Op{Kind: Backward, Micros: ids.one(m), Stage: st})
 		}
 		s.Ops[st] = ops
 	}
@@ -143,9 +173,11 @@ func Chimera(p, n int) (*Schedule, error) {
 	if n%p != 0 {
 		return nil, fmt.Errorf("schedule: Chimera needs micro-batches (%d) divisible by stages (%d)", n, p)
 	}
-	s := &Schedule{Name: "Chimera", Stages: p, Micros: n, Ops: make([][]Op, p), Bidirectional: true, InOrder: true}
+	s := &Schedule{Name: "Chimera", Stages: p, Micros: n, Bidirectional: true, InOrder: true}
+	ids := s.carve(p, 2*n)
+	ops := make([]keyedOp, 0, 2*n)
 	for d := 0; d < p; d++ {
-		var ops []keyedOp
+		ops = ops[:0]
 		for unit := 0; unit < n/p; unit++ {
 			base := unit * p
 			off := float64(unit) * 4 * float64(p)
@@ -153,14 +185,14 @@ func Chimera(p, n int) (*Schedule, error) {
 				down := base + k
 				up := base + p/2 + k
 				ops = append(ops,
-					keyedOp{Op{Kind: Forward, Micros: []int{down}, Stage: d, Pipeline: 0}, off + float64(d+k)},
-					keyedOp{Op{Kind: Forward, Micros: []int{up}, Stage: p - 1 - d, Pipeline: 1}, off + float64(p-1-d+k) + 0.5},
-					keyedOp{Op{Kind: Backward, Micros: []int{down}, Stage: d, Pipeline: 0}, off + float64(2*p) + float64(2*k) + float64(p-1-d)},
-					keyedOp{Op{Kind: Backward, Micros: []int{up}, Stage: p - 1 - d, Pipeline: 1}, off + float64(2*p) + float64(2*k) + float64(d) + 0.5},
+					keyedOp{Op{Kind: Forward, Micros: ids.one(down), Stage: d, Pipeline: 0}, off + float64(d+k)},
+					keyedOp{Op{Kind: Forward, Micros: ids.one(up), Stage: p - 1 - d, Pipeline: 1}, off + float64(p-1-d+k) + 0.5},
+					keyedOp{Op{Kind: Backward, Micros: ids.one(down), Stage: d, Pipeline: 0}, off + float64(2*p) + float64(2*k) + float64(p-1-d)},
+					keyedOp{Op{Kind: Backward, Micros: ids.one(up), Stage: p - 1 - d, Pipeline: 1}, off + float64(2*p) + float64(2*k) + float64(d) + 0.5},
 				)
 			}
 		}
-		s.Ops[d] = sortKeyed(ops)
+		s.Ops[d] = sortKeyed(s.Ops[d], ops)
 	}
 	return s, nil
 }
@@ -173,13 +205,13 @@ type keyedOp struct {
 	key float64
 }
 
-func sortKeyed(ops []keyedOp) []Op {
-	sort.SliceStable(ops, func(i, j int) bool { return ops[i].key < ops[j].key })
-	out := make([]Op, len(ops))
-	for i, k := range ops {
-		out[i] = k.op
+// sortKeyed stable-sorts ops by key and appends them to dst.
+func sortKeyed(dst []Op, ops []keyedOp) []Op {
+	slices.SortStableFunc(ops, func(a, b keyedOp) int { return cmp.Compare(a.key, b.key) })
+	for _, k := range ops {
+		dst = append(dst, k.op)
 	}
-	return out
+	return dst
 }
 
 // ChimeraD builds Chimera with forward doubling (§7.1): every forward pass
@@ -196,12 +228,14 @@ func ChimeraD(p, n int) (*Schedule, error) {
 	if n%(2*p) != 0 {
 		return nil, fmt.Errorf("schedule: ChimeraD needs micro-batches (%d) divisible by 2x stages (%d)", n, 2*p)
 	}
-	s := &Schedule{Name: "ChimeraD", Stages: p, Micros: n, Ops: make([][]Op, p), Bidirectional: true, InOrder: true}
+	s := &Schedule{Name: "ChimeraD", Stages: p, Micros: n, Bidirectional: true, InOrder: true}
 	// Micro pairs (2i, 2i+1) flow forward together; pair i goes down the
 	// down pipeline when (i mod p) < p/2, up otherwise.
 	pairs := n / 2
+	ids := s.carve(p, 3*pairs)
+	ops := make([]keyedOp, 0, 3*pairs)
 	for d := 0; d < p; d++ {
-		var ops []keyedOp
+		ops = ops[:0]
 		for unit := 0; unit < pairs/p; unit++ {
 			base := unit * p
 			off := float64(unit) * 4 * float64(p)
@@ -209,16 +243,16 @@ func ChimeraD(p, n int) (*Schedule, error) {
 				down := base + k
 				up := base + p/2 + k
 				ops = append(ops,
-					keyedOp{Op{Kind: Forward, Micros: []int{2 * down, 2*down + 1}, Stage: d, Pipeline: 0}, off + float64(d+k)},
-					keyedOp{Op{Kind: Forward, Micros: []int{2 * up, 2*up + 1}, Stage: p - 1 - d, Pipeline: 1}, off + float64(p-1-d+k) + 0.5},
-					keyedOp{Op{Kind: Backward, Micros: []int{2 * down}, Stage: d, Pipeline: 0}, off + float64(2*p) + float64(2*k) + float64(p-1-d)},
-					keyedOp{Op{Kind: Backward, Micros: []int{2*down + 1}, Stage: d, Pipeline: 0}, off + float64(2*p) + float64(2*k) + float64(p-1-d) + 0.25},
-					keyedOp{Op{Kind: Backward, Micros: []int{2 * up}, Stage: p - 1 - d, Pipeline: 1}, off + float64(2*p) + float64(2*k) + float64(d) + 0.5},
-					keyedOp{Op{Kind: Backward, Micros: []int{2*up + 1}, Stage: p - 1 - d, Pipeline: 1}, off + float64(2*p) + float64(2*k) + float64(d) + 0.75},
+					keyedOp{Op{Kind: Forward, Micros: ids.pair(2 * down), Stage: d, Pipeline: 0}, off + float64(d+k)},
+					keyedOp{Op{Kind: Forward, Micros: ids.pair(2 * up), Stage: p - 1 - d, Pipeline: 1}, off + float64(p-1-d+k) + 0.5},
+					keyedOp{Op{Kind: Backward, Micros: ids.one(2 * down), Stage: d, Pipeline: 0}, off + float64(2*p) + float64(2*k) + float64(p-1-d)},
+					keyedOp{Op{Kind: Backward, Micros: ids.one(2*down + 1), Stage: d, Pipeline: 0}, off + float64(2*p) + float64(2*k) + float64(p-1-d) + 0.25},
+					keyedOp{Op{Kind: Backward, Micros: ids.one(2 * up), Stage: p - 1 - d, Pipeline: 1}, off + float64(2*p) + float64(2*k) + float64(d) + 0.5},
+					keyedOp{Op{Kind: Backward, Micros: ids.one(2*up + 1), Stage: p - 1 - d, Pipeline: 1}, off + float64(2*p) + float64(2*k) + float64(d) + 0.75},
 				)
 			}
 		}
-		s.Ops[d] = sortKeyed(ops)
+		s.Ops[d] = sortKeyed(s.Ops[d], ops)
 	}
 	return s, nil
 }
@@ -240,15 +274,16 @@ func Interleaved(p, n, v int) (*Schedule, error) {
 	if n%p != 0 {
 		return nil, fmt.Errorf("schedule: interleaved 1F1B needs micro-batches (%d) divisible by stages (%d)", n, p)
 	}
-	s := &Schedule{Name: fmt.Sprintf("Interleaved-%d", v), Stages: p * v, Micros: n, Ops: make([][]Op, p)}
+	s := &Schedule{Name: fmt.Sprintf("Interleaved-%d", v), Stages: p * v, Micros: n}
+	ids := s.carve(p, 2*n*v)
 	for d := 0; d < p; d++ {
-		var ops []Op
+		ops := s.Ops[d]
 		// Forward priority: chunk-major groups of p micro-batches.
 		for g := 0; g < n/p; g++ {
 			for c := 0; c < v; c++ {
 				for k := 0; k < p; k++ {
 					m := g*p + k
-					ops = append(ops, Op{Kind: Forward, Micros: []int{m}, Stage: c*p + d})
+					ops = append(ops, Op{Kind: Forward, Micros: ids.one(m), Stage: c*p + d})
 				}
 			}
 		}
@@ -256,7 +291,7 @@ func Interleaved(p, n, v int) (*Schedule, error) {
 			for c := v - 1; c >= 0; c-- {
 				for k := 0; k < p; k++ {
 					m := g*p + k
-					ops = append(ops, Op{Kind: Backward, Micros: []int{m}, Stage: c*p + d})
+					ops = append(ops, Op{Kind: Backward, Micros: ids.one(m), Stage: c*p + d})
 				}
 			}
 		}
@@ -265,52 +300,60 @@ func Interleaved(p, n, v int) (*Schedule, error) {
 	return s, nil
 }
 
-// Validate checks structural invariants: every micro-batch appears exactly
-// once as forward and once as backward per stage it crosses, and in-order
-// schedules respect per-micro forward-before-backward on each device.
+// Validate checks structural invariants. Every op must have a known kind
+// and name a pipeline (0, or 0 and 1 when Bidirectional), a stage in
+// [0, Stages) and micro-batches in [0, Micros); the first op in device order
+// that does not is reported. Then every (pipeline, stage, micro) that
+// appears must appear exactly once as a forward and once as a backward; with
+// several such violations the first in (pipeline, stage, micro, kind) order
+// is reported, so every run names the same one.
 func (s *Schedule) Validate() error {
-	type key struct {
-		kind         Kind
-		micro, stage int
-		pipeline     int
+	if s.Stages < 0 || s.Micros < 0 {
+		return fmt.Errorf("schedule %s: negative shape (%d stages, %d micros)", s.Name, s.Stages, s.Micros)
 	}
-	seen := map[key]int{}
-	for d := range s.Ops {
-		for _, op := range s.Ops[d] {
+	pipes := 1
+	if s.Bidirectional {
+		pipes = 2
+	}
+	// counts[2*cell(pipeline, stage, micro) + kind], cells in that order.
+	counts := make([]int32, 2*pipes*s.Stages*s.Micros)
+	for d, ops := range s.Ops {
+		for _, op := range ops {
+			switch {
+			case op.Kind != Forward && op.Kind != Backward:
+				return fmt.Errorf("schedule %s: device %d has an op of unknown kind %d", s.Name, d, int(op.Kind))
+			case op.Pipeline < 0 || op.Pipeline >= pipes:
+				return fmt.Errorf("schedule %s: device %d op %s names pipeline %d of %d", s.Name, d, op, op.Pipeline, pipes)
+			case op.Stage < 0 || op.Stage >= s.Stages:
+				return fmt.Errorf("schedule %s: device %d op %s names stage %d of %d", s.Name, d, op, op.Stage, s.Stages)
+			}
+			base := (op.Pipeline*s.Stages + op.Stage) * s.Micros
 			for _, m := range op.Micros {
-				seen[key{op.Kind, m, op.Stage, op.Pipeline}]++
+				if m < 0 || m >= s.Micros {
+					return fmt.Errorf("schedule %s: device %d op %s names micro %d of %d", s.Name, d, op, m, s.Micros)
+				}
+				counts[2*(base+m)+int(op.Kind)]++
 			}
 		}
 	}
-	// Check in sorted key order so that, with several violations, the same
-	// one is reported on every run (map iteration order is randomized).
-	keys := make([]key, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.pipeline != b.pipeline {
-			return a.pipeline < b.pipeline
+	for cell := 0; cell < len(counts)/2; cell++ {
+		fwd, bwd := counts[2*cell], counts[2*cell+1]
+		if fwd == 0 && bwd == 0 {
+			continue
 		}
-		if a.stage != b.stage {
-			return a.stage < b.stage
+		m, stage, pipe := cell%s.Micros, cell/s.Micros%s.Stages, cell/s.Micros/s.Stages
+		if fwd != 0 {
+			if fwd != 1 {
+				return fmt.Errorf("schedule %s: %s of micro %d at stage %d (pipeline %d) appears %d times",
+					s.Name, Forward, m, stage, pipe, fwd)
+			}
+			if bwd != 1 {
+				return fmt.Errorf("schedule %s: forward of micro %d at stage %d has no backward", s.Name, m, stage)
+			}
 		}
-		if a.micro != b.micro {
-			return a.micro < b.micro
-		}
-		return a.kind < b.kind
-	})
-	for _, k := range keys {
-		c := seen[k]
-		if c != 1 {
+		if bwd > 1 {
 			return fmt.Errorf("schedule %s: %s of micro %d at stage %d (pipeline %d) appears %d times",
-				s.Name, k.kind, k.micro, k.stage, k.pipeline, c)
-		}
-		if k.kind == Forward {
-			if seen[key{Backward, k.micro, k.stage, k.pipeline}] != 1 {
-				return fmt.Errorf("schedule %s: forward of micro %d at stage %d has no backward", s.Name, k.micro, k.stage)
-			}
+				s.Name, Backward, m, stage, pipe, bwd)
 		}
 	}
 	return nil

@@ -1,6 +1,9 @@
 package schedule
 
 import (
+	"fmt"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -256,6 +259,143 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	if err := s2.Validate(); err == nil {
 		t.Error("missing backward not caught")
 	}
+}
+
+// TestValidateRejectsOpsOutsideTheShape holds Validate to the schedule's own
+// shape: an op whose micro, stage, pipeline or kind has no place in it is an
+// error, not something the simulator indexes with. Each row adds a forward
+// and its backward, so the counts alone would look fine.
+func TestValidateRejectsOpsOutsideTheShape(t *testing.T) {
+	pair := func(fwd Op) []Op {
+		bwd := fwd
+		bwd.Kind = Backward
+		return []Op{fwd, bwd}
+	}
+	for _, tc := range []struct {
+		name  string
+		build func(int, int) (*Schedule, error)
+		add   []Op
+		want  string
+	}{
+		{"micro_past_n", OneFOneB, pair(Op{Kind: Forward, Micros: []int{5}, Stage: 0}), "names micro 5 of 2"},
+		{"micro_at_n", OneFOneB, pair(Op{Kind: Forward, Micros: []int{2}, Stage: 1}), "names micro 2 of 2"},
+		{"negative_micro", OneFOneB, pair(Op{Kind: Forward, Micros: []int{-1}, Stage: 0}), "names micro -1 of 2"},
+		{"stage_past_p", OneFOneB, pair(Op{Kind: Forward, Micros: []int{0}, Stage: 2}), "names stage 2 of 2"},
+		{"negative_stage", GPipe, pair(Op{Kind: Forward, Micros: []int{0}, Stage: -1}), "names stage -1 of 2"},
+		{"up_pipeline_one_way", OneFOneB, pair(Op{Kind: Forward, Micros: []int{0}, Stage: 0, Pipeline: 1}), "names pipeline 1 of 1"},
+		{"third_pipeline", Chimera, pair(Op{Kind: Forward, Micros: []int{0}, Stage: 0, Pipeline: 2}), "names pipeline 2 of 2"},
+		{"negative_pipeline", Chimera, pair(Op{Kind: Forward, Micros: []int{0}, Stage: 0, Pipeline: -1}), "names pipeline -1 of 2"},
+		{"unknown_kind", OneFOneB, []Op{{Kind: 2, Micros: []int{0}, Stage: 0}}, "unknown kind 2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := tc.build(2, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Ops[0] = append(s.Ops[0], tc.add...)
+			err = s.Validate()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Validate = %v, want an error naming %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// builders lists every builder at a fixed interleaving factor.
+var builders = []struct {
+	name  string
+	build func(p, n int) (*Schedule, error)
+}{
+	{"1F1B", OneFOneB},
+	{"GPipe", GPipe},
+	{"Chimera", Chimera},
+	{"ChimeraD", ChimeraD},
+	{"Interleaved-2", func(p, n int) (*Schedule, error) { return Interleaved(p, n, 2) }},
+}
+
+// TestBuildersShareOneSlab pins the builders' allocations: each device's ops
+// fill a capped window of one slab and every op's Micros a capped window of
+// one id array, so a build allocates the same few objects whatever n is, and
+// an append to one device's ops or one op's ids copies rather than writing
+// into a neighbour's.
+func TestBuildersShareOneSlab(t *testing.T) {
+	for _, mk := range builders {
+		var allocs [2]float64
+		for k, n := range []int{8, 64} {
+			s, err := mk.build(4, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for d, ops := range s.Ops {
+				if len(ops) != cap(ops) {
+					t.Fatalf("%s(4,%d) device %d: %d ops in a window of %d", mk.name, n, d, len(ops), cap(ops))
+				}
+				for _, op := range ops {
+					if len(op.Micros) != cap(op.Micros) {
+						t.Fatalf("%s(4,%d): op %s has its ids capped at %d", mk.name, n, op, cap(op.Micros))
+					}
+				}
+			}
+			allocs[k] = testing.AllocsPerRun(10, func() {
+				if _, err := mk.build(4, n); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if allocs[0] != allocs[1] || allocs[1] > 6 {
+			t.Errorf("%s allocates %.0f objects at n=8 and %.0f at n=64, want one count of at most 6", mk.name, allocs[0], allocs[1])
+		}
+	}
+}
+
+// validateReference is Validate as it was written before the dense counts:
+// a map of counts, checked in sorted key order. It accepts ops outside the
+// schedule's shape, so FuzzValidateMatchesReference compares the two only
+// on in-range schedules.
+func validateReference(s *Schedule) error {
+	type key struct {
+		kind         Kind
+		micro, stage int
+		pipeline     int
+	}
+	seen := map[key]int{}
+	for d := range s.Ops {
+		for _, op := range s.Ops[d] {
+			for _, m := range op.Micros {
+				seen[key{op.Kind, m, op.Stage, op.Pipeline}]++
+			}
+		}
+	}
+	keys := make([]key, 0, len(seen))
+	for k := range seen {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		if a.pipeline != b.pipeline {
+			return a.pipeline < b.pipeline
+		}
+		if a.stage != b.stage {
+			return a.stage < b.stage
+		}
+		if a.micro != b.micro {
+			return a.micro < b.micro
+		}
+		return a.kind < b.kind
+	})
+	for _, k := range keys {
+		c := seen[k]
+		if c != 1 {
+			return fmt.Errorf("schedule %s: %s of micro %d at stage %d (pipeline %d) appears %d times",
+				s.Name, k.kind, k.micro, k.stage, k.pipeline, c)
+		}
+		if k.kind == Forward {
+			if seen[key{Backward, k.micro, k.stage, k.pipeline}] != 1 {
+				return fmt.Errorf("schedule %s: forward of micro %d at stage %d has no backward", s.Name, k.micro, k.stage)
+			}
+		}
+	}
+	return nil
 }
 
 func TestBadArgs(t *testing.T) {

@@ -13,7 +13,7 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"adapipe/internal/schedule"
 )
@@ -123,13 +123,11 @@ func (r Result) BubbleRatio() float64 {
 	return b / (r.IterTime * float64(len(r.Bubble)))
 }
 
+// opState is one op's execution: Run keeps all devices' ops in one flat
+// slice, device d's from first[d] on, in the schedule's order.
 type opState struct {
-	op        schedule.Op
-	device    int
-	listIndex int
-	done      bool
-	start     float64
-	end       float64
+	start, end float64
+	done       bool
 }
 
 // Run executes the schedule. It returns an error for malformed inputs or a
@@ -148,77 +146,59 @@ func Run(in Input) (Result, error) {
 		return Result{}, err
 	}
 	devices := sched.Devices()
+	first := make([]int, devices+1)
+	for d, ops := range sched.Ops {
+		first[d+1] = first[d] + len(ops)
+	}
+	total := first[devices]
+	states := make([]opState, total)
 
-	// Per-device op state.
-	states := make([][]opState, devices)
-	total := 0
-	for d := 0; d < devices; d++ {
-		states[d] = make([]opState, len(sched.Ops[d]))
-		for i, op := range sched.Ops[d] {
-			states[d][i] = opState{op: op, device: d, listIndex: i}
-		}
-		total += len(sched.Ops[d])
+	// Completion times of cell (pipeline, stage, micro), NaN = not done.
+	// Validate has checked every op's cell lies inside the schedule.
+	pipes := 1
+	if sched.Bidirectional {
+		pipes = 2
 	}
-
-	// Completion times indexed by [pipeline][stage][micro]; NaN = not done.
-	newTimes := func() [][][]float64 {
-		t := make([][][]float64, 2)
-		for pipe := 0; pipe < 2; pipe++ {
-			t[pipe] = make([][]float64, sched.Stages)
-			for s := 0; s < sched.Stages; s++ {
-				row := make([]float64, sched.Micros)
-				for m := range row {
-					row[m] = math.NaN()
-				}
-				t[pipe][s] = row
-			}
-		}
-		return t
+	cells := pipes * sched.Stages * sched.Micros
+	ends := make([]float64, 2*cells)
+	for i := range ends {
+		ends[i] = math.NaN()
 	}
-	fwdEnd := newTimes()
-	bwdEnd := newTimes()
-	has := func(kind schedule.Kind, pipe, stage, m int) (float64, bool) {
-		var v float64
-		if kind == schedule.Forward {
-			v = fwdEnd[pipe][stage][m]
-		} else {
-			v = bwdEnd[pipe][stage][m]
-		}
-		return v, !math.IsNaN(v)
-	}
+	fwdEnd, bwdEnd := ends[:cells:cells], ends[cells:]
+	cell := func(pipe, stage, m int) int { return (pipe*sched.Stages+stage)*sched.Micros + m }
 
 	// readyStart returns the earliest start of an op, or ok=false when a
 	// dependency has not been scheduled yet.
-	readyStart := func(st *opState, clock float64) (float64, bool) {
+	lastStage := sched.Stages - 1
+	readyStart := func(op *schedule.Op, clock float64) (float64, bool) {
 		start := clock
-		lastStage := sched.Stages - 1
-		for _, m := range st.op.Micros {
-			switch st.op.Kind {
+		for _, m := range op.Micros {
+			switch op.Kind {
 			case schedule.Forward:
-				if st.op.Stage > 0 {
-					end, ok := has(schedule.Forward, st.op.Pipeline, st.op.Stage-1, m)
-					if !ok {
+				if op.Stage > 0 {
+					end := fwdEnd[cell(op.Pipeline, op.Stage-1, m)]
+					if math.IsNaN(end) {
 						return 0, false
 					}
-					arrive := end + in.Stages[st.op.Stage-1].CommFwd
+					arrive := end + in.Stages[op.Stage-1].CommFwd
 					if arrive > start {
 						start = arrive
 					}
 				}
 			case schedule.Backward:
-				end, ok := has(schedule.Forward, st.op.Pipeline, st.op.Stage, m)
-				if !ok {
+				end := fwdEnd[cell(op.Pipeline, op.Stage, m)]
+				if math.IsNaN(end) {
 					return 0, false
 				}
 				if end > start {
 					start = end
 				}
-				if st.op.Stage < lastStage {
-					bend, ok := has(schedule.Backward, st.op.Pipeline, st.op.Stage+1, m)
-					if !ok {
+				if op.Stage < lastStage {
+					bend := bwdEnd[cell(op.Pipeline, op.Stage+1, m)]
+					if math.IsNaN(bend) {
 						return 0, false
 					}
-					arrive := bend + in.Stages[st.op.Stage+1].CommBwd
+					arrive := bend + in.Stages[op.Stage+1].CommBwd
 					if arrive > start {
 						start = arrive
 					}
@@ -228,7 +208,7 @@ func Run(in Input) (Result, error) {
 		return start, true
 	}
 
-	duration := func(op schedule.Op) float64 {
+	duration := func(op *schedule.Op) float64 {
 		c := in.Stages[op.Stage]
 		if op.Kind == schedule.Forward {
 			return c.Fwd * float64(len(op.Micros))
@@ -240,17 +220,20 @@ func Run(in Input) (Result, error) {
 	nextIdx := make([]int, devices) // for in-order mode
 	executed := 0
 	var timeline []Event
+	if in.CaptureTimeline {
+		timeline = make([]Event, 0, total)
+	}
 
 	for executed < total {
 		bestDev, bestIdx := -1, -1
 		bestStart := math.Inf(1)
-		for d := 0; d < devices; d++ {
+		for d, ops := range sched.Ops {
 			if sched.InOrder {
 				i := nextIdx[d]
-				if i >= len(states[d]) {
+				if i >= len(ops) {
 					continue
 				}
-				if start, ok := readyStart(&states[d][i], clock[d]); ok && start < bestStart {
+				if start, ok := readyStart(&ops[i], clock[d]); ok && start < bestStart {
 					bestStart, bestDev, bestIdx = start, d, i
 				}
 				continue
@@ -259,12 +242,11 @@ func Run(in Input) (Result, error) {
 			// earliest start wins for this device.
 			devBest := math.Inf(1)
 			devIdx := -1
-			for i := range states[d] {
-				st := &states[d][i]
-				if st.done {
+			for i := range ops {
+				if states[first[d]+i].done {
 					continue
 				}
-				if start, ok := readyStart(st, clock[d]); ok && start < devBest {
+				if start, ok := readyStart(&ops[i], clock[d]); ok && start < devBest {
 					devBest, devIdx = start, i
 				}
 			}
@@ -275,29 +257,29 @@ func Run(in Input) (Result, error) {
 		if bestDev < 0 {
 			return Result{}, fmt.Errorf("sim: schedule %q deadlocked after %d of %d ops", sched.Name, executed, total)
 		}
-		st := &states[bestDev][bestIdx]
+		op := &sched.Ops[bestDev][bestIdx]
+		st := &states[first[bestDev]+bestIdx]
 		st.start = bestStart
-		st.end = bestStart + duration(st.op)
+		st.end = bestStart + duration(op)
 		st.done = true
 		clock[bestDev] = st.end
 		if sched.InOrder {
 			nextIdx[bestDev]++
 		}
-		for _, m := range st.op.Micros {
-			if st.op.Kind == schedule.Forward {
-				fwdEnd[st.op.Pipeline][st.op.Stage][m] = st.end
+		for _, m := range op.Micros {
+			if op.Kind == schedule.Forward {
+				fwdEnd[cell(op.Pipeline, op.Stage, m)] = st.end
 			} else {
-				bwdEnd[st.op.Pipeline][st.op.Stage][m] = st.end
+				bwdEnd[cell(op.Pipeline, op.Stage, m)] = st.end
 			}
 		}
 		executed++
 		if in.CaptureTimeline {
-			timeline = append(timeline, Event{Device: bestDev, Op: st.op, Start: st.start, End: st.end})
+			timeline = append(timeline, Event{Device: bestDev, Op: *op, Start: st.start, End: st.end})
 		}
 	}
 
 	res := Result{
-		PeakMem:   make([]int64, devices),
 		Busy:      make([]float64, devices),
 		Bubble:    make([]float64, devices),
 		MicroStep: make([]float64, sched.Stages),
@@ -307,8 +289,7 @@ func Run(in Input) (Result, error) {
 		res.MicroStep[s] = in.Stages[s].Fwd + in.Stages[s].Bwd
 	}
 	for d := 0; d < devices; d++ {
-		for i := range states[d] {
-			st := &states[d][i]
+		for _, st := range states[first[d]:first[d+1]] {
 			if st.end > res.IterTime {
 				res.IterTime = st.end
 			}
@@ -318,47 +299,62 @@ func Run(in Input) (Result, error) {
 	for d := 0; d < devices; d++ {
 		res.Bubble[d] = res.IterTime - res.Busy[d]
 	}
-	res.PeakMem, res.MemTimeline = peakMemory(sched, in.Stages, states, in.CaptureMemory)
+	res.PeakMem, res.MemTimeline = peakMemory(sched, in.Stages, states, first, in.CaptureMemory)
 	if in.CaptureTimeline {
-		sort.Slice(res.Timeline, func(i, j int) bool {
-			if res.Timeline[i].Start != res.Timeline[j].Start {
-				return res.Timeline[i].Start < res.Timeline[j].Start
+		slices.SortFunc(res.Timeline, func(a, b Event) int {
+			switch {
+			case a.Start < b.Start, a.Start == b.Start && a.Device < b.Device:
+				return -1
+			case b.Start < a.Start, b.Start == a.Start && b.Device < a.Device:
+				return 1
 			}
-			return res.Timeline[i].Device < res.Timeline[j].Device
+			return 0
 		})
 	}
 	return res, nil
+}
+
+// memPoint is one change of a device's live activations.
+type memPoint struct {
+	t     float64
+	delta int64
+}
+
+// byTime orders memory points by time, releases before acquisitions at
+// identical instants: the backward that frees memory completes before the
+// next forward's allocation lands.
+func byTime(a, b memPoint) int {
+	switch {
+	case a.t < b.t, a.t == b.t && a.delta < b.delta:
+		return -1
+	case b.t < a.t, b.t == a.t && b.delta < a.delta:
+		return 1
+	}
+	return 0
 }
 
 // peakMemory computes per-device peaks: static memory of the hosted stages
 // (both pipelines for bidirectional schedules) plus the high-water mark of
 // live activations, where a micro-batch's activations are pinned from the end
 // of its forward to the end of its backward at that stage.
-func peakMemory(sched *schedule.Schedule, stages []StageCost, states [][]opState, capture bool) ([]int64, [][]MemPoint) {
+func peakMemory(sched *schedule.Schedule, stages []StageCost, states []opState, first []int, capture bool) ([]int64, [][]MemPoint) {
 	devices := sched.Devices()
-	type point struct {
-		t     float64
-		delta int64
-	}
-	points := make([][]point, devices)
+	// One point per op, device d's at points[first[d]:first[d+1]].
+	points := make([]memPoint, len(states))
 	static := make([]int64, devices)
-	seen := make([][]bool, devices)
-	seenAny := make([]bool, devices)
-	for d := 0; d < devices; d++ {
-		seen[d] = make([]bool, sched.Stages+1)
-	}
-	for d := 0; d < devices; d++ {
-		for i := range states[d] {
-			st := &states[d][i]
-			per := stages[st.op.Stage].SavedPerMicro * int64(len(st.op.Micros))
-			if st.op.Kind == schedule.Forward {
-				points[d] = append(points[d], point{st.end, per})
-			} else {
-				points[d] = append(points[d], point{st.end, -stages[st.op.Stage].SavedPerMicro * int64(len(st.op.Micros))})
+	seen := make([]bool, devices*sched.Stages)
+	for d, ops := range sched.Ops {
+		seenAny := false
+		for i := range ops {
+			op := &ops[i]
+			per := stages[op.Stage].SavedPerMicro * int64(len(op.Micros))
+			if op.Kind == schedule.Backward {
+				per = -per
 			}
-			if !seen[d][st.op.Stage] {
-				seen[d][st.op.Stage] = true
-				c := stages[st.op.Stage]
+			points[first[d]+i] = memPoint{states[first[d]+i].end, per}
+			if !seen[d*sched.Stages+op.Stage] {
+				seen[d*sched.Stages+op.Stage] = true
+				c := stages[op.Stage]
 				add := c.Static
 				if sched.Bidirectional {
 					// Optimizer states re-shard across the two
@@ -368,10 +364,10 @@ func peakMemory(sched *schedule.Schedule, stages []StageCost, states [][]opState
 				// Framework overhead is per device, not per hosted
 				// stage (bidirectional and interleaved schedules
 				// host several stages per device).
-				if seenAny[d] {
+				if seenAny {
 					add -= c.StaticOverhead
 				}
-				seenAny[d] = true
+				seenAny = true
 				static[d] += add
 			}
 		}
@@ -382,20 +378,14 @@ func peakMemory(sched *schedule.Schedule, stages []StageCost, states [][]opState
 		curves = make([][]MemPoint, devices)
 	}
 	for d := 0; d < devices; d++ {
-		sort.Slice(points[d], func(i, j int) bool {
-			if points[d][i].t != points[d][j].t {
-				return points[d][i].t < points[d][j].t
-			}
-			// Releases before acquisitions at identical instants: the
-			// backward that frees memory completes before the next
-			// forward's allocation lands.
-			return points[d][i].delta < points[d][j].delta
-		})
+		pts := points[first[d]:first[d+1]]
+		slices.SortFunc(pts, byTime)
 		var live, peak int64
 		if capture {
+			curves[d] = make([]MemPoint, 0, len(pts)+1)
 			curves[d] = append(curves[d], MemPoint{Time: 0, Bytes: static[d]})
 		}
-		for _, pt := range points[d] {
+		for _, pt := range pts {
 			live += pt.delta
 			if live > peak {
 				peak = live

@@ -254,6 +254,18 @@ func TestErrorPaths(t *testing.T) {
 	}
 }
 
+// TestRunRejectsOpsOutsideTheShape: an op whose micro-batch lies past the
+// schedule's n is a validation error, not an index the simulator panics on.
+func TestRunRejectsOpsOutsideTheShape(t *testing.T) {
+	s, _ := schedule.OneFOneB(2, 2)
+	s.Ops[0] = append(s.Ops[0],
+		schedule.Op{Kind: schedule.Forward, Micros: []int{5}, Stage: 0},
+		schedule.Op{Kind: schedule.Backward, Micros: []int{5}, Stage: 0})
+	if _, err := Run(Input{Sched: s, Stages: uniform(2, 1, 1, 0, 0)}); err == nil {
+		t.Fatal("an op of micro 5 in a 2-micro schedule was simulated")
+	}
+}
+
 func TestDeadlockDetection(t *testing.T) {
 	// Hand-build an in-order schedule where device 0 waits for a backward
 	// that device 1 only produces after device 0 yields — impossible.
