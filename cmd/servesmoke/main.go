@@ -4,8 +4,8 @@
 // one search and returns a trace whose spans account for (nearly) all of the
 // request wall time, the trace renders byte-identically across repeated
 // /v1/trace/{id} fetches, the identical repeat plan is a cache hit with a
-// byte-identical body and no extra knapsack work, a 3-point /v1/sweep is
-// amortized by the shared cost store (knapsack runs well under points ×
+// byte-identical body and no extra knapsack work, a 3-point /v1/sweep comes
+// back in expansion order and is amortized by the shared cost store (knapsack runs well under points ×
 // cold-per-point, with the reuse visible as cost-store hits in /metrics) and
 // embeds the cached base plan byte-identically, failures answer with the
 // canonical error envelope, and SIGTERM drains to a clean exit. Any violation
@@ -211,8 +211,9 @@ func run(daemon string, budget time.Duration, traceOut string) error {
 
 // smokeSweep posts a 3-point global-batch sweep whose first point is the
 // already-cached cold plan and checks the amortization contract: every point
-// planned or served, the base point byte-identical to the /v1/plan body's
-// plan, and the grid's knapsack cost well under points × cold-per-point.
+// planned or served, in expansion order, the base point byte-identical to the
+// /v1/plan body's plan, and the grid's knapsack cost well under points ×
+// cold-per-point.
 func smokeSweep(base string, coldPlanResp []byte, coldKnapsacks float64) error {
 	before, err := scrapeMetrics(base)
 	if err != nil {
@@ -242,6 +243,10 @@ func smokeSweep(base string, coldPlanResp []byte, coldKnapsacks float64) error {
 	}
 	var sweep struct {
 		Points []struct {
+			Index   int `json:"index"`
+			Request struct {
+				GlobalBatch int `json:"global_batch"`
+			} `json:"request"`
 			Plan  json.RawMessage `json:"plan"`
 			Error json.RawMessage `json:"error"`
 		} `json:"points"`
@@ -258,6 +263,12 @@ func smokeSweep(base string, coldPlanResp []byte, coldKnapsacks float64) error {
 	}
 	if sweep.Stats.Cached < 1 {
 		return fmt.Errorf("the already-planned base point was not served from cache: %+v", sweep.Stats)
+	}
+	// Points come back in expansion order, each carrying its grid value.
+	for k, gb := range []int{16, 32, 48} {
+		if p := sweep.Points[k]; p.Index != k || p.Request.GlobalBatch != gb {
+			return fmt.Errorf("sweep point %d is index %d with global_batch %d, want index %d with %d", k, p.Index, p.Request.GlobalBatch, k, gb)
+		}
 	}
 	// The base grid point must embed exactly the plan bytes /v1/plan returned.
 	var planResp struct {

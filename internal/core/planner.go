@@ -8,6 +8,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -43,21 +44,12 @@ const (
 	RecomputeLayerLevel
 )
 
+// recomputeNames is the one name table of the recomputation modes: String
+// and the plan decoder both read it.
+var recomputeNames = [...]string{RecomputeAdaptive: "adaptive", RecomputeFull: "full", RecomputeNone: "none", RecomputeLayerLevel: "layer"}
+
 // String returns the mode name.
-func (m RecomputeMode) String() string {
-	switch m {
-	case RecomputeAdaptive:
-		return "adaptive"
-	case RecomputeFull:
-		return "full"
-	case RecomputeNone:
-		return "none"
-	case RecomputeLayerLevel:
-		return "layer"
-	default:
-		return fmt.Sprintf("RecomputeMode(%d)", int(m))
-	}
-}
+func (m RecomputeMode) String() string { return modeName(recomputeNames[:], m, "RecomputeMode") }
 
 // PartitionMode selects the stage-partitioning policy.
 type PartitionMode int
@@ -75,18 +67,26 @@ const (
 	PartitionExact
 )
 
+// partitionNames is the one name table of the partitioning modes.
+var partitionNames = [...]string{PartitionAdaptive: "adaptive", PartitionEven: "even", PartitionExact: "exact"}
+
 // String returns the mode name.
-func (m PartitionMode) String() string {
-	switch m {
-	case PartitionAdaptive:
-		return "adaptive"
-	case PartitionEven:
-		return "even"
-	case PartitionExact:
-		return "exact"
-	default:
-		return fmt.Sprintf("PartitionMode(%d)", int(m))
+func (m PartitionMode) String() string { return modeName(partitionNames[:], m, "PartitionMode") }
+
+// modeName reads mode m's name off its table; a mode outside the table
+// prints as its type and number.
+func modeName[M ~int](names []string, m M, typ string) string {
+	if m >= 0 && int(m) < len(names) {
+		return names[m]
 	}
+	return fmt.Sprintf("%s(%d)", typ, int(m))
+}
+
+// modeByName is modeName's inverse: the mode a table names name, and whether
+// it names one.
+func modeByName[M ~int](names []string, name string) (M, bool) {
+	i := slices.Index(names, name)
+	return M(i), i >= 0
 }
 
 // Options configures the planner.
@@ -202,16 +202,6 @@ func (p *Plan) SavedPerMicro() []int64 {
 	out := make([]int64, len(p.Stages))
 	for i, s := range p.Stages {
 		out[i] = s.Mem.SavedPerMicro
-	}
-	return out
-}
-
-// StaticMem returns the per-stage static memory (params, grads, optimizer
-// states, recompute buffer).
-func (p *Plan) StaticMem() []int64 {
-	out := make([]int64, len(p.Stages))
-	for i, s := range p.Stages {
-		out[i] = s.Mem.Static()
 	}
 	return out
 }

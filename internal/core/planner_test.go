@@ -302,7 +302,7 @@ func TestNewPlannerValidation(t *testing.T) {
 
 func TestPlanAccessors(t *testing.T) {
 	p := plan(t, RecomputeAdaptive, PartitionAdaptive)
-	if len(p.Fwd()) != 8 || len(p.Bwd()) != 8 || len(p.SavedPerMicro()) != 8 || len(p.StaticMem()) != 8 {
+	if len(p.Fwd()) != 8 || len(p.Bwd()) != 8 || len(p.SavedPerMicro()) != 8 {
 		t.Fatal("accessor lengths wrong")
 	}
 	for i := range p.Stages {

@@ -87,26 +87,11 @@ func (p *Plan) UnmarshalJSON(data []byte) error {
 	p.SeqLen, p.MicroBatch, p.MicroBatches = in.SeqLen, in.MicroBatch, in.MicroBatches
 	p.Total, p.W, p.E, p.M = in.TotalSec, in.WarmupSec, in.EndingSec, in.SteadySec
 	p.CommFwd, p.CommBwd = in.CommFwdSec, in.CommBwdSec
-	switch in.Recompute {
-	case "adaptive":
-		p.Recompute = RecomputeAdaptive
-	case "full":
-		p.Recompute = RecomputeFull
-	case "none":
-		p.Recompute = RecomputeNone
-	case "layer":
-		p.Recompute = RecomputeLayerLevel
-	default:
+	var ok bool
+	if p.Recompute, ok = modeByName[RecomputeMode](recomputeNames[:], in.Recompute); !ok {
 		return fmt.Errorf("core: unknown recompute mode %q", in.Recompute)
 	}
-	switch in.Partition {
-	case "adaptive":
-		p.Partition = PartitionAdaptive
-	case "even":
-		p.Partition = PartitionEven
-	case "exact":
-		p.Partition = PartitionExact
-	default:
+	if p.Partition, ok = modeByName[PartitionMode](partitionNames[:], in.Partition); !ok {
 		return fmt.Errorf("core: unknown partition mode %q", in.Partition)
 	}
 	p.Stages = nil

@@ -115,16 +115,6 @@ type Stats struct {
 	Entries int64
 }
 
-// HitRate returns the fraction of lookups the store answered without a fresh
-// solve (hits + shared over all lookups), in [0, 1].
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Shared + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits+s.Shared) / float64(total)
-}
-
 // Store is a concurrency-safe, LRU-bounded cost store: one memo.Cache plus
 // the lookup counters. The zero value is not usable; construct with New.
 type Store struct {

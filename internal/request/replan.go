@@ -26,11 +26,8 @@ type ReplanRequest struct {
 // Normalize applies schema defaults and validates every field, returning
 // the normalized copy. Like PlanRequest.Normalize it is idempotent.
 func (r ReplanRequest) Normalize() (ReplanRequest, error) {
-	if r.Version == 0 {
-		r.Version = Version
-	}
-	if r.Version != Version {
-		return r, fmt.Errorf("request: unsupported schema version %d (this build speaks %d)", r.Version, Version)
+	if err := schemaVersion(&r.Version); err != nil {
+		return r, err
 	}
 	n, err := r.Request.Normalize()
 	if err != nil {
@@ -91,12 +88,5 @@ func (rr ReplanResponse) Encode() ([]byte, error) { return json.Marshal(rr) }
 // ParseReplanResponse decodes a replan response, checking the schema
 // version.
 func ParseReplanResponse(data []byte) (ReplanResponse, error) {
-	var rr ReplanResponse
-	if err := json.Unmarshal(data, &rr); err != nil {
-		return rr, fmt.Errorf("request: decoding replan response: %w", err)
-	}
-	if rr.Version != Version {
-		return rr, fmt.Errorf("request: unsupported response version %d (this build speaks %d)", rr.Version, Version)
-	}
-	return rr, nil
+	return parseResponse[ReplanResponse](data, "replan")
 }

@@ -70,11 +70,8 @@ type PlanRequest struct {
 // constructors all normalize internally, so callers building requests by
 // struct literal get defaults applied automatically.
 func (r PlanRequest) Normalize() (PlanRequest, error) {
-	if r.Version == 0 {
-		r.Version = Version
-	}
-	if r.Version != Version {
-		return r, fmt.Errorf("request: unsupported schema version %d (this build speaks %d)", r.Version, Version)
+	if err := schemaVersion(&r.Version); err != nil {
+		return r, err
 	}
 	switch r.Model {
 	case "gpt3", "llama2":
@@ -132,11 +129,27 @@ func ParsePlanRequest(data []byte) (PlanRequest, error) {
 	return parseStrict[PlanRequest](data, "plan")
 }
 
+// normalizer is every request kind: a value whose Normalize yields its
+// normalized copy.
+type normalizer[R any] interface{ Normalize() (R, error) }
+
+// schemaVersion is the one version rule of every request kind: 0 means the
+// current version, and any other version than the current one is rejected.
+func schemaVersion(v *int) error {
+	if *v == 0 {
+		*v = Version
+	}
+	if *v != Version {
+		return fmt.Errorf("request: unsupported schema version %d (this build speaks %d)", *v, Version)
+	}
+	return nil
+}
+
 // parseStrict is the one strict decoder behind ParsePlanRequest,
 // ParseReplanRequest and ParseSweepRequest: unknown fields and anything after
 // the one JSON value are rejected, and the result is normalized. kind names
 // the request in the error strings.
-func parseStrict[R interface{ Normalize() (R, error) }](data []byte, kind string) (R, error) {
+func parseStrict[R normalizer[R]](data []byte, kind string) (R, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var r R
@@ -150,12 +163,10 @@ func parseStrict[R interface{ Normalize() (R, error) }](data []byte, kind string
 	return r.Normalize()
 }
 
-// Canonical returns the canonical JSON encoding of the normalized request:
-// object keys sorted bytewise, no insignificant whitespace, default values
-// materialized. Equal requests — including ones that differ only in field
-// order, whitespace or elided defaults — have equal canonical bytes, which is
-// what makes Hash a cache identity rather than a representation artifact.
-func (r PlanRequest) Canonical() ([]byte, error) {
+// canonical is the one canonical encoding behind PlanRequest.Canonical and
+// SweepRequest.Canonical: the normalized request marshalled, then
+// canonicalized by CanonicalizeJSON.
+func canonical[R normalizer[R]](r R) ([]byte, error) {
 	n, err := r.Normalize()
 	if err != nil {
 		return nil, err
@@ -167,16 +178,42 @@ func (r PlanRequest) Canonical() ([]byte, error) {
 	return CanonicalizeJSON(raw)
 }
 
-// Hash returns the request's content identity: the lowercase-hex SHA-256 of
-// its canonical encoding.
-func (r PlanRequest) Hash() (string, error) {
-	c, err := r.Canonical()
+// hash is the one content hash behind PlanRequest.Hash and
+// SweepRequest.Hash: the lowercase-hex SHA-256 of the canonical encoding.
+func hash[R normalizer[R]](r R) (string, error) {
+	c, err := canonical(r)
 	if err != nil {
 		return "", err
 	}
 	sum := sha256.Sum256(c)
 	return hex.EncodeToString(sum[:]), nil
 }
+
+// parseResponse is the one versioned response decoder behind
+// ParsePlanResponse, ParseReplanResponse and ParseSweepResponse: a response
+// of any other schema version than this build's is rejected. kind names the
+// response in the error strings.
+func parseResponse[R interface{ version() int }](data []byte, kind string) (R, error) {
+	var r R
+	if err := json.Unmarshal(data, &r); err != nil {
+		return r, fmt.Errorf("request: decoding %s response: %w", kind, err)
+	}
+	if v := r.version(); v != Version {
+		return r, fmt.Errorf("request: unsupported response version %d (this build speaks %d)", v, Version)
+	}
+	return r, nil
+}
+
+// Canonical returns the canonical JSON encoding of the normalized request:
+// object keys sorted bytewise, no insignificant whitespace, default values
+// materialized. Equal requests — including ones that differ only in field
+// order, whitespace or elided defaults — have equal canonical bytes, which is
+// what makes Hash a cache identity rather than a representation artifact.
+func (r PlanRequest) Canonical() ([]byte, error) { return canonical(r) }
+
+// Hash returns the request's content identity: the lowercase-hex SHA-256 of
+// its canonical encoding.
+func (r PlanRequest) Hash() (string, error) { return hash(r) }
 
 // Strategy returns the 3D parallelism strategy of the request.
 func (r PlanRequest) Strategy() parallel.Strategy {
@@ -317,6 +354,9 @@ type ResponseEnvelope struct {
 	Method string `json:"method"`
 }
 
+// version is the schema version parseResponse checks.
+func (e ResponseEnvelope) version() int { return e.Version }
+
 // NewResponseEnvelope assembles the envelope for a normalized request.
 func NewResponseEnvelope(r PlanRequest) (ResponseEnvelope, error) {
 	n, err := r.Normalize()
@@ -342,17 +382,11 @@ type PlanResponse struct {
 	Plan json.RawMessage `json:"plan"`
 }
 
-// NewPlanResponse assembles the response for a solved request.
-func NewPlanResponse(r PlanRequest, p *core.Plan) (PlanResponse, error) {
-	env, err := NewResponseEnvelope(r)
-	if err != nil {
-		return PlanResponse{}, err
-	}
+// NewPlanResponse assembles the response for a solved request under the
+// envelope of the request that produced it.
+func NewPlanResponse(env ResponseEnvelope, p *core.Plan) (PlanResponse, error) {
 	planJSON, err := json.Marshal(p)
-	if err != nil {
-		return PlanResponse{}, err
-	}
-	return PlanResponse{ResponseEnvelope: env, Plan: planJSON}, nil
+	return PlanResponse{ResponseEnvelope: env, Plan: planJSON}, err
 }
 
 // Encode returns the response's deterministic JSON encoding.
@@ -360,14 +394,7 @@ func (pr PlanResponse) Encode() ([]byte, error) { return json.Marshal(pr) }
 
 // ParsePlanResponse decodes a response, checking the schema version.
 func ParsePlanResponse(data []byte) (PlanResponse, error) {
-	var pr PlanResponse
-	if err := json.Unmarshal(data, &pr); err != nil {
-		return pr, fmt.Errorf("request: decoding plan response: %w", err)
-	}
-	if pr.Version != Version {
-		return pr, fmt.Errorf("request: unsupported response version %d (this build speaks %d)", pr.Version, Version)
-	}
-	return pr, nil
+	return parseResponse[PlanResponse](data, "plan")
 }
 
 // SimulateResponse is the versioned reply to a simulate request: the plan

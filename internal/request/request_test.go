@@ -250,7 +250,11 @@ func TestPlanResponseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := NewPlanResponse(req, p)
+	env, err := NewResponseEnvelope(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := NewPlanResponse(env, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,9 @@
 package request
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 )
 
 // MaxSweepPoints bounds the server-side grid expansion of one sweep request.
@@ -30,19 +29,54 @@ type SweepAxes struct {
 	MemoryReserve []float64 `json:"memory_reserve,omitempty"`
 }
 
-// grid returns the expansion size: the product of axis lengths, absent axes
-// counting 1.
-func (a SweepAxes) grid() int {
-	n := 1
-	for _, l := range []int{
-		len(a.Cluster), len(a.Method), len(a.TP), len(a.PP), len(a.DP),
-		len(a.SeqLen), len(a.GlobalBatch), len(a.MicroBatch), len(a.MemoryReserve),
-	} {
-		if l > 0 {
-			n *= l
-		}
+// sweepAxis is one row of the axis table: the axis's JSON name, the number
+// of values a SweepAxes lists on it (-1 when the axis is absent), and how its
+// k-th value lands in a grid point.
+type sweepAxis struct {
+	name string
+	len  func(a *SweepAxes) int
+	set  func(a *SweepAxes, k int, pt *PlanRequest)
+}
+
+// axis builds a table row from the axis's values and the point field they
+// substitute.
+func axis[T any](name string, values func(*SweepAxes) []T, field func(*PlanRequest) *T) sweepAxis {
+	return sweepAxis{
+		name: name,
+		len: func(a *SweepAxes) int {
+			if v := values(a); v != nil {
+				return len(v)
+			}
+			return -1
+		},
+		set: func(a *SweepAxes, k int, pt *PlanRequest) { *field(pt) = values(a)[k] },
 	}
-	return n
+}
+
+// sweepAxes is the one axis table, in SweepAxes field order, which is the
+// expansion order: cluster outermost, memory_reserve varying fastest. grid,
+// the empty-axis check of SweepRequest.Normalize and Expand all read it.
+var sweepAxes = [...]sweepAxis{
+	axis("cluster", func(a *SweepAxes) []string { return a.Cluster }, func(r *PlanRequest) *string { return &r.Cluster }),
+	axis("method", func(a *SweepAxes) []string { return a.Method }, func(r *PlanRequest) *string { return &r.Method }),
+	axis("tp", func(a *SweepAxes) []int { return a.TP }, func(r *PlanRequest) *int { return &r.TP }),
+	axis("pp", func(a *SweepAxes) []int { return a.PP }, func(r *PlanRequest) *int { return &r.PP }),
+	axis("dp", func(a *SweepAxes) []int { return a.DP }, func(r *PlanRequest) *int { return &r.DP }),
+	axis("seq_len", func(a *SweepAxes) []int { return a.SeqLen }, func(r *PlanRequest) *int { return &r.SeqLen }),
+	axis("global_batch", func(a *SweepAxes) []int { return a.GlobalBatch }, func(r *PlanRequest) *int { return &r.GlobalBatch }),
+	axis("micro_batch", func(a *SweepAxes) []int { return a.MicroBatch }, func(r *PlanRequest) *int { return &r.MicroBatch }),
+	axis("memory_reserve", func(a *SweepAxes) []float64 { return a.MemoryReserve }, func(r *PlanRequest) *float64 { return &r.MemoryReserve }),
+}
+
+// grid returns the expansion size: the product of axis lengths, absent axes
+// counting 1. The product saturates at math.MaxInt32, so no grid of long
+// axes can wrap around to a size under MaxSweepPoints.
+func (a SweepAxes) grid() int {
+	n := int64(1)
+	for _, ax := range sweepAxes {
+		n = min(n*int64(max(ax.len(&a), 1)), math.MaxInt32)
+	}
+	return int(n)
 }
 
 // SweepRequest is one grid-planning request, schema version 1: a base
@@ -66,33 +100,16 @@ type SweepRequest struct {
 // request, every axis (present axes must be non-empty), the grid-size cap and
 // TopK. Axis values themselves are validated per expanded point.
 func (r SweepRequest) Normalize() (SweepRequest, error) {
-	if r.Version == 0 {
-		r.Version = Version
-	}
-	if r.Version != Version {
-		return r, fmt.Errorf("request: unsupported schema version %d (this build speaks %d)", r.Version, Version)
+	if err := schemaVersion(&r.Version); err != nil {
+		return r, err
 	}
 	base, err := r.Base.Normalize()
 	if err != nil {
 		return r, fmt.Errorf("request: sweep base: %w", err)
 	}
 	r.Base = base
-	for _, ax := range []struct {
-		name    string
-		present bool
-		empty   bool
-	}{
-		{"cluster", r.Axes.Cluster != nil, len(r.Axes.Cluster) == 0},
-		{"method", r.Axes.Method != nil, len(r.Axes.Method) == 0},
-		{"tp", r.Axes.TP != nil, len(r.Axes.TP) == 0},
-		{"pp", r.Axes.PP != nil, len(r.Axes.PP) == 0},
-		{"dp", r.Axes.DP != nil, len(r.Axes.DP) == 0},
-		{"seq_len", r.Axes.SeqLen != nil, len(r.Axes.SeqLen) == 0},
-		{"global_batch", r.Axes.GlobalBatch != nil, len(r.Axes.GlobalBatch) == 0},
-		{"micro_batch", r.Axes.MicroBatch != nil, len(r.Axes.MicroBatch) == 0},
-		{"memory_reserve", r.Axes.MemoryReserve != nil, len(r.Axes.MemoryReserve) == 0},
-	} {
-		if ax.present && ax.empty {
+	for _, ax := range sweepAxes {
+		if ax.len(&r.Axes) == 0 {
 			return r, fmt.Errorf("request: sweep axis %q is empty (omit the axis to keep the base value)", ax.name)
 		}
 	}
@@ -115,101 +132,34 @@ func ParseSweepRequest(data []byte) (SweepRequest, error) {
 // Expand materializes the grid in the fixed expansion order. The returned
 // points are raw substitutions over the normalized base — each point is
 // normalized (and possibly rejected) individually by the caller, so one
-// invalid combination fails that point alone.
+// invalid combination fails that point alone. Point i reads its axis values
+// off i as an odometer whose last axis turns fastest.
 func (r SweepRequest) Expand() ([]PlanRequest, error) {
 	n, err := r.Normalize()
 	if err != nil {
 		return nil, err
 	}
-	clusters := orStrings(n.Axes.Cluster, n.Base.Cluster)
-	methods := orStrings(n.Axes.Method, n.Base.Method)
-	tps := orInts(n.Axes.TP, n.Base.TP)
-	pps := orInts(n.Axes.PP, n.Base.PP)
-	dps := orInts(n.Axes.DP, n.Base.DP)
-	seqs := orInts(n.Axes.SeqLen, n.Base.SeqLen)
-	gbs := orInts(n.Axes.GlobalBatch, n.Base.GlobalBatch)
-	mbs := orInts(n.Axes.MicroBatch, n.Base.MicroBatch)
-	reserves := orFloats(n.Axes.MemoryReserve, n.Base.MemoryReserve)
-
-	points := make([]PlanRequest, 0, n.Axes.grid())
-	for _, cl := range clusters {
-		for _, m := range methods {
-			for _, tp := range tps {
-				for _, pp := range pps {
-					for _, dp := range dps {
-						for _, sl := range seqs {
-							for _, gb := range gbs {
-								for _, mb := range mbs {
-									for _, mr := range reserves {
-										pt := n.Base
-										pt.Cluster = cl
-										pt.Method = m
-										pt.TP = tp
-										pt.PP = pp
-										pt.DP = dp
-										pt.SeqLen = sl
-										pt.GlobalBatch = gb
-										pt.MicroBatch = mb
-										pt.MemoryReserve = mr
-										points = append(points, pt)
-									}
-								}
-							}
-						}
-					}
-				}
+	points := make([]PlanRequest, n.Axes.grid())
+	for i := range points {
+		points[i] = n.Base
+		for a, rest := len(sweepAxes)-1, i; a >= 0; a-- {
+			if l := sweepAxes[a].len(&n.Axes); l > 0 {
+				sweepAxes[a].set(&n.Axes, rest%l, &points[i])
+				rest /= l
 			}
 		}
 	}
 	return points, nil
 }
 
-func orStrings(axis []string, base string) []string {
-	if axis == nil {
-		return []string{base}
-	}
-	return axis
-}
-
-func orInts(axis []int, base int) []int {
-	if axis == nil {
-		return []int{base}
-	}
-	return axis
-}
-
-func orFloats(axis []float64, base float64) []float64 {
-	if axis == nil {
-		return []float64{base}
-	}
-	return axis
-}
-
 // Canonical returns the canonical JSON encoding of the normalized sweep,
-// mirroring PlanRequest.Canonical.
-func (r SweepRequest) Canonical() ([]byte, error) {
-	n, err := r.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	raw, err := json.Marshal(n)
-	if err != nil {
-		return nil, err
-	}
-	return CanonicalizeJSON(raw)
-}
+// as PlanRequest.Canonical does for a plan request.
+func (r SweepRequest) Canonical() ([]byte, error) { return canonical(r) }
 
 // Hash returns the sweep's content identity: the lowercase-hex SHA-256 of its
 // canonical encoding — the key the daemon's response cache and request
 // coalescing use for whole sweeps.
-func (r SweepRequest) Hash() (string, error) {
-	c, err := r.Canonical()
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(c)
-	return hex.EncodeToString(sum[:]), nil
-}
+func (r SweepRequest) Hash() (string, error) { return hash(r) }
 
 // SweepPointResult is the outcome of one grid point: the substituted request,
 // and either its plan (with the content hash and modeled iteration time) or a
@@ -266,14 +216,7 @@ func (sr SweepResponse) Encode() ([]byte, error) { return json.Marshal(sr) }
 
 // ParseSweepResponse decodes a sweep response, checking the schema version.
 func ParseSweepResponse(data []byte) (SweepResponse, error) {
-	var sr SweepResponse
-	if err := json.Unmarshal(data, &sr); err != nil {
-		return sr, fmt.Errorf("request: decoding sweep response: %w", err)
-	}
-	if sr.Version != Version {
-		return sr, fmt.Errorf("request: unsupported response version %d (this build speaks %d)", sr.Version, Version)
-	}
-	return sr, nil
+	return parseResponse[SweepResponse](data, "sweep")
 }
 
 // PlanIterSec extracts the modeled steady-state iteration time from a plan's

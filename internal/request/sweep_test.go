@@ -2,6 +2,8 @@ package request
 
 import (
 	"encoding/json"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -312,4 +314,183 @@ func TestSweepResponseRoundTrip(t *testing.T) {
 	if _, err := ParseSweepResponse([]byte(`{"version":99}`)); err == nil {
 		t.Fatal("version skew accepted")
 	}
+}
+
+// TestSweepAxisTableMatchesSweepAxes holds the axis table to SweepAxes: one
+// row per field, in field order, under the field's JSON name. Each row reads
+// its own field alone, and writes the PlanRequest field of the same JSON name
+// and no other.
+func TestSweepAxisTableMatchesSweepAxes(t *testing.T) {
+	jsonName := func(f reflect.StructField) string {
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		return name
+	}
+	at, pt := reflect.TypeOf(SweepAxes{}), reflect.TypeOf(PlanRequest{})
+	if at.NumField() != len(sweepAxes) {
+		t.Fatalf("SweepAxes has %d fields, the axis table %d rows", at.NumField(), len(sweepAxes))
+	}
+	for i, row := range sweepAxes {
+		f := at.Field(i)
+		if name := jsonName(f); row.name != name {
+			t.Errorf("row %d is %q, field %d of SweepAxes is %q", i, row.name, i, name)
+			continue
+		}
+		v := reflect.New(f.Type.Elem()).Elem()
+		switch v.Kind() {
+		case reflect.String:
+			v.SetString("x")
+		case reflect.Int:
+			v.SetInt(7)
+		case reflect.Float64:
+			v.SetFloat(0.5)
+		default:
+			t.Fatalf("axis %q has values of kind %s", row.name, v.Kind())
+		}
+		var a SweepAxes
+		reflect.ValueOf(&a).Elem().Field(i).Set(reflect.Append(reflect.MakeSlice(f.Type, 0, 1), v))
+		for j, other := range sweepAxes {
+			want := -1
+			if i == j {
+				want = 1
+			}
+			if got := other.len(&a); got != want {
+				t.Errorf("with only %q set, row %q has length %d, want %d", row.name, other.name, got, want)
+			}
+		}
+		target, ok := -1, false
+		for k := 0; k < pt.NumField(); k++ {
+			if jsonName(pt.Field(k)) == row.name {
+				target, ok = k, true
+			}
+		}
+		if !ok {
+			t.Errorf("PlanRequest has no field named %q", row.name)
+			continue
+		}
+		var p PlanRequest
+		row.set(&a, 0, &p)
+		field := reflect.ValueOf(&p).Elem().Field(target)
+		if !field.Equal(v) {
+			t.Errorf("row %q set %s = %v, want %v", row.name, pt.Field(target).Name, field, v)
+		}
+		field.SetZero()
+		if p != (PlanRequest{}) {
+			t.Errorf("row %q writes more than its own field: %+v", row.name, p)
+		}
+	}
+}
+
+// TestSweepGridCannotWrap: four axes of 65536 values multiply to 2^64, which
+// a plain int64 product wraps to 0 — under the cap. The grid saturates
+// instead, and the sweep is rejected.
+func TestSweepGridCannotWrap(t *testing.T) {
+	long := make([]int, 1<<16)
+	s := tinySweep()
+	s.Axes.TP, s.Axes.PP, s.Axes.DP, s.Axes.SeqLen = long, long, long, long
+	if _, err := s.Normalize(); err == nil || !strings.Contains(err.Error(), "cap is 256") {
+		t.Fatalf("a 2^64-point grid: Normalize = %v, want the cap error", err)
+	}
+}
+
+// expandReference is Expand as it was written before the axis table: one
+// loop per axis, nested in expansion order.
+func expandReference(r SweepRequest) ([]PlanRequest, error) {
+	n, err := r.Normalize()
+	if err != nil {
+		return nil, err
+	}
+	var points []PlanRequest
+	for _, cl := range orBase(n.Axes.Cluster, n.Base.Cluster) {
+		for _, m := range orBase(n.Axes.Method, n.Base.Method) {
+			for _, tp := range orBase(n.Axes.TP, n.Base.TP) {
+				for _, pp := range orBase(n.Axes.PP, n.Base.PP) {
+					for _, dp := range orBase(n.Axes.DP, n.Base.DP) {
+						for _, sl := range orBase(n.Axes.SeqLen, n.Base.SeqLen) {
+							for _, gb := range orBase(n.Axes.GlobalBatch, n.Base.GlobalBatch) {
+								for _, mb := range orBase(n.Axes.MicroBatch, n.Base.MicroBatch) {
+									for _, mr := range orBase(n.Axes.MemoryReserve, n.Base.MemoryReserve) {
+										pt := n.Base
+										pt.Cluster, pt.Method = cl, m
+										pt.TP, pt.PP, pt.DP = tp, pp, dp
+										pt.SeqLen, pt.GlobalBatch, pt.MicroBatch = sl, gb, mb
+										pt.MemoryReserve = mr
+										points = append(points, pt)
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return points, nil
+}
+
+func orBase[T any](axis []T, base T) []T {
+	if axis == nil {
+		return []T{base}
+	}
+	return axis
+}
+
+// FuzzSweepExpandMatchesReference holds the odometer Expand to the nested
+// loops: for any choice of present, absent and empty axes (bit a of present
+// and the 2-bit length at bits 2a of lens give axis a), both yield the same
+// points in the same order, or the same error.
+func FuzzSweepExpandMatchesReference(f *testing.F) {
+	f.Add(uint16(1<<6|1<<8), uint32(2<<12|2<<16), []byte{8, 16, 1, 2})
+	f.Add(uint16(0), uint32(0), []byte{})
+	f.Add(uint16(0x1ff), uint32(0x3ffff), []byte{3, 1, 4, 1, 5, 9, 2, 6})
+	f.Add(uint16(1<<2), uint32(0), []byte{1})
+	f.Add(uint16(1|1<<1|1<<4|1<<7), uint32(3|2<<2|3<<8|1<<14), []byte{0, 255, 7})
+	f.Fuzz(func(t *testing.T, present uint16, lens uint32, vals []byte) {
+		if len(vals) == 0 {
+			vals = []byte{1}
+		}
+		next := 0
+		val := func() byte { next++; return vals[(next-1)%len(vals)] }
+		names := [][]string{{"a", "b", "b-large", "c"}, {"AdaPipe", "DAPPLE-Full", "Chimera-Non", "?"}}
+		var ax SweepAxes
+		for a := range sweepAxes {
+			if present&(1<<a) == 0 {
+				continue
+			}
+			n := int(lens>>(2*a)) & 3
+			strs, ints, floats := make([]string, n), make([]int, n), make([]float64, n)
+			for k := 0; k < n; k++ {
+				v := val()
+				strs[k], ints[k], floats[k] = names[min(a, 1)][v%4], int(v), float64(v)/256
+			}
+			switch a {
+			case 0:
+				ax.Cluster = strs
+			case 1:
+				ax.Method = strs
+			case 2:
+				ax.TP = ints
+			case 3:
+				ax.PP = ints
+			case 4:
+				ax.DP = ints
+			case 5:
+				ax.SeqLen = ints
+			case 6:
+				ax.GlobalBatch = ints
+			case 7:
+				ax.MicroBatch = ints
+			case 8:
+				ax.MemoryReserve = floats
+			}
+		}
+		r := SweepRequest{Base: tinyReq(), Axes: ax}
+		got, gerr := r.Expand()
+		want, werr := expandReference(r)
+		if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
+			t.Fatalf("Expand error %v, reference %v", gerr, werr)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("Expand gave %d points, reference %d:\n%+v\n%+v", len(got), len(want), got, want)
+		}
+	})
 }

@@ -306,7 +306,9 @@ func Interleaved(p, n, v int) (*Schedule, error) {
 // that does not is reported. Then every (pipeline, stage, micro) that
 // appears must appear exactly once as a forward and once as a backward; with
 // several such violations the first in (pipeline, stage, micro, kind) order
-// is reported, so every run names the same one.
+// is reported, so every run names the same one. Last, no work may be lost:
+// every micro-batch must run at every stage of exactly one pipeline, checked
+// micro by micro.
 func (s *Schedule) Validate() error {
 	if s.Stages < 0 || s.Micros < 0 {
 		return fmt.Errorf("schedule %s: negative shape (%d stages, %d micros)", s.Name, s.Stages, s.Micros)
@@ -354,6 +356,29 @@ func (s *Schedule) Validate() error {
 		if bwd > 1 {
 			return fmt.Errorf("schedule %s: %s of micro %d at stage %d (pipeline %d) appears %d times",
 				s.Name, Backward, m, stage, pipe, bwd)
+		}
+		if fwd == 0 {
+			return fmt.Errorf("schedule %s: backward of micro %d at stage %d (pipeline %d) has no forward", s.Name, m, stage, pipe)
+		}
+	}
+	// Every cell now holds one forward and one backward, or nothing.
+	for m := 0; m < s.Micros; m++ {
+		owner, ran := -1, 0
+		for pipe := 0; pipe < pipes; pipe++ {
+			n := 0
+			for stage := 0; stage < s.Stages; stage++ {
+				n += int(counts[2*((pipe*s.Stages+stage)*s.Micros+m)])
+			}
+			if n == 0 {
+				continue
+			}
+			if owner >= 0 {
+				return fmt.Errorf("schedule %s: micro %d runs in pipelines %d and %d", s.Name, m, owner, pipe)
+			}
+			owner, ran = pipe, n
+		}
+		if ran != s.Stages {
+			return fmt.Errorf("schedule %s: micro %d runs at %d of %d stages", s.Name, m, ran, s.Stages)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -259,6 +260,37 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	if err := s2.Validate(); err == nil {
 		t.Error("missing backward not caught")
 	}
+	// Drop every op of micro 2: the simulator would price an iteration of
+	// 9 instead of 12.
+	s3, _ := OneFOneB(2, 3)
+	for d, ops := range s3.Ops {
+		s3.Ops[d] = slices.DeleteFunc(ops, func(op Op) bool { return op.Micros[0] == 2 })
+	}
+	if err := s3.Validate(); err == nil || !strings.Contains(err.Error(), "micro 2 runs at 0 of 2 stages") {
+		t.Errorf("a lost micro-batch: Validate = %v", err)
+	}
+	// Drop one forward: its backward is left alone.
+	s4, _ := OneFOneB(2, 2)
+	s4.Ops[1] = slices.DeleteFunc(s4.Ops[1], func(op Op) bool { return op.Kind == Forward && op.Micros[0] == 1 })
+	if err := s4.Validate(); err == nil || !strings.Contains(err.Error(), "backward of micro 1 at stage 1 (pipeline 0) has no forward") {
+		t.Errorf("a backward without its forward: Validate = %v", err)
+	}
+	// A micro-batch that skips a stage altogether.
+	s5, _ := OneFOneB(2, 2)
+	s5.Ops[1] = slices.DeleteFunc(s5.Ops[1], func(op Op) bool { return op.Micros[0] == 0 })
+	if err := s5.Validate(); err == nil || !strings.Contains(err.Error(), "micro 0 runs at 1 of 2 stages") {
+		t.Errorf("a skipped stage: Validate = %v", err)
+	}
+	// A Chimera micro-batch moved to the other pipeline at one stage.
+	s6, _ := Chimera(2, 2)
+	for i, op := range s6.Ops[0] {
+		if op.Micros[0] == 0 {
+			s6.Ops[0][i].Pipeline, s6.Ops[0][i].Stage = 1, 1
+		}
+	}
+	if err := s6.Validate(); err == nil || !strings.Contains(err.Error(), "micro 0 runs in pipelines 0 and 1") {
+		t.Errorf("a micro-batch in both pipelines: Validate = %v", err)
+	}
 }
 
 // TestValidateRejectsOpsOutsideTheShape holds Validate to the schedule's own
@@ -349,9 +381,10 @@ func TestBuildersShareOneSlab(t *testing.T) {
 }
 
 // validateReference is Validate as it was written before the dense counts:
-// a map of counts, checked in sorted key order. It accepts ops outside the
-// schedule's shape, so FuzzValidateMatchesReference compares the two only
-// on in-range schedules.
+// a map of counts, checked in sorted key order, then every micro-batch's
+// stages counted off the same map. It accepts ops outside the schedule's
+// shape, so FuzzValidateMatchesReference compares the two only on in-range
+// schedules.
 func validateReference(s *Schedule) error {
 	type key struct {
 		kind         Kind
@@ -393,6 +426,35 @@ func validateReference(s *Schedule) error {
 			if seen[key{Backward, k.micro, k.stage, k.pipeline}] != 1 {
 				return fmt.Errorf("schedule %s: forward of micro %d at stage %d has no backward", s.Name, k.micro, k.stage)
 			}
+		} else if seen[key{Forward, k.micro, k.stage, k.pipeline}] == 0 {
+			return fmt.Errorf("schedule %s: backward of micro %d at stage %d (pipeline %d) has no forward", s.Name, k.micro, k.stage, k.pipeline)
+		}
+	}
+	pipes := 1
+	if s.Bidirectional {
+		pipes = 2
+	}
+	for m := 0; m < s.Micros; m++ {
+		var stages []int // stages[p] = the stages micro m runs at in pipeline p
+		for p := 0; p < pipes; p++ {
+			stages = append(stages, 0)
+			for st := 0; st < s.Stages; st++ {
+				stages[p] += seen[key{Forward, m, st, p}]
+			}
+		}
+		var in []int
+		for p, n := range stages {
+			if n > 0 {
+				in = append(in, p)
+			}
+		}
+		switch {
+		case len(in) > 1:
+			return fmt.Errorf("schedule %s: micro %d runs in pipelines %d and %d", s.Name, m, in[0], in[1])
+		case len(in) == 0 && s.Stages != 0:
+			return fmt.Errorf("schedule %s: micro %d runs at 0 of %d stages", s.Name, m, s.Stages)
+		case len(in) == 1 && stages[in[0]] != s.Stages:
+			return fmt.Errorf("schedule %s: micro %d runs at %d of %d stages", s.Name, m, stages[in[0]], s.Stages)
 		}
 	}
 	return nil

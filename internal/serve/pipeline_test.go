@@ -144,7 +144,9 @@ func TestMixedLoadCountersBalance(t *testing.T) {
 				_, _ = io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 			default:
-				readBody(t, resp)
+				if _, err := drainBody(resp); err != nil {
+					t.Error(err)
+				}
 			}
 		}(i, c)
 	}

@@ -93,13 +93,10 @@ func (s *Server) runReplan(ctx context.Context, tr *obs.Tracer, req request.Repl
 // entry.mu.
 func (s *Server) replan(ctx context.Context, req request.ReplanRequest, hash string, entry *replanEntry, warm bool) ([]byte, *httpError) {
 	if !warm {
-		pl, err := req.Request.NewPlanner()
-		if err != nil {
+		pl, plan, err := s.search(ctx, req.Request)
+		if pl == nil {
 			return nil, &httpError{http.StatusBadRequest, request.ErrCodeInvalidRequest, err.Error()}
 		}
-		s.attachStore(pl)
-		s.searches.Add(1)
-		plan, err := pl.PlanContext(ctx)
 		if err != nil {
 			he := s.searchErr(ctx, err)
 			return nil, &httpError{he.status, he.code, "seeding warm planner: " + err.Error()}
@@ -129,11 +126,7 @@ func (s *Server) replan(ctx context.Context, req request.ReplanRequest, hash str
 		return nil, &httpError{http.StatusInternalServerError, request.ErrCodeInternal, err.Error()}
 	}
 	resp := request.ReplanResponse{
-		ResponseEnvelope: request.ResponseEnvelope{
-			Version:     request.Version,
-			RequestHash: hash,
-			Method:      req.Request.Method,
-		},
+		ResponseEnvelope:      envelope(hash, req.Request.Method),
 		Adopted:               rep.Adopted,
 		Incremental:           after.ReplanIncremental > before.ReplanIncremental,
 		InvalidatedIsoClasses: after.InvalidatedIsoClasses - before.InvalidatedIsoClasses,

@@ -15,14 +15,14 @@
 //     into core.PlanContext, so a shutdown or timeout cancels the search
 //     instead of orphaning it;
 //   - a shared content-addressed cost store (internal/coststore) sits under
-//     the planners of /v1/plan and of every /v1/sweep point (both run
-//     searchPlan) and under a /v1/replan cold seed — the two attachStore call
-//     sites — so distinct requests of one cost family (a sweep's grid points,
-//     repeat plans with different batch sizes) reuse each other's knapsack
-//     solves. /v1/simulate does not sit on it: baseline.EvaluateContext
-//     constructs its own planner, its result bypasses the response cache too,
-//     and a simulate that opens a new family would only pay the store's
-//     per-cell hashing for entries nobody reads back.
+//     every planner the daemon builds itself — those of /v1/plan, of every
+//     /v1/sweep point and of a /v1/replan cold seed, all built by search — so
+//     distinct requests of one cost family (a sweep's grid points, repeat
+//     plans with different batch sizes) reuse each other's knapsack solves.
+//     /v1/simulate does not sit on it: baseline.EvaluateContext constructs
+//     its own planner, its result bypasses the response cache too, and a
+//     simulate that opens a new family would only pay the store's per-cell
+//     hashing for entries nobody reads back.
 //
 // The four POST endpoints are one request pipeline (pipeline.go) run over
 // four endpoint descriptions: decode, cache and coalesce, admission, the
@@ -167,7 +167,7 @@ type Server struct {
 	// cold again, slower but identical.
 	planners *memo.Cache[string, *replanEntry]
 	// costs is the shared cost store under the plan, replan-seed and
-	// sweep-point planners (attachStore); nil when disabled (CostStoreSize < 0).
+	// sweep-point planners (search); nil when disabled (CostStoreSize < 0).
 	costs *coststore.Store
 	// saveOnce makes the Close-time snapshot save idempotent.
 	saveOnce sync.Once
@@ -225,16 +225,6 @@ func New(cfg Config) *Server {
 	}
 	s.planFn = s.searchPlan
 	return s
-}
-
-// attachStore points a freshly constructed planner at the shared cost store.
-// A fingerprint failure just leaves the planner solving privately — plans are
-// identical either way, so the error is deliberately dropped.
-func (s *Server) attachStore(pl *core.Planner) {
-	if s.costs == nil {
-		return
-	}
-	_ = pl.SetCostSource(s.costs)
 }
 
 // newTracer mints the tracer of one request, or nil when tracing is
@@ -388,7 +378,7 @@ func (s *Server) planEndpoint() endpoint[request.PlanRequest] {
 // runPlan is the plan leader's body: the search itself, then response
 // encoding. The leader's tracer rides the search context down through
 // core.PlanContext to the knapsack solvers.
-func (s *Server) runPlan(ctx context.Context, tr *obs.Tracer, req request.PlanRequest, _ string) result {
+func (s *Server) runPlan(ctx context.Context, tr *obs.Tracer, req request.PlanRequest, hash string) result {
 	searchStart := s.clock()
 	plan, err := s.planFn(obs.WithTracer(ctx, tr), req)
 	s.observeSearch(tr, searchStart)
@@ -397,11 +387,11 @@ func (s *Server) runPlan(ctx context.Context, tr *obs.Tracer, req request.PlanRe
 	}
 	s.knapsackRuns.Add(int64(plan.Search.KnapsackRuns))
 	encStart := s.clock()
-	resp, err := request.NewPlanResponse(req, plan)
-	if err != nil {
-		return errResult(http.StatusInternalServerError, request.ErrCodeInternal, err.Error())
+	resp, err := request.NewPlanResponse(envelope(hash, req.Method), plan)
+	var body []byte
+	if err == nil {
+		body, err = resp.Encode()
 	}
-	body, err := resp.Encode()
 	if err != nil {
 		return errResult(http.StatusInternalServerError, request.ErrCodeInternal, err.Error())
 	}
@@ -451,17 +441,13 @@ func (s *Server) runSimulate(ctx context.Context, tr *obs.Tracer, req request.Pl
 		return errResult(http.StatusInternalServerError, request.ErrCodeInternal, err.Error())
 	}
 	resp := request.SimulateResponse{
-		ResponseEnvelope: request.ResponseEnvelope{
-			Version:     request.Version,
-			RequestHash: hash,
-			Method:      rs.Method.Name,
-		},
-		Schedule:    rs.Method.Schedule.String(),
-		IterSec:     outcome.Sim.IterTime,
-		BubbleRatio: outcome.Sim.BubbleRatio(),
-		PeakBytes:   outcome.Sim.PeakMem,
-		OOM:         outcome.OOM,
-		Plan:        planJSON,
+		ResponseEnvelope: envelope(hash, rs.Method.Name),
+		Schedule:         rs.Method.Schedule.String(),
+		IterSec:          outcome.Sim.IterTime,
+		BubbleRatio:      outcome.Sim.BubbleRatio(),
+		PeakBytes:        outcome.Sim.PeakMem,
+		OOM:              outcome.OOM,
+		Plan:             planJSON,
 	}
 	body, err := json.Marshal(resp)
 	if err != nil {
@@ -509,17 +495,35 @@ func (s *Server) logRequest(r *http.Request, id, hash, disposition string, statu
 	)
 }
 
-// searchPlan is the production planFn: build the planner from the request
-// schema, point it at the shared cost store, and run the context-aware
-// search.
-func (s *Server) searchPlan(ctx context.Context, req request.PlanRequest) (*core.Plan, error) {
+// envelope is the one response envelope: every success body leads with the
+// schema version, the canonical hash the pipeline derived when it decoded the
+// request, and the request's method.
+func envelope(hash, method string) request.ResponseEnvelope {
+	return request.ResponseEnvelope{Version: request.Version, RequestHash: hash, Method: method}
+}
+
+// search is the one planner path: build the planner the request names, point
+// it at the shared cost store, count the search and run it under ctx. It
+// returns a nil planner when the request names no valid planner. A
+// fingerprint failure of the store just leaves the planner solving privately
+// — plans are identical either way, so that error is deliberately dropped.
+func (s *Server) search(ctx context.Context, req request.PlanRequest) (*core.Planner, *core.Plan, error) {
 	pl, err := req.NewPlanner()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	s.attachStore(pl)
+	if s.costs != nil {
+		_ = pl.SetCostSource(s.costs)
+	}
 	s.searches.Add(1)
-	return pl.PlanContext(ctx)
+	plan, err := pl.PlanContext(ctx)
+	return pl, plan, err
+}
+
+// searchPlan is the production planFn: search, keeping the plan.
+func (s *Server) searchPlan(ctx context.Context, req request.PlanRequest) (*core.Plan, error) {
+	_, plan, err := s.search(ctx, req)
+	return plan, err
 }
 
 // searchErr maps a failed search onto a status and canonical code: deadline →

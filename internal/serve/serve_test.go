@@ -37,14 +37,24 @@ func postPlan(t *testing.T, ts *httptest.Server, body string) *http.Response {
 	return resp
 }
 
+// readBody reads and closes a response body, failing the test at once if the
+// read fails. It ends in t.Fatal, so it may only run on the test's own
+// goroutine; a client goroutine calls drainBody and reports with t.Error.
 func readBody(t *testing.T, resp *http.Response) []byte {
 	t.Helper()
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
+	body, err := drainBody(resp)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return body
+}
+
+// drainBody reads and closes a response body.
+func drainBody(resp *http.Response) ([]byte, error) {
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	_, err := buf.ReadFrom(resp.Body)
+	return buf.Bytes(), err
 }
 
 func tinyBody(pp, gbs int) string {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -72,14 +73,10 @@ func (s *Server) runSweep(ctx context.Context, tr *obs.Tracer, req request.Sweep
 
 	encStart := s.clock()
 	resp := request.SweepResponse{
-		ResponseEnvelope: request.ResponseEnvelope{
-			Version:     request.Version,
-			RequestHash: hash,
-			Method:      req.Base.Method,
-		},
-		Points:  results,
-		Ranking: rankPoints(results, req.TopK),
-		Stats:   stats,
+		ResponseEnvelope: envelope(hash, req.Base.Method),
+		Points:           results,
+		Ranking:          rankPoints(results, req.TopK),
+		Stats:            stats,
 	}
 	body, err := resp.Encode()
 	if err != nil {
@@ -90,72 +87,65 @@ func (s *Server) runSweep(ctx context.Context, tr *obs.Tracer, req request.Sweep
 }
 
 // sweepPoint resolves one grid point: normalize, dedup against earlier
-// points, consult the response cache, and only then run a fresh search. Every
-// failure is a per-point canonical error — one infeasible combination never
-// sinks the rest of the grid.
+// points, and plan a new one through pointPlan. Every failure is a per-point
+// canonical error — one infeasible combination never sinks the rest of the
+// grid — and a duplicate point shares the first one's outcome, failure
+// included.
 func (s *Server) sweepPoint(ctx context.Context, i int, pt request.PlanRequest, seen map[string]*request.SweepPointResult, stats *request.SweepStats) request.SweepPointResult {
 	res := request.SweepPointResult{Index: i, Request: pt}
 	np, err := pt.Normalize()
-	if err != nil {
-		stats.Failed++
-		res.Error = &request.ErrorInfo{Code: request.ErrCodeInvalidRequest, Message: err.Error(), Status: http.StatusBadRequest}
-		return res
+	if err == nil {
+		res.RequestHash, err = np.Hash()
 	}
-	ptHash, err := np.Hash()
-	if err != nil {
-		stats.Failed++
+	first, dup := seen[res.RequestHash]
+	switch {
+	case err != nil:
 		res.Error = &request.ErrorInfo{Code: request.ErrCodeInvalidRequest, Message: err.Error(), Status: http.StatusBadRequest}
-		return res
-	}
-	res.RequestHash = ptHash
-
-	if first, dup := seen[ptHash]; dup {
-		if first.Error != nil {
-			stats.Failed++
-		} else {
+	case dup:
+		res.IterSec, res.Plan, res.Error = first.IterSec, first.Plan, first.Error
+		if res.Error == nil {
 			stats.Deduped++
 		}
-		res.IterSec, res.Plan, res.Error = first.IterSec, first.Plan, first.Error
-		return res
+	default:
+		if plan, he := s.pointPlan(ctx, np, res.RequestHash, stats); he != nil {
+			res.Error = &request.ErrorInfo{Code: he.code, Message: he.msg, Status: he.status}
+		} else {
+			res.Plan = plan
+			res.IterSec, _ = request.PlanIterSec(plan)
+		}
+		seen[res.RequestHash] = &res
 	}
+	if res.Error != nil {
+		stats.Failed++
+	}
+	return res
+}
 
-	if cached, ok := s.cache.Get(ptHash); ok {
+// pointPlan answers a new grid point from the response cache, or else by a
+// fresh search whose plan response it feeds back into the cache: a later
+// /v1/plan for this exact point is a byte-identical cache hit.
+func (s *Server) pointPlan(ctx context.Context, np request.PlanRequest, hash string, stats *request.SweepStats) (json.RawMessage, *httpError) {
+	if cached, ok := s.cache.Get(hash); ok {
 		if pr, err := request.ParsePlanResponse(cached.body); err == nil {
 			s.hits.Add(1)
 			stats.Cached++
-			res.Plan = pr.Plan
-			res.IterSec, _ = request.PlanIterSec(pr.Plan)
-			seen[ptHash] = &res
-			return res
+			return pr.Plan, nil
 		}
 	}
-
 	plan, err := s.planFn(ctx, np)
 	if err != nil {
-		he := s.searchErr(ctx, err)
-		stats.Failed++
-		res.Error = &request.ErrorInfo{Code: he.code, Message: he.msg, Status: he.status}
-		seen[ptHash] = &res
-		return res
+		return nil, s.searchErr(ctx, err)
 	}
 	stats.Planned++
 	s.knapsackRuns.Add(int64(plan.Search.KnapsackRuns))
-	pr, err := request.NewPlanResponse(np, plan)
+	pr, err := request.NewPlanResponse(envelope(hash, np.Method), plan)
 	if err != nil {
-		stats.Failed++
-		res.Error = &request.ErrorInfo{Code: request.ErrCodeInternal, Message: err.Error(), Status: http.StatusInternalServerError}
-		seen[ptHash] = &res
-		return res
+		return nil, &httpError{http.StatusInternalServerError, request.ErrCodeInternal, err.Error()}
 	}
 	if body, err := pr.Encode(); err == nil {
-		// Feed the point's plan response into the shared cache: a later
-		// /v1/plan for this exact point is a byte-identical cache hit.
-		s.cache.Put(ptHash, result{status: http.StatusOK, body: body})
+		s.cache.Put(hash, result{status: http.StatusOK, body: body})
 	}
-	res.Plan = pr.Plan
-	res.IterSec, _ = request.PlanIterSec(pr.Plan)
-	seen[ptHash] = &res
-	return res
+	return pr.Plan, nil
 }
 
 // rankPoints orders the feasible points by ascending modeled iteration time,

@@ -47,13 +47,3 @@ func (a *Adam) Step(gradScale float64) {
 		tensor.AdamUpdate(p.W.Data, p.G.Data, a.m[i].Data, a.v[i].Data, &s)
 	}
 }
-
-// StateBytes reports the optimizer-state footprint (two fp64 moments per
-// parameter), used by the engine memory accounting tests.
-func (a *Adam) StateBytes() int64 {
-	var n int64
-	for i := range a.m {
-		n += a.m[i].Bytes() + a.v[i].Bytes()
-	}
-	return n
-}
