@@ -63,12 +63,12 @@ fuzz-smoke:
 # kernels under it, the simulator, the daemon and the two concurrency
 # primitives (the compute-once cache and the cost store over it) in full, plus
 # the planner's differential runner (every leg of every row, the concurrent
-# and interrupted legs included) and its remaining lock and context tests —
+# and interrupted legs included) and its two PlanContext cancellation tests —
 # run-filtered so the GPT-3-scale oracle and timing tests stay out of the slow
 # race build.
 race:
 	$(GO) test -race ./internal/tensor/... ./internal/train/... ./internal/sim/... ./internal/serve/... ./internal/memo/... ./internal/coststore/...
-	$(GO) test -race -run 'TestDifferential|Concurrent|Context|Cancel' ./internal/core/...
+	$(GO) test -race -run 'TestDifferential|TestPlanContext' ./internal/core/...
 
 # bench-smoke keeps the kernel, executor and planner developer-loop rows
 # alive: each BenchmarkTrainStep{,Recorded}/*, BenchmarkMatMul/*,

@@ -120,8 +120,8 @@ func (passSource) GetOrCompute(_ coststore.Key, compute func() coststore.Entry) 
 	return compute(), coststore.Computed
 }
 
-// TestClassSolveAllocatesNothing pins the steady state of a class solve on a
-// pooled solver: the knapsack, its strategies and the published entries
+// TestClassSolveAllocatesNothing pins the steady state of a class solve on
+// the planner's solver: the knapsack, its strategies and the published entries
 // reuse the solver's scratch or come out of its chunks, which refill far less
 // than once per solve, so AllocsPerRun (whole allocations per run) is 0 —
 // with no cost source and through one. Each run re-solves a class that fills
@@ -132,15 +132,15 @@ func TestClassSolveAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := pl.table
+	tab, sv := pl.table, &pl.sv
 	for _, src := range []CostSource{nil, passSource{}} {
-		sv, _, _ := pl.borrowSolver()
+		sv.src, sv.family, pl.Stats = src, family, SearchStats{}
 		s, i, j, perMicro := -1, 0, 0, int64(0)
 		solve := func() {
 			for k := range tab.hot {
-				tab.hot[k].state.Store(costAbsent)
+				tab.hot[k].state = costAbsent
 			}
-			pl.solveClass(src, family, s, i, j, perMicro, sv)
+			sv.solveClass(s, i, j, perMicro)
 		}
 		// The first class of stage 0 whose solve fills a table.
 		for j = 0; j < pl.LayerCount() && sv.st.KnapsackRuns == 0; j++ {

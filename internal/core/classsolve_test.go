@@ -154,7 +154,7 @@ func TestSearchPublishesOnlyReachable(t *testing.T) {
 				for s := 0; s < c.pp; s++ {
 					for i := 0; i < L; i++ {
 						for j := i; j < L; j++ {
-							if pl.table.hot[pl.table.index(s, i, j)].state.Load() < costInfeasible {
+							if pl.table.hot[pl.table.index(s, i, j)].state == costAbsent {
 								continue
 							}
 							published++

@@ -104,16 +104,16 @@ func (pl *Planner) SetCostSource(src CostSource) error {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	if src == nil {
-		pl.source = nil
+		pl.sv.src = nil
 		return nil
 	}
-	if pl.family == nil {
+	if pl.sv.family == nil {
 		fam, err := pl.familyFingerprint()
 		if err != nil {
 			return err
 		}
-		pl.family = fam
+		pl.sv.family = fam
 	}
-	pl.source = src
+	pl.sv.src = src
 	return nil
 }

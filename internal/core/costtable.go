@@ -2,8 +2,6 @@ package core
 
 import (
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"adapipe/internal/coststore"
 	"adapipe/internal/memory"
@@ -32,23 +30,19 @@ const (
 	isoKindSlots = 2 * numKinds
 )
 
-// Entry states. An entry moves absent → solving → (infeasible | feasible)
-// exactly once; a statically infeasible class skips solving. The two final
-// states order after the transient ones so "published" is one comparison.
+// Entry states. An entry moves from absent to infeasible or feasible once,
+// when it is published, and is never written again.
 const (
-	costAbsent uint32 = iota
-	costSolving
+	costAbsent uint8 = iota
 	costInfeasible
 	costFeasible
 )
 
 // costEntry is the hot half of a table entry — all the partition DP reads.
-// fwd and bwd are nominal (unscaled) and are written once, before state is
-// stored as published; a reader that loaded a published state therefore
-// reads them without further synchronization.
+// fwd and bwd are nominal (unscaled) and are written once, with state.
 type costEntry struct {
 	fwd, bwd float64
-	state    atomic.Uint32
+	state    uint8
 }
 
 // classShape is what a stage cost needs to know about the layers of one
@@ -75,25 +69,44 @@ type groupTemplate struct {
 	kind  model.LayerKind
 }
 
-// classClaim is one entry a class solve owns: the class at stage s, with the
-// per-micro-batch budget the static gate left it.
+// classClaim is one entry a class solve prices: the class at stage s, with
+// the per-micro-batch budget the static gate left it.
 type classClaim struct {
 	idx, s   int
 	perMicro int64
 }
 
-// stageSolver is one class solve's scratch: the knapsack arena, the group
-// list handed to it, the entries, budgets and strategies of the class solve in
-// progress, and the effort it counted. The filled knapsack table lives in knap
-// and is overwritten by the next solve.
+// stageSolver is a planner's search state, which the planner's mutex guards
+// as a whole: the attached cost source, the warm-start memo, and a class
+// solve's scratch — the knapsack arena, the group list handed to it, the
+// entries, budgets and strategies of the class solve in progress. The filled
+// knapsack table lives in knap and is overwritten by the next solve. Its
+// methods run only inside an exported Planner method, which holds the mutex.
 type stageSolver struct {
-	pl      *Planner
+	pl *Planner
+	// src, when non-nil, is the shared second-level cost store consulted
+	// when a class is missing from the table (SetCostSource); family is the
+	// 32-byte fingerprint prefixing this planner's store keys.
+	src    CostSource
+	family []byte
+	// memo holds the partition-DP table of the last completed search, kept
+	// to warm-start the next one; nil before the first search completes,
+	// after a search that did not complete, and always under PartitionEven
+	// and PartitionExact, which search cold every time. memoScale is the
+	// stage-scale vector it was computed under (nil = nominal), compared
+	// bit-wise against the next search's to decide which DP levels it must
+	// recompute.
+	memo      *partition.Memo
+	memoScale []float64
+	// st is the planner's Stats, which the solver counts into on behalf of
+	// the exported method holding mu.
+	st *SearchStats
+
 	knap    recompute.Solver
 	groups  []recompute.Group
 	claims  []classClaim
 	budgets []int64
 	sols    []recompute.Solution
-	st      SearchStats
 	// The class solve in progress, which solveClass sets and entry reads;
 	// compute is sv.entry bound once, so the cost source gets it for free.
 	sh             *classShape
@@ -158,11 +171,6 @@ type costTable struct {
 	// were actually solved: the full cost, with the strategy and memory
 	// breakdown plan assembly needs.
 	solved []*coststore.Entry
-
-	// mu and published only park and wake searches waiting on an entry
-	// another search is solving; published entries are read lock-free.
-	mu        sync.Mutex
-	published *sync.Cond
 }
 
 // newCostTable builds the shape table and group templates for the planner's
@@ -171,7 +179,6 @@ func newCostTable(pl *Planner) *costTable {
 	L := len(pl.layers)
 	p := pl.strat.PP
 	t := &costTable{L: L, p: p, iso: !pl.opts.DisableIsomorphism, first: make([]int, L)}
-	t.published = sync.NewCond(&t.mu)
 	for i, l := range pl.layers {
 		t.first[i] = 2 * int(l.Kind)
 	}
@@ -348,43 +355,23 @@ func (t *costTable) cost(idx int) coststore.Entry {
 	return coststore.Entry{}
 }
 
-// publish installs c, kept and never written again, into an entry the caller
-// owns (it won the absent → solving transition) and wakes any parked search.
+// publish installs c, kept and never written again, into the absent entry
+// idx.
 func (t *costTable) publish(idx int, c *coststore.Entry) {
 	e := &t.hot[idx]
 	e.fwd, e.bwd = c.Fwd, c.Bwd
 	t.solved[idx] = c
-	state := costInfeasible
+	e.state = costInfeasible
 	if c.OK {
-		state = costFeasible
+		e.state = costFeasible
 	}
-	t.settle(e, state)
-}
-
-// settle ends an entry's solving state and wakes the searches parked on it.
-func (t *costTable) settle(e *costEntry, state uint32) {
-	e.state.Store(state)
-	t.mu.Lock()
-	t.published.Broadcast()
-	t.mu.Unlock()
-}
-
-// await parks until another search's in-flight solve of e settles and
-// returns the state it settled in — absent if that solve was abandoned.
-func (t *costTable) await(e *costEntry) uint32 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for e.state.Load() == costSolving {
-		t.published.Wait()
-	}
-	return e.state.Load()
 }
 
 // publishedAt counts stage s's published classes.
 func (t *costTable) publishedAt(s int) int {
 	n := 0
 	for k := s * t.stride; k < (s+1)*t.stride; k++ {
-		if t.hot[k].state.Load() >= costInfeasible {
+		if t.hot[k].state != costAbsent {
 			n++
 		}
 	}

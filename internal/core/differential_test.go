@@ -148,8 +148,8 @@ func newDiff(t testing.TB, r row) (*diff, error) {
 	return d, nil
 }
 
-// planned requires p to be a valid plan of pl and pl's table to be settled,
-// and returns p's JSON.
+// planned requires p to be a valid plan of pl and pl's counters to be
+// settled, and returns p's JSON.
 func planned(t testing.TB, pl *Planner, p *Plan, err error) []byte {
 	t.Helper()
 	if err != nil {
@@ -174,15 +174,10 @@ func (d *diff) same(t testing.TB, pl *Planner, p *Plan, err error) {
 	}
 }
 
-// settled requires no entry of pl's table to be left solving, and the effort
-// counters their invariant: a lookup that misses fills at most one table.
+// settled requires the effort counters of pl to hold their invariant: a
+// lookup that misses fills at most one table.
 func settled(t testing.TB, pl *Planner) {
 	t.Helper()
-	for k := range pl.table.hot {
-		if pl.table.hot[k].state.Load() == costSolving {
-			t.Fatalf("entry %d left in the solving state", k)
-		}
-	}
 	if s := pl.StatsSnapshot(); s.KnapsackRuns+s.CacheHits > s.CostEvaluations {
 		t.Errorf("runs %d + hits %d > evaluations %d", s.KnapsackRuns, s.CacheHits, s.CostEvaluations)
 	}
@@ -466,14 +461,6 @@ func legConcurrent(t *testing.T, d *diff) {
 	}
 	if soloRuns > 0 && sharedRuns >= soloRuns {
 		t.Errorf("%d planners over one store filled %d tables, %d alone", K, sharedRuns, soloRuns)
-	}
-	for _, pl := range []*Planner{shared, replanned} {
-		pl.mu.Lock()
-		pooled := len(pl.solverPool)
-		pl.mu.Unlock()
-		if pooled == 0 {
-			t.Error("no solver was parked back on the pool")
-		}
 	}
 }
 

@@ -9,23 +9,20 @@ import (
 // The incremental replanning fast path (DESIGN §11). A straggler repricing
 // changes only the per-stage scale vector; the nominal cost table stays
 // valid, and the suffix partition DP only needs to recompute the levels at
-// or below the highest rescaled stage. claimWarmStart checks the previous
-// search's DP memo out of the planner; the warm-started solve then reads the
-// same lock-free table a cold search does, applying the claimed scale as it
-// goes, and PlanContext reinstalls the revalidated memo on success.
+// or below the highest rescaled stage. warmStart takes the previous search's
+// DP memo out of the solver; the warm-started solve then reads the same table
+// a cold search does, applying its scale as it goes, and a search that
+// completes puts the revalidated memo back.
 
-// warmStart is everything the incremental fast path checks out of the
-// planner under one lock acquisition.
+// warmStart is the memo a search solves into and what it may reuse of it.
 type warmStart struct {
-	// scale is the stage-scale snapshot this search plans under; reads of
-	// it after the claim are consistent even if SetStageScale races the
-	// solve (the planner replaces the slice wholesale, never in place).
-	scale []float64
-	// memo is the checked-out Algorithm 1 DP table; nil when the fast path
-	// is not usable.
+	// memo is the Algorithm 1 DP table the search fills: the previous
+	// search's when ok, a fresh one for a cold Algorithm 1 search with the
+	// isomorphism cache, nil otherwise.
 	memo *partition.Memo
-	// stale is the highest stage whose scale differs from the memo's
-	// (−1 when none do: the solve is pure reassembly).
+	// stale is the highest stage the search must recompute: the highest
+	// stage whose scale differs from the memo's when ok (−1 when none do: the
+	// solve is pure reassembly), p−1 otherwise.
 	stale int
 	// invalidated counts the published classes on rescaled stages.
 	invalidated int
@@ -62,37 +59,38 @@ func maxStaleStage(cur, old []float64, p int) int {
 	return stale
 }
 
-// claimWarmStart snapshots the stage scale and, when the planner holds a
-// completed DP memo (Algorithm 1 only — even and exact partitioning keep
-// none and search cold), checks the memo out.
-// Checking it out (leaving the field nil) serializes warm-started solves
-// without holding mu across the DP: a second concurrent search finds no
-// memo and runs the cold path, which is merely slower, never wrong.
+// warmStart takes the solver's memo for a search under scale. A search may
+// warm-start from it when it is a completed DP memo (Algorithm 1 only — even
+// and exact partitioning keep none and search cold). Either way the solver
+// holds no memo until the search completes, so a search that fails, is
+// cancelled or panics leaves the next one cold.
 //
 // The fast path requires the isomorphism cache, without which a search keeps
 // no memo. The classes a search evaluates depend on the scale and on n, since
 // the scan cut (scanBound) ends each scan where the scaled costs let it: a
 // warm-started recompute may look up a class the memo-building run never
 // touched, and resolves it like any miss.
-func (pl *Planner) claimWarmStart() warmStart {
+func (sv *stageSolver) warmStart(scale []float64) warmStart {
+	pl := sv.pl
 	L := len(pl.layers)
 	p := pl.strat.PP
-	var ws warmStart
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	ws.scale = pl.scale
-	if pl.opts.DisableIsomorphism || !pl.partMemo.Valid(L, p, pl.n) {
+	ws := warmStart{stale: p - 1}
+	memo := sv.memo
+	sv.memo = nil
+	if pl.opts.DisableIsomorphism || pl.opts.Partition != PartitionAdaptive {
 		return ws
 	}
-	ws.memo = pl.partMemo
-	pl.partMemo = nil
-	ws.stale = maxStaleStage(ws.scale, pl.memoScale, p)
+	if !memo.Valid(L, p, pl.n) {
+		ws.memo = &partition.Memo{}
+		return ws
+	}
+	ws.memo, ws.ok = memo, true
+	ws.stale = maxStaleStage(scale, sv.memoScale, p)
 	for s := 0; s <= ws.stale; s++ {
-		if scaleChanged(ws.scale, pl.memoScale, s) {
+		if scaleChanged(scale, sv.memoScale, s) {
 			ws.invalidated += pl.table.publishedAt(s)
 		}
 	}
-	ws.ok = true
 	return ws
 }
 
@@ -104,6 +102,5 @@ func (pl *Planner) claimWarmStart() warmStart {
 func (pl *Planner) ResetIncremental() {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	pl.partMemo = nil
-	pl.memoScale = nil
+	pl.sv.memo, pl.sv.memoScale = nil, nil
 }

@@ -265,53 +265,34 @@ type Planner struct {
 
 	// table is the dense per-(stage, iso-class) cost table together with the
 	// per-class shape tables the solves read (costtable.go). The pointer and
-	// the shapes are immutable; entries publish themselves through per-entry
-	// atomic states, so lookups and solves never take mu.
+	// the shapes are immutable; the entries are written only under mu, by the
+	// one call running, and read by the partition DP without a lock.
 	table *costTable
 
-	// mu guards Stats, the stage scale, the solver pool, the attached cost
-	// source and the warm-start memo. Everything above it is immutable
-	// after construction. Concurrent Plan/CostFor calls on one planner are
-	// safe (TestDifferential's concurrent leg) and their knapsack solves
-	// overlap: mu is held only around this bookkeeping, never across a
-	// lookup or a solve.
+	// mu serializes the exported methods: each holds it for its whole call,
+	// so one search at a time runs on a planner. Concurrent calls are safe
+	// and each gives the bytes it would give alone (TestDifferential's
+	// concurrent leg); searches on different planners overlap, and share
+	// their solves through the cost source. A call holds mu across the cost
+	// source, which may wait for another planner's solve of the same key;
+	// that solve (stageSolver.entry) takes no planner lock and calls no
+	// source, so the wait always ends. Everything above mu is immutable after
+	// construction.
 	mu sync.Mutex
-	// source, when non-nil, is the shared second-level cost store consulted
-	// when a class is missing from the table (SetCostSource); family is the
-	// 32-byte fingerprint prefixing this planner's store keys. Both are set
-	// before the first Plan and never change while a search runs.
+	// sv is the planner's one search state: the attached cost source, the
+	// warm-start memo and the class-solve scratch.
 	// guarded by mu
-	source CostSource
-	// family is the cost-family fingerprint of this planner's store keys.
-	// guarded by mu
-	family []byte
+	sv stageSolver
 	// scale holds per-stage compute-cost multipliers (nil = all 1), set by
 	// SetStageScale when a live run observes a degraded stage. Applied on
 	// top of the table, which stores nominal costs only. The slice is
-	// replaced wholesale, never mutated in place, so a reference read under
-	// mu stays consistent after unlock.
+	// replaced wholesale, never mutated in place.
 	// guarded by mu
 	scale []float64
-	// solverPool holds idle solve scratch (knapsack arena + group list),
-	// reused across Plan calls so repeat searches stop rebuilding arenas on
-	// every request. A solve borrows one exclusively and parks it back.
-	// guarded by mu
-	solverPool []*stageSolver
-	// partMemo holds the partition-DP table of the last completed search,
-	// kept to warm-start the next one; nil while a solve has it checked out,
-	// after a search that did not complete, before the first search
-	// completes, and always under PartitionEven and PartitionExact, which
-	// search cold every time.
-	// guarded by mu
-	partMemo *partition.Memo
-	// memoScale is the stage-scale vector the memo was computed under
-	// (nil = nominal), compared bit-wise against scale to decide which DP
-	// levels a warm-started search must recompute.
-	// guarded by mu
-	memoScale []float64
 	// Stats accumulates search-effort counters across Plan calls (the cost
 	// table persists, so the counters do too); each Plan carries a snapshot.
-	// Read it only after all concurrent Plan calls have returned.
+	// Read it only after all concurrent calls have returned, or through
+	// StatsSnapshot.
 	// guarded by mu
 	Stats SearchStats
 
@@ -372,6 +353,8 @@ func NewPlannerWithProfile(cfg model.Config, cluster hardware.Cluster, strat par
 		clock:   obs.RealClock(),
 	}
 	pl.table = newCostTable(pl)
+	pl.sv = stageSolver{pl: pl, st: &pl.Stats}
+	pl.sv.compute = pl.sv.entry
 	return pl, nil
 }
 
@@ -386,23 +369,19 @@ func (pl *Planner) dpBudget() int64 {
 	return int64(float64(pl.cluster.Device.MemCapacity) * (1 - pl.opts.MemoryReserve))
 }
 
-// stageCostFor returns the cost entry for layers i..j at stage s under the
-// installed stage scale, counting the lookup into Stats. The table holds
-// nominal costs; the scale is applied to the returned copy, so SetStageScale
-// never invalidates an entry (the class index retains the stage, keeping
-// per-stage scaling consistent). Safe for concurrent use. It serves callers
-// outside a search (CostFor, planForBounds); a search reads the table
-// directly and merges its lookup counts once.
-func (pl *Planner) stageCostFor(s, i, j int) coststore.Entry {
-	idx, _, hit := pl.lookup(nil, s, i, j)
-	c := pl.table.cost(idx)
-	pl.mu.Lock()
-	pl.Stats.CostEvaluations++
+// stageCost returns the cost entry for layers i..j at stage s under the stage
+// scale, counting the lookup. The table holds nominal costs; the scale is
+// applied to the returned copy, so SetStageScale never invalidates an entry
+// (the class index retains the stage, keeping per-stage scaling consistent).
+// It serves calls outside a search (CostFor, planForBounds); a search reads
+// the table directly and counts its hits once.
+func (sv *stageSolver) stageCost(scale []float64, s, i, j int) coststore.Entry {
+	idx, _, hit := sv.lookup(nil, s, i, j)
 	if hit {
-		pl.Stats.CacheHits++
+		sv.st.CostEvaluations++
+		sv.st.CacheHits++
 	}
-	scale := pl.scale
-	pl.mu.Unlock()
+	c := sv.pl.table.cost(idx)
 	if scale != nil {
 		c.Fwd *= scale[s]
 		c.Bwd *= scale[s]
@@ -411,16 +390,21 @@ func (pl *Planner) stageCostFor(s, i, j int) coststore.Entry {
 }
 
 // lookup finds the table entry of layers i..j at stage s, resolving it first
-// if no search has published it yet. hit reports that it was already
-// published — the isomorphic-range cache hit of §5.3. The hit path is two
-// array reads: no lock, no hashing, no allocation. tr (nil when the caller is
-// untraced) attributes a knapsack solve the lookup may trigger.
-func (pl *Planner) lookup(tr *obs.Tracer, s, i, j int) (idx int, feasible, hit bool) {
-	idx = pl.table.index(s, i, j)
-	state := pl.table.hot[idx].state.Load()
-	hit = state >= costInfeasible
+// if it is not published yet. hit reports that it was already published —
+// the isomorphic-range cache hit of §5.3. The hit path is two array reads: no
+// hashing, no allocation, no counting: the caller counts hits. A miss counts
+// itself as a cost evaluation before it resolves, so a solve that panics is
+// counted like one that returns. tr (nil when the caller is untraced)
+// attributes a knapsack solve the lookup may trigger.
+func (sv *stageSolver) lookup(tr *obs.Tracer, s, i, j int) (idx int, feasible, hit bool) {
+	t := sv.pl.table
+	idx = t.index(s, i, j)
+	state := t.hot[idx].state
+	hit = state != costAbsent
 	if !hit {
-		state = pl.resolve(tr, idx, s, i, j)
+		sv.st.CostEvaluations++
+		sv.knap.Trace = tr
+		state = sv.resolve(idx, s, i, j)
 	}
 	return idx, state == costFeasible, hit
 }
@@ -448,31 +432,20 @@ func (pl *Planner) scanBound(scale []float64) partition.BoundFn {
 	}
 }
 
-// resolve publishes the unpublished entry idx of layers i..j at stage s and
+// resolve publishes the absent entry idx of layers i..j at stage s and
 // returns its final state. The static-memory gate runs first, from the shape
-// table alone: a class that cannot fit under any strategy is settled with one
-// compare-and-swap and never reaches the cost store — it is cheaper to
-// re-derive than to hash. Otherwise the search that wins the entry's
-// absent → solving transition runs the class solve (solveClass) while any
-// other search wanting the same entry parks until it is published; solves of
-// different classes overlap freely.
-func (pl *Planner) resolve(tr *obs.Tracer, idx, s, i, j int) uint32 {
-	e := &pl.table.hot[idx]
-	perMicro, fits := pl.microBudget(s, i, j)
+// table alone: a class that cannot fit under any strategy is published
+// infeasible and never reaches the cost store — it is cheaper to re-derive
+// than to hash. Otherwise the class solve (solveClass) prices it.
+func (sv *stageSolver) resolve(idx, s, i, j int) uint8 {
+	e := &sv.pl.table.hot[idx]
+	perMicro, fits := sv.pl.microBudget(s, i, j)
 	if !fits {
-		e.state.CompareAndSwap(costAbsent, costInfeasible)
-		return costInfeasible
+		e.state = costInfeasible
+	} else {
+		sv.solveClass(s, i, j, perMicro)
 	}
-	for !e.state.CompareAndSwap(costAbsent, costSolving) {
-		if state := pl.table.await(e); state != costAbsent {
-			return state
-		}
-	}
-	sv, src, family := pl.borrowSolver()
-	sv.knap.Trace = tr
-	pl.solveClass(src, family, s, i, j, perMicro, sv)
-	pl.returnSolver(sv)
-	return e.state.Load()
+	return e.state
 }
 
 // stageInput is the activation a stage receives from its predecessor, live
@@ -502,8 +475,8 @@ func (pl *Planner) microBudget(s, i, j int) (perMicro int64, fits bool) {
 	return perMicro, perMicro >= 0
 }
 
-// solveClass prices the class of layers i..j for the entry at stage s, which
-// the caller moved to solving (perMicro is its microBudget), and publishes it.
+// solveClass prices the class of layers i..j for the absent entry at stage s
+// (perMicro is its microBudget) and publishes it.
 // The stages that may run one class differ only in their per-micro-batch
 // budget, and one knapsack table filled to the largest budget answers every
 // smaller one (recompute.OptimizeMany) — provided the budgets round alike:
@@ -511,17 +484,13 @@ func (pl *Planner) microBudget(s, i, j int) (perMicro int64, fits bool) {
 // different rounding of every unit size, hence a different problem. So the
 // solve also claims the still-absent entries of the class at the other
 // reachable stages whose quantum matches, and serves them all from the one
-// table. Each claimed entry is published through the same per-entry path as
-// ever — its own store key when a source is attached, its own absent →
-// solving → published walk — and the table is filled only when the first of
-// them actually has to be computed, for it and the claims after it. If the
-// solve panics every unpublished claim goes back to absent, so a search
-// parked on one retries instead of waiting forever.
-//
-// It reads only immutable planner state, runs on sv's scratch and counts
-// effort into sv.st — so concurrent searches run it in parallel, each with a
-// private solver and stats shard.
-func (pl *Planner) solveClass(src CostSource, family []byte, s, i, j int, perMicro int64, sv *stageSolver) {
+// table. Each claimed entry is published on its own — under its own store key
+// when a source is attached — and the table is filled only when the first of
+// them actually has to be computed, for it and the claims after it. An entry
+// is written only when it is published, so a solve that panics leaves each
+// claim published or absent.
+func (sv *stageSolver) solveClass(s, i, j int, perMicro int64) {
+	pl := sv.pl
 	t := pl.table
 	sh := &t.shapes[t.shapeIndex(i, j)]
 	searched := pl.opts.Recompute != RecomputeFull && pl.opts.Recompute != RecomputeNone
@@ -533,36 +502,28 @@ func (pl *Planner) solveClass(src CostSource, family []byte, s, i, j int, perMic
 			continue
 		}
 		idx := t.index(s2, i, j)
-		e := &t.hot[idx]
-		if e.state.Load() != costAbsent {
+		if t.hot[idx].state != costAbsent {
 			continue
 		}
 		// A sibling the static gate rejects is left to its own lookup.
-		pm, fits := pl.microBudget(s2, i, j)
-		if fits && pl.quantumFor(pm) == quantum && e.state.CompareAndSwap(costAbsent, costSolving) {
+		if pm, fits := pl.microBudget(s2, i, j); fits && pl.quantumFor(pm) == quantum {
 			claims = append(claims, classClaim{idx: idx, s: s2, perMicro: pm})
 		}
 	}
 	sv.claims = claims
-	published := 0
-	defer func() {
-		for _, c := range claims[published:] {
-			t.settle(&t.hot[c.idx], costAbsent)
-		}
-	}()
 
 	sv.sh, sv.input, sv.quantum, sv.solved = sh, pl.stageInput(i), quantum, len(claims)
 	for k, c := range claims {
 		sv.k = k
 		var cost coststore.Entry
-		if src == nil {
+		if sv.src == nil {
 			cost = sv.entry()
 		} else {
 			// The store runs the compute function exactly once per key
 			// process-wide (singleflight), so the planner either solves and
 			// publishes, or adopts another planner's identical solve.
 			var disp coststore.Disposition
-			cost, disp = src.GetOrCompute(pl.storeKey(family, c.s, i, j), sv.compute)
+			cost, disp = sv.src.GetOrCompute(pl.storeKey(sv.family, c.s, i, j), sv.compute)
 			if disp == coststore.Computed {
 				sv.st.StoreMisses++
 			} else {
@@ -570,7 +531,6 @@ func (pl *Planner) solveClass(src CostSource, family []byte, s, i, j int, perMic
 			}
 		}
 		t.publish(c.idx, sv.keep(cost))
-		published = k + 1
 	}
 }
 
@@ -655,37 +615,6 @@ func (pl *Planner) fixedPolicyEntry(s int, sh *classShape, input int64) coststor
 	return coststore.Entry{Fwd: sh.fwd, Bwd: bwd, Sol: sol, Mem: mem, OK: ok}
 }
 
-// borrowSolver checks one solve scratch out of the planner's pool (building
-// one if the pool is empty) and returns it with the attached cost source and
-// its family prefix. The solver is exclusively owned until returnSolver parks
-// it back.
-func (pl *Planner) borrowSolver() (*stageSolver, CostSource, []byte) {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	n := len(pl.solverPool)
-	if n == 0 {
-		sv := &stageSolver{pl: pl}
-		sv.compute = sv.entry
-		return sv, pl.source, pl.family
-	}
-	sv := pl.solverPool[n-1]
-	pl.solverPool[n-1] = nil
-	pl.solverPool = pl.solverPool[:n-1]
-	return sv, pl.source, pl.family
-}
-
-// returnSolver parks a borrowed solver for the next solve — dropping its
-// tracer so a later request cannot cross-attribute knapsack spans — and
-// merges the effort its solve counted into Stats.
-func (pl *Planner) returnSolver(sv *stageSolver) {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	sv.knap.Trace = nil
-	pl.solverPool = append(pl.solverPool, sv)
-	pl.Stats.addSolves(sv.st)
-	sv.st = SearchStats{}
-}
-
 // quantumFor grows the rounding quantum (in powers of two) until the budget
 // fits in MaxDPStates quanta.
 func (pl *Planner) quantumFor(budget int64) int64 {
@@ -705,8 +634,8 @@ func (pl *Planner) quantumFor(budget int64) int64 {
 
 // Plan runs the configured search and assembles the plan. The search is one
 // goroutine: the partition DP resolves each class the first time it looks it
-// up. Plan is safe to call concurrently on one planner: searches share the
-// cost table, and their solves overlap.
+// up. Plan is safe to call concurrently on one planner; the calls run one
+// after another.
 func (pl *Planner) Plan() (*Plan, error) {
 	return pl.PlanContext(context.Background())
 }
@@ -720,9 +649,18 @@ func (pl *Planner) Plan() (*Plan, error) {
 // never-cancelled one (TestDifferential's cancelled leg). An uncancelled
 // context changes nothing: PlanContext(context.Background()) is exactly Plan.
 func (pl *Planner) PlanContext(ctx context.Context) (*Plan, error) {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	return pl.sv.search(ctx, pl.scale)
+}
+
+// search runs the configured search under the stage scale and assembles the
+// plan.
+func (sv *stageSolver) search(ctx context.Context, scale []float64) (*Plan, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	pl := sv.pl
 	tr := obs.TracerFrom(ctx)
 	searchStart := pl.clock()
 	L := len(pl.layers)
@@ -735,57 +673,27 @@ func (pl *Planner) PlanContext(ctx context.Context) (*Plan, error) {
 	defer disarm()
 
 	// Try the incremental fast path first: if the last search's DP memo is
-	// still valid, check it out and recompute only the levels the scale
-	// change invalidated.
+	// still valid, recompute only the levels the scale change invalidated.
 	spClaim := tr.Start("search.invalidate", obs.CatSearch)
-	ws := pl.claimWarmStart()
+	ws := sv.warmStart(scale)
 	spClaim.End()
-	memo, stale := ws.memo, ws.stale
 
-	// The search counts its lookups privately and merges them into Stats
-	// once: unpublished lookups as they happen (they are rare), everything
-	// else from the DP's own cell count at the end.
-	var misses int
-	// Only a completed search hands the claimed memo back (below), which is
-	// what makes the next replan warm. Any other exit drops it and the next
-	// search runs cold: a cancellation that lands in the DP's last level can
-	// leave it enough feasible cells to succeed on the costs it neutered, and
-	// SolveMemo then marks that table valid. Such a search still counts the
-	// lookups that cost it something.
-	installed := false
-	defer func() {
-		if installed {
-			return
-		}
-		pl.mu.Lock()
-		pl.Stats.CostEvaluations += misses
-		pl.mu.Unlock()
-	}()
-
-	if !ws.ok {
-		stale = p - 1
-		// A cold Algorithm 1 search fills a fresh memo so the next search can
-		// warm-start from it.
-		if !pl.opts.DisableIsomorphism && pl.opts.Partition == PartitionAdaptive {
-			memo = &partition.Memo{}
-		}
-	}
+	// A lookup that misses counts itself as it happens, so a search that fails
+	// still counts the lookups that cost it something; the hits are the rest
+	// of the DP's own cell count, counted once at the end.
+	before := sv.st.CostEvaluations
 	// The DP's cost function, cold or warm-started: a lock-free read of the
-	// shared table under the scale snapshot taken at claim time, so one
-	// solve sees one consistent repricing even if SetStageScale races it.
-	hot, scale := pl.table.hot, ws.scale
+	// table under the search's scale.
+	hot := pl.table.hot
 	cost := func(s, i, j int) (float64, float64, bool) {
 		// A cancelled context turns every remaining cost lookup into an
 		// immediate "infeasible" so the DP unwinds quickly; whatever partial
 		// solution it then returns is discarded below in favor of ctx.Err(),
-		// and a warm-start memo self-invalidates.
+		// and the memo is dropped.
 		if cancelled.Load() {
 			return 0, 0, false
 		}
-		idx, ok, hit := pl.lookup(tr, s, i, j)
-		if !hit {
-			misses++
-		}
+		idx, ok, _ := sv.lookup(tr, s, i, j)
 		f, b := hot[idx].fwd, hot[idx].bwd
 		if scale != nil {
 			f *= scale[s]
@@ -831,7 +739,7 @@ func (pl *Planner) PlanContext(ctx context.Context) (*Plan, error) {
 		}
 		cellsAdd = p
 	default:
-		sol, err := partition.SolveBounded(L, p, pl.n, cost, pl.scanBound(scale), memo, stale)
+		sol, err := partition.SolveBounded(L, p, pl.n, cost, pl.scanBound(scale), ws.memo, ws.stale)
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return nil, cerr
@@ -846,39 +754,32 @@ func (pl *Planner) PlanContext(ctx context.Context) (*Plan, error) {
 	spDP.End()
 
 	// A cancellation that raced the DP's final cells may have produced a
-	// structurally valid but stale solution; never hand it out.
+	// structurally valid but stale solution; never hand it out. Such a DP can
+	// even leave its memo marked valid, which is why only this path keeps it.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	spStages := tr.Start("search.stages", obs.CatSearch)
-	// The assembly prices stages under the same scale snapshot the DP used,
-	// so a racing SetStageScale cannot tear the plan. The DP evaluated every
-	// chosen stage, so these lookups are hits.
+	// The DP evaluated every chosen stage, so these lookups are hits.
 	plan := pl.assemble(bounds, scale, total, w, e, m)
 	spStages.End()
-	pl.mu.Lock()
 	// cellsAdd counts exactly the cost evaluations the DP made (partition.
 	// Plan.DPCells); the assembly read one more entry per stage.
-	evals := cellsAdd + p
-	pl.Stats.CostEvaluations += evals
-	pl.Stats.CacheHits += evals - misses
-	pl.Stats.PartitionCells += cellsAdd
-	pl.Stats.FrontierStates += frontierAdd
-	pl.Stats.WarmStartCells += warmAdd
+	hits := cellsAdd + p - (sv.st.CostEvaluations - before)
+	sv.st.CostEvaluations += hits
+	sv.st.CacheHits += hits
+	sv.st.PartitionCells += cellsAdd
+	sv.st.FrontierStates += frontierAdd
+	sv.st.WarmStartCells += warmAdd
 	if ws.ok {
-		pl.Stats.ReplanIncremental++
-		pl.Stats.InvalidatedIsoClasses += ws.invalidated
+		sv.st.ReplanIncremental++
+		sv.st.InvalidatedIsoClasses += ws.invalidated
 	}
-	pl.Stats.SearchWall += pl.clock().Sub(searchStart)
-	plan.Search = pl.Stats
-	// Install the completed solve's memo and the scale it was computed
-	// under; the next search warm-starts from here.
-	pl.memoScale = ws.scale
-	if memo != nil {
-		pl.partMemo = memo
-	}
-	installed = true
-	pl.mu.Unlock()
+	sv.st.SearchWall += pl.clock().Sub(searchStart)
+	plan.Search = *sv.st
+	// Keep the completed search's memo and the scale it was computed under;
+	// the next search warm-starts from here.
+	sv.memo, sv.memoScale = ws.memo, scale
 	return plan, nil
 }
 
@@ -931,16 +832,18 @@ func (pl *Planner) CostFor(s, i, j int) (fwd, bwd float64, ok bool) {
 	if s < 0 || s >= pl.strat.PP || i < 0 || j >= len(pl.layers) || i > j {
 		return 0, 0, false
 	}
-	c := pl.stageCostFor(s, i, j)
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	c := pl.sv.stageCost(pl.scale, s, i, j)
 	return c.Fwd, c.Bwd, c.OK
 }
 
 // LayerCount returns the length of the partitionable layer sequence.
 func (pl *Planner) LayerCount() int { return len(pl.layers) }
 
-// StatsSnapshot returns a consistent copy of the cumulative search counters,
-// safe to take while other goroutines plan on this planner (unlike reading
-// Stats directly, which is only safe once all concurrent calls returned).
+// StatsSnapshot returns a copy of the cumulative search counters, safe to
+// take while other goroutines plan on this planner (unlike reading Stats
+// directly, which is only safe once all concurrent calls returned).
 func (pl *Planner) StatsSnapshot() SearchStats {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()

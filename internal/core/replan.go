@@ -19,24 +19,31 @@ import (
 // one). nil restores nominal costs; the nominal table entries are never
 // invalidated.
 func (pl *Planner) SetStageScale(scale []float64) error {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	scale, err := pl.checkScale(scale)
+	if err != nil {
+		return err
+	}
+	pl.scale = scale
+	return nil
+}
+
+// checkScale validates a stage-scale vector and returns the planner's own
+// copy of it (nil for nil).
+func (pl *Planner) checkScale(scale []float64) ([]float64, error) {
 	if scale == nil {
-		pl.mu.Lock()
-		pl.scale = nil
-		pl.mu.Unlock()
-		return nil
+		return nil, nil
 	}
 	if len(scale) != pl.strat.PP {
-		return fmt.Errorf("core: stage scale has %d entries, strategy has %d stages", len(scale), pl.strat.PP)
+		return nil, fmt.Errorf("core: stage scale has %d entries, strategy has %d stages", len(scale), pl.strat.PP)
 	}
 	for s, v := range scale {
 		if !(v > 0) || math.IsInf(v, 1) { // rejects zero, negatives, NaN and +Inf
-			return fmt.Errorf("core: stage %d scale %g, want finite and > 0", s, v)
+			return nil, fmt.Errorf("core: stage %d scale %g, want finite and > 0", s, v)
 		}
 	}
-	pl.mu.Lock()
-	pl.scale = append([]float64(nil), scale...)
-	pl.mu.Unlock()
-	return nil
+	return append([]float64(nil), scale...), nil
 }
 
 // Replan is the outcome of a straggler-driven replanning attempt: the old
@@ -88,21 +95,24 @@ func (pl *Planner) ReplanWithScale(old *Plan, scale []float64) (*Replan, error) 
 // re-search, so a serving layer's deadlines, cancellation and tracer reach
 // the warm-started partition DP exactly as they reach a cold PlanContext.
 func (pl *Planner) ReplanWithScaleContext(ctx context.Context, old *Plan, scale []float64) (*Replan, error) {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
 	if old == nil {
 		return nil, fmt.Errorf("core: replan needs the incumbent plan")
 	}
 	if len(old.Stages) != pl.strat.PP {
 		return nil, fmt.Errorf("core: incumbent plan has %d stages, strategy has %d", len(old.Stages), pl.strat.PP)
 	}
-	if err := pl.SetStageScale(scale); err != nil {
+	scale, err := pl.checkScale(scale)
+	if err != nil {
 		return nil, err
 	}
-
-	repriced, err := pl.planForBounds(old.Bounds())
+	pl.scale = scale
+	repriced, err := pl.sv.planForBounds(old.Bounds(), scale)
 	if err != nil {
 		return nil, fmt.Errorf("core: repricing incumbent plan: %w", err)
 	}
-	next, err := pl.PlanContext(ctx)
+	next, err := pl.sv.search(ctx, scale)
 	if err != nil {
 		return nil, fmt.Errorf("core: replanning under scaled costs: %w", err)
 	}
@@ -125,32 +135,28 @@ func (pl *Planner) ReplanWithScaleContext(ctx context.Context, old *Plan, scale 
 	return r, nil
 }
 
-// planForBounds prices an explicit partitioning under the current cost model
-// (including any installed stage scale) and assembles a Plan for it.
-func (pl *Planner) planForBounds(bounds []int) (*Plan, error) {
+// planForBounds prices an explicit partitioning under the stage scale and
+// assembles a Plan for it.
+func (sv *stageSolver) planForBounds(bounds []int, scale []float64) (*Plan, error) {
+	pl := sv.pl
 	L := len(pl.layers)
 	p := pl.strat.PP
 	if len(bounds) != p+1 || bounds[0] != 0 || bounds[p] != L {
 		return nil, fmt.Errorf("core: bounds %v do not partition %d layers into %d stages", bounds, L, p)
 	}
 	cost := func(s, i, j int) (float64, float64, bool) {
-		c := pl.stageCostFor(s, i, j)
+		c := sv.stageCost(scale, s, i, j)
 		return c.Fwd, c.Bwd, c.OK
 	}
 	total, w, e, m, ok := partition.Evaluate(bounds, pl.n, cost)
 	if !ok {
 		return nil, fmt.Errorf("core: bounds %v exceed the %s memory capacity (OOM)", bounds, pl.cluster.Device.Name)
 	}
-	pl.mu.Lock()
-	scale := pl.scale
-	pl.mu.Unlock()
 	plan := pl.assemble(bounds, scale, total, w, e, m)
-	pl.mu.Lock()
 	// The assembly read one published entry per stage.
-	pl.Stats.CostEvaluations += p
-	pl.Stats.CacheHits += p
-	plan.Search = pl.Stats
-	pl.mu.Unlock()
+	sv.st.CostEvaluations += p
+	sv.st.CacheHits += p
+	plan.Search = *sv.st
 	return plan, nil
 }
 

@@ -69,7 +69,7 @@ func checkScanBound(t *testing.T, pl *Planner, stride int, scale []float64) int 
 				if n++; stride > 1 && n%stride != 0 {
 					continue
 				}
-				idx, ok, _ := pl.lookup(nil, s, i, j)
+				idx, ok, _ := pl.sv.lookup(nil, s, i, j)
 				if !ok {
 					continue
 				}

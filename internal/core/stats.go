@@ -75,20 +75,6 @@ type SearchStats struct {
 	SearchWall time.Duration
 }
 
-// addSolves folds in the counters a stage-cost solve accumulated on a private
-// shard: knapsack effort and shared-store dispositions. All are commutative
-// sums.
-func (s *SearchStats) addSolves(o SearchStats) {
-	s.KnapsackRuns += o.KnapsackRuns
-	s.KnapsackShared += o.KnapsackShared
-	s.KnapsackCells += o.KnapsackCells
-	s.KnapsackLiveCells += o.KnapsackLiveCells
-	s.QuantaBeforeGCD += o.QuantaBeforeGCD
-	s.QuantaAfterGCD += o.QuantaAfterGCD
-	s.StoreHits += o.StoreHits
-	s.StoreMisses += o.StoreMisses
-}
-
 // CacheHitRate returns the fraction of stage-cost lookups the isomorphism
 // cache served, in [0, 1].
 func (s SearchStats) CacheHitRate() float64 {

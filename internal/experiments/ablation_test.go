@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -132,12 +133,9 @@ func TestModelAccuracy(t *testing.T) {
 		if r.Simulated < r.Modeled-1e-9 {
 			t.Errorf("%s: simulation %g beats the model %g", r.Config, r.Simulated, r.Modeled)
 		}
-		if r.GapPct > 10 {
+		if math.Abs(r.GapPct) > 10 {
 			t.Errorf("%s: model off by %.2f%%", r.Config, r.GapPct)
 		}
-	}
-	if MaxAbsGapPct(rows) > 10 {
-		t.Errorf("max gap %.2f%% exceeds 10%%", MaxAbsGapPct(rows))
 	}
 	if out := FormatAccuracy(rows); !strings.Contains(out, "gap") {
 		t.Error("format output malformed")

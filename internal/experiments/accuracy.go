@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"adapipe/internal/baseline"
@@ -71,17 +70,6 @@ func ModelAccuracy() ([]AccuracyRow, error) {
 		})
 	}
 	return out, nil
-}
-
-// MaxAbsGapPct returns the largest absolute model/simulator gap.
-func MaxAbsGapPct(rows []AccuracyRow) float64 {
-	var m float64
-	for _, r := range rows {
-		if g := math.Abs(r.GapPct); g > m {
-			m = g
-		}
-	}
-	return m
 }
 
 // FormatAccuracy renders the accuracy table.

@@ -257,15 +257,6 @@ func (c Config) LayerParams(kind LayerKind) int64 {
 	}
 }
 
-// ParamCount returns the total parameter count of the model.
-func (c Config) ParamCount() int64 {
-	var n int64
-	for _, l := range c.LayerSequence() {
-		n += c.LayerParams(l.Kind)
-	}
-	return n
-}
-
 // GPT3_175B returns the GPT-3 175B configuration evaluated in the paper.
 func GPT3_175B() Config {
 	return Config{
@@ -292,23 +283,6 @@ func Llama2_70B() Config {
 		FFNHidden:     28672,
 		Vocab:         32000,
 		GatedFFN:      true,
-		BytesPerValue: 2,
-	}
-}
-
-// BERTLarge returns the BERT-Large configuration. §4.1 notes the Figure 4
-// computation-unit division adapts to BERT-style encoders; the planner
-// treats it identically (the causal/bidirectional distinction does not
-// change unit structure, sizes or FLOPs at this granularity).
-func BERTLarge() Config {
-	return Config{
-		Name:          "BERT-Large",
-		DecoderLayers: 24,
-		Hidden:        1024,
-		Heads:         16,
-		KVHeads:       16,
-		FFNHidden:     4096,
-		Vocab:         30522,
 		BytesPerValue: 2,
 	}
 }

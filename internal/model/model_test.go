@@ -5,12 +5,38 @@ import (
 	"testing"
 )
 
+// paramCount returns the total parameter count of the model.
+func paramCount(c Config) int64 {
+	var n int64
+	for _, l := range c.LayerSequence() {
+		n += c.LayerParams(l.Kind)
+	}
+	return n
+}
+
+// bertLarge returns the BERT-Large configuration. §4.1 notes the Figure 4
+// computation-unit division adapts to BERT-style encoders; the planner
+// treats it identically (the causal/bidirectional distinction does not
+// change unit structure, sizes or FLOPs at this granularity).
+func bertLarge() Config {
+	return Config{
+		Name:          "BERT-Large",
+		DecoderLayers: 24,
+		Hidden:        1024,
+		Heads:         16,
+		KVHeads:       16,
+		FFNHidden:     4096,
+		Vocab:         30522,
+		BytesPerValue: 2,
+	}
+}
+
 func TestGPT3ParamCount(t *testing.T) {
 	cfg := GPT3_175B()
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	n := cfg.ParamCount()
+	n := paramCount(cfg)
 	// GPT-3 has ~175 billion parameters.
 	if n < 174e9 || n > 177e9 {
 		t.Fatalf("GPT-3 param count = %d, want ~175e9", n)
@@ -22,20 +48,20 @@ func TestLlama2ParamCount(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	n := cfg.ParamCount()
+	n := paramCount(cfg)
 	if n < 68e9 || n > 71e9 {
 		t.Fatalf("Llama 2 param count = %d, want ~70e9", n)
 	}
 }
 
+// TestParamCountIsSumOfLayers: the layer sequence holds the embedding, each
+// decoder's attention and FFN layers, and the head, once each.
 func TestParamCountIsSumOfLayers(t *testing.T) {
 	for _, cfg := range []Config{GPT3_175B(), Llama2_70B(), Tiny(3)} {
-		var sum int64
-		for _, l := range cfg.LayerSequence() {
-			sum += cfg.LayerParams(l.Kind)
-		}
-		if sum != cfg.ParamCount() {
-			t.Errorf("%s: layer sum %d != ParamCount %d", cfg.Name, sum, cfg.ParamCount())
+		decoder := cfg.LayerParams(Attention) + cfg.LayerParams(FFN)
+		sum := cfg.LayerParams(Embedding) + int64(cfg.DecoderLayers)*decoder + cfg.LayerParams(Head)
+		if n := paramCount(cfg); n != sum {
+			t.Errorf("%s: sequence sum %d != per-kind sum %d", cfg.Name, n, sum)
 		}
 	}
 }
@@ -205,11 +231,11 @@ func TestGatedFFNParamCount(t *testing.T) {
 }
 
 func TestBERTLarge(t *testing.T) {
-	cfg := BERTLarge()
+	cfg := bertLarge()
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	n := cfg.ParamCount()
+	n := paramCount(cfg)
 	// BERT-Large is ~340M parameters (ours counts an untied LM head).
 	if n < 300e6 || n > 420e6 {
 		t.Errorf("BERT-Large param count = %d, want ~340e6", n)

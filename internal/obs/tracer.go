@@ -36,8 +36,8 @@ const (
 	CatSearch = "search"
 	// CatSolve marks one knapsack solve inside the partition DP. Solve
 	// spans are the only category subject to the tracer's span limit:
-	// when the limit is reached further solves are counted as dropped
-	// rather than recorded, so the structural spans always survive.
+	// when the limit is reached further solves are dropped rather than
+	// recorded, so the structural spans always survive.
 	CatSolve = "solve"
 )
 
@@ -74,9 +74,6 @@ type Tracer struct {
 	// spans holds completed spans in End order.
 	// guarded by mu
 	spans []TraceSpan
-	// dropped counts CatSolve spans discarded by the limit.
-	// guarded by mu
-	dropped int
 }
 
 // DefaultSpanLimit bounds the CatSolve spans kept per trace: a GPT-3-scale
@@ -144,9 +141,7 @@ func (t *Tracer) Add(name, cat string, start, end time.Time) {
 
 func (t *Tracer) record(sp TraceSpan) {
 	t.mu.Lock()
-	if sp.Cat == CatSolve && len(t.spans) >= t.limit {
-		t.dropped++
-	} else {
+	if sp.Cat != CatSolve || len(t.spans) < t.limit {
 		t.spans = append(t.spans, sp)
 	}
 	t.mu.Unlock()
@@ -161,16 +156,6 @@ func (t *Tracer) Spans() []TraceSpan {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]TraceSpan(nil), t.spans...)
-}
-
-// Dropped returns the number of solve spans the limit discarded.
-func (t *Tracer) Dropped() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
 }
 
 // Chrome exports the trace in the Chrome trace-event format through the

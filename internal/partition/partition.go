@@ -70,9 +70,6 @@ type Plan struct {
 	FrontierStates int
 }
 
-// StageLayers returns the half-open layer range [lo, hi) of stage s.
-func (pl Plan) StageLayers(s int) (lo, hi int) { return pl.Bounds[s], pl.Bounds[s+1] }
-
 // Solve runs Algorithm 1 for L layers, p stages and n micro-batches.
 // It returns an error when the inputs are malformed or no memory-feasible
 // partitioning exists.

@@ -41,7 +41,7 @@ func TestSolveUniformMatchesClosedForm(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s := 0; s < p; s++ {
-		lo, hi := plan.StageLayers(s)
+		lo, hi := plan.Bounds[s], plan.Bounds[s+1]
 		if hi-lo != L/p {
 			t.Errorf("stage %d has %d layers, want %d", s, hi-lo, L/p)
 		}
@@ -132,7 +132,7 @@ func TestSolveHandlesInfeasibleRanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lo, hi := plan.StageLayers(0); hi-lo > 2 {
+	if lo, hi := plan.Bounds[0], plan.Bounds[1]; hi-lo > 2 {
 		t.Errorf("stage 0 got %d layers despite the memory bound", hi-lo)
 	}
 }
@@ -162,7 +162,7 @@ func TestSolveRebalancesSkewedBackward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lo, hi := plan.StageLayers(0); hi-lo >= L/p {
+	if lo, hi := plan.Bounds[0], plan.Bounds[1]; hi-lo >= L/p {
 		t.Errorf("stage 0 kept %d layers, want fewer than the even %d", hi-lo, L/p)
 	}
 	// And it must beat the even split.

@@ -277,25 +277,6 @@ func (p *Profile) layerCost(kind model.LayerKind) LayerCost {
 	return lc
 }
 
-// RangeFwdTime returns the forward time of a contiguous layer range.
-func (p *Profile) RangeFwdTime(layers []model.Layer) float64 {
-	var t float64
-	for _, l := range layers {
-		t += p.Layers[l.Kind].FwdTime
-	}
-	return t
-}
-
-// RangeBwdTime returns the backward time of a contiguous layer range with no
-// recomputation.
-func (p *Profile) RangeBwdTime(layers []model.Layer) float64 {
-	var t float64
-	for _, l := range layers {
-		t += p.Layers[l.Kind].BwdTime
-	}
-	return t
-}
-
 // CommTime returns the stage-boundary transfer time of one micro-batch
 // activation given a link bandwidth and latency.
 func (p *Profile) CommTime(bandwidth, latency float64) float64 {

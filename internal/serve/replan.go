@@ -23,9 +23,10 @@ const (
 	headerReplan = "X-Adapipe-Replan"
 )
 
-// replanEntry is one warm planner and its incumbent plan. mu serializes
-// every use of the planner: replans mutate its memo, iso-cache and scale, so
-// two replans for one hash must run one after the other (they still run
+// replanEntry is one warm planner and its incumbent plan. The planner runs
+// one call at a time on its own; mu makes a whole replan round — the cold
+// seed, the scale it installs, the replan and the incumbent it advances — one
+// step, so two replans for one hash run one after the other (they still run
 // concurrently with replans for other hashes, each under its own admission
 // slot).
 type replanEntry struct {

@@ -462,15 +462,6 @@ func RandNorm(rng *RNG, rows, cols int, std float64) *Mat {
 	return out
 }
 
-// Frobenius returns the Frobenius norm.
-func Frobenius(a *Mat) float64 {
-	var s float64
-	for _, v := range a.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // MaxAbsDiff returns max |a−b| element-wise. A position where exactly one
 // side is NaN counts as +Inf, so a NaN never passes for a match; two NaNs, or
 // equal values (equal infinities included), count as 0.

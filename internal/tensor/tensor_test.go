@@ -172,9 +172,6 @@ func TestAccessorsAndHelpers(t *testing.T) {
 	if m.At(1, 2) != 0 {
 		t.Error("Zero")
 	}
-	if Frobenius(FromSlice(1, 2, []float64{3, 4})) != 5 {
-		t.Error("Frobenius")
-	}
 	if MaxAbsDiff(FromSlice(1, 2, []float64{1, 5}), FromSlice(1, 2, []float64{2, 3})) != 2 {
 		t.Error("MaxAbsDiff")
 	}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -79,7 +80,9 @@ func (r *benchRig) batches() []Batch { return r.corpus.Batches(benchMicros, benc
 // — naive triple loops, every matrix from the garbage collector.
 // testdata/losses_gated_bench_shape.json holds the bench shape with SwiGLU
 // blocks, captured at 03522dc, while the gated block was still a type of its
-// own beside FFNBlock.
+// own beside FFNBlock. Only the peak_act_bytes of both files were edited
+// since, once, when StageCtx.SavedBytes stopped counting a later stage's input
+// twice and started counting the head LayerNorm's statistics; no loss moved.
 type parentRun struct {
 	LossBits     []string `json:"loss_bits"`
 	PeakActBytes []int64  `json:"peak_act_bytes"`
@@ -112,7 +115,7 @@ func checkLosses(t *testing.T, name string, got []float64, want []string) {
 // moved no bit — not merely that today's paths agree with each other: twelve
 // steps under each save policy and of the single-stage baseline, against the
 // file captured at the parent commit and never regenerated. The same run
-// holds PeakActBytes to the parent's values: the arena recycles buffers, it
+// holds PeakActBytes to the file's values: the arena recycles buffers, it
 // does not change what a context pins. The gated file holds the SwiGLU form
 // of FFNBlock to the separate block it replaced.
 func TestLossesUnchangedFromParent(t *testing.T) {
@@ -296,6 +299,86 @@ func TestStepAllocsBounded(t *testing.T) {
 				unwatched = allocs
 			} else if allocs != unwatched {
 				t.Errorf("%s: %.0f allocs per step, %.0f without the watchdog", name, allocs, unwatched)
+			}
+		}
+	}
+}
+
+// pinnedBytes sums the bytes of the distinct matrices ctx holds — every
+// *tensor.Mat reachable from its fields, its block contexts' included — each
+// matrix once, however many fields point at it.
+func pinnedBytes(ctx *StageCtx) int64 {
+	mat := reflect.TypeFor[*tensor.Mat]()
+	seen := map[uintptr]bool{}
+	var n int64
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			switch {
+			case v.IsNil():
+			case v.Type() != mat:
+				walk(v.Elem())
+			case !seen[v.Pointer()]:
+				seen[v.Pointer()] = true
+				n += int64(v.Elem().FieldByName("Data").Len()) * 8
+			}
+		case reflect.Interface:
+			if !v.IsNil() {
+				walk(v.Elem())
+			}
+		case reflect.Struct:
+			for i := range v.NumField() {
+				walk(v.Field(i))
+			}
+		case reflect.Slice, reflect.Array:
+			for i := range v.Len() {
+				walk(v.Index(i))
+			}
+		}
+	}
+	walk(reflect.ValueOf(ctx).Elem())
+	return n
+}
+
+// TestStageSavedBytesCountsEachMatrixOnce holds StageCtx.SavedBytes, which
+// feeds PeakActBytes, to the matrices a forward pass leaves pinned: on every
+// stage of two splits of the bench shape (plain and gated) — one with blocks
+// on every stage, one whose first stage is the embedding alone and whose last
+// is the head alone — under save-all and save-none, head included, it must
+// equal the bytes of the distinct matrices the context holds. A later stage's
+// input is also its first block's (or its head's) input, and the head's
+// LayerNorm statistics are pinned when the head keeps its LayerNorm.
+func TestStageSavedBytesCountsEachMatrixOnce(t *testing.T) {
+	gated := benchShape
+	gated.GatedFFN = true
+	batch := NewCorpus(benchShape.Vocab, 1<<10, 1).Batches(1, benchShape.Seq, tensor.NewRNG(1))[0]
+	for _, shape := range []Config{benchShape, gated} {
+		for _, bounds := range [][]int{benchBounds, {0, 1, 9, 10}} {
+			for name, spec := range map[string]SaveSpec{"saveall": SaveAll(), "savenone": SaveNone()} {
+				net, err := NewNet(shape)
+				if err != nil {
+					t.Fatal(err)
+				}
+				saves := make([][]SaveSpec, len(bounds)-1)
+				for s := range saves {
+					for range bounds[s+1] - bounds[s] {
+						saves[s] = append(saves[s], spec)
+					}
+				}
+				stages, err := Split(net, bounds, saves)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var x *tensor.Mat
+				for s, st := range stages {
+					var ctx *StageCtx
+					x, ctx = st.Forward(batch.Tokens, x)
+					if got, want := ctx.SavedBytes(), pinnedBytes(ctx); got != want {
+						t.Errorf("gated=%v bounds %v %s stage %d: SavedBytes %d, the context pins %d",
+							shape.GatedFFN, bounds, name, s, got, want)
+					}
+				}
 			}
 		}
 	}

@@ -17,7 +17,7 @@ type DataParallel struct {
 	Replicas []*Pipeline
 	// params holds each replica's parameters, gathered and checked once by
 	// NewDataParallel; losses and errs are Step's per-replica results. Step
-	// and InSync reuse all three.
+	// reuses all three.
 	params [][]*Param
 	losses []float64
 	errs   []error
@@ -108,28 +108,6 @@ func (dp *DataParallel) Step(batches []Batch) (float64, error) {
 		mean += l
 	}
 	return mean / float64(d), nil
-}
-
-// InSync reports the maximum absolute parameter divergence across replicas
-// (zero when DP is working correctly).
-func (dp *DataParallel) InSync() float64 {
-	if len(dp.Replicas) < 2 {
-		return 0
-	}
-	ref := dp.params[0]
-	var worst float64
-	for _, ps := range dp.params[1:] {
-		for i := range ps {
-			for j := range ps[i].W.Data {
-				if d := ps[i].W.Data[j] - ref[i].W.Data[j]; d > worst {
-					worst = d
-				} else if -d > worst {
-					worst = -d
-				}
-			}
-		}
-	}
-	return worst
 }
 
 // RunDataParallel is Run with d synchronized replicas: each step's

@@ -52,13 +52,28 @@ func TestDataParallelMatchesSingleReplica(t *testing.T) {
 	}
 }
 
+// inSync reports the maximum absolute parameter divergence across replicas
+// (zero when DP is working correctly).
+func inSync(dp *DataParallel) float64 {
+	ref := dp.params[0]
+	var worst float64
+	for _, ps := range dp.params[1:] {
+		for i := range ps {
+			for j := range ps[i].W.Data {
+				worst = max(worst, math.Abs(ps[i].W.Data[j]-ref[i].W.Data[j]))
+			}
+		}
+	}
+	return worst
+}
+
 func TestDataParallelReplicasStayInSync(t *testing.T) {
 	cfg := Config{Layers: 2, Dim: 16, Heads: 2, FFN: 32, Vocab: 20, Seq: 12, Seed: 21}
 	dp, err := NewDataParallel(4, mkReplica(cfg, []int{0, 6}, 1e-3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := dp.InSync(); got != 0 {
+	if got := inSync(dp); got != 0 {
 		t.Fatalf("replicas differ at initialization: %g", got)
 	}
 	corpus := NewCorpus(cfg.Vocab, 1<<14, 2)
@@ -70,7 +85,7 @@ func TestDataParallelReplicasStayInSync(t *testing.T) {
 	}
 	// Synchronous all-reduce keeps parameters bit-identical across
 	// replicas (every replica applies the same summed gradient).
-	if got := dp.InSync(); got != 0 {
+	if got := inSync(dp); got != 0 {
 		t.Fatalf("replicas diverged after training: %g", got)
 	}
 }

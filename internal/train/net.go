@@ -157,12 +157,11 @@ func (c *StageCtx) poison() {
 	}
 }
 
-// SavedBytes reports the activation memory the context pins.
+// SavedBytes reports the activation memory the context pins, each matrix
+// once. A later stage's input is its first block's x, or the head's input on
+// a stage without blocks, and is counted there.
 func (c *StageCtx) SavedBytes() int64 {
 	var n int64
-	if c.input != nil {
-		n += c.input.Bytes()
-	}
 	for _, b := range c.blocks {
 		n += b.SavedBytes()
 	}
@@ -171,7 +170,7 @@ func (c *StageCtx) SavedBytes() int64 {
 			n += m.Bytes()
 		}
 	}
-	return n
+	return n + c.headLnSt.bytes()
 }
 
 // Forward runs one micro-batch through the stage. The first stage consumes
