@@ -14,11 +14,13 @@ build:
 # packages (and the executor over tensor) and a 386 build of everything prove
 # the fallbacks still stand on their own. The planner (internal/partition and
 # internal/core) is vetted there too: arm64 fuses multiply-adds, which the
-# scan cut's error margin is argued to cover (DESIGN §5). The GOAMD64=v3 leg
-# guards the other direction: the vector exp and tanh copy math.Exp's
-# instructions and math.tanh's Go code rounding for rounding, which holds only
-# while the compiler does not contract that Go code into FMAs where the CPU
-# has them; the kernel, lane and loss tests must pass there too, on every
+# scan cut's error margin is argued to cover (DESIGN §5). The 386 tests of the
+# planner run Algorithm 1's row scan, whose Base + j·Stride index steps are
+# 32-bit ints there, and the root plan digests on the portable knapsack path,
+# the only one a 386 build has. The GOAMD64=v3 leg guards the other
+# direction: the vector exp and tanh copy math.Exp's instructions and
+# math.tanh's Go code rounding for rounding, which holds only while the
+# compiler does not contract that Go code into FMAs where the CPU has them; the kernel, lane and loss tests must pass there too, on every
 # kernel path the CPU has (avx512, avx2, generic). There is no GOAMD64=v4 leg:
 # a v4 binary exits at start on a CPU without AVX-512, and the kernels pick
 # their path at run time with GOAMD64 left at v1. (On amd64, go vet's asmdecl
@@ -26,6 +28,7 @@ build:
 cross:
 	GOARCH=arm64 $(GO) vet ./internal/tensor ./internal/train ./internal/recompute ./internal/cpu ./internal/partition ./internal/core
 	GOARCH=386 $(GO) build ./...
+	GOARCH=386 $(GO) test ./internal/partition ./internal/core .
 	GOAMD64=v3 $(GO) test -run 'Kernel|Elementwise|Lanes|LossesUnchanged' ./internal/tensor ./internal/train
 
 $(BIN): FORCE

@@ -24,20 +24,23 @@ import (
 // tests check their shapes; nothing here wraps them. What stays is the cost of
 // the search itself and of its parts.
 
-func planner(b *testing.B, cfg model.Config, seqLen, globalBatch int, opts core.Options) *core.Planner {
-	b.Helper()
-	pl, err := core.NewPlanner(cfg, hardware.ClusterA(),
-		parallel.Strategy{TP: 8, PP: 8, DP: 1},
+// planner builds a planner for cfg on cluster A under strat, at micro-batch 1.
+func planner(tb testing.TB, cfg model.Config, strat parallel.Strategy, seqLen, globalBatch int, opts core.Options) *core.Planner {
+	tb.Helper()
+	pl, err := core.NewPlanner(cfg, hardware.ClusterA(), strat,
 		parallel.Config{GlobalBatch: globalBatch, MicroBatch: 1, SeqLen: seqLen}, opts)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return pl
 }
 
+// tp8pp8 is the paper's GPT-3 strategy, the planner rows' default.
+var tp8pp8 = parallel.Strategy{TP: 8, PP: 8, DP: 1}
+
 func gptPlanner(b *testing.B, opts core.Options) *core.Planner {
 	b.Helper()
-	return planner(b, model.GPT3_175B(), 16384, 32, opts)
+	return planner(b, model.GPT3_175B(), tp8pp8, 16384, 32, opts)
 }
 
 // coldSearch is the body of the search and ablation-timing rows: one cold
@@ -60,17 +63,23 @@ func BenchmarkSearchAdaPipe(b *testing.B) { coldSearch(b, core.DefaultOptions())
 //
 // They are reported, not gated; the gate on each is a BENCHMARK.json metric.
 
-// planSearchShapes are BenchmarkPlanSearch's rows: the paper's GPT-3 shape,
-// and the Llama-2 70B shape that is the heaviest family of the repo
-// benchmark's plan_cold mix and sets its op_p95_ms. cells is the cold
+// planSearchShapes are BenchmarkPlanSearch's rows: the paper's GPT-3 shape;
+// the Llama-2 70B shape that is the heaviest family of the repo benchmark's
+// plan_cold mix and sets its op_p95_ms; and a plan_cold GPT-3 shape at
+// pp = 32, where Algorithm 1's walks are the longest. cells is the cold
 // search's Stats.PartitionCells, which repeats exactly; uncut, Algorithm 1's
-// scans evaluate 82305 and 69565.
+// scans evaluate 82305 and 69565 on the first two.
 var planSearchShapes = []struct {
 	name   string
 	cfg    model.Config
+	strat  parallel.Strategy
 	seqLen int
 	cells  int
-}{{"gpt3", model.GPT3_175B(), 16384, 32221}, {"llama2", model.Llama2_70B(), 20032, 19310}}
+}{
+	{"gpt3", model.GPT3_175B(), tp8pp8, 16384, 32221},
+	{"llama2", model.Llama2_70B(), tp8pp8, 20032, 19310},
+	{"gpt3_pp32", model.GPT3_175B(), parallel.Strategy{TP: 2, PP: 32, DP: 1}, 8192, 124901},
+}
 
 // BenchmarkPlanSearch is the cold search, planner construction included.
 func BenchmarkPlanSearch(b *testing.B) {
@@ -79,7 +88,7 @@ func BenchmarkPlanSearch(b *testing.B) {
 		b.Run(m.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := planner(b, m.cfg, m.seqLen, 32, opts).Plan(); err != nil {
+				if _, err := planner(b, m.cfg, m.strat, m.seqLen, 32, opts).Plan(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -92,11 +101,7 @@ func BenchmarkPlanSearch(b *testing.B) {
 // rather than only slowing the benchmark down.
 func TestPlanSearchPartitionCells(t *testing.T) {
 	for _, m := range planSearchShapes {
-		pl, err := core.NewPlanner(m.cfg, hardware.ClusterA(), parallel.Strategy{TP: 8, PP: 8, DP: 1},
-			parallel.Config{GlobalBatch: 32, MicroBatch: 1, SeqLen: m.seqLen}, core.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
+		pl := planner(t, m.cfg, m.strat, m.seqLen, 32, core.DefaultOptions())
 		if _, err := pl.Plan(); err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +121,7 @@ func BenchmarkSweepGrid(b *testing.B) {
 	opts := core.DefaultOptions()
 	grid := []int{32, 64, 96}
 	point := func(b *testing.B, globalBatch int, store *coststore.Store) {
-		pl := planner(b, model.GPT3_175B(), 16384, globalBatch, opts)
+		pl := planner(b, model.GPT3_175B(), tp8pp8, 16384, globalBatch, opts)
 		if store != nil {
 			if err := pl.SetCostSource(store); err != nil {
 				b.Fatal(err)
@@ -293,26 +298,36 @@ func BenchmarkKnapsack(b *testing.B) {
 }
 
 // BenchmarkPartitionDP times Algorithm 1 alone over the GPT-3 layer
-// sequence with a synthetic cost function (no knapsack inside), with its
-// scans cut by the cost itself as the lower bound and uncut, and reports the
-// cost evaluations per solve.
+// sequence: the row scan the planner runs (partition.SolveRows), over a
+// published synthetic table (no knapsack, no Resolve) whose cost depends on
+// the range's length alone, with its scans cut by the cost itself as the
+// lower bound and uncut, and reports the cost evaluations per solve.
 func BenchmarkPartitionDP(b *testing.B) {
 	const L, p, n = 194, 8, 32
-	cost := func(s, i, j int) (float64, float64, bool) {
-		layers := float64(j - i + 1)
-		return layers * 0.03, layers * 0.08, true
+	// byLength[k] is the cost of a range of k+1 layers; a row steps by one
+	// length per stage end, and the last stage's one range from i is L−i long.
+	byLength := make([]partition.Cell, L)
+	lengthBounds := make([]partition.Bound, L)
+	for k := range byLength {
+		layers := float64(k + 1)
+		byLength[k] = partition.Cell{F: layers * 0.03, B: layers * 0.08, State: partition.Feasible}
+		lengthBounds[k] = partition.Bound{F: byLength[k].F, B: byLength[k].B}
+	}
+	base := func(s, i int) (int, int) {
+		if s == p-1 {
+			return L - 1 - i, 0
+		}
+		return 0, 0
 	}
 	for _, row := range []struct {
-		name  string
-		bound partition.BoundFn
-	}{
-		{"cut", func(s, i, j int) (float64, float64) { f, b, _ := cost(s, i, j); return f, b }},
-		{"uncut", nil},
-	} {
+		name   string
+		bounds []partition.Bound
+	}{{"cut", lengthBounds}, {"uncut", nil}} {
 		b.Run(row.name, func(b *testing.B) {
+			rows := partition.Rows{Cells: byLength, Stride: 1, Bounds: row.bounds, BoundStride: 1, Base: base}
 			var cells int
 			for i := 0; i < b.N; i++ {
-				sol, err := partition.SolveBounded(L, p, n, cost, row.bound, nil, p-1)
+				sol, err := partition.SolveRows(L, p, n, &rows, nil, p-1)
 				if err != nil {
 					b.Fatal(err)
 				}

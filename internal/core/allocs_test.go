@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"adapipe/internal/coststore"
+	"adapipe/internal/partition"
 	"adapipe/internal/schedule"
 	"adapipe/internal/sim"
 )
@@ -138,7 +139,7 @@ func TestClassSolveAllocatesNothing(t *testing.T) {
 		s, i, j, perMicro := -1, 0, 0, int64(0)
 		solve := func() {
 			for k := range tab.hot {
-				tab.hot[k].state = costAbsent
+				tab.hot[k].State = partition.Absent
 			}
 			sv.solveClass(s, i, j, perMicro)
 		}

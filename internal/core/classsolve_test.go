@@ -8,6 +8,7 @@ import (
 
 	"adapipe/internal/coststore"
 	"adapipe/internal/model"
+	"adapipe/internal/partition"
 )
 
 // referenceReachable is the reachable domain from first principles: some
@@ -154,7 +155,7 @@ func TestSearchPublishesOnlyReachable(t *testing.T) {
 				for s := 0; s < c.pp; s++ {
 					for i := 0; i < L; i++ {
 						for j := i; j < L; j++ {
-							if pl.table.hot[pl.table.index(s, i, j)].state == costAbsent {
+							if pl.table.hot[pl.table.index(s, i, j)].State == partition.Absent {
 								continue
 							}
 							published++

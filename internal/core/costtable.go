@@ -30,21 +30,6 @@ const (
 	isoKindSlots = 2 * numKinds
 )
 
-// Entry states. An entry moves from absent to infeasible or feasible once,
-// when it is published, and is never written again.
-const (
-	costAbsent uint8 = iota
-	costInfeasible
-	costFeasible
-)
-
-// costEntry is the hot half of a table entry — all the partition DP reads.
-// fwd and bwd are nominal (unscaled) and are written once, with state.
-type costEntry struct {
-	fwd, bwd float64
-	state    uint8
-}
-
 // classShape is what a stage cost needs to know about the layers of one
 // isomorphism class, independent of the stage that runs them. The float
 // fields are accumulated left to right over the class's layer sequence, so
@@ -166,7 +151,13 @@ type costTable struct {
 	// their order; every entry of the classes shares it.
 	keys [1 << numKinds][]string
 
-	hot []costEntry
+	// hot is the hot half of the entries, all the partition DP reads: the
+	// nominal (unscaled) F and B, written once with State, when the entry
+	// is published (partition.Absent until then).
+	hot []partition.Cell
+	// bounds[k] is class shape k's forward and backward time, the lower
+	// bound that cuts Algorithm 1's scans (DESIGN §5).
+	bounds []partition.Bound
 	// solved is the cold half of the entries, set only for classes that
 	// were actually solved: the full cost, with the strategy and memory
 	// breakdown plan assembly needs.
@@ -289,7 +280,11 @@ func newCostTable(pl *Planner) *costTable {
 	if !t.iso {
 		t.stride = L * L
 	}
-	t.hot = make([]costEntry, pl.strat.PP*t.stride)
+	t.bounds = make([]partition.Bound, len(t.shapes))
+	for k, sh := range t.shapes {
+		t.bounds[k] = partition.Bound{F: sh.fwd, B: sh.bwd}
+	}
+	t.hot = make([]partition.Cell, pl.strat.PP*t.stride)
 	t.solved = make([]*coststore.Entry, len(t.hot))
 	return t
 }
@@ -311,6 +306,19 @@ func (t *costTable) index(s, i, j int) int {
 		return (s*t.L+i)*t.L + j
 	}
 	return s*t.stride + t.shapeIndex(i, j)
+}
+
+// row is the partition DP's row view of stage s from layer i
+// (partition.Rows.Base): the entry of layers i..i, or of i..L−1 at the last
+// stage, and the shape of i..i. Along the row the entries step by the class
+// length (isoKindSlots) under isomorphism and by one layer without it, the
+// shapes by the class length always: a scanned stage is never the last, so
+// its ranges never gain the head bit.
+func (t *costTable) row(s, i int) (cell, bound int) {
+	if s == t.p-1 {
+		return t.index(s, i, t.L-1), 0
+	}
+	return t.index(s, i, i), t.shapeIndex(i, i)
 }
 
 // reachable reports whether some partitioning runs the class of layers i..j
@@ -359,11 +367,11 @@ func (t *costTable) cost(idx int) coststore.Entry {
 // idx.
 func (t *costTable) publish(idx int, c *coststore.Entry) {
 	e := &t.hot[idx]
-	e.fwd, e.bwd = c.Fwd, c.Bwd
+	e.F, e.B = c.Fwd, c.Bwd
 	t.solved[idx] = c
-	e.state = costInfeasible
+	e.State = partition.Infeasible
 	if c.OK {
-		e.state = costFeasible
+		e.State = partition.Feasible
 	}
 }
 
@@ -371,7 +379,7 @@ func (t *costTable) publish(idx int, c *coststore.Entry) {
 func (t *costTable) publishedAt(s int) int {
 	n := 0
 	for k := s * t.stride; k < (s+1)*t.stride; k++ {
-		if t.hot[k].state != costAbsent {
+		if t.hot[k].State != partition.Absent {
 			n++
 		}
 	}

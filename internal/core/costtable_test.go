@@ -10,6 +10,7 @@ import (
 	"adapipe/internal/coststore"
 	"adapipe/internal/memory"
 	"adapipe/internal/model"
+	"adapipe/internal/partition"
 	"adapipe/internal/recompute"
 )
 
@@ -260,7 +261,7 @@ func TestSolvePanicLeavesTableUsable(t *testing.T) {
 		scout.sv.lookup(nil, 1, r[0], r[1])
 		stages = []int{1}
 		for s := 0; s < tight.pp; s++ {
-			if s != 1 && scout.table.hot[scout.table.index(s, r[0], r[1])].state != costAbsent {
+			if s != 1 && scout.table.hot[scout.table.index(s, r[0], r[1])].State != partition.Absent {
 				stages = append(stages, s)
 			}
 		}
@@ -287,7 +288,7 @@ func TestSolvePanicLeavesTableUsable(t *testing.T) {
 		pl.sv.lookup(nil, stages[0], ci, cj)
 	}()
 	for k, s := range stages {
-		if published := pl.table.hot[pl.table.index(s, ci, cj)].state != costAbsent; published != (k == 0) {
+		if published := pl.table.hot[pl.table.index(s, ci, cj)].State != partition.Absent; published != (k == 0) {
 			t.Fatalf("after a panic in claim 1 of stages %v: stage %d published = %v, want only the first", stages, s, published)
 		}
 	}

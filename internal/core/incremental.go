@@ -67,7 +67,7 @@ func maxStaleStage(cur, old []float64, p int) int {
 //
 // The fast path requires the isomorphism cache, without which a search keeps
 // no memo. The classes a search evaluates depend on the scale and on n, since
-// the scan cut (scanBound) ends each scan where the scaled costs let it: a
+// the scan cut (Planner.rows) ends each scan where the scaled costs let it: a
 // warm-started recompute may look up a class the memo-building run never
 // touched, and resolves it like any miss.
 func (sv *stageSolver) warmStart(scale []float64) warmStart {

@@ -296,7 +296,7 @@ type Planner struct {
 	// guarded by mu
 	Stats SearchStats
 
-	// uncut turns off the lower-bound cut of Algorithm 1's scans (scanBound).
+	// uncut turns off the lower-bound cut of Algorithm 1's scans (Planner.rows).
 	// It is the tests' switch, set before the first Plan and never changed:
 	// plans must not depend on it, only the cells a search evaluates.
 	uncut bool
@@ -399,37 +399,36 @@ func (sv *stageSolver) stageCost(scale []float64, s, i, j int) coststore.Entry {
 func (sv *stageSolver) lookup(tr *obs.Tracer, s, i, j int) (idx int, feasible, hit bool) {
 	t := sv.pl.table
 	idx = t.index(s, i, j)
-	state := t.hot[idx].state
-	hit = state != costAbsent
+	state := t.hot[idx].State
+	hit = state != partition.Absent
 	if !hit {
 		sv.st.CostEvaluations++
 		sv.knap.Trace = tr
 		state = sv.resolve(idx, s, i, j)
 	}
-	return idx, state == costFeasible, hit
+	return idx, state == partition.Feasible, hit
 }
 
-// scanBound is the lower bound that cuts Algorithm 1's scans under the
-// stage-scale snapshot scale, or nil when the planner runs them uncut. It
-// reads the class shape table only, so a cut candidate costs no lookup and
-// no knapsack. Every entry's Fwd is sh.fwd and its Bwd is sh.bwd plus what
-// its strategy re-executes (nothing under none), both scaled like the bound:
-// the bound's forward is the entry's bit for bit, and its backward exceeds
-// the entry's by a few ulps at most, the slack partition.BoundFn permits
-// (DESIGN §5). A scanned stage is never the last, so its range stops short
-// of the head, and the shape sums only grow with j.
-func (pl *Planner) scanBound(scale []float64) partition.BoundFn {
-	if pl.uncut {
-		return nil
-	}
+// rows is the partition DP's row view of the table under the stage-scale
+// snapshot scale, without its Resolve, which the search supplies. Its scans
+// are cut by the class shapes' times, unless the planner runs them uncut: the
+// bound reads the shape table only, so a cut candidate costs no lookup and no
+// knapsack. Every entry's Fwd is sh.fwd and its Bwd is sh.bwd plus what its
+// strategy re-executes (nothing under none), both scaled like the bound: the
+// bound's forward is the entry's bit for bit, and its backward exceeds the
+// entry's by a few ulps at most, the slack partition.BoundFn permits (DESIGN
+// §5). A scanned stage is never the last, so its range stops short of the
+// head, and the shape sums only grow with j.
+func (pl *Planner) rows(scale []float64) partition.Rows {
 	t := pl.table
-	return func(s, i, j int) (float64, float64) {
-		sh := &t.shapes[t.shapeIndex(i, j)]
-		if scale == nil {
-			return sh.fwd, sh.bwd
-		}
-		return sh.fwd * scale[s], sh.bwd * scale[s]
+	r := partition.Rows{Cells: t.hot, Stride: 1, Base: t.row, Scale: scale}
+	if t.iso {
+		r.Stride = isoKindSlots
 	}
+	if !pl.uncut {
+		r.Bounds, r.BoundStride = t.bounds, isoKindSlots
+	}
+	return r
 }
 
 // resolve publishes the absent entry idx of layers i..j at stage s and
@@ -441,11 +440,11 @@ func (sv *stageSolver) resolve(idx, s, i, j int) uint8 {
 	e := &sv.pl.table.hot[idx]
 	perMicro, fits := sv.pl.microBudget(s, i, j)
 	if !fits {
-		e.state = costInfeasible
+		e.State = partition.Infeasible
 	} else {
 		sv.solveClass(s, i, j, perMicro)
 	}
-	return e.state
+	return e.State
 }
 
 // stageInput is the activation a stage receives from its predecessor, live
@@ -502,7 +501,7 @@ func (sv *stageSolver) solveClass(s, i, j int, perMicro int64) {
 			continue
 		}
 		idx := t.index(s2, i, j)
-		if t.hot[idx].state != costAbsent {
+		if t.hot[idx].State != partition.Absent {
 			continue
 		}
 		// A sibling the static gate rejects is left to its own lookup.
@@ -666,8 +665,9 @@ func (sv *stageSolver) search(ctx context.Context, scale []float64) (*Plan, erro
 	L := len(pl.layers)
 	p := pl.strat.PP
 
-	// The DP asks "cancelled?" once per cell; ctx.Err() takes the context's
-	// mutex, so the cells read a flag armed by the context instead.
+	// The DP asks "cancelled?" before each cost it looks up (Algorithm 1:
+	// each it resolves); ctx.Err() takes the context's mutex, so it reads a
+	// flag armed by the context instead.
 	var cancelled atomic.Bool
 	disarm := context.AfterFunc(ctx, func() { cancelled.Store(true) })
 	defer disarm()
@@ -682,19 +682,20 @@ func (sv *stageSolver) search(ctx context.Context, scale []float64) (*Plan, erro
 	// still counts the lookups that cost it something; the hits are the rest
 	// of the DP's own cell count, counted once at the end.
 	before := sv.st.CostEvaluations
-	// The DP's cost function, cold or warm-started: a lock-free read of the
+	// The cost function of the even and exact paths: a lock-free read of the
 	// table under the search's scale.
 	hot := pl.table.hot
 	cost := func(s, i, j int) (float64, float64, bool) {
 		// A cancelled context turns every remaining cost lookup into an
 		// immediate "infeasible" so the DP unwinds quickly; whatever partial
 		// solution it then returns is discarded below in favor of ctx.Err(),
-		// and the memo is dropped.
+		// and the memo is dropped. Algorithm 1's Resolve does the same for
+		// the cells it has yet to resolve.
 		if cancelled.Load() {
 			return 0, 0, false
 		}
 		idx, ok, _ := sv.lookup(tr, s, i, j)
-		f, b := hot[idx].fwd, hot[idx].bwd
+		f, b := hot[idx].F, hot[idx].B
 		if scale != nil {
 			f *= scale[s]
 			b *= scale[s]
@@ -739,7 +740,18 @@ func (sv *stageSolver) search(ctx context.Context, scale []float64) (*Plan, erro
 		}
 		cellsAdd = p
 	default:
-		sol, err := partition.SolveBounded(L, p, pl.n, cost, pl.scanBound(scale), ws.memo, ws.stale)
+		// Algorithm 1 reads the table itself, row by row; only a cell not
+		// published yet comes back here, to be counted and resolved (or, once
+		// ctx is done, to be taken as infeasible).
+		rows := pl.rows(scale)
+		rows.Resolve = func(s, i, j int) partition.Cell {
+			if cancelled.Load() {
+				return partition.Cell{}
+			}
+			idx, _, _ := sv.lookup(tr, s, i, j)
+			return hot[idx]
+		}
+		sol, err := partition.SolveRows(L, p, pl.n, &rows, ws.memo, ws.stale)
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return nil, cerr

@@ -27,19 +27,6 @@ func fuzzCost(seed uint32, infeasibleMod int) CostFn {
 	}
 }
 
-// spanBound is a valid BoundFn for fuzzCost repriced by the per-stage scale
-// sc (nil: nominal): each component fuzzCost draws is at least the range's
-// span, and the span grows with j.
-func spanBound(sc []float64) BoundFn {
-	return func(s, i, j int) (float64, float64) {
-		span := float64(j - i + 1)
-		if sc != nil {
-			span *= sc[s]
-		}
-		return span, span
-	}
-}
-
 // sameCut requires a solve cut by a valid bound to give the uncut solve's
 // plan, or its error, after evaluating no more cells.
 func sameCut(t *testing.T, uncut Plan, uncutErr error, cut Plan, cutErr error) {
@@ -60,10 +47,12 @@ func sameCut(t *testing.T, uncut Plan, uncutErr error, cut Plan, cutErr error) {
 
 // FuzzPartitionSolveVsBruteForce feeds arbitrary small instances to Algorithm
 // 1, its exact Pareto variant and the exponential oracle:
-//   - Solve never beats BruteForce (it is a heuristic over the same model);
-//   - SolveExact with an unlimited frontier matches BruteForce exactly;
-//   - all three agree on feasibility;
-//   - Solve cut by a valid bound is Solve.
+//   - the row scan, cut and uncut, over a random table in each index layout
+//     passes diffRows: it is the CostFn adapters field for field, never beats
+//     BruteForce and agrees with it on feasibility, and cut is uncut;
+//   - SolveExact with an unlimited frontier matches BruteForce exactly and
+//     never loses to Algorithm 1;
+//   - dominance pruning never moves SolveExact's optimum.
 func FuzzPartitionSolveVsBruteForce(f *testing.F) {
 	f.Add(uint32(1), uint8(6), uint8(3), uint8(8), uint8(0))
 	f.Add(uint32(42), uint8(7), uint8(7), uint8(7), uint8(4))
@@ -73,55 +62,50 @@ func FuzzPartitionSolveVsBruteForce(f *testing.F) {
 		L := int(l8%7) + 1
 		p := int(p8%uint8(L)) + 1
 		n := p + int(n8%8)
-		cost := fuzzCost(seed, int(inf8%12))
+		for _, iso := range []bool{true, false} {
+			tab := newRandTable(int64(seed), L, p, int(inf8%12), iso)
+			diffRows(t, tab, n, nil, nil)
+			cost := tab.cost(nil)
+			heur, heurErr := Solve(L, p, n, cost)
+			exact, isExact, exactErr := SolveExact(L, p, n, cost, 0)
+			brute, bruteErr := BruteForce(L, p, n, cost)
+			if (exactErr == nil) != (bruteErr == nil) {
+				t.Fatalf("feasibility disagreement: SolveExact err=%v, BruteForce err=%v", exactErr, bruteErr)
+			}
+			if bruteErr == nil {
+				if !isExact {
+					t.Fatal("unlimited frontier reported inexact")
+				}
+				const tol = 1e-9
+				if math.Abs(exact.Total-brute.Total) > tol*(1+brute.Total) {
+					t.Fatalf("SolveExact %.12g != oracle %.12g", exact.Total, brute.Total)
+				}
+				// The exact solver can only improve on the heuristic.
+				if heurErr == nil && exact.Total > heur.Total+tol {
+					t.Fatalf("SolveExact %.12g worse than Solve %.12g", exact.Total, heur.Total)
+				}
+			}
 
-		heur, heurErr := Solve(L, p, n, cost)
-		exact, isExact, exactErr := SolveExact(L, p, n, cost, 0)
-		brute, bruteErr := BruteForce(L, p, n, cost)
-		cut, cutErr := SolveBounded(L, p, n, cost, spanBound(nil), nil, p-1)
-		sameCut(t, heur, heurErr, cut, cutErr)
-
-		if (heurErr == nil) != (bruteErr == nil) {
-			t.Fatalf("feasibility disagreement: Solve err=%v, BruteForce err=%v", heurErr, bruteErr)
-		}
-		if (exactErr == nil) != (bruteErr == nil) {
-			t.Fatalf("feasibility disagreement: SolveExact err=%v, BruteForce err=%v", exactErr, bruteErr)
-		}
-		if bruteErr == nil {
-			if !isExact {
-				t.Fatal("unlimited frontier reported inexact")
+			// Dominance-pruning property: with the dominance filter disabled
+			// the per-cell frontiers are supersets of the pruned ones, and
+			// the optimum must not move by a single bit — the parent
+			// recurrences are monotone in every state component, so a
+			// dominated state can never derive a smaller total than its
+			// dominator's chain, in IEEE float arithmetic as well as in the
+			// reals.
+			oracle, _, oracleErr := solveExact(L, p, n, cost, 0, true)
+			if (oracleErr == nil) != (exactErr == nil) {
+				t.Fatalf("feasibility disagreement: unpruned oracle err=%v, SolveExact err=%v", oracleErr, exactErr)
 			}
-			const tol = 1e-9
-			if heur.Total < brute.Total-tol {
-				t.Fatalf("Solve %.12g beats the oracle %.12g", heur.Total, brute.Total)
-			}
-			if math.Abs(exact.Total-brute.Total) > tol*(1+brute.Total) {
-				t.Fatalf("SolveExact %.12g != oracle %.12g", exact.Total, brute.Total)
-			}
-			// The exact solver can only improve on the heuristic.
-			if exact.Total > heur.Total+tol {
-				t.Fatalf("SolveExact %.12g worse than Solve %.12g", exact.Total, heur.Total)
-			}
-		}
-
-		// Dominance-pruning property: with the dominance filter disabled the
-		// per-cell frontiers are supersets of the pruned ones, and the
-		// optimum must not move by a single bit — the parent recurrences are
-		// monotone in every state component, so a dominated state can never
-		// derive a smaller total than its dominator's chain, in IEEE float
-		// arithmetic as well as in the reals.
-		oracle, _, oracleErr := solveExact(L, p, n, cost, 0, true)
-		if (oracleErr == nil) != (exactErr == nil) {
-			t.Fatalf("feasibility disagreement: unpruned oracle err=%v, SolveExact err=%v", oracleErr, exactErr)
-		}
-		if exactErr == nil {
-			if math.Float64bits(oracle.Total) != math.Float64bits(exact.Total) {
-				t.Fatalf("dominance pruning moved the optimum: pruned %.17g, unpruned oracle %.17g",
-					exact.Total, oracle.Total)
-			}
-			if oracle.FrontierStates < exact.FrontierStates {
-				t.Fatalf("unpruned oracle kept %d states, fewer than the pruned run's %d",
-					oracle.FrontierStates, exact.FrontierStates)
+			if exactErr == nil {
+				if math.Float64bits(oracle.Total) != math.Float64bits(exact.Total) {
+					t.Fatalf("dominance pruning moved the optimum: pruned %.17g, unpruned oracle %.17g",
+						exact.Total, oracle.Total)
+				}
+				if oracle.FrontierStates < exact.FrontierStates {
+					t.Fatalf("unpruned oracle kept %d states, fewer than the pruned run's %d",
+						oracle.FrontierStates, exact.FrontierStates)
+				}
 			}
 		}
 	})
@@ -149,8 +133,8 @@ func stageScaled(base CostFn, sc []float64) CostFn {
 // warm-started solving: a memo built under one per-stage scale vector and
 // re-solved under another (recomputing only the levels at or below the
 // highest changed stage) must be bit-identical to a cold solve under the new
-// vector. The cold solve and the memo's two solves, each repeated with scans
-// cut by a valid bound, must give the uncut results.
+// vector, cut and uncut, in both index layouts, through the row scan and the
+// CostFn adapters alike (diffRows).
 func FuzzPartitionMemoVsCold(f *testing.F) {
 	f.Add(uint32(1), uint8(6), uint8(3), uint8(8), uint8(0), uint8(1), uint8(0))
 	f.Add(uint32(42), uint8(7), uint8(7), uint8(7), uint8(4), uint8(3), uint8(1))
@@ -160,61 +144,29 @@ func FuzzPartitionMemoVsCold(f *testing.F) {
 		L := int(l8%7) + 1
 		p := int(p8%uint8(L)) + 1
 		n := p + int(n8%8)
-		base := fuzzCost(seed, int(inf8%12))
 
 		// First solve under all-ones scale, then reprice one of four ways:
 		// identity (stale = −1), a single mid-stage bump, every stage, or an
 		// extreme 10x straggler.
-		scale := make([]float64, p)
-		for s := range scale {
-			scale[s] = 1
-		}
-		st := int(st8) % p
-		stale := st
-		switch kind8 % 4 {
-		case 0: // identity: nothing to recompute
-			stale = -1
-		case 1:
-			scale[st] = 1.25
-		case 2:
-			for s := range scale {
-				scale[s] = 1.1
-			}
-			stale = p - 1
-		case 3:
-			scale[st] = 10
-		}
-
 		ones := make([]float64, p)
 		for s := range ones {
 			ones[s] = 1
 		}
-		memo, memoCut := &Memo{}, &Memo{}
-		warm0, err0 := SolveMemo(L, p, n, stageScaled(base, ones), memo, p-1)
-		cold, coldErr := Solve(L, p, n, stageScaled(base, scale))
-		warm, warmErr := SolveMemo(L, p, n, stageScaled(base, scale), memo, stale)
-		cut0, cutErr0 := SolveBounded(L, p, n, stageScaled(base, ones), spanBound(ones), memoCut, p-1)
-		sameCut(t, warm0, err0, cut0, cutErr0)
-		cut, cutErr := SolveBounded(L, p, n, stageScaled(base, scale), spanBound(scale), nil, p-1)
-		sameCut(t, cold, coldErr, cut, cutErr)
-		cut, cutErr = SolveBounded(L, p, n, stageScaled(base, scale), spanBound(scale), memoCut, stale)
-		sameCut(t, warm, warmErr, cut, cutErr)
-		if err0 != nil {
-			// Infeasible instances stay infeasible under any positive
-			// scale; both re-solves must agree.
-			if coldErr == nil || warmErr == nil {
-				t.Fatalf("infeasible instance became feasible: cold=%v warm=%v", coldErr, warmErr)
+		st := int(st8) % p
+		scale := ones
+		switch kind8 % 4 {
+		case 1:
+			scale = bump(ones, p, st, 1.25)
+		case 2:
+			scale = make([]float64, p)
+			for s := range scale {
+				scale[s] = 1.1
 			}
-		} else {
-			if (warmErr == nil) != (coldErr == nil) {
-				t.Fatalf("feasibility disagreement: warm err=%v, cold err=%v", warmErr, coldErr)
-			}
-			if coldErr == nil && !reflect.DeepEqual(stripEffort(warm), stripEffort(cold)) {
-				t.Fatalf("warm-started solve differs from cold (stale=%d):\n%+v\nvs\n%+v", stale, warm, cold)
-			}
-			if coldErr == nil && stale < p-1 && warm.WarmCells == 0 && warm0.DPCells > 0 {
-				t.Fatalf("warm solve with stale=%d reused no cells", stale)
-			}
+		case 3:
+			scale = bump(ones, p, st, 10)
+		}
+		for _, iso := range []bool{true, false} {
+			diffRows(t, newRandTable(int64(seed), L, p, int(inf8%12), iso), n, ones, scale)
 		}
 	})
 }

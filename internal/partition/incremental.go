@@ -14,8 +14,10 @@ import (
 // 0..max(S) need recomputation. The zero Memo is valid and behaves like a
 // cold solve on first use.
 //
-// A Memo is not safe for concurrent use; callers serialize access (the
-// planner checks its memo out under its mutex for the duration of a solve).
+// A Memo is not safe for concurrent use; callers serialize access. The
+// planner takes its memo from its solver under Planner.mu when a search
+// starts and puts it back only when the search completes, so a search that
+// fails, is cancelled or panics leaves the solver with none.
 type Memo struct {
 	l, p, n int
 	// levels[s][i] is the Algorithm 1 state for layers i..l−1 with stages
@@ -59,8 +61,42 @@ func SolveMemo(L, p, n int, cost CostFn, memo *Memo, stale int, _ ...int) (Plan,
 // bound (nil cuts nothing): a scan ends at the first stage end whose bound
 // proves no candidate from there on can beat the cell's best so far. The
 // levels, and so the plan, are bit-identical to an uncut solve; DPCells counts
-// only the evaluations the cut left.
+// only the evaluations the cut left. It runs the row scan (SolveRows) over a
+// view with one absent cell at stride 0, so every cell the scan reads
+// resolves through cost; bound is asked for every stage end of a row before
+// the row is scanned.
 func SolveBounded(L, p, n int, cost CostFn, bound BoundFn, memo *Memo, stale int) (Plan, error) {
+	if err := check(L, p, n); err != nil {
+		return Plan{}, err
+	}
+	rows := &Rows{
+		Cells: make([]Cell, 1),
+		Base:  func(int, int) (int, int) { return 0, 0 },
+		Resolve: func(s, i, j int) Cell {
+			f, b, ok := cost(s, i, j)
+			if !ok {
+				return Cell{State: Infeasible}
+			}
+			return Cell{F: f, B: b, State: Feasible}
+		},
+	}
+	if bound != nil {
+		row := make([]Bound, L)
+		rows.Bounds, rows.BoundStride = row, 1
+		rows.Base = func(s, i int) (int, int) {
+			for j := i; s < p-1 && j <= L-p+s; j++ {
+				row[j-i].F, row[j-i].B = bound(s, i, j)
+			}
+			return 0, 0
+		}
+	}
+	return SolveRows(L, p, n, rows, memo, stale)
+}
+
+// SolveRows runs Algorithm 1 over the row view rows, warm-started from memo
+// as SolveMemo is, its scans cut when rows has bounds as SolveBounded's are.
+// It is the one scan every Algorithm 1 entry point runs.
+func SolveRows(L, p, n int, rows *Rows, memo *Memo, stale int) (Plan, error) {
 	if err := check(L, p, n); err != nil {
 		return Plan{}, err
 	}
@@ -81,7 +117,7 @@ func SolveBounded(L, p, n int, cost CostFn, bound BoundFn, memo *Memo, stale int
 	}
 	memo.valid = false
 	for s := stale; s >= 0; s-- {
-		memo.cells[s] = solveLevel(L, p, n, s, cost, bound, memo.levels)
+		memo.cells[s] = solveLevel(L, p, n, s, rows, memo.levels)
 	}
 	plan, err := assembleStates(L, p, memo.levels)
 	if err != nil {
@@ -117,19 +153,33 @@ func StageStarts(L, p, s int) (lo, hi int) {
 // solveLevel computes the reachable cells of DP level s of Algorithm 1 into
 // P[s] and returns the number of cost evaluations performed. Every reachable
 // cell is overwritten unconditionally so a reused table never leaks stale
-// states into a recomputed level.
-func solveLevel(L, p, n, s int, cost CostFn, bound BoundFn, P [][]State) int64 {
+// states into a recomputed level. A published cell costs its index step and
+// plain reads of it, its bound and the next level's state; only an absent
+// one calls out, to rows.Resolve. The explicit float64 conversions round each
+// product on its own, so no multiply-add fuses across them and a scaled cell
+// carries the bits of a CostFn that scales its costs before returning them.
+func solveLevel(L, p, n, s int, rows *Rows, P [][]State) int64 {
 	var cells int64
 	lo, hi := StageStarts(L, p, s)
+	table, stride := rows.Cells, rows.Stride
+	sc := 1.0 // x·1 is x, bit for bit
+	if rows.Scale != nil {
+		sc = rows.Scale[s]
+	}
 	if s == p-1 {
 		// Base case: the last stage takes everything that remains.
 		for i := lo; i <= hi; i++ {
 			cells++
-			f, b, ok := cost(p-1, i, L-1)
-			if !ok {
+			k, _ := rows.Base(s, i)
+			c := table[k]
+			if c.State == Absent {
+				c = rows.Resolve(s, i, L-1)
+			}
+			if c.State != Feasible {
 				P[p-1][i] = State{}
 				continue
 			}
+			f, b := float64(c.F*sc), float64(c.B*sc)
 			P[p-1][i] = State{
 				W: f, E: b, M: f + b, F: f, B: b,
 				T:     f + b + float64(n-1)*(f+b),
@@ -143,14 +193,17 @@ func solveLevel(L, p, n, s int, cost CostFn, bound BoundFn, P [][]State) int64 {
 	// keeps at least one layer. Each cell i at this level reads only level
 	// s+1 and writes only P[s][i].
 	next, later, steady, nf := P[s+1], float64(p-s-1), float64(n-p+s), float64(n)
+	bounds, bstride := rows.Bounds, rows.BoundStride
 	for i := lo; i <= hi; i++ {
 		best := State{T: math.Inf(1)}
-		for j := i; j <= L-p+s; j++ {
+		k, kb := rows.Base(s, i)
+		for j := i; j <= L-p+s; j, k, kb = j+1, k+stride, kb+bstride {
 			// t ≥ n·(f+b) for every candidate (DESIGN §5), and the bound only
 			// grows with j: once it passes best.T no later j can win the
 			// strict compare below, so the scan ends before their lookups.
-			if bound != nil {
-				lf, lb := bound(s, i, j)
+			if bounds != nil {
+				bd := &bounds[kb]
+				lf, lb := float64(bd.F*sc), float64(bd.B*sc)
 				if nf*(lf+lb)*cutMargin > best.T {
 					break
 				}
@@ -160,13 +213,17 @@ func solveLevel(L, p, n, s int, cost CostFn, bound BoundFn, P [][]State) int64 {
 				continue
 			}
 			cells++
-			f, b, ok := cost(s, i, j)
-			if !ok {
+			c := table[k]
+			if c.State == Absent {
+				c = rows.Resolve(s, i, j)
+			}
+			if c.State != Feasible {
 				continue
 			}
-			w := f + math.Max(nx.W+nx.B, later*f)
-			e := b + math.Max(nx.E+nx.F, later*b)
-			m := math.Max(nx.M, f+b)
+			f, b := float64(c.F*sc), float64(c.B*sc)
+			w := f + fmax(nx.W+nx.B, float64(later*f))
+			e := b + fmax(nx.E+nx.F, float64(later*b))
+			m := fmax(nx.M, f+b)
 			t := w + e + steady*m
 			if t < best.T {
 				best = State{W: w, E: e, M: m, F: f, B: b, T: t, Split: j, OK: true}
@@ -175,6 +232,19 @@ func solveLevel(L, p, n, s int, cost CostFn, bound BoundFn, P [][]State) int64 {
 		P[s][i] = best
 	}
 	return cells
+}
+
+// fmax is math.Max bit for bit. An ordered pair is its common case and
+// needs no call; a tie, a NaN or a signed zero goes to math.Max, which on
+// amd64 is an assembly call the compiler cannot inline.
+func fmax(x, y float64) float64 {
+	if x > y {
+		return x
+	}
+	if y > x {
+		return y
+	}
+	return math.Max(x, y)
 }
 
 // cutMargin shrinks the scan cut's bound by a relative 2⁻³⁰, which covers a

@@ -16,6 +16,57 @@ import (
 // the f[s,i,j] / b[s,i,j] arrays of Algorithm 1.
 type CostFn func(s, i, j int) (fwd, bwd float64, ok bool)
 
+// Cell states. A cell moves from Absent to Infeasible or Feasible once, when
+// the table's owner publishes it, and keeps that state.
+const (
+	Absent uint8 = iota
+	Infeasible
+	Feasible
+)
+
+// Cell is one entry of a cost table in the layout the row scan reads: the
+// nominal forward and backward times of a (stage, layer range) and its state.
+// F and B mean something only in a Feasible cell.
+type Cell struct {
+	F, B  float64
+	State uint8
+}
+
+// Bound is a lower bound on the nominal forward and backward times of a
+// (stage, layer range), known before its cell is resolved.
+type Bound struct {
+	F, B float64
+}
+
+// Rows is the row view of a cost table that Algorithm 1 scans. For a stage s
+// and a start layer i, the stage ends j = i, i+1, … sit at constant strides
+// in both arrays, so the scan reaches every cell of a row by index arithmetic:
+// with c, b = Base(s, i), cell (s, i, j) is Cells[c+(j−i)·Stride] and its
+// bound Bounds[b+(j−i)·BoundStride]. The last stage runs only the ranges that
+// end with the last layer, so its row is one cell, and c is the index of
+// (p−1, i, L−1).
+type Rows struct {
+	Cells  []Cell
+	Stride int
+	// Bounds cuts the scans (SolveBounded); nil scans every row uncut. Scaled
+	// by Scale, each bound must keep BoundFn's contract against its scaled
+	// cell.
+	Bounds      []Bound
+	BoundStride int
+	// Base returns the indices of row (s, i)'s first cell and first bound.
+	// The scan calls it once per row, before it reads the row.
+	Base func(s, i int) (cell, bound int)
+	// Scale multiplies stage s's cells and bounds by Scale[s]; nil is the
+	// nominal table.
+	Scale []float64
+	// Resolve returns the value of cell (s, i, j), which the scan found
+	// Absent; whether it publishes the cell into Cells is the caller's
+	// business. A returned cell that is not Feasible counts as infeasible.
+	// It is the only call the scan makes per cell, and it makes it only
+	// for an absent one.
+	Resolve func(s, i, j int) Cell
+}
+
 // BoundFn reports lower bounds on the forward and backward times of layers
 // i..j run as stage s, known before the cost itself is asked for. It lets
 // Algorithm 1 end a scan early without changing a bit of its result (DESIGN
