@@ -48,7 +48,7 @@ func scaleChanged(cur, old []float64, s int) bool {
 
 // maxStaleStage returns the highest stage whose scale differs between the
 // two vectors, or −1 when none do. Levels strictly above it depend only on
-// unchanged stage costs and are bit-for-bit reusable (partition.SolveMemo).
+// unchanged stage costs and are bit-for-bit reusable (partition.SolveRows).
 func maxStaleStage(cur, old []float64, p int) int {
 	stale := -1
 	for s := 0; s < p; s++ {
@@ -67,7 +67,7 @@ func maxStaleStage(cur, old []float64, p int) int {
 //
 // The fast path requires the isomorphism cache, without which a search keeps
 // no memo. The classes a search evaluates depend on the scale and on n, since
-// the scan cut (Planner.rows) ends each scan where the scaled costs let it: a
+// the scan cut (stageSolver.rows) ends each scan where the scaled costs let it: a
 // warm-started recompute may look up a class the memo-building run never
 // touched, and resolves it like any miss.
 func (sv *stageSolver) warmStart(scale []float64) warmStart {

@@ -60,10 +60,13 @@ const (
 	// PartitionEven splits the layer sequence uniformly (the baselines and
 	// the Even Partitioning configuration of §7).
 	PartitionEven
-	// PartitionExact runs the Pareto-frontier variant of Algorithm 1,
-	// which is globally optimal under the §5.1 cost model (an extension:
-	// it quantifies how close the paper's near-optimal DP gets). It always
-	// searches cold: no warm-start memo.
+	// PartitionExact runs the Pareto-frontier variant of Algorithm 1 (an
+	// extension: it quantifies how close the paper's near-optimal DP gets).
+	// With an unlimited frontier it is optimal under the §5.1 cost model,
+	// but the search caps it at maxFrontier = 128 states per DP cell and
+	// discards the solver's exact flag: where Algorithm 1 is 3.96 % above
+	// the optimum, the capped search beats it by only 2.96 % (DESIGN §4).
+	// It always searches cold: no warm-start memo.
 	PartitionExact
 )
 
@@ -296,7 +299,7 @@ type Planner struct {
 	// guarded by mu
 	Stats SearchStats
 
-	// uncut turns off the lower-bound cut of Algorithm 1's scans (Planner.rows).
+	// uncut turns off the lower-bound cut of Algorithm 1's scans (stageSolver.rows).
 	// It is the tests' switch, set before the first Plan and never changed:
 	// plans must not depend on it, only the cells a search evaluates.
 	uncut bool
@@ -369,26 +372,6 @@ func (pl *Planner) dpBudget() int64 {
 	return int64(float64(pl.cluster.Device.MemCapacity) * (1 - pl.opts.MemoryReserve))
 }
 
-// stageCost returns the cost entry for layers i..j at stage s under the stage
-// scale, counting the lookup. The table holds nominal costs; the scale is
-// applied to the returned copy, so SetStageScale never invalidates an entry
-// (the class index retains the stage, keeping per-stage scaling consistent).
-// It serves calls outside a search (CostFor, planForBounds); a search reads
-// the table directly and counts its hits once.
-func (sv *stageSolver) stageCost(scale []float64, s, i, j int) coststore.Entry {
-	idx, _, hit := sv.lookup(nil, s, i, j)
-	if hit {
-		sv.st.CostEvaluations++
-		sv.st.CacheHits++
-	}
-	c := sv.pl.table.cost(idx)
-	if scale != nil {
-		c.Fwd *= scale[s]
-		c.Bwd *= scale[s]
-	}
-	return c
-}
-
 // lookup finds the table entry of layers i..j at stage s, resolving it first
 // if it is not published yet. hit reports that it was already published —
 // the isomorphic-range cache hit of §5.3. The hit path is two array reads: no
@@ -409,24 +392,41 @@ func (sv *stageSolver) lookup(tr *obs.Tracer, s, i, j int) (idx int, feasible, h
 	return idx, state == partition.Feasible, hit
 }
 
-// rows is the partition DP's row view of the table under the stage-scale
-// snapshot scale, without its Resolve, which the search supplies. Its scans
-// are cut by the class shapes' times, unless the planner runs them uncut: the
-// bound reads the shape table only, so a cut candidate costs no lookup and no
-// knapsack. Every entry's Fwd is sh.fwd and its Bwd is sh.bwd plus what its
-// strategy re-executes (nothing under none), both scaled like the bound: the
-// bound's forward is the entry's bit for bit, and its backward exceeds the
-// entry's by a few ulps at most, the slack partition.BoundFn permits (DESIGN
-// §5). A scanned stage is never the last, so its range stops short of the
-// head, and the shape sums only grow with j.
-func (pl *Planner) rows(scale []float64) partition.Rows {
-	t := pl.table
+// rows is the row view of the table under the stage-scale snapshot scale
+// that every partition policy reads: Algorithm 1, the exact variant and
+// Evaluate (the even path and the repricing of a given partitioning). The
+// table holds nominal costs and the view applies the scale as it reads, so
+// SetStageScale never invalidates an entry. Only a cell not published yet
+// comes back to the planner, through Resolve: once cancelled (nil: never) is
+// set it is taken as infeasible, so the DP unwinds quickly; otherwise its
+// lookup counts the miss and solves the class, a knapsack solve attributed to
+// tr (nil: untraced). The caller counts the hits, as the cells it read less
+// the misses.
+//
+// Algorithm 1's scans are cut by the class shapes' times, unless the planner
+// runs them uncut: the bound reads the shape table only, so a cut candidate
+// costs no lookup and no knapsack. Every entry's Fwd is sh.fwd and its Bwd is
+// sh.bwd plus what its strategy re-executes (nothing under none), both scaled
+// like the bound: the bound's forward is the entry's bit for bit, and its
+// backward exceeds the entry's by a few ulps at most, the slack
+// partition.Rows.Bounds permits (DESIGN §5). A scanned stage is never the
+// last, so its range stops short of the head, and the shape sums only grow
+// with j.
+func (sv *stageSolver) rows(tr *obs.Tracer, scale []float64, cancelled *atomic.Bool) partition.Rows {
+	t := sv.pl.table
 	r := partition.Rows{Cells: t.hot, Stride: 1, Base: t.row, Scale: scale}
 	if t.iso {
 		r.Stride = isoKindSlots
 	}
-	if !pl.uncut {
+	if !sv.pl.uncut {
 		r.Bounds, r.BoundStride = t.bounds, isoKindSlots
+	}
+	r.Resolve = func(s, i, j int) partition.Cell {
+		if cancelled != nil && cancelled.Load() {
+			return partition.Cell{}
+		}
+		idx, _, _ := sv.lookup(tr, s, i, j)
+		return t.hot[idx]
 	}
 	return r
 }
@@ -680,28 +680,11 @@ func (sv *stageSolver) search(ctx context.Context, scale []float64) (*Plan, erro
 
 	// A lookup that misses counts itself as it happens, so a search that fails
 	// still counts the lookups that cost it something; the hits are the rest
-	// of the DP's own cell count, counted once at the end.
+	// of the DP's own cell count, counted once at the end. A cancelled search's
+	// partial solution is discarded below in favor of ctx.Err(), and its memo
+	// is dropped.
 	before := sv.st.CostEvaluations
-	// The cost function of the even and exact paths: a lock-free read of the
-	// table under the search's scale.
-	hot := pl.table.hot
-	cost := func(s, i, j int) (float64, float64, bool) {
-		// A cancelled context turns every remaining cost lookup into an
-		// immediate "infeasible" so the DP unwinds quickly; whatever partial
-		// solution it then returns is discarded below in favor of ctx.Err(),
-		// and the memo is dropped. Algorithm 1's Resolve does the same for
-		// the cells it has yet to resolve.
-		if cancelled.Load() {
-			return 0, 0, false
-		}
-		idx, ok, _ := sv.lookup(tr, s, i, j)
-		f, b := hot[idx].F, hot[idx].B
-		if scale != nil {
-			f *= scale[s]
-			b *= scale[s]
-		}
-		return f, b, ok
-	}
+	rows := sv.rows(tr, scale, &cancelled)
 
 	var bounds []int
 	var total, w, e, m float64
@@ -717,7 +700,7 @@ func (sv *stageSolver) search(ctx context.Context, scale []float64) (*Plan, erro
 	case PartitionExact:
 		// PartitionExact keeps at most this many Pareto states per DP cell.
 		const maxFrontier = 128
-		sol, _, err := partition.SolveExact(L, p, pl.n, cost, maxFrontier)
+		sol, _, err := partition.SolveExact(L, p, pl.n, &rows, maxFrontier)
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return nil, cerr
@@ -730,7 +713,7 @@ func (sv *stageSolver) search(ctx context.Context, scale []float64) (*Plan, erro
 	case PartitionEven:
 		bounds = partition.Even(L, p)
 		var ok bool
-		total, w, e, m, ok = partition.Evaluate(bounds, pl.n, cost)
+		total, w, e, m, ok = partition.Evaluate(bounds, pl.n, &rows)
 		if !ok {
 			if cerr := ctx.Err(); cerr != nil {
 				return nil, cerr
@@ -740,17 +723,6 @@ func (sv *stageSolver) search(ctx context.Context, scale []float64) (*Plan, erro
 		}
 		cellsAdd = p
 	default:
-		// Algorithm 1 reads the table itself, row by row; only a cell not
-		// published yet comes back here, to be counted and resolved (or, once
-		// ctx is done, to be taken as infeasible).
-		rows := pl.rows(scale)
-		rows.Resolve = func(s, i, j int) partition.Cell {
-			if cancelled.Load() {
-				return partition.Cell{}
-			}
-			idx, _, _ := sv.lookup(tr, s, i, j)
-			return hot[idx]
-		}
 		sol, err := partition.SolveRows(L, p, pl.n, &rows, ws.memo, ws.stale)
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
@@ -846,8 +818,13 @@ func (pl *Planner) CostFor(s, i, j int) (fwd, bwd float64, ok bool) {
 	}
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	c := pl.sv.stageCost(pl.scale, s, i, j)
-	return c.Fwd, c.Bwd, c.OK
+	idx, ok, hit := pl.sv.lookup(nil, s, i, j)
+	if hit {
+		pl.Stats.CostEvaluations++
+		pl.Stats.CacheHits++
+	}
+	c, sc := pl.table.hot[idx], scaleAt(pl.scale, s)
+	return c.F * sc, c.B * sc, ok
 }
 
 // LayerCount returns the length of the partitionable layer sequence.

@@ -78,8 +78,9 @@ func (r *Replan) Speedup() float64 {
 // the 1F1B schedule. The new plan is marked Adopted only if its simulated
 // iteration strictly beats the repriced incumbent's — replanning must never
 // make things worse, so validation happens in the simulator before any
-// live pipeline is rebuilt. The scale stays installed afterwards (the
-// degradation is real until SetStageScale(nil) says otherwise).
+// live pipeline is rebuilt. Once the incumbent is repriced, the scale stays
+// installed (the degradation is real until SetStageScale(nil) says
+// otherwise); an incumbent that cannot be repriced installs nothing.
 //
 // On a warm planner — one whose previous search installed the partition-DP
 // memo — the re-search runs incrementally: only the DP levels at or below
@@ -107,11 +108,11 @@ func (pl *Planner) ReplanWithScaleContext(ctx context.Context, old *Plan, scale 
 	if err != nil {
 		return nil, err
 	}
-	pl.scale = scale
 	repriced, err := pl.sv.planForBounds(old.Bounds(), scale)
 	if err != nil {
 		return nil, fmt.Errorf("core: repricing incumbent plan: %w", err)
 	}
+	pl.scale = scale
 	next, err := pl.sv.search(ctx, scale)
 	if err != nil {
 		return nil, fmt.Errorf("core: replanning under scaled costs: %w", err)
@@ -136,19 +137,34 @@ func (pl *Planner) ReplanWithScaleContext(ctx context.Context, old *Plan, scale 
 }
 
 // planForBounds prices an explicit partitioning under the stage scale and
-// assembles a Plan for it.
+// assembles a Plan for it. The bounds must split the layers into p non-empty
+// stages, in order.
 func (sv *stageSolver) planForBounds(bounds []int, scale []float64) (*Plan, error) {
-	pl := sv.pl
+	pl, t := sv.pl, sv.pl.table
 	L := len(pl.layers)
 	p := pl.strat.PP
-	if len(bounds) != p+1 || bounds[0] != 0 || bounds[p] != L {
-		return nil, fmt.Errorf("core: bounds %v do not partition %d layers into %d stages", bounds, L, p)
+	ok := len(bounds) == p+1 && bounds[0] == 0 && bounds[p] == L
+	for s := 0; ok && s < p; s++ {
+		ok = bounds[s] < bounds[s+1]
 	}
-	cost := func(s, i, j int) (float64, float64, bool) {
-		c := sv.stageCost(scale, s, i, j)
-		return c.Fwd, c.Bwd, c.OK
+	if !ok {
+		return nil, fmt.Errorf("core: bounds %v do not partition %d layers into %d non-empty stages", bounds, L, p)
 	}
-	total, w, e, m, ok := partition.Evaluate(bounds, pl.n, cost)
+	before := sv.st.CostEvaluations
+	rows := sv.rows(nil, scale, nil)
+	total, w, e, m, ok := partition.Evaluate(bounds, pl.n, &rows)
+	// Evaluate read the stages in order, up to the first infeasible one; the
+	// lookups that missed counted themselves, the rest were hits.
+	read := p
+	for s := 0; !ok && s < p; s++ {
+		if t.hot[t.index(s, bounds[s], bounds[s+1]-1)].State != partition.Feasible {
+			read = s + 1
+			break
+		}
+	}
+	hits := read - (sv.st.CostEvaluations - before)
+	sv.st.CostEvaluations += hits
+	sv.st.CacheHits += hits
 	if !ok {
 		return nil, fmt.Errorf("core: bounds %v exceed the %s memory capacity (OOM)", bounds, pl.cluster.Device.Name)
 	}

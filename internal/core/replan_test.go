@@ -2,9 +2,13 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
+
+	"adapipe/internal/model"
 )
 
 func replanSetup(t *testing.T) (*Planner, *Plan) {
@@ -148,5 +152,42 @@ func TestReplanValidation(t *testing.T) {
 	}
 	if _, err := pl.ReplanWithScale(old, []float64{1}); err == nil || !strings.Contains(err.Error(), "stage scale") {
 		t.Errorf("short scale accepted (err=%v)", err)
+	}
+}
+
+// TestReplanRejectsMalformedBounds: an incumbent whose stages do not split the
+// layers into non-empty ranges in order — out of order, or with an empty
+// stage — is refused with an error that names its bounds, before anything is
+// priced, and leaves the planner's scale as it was: the next search is the
+// nominal one. Such a plan can arrive decoded from JSON.
+func TestReplanRejectsMalformedBounds(t *testing.T) {
+	pl := row{name: "tiny8_p4", model: model.Tiny(8), pp: 4, n: 8, seq: 2048, reserve: 0.15}.planner(t)
+	plan, err := pl.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(plan.Bounds()), "[0 5 9 13 18]"; got != want {
+		t.Fatalf("incumbent bounds %s, want %s", got, want)
+	}
+	for _, bounds := range [][]int{{0, 9, 5, 13, 18}, {0, 5, 5, 13, 18}, {0, 0, 9, 13, 18}} {
+		bad := *plan
+		bad.Stages = slices.Clone(plan.Stages)
+		for s := range bad.Stages {
+			bad.Stages[s].LayerLo, bad.Stages[s].LayerHi = bounds[s], bounds[s+1]
+		}
+		scale := ones(pl.strat.PP)
+		scale[0] = 3
+		r, err := pl.ReplanWithScale(&bad, scale)
+		if err == nil {
+			t.Errorf("bounds %v: replan accepted (adopted %v)", bounds, r.Adopted)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, fmt.Sprint(bounds)) || strings.Contains(msg, "OOM") {
+			t.Errorf("bounds %v: error %q does not name them as malformed", bounds, msg)
+		}
+	}
+	again, err := pl.Plan()
+	if got, want := planned(t, pl, again, err), planned(t, pl, plan, nil); !bytes.Equal(got, want) {
+		t.Errorf("plan after rejected replans differs from the nominal plan:\n got %s\nwant %s", got, want)
 	}
 }

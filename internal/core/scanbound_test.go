@@ -10,7 +10,7 @@ import (
 )
 
 // TestScanBoundIsSound holds the bounds of the planner's row view (rows) to
-// the contract partition.BoundFn states, on every runner row under all four
+// the contract partition.Rows.Bounds states, on every runner row under all four
 // recomputation modes, nominal costs and every scaleVectors entry: for every
 // scanned (s, i, j) — a stage before the last, a start StageStarts allows, an
 // end that leaves a layer to each later stage — whose entry is feasible, the
@@ -57,7 +57,7 @@ func TestScanBoundIsSound(t *testing.T) {
 func checkScanBound(t *testing.T, pl *Planner, stride int, scale []float64) int {
 	t.Helper()
 	L, p := pl.LayerCount(), pl.strat.PP
-	rows := pl.rows(scale)
+	rows := pl.sv.rows(nil, scale, nil)
 	feasible, n := 0, 0
 	for s := 0; s < p-1; s++ {
 		sc := 1.0
@@ -106,7 +106,7 @@ func TestRowViewMatchesIndex(t *testing.T) {
 		r := shapes[2]
 		r.noIso = noIso
 		pl := r.planner(t)
-		rows, tab := pl.rows(nil), pl.table
+		rows, tab := pl.sv.rows(nil, nil, nil), pl.table
 		L, p := tab.L, tab.p
 		for s := 0; s < p; s++ {
 			lo, hi := partition.StageStarts(L, p, s)

@@ -15,6 +15,11 @@ import (
 // non-decreasing in all five components, so a dominated state can never
 // participate in an optimal solution and pruning to the frontier is exact.
 //
+// It reads the table through the row view rows as Algorithm 1 does, but
+// never cuts a scan by rows.Bounds: a candidate whose local T loses to the
+// cell's best can still be a non-dominated state that wins upstream (DESIGN
+// §5).
+//
 // maxFrontier caps the per-cell frontier size as a safety valve; 0 means
 // unlimited. When the cap trims a frontier, the result may lose optimality
 // (it keeps the locally-best states by T), which the returned exact flag
@@ -22,8 +27,8 @@ import (
 //
 // Unlike Solve it has no warm-start memo: it is an ablation baseline that
 // runs one cold search (DESIGN §4).
-func SolveExact(L, p, n int, cost CostFn, maxFrontier int) (Plan, bool, error) {
-	return solveExact(L, p, n, cost, maxFrontier, false)
+func SolveExact(L, p, n int, rows *Rows, maxFrontier int) (Plan, bool, error) {
+	return solveExact(L, p, n, rows, maxFrontier, false)
 }
 
 // exState is one Pareto-frontier state of the exact solver: the Eq. 3 phase
@@ -38,7 +43,7 @@ type exState struct {
 // solveExact is SolveExact with the dominance filter optionally disabled (see
 // pruneFrontier). frontiers[s][i] is the Pareto set for layers i..L−1, stages
 // s..p−1; only the reachable starts of each level are computed.
-func solveExact(L, p, n int, cost CostFn, maxFrontier int, noDominance bool) (Plan, bool, error) {
+func solveExact(L, p, n int, rows *Rows, maxFrontier int, noDominance bool) (Plan, bool, error) {
 	if err := check(L, p, n); err != nil {
 		return Plan{}, false, err
 	}
@@ -47,29 +52,33 @@ func solveExact(L, p, n int, cost CostFn, maxFrontier int, noDominance bool) (Pl
 		frontiers[s] = make([][]exState, L)
 	}
 	exact := true
-	plan := Plan{Bounds: make([]int, p+1), Fwd: make([]float64, p), Bwd: make([]float64, p)}
+	plan := Plan{Bounds: make([]int, p+1)}
 	for s := p - 1; s >= 0; s-- {
 		lo, hi := StageStarts(L, p, s)
+		sc := rows.scale(s)
 		for i := lo; i <= hi; i++ {
+			k, _ := rows.Base(s, i)
 			if s == p-1 {
 				plan.DPCells++
-				if f, b, ok := cost(s, i, L-1); ok {
+				if c := rows.cell(k, s, i, L-1); c.State == Feasible {
+					f, b := float64(c.F*sc), float64(c.B*sc)
 					frontiers[s][i] = []exState{{W: f, E: b, M: f + b, F: f, B: b, split: L - 1}}
 					plan.FrontierStates++
 				}
 				continue
 			}
 			var states []exState
-			for j := i; j <= L-p+s; j++ {
+			for j := i; j <= L-p+s; j, k = j+1, k+rows.Stride {
 				nextStates := frontiers[s+1][j+1]
 				if len(nextStates) == 0 {
 					continue
 				}
 				plan.DPCells++
-				f, b, ok := cost(s, i, j)
-				if !ok {
+				c := rows.cell(k, s, i, j)
+				if c.State != Feasible {
 					continue
 				}
+				f, b := float64(c.F*sc), float64(c.B*sc)
 				for ni, nx := range nextStates {
 					states = append(states, exState{
 						W:     f + math.Max(nx.W+nx.B, float64(p-s-1)*f),
@@ -106,8 +115,6 @@ func solveExact(L, p, n int, cost CostFn, maxFrontier int, noDominance bool) (Pl
 	for s := 0; s < p; s++ {
 		st := frontiers[s][at][idx]
 		plan.Bounds[s] = at
-		plan.Fwd[s] = st.F
-		plan.Bwd[s] = st.B
 		at, idx = st.split+1, st.next
 	}
 	plan.Bounds[p] = L

@@ -48,10 +48,11 @@ func sameCut(t *testing.T, uncut Plan, uncutErr error, cut Plan, cutErr error) {
 // FuzzPartitionSolveVsBruteForce feeds arbitrary small instances to Algorithm
 // 1, its exact Pareto variant and the exponential oracle:
 //   - the row scan, cut and uncut, over a random table in each index layout
-//     passes diffRows: it is the CostFn adapters field for field, never beats
+//     passes diffRows: it is the CostFn adapter field for field, never beats
 //     BruteForce and agrees with it on feasibility, and cut is uncut;
-//   - SolveExact with an unlimited frontier matches BruteForce exactly and
-//     never loses to Algorithm 1;
+//   - SolveExact with an unlimited frontier, reading the same table through
+//     its row view (whose bounds it must ignore), matches BruteForce bit for
+//     bit and never loses to Algorithm 1;
 //   - dominance pruning never moves SolveExact's optimum.
 func FuzzPartitionSolveVsBruteForce(f *testing.F) {
 	f.Add(uint32(1), uint8(6), uint8(3), uint8(8), uint8(0))
@@ -67,7 +68,7 @@ func FuzzPartitionSolveVsBruteForce(f *testing.F) {
 			diffRows(t, tab, n, nil, nil)
 			cost := tab.cost(nil)
 			heur, heurErr := Solve(L, p, n, cost)
-			exact, isExact, exactErr := SolveExact(L, p, n, cost, 0)
+			exact, isExact, exactErr := SolveExact(L, p, n, tab.rows(t, nil, true), 0)
 			brute, bruteErr := BruteForce(L, p, n, cost)
 			if (exactErr == nil) != (bruteErr == nil) {
 				t.Fatalf("feasibility disagreement: SolveExact err=%v, BruteForce err=%v", exactErr, bruteErr)
@@ -76,12 +77,13 @@ func FuzzPartitionSolveVsBruteForce(f *testing.F) {
 				if !isExact {
 					t.Fatal("unlimited frontier reported inexact")
 				}
-				const tol = 1e-9
-				if math.Abs(exact.Total-brute.Total) > tol*(1+brute.Total) {
-					t.Fatalf("SolveExact %.12g != oracle %.12g", exact.Total, brute.Total)
+				// Both price a partitioning by the same recurrences in the
+				// same float operations, and both keep the least total.
+				if math.Float64bits(exact.Total) != math.Float64bits(brute.Total) {
+					t.Fatalf("SolveExact %.17g != oracle %.17g", exact.Total, brute.Total)
 				}
 				// The exact solver can only improve on the heuristic.
-				if heurErr == nil && exact.Total > heur.Total+tol {
+				if heurErr == nil && exact.Total > heur.Total+1e-9 {
 					t.Fatalf("SolveExact %.12g worse than Solve %.12g", exact.Total, heur.Total)
 				}
 			}
@@ -93,7 +95,7 @@ func FuzzPartitionSolveVsBruteForce(f *testing.F) {
 			// dominated state can never derive a smaller total than its
 			// dominator's chain, in IEEE float arithmetic as well as in the
 			// reals.
-			oracle, _, oracleErr := solveExact(L, p, n, cost, 0, true)
+			oracle, _, oracleErr := solveExact(L, p, n, CostRows(cost), 0, true)
 			if (oracleErr == nil) != (exactErr == nil) {
 				t.Fatalf("feasibility disagreement: unpruned oracle err=%v, SolveExact err=%v", oracleErr, exactErr)
 			}
@@ -134,7 +136,7 @@ func stageScaled(base CostFn, sc []float64) CostFn {
 // re-solved under another (recomputing only the levels at or below the
 // highest changed stage) must be bit-identical to a cold solve under the new
 // vector, cut and uncut, in both index layouts, through the row scan and the
-// CostFn adapters alike (diffRows).
+// CostFn adapter alike (diffRows).
 func FuzzPartitionMemoVsCold(f *testing.F) {
 	f.Add(uint32(1), uint8(6), uint8(3), uint8(8), uint8(0), uint8(1), uint8(0))
 	f.Add(uint32(42), uint8(7), uint8(7), uint8(7), uint8(4), uint8(3), uint8(1))

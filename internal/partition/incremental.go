@@ -54,48 +54,15 @@ func (m *Memo) Valid(L, p, n int) bool {
 // The ignored trailing ints exist only because the frozen bench/ still passes
 // a worker count; program call sites pass nothing.
 func SolveMemo(L, p, n int, cost CostFn, memo *Memo, stale int, _ ...int) (Plan, error) {
-	return SolveBounded(L, p, n, cost, nil, memo, stale)
-}
-
-// SolveBounded is SolveMemo with every scan of a recomputed level cut by
-// bound (nil cuts nothing): a scan ends at the first stage end whose bound
-// proves no candidate from there on can beat the cell's best so far. The
-// levels, and so the plan, are bit-identical to an uncut solve; DPCells counts
-// only the evaluations the cut left. It runs the row scan (SolveRows) over a
-// view with one absent cell at stride 0, so every cell the scan reads
-// resolves through cost; bound is asked for every stage end of a row before
-// the row is scanned.
-func SolveBounded(L, p, n int, cost CostFn, bound BoundFn, memo *Memo, stale int) (Plan, error) {
-	if err := check(L, p, n); err != nil {
-		return Plan{}, err
-	}
-	rows := &Rows{
-		Cells: make([]Cell, 1),
-		Base:  func(int, int) (int, int) { return 0, 0 },
-		Resolve: func(s, i, j int) Cell {
-			f, b, ok := cost(s, i, j)
-			if !ok {
-				return Cell{State: Infeasible}
-			}
-			return Cell{F: f, B: b, State: Feasible}
-		},
-	}
-	if bound != nil {
-		row := make([]Bound, L)
-		rows.Bounds, rows.BoundStride = row, 1
-		rows.Base = func(s, i int) (int, int) {
-			for j := i; s < p-1 && j <= L-p+s; j++ {
-				row[j-i].F, row[j-i].B = bound(s, i, j)
-			}
-			return 0, 0
-		}
-	}
-	return SolveRows(L, p, n, rows, memo, stale)
+	return SolveRows(L, p, n, CostRows(cost), memo, stale)
 }
 
 // SolveRows runs Algorithm 1 over the row view rows, warm-started from memo
-// as SolveMemo is, its scans cut when rows has bounds as SolveBounded's are.
-// It is the one scan every Algorithm 1 entry point runs.
+// as SolveMemo is. When rows has bounds, a scan ends at the first stage end
+// whose bound proves no candidate from there on can beat the cell's best so
+// far: the levels, and so the plan, are bit-identical to an uncut solve, and
+// DPCells counts only the evaluations the cut left. It is the one scan every
+// Algorithm 1 entry point runs.
 func SolveRows(L, p, n int, rows *Rows, memo *Memo, stale int) (Plan, error) {
 	if err := check(L, p, n); err != nil {
 		return Plan{}, err
@@ -155,26 +122,18 @@ func StageStarts(L, p, s int) (lo, hi int) {
 // cell is overwritten unconditionally so a reused table never leaks stale
 // states into a recomputed level. A published cell costs its index step and
 // plain reads of it, its bound and the next level's state; only an absent
-// one calls out, to rows.Resolve. The explicit float64 conversions round each
-// product on its own, so no multiply-add fuses across them and a scaled cell
-// carries the bits of a CostFn that scales its costs before returning them.
+// one calls out, to rows.Resolve (Rows.cell). The bound is scaled as the
+// cell is, each product rounded on its own.
 func solveLevel(L, p, n, s int, rows *Rows, P [][]State) int64 {
 	var cells int64
 	lo, hi := StageStarts(L, p, s)
-	table, stride := rows.Cells, rows.Stride
-	sc := 1.0 // x·1 is x, bit for bit
-	if rows.Scale != nil {
-		sc = rows.Scale[s]
-	}
+	stride, sc := rows.Stride, rows.scale(s)
 	if s == p-1 {
 		// Base case: the last stage takes everything that remains.
 		for i := lo; i <= hi; i++ {
 			cells++
 			k, _ := rows.Base(s, i)
-			c := table[k]
-			if c.State == Absent {
-				c = rows.Resolve(s, i, L-1)
-			}
+			c := rows.cell(k, s, i, L-1)
 			if c.State != Feasible {
 				P[p-1][i] = State{}
 				continue
@@ -213,10 +172,7 @@ func solveLevel(L, p, n, s int, rows *Rows, P [][]State) int64 {
 				continue
 			}
 			cells++
-			c := table[k]
-			if c.State == Absent {
-				c = rows.Resolve(s, i, j)
-			}
+			c := rows.cell(k, s, i, j)
 			if c.State != Feasible {
 				continue
 			}
@@ -248,8 +204,8 @@ func fmax(x, y float64) float64 {
 }
 
 // cutMargin shrinks the scan cut's bound by a relative 2⁻³⁰, which covers a
-// BoundFn's permitted 2⁻³¹ excess and the few roundings between n·(f+b) and
-// the t the scan computes (DESIGN §5).
+// bound's permitted 2⁻³¹ excess (Rows.Bounds) and the few roundings between
+// n·(f+b) and the t the scan computes (DESIGN §5).
 const cutMargin = 1 - 0x1p-30
 
 // assembleStates reads the solved table back into a Plan by walking the
@@ -260,15 +216,10 @@ func assembleStates(L, p int, P [][]State) (Plan, error) {
 		return Plan{}, fmt.Errorf("partition: no memory-feasible partitioning of %d layers into %d stages", L, p)
 	}
 	plan := Plan{Bounds: make([]int, p+1), Total: root.T, W: root.W, E: root.E, M: root.M}
-	plan.Fwd = make([]float64, p)
-	plan.Bwd = make([]float64, p)
 	at := 0
 	for s := 0; s < p; s++ {
 		plan.Bounds[s] = at
-		st := P[s][at]
-		plan.Fwd[s] = st.F
-		plan.Bwd[s] = st.B
-		at = st.Split + 1
+		at = P[s][at].Split + 1
 	}
 	plan.Bounds[p] = L
 	return plan, nil

@@ -10,12 +10,6 @@ import (
 	"math"
 )
 
-// CostFn reports the optimal forward and backward times (seconds per
-// micro-batch) of layers i..j (inclusive, 0-based) when they run as stage s,
-// and whether that assignment fits in stage s's memory. It corresponds to
-// the f[s,i,j] / b[s,i,j] arrays of Algorithm 1.
-type CostFn func(s, i, j int) (fwd, bwd float64, ok bool)
-
 // Cell states. A cell moves from Absent to Infeasible or Feasible once, when
 // the table's owner publishes it, and keeps that state.
 const (
@@ -38,19 +32,24 @@ type Bound struct {
 	F, B float64
 }
 
-// Rows is the row view of a cost table that Algorithm 1 scans. For a stage s
-// and a start layer i, the stage ends j = i, i+1, … sit at constant strides
-// in both arrays, so the scan reaches every cell of a row by index arithmetic:
-// with c, b = Base(s, i), cell (s, i, j) is Cells[c+(j−i)·Stride] and its
-// bound Bounds[b+(j−i)·BoundStride]. The last stage runs only the ranges that
-// end with the last layer, so its row is one cell, and c is the index of
+// Rows is the row view of a cost table, the one way every solver reads it:
+// Algorithm 1 (SolveRows), the exact variant (SolveExact) and the pricing of
+// a given partitioning (Evaluate). For a stage s and a start layer i, the
+// stage ends j = i, i+1, … sit at constant strides in both arrays, so a solver
+// reaches every cell of a row by index arithmetic: with c, b = Base(s, i),
+// cell (s, i, j) is Cells[c+(j−i)·Stride] and its bound
+// Bounds[b+(j−i)·BoundStride]. The last stage runs only the ranges that end
+// with the last layer, so its row is one cell, and c is the index of
 // (p−1, i, L−1).
 type Rows struct {
 	Cells  []Cell
 	Stride int
-	// Bounds cuts the scans (SolveBounded); nil scans every row uncut. Scaled
-	// by Scale, each bound must keep BoundFn's contract against its scaled
-	// cell.
+	// Bounds cuts Algorithm 1's scans; nil scans every row uncut. SolveExact
+	// and Evaluate never read it. A bound lets a scan end early without
+	// changing a bit of its result (DESIGN §5), provided two properties the
+	// view's owner keeps: scaled by Scale, the bound's F+B does not exceed a
+	// feasible cell's scaled F+B by more than a relative 2⁻³¹; and for fixed
+	// (s, i), F+B is nondecreasing in j.
 	Bounds      []Bound
 	BoundStride int
 	// Base returns the indices of row (s, i)'s first cell and first bound.
@@ -59,21 +58,57 @@ type Rows struct {
 	// Scale multiplies stage s's cells and bounds by Scale[s]; nil is the
 	// nominal table.
 	Scale []float64
-	// Resolve returns the value of cell (s, i, j), which the scan found
+	// Resolve returns the value of cell (s, i, j), which a solver found
 	// Absent; whether it publishes the cell into Cells is the caller's
 	// business. A returned cell that is not Feasible counts as infeasible.
-	// It is the only call the scan makes per cell, and it makes it only
+	// It is the only call a solver makes per cell, and it makes it only
 	// for an absent one.
 	Resolve func(s, i, j int) Cell
 }
 
-// BoundFn reports lower bounds on the forward and backward times of layers
-// i..j run as stage s, known before the cost itself is asked for. It lets
-// Algorithm 1 end a scan early without changing a bit of its result (DESIGN
-// §5). Two properties are the caller's to keep: for every (s, i, j) the cost
-// reports feasible, fwd+bwd does not exceed the cost's f+b by more than a
-// relative 2⁻³¹; and for fixed (s, i), fwd+bwd is nondecreasing in j.
-type BoundFn func(s, i, j int) (fwd, bwd float64)
+// scale is stage s's multiplier: Scale[s], or 1 for the nominal table (x·1
+// is x, bit for bit).
+func (r *Rows) scale(s int) float64 {
+	if r.Scale == nil {
+		return 1
+	}
+	return r.Scale[s]
+}
+
+// cell returns cell k, the cell of (s, i, j), resolving it first if it is
+// absent. A solver scales a feasible cell's times by its stage's multiplier
+// as float64(c.F·sc): the explicit conversion rounds each product on its own,
+// so no multiply-add fuses across it and a scaled cell carries the bits of a
+// cost function that scales its times before returning them.
+func (r *Rows) cell(k, s, i, j int) Cell {
+	if c := r.Cells[k]; c.State != Absent {
+		return c
+	}
+	return r.Resolve(s, i, j)
+}
+
+// CostFn reports the optimal forward and backward times (seconds per
+// micro-batch) of layers i..j (inclusive, 0-based) when they run as stage s,
+// and whether that assignment fits in stage s's memory. It corresponds to
+// the f[s,i,j] / b[s,i,j] arrays of Algorithm 1.
+type CostFn func(s, i, j int) (fwd, bwd float64, ok bool)
+
+// CostRows is the row view of a cost function: one absent cell at stride 0,
+// so every cell a solver reads resolves through cost, once per read. It has
+// no bounds and no scale.
+func CostRows(cost CostFn) *Rows {
+	return &Rows{
+		Cells: make([]Cell, 1),
+		Base:  func(int, int) (int, int) { return 0, 0 },
+		Resolve: func(s, i, j int) Cell {
+			f, b, ok := cost(s, i, j)
+			if !ok {
+				return Cell{State: Infeasible}
+			}
+			return Cell{F: f, B: b, State: Feasible}
+		},
+	}
+}
 
 // State is the DP state of Algorithm 1: the best result for the layer suffix
 // starting at some layer when stages s..p−1 remain.
@@ -106,8 +141,6 @@ type Plan struct {
 	Total float64
 	// W, E and M are the stage-0 phase values.
 	W, E, M float64
-	// Fwd and Bwd are the per-stage forward/backward times.
-	Fwd, Bwd []float64
 	// DPCells counts the (stage, start, end) cost evaluations the DP
 	// performed — the search-effort figure the observability layer reports.
 	// A warm-started solve counts only the recomputed levels here.
@@ -121,32 +154,39 @@ type Plan struct {
 	FrontierStates int
 }
 
-// Solve runs Algorithm 1 for L layers, p stages and n micro-batches.
-// It returns an error when the inputs are malformed or no memory-feasible
-// partitioning exists.
+// Solve runs Algorithm 1 for L layers, p stages and n micro-batches over
+// cost (CostRows), cold. It returns an error when the inputs are malformed or
+// no memory-feasible partitioning exists.
 func Solve(L, p, n int, cost CostFn) (Plan, error) {
-	// A nil memo forces a cold solve: every level is computed from scratch
-	// by the shared level code in incremental.go.
-	return SolveMemo(L, p, n, cost, nil, p-1)
+	return SolveRows(L, p, n, CostRows(cost), nil, p-1)
 }
 
 // SolveWorkers is Solve; it remains only because the frozen bench/ calls it.
 func SolveWorkers(L, p, n int, cost CostFn, _ int) (Plan, error) { return Solve(L, p, n, cost) }
 
 // Evaluate computes the modeled iteration time of an arbitrary partitioning
-// under the same 1F1B cost model Algorithm 1 optimizes (Eq. 3 recurrences).
-// bounds must have p+1 entries. It returns ok=false when any stage is
-// memory-infeasible.
-func Evaluate(bounds []int, n int, cost CostFn) (total, w0, e0, m0 float64, ok bool) {
+// of rows' layers under the same 1F1B cost model Algorithm 1 optimizes (Eq. 3
+// recurrences). bounds must have p+1 strictly increasing entries from 0 to
+// the table's layer count L, the last stage's row being the range that ends
+// at layer L−1; the caller checks that. It reads each stage's cell, in stage
+// order, as the solvers do, and ignores rows.Bounds. It returns ok=false when
+// any stage is memory-infeasible, having read no stage past it.
+func Evaluate(bounds []int, n int, rows *Rows) (total, w0, e0, m0 float64, ok bool) {
 	p := len(bounds) - 1
 	fs := make([]float64, p)
 	bs := make([]float64, p)
 	for s := 0; s < p; s++ {
-		f, b, feasible := cost(s, bounds[s], bounds[s+1]-1)
-		if !feasible {
+		i, j := bounds[s], bounds[s+1]-1
+		k, _ := rows.Base(s, i)
+		if s < p-1 {
+			k += (j - i) * rows.Stride
+		}
+		c := rows.cell(k, s, i, j)
+		if c.State != Feasible {
 			return 0, 0, 0, 0, false
 		}
-		fs[s], bs[s] = f, b
+		sc := rows.scale(s)
+		fs[s], bs[s] = float64(c.F*sc), float64(c.B*sc)
 	}
 	w := fs[p-1]
 	e := bs[p-1]
@@ -157,46 +197,6 @@ func Evaluate(bounds []int, n int, cost CostFn) (total, w0, e0, m0 float64, ok b
 		m = math.Max(m, fs[s]+bs[s])
 	}
 	return w + e + float64(n-p)*m, w, e, m, true
-}
-
-// BruteForce enumerates every partitioning of L layers into p non-empty
-// contiguous stages, evaluates each with Evaluate, and returns the best.
-// It is the test oracle; exponential in p.
-func BruteForce(L, p, n int, cost CostFn) (Plan, error) {
-	if err := check(L, p, n); err != nil {
-		return Plan{}, err
-	}
-	bounds := make([]int, p+1)
-	bounds[0], bounds[p] = 0, L
-	best := Plan{Total: math.Inf(1)}
-	var rec func(stage int)
-	rec = func(stage int) {
-		if stage == p-1 {
-			// The last stage takes everything that remains.
-			total, w, e, m, ok := Evaluate(bounds, n, cost)
-			if ok && total < best.Total {
-				best = Plan{Bounds: append([]int(nil), bounds...), Total: total, W: w, E: e, M: m}
-			}
-			return
-		}
-		// Stage `stage` starts at bounds[stage]; choose its end, leaving
-		// at least one layer per remaining stage.
-		for end := bounds[stage] + 1; end <= L-(p-stage-1); end++ {
-			bounds[stage+1] = end
-			rec(stage + 1)
-		}
-	}
-	rec(0)
-	if math.IsInf(best.Total, 1) {
-		return Plan{}, fmt.Errorf("partition: brute force found no feasible partitioning")
-	}
-	best.Fwd = make([]float64, p)
-	best.Bwd = make([]float64, p)
-	for s := 0; s < p; s++ {
-		f, b, _ := cost(s, best.Bounds[s], best.Bounds[s+1]-1)
-		best.Fwd[s], best.Bwd[s] = f, b
-	}
-	return best, nil
 }
 
 // Even returns the uniform partitioning baseline: decoder layers split as

@@ -1,11 +1,47 @@
 package partition
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
 )
+
+// BruteForce enumerates every partitioning of L layers into p non-empty
+// contiguous stages, evaluates each with Evaluate, and returns the best. It
+// is the test oracle; exponential in p.
+func BruteForce(L, p, n int, cost CostFn) (Plan, error) {
+	if err := check(L, p, n); err != nil {
+		return Plan{}, err
+	}
+	rows := CostRows(cost)
+	bounds := make([]int, p+1)
+	bounds[0], bounds[p] = 0, L
+	best := Plan{Total: math.Inf(1)}
+	var rec func(stage int)
+	rec = func(stage int) {
+		if stage == p-1 {
+			// The last stage takes everything that remains.
+			total, w, e, m, ok := Evaluate(bounds, n, rows)
+			if ok && total < best.Total {
+				best = Plan{Bounds: append([]int(nil), bounds...), Total: total, W: w, E: e, M: m}
+			}
+			return
+		}
+		// Stage `stage` starts at bounds[stage]; choose its end, leaving
+		// at least one layer per remaining stage.
+		for end := bounds[stage] + 1; end <= L-(p-stage-1); end++ {
+			bounds[stage+1] = end
+			rec(stage + 1)
+		}
+	}
+	rec(0)
+	if math.IsInf(best.Total, 1) {
+		return Plan{}, fmt.Errorf("partition: brute force found no feasible partitioning")
+	}
+	return best, nil
+}
 
 // uniformCost builds a CostFn with identical per-layer costs.
 func uniformCost(f, b float64) CostFn {
@@ -70,6 +106,9 @@ func TestSolveMatchesBruteForceUniform(t *testing.T) {
 	}
 }
 
+// sameBits reports whether two times are the same float64, bit for bit.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
 func TestSolveConsistentWithEvaluate(t *testing.T) {
 	// Algorithm 1's reported total must equal re-evaluating its chosen
 	// bounds under the same cost model.
@@ -80,13 +119,13 @@ func TestSolveConsistentWithEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total, w, e, m, ok := Evaluate(plan.Bounds, 8, cost)
+	total, w, e, m, ok := Evaluate(plan.Bounds, 8, CostRows(cost))
 	if !ok {
 		t.Fatal("chosen bounds infeasible under Evaluate")
 	}
-	if math.Abs(total-plan.Total) > 1e-9 || math.Abs(w-plan.W) > 1e-9 ||
-		math.Abs(e-plan.E) > 1e-9 || math.Abs(m-plan.M) > 1e-9 {
-		t.Errorf("Solve (%g,%g,%g,%g) != Evaluate (%g,%g,%g,%g)",
+	// Both run the same recurrences in the same float operations.
+	if !sameBits(total, plan.Total) || !sameBits(w, plan.W) || !sameBits(e, plan.E) || !sameBits(m, plan.M) {
+		t.Errorf("Solve (%.17g,%.17g,%.17g,%.17g) != Evaluate (%.17g,%.17g,%.17g,%.17g)",
 			plan.Total, plan.W, plan.E, plan.M, total, w, e, m)
 	}
 }
@@ -166,7 +205,7 @@ func TestSolveRebalancesSkewedBackward(t *testing.T) {
 		t.Errorf("stage 0 kept %d layers, want fewer than the even %d", hi-lo, L/p)
 	}
 	// And it must beat the even split.
-	evenTotal, _, _, _, ok := Evaluate(Even(L, p), n, cost)
+	evenTotal, _, _, _, ok := Evaluate(Even(L, p), n, CostRows(cost))
 	if !ok {
 		t.Fatal("even split infeasible")
 	}
@@ -177,7 +216,7 @@ func TestSolveRebalancesSkewedBackward(t *testing.T) {
 
 func TestEvaluateRejectsInfeasible(t *testing.T) {
 	cost := func(s, i, j int) (float64, float64, bool) { return 1, 1, s != 1 }
-	if _, _, _, _, ok := Evaluate([]int{0, 2, 4, 6}, 6, cost); ok {
+	if _, _, _, _, ok := Evaluate([]int{0, 2, 4, 6}, 6, CostRows(cost)); ok {
 		t.Error("Evaluate accepted infeasible stage")
 	}
 }
@@ -269,7 +308,7 @@ func TestSolveExactMatchesBruteForce(t *testing.T) {
 			bcost[i] = fcost[i] + float64(bs[i]%9)
 		}
 		cost := tableCost(fcost, bcost, nil)
-		got, exact, err1 := SolveExact(L, p, n, cost, 0)
+		got, exact, err1 := SolveExact(L, p, n, CostRows(cost), 0)
 		want, err2 := BruteForce(L, p, n, cost)
 		if err1 != nil || err2 != nil || !exact {
 			return false
@@ -293,7 +332,7 @@ func TestSolveExactNeverWorseThanAlgorithm1(t *testing.T) {
 		}
 		cost := tableCost(fcost, bcost, nil)
 		heur, err1 := Solve(L, p, n, cost)
-		exactPlan, _, err2 := SolveExact(L, p, n, cost, 0)
+		exactPlan, _, err2 := SolveExact(L, p, n, CostRows(cost), 0)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -306,7 +345,7 @@ func TestSolveExactNeverWorseThanAlgorithm1(t *testing.T) {
 
 func TestSolveExactFrontierCap(t *testing.T) {
 	cost := uniformCost(1, 2)
-	plan, exact, err := SolveExact(12, 4, 8, cost, 1)
+	plan, exact, err := SolveExact(12, 4, 8, CostRows(cost), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,10 +358,10 @@ func TestSolveExactFrontierCap(t *testing.T) {
 
 func TestSolveExactInfeasible(t *testing.T) {
 	cost := func(s, i, j int) (float64, float64, bool) { return 0, 0, false }
-	if _, _, err := SolveExact(6, 2, 4, cost, 0); err == nil {
+	if _, _, err := SolveExact(6, 2, 4, CostRows(cost), 0); err == nil {
 		t.Error("globally infeasible input accepted")
 	}
-	if _, _, err := SolveExact(4, 5, 8, cost, 0); err == nil {
+	if _, _, err := SolveExact(4, 5, 8, CostRows(cost), 0); err == nil {
 		t.Error("p > L accepted")
 	}
 }
@@ -331,11 +370,11 @@ func TestSolveExactBoundsConsistent(t *testing.T) {
 	f := []float64{1, 3, 2, 5, 1, 2, 4, 1, 2, 3}
 	b := []float64{2, 5, 4, 9, 3, 4, 7, 2, 5, 6}
 	cost := tableCost(f, b, nil)
-	plan, exact, err := SolveExact(len(f), 3, 8, cost, 0)
+	plan, exact, err := SolveExact(len(f), 3, 8, CostRows(cost), 0)
 	if err != nil || !exact {
 		t.Fatal(err)
 	}
-	total, w, e, m, ok := Evaluate(plan.Bounds, 8, cost)
+	total, w, e, m, ok := Evaluate(plan.Bounds, 8, CostRows(cost))
 	if !ok {
 		t.Fatal("exact bounds infeasible under Evaluate")
 	}
@@ -362,7 +401,7 @@ func TestSolveCountsDPCells(t *testing.T) {
 		t.Errorf("Algorithm 1 reported %d frontier states", plan.FrontierStates)
 	}
 
-	exact, _, err := SolveExact(8, 3, 6, uniformCost(1, 2), 0)
+	exact, _, err := SolveExact(8, 3, 6, CostRows(uniformCost(1, 2)), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,15 +413,46 @@ func TestSolveCountsDPCells(t *testing.T) {
 	}
 }
 
+// boundedRows is cost and bound over the cells a scan reads, laid out as a
+// raw table, (s·L+i)·L+j for both, cells and bounds stepping by one along a
+// row, so a scan over it is cut by bound.
+func boundedRows(L, p int, cost CostFn, bound func(s, i, j int) (float64, float64)) *Rows {
+	r := &Rows{Cells: make([]Cell, p*L*L), Stride: 1, Bounds: make([]Bound, p*L*L), BoundStride: 1}
+	resolve := CostRows(cost).Resolve
+	for s := 0; s < p; s++ {
+		lo, hi := StageStarts(L, p, s)
+		for i := lo; i <= hi; i++ {
+			first := i
+			if s == p-1 {
+				first = L - 1 // the last stage's row is its one range
+			}
+			for j := first; j <= L-p+s; j++ {
+				k := (s*L+i)*L + j
+				r.Cells[k] = resolve(s, i, j)
+				r.Bounds[k].F, r.Bounds[k].B = bound(s, i, j)
+			}
+		}
+	}
+	r.Base = func(s, i int) (int, int) {
+		k := (s*L+i)*L + i
+		if s == p-1 {
+			k += L - 1 - i
+		}
+		return k, k
+	}
+	return r
+}
+
 // TestSolveBoundedCutsOnlyWithAValidBound is the other side of the fuzzers'
-// cut legs. A bound within BoundFn's contract leaves the plan as it was in
-// fewer cells, while one above the cost moves it: the check the legs make can
-// fail. On the tight instance the winning candidate's t is its own bound,
+// cut legs. A bound within the Rows.Bounds contract leaves the plan as it was
+// in fewer cells, while one above the cost moves it: the check the legs make
+// can fail. On the tight instance the winning candidate's t is its own bound,
 // n·(f+b), and beats the scan's first candidate by 2·10⁻⁸, so a cut that
 // fired short of the proof — on best.T shrunk by a relative 10⁻⁸ — would keep
 // the first.
 func TestSolveBoundedCutsOnlyWithAValidBound(t *testing.T) {
-	itself := func(cost CostFn) BoundFn {
+	type boundFn = func(s, i, j int) (float64, float64)
+	itself := func(cost CostFn) boundFn {
 		return func(s, i, j int) (float64, float64) { f, b, _ := cost(s, i, j); return f, b }
 	}
 	uniform := uniformCost(1, 2)
@@ -400,7 +470,7 @@ func TestSolveBoundedCutsOnlyWithAValidBound(t *testing.T) {
 		name    string
 		L, p, n int
 		cost    CostFn
-		bound   BoundFn
+		bound   boundFn
 		valid   bool
 	}{
 		{"uniform/the cost itself", 12, 3, 16, uniform, itself(uniform), true},
@@ -416,7 +486,7 @@ func TestSolveBoundedCutsOnlyWithAValidBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cut, err := SolveBounded(tc.L, tc.p, tc.n, tc.cost, tc.bound, nil, tc.p-1)
+			cut, err := SolveRows(tc.L, tc.p, tc.n, boundedRows(tc.L, tc.p, tc.cost, tc.bound), nil, tc.p-1)
 			if err != nil {
 				t.Fatal(err)
 			}

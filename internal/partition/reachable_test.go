@@ -89,8 +89,8 @@ func fullTableFrontiers(L, p, n int, cost CostFn, maxFrontier int) [][][]exState
 	return F
 }
 
-// solution strips a plan down to what a partitioning is: its bounds, the
-// modeled totals and the per-stage times. The effort counters legitimately
+// solution strips a plan down to what a partitioning is: its bounds and the
+// modeled totals. The effort counters legitimately
 // differ — that is the point of pruning.
 func solution(pl Plan) Plan {
 	pl = stripEffort(pl)
@@ -163,7 +163,7 @@ func TestReachableLevelsMatchFullTable(t *testing.T) {
 
 			for _, fcap := range []int{0, 3} {
 				refF := fullTableFrontiers(L, p, n, cost, fcap)
-				gotE, _, errE := SolveExact(L, p, n, cost, fcap)
+				gotE, _, errE := SolveExact(L, p, n, CostRows(cost), fcap)
 				if (errE == nil) != (len(refF[0][0]) > 0) {
 					t.Fatalf("%s cap %d: pruned err %v, full table root has %d states", name, fcap, errE, len(refF[0][0]))
 				}
@@ -177,12 +177,12 @@ func TestReachableLevelsMatchFullTable(t *testing.T) {
 						bestT, bestIdx = tt, idx
 					}
 				}
-				wantE := Plan{Bounds: make([]int, p+1), Total: bestT, Fwd: make([]float64, p), Bwd: make([]float64, p)}
+				wantE := Plan{Bounds: make([]int, p+1), Total: bestT}
 				wantE.W, wantE.E, wantE.M = refF[0][0][bestIdx].W, refF[0][0][bestIdx].E, refF[0][0][bestIdx].M
 				at, idx := 0, bestIdx
 				for s := 0; s < p; s++ {
 					st := refF[s][at][idx]
-					wantE.Bounds[s], wantE.Fwd[s], wantE.Bwd[s] = at, st.F, st.B
+					wantE.Bounds[s] = at
 					at, idx = st.split+1, st.next
 				}
 				wantE.Bounds[p] = L

@@ -126,21 +126,13 @@ func (tab *randTable) rows(t *testing.T, scale []float64, cut bool) *Rows {
 	return r
 }
 
-// cost and boundFn are the table under scale as the CostFn and BoundFn the
-// adapters take: each time is scaled once, as the scan scales it.
+// cost is the table under scale as the CostFn the adapter takes: each time
+// is scaled once, as the scan scales it.
 func (tab *randTable) cost(scale []float64) CostFn {
 	return func(s, i, j int) (float64, float64, bool) {
 		c := tab.truth[tab.index(s, i, j)]
 		sc := scaleOf(scale, s)
 		return c.F * sc, c.B * sc, c.State == Feasible
-	}
-}
-
-func (tab *randTable) boundFn(scale []float64) BoundFn {
-	return func(s, i, j int) (float64, float64) {
-		bd := tab.bounds[tab.bound(i, j)]
-		sc := scaleOf(scale, s)
-		return bd.F * sc, bd.B * sc
 	}
 }
 
@@ -176,12 +168,13 @@ func sameSolve(t *testing.T, what string, want Plan, wantErr error, got Plan, go
 }
 
 // diffRows is the row scan's differential check on one table: under scale,
-// cold, cut and uncut, it must equal the CostFn adapters (SolveBounded,
-// SolveMemo) field for field, the cut run must give the uncut plan in no more
-// cells, and Algorithm 1 must never beat BruteForce and agree with it on
-// feasibility. Warm-started from a memo filled under prev, with only the
-// levels up to the highest rescaled stage recomputed, it must give the cold
-// plan, and equal the adapter's warm run field for field.
+// cold, uncut, it must equal the CostFn adapter (SolveMemo) field for field;
+// cut, it must give the uncut plan in no more cells; either way Algorithm 1
+// must never beat BruteForce, agree with it on feasibility, and total what
+// Evaluate, reading the same view, prices its plan at, bit for bit.
+// Warm-started from a memo filled under prev, with only the levels up to the
+// highest rescaled stage recomputed, it must give the cold plan, and uncut
+// equal the adapter's warm run field for field.
 func diffRows(t *testing.T, tab *randTable, n int, prev, scale []float64) {
 	t.Helper()
 	L, p := tab.L, tab.p
@@ -190,17 +183,11 @@ func diffRows(t *testing.T, tab *randTable, n int, prev, scale []float64) {
 	var uncut Plan
 	var uncutErr error
 	for _, cut := range []bool{false, true} {
-		bound := BoundFn(nil)
-		if cut {
-			bound = tab.boundFn(scale)
-		}
 		cold, coldErr := SolveRows(L, p, n, tab.rows(t, scale, cut), nil, p-1)
-		adapted, adaptedErr := SolveBounded(L, p, n, cost, bound, nil, p-1)
-		sameSolve(t, "cold adapter", cold, coldErr, adapted, adaptedErr)
 		if !cut {
 			uncut, uncutErr = cold, coldErr
-			memoless, memolessErr := SolveMemo(L, p, n, cost, nil, p-1)
-			sameSolve(t, "SolveMemo", cold, coldErr, memoless, memolessErr)
+			adapted, adaptedErr := SolveMemo(L, p, n, cost, nil, p-1)
+			sameSolve(t, "cold adapter", cold, coldErr, adapted, adaptedErr)
 		} else {
 			sameCut(t, uncut, uncutErr, cold, coldErr)
 		}
@@ -212,27 +199,26 @@ func diffRows(t *testing.T, tab *randTable, n int, prev, scale []float64) {
 			if cold.Total < brute.Total-tol*(1+brute.Total) {
 				t.Fatalf("cut=%v: Algorithm 1's %.12g beats the oracle's %.12g", cut, cold.Total, brute.Total)
 			}
-			if total, _, _, _, ok := Evaluate(cold.Bounds, n, cost); !ok || math.Abs(total-cold.Total) > tol*(1+total) {
-				t.Fatalf("cut=%v: plan total %.12g, Evaluate %.12g (ok=%v)", cut, cold.Total, total, ok)
+			total, _, _, _, ok := Evaluate(cold.Bounds, n, tab.rows(t, scale, cut))
+			if !ok || math.Float64bits(total) != math.Float64bits(cold.Total) {
+				t.Fatalf("cut=%v: plan total %.17g, Evaluate %.17g (ok=%v)", cut, cold.Total, total, ok)
 			}
 		}
 
 		stale := staleStage(prev, scale, p)
 		memo, adaptedMemo := &Memo{}, &Memo{}
 		first, firstErr := SolveRows(L, p, n, tab.rows(t, prev, cut), memo, p-1)
-		bound0 := BoundFn(nil)
-		if cut {
-			bound0 = tab.boundFn(prev)
-		}
-		if _, err := SolveBounded(L, p, n, tab.cost(prev), bound0, adaptedMemo, p-1); (err == nil) != (firstErr == nil) {
-			t.Fatalf("cut=%v: memo fill: adapter err=%v, rows err=%v", cut, err, firstErr)
-		}
 		if (firstErr == nil) != (coldErr == nil) {
 			t.Fatalf("cut=%v: feasibility moved with the scale: err=%v under %v, err=%v under %v", cut, firstErr, prev, coldErr, scale)
 		}
 		warm, warmErr := SolveRows(L, p, n, tab.rows(t, scale, cut), memo, stale)
-		adaptedWarm, adaptedWarmErr := SolveBounded(L, p, n, cost, bound, adaptedMemo, stale)
-		sameSolve(t, "warm adapter", warm, warmErr, adaptedWarm, adaptedWarmErr)
+		if !cut {
+			if _, err := SolveMemo(L, p, n, tab.cost(prev), adaptedMemo, p-1); (err == nil) != (firstErr == nil) {
+				t.Fatalf("memo fill: adapter err=%v, rows err=%v", err, firstErr)
+			}
+			adaptedWarm, adaptedWarmErr := SolveMemo(L, p, n, cost, adaptedMemo, stale)
+			sameSolve(t, "warm adapter", warm, warmErr, adaptedWarm, adaptedWarmErr)
+		}
 		if (warmErr == nil) != (coldErr == nil) {
 			t.Fatalf("cut=%v: feasibility disagreement: warm err=%v, cold err=%v", cut, warmErr, coldErr)
 		}

@@ -7,47 +7,18 @@ import "adapipe/internal/cpu"
 // portable loop below — and they agree bit for bit, in the table and in the
 // choice bits.
 
-// rowLevel names a row-pass path; a wider one is a larger value.
-type rowLevel int
-
-const (
-	levelGeneric rowLevel = iota // rowCells alone
-	levelAVX2                    // 4-cell blocks
-	levelAVX512                  // 8-cell blocks
-)
-
-// rowLevelNames are the paths as the test hook and the benchmark rows name
-// them.
-var rowLevelNames = [...]string{levelGeneric: "generic", levelAVX2: "avx2", levelAVX512: "avx512"}
-
-// cpuLevel is the widest path this CPU has.
-func cpuLevel() rowLevel {
-	switch {
-	case cpu.AVX512:
-		return levelAVX512
-	case cpu.AVX2:
-		return levelAVX2
-	}
-	return levelGeneric
-}
-
-// level selects the row pass. It is decided once, from the CPU; nothing but
-// setRowLevel changes it.
-var level = cpuLevel()
+// level selects the row pass: 8-cell blocks at avx512, 4-cell blocks at
+// avx2, rowCells alone at generic. It is decided once, from the CPU; nothing
+// but setRowLevel changes it.
+var level = cpu.Widest()
 
 // setRowLevel is the test hook: it selects the named path ("avx512", "avx2"
 // or "generic") — or, where the CPU lacks it, the widest narrower one it
 // has — and returns the previous path's name, so the tests and the root
 // package's BenchmarkKnapsack can hold every path to the same oracle.
 func setRowLevel(name string) (was string) {
-	want := levelGeneric
-	for l, n := range rowLevelNames {
-		if n == name {
-			want = rowLevel(l)
-		}
-	}
-	was = rowLevelNames[level]
-	level = min(want, cpuLevel())
+	was = level.String()
+	level = cpu.Pick(name)
 	return was
 }
 
@@ -71,16 +42,16 @@ func rowPass(dst, src []float64, value float64, words []uint64) {
 	src, words = src[:n], words[:(n+63)/64] // the blocks write through pointers
 	blocks := 0
 	switch level {
-	case levelAVX512:
+	case cpu.LevelAVX512:
 		blocks = n &^ 7
-	case levelAVX2:
+	case cpu.LevelAVX2:
 		blocks = n &^ 3
 	}
 	acc := rowCells(dst, src, value, words, blocks)
 	if blocks == 0 {
 		return
 	}
-	if level == levelAVX512 {
+	if level == cpu.LevelAVX512 {
 		rowBlocksAVX512(&dst[0], &src[0], value, &words[0], blocks, acc)
 	} else {
 		rowBlocksAVX2(&dst[0], &src[0], value, &words[0], blocks, acc)

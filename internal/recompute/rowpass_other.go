@@ -2,7 +2,7 @@
 
 package recompute
 
-// Off amd64 there is no vector path: level stays levelGeneric and rowCells
+// Off amd64 there is no vector path: level stays cpu.LevelGeneric and rowCells
 // does every cell.
 
 func rowBlocksAVX2(dst, src *float64, value float64, words *uint64, n int, acc uint64) {

@@ -28,7 +28,7 @@ func TestCostModelMatchesSimulationUniform(t *testing.T) {
 		for i := range bounds {
 			bounds[i] = i
 		}
-		modelTotal, _, _, _, ok := partition.Evaluate(bounds, n, costFn)
+		modelTotal, _, _, _, ok := partition.Evaluate(bounds, n, partition.CostRows(costFn))
 		if !ok {
 			return false
 		}
@@ -78,7 +78,7 @@ func TestCostModelBoundsSimulation(t *testing.T) {
 		for i := range bounds {
 			bounds[i] = i
 		}
-		modelTotal, _, _, _, ok := partition.Evaluate(bounds, n, costFn)
+		modelTotal, _, _, _, ok := partition.Evaluate(bounds, n, partition.CostRows(costFn))
 		if !ok {
 			return false
 		}
@@ -122,7 +122,7 @@ func TestCostModelIsLowerBoundWithComm(t *testing.T) {
 			costs[s] = StageCost{Fwd: fwd[s], Bwd: bwd[s], CommFwd: c, CommBwd: c}
 		}
 		costFn := func(s, i, j int) (float64, float64, bool) { return fwd[s], bwd[s], true }
-		modelTotal, _, _, _, _ := partition.Evaluate([]int{0, 1, 2, 3, 4}, n, costFn)
+		modelTotal, _, _, _, _ := partition.Evaluate([]int{0, 1, 2, 3, 4}, n, partition.CostRows(costFn))
 		sched, _ := schedule.OneFOneB(p, n)
 		res, err := Run(Input{Sched: sched, Stages: costs})
 		if err != nil {

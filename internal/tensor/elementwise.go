@@ -1,6 +1,10 @@
 package tensor
 
-import "math"
+import (
+	"math"
+
+	"adapipe/internal/cpu"
+)
 
 // The element-wise operations of the executor. Each has two paths: an AVX2
 // kernel (elementwise_amd64.s), which runs at both of the products' vector
@@ -56,7 +60,7 @@ func AccumulateRows(dst []float64, a *Mat) {
 // add sets dst[j] = a[j] + b[j]; a and b are at least as long as dst.
 func add(dst, a, b []float64) {
 	j := 0
-	if level >= levelAVX2 {
+	if level >= cpu.LevelAVX2 {
 		j = addAVX2(dst, a, b)
 	}
 	a, b = a[:len(dst)], b[:len(dst)]
@@ -70,7 +74,7 @@ func ScaleInPlace(a *Mat, s float64) { scale(a.Data, s) }
 
 func scale(d []float64, s float64) {
 	j := 0
-	if level >= levelAVX2 {
+	if level >= cpu.LevelAVX2 {
 		j = scaleAVX2(d, s)
 	}
 	for ; j < len(d); j++ {
@@ -88,7 +92,7 @@ type AdamStep struct{ Inv, Beta1, Beta2, C1, C2, LR, Eps float64 }
 func AdamUpdate(w, g, m, v []float64, s *AdamStep) {
 	g, m, v = g[:len(w)], m[:len(w)], v[:len(w)]
 	j := 0
-	if level >= levelAVX2 {
+	if level >= cpu.LevelAVX2 {
 		k := [9]float64{s.Inv, s.Beta1, 1 - s.Beta1, s.Beta2, 1 - s.Beta2, s.C1, s.C2, s.LR, s.Eps}
 		j = adamAVX2(w, g, m, v, &k)
 	}
@@ -115,7 +119,7 @@ func LayerNormInto(y, xhat *Mat, rstd []float64, x *Mat, g, b []float64, eps flo
 	for i := 0; i < x.Rows; {
 		var mean, rs [4]float64
 		k := 1
-		if level >= levelAVX2 && x.Rows-i >= 4 && cols > 0 {
+		if level >= cpu.LevelAVX2 && x.Rows-i >= 4 && cols > 0 {
 			k = 4
 			rowSums4AVX2(&mean, &x.Data[i*cols], cols, cols)
 			for r := range mean {
@@ -137,7 +141,7 @@ func LayerNormInto(y, xhat *Mat, rstd []float64, x *Mat, g, b []float64, eps flo
 			rstd[i+r] = rs[r]
 			xr, xh, yr := row(x, i+r), row(xhat, i+r), row(y, i+r)
 			j := 0
-			if level >= levelAVX2 {
+			if level >= cpu.LevelAVX2 {
 				j = layerNormRowAVX2(yr, xh, xr, g, b, mean[r], rs[r])
 			}
 			for ; j < cols; j++ {
@@ -163,7 +167,7 @@ func LayerNormBackwardInto(dx, dy, xhat *Mat, rstd, g, gg, gb []float64) *Mat {
 		// sums holds sumDy (lanes 0–3) and sumDyXh (lanes 4–7) of each row.
 		var sums [8]float64
 		k := 1
-		if level >= levelAVX2 && dy.Rows-i >= 4 && cols > 0 {
+		if level >= cpu.LevelAVX2 && dy.Rows-i >= 4 && cols > 0 {
 			k = 4
 			layerNormSums4AVX2(&sums, &dy.Data[i*cols], &xhat.Data[i*cols], cols, cols, &g[0])
 		} else {
@@ -178,7 +182,7 @@ func LayerNormBackwardInto(dx, dy, xhat *Mat, rstd, g, gg, gb []float64) *Mat {
 			dyr, xh, dxr := row(dy, i+r), row(xhat, i+r), row(dx, i+r)
 			c := [4]float64{sums[r] / n, sums[4+r], n, rstd[i+r]}
 			j := 0
-			if level >= levelAVX2 {
+			if level >= cpu.LevelAVX2 {
 				j = layerNormBackRowAVX2(dxr, dyr, xh, g, gg, gb, &c)
 			}
 			for ; j < cols; j++ {
@@ -204,7 +208,7 @@ const (
 func GELUInto(dst, x *Mat) *Mat {
 	checkSame(dst, x, "gelu")
 	j := 0
-	if level >= levelAVX2 {
+	if level >= cpu.LevelAVX2 {
 		j = geluAVX2(dst.Data, x.Data)
 	}
 	for ; j < len(x.Data); j++ {
@@ -220,7 +224,7 @@ func GELUBackwardInto(dx, x, dy *Mat) *Mat {
 	checkSame(dx, x, "geluBackward")
 	checkSame(dy, x, "geluBackward")
 	j := 0
-	if level >= levelAVX2 {
+	if level >= cpu.LevelAVX2 {
 		j = geluBackAVX2(dx.Data, x.Data, dy.Data)
 	}
 	for ; j < len(x.Data); j++ {
@@ -270,7 +274,7 @@ func softmaxRows(dst, a *Mat, causal bool) {
 		// on from there one row at a time, then exp(v−max) into dst.
 		rowMax := [4]float64{math.Inf(-1), math.Inf(-1), math.Inf(-1), math.Inf(-1)}
 		k, shared := 1, 0
-		if level >= levelAVX2 && a.Rows-i >= 4 && cols > 0 {
+		if level >= cpu.LevelAVX2 && a.Rows-i >= 4 && cols > 0 {
 			k, shared = 4, length(i)
 			rowMaxes4AVX2(&rowMax, &a.Data[i*cols], cols, shared)
 		}
@@ -315,7 +319,7 @@ func softmaxRows(dst, a *Mat, causal bool) {
 func expSub(dst, src []float64, sub float64) {
 	src = src[:len(dst)]
 	j := 0
-	for level >= levelAVX2 && j+4 <= len(dst) {
+	for level >= cpu.LevelAVX2 && j+4 <= len(dst) {
 		j += expSubAVX2(dst[j:], src[j:], sub)
 		if j+4 <= len(dst) {
 			for end := j + 4; j < end; j++ {

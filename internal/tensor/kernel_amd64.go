@@ -1,5 +1,7 @@
 package tensor
 
+import "adapipe/internal/cpu"
+
 // The vector path of the three products, for amd64 CPUs with AVX2 or
 // AVX-512F. It covers the largest block of dst whose rows are a multiple of 4
 // and whose columns are a multiple of 8, in 4-row tiles: at avx512, 16-column
@@ -40,7 +42,7 @@ type span struct{ w, j0, j1 int }
 // widest first; either span may be empty.
 func tileSpans(n int) [2]span {
 	j8 := 0 // where the 8-column tiles start
-	if level == levelAVX512 {
+	if level == cpu.LevelAVX512 {
 		j8 = n &^ 15
 	}
 	return [2]span{{16, 0, j8}, {8, j8, n &^ 7}}

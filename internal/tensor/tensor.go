@@ -105,34 +105,12 @@ func checkSame(a, b *Mat, op string) {
 // decides where an injected NaN/Inf spreads and what the non-finite guard
 // sees. MatMulT has no skip: every product is formed and 0·Inf is NaN there.
 
-// A simdLevel names a kernel path; a wider one is a larger value.
-type simdLevel int
-
-const (
-	levelGeneric simdLevel = iota // the portable loops alone
-	levelAVX2                     // 4×8 product tiles, the AVX2 element-wise kernels
-	levelAVX512                   // 4×16 product tiles, the same element-wise kernels
-)
-
-// levelNames are the paths as the test hook and the benchmark rows name them.
-var levelNames = [...]string{levelGeneric: "generic", levelAVX2: "avx2", levelAVX512: "avx512"}
-
-// cpuLevel is the widest path this CPU has.
-func cpuLevel() simdLevel {
-	switch {
-	case cpu.AVX512:
-		return levelAVX512
-	case cpu.AVX2:
-		return levelAVX2
-	}
-	return levelGeneric
-}
-
 // level selects the vector path (kernel_amd64.go, elementwise_amd64.go) of
-// the products and the element-wise operations; the element-wise kernels are
-// AVX2 at both vector levels. It is decided once, from the CPU; nothing but
-// setLevel changes it.
-var level = cpuLevel()
+// the products and the element-wise operations: at avx512 the products run
+// 4×16 tiles, at avx2 4×8 tiles, and the element-wise kernels are AVX2 at
+// both vector levels. It is decided once, from the CPU; nothing but setLevel
+// changes it.
+var level = cpu.Widest()
 
 // setLevel is the test hook: it selects the named path ("avx512", "avx2" or
 // "generic") — or, where the CPU lacks it, the widest narrower one it has —
@@ -140,14 +118,8 @@ var level = cpuLevel()
 // BenchmarkMatMul and BenchmarkElementwise can hold every path to the same
 // oracle.
 func setLevel(name string) (was string) {
-	want := levelGeneric
-	for l, n := range levelNames {
-		if n == name {
-			want = simdLevel(l)
-		}
-	}
-	was = levelNames[level]
-	level = min(want, cpuLevel())
+	was = level.String()
+	level = cpu.Pick(name)
 	return was
 }
 
@@ -204,7 +176,7 @@ func TMatMul(a, b *Mat) *Mat { return TMatMulInto(New(a.Cols, b.Cols), a, b) }
 // nonzero.
 func mulAcc(dst *Mat, ad []float64, si, sk int, b *Mat, tri triangle) {
 	rows, cols := 0, 0
-	if level > levelGeneric {
+	if level > cpu.LevelGeneric {
 		rows, cols = mulAccTiles(dst, ad, si, sk, b, tri)
 	}
 	mulAccGo(dst, ad, si, sk, b, 0, rows, cols, tri)
@@ -336,7 +308,7 @@ func matMulT(dst, a, b *Mat, lower bool) *Mat {
 	}
 	checkDst(dst, a.Rows, b.Rows, "matmulT")
 	rows, cols := 0, 0
-	if level > levelGeneric {
+	if level > cpu.LevelGeneric {
 		rows, cols = matMulTTiles(dst, a, b, lower)
 	}
 	matMulTGo(dst, a, b, 0, rows, cols, lower)

@@ -413,7 +413,7 @@ func TestDefaultLevelIsWidest(t *testing.T) {
 	case cpu.AVX2:
 		want = "avx2"
 	}
-	if got := levelNames[level]; got != want {
+	if got := level.String(); got != want {
 		t.Errorf("start-up level %s, want %s (AVX512 %v, AVX2 %v)", got, want, cpu.AVX512, cpu.AVX2)
 	}
 }
