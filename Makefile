@@ -114,21 +114,25 @@ serve-smoke:
 	$(GO) run ./cmd/servesmoke -daemon bin/adapiped -trace-out servesmoke-trace.json
 
 # loc prints the non-test and test Go lines of every package directory
-# (comments and blank lines included), then the two totals a change is judged
-# by: the repo outside bench/, and the test lines outside bench/ — so product
-# code cannot hide in _test.go files. Tracked files deleted from the work tree
-# are listed twice (cached and deleted) and dropped by uniq -u.
+# (comments and blank lines included), then the three totals a change is
+# judged by: the Go repo outside bench/, the test lines outside bench/ — so
+# product code cannot hide in _test.go files — and the assembly (.s) lines
+# outside bench/, counted apart so a kernel edit shows while the two Go totals
+# stay comparable. Tracked files deleted from the work tree are listed twice
+# (cached and deleted) and dropped by uniq -u.
 loc:
-	@{ git ls-files -co --exclude-standard '*.go'; git ls-files -d '*.go'; } | sort | uniq -u | grep -v '/testdata/' | xargs wc -l | awk ' \
+	@{ git ls-files -co --exclude-standard '*.go' '*.s'; git ls-files -d '*.go' '*.s'; } | sort | uniq -u | grep -v '/testdata/' | xargs wc -l | awk ' \
 		$$2 == "total" { next } \
 		{ d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; inbench = d ~ /^bench(\/|$$)/; \
+		  if ($$2 ~ /\.s$$/) { if (!inbench) asm += $$1; next } \
 		  if ($$2 ~ /_test\.go$$/) { t[d] += $$1; if (!inbench) tests += $$1; next } \
 		  n[d] += $$1; if (!inbench) repo += $$1 } \
 		END { printf "%7s %7s  %s\n", "lines", "tests", "package"; \
 		      for (d in n) printf "%7d %7d  %s\n", n[d], t[d], d | "sort -k3"; \
 		      for (d in t) if (!(d in n)) printf "%7d %7d  %s\n", 0, t[d], d | "sort -k3"; close("sort -k3"); \
 		      printf "%7d  repo outside bench/\n", repo; \
-		      printf "%7d  test lines outside bench/\n", tests }'
+		      printf "%7d  test lines outside bench/\n", tests; \
+		      printf "%7d  assembly lines outside bench/\n", asm }'
 
 # ci is the full gate the GitHub Actions workflow runs.
 ci: build cross vet test fuzz-smoke race bench-smoke figures observe serve-smoke

@@ -474,27 +474,40 @@ func benchTensorPaths(b *testing.B, name string, paths []string, bench func(b *t
 // BenchmarkMatMul times the three product kernels on the five shapes
 // bench/train.go's tensorProbe uses (m×k×n: an m×n result over inner k) and
 // reports each as GFLOP/s; the ledger row tensor.matmul_gflops is their mix.
-// Each shape has a row per kernel path — avx512 (4×16 tiles), avx2 (4×8
-// tiles), a path the CPU lacks skipped, and generic (the portable loops) — so
-// the kernel gain is one command: go test -run '^$' -bench MatMul .
+// Two more rows time attention's causal products at train_1f1b's per-head
+// shapes: P·V (MatMulLower) and Pᵀ·dO (TMatMulLower), a 32×32
+// lower-triangular P against 32×16 head matrices, counted as the full
+// product, so the triangle they leave out shows as a higher rate. Each shape
+// has a row per kernel path — avx512 (4×16 tiles), avx2 (4×8 tiles), a path
+// the CPU lacks skipped, and generic (the portable loops) — so the kernel
+// gain is one command: go test -run '^$' -bench MatMul .
 func BenchmarkMatMul(b *testing.B) {
-	s, dm, f := stepNet.Seq, stepNet.Dim, stepNet.FFN
+	s, dm, f, dh := stepNet.Seq, stepNet.Dim, stepNet.FFN, stepNet.Dim/stepNet.Heads
 	rng := tensor.NewRNG(1)
 	x := tensor.RandNorm(rng, s, dm, 1)
 	wUp := tensor.RandNorm(rng, dm, f, 1)
 	h := tensor.RandNorm(rng, s, f, 1)
 	wq := tensor.RandNorm(rng, dm, dm, 1)
+	p := tensor.RandNorm(rng, s, s, 1) // attention probabilities: zero above the diagonal
+	for i := 0; i < s; i++ {
+		for j := i + 1; j < s; j++ {
+			p.Set(i, j, 0)
+		}
+	}
+	v := tensor.RandNorm(rng, s, dh, 1)
 	for _, c := range []struct {
 		name    string
 		into    func(dst, a, b *tensor.Mat) *tensor.Mat
 		a, b    *tensor.Mat
 		m, k, n int
 	}{
-		{"MatMul", tensor.MatMulInto, x, wUp, s, dm, f},   // x·W_up
-		{"MatMul", tensor.MatMulInto, x, wq, s, dm, dm},   // projections
-		{"MatMulT", tensor.MatMulTInto, x, x, s, dm, s},   // q·kᵀ
-		{"MatMulT", tensor.MatMulTInto, h, wUp, s, f, dm}, // dy·Wᵀ
-		{"TMatMul", tensor.TMatMulInto, x, h, dm, s, f},   // xᵀ·dy
+		{"MatMul", tensor.MatMulInto, x, wUp, s, dm, f},           // x·W_up
+		{"MatMul", tensor.MatMulInto, x, wq, s, dm, dm},           // projections
+		{"MatMulT", tensor.MatMulTInto, x, x, s, dm, s},           // q·kᵀ
+		{"MatMulT", tensor.MatMulTInto, h, wUp, s, f, dm},         // dy·Wᵀ
+		{"TMatMul", tensor.TMatMulInto, x, h, dm, s, f},           // xᵀ·dy
+		{"MatMulLower", tensor.MatMulLowerInto, p, v, s, s, dh},   // P·V
+		{"TMatMulLower", tensor.TMatMulLowerInto, p, v, s, s, dh}, // Pᵀ·dO
 	} {
 		benchTensorPaths(b, fmt.Sprintf("%s/%dx%dx%d", c.name, c.m, c.k, c.n), rowPaths, func(b *testing.B) {
 			dst := tensor.New(c.m, c.n)

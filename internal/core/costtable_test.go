@@ -104,7 +104,7 @@ func referenceStageCost(pl *Planner, s, i, j int) coststore.Entry {
 		if pl.opts.Recompute == RecomputeLayerLevel {
 			groups = coarsenToLayers(groups)
 		}
-		sol := recompute.Optimize(groups, perMicro, recompute.Options{
+		sol := new(recompute.Solver).Optimize(groups, perMicro, recompute.Options{
 			Quantum:    pl.quantumFor(perMicro),
 			DisableGCD: pl.opts.DisableGCD,
 		})

@@ -181,34 +181,6 @@ type Plan struct {
 	Search SearchStats
 }
 
-// Fwd returns the per-stage forward times.
-func (p *Plan) Fwd() []float64 {
-	out := make([]float64, len(p.Stages))
-	for i, s := range p.Stages {
-		out[i] = s.Fwd
-	}
-	return out
-}
-
-// Bwd returns the per-stage backward times (including recomputation).
-func (p *Plan) Bwd() []float64 {
-	out := make([]float64, len(p.Stages))
-	for i, s := range p.Stages {
-		out[i] = s.Bwd
-	}
-	return out
-}
-
-// SavedPerMicro returns the per-stage activation bytes pinned per in-flight
-// micro-batch.
-func (p *Plan) SavedPerMicro() []int64 {
-	out := make([]int64, len(p.Stages))
-	for i, s := range p.Stages {
-		out[i] = s.Mem.SavedPerMicro
-	}
-	return out
-}
-
 // Bounds returns the p+1 stage bounds over the layer sequence.
 func (p *Plan) Bounds() []int {
 	out := make([]int, 0, len(p.Stages)+1)

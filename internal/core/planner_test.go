@@ -302,13 +302,8 @@ func TestNewPlannerValidation(t *testing.T) {
 
 func TestPlanAccessors(t *testing.T) {
 	p := plan(t, RecomputeAdaptive, PartitionAdaptive)
-	if len(p.Fwd()) != 8 || len(p.Bwd()) != 8 || len(p.SavedPerMicro()) != 8 {
+	if len(p.Stages) != 8 || len(p.Bounds()) != 9 {
 		t.Fatal("accessor lengths wrong")
-	}
-	for i := range p.Stages {
-		if p.Fwd()[i] != p.Stages[i].Fwd || p.Bwd()[i] != p.Stages[i].Bwd {
-			t.Errorf("accessor mismatch at %d", i)
-		}
 	}
 	if p.CommFwd <= 0 || p.CommBwd <= 0 {
 		t.Error("comm times not set")

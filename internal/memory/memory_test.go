@@ -12,7 +12,7 @@ import (
 func setup(t *testing.T, strat parallel.Strategy, seq int) (model.Config, *profile.Profile) {
 	t.Helper()
 	cfg := model.GPT3_175B()
-	p, err := profile.New(cfg, hardware.A100(), strat, seq, 1)
+	p, err := profile.NewWithComm(cfg, hardware.A100(), strat, seq, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,12 +82,6 @@ type Profile struct {
 	TPBandwidth float64
 }
 
-// New synthesizes a Profile without tensor-parallel communication costs
-// (equivalent to NewWithComm with zero bandwidth).
-func New(cfg model.Config, dev hardware.Device, strat parallel.Strategy, seqLen, microBatch int) (*Profile, error) {
-	return NewWithComm(cfg, dev, strat, seqLen, microBatch, 0)
-}
-
 // NewWithComm synthesizes a Profile including tensor-parallel collective
 // time. With sequence parallelism each Attention/FFN layer performs one
 // all-gather entering and one reduce-scatter leaving its GEMM region, moving

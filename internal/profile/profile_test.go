@@ -13,7 +13,7 @@ import (
 
 func mustProfile(t *testing.T, cfg model.Config, strat parallel.Strategy, seq int) *Profile {
 	t.Helper()
-	p, err := New(cfg, hardware.A100(), strat, seq, 1)
+	p, err := NewWithComm(cfg, hardware.A100(), strat, seq, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestCommTime(t *testing.T) {
 
 func TestTPCommunicationCost(t *testing.T) {
 	cfg := model.GPT3_175B()
-	noComm, err := New(cfg, hardware.A100(), parallel.Strategy{TP: 8, PP: 8, DP: 1}, 4096, 1)
+	noComm, err := NewWithComm(cfg, hardware.A100(), parallel.Strategy{TP: 8, PP: 8, DP: 1}, 4096, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestTPCommunicationCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tp1Plain, err := New(cfg, hardware.A100(), parallel.Strategy{TP: 1, PP: 8, DP: 8}, 4096, 1)
+	tp1Plain, err := NewWithComm(cfg, hardware.A100(), parallel.Strategy{TP: 1, PP: 8, DP: 8}, 4096, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,23 +180,23 @@ func TestRangeTimes(t *testing.T) {
 
 func TestNewRejectsBadInputs(t *testing.T) {
 	cfg := model.Tiny(2)
-	if _, err := New(cfg, hardware.A100(), parallel.Strategy{TP: 1, PP: 1, DP: 1}, 0, 1); err == nil {
+	if _, err := NewWithComm(cfg, hardware.A100(), parallel.Strategy{TP: 1, PP: 1, DP: 1}, 0, 1, 0); err == nil {
 		t.Error("zero sequence accepted")
 	}
-	if _, err := New(cfg, hardware.A100(), parallel.Strategy{TP: 1, PP: 1, DP: 1}, 128, 0); err == nil {
+	if _, err := NewWithComm(cfg, hardware.A100(), parallel.Strategy{TP: 1, PP: 1, DP: 1}, 128, 0, 0); err == nil {
 		t.Error("zero micro-batch accepted")
 	}
-	if _, err := New(cfg, hardware.A100(), parallel.Strategy{TP: 0, PP: 1, DP: 1}, 128, 1); err == nil {
+	if _, err := NewWithComm(cfg, hardware.A100(), parallel.Strategy{TP: 0, PP: 1, DP: 1}, 128, 1, 0); err == nil {
 		t.Error("invalid strategy accepted")
 	}
 	bad := cfg
 	bad.Hidden = 0
-	if _, err := New(bad, hardware.A100(), parallel.Strategy{TP: 1, PP: 1, DP: 1}, 128, 1); err == nil {
+	if _, err := NewWithComm(bad, hardware.A100(), parallel.Strategy{TP: 1, PP: 1, DP: 1}, 128, 1, 0); err == nil {
 		t.Error("invalid model accepted")
 	}
 	dev := hardware.A100()
 	dev.PeakFLOPS = 0
-	if _, err := New(cfg, dev, parallel.Strategy{TP: 1, PP: 1, DP: 1}, 128, 1); err == nil {
+	if _, err := NewWithComm(cfg, dev, parallel.Strategy{TP: 1, PP: 1, DP: 1}, 128, 1, 0); err == nil {
 		t.Error("invalid device accepted")
 	}
 }
@@ -213,8 +213,8 @@ func TestMonotoneInSequenceLength(t *testing.T) {
 		}
 		tp := 1 << (tpSel % 3)
 		strat := parallel.Strategy{TP: tp, PP: 2, DP: 1}
-		p1, err1 := New(cfg, hardware.A100(), strat, s1, 1)
-		p2, err2 := New(cfg, hardware.A100(), strat, s2, 1)
+		p1, err1 := NewWithComm(cfg, hardware.A100(), strat, s1, 1, 0)
+		p2, err2 := NewWithComm(cfg, hardware.A100(), strat, s2, 1, 0)
 		if err1 != nil || err2 != nil {
 			return false
 		}

@@ -23,7 +23,7 @@ func FuzzOptimizeAgainstBruteForce(f *testing.F) {
 		want := BruteForce(groups, cap)
 		for _, p := range rowPaths { // a path the CPU lacks repeats the next narrower one
 			was := setRowLevel(p)
-			got := Optimize(groups, cap, Options{Quantum: 1})
+			got := optimize(groups, cap, Options{Quantum: 1})
 			setRowLevel(was)
 			if got.Feasible != want.Feasible {
 				t.Fatalf("%s: feasibility mismatch: %v vs %v", p, got.Feasible, want.Feasible)

@@ -12,7 +12,6 @@
 package recompute
 
 import (
-	"fmt"
 	"sort"
 
 	"adapipe/internal/obs"
@@ -88,8 +87,8 @@ const defaultQuantum = int64(1) << 20
 // solves. The zero value is ready to use. A Solver is NOT safe for concurrent
 // use; give each goroutine its own.
 //
-// Solver.Optimize returns results bit-identical to the package-level Optimize
-// (same iteration orders, same tie-breaking); the scratch reuse is invisible.
+// A reused Solver returns results bit-identical to a fresh one (same
+// iteration orders, same tie-breaking); the scratch reuse is invisible.
 type Solver struct {
 	dp     []float64
 	taken  []uint64 // len(items) rows of ⌈(w+1)/64⌉ choice words
@@ -120,17 +119,12 @@ type item struct {
 // NewSolver returns an empty Solver (equivalent to new(Solver)).
 func NewSolver() *Solver { return &Solver{} }
 
-// Optimize solves the bounded knapsack for one stage. capacity is the
+// Optimize solves the bounded knapsack for one stage on the solver's reused
+// scratch buffers: the one-capacity case of OptimizeMany. capacity is the
 // per-micro-batch budget for saved intermediates: the caller subtracts the
 // static consumption from device memory and divides by the in-flight
 // micro-batch count p−s (§4.2 multiplies the other way; the two are
 // equivalent and per-micro budgets keep the DP capacity small).
-func Optimize(groups []Group, capacity int64, opts Options) Solution {
-	return new(Solver).Optimize(groups, capacity, opts)
-}
-
-// Optimize is the package-level Optimize running on the solver's reused
-// scratch buffers: the one-capacity case of OptimizeMany.
 func (sv *Solver) Optimize(groups []Group, capacity int64, opts Options) Solution {
 	var out [1]Solution
 	sv.OptimizeMany(groups, []int64{capacity}, opts, out[:])
@@ -391,59 +385,6 @@ func (sv *Solver) scaledBuf(n int) []int64 {
 	}
 	sv.scaled = sv.scaled[:n]
 	return sv.scaled
-}
-
-// BruteForce solves the same problem by exhaustive enumeration over per-copy
-// decisions. It is exponential and exists as the test oracle. Sizes are not
-// rounded (exact bytes).
-func BruteForce(groups []Group, capacity int64) Solution {
-	sol := Solution{Saved: make([]int32, len(groups))}
-	remaining := capacity
-	var opt []int // one group index per optional copy
-	for i, g := range groups {
-		sol.TotalUnits += g.Count
-		if g.AlwaysSaved {
-			remaining -= g.Bytes * int64(g.Count)
-			sol.Saved[i] = int32(g.Count)
-			sol.SavedUnits += g.Count
-			sol.SavedBytes += g.Bytes * int64(g.Count)
-			continue
-		}
-		for range g.Count {
-			opt = append(opt, i)
-		}
-	}
-	if remaining < 0 {
-		return Solution{Saved: sol.Saved, TotalUnits: sol.TotalUnits}
-	}
-	sol.Feasible = true
-	if len(opt) > 24 {
-		panic(fmt.Sprintf("recompute: BruteForce limited to 24 optional copies, got %d", len(opt)))
-	}
-	bestMask, bestVal := 0, -1.0
-	for mask := 0; mask < 1<<len(opt); mask++ {
-		var bytes int64
-		var val float64
-		for i, gi := range opt {
-			if mask&(1<<i) != 0 {
-				bytes += groups[gi].Bytes
-				val += groups[gi].FwdTime
-			}
-		}
-		if bytes <= remaining && val > bestVal {
-			bestVal = val
-			bestMask = mask
-		}
-	}
-	for i, gi := range opt {
-		if g := &groups[gi]; bestMask&(1<<i) != 0 {
-			sol.Saved[gi]++
-			sol.SavedUnits++
-			sol.SavedTime += g.FwdTime
-			sol.SavedBytes += g.Bytes
-		}
-	}
-	return sol
 }
 
 // TotalOptionalTime returns Σ Time_f over all optional copies — the maximum

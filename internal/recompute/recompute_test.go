@@ -1,12 +1,71 @@
 package recompute
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 )
 
 func approxEq(a, b float64) bool { return math.Abs(a-b) <= 1e-9*(1+math.Abs(a)+math.Abs(b)) }
+
+// optimize is one solve on a fresh Solver.
+func optimize(groups []Group, capacity int64, opts Options) Solution {
+	return new(Solver).Optimize(groups, capacity, opts)
+}
+
+// BruteForce solves the same problem by exhaustive enumeration over per-copy
+// decisions. It is exponential and exists as the test oracle. Sizes are not
+// rounded (exact bytes).
+func BruteForce(groups []Group, capacity int64) Solution {
+	sol := Solution{Saved: make([]int32, len(groups))}
+	remaining := capacity
+	var opt []int // one group index per optional copy
+	for i, g := range groups {
+		sol.TotalUnits += g.Count
+		if g.AlwaysSaved {
+			remaining -= g.Bytes * int64(g.Count)
+			sol.Saved[i] = int32(g.Count)
+			sol.SavedUnits += g.Count
+			sol.SavedBytes += g.Bytes * int64(g.Count)
+			continue
+		}
+		for range g.Count {
+			opt = append(opt, i)
+		}
+	}
+	if remaining < 0 {
+		return Solution{Saved: sol.Saved, TotalUnits: sol.TotalUnits}
+	}
+	sol.Feasible = true
+	if len(opt) > 24 {
+		panic(fmt.Sprintf("recompute: BruteForce limited to 24 optional copies, got %d", len(opt)))
+	}
+	bestMask, bestVal := 0, -1.0
+	for mask := 0; mask < 1<<len(opt); mask++ {
+		var bytes int64
+		var val float64
+		for i, gi := range opt {
+			if mask&(1<<i) != 0 {
+				bytes += groups[gi].Bytes
+				val += groups[gi].FwdTime
+			}
+		}
+		if bytes <= remaining && val > bestVal {
+			bestVal = val
+			bestMask = mask
+		}
+	}
+	for i, gi := range opt {
+		if g := &groups[gi]; bestMask&(1<<i) != 0 {
+			sol.Saved[gi]++
+			sol.SavedUnits++
+			sol.SavedTime += g.FwdTime
+			sol.SavedBytes += g.Bytes
+		}
+	}
+	return sol
+}
 
 func TestOptimizeMatchesBruteForce(t *testing.T) {
 	groups := []Group{
@@ -16,7 +75,7 @@ func TestOptimizeMatchesBruteForce(t *testing.T) {
 		{Key: "out", FwdTime: 1, Bytes: 2, Count: 2, AlwaysSaved: true},
 	}
 	for _, capacity := range []int64{0, 4, 5, 10, 15, 25, 100} {
-		got := Optimize(groups, capacity, Options{Quantum: 1})
+		got := optimize(groups, capacity, Options{Quantum: 1})
 		want := BruteForce(groups, capacity)
 		if got.Feasible != want.Feasible {
 			t.Fatalf("cap %d: feasible %v vs brute %v", capacity, got.Feasible, want.Feasible)
@@ -46,7 +105,7 @@ func TestOptimizeBruteForceProperty(t *testing.T) {
 			})
 		}
 		capacity := int64(cap16 % 200)
-		got := Optimize(groups, capacity, Options{Quantum: 1})
+		got := optimize(groups, capacity, Options{Quantum: 1})
 		want := BruteForce(groups, capacity)
 		return got.Feasible == want.Feasible && approxEq(got.SavedTime, want.SavedTime)
 	}
@@ -63,7 +122,7 @@ func TestSolutionInternalConsistency(t *testing.T) {
 			{Key: "z", FwdTime: float64(times[2]) + 1, Bytes: int64(sizes[2]) + 1, Count: 2, AlwaysSaved: true},
 		}
 		capacity := int64(cap16%2000) + 2*(int64(sizes[2])+1)
-		sol := Optimize(groups, capacity, Options{Quantum: 1})
+		sol := optimize(groups, capacity, Options{Quantum: 1})
 		if !sol.Feasible {
 			return true
 		}
@@ -95,7 +154,7 @@ func TestAlwaysSavedOverflow(t *testing.T) {
 		{Key: "big", FwdTime: 1, Bytes: 100, Count: 2, AlwaysSaved: true},
 		{Key: "opt", FwdTime: 1, Bytes: 1, Count: 1},
 	}
-	sol := Optimize(groups, 150, Options{Quantum: 1})
+	sol := optimize(groups, 150, Options{Quantum: 1})
 	if sol.Feasible {
 		t.Fatal("mandatory units exceed capacity but solution is feasible")
 	}
@@ -109,7 +168,7 @@ func TestZeroByteUnitsSavedFree(t *testing.T) {
 		{Key: "free", FwdTime: 10, Bytes: 0, Count: 5},
 		{Key: "paid", FwdTime: 1, Bytes: 10, Count: 1},
 	}
-	sol := Optimize(groups, 0, Options{Quantum: 1})
+	sol := optimize(groups, 0, Options{Quantum: 1})
 	if !sol.Feasible {
 		t.Fatal("infeasible")
 	}
@@ -129,14 +188,14 @@ func TestMonotoneInCapacity(t *testing.T) {
 	}
 	prev := -1.0
 	for capacity := int64(0); capacity <= 120; capacity += 3 {
-		sol := Optimize(groups, capacity, Options{Quantum: 1})
+		sol := optimize(groups, capacity, Options{Quantum: 1})
 		if sol.SavedTime < prev {
 			t.Fatalf("capacity %d: saved time %g dropped below %g", capacity, sol.SavedTime, prev)
 		}
 		prev = sol.SavedTime
 	}
 	// Unlimited capacity saves everything.
-	sol := Optimize(groups, 1<<40, Options{Quantum: 1})
+	sol := optimize(groups, 1<<40, Options{Quantum: 1})
 	if sol.SavedTime != TotalOptionalTime(groups) {
 		t.Errorf("unlimited capacity saved %g, want %g", sol.SavedTime, TotalOptionalTime(groups))
 	}
@@ -151,8 +210,8 @@ func TestGCDReductionLossless(t *testing.T) {
 		{Key: "c", FwdTime: 4, Bytes: 8 << 20, Count: 4},
 	}
 	for _, capacity := range []int64{10 << 20, 33 << 20, 100 << 20} {
-		on := Optimize(groups, capacity, Options{Quantum: 1 << 20})
-		off := Optimize(groups, capacity, Options{Quantum: 1 << 20, DisableGCD: true})
+		on := optimize(groups, capacity, Options{Quantum: 1 << 20})
+		off := optimize(groups, capacity, Options{Quantum: 1 << 20, DisableGCD: true})
 		if !approxEq(on.SavedTime, off.SavedTime) {
 			t.Errorf("cap %d: GCD on %g vs off %g", capacity, on.SavedTime, off.SavedTime)
 		}
@@ -171,7 +230,7 @@ func TestQuantumRoundingIsConservative(t *testing.T) {
 		}
 		capacity := int64(cap32 % 100000)
 		const q = 128
-		sol := Optimize(groups, capacity, Options{Quantum: q})
+		sol := optimize(groups, capacity, Options{Quantum: q})
 		if !sol.Feasible {
 			return true
 		}
@@ -194,8 +253,8 @@ func TestQuantumNeverBeatsExact(t *testing.T) {
 		{Key: "c", FwdTime: 5, Bytes: 260, Count: 3},
 	}
 	for _, capacity := range []int64{500, 1000, 2000} {
-		exact := Optimize(groups, capacity, Options{Quantum: 1})
-		rounded := Optimize(groups, capacity, Options{Quantum: 128})
+		exact := optimize(groups, capacity, Options{Quantum: 1})
+		rounded := optimize(groups, capacity, Options{Quantum: 128})
 		if rounded.SavedTime > exact.SavedTime+1e-9 {
 			t.Errorf("cap %d: rounded %g beats exact %g", capacity, rounded.SavedTime, exact.SavedTime)
 		}
@@ -230,16 +289,16 @@ func TestTotalOptionalTime(t *testing.T) {
 }
 
 func TestEmptyAndDegenerate(t *testing.T) {
-	sol := Optimize(nil, 100, Options{})
+	sol := optimize(nil, 100, Options{})
 	if !sol.Feasible || sol.SavedUnits != 0 {
 		t.Errorf("empty input: %+v", sol)
 	}
-	sol = Optimize([]Group{{Key: "a", FwdTime: 1, Bytes: 5, Count: 0}}, 100, Options{})
+	sol = optimize([]Group{{Key: "a", FwdTime: 1, Bytes: 5, Count: 0}}, 100, Options{})
 	if !sol.Feasible || sol.SavedUnits != 0 {
 		t.Errorf("zero-count group: %+v", sol)
 	}
 	// Negative capacity with nothing mandatory is infeasible.
-	sol = Optimize([]Group{{Key: "a", FwdTime: 1, Bytes: 5, Count: 1}}, -1, Options{})
+	sol = optimize([]Group{{Key: "a", FwdTime: 1, Bytes: 5, Count: 1}}, -1, Options{})
 	if sol.Feasible {
 		t.Error("negative capacity feasible")
 	}
@@ -251,7 +310,7 @@ func TestSolutionCountsSearchEffort(t *testing.T) {
 		{Key: "b", FwdTime: 5, Bytes: 8192, Count: 2},
 	}
 	// Capacity below the total footprint forces the DP to run.
-	sol := Optimize(groups, 3*4096, Options{Quantum: 4096})
+	sol := optimize(groups, 3*4096, Options{Quantum: 4096})
 	if !sol.Feasible {
 		t.Fatal("infeasible")
 	}
@@ -266,7 +325,7 @@ func TestSolutionCountsSearchEffort(t *testing.T) {
 	}
 
 	// Short-circuit paths report no DP work: everything fits.
-	sol = Optimize(groups, 1<<40, Options{Quantum: 4096})
+	sol = optimize(groups, 1<<40, Options{Quantum: 4096})
 	if !sol.Feasible {
 		t.Fatal("infeasible at huge capacity")
 	}

@@ -8,7 +8,7 @@ import (
 
 // TestSolverReuseMatchesOptimize runs one Solver across a sequence of solves
 // with growing and shrinking problem sizes and checks each result against a
-// fresh package-level Optimize: scratch reuse must be invisible, including
+// solve on a fresh Solver: scratch reuse must be invisible, including
 // when a large solve leaves stale bytes behind for a smaller one — on each
 // row-pass path.
 func TestSolverReuseMatchesOptimize(t *testing.T) { onEachPath(t, testSolverReuse) }
@@ -45,7 +45,7 @@ func testSolverReuse(t *testing.T) {
 		opts := Options{Quantum: quantum}
 		for ci, c := range cases {
 			got := sv.Optimize(c.groups, c.capacity, opts)
-			want := Optimize(c.groups, c.capacity, opts)
+			want := optimize(c.groups, c.capacity, opts)
 			if got.Feasible != want.Feasible {
 				t.Fatalf("case %d quantum=%d: feasible %v vs %v", ci, quantum, got.Feasible, want.Feasible)
 			}
@@ -84,9 +84,9 @@ func TestSolverDoesNotAllocateSteadyState(t *testing.T) {
 	})
 	// Optimize still allocates the Solution's Saved vector; the big scratch
 	// must not.
-	// Fresh Optimize allocates the full DP table + choice matrix every call.
+	// A fresh solver allocates the full DP table + choice matrix every call.
 	fresh := testing.AllocsPerRun(20, func() {
-		Optimize(groups, 4<<30, opts)
+		optimize(groups, 4<<30, opts)
 	})
 	if allocs >= fresh {
 		t.Errorf("solver reuse allocs/run %.0f, fresh %.0f — scratch not reused", allocs, fresh)

@@ -65,6 +65,18 @@ type PlanRequest struct {
 	MemoryReserve float64 `json:"memory_reserve,omitempty"`
 }
 
+// The two size caps of a plan request. Both are checked by Normalize, so
+// plan, simulate, replan and every sweep point inherit them, and an oversized
+// request is rejected before it allocates. maxTinyLayers is GPT-3's decoder
+// count, the largest model the paper plans. maxScheduledMicroBatches bounds
+// PP × micro-batches per replica, the forward (and again the backward)
+// operations one simulated iteration schedules: at ≈ 108 B per scheduled
+// operation, 2^18 of each is ≈ 54 MiB.
+const (
+	maxTinyLayers            = 96
+	maxScheduledMicroBatches = 1 << 18
+)
+
 // Normalize applies schema defaults and validates every field, returning the
 // normalized copy. It is idempotent; Hash, Canonical and the planner
 // constructors all normalize internally, so callers building requests by
@@ -82,8 +94,8 @@ func (r PlanRequest) Normalize() (PlanRequest, error) {
 		if r.TinyLayers == 0 {
 			r.TinyLayers = 8
 		}
-		if r.TinyLayers < 1 {
-			return r, fmt.Errorf("request: tiny_layers must be >= 1, got %d", r.TinyLayers)
+		if r.TinyLayers < 1 || r.TinyLayers > maxTinyLayers {
+			return r, fmt.Errorf("request: tiny_layers must be in [1, %d], got %d", maxTinyLayers, r.TinyLayers)
 		}
 	case "":
 		return r, fmt.Errorf("request: model is required (gpt3, llama2 or tiny)")
@@ -113,8 +125,12 @@ func (r PlanRequest) Normalize() (PlanRequest, error) {
 	if r.MicroBatch == 0 {
 		r.MicroBatch = 1
 	}
-	if _, err := r.TrainingConfig().MicroBatches(r.Strategy()); err != nil {
+	n, err := r.TrainingConfig().MicroBatches(r.Strategy())
+	if err != nil {
 		return r, err
+	}
+	if n > maxScheduledMicroBatches/r.PP {
+		return r, fmt.Errorf("request: pp %d x %d micro-batches per replica exceeds the cap of %d", r.PP, n, maxScheduledMicroBatches)
 	}
 	if r.MemoryReserve < 0 || r.MemoryReserve >= 1 {
 		return r, fmt.Errorf("request: memory_reserve must be in [0, 1), got %g", r.MemoryReserve)

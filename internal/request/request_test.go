@@ -50,12 +50,30 @@ func TestNormalizeRejects(t *testing.T) {
 		{"seq", func(r *PlanRequest) { r.SeqLen = 0 }, "seq_len"},
 		{"divisibility", func(r *PlanRequest) { r.GlobalBatch = 7; r.DP = 2; r.TP = 1 }, "not divisible"},
 		{"tiny layers on gpt3", func(r *PlanRequest) { r.Model = "gpt3"; r.TinyLayers = 4 }, "tiny_layers"},
+		// One request must not make the daemon allocate without bound.
+		{"tiny layers cap", func(r *PlanRequest) { r.TinyLayers = maxTinyLayers + 1 }, "tiny_layers"},
+		{"scheduled micro-batches cap", func(r *PlanRequest) { r.PP = 2; r.GlobalBatch = maxScheduledMicroBatches/2 + 1 }, "micro-batches"},
+		{"scheduled micro-batches cap, dp and micro batch", func(r *PlanRequest) { r.DP = 2; r.MicroBatch = 2; r.GlobalBatch = 1 << 20 }, "micro-batches"},
 	}
 	for _, c := range cases {
 		r := tinyReq()
 		c.mut(&r)
 		if _, err := r.Normalize(); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: want error containing %q, got %v", c.name, c.want, err)
+		}
+	}
+}
+
+// TestNormalizeAdmitsCapEdges: the two size caps admit their own edges and
+// the largest request bench/ sends (TestNormalizeRejects has one past each).
+func TestNormalizeAdmitsCapEdges(t *testing.T) {
+	for _, r := range []PlanRequest{
+		{Model: "tiny", TinyLayers: maxTinyLayers, TP: 1, PP: 4, DP: 1, SeqLen: 2048, GlobalBatch: 8},
+		{Model: "tiny", TP: 1, PP: 2, DP: 1, SeqLen: 2048, GlobalBatch: maxScheduledMicroBatches / 2},
+		{Model: "gpt3", TP: 2, PP: 32, DP: 1, SeqLen: 8192, GlobalBatch: 2048},
+	} {
+		if _, err := r.Normalize(); err != nil {
+			t.Errorf("%+v: %v", r, err)
 		}
 	}
 }

@@ -16,22 +16,22 @@ import "adapipe/internal/cpu"
 // added to what the block holds if load is set:
 // dst[r][8t+j] (+)= Σₖ A(r,k)·b[k][8t+j] with A(r,k) at a + r·si + k·sk and
 // b[k][8t+j] at b + t·bstep + k·ldb + 8j. Strides are in bytes; dst rows are
-// ldd bytes apart. With skip set it keeps the zero-skip contract.
+// ldd bytes apart.
 //
 //go:noescape
-func mulTilesAVX2(dst *float64, ldd uintptr, a *float64, si, sk uintptr, b *float64, ldb, bstep uintptr, k, tiles, load, skip int)
+func mulTilesAVX2(dst *float64, ldd uintptr, a *float64, si, sk uintptr, b *float64, ldb, bstep uintptr, k, tiles, load int)
 
 // mulTilesAVX512 is mulTilesAVX2 with 4×16 tiles: dst[r][16t+j], j < 16.
 //
 //go:noescape
-func mulTilesAVX512(dst *float64, ldd uintptr, a *float64, si, sk uintptr, b *float64, ldb, bstep uintptr, k, tiles, load, skip int)
+func mulTilesAVX512(dst *float64, ldd uintptr, a *float64, si, sk uintptr, b *float64, ldb, bstep uintptr, k, tiles, load int)
 
 // mulTiles runs the tile kernel w columns wide, 16 or 8.
-func mulTiles(w int, dst *float64, ldd uintptr, a *float64, si, sk uintptr, b *float64, ldb, bstep uintptr, k, tiles, load, skip int) {
+func mulTiles(w int, dst *float64, ldd uintptr, a *float64, si, sk uintptr, b *float64, ldb, bstep uintptr, k, tiles, load int) {
 	if w == 16 {
-		mulTilesAVX512(dst, ldd, a, si, sk, b, ldb, bstep, k, tiles, load, skip)
+		mulTilesAVX512(dst, ldd, a, si, sk, b, ldb, bstep, k, tiles, load)
 	} else {
-		mulTilesAVX2(dst, ldd, a, si, sk, b, ldb, bstep, k, tiles, load, skip)
+		mulTilesAVX2(dst, ldd, a, si, sk, b, ldb, bstep, k, tiles, load)
 	}
 }
 
@@ -66,7 +66,7 @@ func mulAccTiles(dst *Mat, ad []float64, si, sk int, b *Mat, tri triangle) (rows
 		for _, s := range spans {
 			if s.j1 > s.j0 {
 				mulTiles(s.w, &dst.Data[i*n+s.j0], uintptr(n*8), &ad[i*si+k0*sk], uintptr(si*8), uintptr(sk*8),
-					&b.Data[k0*n+s.j0], uintptr(n*8), uintptr(s.w*8), terms, (s.j1-s.j0)/s.w, 0, 1)
+					&b.Data[k0*n+s.j0], uintptr(n*8), uintptr(s.w*8), terms, (s.j1-s.j0)/s.w, 0)
 			}
 		}
 	}
@@ -116,7 +116,7 @@ func matMulTTiles(dst, a, b *Mat, lower bool) (rows, cols int) {
 					}
 					if reach > 0 {
 						mulTiles(w, &dst.Data[i*n+j], uintptr(n*8), &a.Data[i*inner+k0], uintptr(inner*8), 8,
-							&panel[0], uintptr(w*8), uintptr(kc*w*8), kc, reach, load, 0)
+							&panel[0], uintptr(w*8), uintptr(kc*w*8), kc, reach, load)
 					}
 				}
 			}

@@ -16,8 +16,7 @@
 //
 // Register use: DI dst tile, DX ldd, SI a, R8 si, AX 3·si, R9 sk, BX b tile,
 // R10 ldb, R11 b row, R14 a column, CX k left (3·ldd while a tile is loaded
-// or stored), R13 tiles left, R12 the zero-skip state, X15 +0. Strides are in
-// bytes.
+// or stored), R13 tiles left. Strides are in bytes.
 
 // STARTACC starts the accumulators of the tile at DI: from +0 (zeroed by
 // xor), or, when the load argument is set, from the partial sums dst already
@@ -70,46 +69,20 @@ started:
 #define YROW(addr, lo, hi) ROW(addr, lo, hi, Y8, Y9, Y10, Y11)
 #define ZROW(addr, lo, hi) ROW(addr, lo, hi, Z8, Z9, Z10, Z11)
 
-// CHECKED is row (YROW or ZROW) under the zero-skip contract: VUCOMISD
-// against +0 sets ZF for a ±0 factor and also for an unordered (NaN) one; the
-// out-of-line zero block tells the two apart by the parity flag, which only
-// the unordered case sets, and sends NaN back to form its product.
-#define CHECKED(row, addr, lo, hi, zero, do, next) \
-	VUCOMISD addr, X15; \
-	JEQ      zero; \
-do: \
-	row(addr, lo, hi); \
-next:
-
-// ZERO is CHECKED's out-of-line block: a factor that compared equal to +0
-// is skipped unless it is NaN, and the block is marked as holding a zero.
-#define ZERO(zero, do, next) \
-zero: \
-	JPS  do; \
-	MOVQ $2, R12; \
-	JMP  next
-
 // PROLOGUE loads the arguments both kernels share.
 #define PROLOGUE \
-	MOVQ   dst+0(FP), DI; \
-	MOVQ   ldd+8(FP), DX; \
-	MOVQ   a+16(FP), SI; \
-	MOVQ   si+24(FP), R8; \
-	MOVQ   sk+32(FP), R9; \
-	MOVQ   b+40(FP), BX; \
-	MOVQ   ldb+48(FP), R10; \
-	MOVQ   tiles+72(FP), R13; \
-	MOVQ   skip+88(FP), R12; \
-	LEAQ   (R8)(R8*2), AX; \
-	VXORPD X15, X15, X15
+	MOVQ dst+0(FP), DI; \
+	MOVQ ldd+8(FP), DX; \
+	MOVQ a+16(FP), SI; \
+	MOVQ si+24(FP), R8; \
+	MOVQ sk+32(FP), R9; \
+	MOVQ b+40(FP), BX; \
+	MOVQ ldb+48(FP), R10; \
+	MOVQ tiles+72(FP), R13; \
+	LEAQ (R8)(R8*2), AX
 
-// func mulTilesAVX2(dst *float64, ldd uintptr, a *float64, si, sk uintptr, b *float64, ldb, bstep uintptr, k, tiles, load, skip int)
-//
-// With skip set the kernel honours the zero-skip contract, testing every
-// factor, until one tile has gone by without a ±0 factor: the a block is then
-// known to hold none, and the remaining tiles run without the tests. R12 is
-// 0 (no tests), 1 (testing, no zero seen) or 2 (testing, a zero seen).
-TEXT ·mulTilesAVX2(SB), NOSPLIT, $0-96
+// func mulTilesAVX2(dst *float64, ldd uintptr, a *float64, si, sk uintptr, b *float64, ldb, bstep uintptr, k, tiles, load int)
+TEXT ·mulTilesAVX2(SB), NOSPLIT, $0-88
 	PROLOGUE
 	TESTQ R13, R13
 	JZ    done
@@ -121,8 +94,6 @@ tile:
 	MOVQ  k+64(FP), CX
 	TESTQ CX, CX
 	JZ    store
-	TESTQ R12, R12
-	JNZ   checked
 
 dense:
 	VMOVUPD (R11), Y8
@@ -135,20 +106,6 @@ dense:
 	ADDQ    R10, R11
 	DECQ    CX
 	JNZ     dense
-	JMP     store
-
-checked:
-	VMOVUPD (R11), Y8
-	VMOVUPD 32(R11), Y9
-	CHECKED(YROW, (R14), Y0, Y1, zero0, do0, next0)
-	CHECKED(YROW, (R14)(R8*1), Y2, Y3, zero1, do1, next1)
-	CHECKED(YROW, (R14)(R8*2), Y4, Y5, zero2, do2, next2)
-	CHECKED(YROW, (R14)(AX*1), Y6, Y7, zero3, do3, next3)
-	ADDQ    R9, R14
-	ADDQ    R10, R11
-	DECQ    CX
-	JNZ     checked
-	ANDQ    $2, R12 // a tile without a zero turns the tests off
 
 store:
 	STOREACC(32, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7)
@@ -161,17 +118,12 @@ done:
 	VZEROUPPER
 	RET
 
-	ZERO(zero0, do0, next0)
-	ZERO(zero1, do1, next1)
-	ZERO(zero2, do2, next2)
-	ZERO(zero3, do3, next3)
-
-// func mulTilesAVX512(dst *float64, ldd uintptr, a *float64, si, sk uintptr, b *float64, ldb, bstep uintptr, k, tiles, load, skip int)
+// func mulTilesAVX512(dst *float64, ldd uintptr, a *float64, si, sk uintptr, b *float64, ldb, bstep uintptr, k, tiles, load int)
 //
-// mulTilesAVX2 with 16-column tiles: the same walk, the same zero-skip
-// states, twice the lanes per instruction. The accumulators are zeroed with
-// VPXORQ (VXORPD on Z registers needs AVX-512DQ).
-TEXT ·mulTilesAVX512(SB), NOSPLIT, $0-96
+// mulTilesAVX2 with 16-column tiles: the same walk, twice the lanes per
+// instruction. The accumulators are zeroed with VPXORQ (VXORPD on Z registers
+// needs AVX-512DQ).
+TEXT ·mulTilesAVX512(SB), NOSPLIT, $0-88
 	PROLOGUE
 	TESTQ R13, R13
 	JZ    done
@@ -183,8 +135,6 @@ tile:
 	MOVQ  k+64(FP), CX
 	TESTQ CX, CX
 	JZ    store
-	TESTQ R12, R12
-	JNZ   checked
 
 dense:
 	VMOVUPD (R11), Z8
@@ -197,20 +147,6 @@ dense:
 	ADDQ    R10, R11
 	DECQ    CX
 	JNZ     dense
-	JMP     store
-
-checked:
-	VMOVUPD (R11), Z8
-	VMOVUPD 64(R11), Z9
-	CHECKED(ZROW, (R14), Z0, Z1, zero0, do0, next0)
-	CHECKED(ZROW, (R14)(R8*1), Z2, Z3, zero1, do1, next1)
-	CHECKED(ZROW, (R14)(R8*2), Z4, Z5, zero2, do2, next2)
-	CHECKED(ZROW, (R14)(AX*1), Z6, Z7, zero3, do3, next3)
-	ADDQ    R9, R14
-	ADDQ    R10, R11
-	DECQ    CX
-	JNZ     checked
-	ANDQ    $2, R12
 
 store:
 	STOREACC(64, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
@@ -222,8 +158,3 @@ store:
 done:
 	VZEROUPPER
 	RET
-
-	ZERO(zero0, do0, next0)
-	ZERO(zero1, do1, next1)
-	ZERO(zero2, do2, next2)
-	ZERO(zero3, do3, next3)

@@ -94,16 +94,6 @@ func checkSame(a, b *Mat, op string) {
 // *independent* sums in flight at once and shares the loads between them.
 // (One thing no loop pins, the oracle included: a NaN result is NaN either
 // way, but which operand's payload it inherits is the hardware's choice.)
-//
-// Zero-skip contract. MatMul and TMatMul do not form a product whose a-side
-// factor is zero: a[i][k] == 0 (either sign) contributes nothing, so 0·Inf
-// and 0·NaN never poison an output and an all-zero row of a gives a row of
-// +0. (Against a finite b the skip changes nothing: an accumulator starts at
-// +0 and can never become −0, and adding ±0 to anything else is exact.) The
-// causal mask relies on it — P's upper triangle is exact zeros against
-// whatever V holds — and so does the fault layer: which products exist
-// decides where an injected NaN/Inf spreads and what the non-finite guard
-// sees. MatMulT has no skip: every product is formed and 0·Inf is NaN there.
 
 // level selects the vector path (kernel_amd64.go, elementwise_amd64.go) of
 // the products and the element-wise operations: at avx512 the products run
@@ -123,15 +113,16 @@ func setLevel(name string) (was string) {
 	return was
 }
 
-// MatMulInto sets dst = a·b under the zero-skip contract above and returns
-// dst, which must be a.Rows×b.Cols and must not alias a or b; its previous
-// contents are ignored.
+// MatMulInto sets dst = a·b, every product formed, and returns dst, which
+// must be a.Rows×b.Cols and must not alias a or b; its previous contents are
+// ignored.
 func MatMulInto(dst, a, b *Mat) *Mat { return matMul(dst, a, b, triFull) }
 
 // MatMulLowerInto is MatMulInto for an a whose upper triangle (a[i][k] for
-// k > i) is zero, a causal mask's probabilities: it skips the k that only
-// those zeros reach, which the zero-skip contract makes no-ops, so the result
-// is MatMulInto's bit for bit.
+// k > i) is zero, a causal mask's probabilities: it leaves out the k that only
+// those zeros reach. When b is finite the result is MatMulInto's bit for bit:
+// a term left out would add ±0 to a sum that starts at +0 and never becomes
+// −0, and adding ±0 to anything else is exact.
 func MatMulLowerInto(dst, a, b *Mat) *Mat { return matMul(dst, a, b, triLower) }
 
 func matMul(dst, a, b *Mat, tri triangle) *Mat {
@@ -146,14 +137,15 @@ func matMul(dst, a, b *Mat, tri triangle) *Mat {
 // MatMul returns a·b in a fresh matrix; see MatMulInto.
 func MatMul(a, b *Mat) *Mat { return MatMulInto(New(a.Rows, b.Cols), a, b) }
 
-// TMatMulInto sets dst = aᵀ·b under the zero-skip contract above (the skipped
-// factor is a[k][i]) and returns dst, which must be a.Cols×b.Cols and must not
-// alias a or b; its previous contents are ignored.
+// TMatMulInto sets dst = aᵀ·b, every product formed, and returns dst, which
+// must be a.Cols×b.Cols and must not alias a or b; its previous contents are
+// ignored.
 func TMatMulInto(dst, a, b *Mat) *Mat { return tMatMul(dst, a, b, triFull) }
 
 // TMatMulLowerInto is TMatMulInto for an a whose upper triangle is zero, as
-// MatMulLowerInto is MatMulInto: output row i skips the k < i, where a[k][i]
-// is one of those zeros.
+// MatMulLowerInto is MatMulInto: output row i leaves out the k < i, where
+// a[k][i] is one of those zeros. When b is finite the result is TMatMulInto's
+// bit for bit.
 func TMatMulLowerInto(dst, a, b *Mat) *Mat { return tMatMul(dst, a, b, triUpper) }
 
 func tMatMul(dst, a, b *Mat, tri triangle) *Mat {
@@ -208,9 +200,8 @@ func (t triangle) span(i, h, inner int) (k0, k1 int) {
 // mulAccGo is mulAcc's portable loop over rows [i0, i1) × columns [j0, n). A
 // block is two output rows by four k: eight products per four loads of b,
 // each output element accumulated as ((((o + a₀b₀) + a₁b₁) + a₂b₂) + a₃b₃) —
-// the order of the plain loop. A block holding a zero factor, the k tail and
-// an odd last row go through axpy, one k at a time, which is where the skip
-// lives.
+// the order of the plain loop. The k tail and an odd last row go through
+// axpy, one k at a time.
 func mulAccGo(dst *Mat, ad []float64, si, sk int, b *Mat, i0, i1, j0 int, tri triangle) {
 	n, inner := b.Cols, b.Rows
 	if j0 == n {
@@ -230,17 +221,6 @@ func mulAccGo(dst *Mat, ad []float64, si, sk int, b *Mat, i0, i1, j0 int, tri tr
 			a00, a01, a02, a03 := ad[p0+k*sk], ad[p0+(k+1)*sk], ad[p0+(k+2)*sk], ad[p0+(k+3)*sk]
 			a10, a11, a12, a13 := ad[p1+k*sk], ad[p1+(k+1)*sk], ad[p1+(k+2)*sk], ad[p1+(k+3)*sk]
 			b0, b1, b2, b3 := brow(k), brow(k+1), brow(k+2), brow(k+3)
-			if a00 == 0 || a01 == 0 || a02 == 0 || a03 == 0 || a10 == 0 || a11 == 0 || a12 == 0 || a13 == 0 {
-				axpy(o0, a00, b0)
-				axpy(o0, a01, b1)
-				axpy(o0, a02, b2)
-				axpy(o0, a03, b3)
-				axpy(o1, a10, b0)
-				axpy(o1, a11, b1)
-				axpy(o1, a12, b2)
-				axpy(o1, a13, b3)
-				continue
-			}
 			o1 := o1[:len(o0)]
 			b0, b1, b2, b3 = b0[:len(o0)], b1[:len(o0)], b2[:len(o0)], b3[:len(o0)]
 			for j := range o0 {
@@ -264,11 +244,8 @@ func mulAccGo(dst *Mat, ad []float64, si, sk int, b *Mat, i0, i1, j0 int, tri tr
 	}
 }
 
-// axpy adds av·b to o element-wise, unless av is zero.
+// axpy adds av·b to o element-wise.
 func axpy(o []float64, av float64, b []float64) {
-	if av == 0 {
-		return
-	}
 	b = b[:len(o)]
 	for j := range o {
 		o[j] += av * b[j]
@@ -276,9 +253,9 @@ func axpy(o []float64, av float64, b []float64) {
 }
 
 // MatMulTInto sets dst = a·bᵀ and returns dst, which must be a.Rows×b.Rows
-// and must not alias a or b; its previous contents are ignored. No product is
-// skipped (see the contract above). The vector path, when on, computes a block
-// of rows [0, rows) × columns [0, cols); the portable loop does the rest.
+// and must not alias a or b; its previous contents are ignored. The vector
+// path, when on, computes a block of rows [0, rows) × columns [0, cols); the
+// portable loop does the rest.
 func MatMulTInto(dst, a, b *Mat) *Mat { return matMulT(dst, a, b, false) }
 
 // MatMulT returns a·bᵀ in a fresh matrix; see MatMulTInto.

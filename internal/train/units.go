@@ -17,7 +17,7 @@ import (
 
 // Param is one trainable matrix with its gradient accumulator.
 type Param struct {
-	// Name identifies the parameter for debugging and checkpoint tests.
+	// Name identifies the parameter in error messages and when debugging.
 	Name string
 	// W is the weight matrix.
 	W *tensor.Mat
