@@ -62,7 +62,7 @@ fuzz-smoke:
 	done
 
 # race exercises the concurrent packages under the race detector: the 1F1B
-# executor (its panic cancellation and watchdog included) and the tensor
+# executor (its panic cancellation included) and the tensor
 # kernels under it, the simulator, the daemon and the two concurrency
 # primitives (the compute-once cache and the cost store over it) in full, plus
 # the planner's differential runner (every leg of every row, the concurrent

@@ -41,7 +41,8 @@ type (
 	Planner = core.Planner
 	// Replan is the outcome of a straggler-driven replanning attempt:
 	// repriced incumbent, re-searched plan, both simulations, adoption
-	// verdict. Produced by Planner.ReplanWithScale.
+	// verdict. Produced by Planner.ReplanWithScale, whose scale prices that
+	// call only: the planner keeps nominal costs.
 	Replan = core.Replan
 	// Method is one evaluation configuration (e.g. "DAPPLE-Full").
 	Method = baseline.Method

@@ -105,7 +105,7 @@ func TestPlanSearchPartitionCells(t *testing.T) {
 		if _, err := pl.Plan(); err != nil {
 			t.Fatal(err)
 		}
-		if got := pl.Stats.PartitionCells; got != m.cells {
+		if got := pl.StatsSnapshot().PartitionCells; got != m.cells {
 			t.Errorf("%s: cold search evaluated %d partition cells, want %d", m.name, got, m.cells)
 		}
 	}

@@ -135,7 +135,7 @@ func TestClassSolveAllocatesNothing(t *testing.T) {
 	}
 	tab, sv := pl.table, &pl.sv
 	for _, src := range []CostSource{nil, passSource{}} {
-		sv.src, sv.family, pl.Stats = src, family, SearchStats{}
+		sv.src, sv.family, pl.stats = src, family, SearchStats{}
 		s, i, j, perMicro := -1, 0, 0, int64(0)
 		solve := func() {
 			for k := range tab.hot {

@@ -40,8 +40,8 @@ func TestPlanContextAlreadyCancelled(t *testing.T) {
 			if err := tc.search(t, ctx, pl); !errors.Is(err, context.Canceled) {
 				t.Fatalf("want context.Canceled, got %v", err)
 			}
-			if tc.cold && pl.Stats.CostEvaluations != 0 {
-				t.Fatalf("pre-cancelled search still evaluated %d costs", pl.Stats.CostEvaluations)
+			if n := pl.StatsSnapshot().CostEvaluations; tc.cold && n != 0 {
+				t.Fatalf("pre-cancelled search still evaluated %d costs", n)
 			}
 		})
 	}

@@ -20,9 +20,8 @@ func TestSetCostSourceDetach(t *testing.T) {
 	if _, err := pl.Plan(); err != nil {
 		t.Fatal(err)
 	}
-	if pl.Stats.StoreHits+pl.Stats.StoreMisses != 0 {
-		t.Errorf("detached planner still touched the store: %d hits, %d misses",
-			pl.Stats.StoreHits, pl.Stats.StoreMisses)
+	if s := pl.StatsSnapshot(); s.StoreHits+s.StoreMisses != 0 {
+		t.Errorf("detached planner still touched the store: %d hits, %d misses", s.StoreHits, s.StoreMisses)
 	}
 	if store.Len() != 0 {
 		t.Errorf("detached planner published %d entries", store.Len())

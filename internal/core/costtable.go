@@ -83,7 +83,7 @@ type stageSolver struct {
 	// recompute.
 	memo      *partition.Memo
 	memoScale []float64
-	// st is the planner's Stats, which the solver counts into on behalf of
+	// st is the planner's stats, which the solver counts into on behalf of
 	// the exported method holding mu.
 	st *SearchStats
 

@@ -50,6 +50,13 @@ func referenceStageCost(pl *Planner, s, i, j int) coststore.Entry {
 	layers := pl.layers[i : j+1]
 	static := memory.StageStatic(pl.cfg, pl.prof, pl.strat, layers, pl.opts.Memory)
 	inFlight := memory.InFlight(pl.strat.PP, s)
+	// stageMem is the stage's full breakdown with saved bytes pinned per
+	// micro-batch in flight.
+	stageMem := func(saved int64) memory.Breakdown {
+		b := static
+		b.SavedPerMicro, b.InFlight = saved, inFlight
+		return b
+	}
 	var fwd, bwd float64
 	for _, l := range layers {
 		fwd += pl.prof.Layers[l.Kind].FwdTime
@@ -76,7 +83,7 @@ func referenceStageCost(pl *Planner, s, i, j int) coststore.Entry {
 			sol.TotalUnits += len(lc.Units)
 		}
 		sol.SavedBytes = memory.SavedBoundary(pl.prof, layers) + input
-		br := memory.Stage(pl.cfg, pl.prof, pl.strat, layers, s, sol.SavedBytes, pl.opts.Memory)
+		br := stageMem(sol.SavedBytes)
 		ok := pl.opts.IgnoreMemoryLimit || br.Total() <= capacity
 		return coststore.Entry{Fwd: fwd, Bwd: bwd + extra, Sol: sol, Mem: br, OK: ok}
 
@@ -87,7 +94,7 @@ func referenceStageCost(pl *Planner, s, i, j int) coststore.Entry {
 			sol.SavedUnits += len(pl.prof.Layers[l.Kind].Units)
 			sol.TotalUnits += len(pl.prof.Layers[l.Kind].Units)
 		}
-		br := memory.Stage(pl.cfg, pl.prof, pl.strat, layers, s, saved, pl.opts.Memory)
+		br := stageMem(saved)
 		ok := pl.opts.IgnoreMemoryLimit || br.Total() <= capacity
 		return coststore.Entry{Fwd: fwd, Bwd: bwd, Sol: sol, Mem: br, OK: ok}
 
@@ -116,7 +123,7 @@ func referenceStageCost(pl *Planner, s, i, j int) coststore.Entry {
 			return coststore.Entry{Sol: sol, Keys: keys}
 		}
 		sol.SavedBytes += input
-		br := memory.Stage(pl.cfg, pl.prof, pl.strat, layers, s, sol.SavedBytes, pl.opts.Memory)
+		br := stageMem(sol.SavedBytes)
 		extra := recompute.TotalOptionalTime(groups) - sol.SavedTime
 		return coststore.Entry{Fwd: fwd, Bwd: bwd + extra, Sol: sol, Keys: keys, Mem: br, OK: true}
 	}

@@ -144,7 +144,7 @@ func newDiff(t testing.TB, r row) (*diff, error) {
 	uncut := r.planner(t)
 	up, err := uncut.Plan()
 	d.same(t, uncut, up, err)
-	d.tables = uncut.Stats.KnapsackRuns
+	d.tables = uncut.StatsSnapshot().KnapsackRuns
 	return d, nil
 }
 
@@ -201,7 +201,7 @@ func (d *diff) filled(t testing.TB) *coststore.Store {
 	st := coststore.New(1 << 15)
 	pl, p, err := storePlan(t, d.row, st)
 	d.same(t, pl, p, err)
-	if pl.Stats.StoreMisses == 0 {
+	if pl.StatsSnapshot().StoreMisses == 0 {
 		t.Error("cold store recorded no misses")
 	}
 	return st
@@ -213,7 +213,7 @@ func (d *diff) warm(t testing.TB, st *coststore.Store) {
 	t.Helper()
 	pl, p, err := storePlan(t, d.row, st)
 	d.same(t, pl, p, err)
-	if s := pl.Stats; s.KnapsackRuns != 0 || s.StoreMisses != 0 || s.StoreHits == 0 {
+	if s := pl.StatsSnapshot(); s.KnapsackRuns != 0 || s.StoreMisses != 0 || s.StoreHits == 0 {
 		t.Errorf("warm store: %d tables, %d misses, %d hits; want 0, 0, > 0", s.KnapsackRuns, s.StoreMisses, s.StoreHits)
 	}
 }
@@ -266,14 +266,14 @@ func scaleVectors(p int) [][]float64 {
 	return [][]float64{ones(p), single, front, all, extreme, ones(p)}
 }
 
-// scaledCold is a cold search of the row on a fresh planner under scale.
+// scaledCold is a cold search of the row on a fresh planner under scale,
+// run as a replan runs its search: under the planner's mutex.
 func (d *diff) scaledCold(t testing.TB, scale []float64) (*Planner, []byte) {
 	t.Helper()
 	pl := d.planner(t)
-	if err := pl.SetStageScale(scale); err != nil {
-		t.Fatal(err)
-	}
-	p, err := pl.Plan()
+	pl.mu.Lock()
+	p, err := pl.sv.search(context.Background(), scale)
+	pl.mu.Unlock()
 	return pl, planned(t, pl, p, err)
 }
 
@@ -287,10 +287,10 @@ var legs = []struct {
 		pl := d.planner(t)
 		p, err := pl.Plan()
 		d.same(t, pl, p, err)
-		before := pl.Stats.KnapsackRuns
+		before := pl.StatsSnapshot().KnapsackRuns
 		p, err = pl.Plan()
 		d.same(t, pl, p, err)
-		if n := pl.Stats.KnapsackRuns - before; n != 0 {
+		if n := pl.StatsSnapshot().KnapsackRuns - before; n != 0 {
 			t.Errorf("repeat search filled %d tables", n)
 		}
 	}},
@@ -321,13 +321,13 @@ var legs = []struct {
 		budget.reserve -= 0.05
 		pl, p, err := storePlan(t, batch, st)
 		planned(t, pl, p, err)
-		if s := pl.Stats; s.StoreMisses != 0 || s.StoreHits == 0 {
+		if s := pl.StatsSnapshot(); s.StoreMisses != 0 || s.StoreHits == 0 {
 			t.Errorf("global-batch sibling: %d misses, %d hits; want 0, > 0", s.StoreMisses, s.StoreHits)
 		}
 		pl, p, err = storePlan(t, budget, st)
 		planned(t, pl, p, err)
-		if pl.Stats.StoreHits != 0 {
-			t.Errorf("budget sibling got %d store hits; families must not collide", pl.Stats.StoreHits)
+		if hits := pl.StatsSnapshot().StoreHits; hits != 0 {
+			t.Errorf("budget sibling got %d store hits; families must not collide", hits)
 		}
 	}},
 	{"store-partial", func(t *testing.T, d *diff) {
@@ -375,8 +375,8 @@ var legs = []struct {
 // legConcurrent races, under -race in `make race`: K searches on one planner,
 // each reading its stages back through CostFor; K planners of one family
 // (their global batches differ) on one store, each against its solo cold
-// plan; incremental replans against searches on one planner; and searches
-// against SetStageScale flips on another.
+// plan; and incremental replans against nominal searches on one planner,
+// each against a cold search under its own scale.
 func legConcurrent(t *testing.T, d *diff) {
 	const K = 3
 	solo, soloRuns := make([][]byte, K), 0
@@ -387,7 +387,7 @@ func legConcurrent(t *testing.T, d *diff) {
 		sib.n += k
 		pl := sib.planner(t)
 		p, err := pl.Plan()
-		solo[k], soloRuns = planned(t, pl, p, err), soloRuns+pl.Stats.KnapsackRuns
+		solo[k], soloRuns = planned(t, pl, p, err), soloRuns+pl.StatsSnapshot().KnapsackRuns
 		stored[k] = sib.planner(t)
 		if err := stored[k].SetCostSource(store); err != nil {
 			t.Fatal(err)
@@ -395,14 +395,14 @@ func legConcurrent(t *testing.T, d *diff) {
 	}
 	scale := scaleVectors(d.pp)[1]
 	_, scaled := d.scaledCold(t, scale)
-	shared, replanned, rescaled := d.planner(t), d.planner(t), d.planner(t)
+	shared, replanned := d.planner(t), d.planner(t)
 	old, err := replanned.Plan()
 	d.same(t, replanned, old, err)
 
 	plans, errs := make([]*Plan, 3*K), make([]error, 3*K)
 	var wg sync.WaitGroup
 	for k := range K {
-		wg.Add(4)
+		wg.Add(3)
 		go func() {
 			defer wg.Done()
 			if plans[k], errs[k] = shared.Plan(); errs[k] != nil {
@@ -421,21 +421,11 @@ func legConcurrent(t *testing.T, d *diff) {
 		go func() {
 			defer wg.Done()
 			if k%2 == 0 {
-				_, errs[2*K+k] = replanned.Plan()
+				plans[2*K+k], errs[2*K+k] = replanned.Plan()
 			} else if r, err := replanned.ReplanWithScale(old, scale); err != nil {
 				errs[2*K+k] = err
 			} else {
 				plans[2*K+k] = r.New
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			if k%2 == 0 {
-				if _, err := rescaled.Plan(); err != nil {
-					t.Error(err)
-				}
-			} else if err := errors.Join(rescaled.SetStageScale(scale), rescaled.SetStageScale(nil)); err != nil {
-				t.Error(err)
 			}
 		}()
 	}
@@ -447,15 +437,17 @@ func legConcurrent(t *testing.T, d *diff) {
 		if got := planned(t, stored[k], plans[K+k], errs[K+k]); !bytes.Equal(got, solo[k]) {
 			t.Errorf("planner %d over the shared store differs from its solo cold plan:\n%s\nvs\n%s", k, got, solo[k])
 		}
-		sharedRuns += stored[k].Stats.KnapsackRuns
-		if errs[2*K+k] != nil {
-			t.Fatal(errs[2*K+k])
+		sharedRuns += stored[k].StatsSnapshot().KnapsackRuns
+		// A search racing the replans sees nominal costs: no replan leaves
+		// its scale behind.
+		want := scaled
+		if k%2 == 0 {
+			want = d.json
 		}
-		if p := plans[2*K+k]; p != nil && !bytes.Equal(planned(t, replanned, p, nil), scaled) {
-			t.Error("concurrent replan differs from a cold search under its scale")
+		if got := planned(t, replanned, plans[2*K+k], errs[2*K+k]); !bytes.Equal(got, want) {
+			t.Errorf("concurrent call %d on the replanned planner differs from a cold search under its scale:\n%s\nvs\n%s", k, got, want)
 		}
 	}
-	settled(t, rescaled)
 	if st := store.StatsSnapshot(); st.Hits+st.Shared == 0 {
 		t.Errorf("the store served no lookup: %+v", st)
 	}
@@ -473,12 +465,12 @@ func legReplan(t *testing.T, d *diff) {
 	p, err := pl.Plan()
 	d.same(t, pl, p, err)
 	for step, scale := range scaleVectors(d.pp) {
-		before := pl.Stats
+		before := pl.StatsSnapshot()
 		r, err := pl.ReplanWithScale(p, scale)
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		after := pl.Stats
+		after := pl.StatsSnapshot()
 		if got := after.ReplanIncremental - before.ReplanIncremental; (got == 1) != d.fast() {
 			t.Fatalf("step %d: ReplanIncremental advanced by %d", step, got)
 		}
@@ -486,12 +478,12 @@ func legReplan(t *testing.T, d *diff) {
 		if got := planned(t, pl, r.New, nil); !bytes.Equal(got, want) {
 			t.Fatalf("step %d (scale %v): replan differs from cold search:\n%s\nvs\n%s", step, scale, got, want)
 		}
-		if incr := after.KnapsackRuns - before.KnapsackRuns; incr > cold.Stats.KnapsackRuns {
-			t.Fatalf("step %d: replan filled %d tables, cold search %d", step, incr, cold.Stats.KnapsackRuns)
+		if incr, runs := after.KnapsackRuns-before.KnapsackRuns, cold.StatsSnapshot().KnapsackRuns; incr > runs {
+			t.Fatalf("step %d: replan filled %d tables, cold search %d", step, incr, runs)
 		}
 		p = r.New
 	}
-	if s := pl.Stats; d.fast() && (s.InvalidatedIsoClasses == 0 || s.WarmStartCells == 0) {
+	if s := pl.StatsSnapshot(); d.fast() && (s.InvalidatedIsoClasses == 0 || s.WarmStartCells == 0) {
 		t.Errorf("fast path invalidated %d classes and reused %d cells over the sequence", s.InvalidatedIsoClasses, s.WarmStartCells)
 	}
 }
@@ -508,9 +500,9 @@ func legUncut(t *testing.T, d *diff) {
 	pl := u.planner(t)
 	p, err := pl.Plan()
 	d.same(t, pl, p, err)
-	cells, uncutCells := d.ref.Search.PartitionCells, pl.Stats.PartitionCells
+	cells, uncutCells := d.ref.Search.PartitionCells, pl.StatsSnapshot().PartitionCells
 	for step, scale := range scaleVectors(d.pp) {
-		before := pl.Stats.PartitionCells
+		before := pl.StatsSnapshot().PartitionCells
 		r, err := pl.ReplanWithScale(p, scale)
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
@@ -520,8 +512,8 @@ func legUncut(t *testing.T, d *diff) {
 			t.Fatalf("step %d (scale %v): uncut replan differs from a cut cold search:\n%s\nvs\n%s", step, scale, got, want)
 		}
 		if !d.fast() {
-			cells += cold.Stats.PartitionCells
-			uncutCells += pl.Stats.PartitionCells - before
+			cells += cold.StatsSnapshot().PartitionCells
+			uncutCells += pl.StatsSnapshot().PartitionCells - before
 		}
 		p = r.New
 	}

@@ -258,18 +258,11 @@ type Planner struct {
 	// warm-start memo and the class-solve scratch.
 	// guarded by mu
 	sv stageSolver
-	// scale holds per-stage compute-cost multipliers (nil = all 1), set by
-	// SetStageScale when a live run observes a degraded stage. Applied on
-	// top of the table, which stores nominal costs only. The slice is
-	// replaced wholesale, never mutated in place.
+	// stats accumulates search-effort counters across calls (the cost table
+	// persists, so the counters do too); each Plan carries a snapshot in its
+	// Search field, and StatsSnapshot copies it.
 	// guarded by mu
-	scale []float64
-	// Stats accumulates search-effort counters across Plan calls (the cost
-	// table persists, so the counters do too); each Plan carries a snapshot.
-	// Read it only after all concurrent calls have returned, or through
-	// StatsSnapshot.
-	// guarded by mu
-	Stats SearchStats
+	stats SearchStats
 
 	// uncut turns off the lower-bound cut of Algorithm 1's scans (stageSolver.rows).
 	// It is the tests' switch, set before the first Plan and never changed:
@@ -328,7 +321,7 @@ func NewPlannerWithProfile(cfg model.Config, cluster hardware.Cluster, strat par
 		clock:   obs.RealClock(),
 	}
 	pl.table = newCostTable(pl)
-	pl.sv = stageSolver{pl: pl, st: &pl.Stats}
+	pl.sv = stageSolver{pl: pl, st: &pl.stats}
 	pl.sv.compute = pl.sv.entry
 	return pl, nil
 }
@@ -364,16 +357,16 @@ func (sv *stageSolver) lookup(tr *obs.Tracer, s, i, j int) (idx int, feasible, h
 	return idx, state == partition.Feasible, hit
 }
 
-// rows is the row view of the table under the stage-scale snapshot scale
-// that every partition policy reads: Algorithm 1, the exact variant and
-// Evaluate (the even path and the repricing of a given partitioning). The
-// table holds nominal costs and the view applies the scale as it reads, so
-// SetStageScale never invalidates an entry. Only a cell not published yet
-// comes back to the planner, through Resolve: once cancelled (nil: never) is
-// set it is taken as infeasible, so the DP unwinds quickly; otherwise its
-// lookup counts the miss and solves the class, a knapsack solve attributed to
-// tr (nil: untraced). The caller counts the hits, as the cells it read less
-// the misses.
+// rows is the row view of the table under the stage scale of one call (nil
+// for nominal costs) that every partition policy reads: Algorithm 1, the
+// exact variant and Evaluate (the even path and the repricing of a given
+// partitioning). The table holds nominal costs and the view applies the
+// scale as it reads, so a replan never invalidates an entry. Only a cell not
+// published yet comes back to the planner, through Resolve: once cancelled
+// (nil: never) is set it is taken as infeasible, so the DP unwinds quickly;
+// otherwise its lookup counts the miss and solves the class, a knapsack solve
+// attributed to tr (nil: untraced). The caller counts the hits, as the cells
+// it read less the misses.
 //
 // Algorithm 1's scans are cut by the class shapes' times, unless the planner
 // runs them uncut: the bound reads the shape table only, so a cut candidate
@@ -622,11 +615,11 @@ func (pl *Planner) Plan() (*Plan, error) {
 func (pl *Planner) PlanContext(ctx context.Context) (*Plan, error) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	return pl.sv.search(ctx, pl.scale)
+	return pl.sv.search(ctx, nil)
 }
 
-// search runs the configured search under the stage scale and assembles the
-// plan.
+// search runs the configured search under the stage scale (nil: nominal
+// costs) and assembles the plan.
 func (sv *stageSolver) search(ctx context.Context, scale []float64) (*Plan, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -780,10 +773,10 @@ func (pl *Planner) assemble(bounds []int, scale []float64, total, w, e, m float6
 	return plan
 }
 
-// CostFor exposes the cached per-range cost model: the modeled forward and
-// backward times (seconds per micro-batch) and memory feasibility of layers
-// i..j (inclusive) executed as stage s. Tools and tests use it to evaluate
-// partitionings the search did not choose.
+// CostFor exposes the cached per-range cost model: the modeled nominal
+// forward and backward times (seconds per micro-batch) and memory
+// feasibility of layers i..j (inclusive) executed as stage s. Tools and tests
+// use it to evaluate partitionings the search did not choose.
 func (pl *Planner) CostFor(s, i, j int) (fwd, bwd float64, ok bool) {
 	if s < 0 || s >= pl.strat.PP || i < 0 || j >= len(pl.layers) || i > j {
 		return 0, 0, false
@@ -792,23 +785,22 @@ func (pl *Planner) CostFor(s, i, j int) (fwd, bwd float64, ok bool) {
 	defer pl.mu.Unlock()
 	idx, ok, hit := pl.sv.lookup(nil, s, i, j)
 	if hit {
-		pl.Stats.CostEvaluations++
-		pl.Stats.CacheHits++
+		pl.stats.CostEvaluations++
+		pl.stats.CacheHits++
 	}
-	c, sc := pl.table.hot[idx], scaleAt(pl.scale, s)
-	return c.F * sc, c.B * sc, ok
+	c := pl.table.hot[idx]
+	return c.F, c.B, ok
 }
 
 // LayerCount returns the length of the partitionable layer sequence.
 func (pl *Planner) LayerCount() int { return len(pl.layers) }
 
 // StatsSnapshot returns a copy of the cumulative search counters, safe to
-// take while other goroutines plan on this planner (unlike reading Stats
-// directly, which is only safe once all concurrent calls returned).
+// take while other goroutines plan on this planner.
 func (pl *Planner) StatsSnapshot() SearchStats {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	return pl.Stats
+	return pl.stats
 }
 
 // coarsenToLayers merges each layer kind's optional units into one atomic

@@ -212,13 +212,12 @@ func TestIsomorphismCacheIsLossless(t *testing.T) {
 			if math.Abs(p.Total-planTotalCache) > 1e-12 {
 				t.Errorf("isomorphism cache changed the plan: %g vs %g", p.Total, planTotalCache)
 			}
-			if pl.Stats.KnapsackRuns <= knapsackRunsCache {
-				t.Errorf("disabling the cache should increase knapsack runs: %d vs %d",
-					pl.Stats.KnapsackRuns, knapsackRunsCache)
+			if runs := pl.StatsSnapshot().KnapsackRuns; runs <= knapsackRunsCache {
+				t.Errorf("disabling the cache should increase knapsack runs: %d vs %d", runs, knapsackRunsCache)
 			}
 		} else {
 			planTotalCache = p.Total
-			knapsackRunsCache = pl.Stats.KnapsackRuns
+			knapsackRunsCache = pl.StatsSnapshot().KnapsackRuns
 		}
 	}
 }

@@ -10,25 +10,6 @@ import (
 	"adapipe/internal/sim"
 )
 
-// SetStageScale installs per-stage compute-cost multipliers: every
-// subsequent cost evaluation (and hence Plan call) sees stage s's forward
-// and backward times multiplied by scale[s]. This is how an observed
-// degradation — a straggling device reported by the obs detector — is folded
-// into the §5 cost model so the partition DP can shift layers away from the
-// slow stage. Memory costs are unchanged (a slow device is not a smaller
-// one). nil restores nominal costs; the nominal table entries are never
-// invalidated.
-func (pl *Planner) SetStageScale(scale []float64) error {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	scale, err := pl.checkScale(scale)
-	if err != nil {
-		return err
-	}
-	pl.scale = scale
-	return nil
-}
-
 // checkScale validates a stage-scale vector and returns the planner's own
 // copy of it (nil for nil).
 func (pl *Planner) checkScale(scale []float64) ([]float64, error) {
@@ -64,30 +45,24 @@ type Replan struct {
 	Adopted bool
 }
 
-// Speedup returns the simulated old/new iteration-time ratio.
-func (r *Replan) Speedup() float64 {
-	if r.NewSim.IterTime <= 0 {
-		return 1
-	}
-	return r.OldSim.IterTime / r.NewSim.IterTime
-}
-
-// ReplanWithScale reacts to an observed per-stage slowdown: it installs the
-// scale into the cost model, reprices the incumbent plan's bounds under it,
-// re-runs the configured partition search, and simulates both plans under
-// the 1F1B schedule. The new plan is marked Adopted only if its simulated
-// iteration strictly beats the repriced incumbent's — replanning must never
-// make things worse, so validation happens in the simulator before any
-// live pipeline is rebuilt. Once the incumbent is repriced, the scale stays
-// installed (the degradation is real until SetStageScale(nil) says
-// otherwise); an incumbent that cannot be repriced installs nothing.
+// ReplanWithScale reacts to an observed per-stage slowdown: stage s's
+// forward and backward times are multiplied by scale[s] (memory is
+// unchanged: a slow device is not a smaller one). It reprices the incumbent
+// plan's bounds under the scale, re-runs the configured partition search
+// under it, and simulates both plans under the 1F1B schedule. The new plan
+// is marked Adopted only if its simulated iteration strictly beats the
+// repriced incumbent's — replanning must never make things worse, so
+// validation happens in the simulator before any live pipeline is rebuilt.
+// The scale applies to this call only: the cost table keeps nominal costs,
+// and a later Plan or CostFor sees them.
 //
-// On a warm planner — one whose previous search installed the partition-DP
+// On a warm planner — one whose previous search kept the partition-DP
 // memo — the re-search runs incrementally: only the DP levels at or below
 // the highest stage whose scale changed are recomputed, against the same
 // cost table. The produced plan is byte-identical to a cold full
 // search under the same scale (TestDifferential's replan leg); only the work
-// differs. Stats.ReplanIncremental counts the replans that took this path.
+// differs. SearchStats.ReplanIncremental counts the replans that took this
+// path.
 func (pl *Planner) ReplanWithScale(old *Plan, scale []float64) (*Replan, error) {
 	return pl.ReplanWithScaleContext(context.Background(), old, scale)
 }
@@ -112,7 +87,6 @@ func (pl *Planner) ReplanWithScaleContext(ctx context.Context, old *Plan, scale 
 	if err != nil {
 		return nil, fmt.Errorf("core: repricing incumbent plan: %w", err)
 	}
-	pl.scale = scale
 	next, err := pl.sv.search(ctx, scale)
 	if err != nil {
 		return nil, fmt.Errorf("core: replanning under scaled costs: %w", err)
@@ -136,7 +110,7 @@ func (pl *Planner) ReplanWithScaleContext(ctx context.Context, old *Plan, scale 
 	return r, nil
 }
 
-// planForBounds prices an explicit partitioning under the stage scale and
+// planForBounds prices an explicit partitioning under scale and
 // assembles a Plan for it. The bounds must split the layers into p non-empty
 // stages, in order.
 func (sv *stageSolver) planForBounds(bounds []int, scale []float64) (*Plan, error) {

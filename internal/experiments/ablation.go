@@ -65,7 +65,7 @@ func Ablation() ([]AblationRow, error) {
 		}
 		plan, err := planner.Plan()
 		row.SearchTime = time.Since(start)
-		row.KnapsackRuns = planner.Stats.KnapsackRuns
+		row.KnapsackRuns = planner.StatsSnapshot().KnapsackRuns
 		if err != nil {
 			row.OOM = true
 			out = append(out, row)

@@ -141,15 +141,6 @@ func Static(params, buffer int64, strat parallel.Strategy, opts Options) Breakdo
 	}
 }
 
-// Stage computes the full breakdown for stage s of p given the activation
-// bytes pinned per micro-batch under the chosen recomputation strategy.
-func Stage(cfg model.Config, prof *profile.Profile, strat parallel.Strategy, layers []model.Layer, s int, savedPerMicro int64, opts Options) Breakdown {
-	b := StageStatic(cfg, prof, strat, layers, opts)
-	b.SavedPerMicro = savedPerMicro
-	b.InFlight = InFlight(strat.PP, s)
-	return b
-}
-
 // SavedAll returns the per-micro-batch activation bytes of a layer range with
 // every unit saved (no recomputation).
 func SavedAll(prof *profile.Profile, layers []model.Layer) int64 {

@@ -113,12 +113,20 @@ func TestRecomputeBuffer(t *testing.T) {
 	}
 }
 
+// stage is the full breakdown of stage s given the activation bytes pinned
+// per micro-batch: the static part plus s's in-flight activations.
+func stage(cfg model.Config, prof *profile.Profile, strat parallel.Strategy, layers []model.Layer, s int, savedPerMicro int64, opts Options) Breakdown {
+	b := StageStatic(cfg, prof, strat, layers, opts)
+	b.SavedPerMicro, b.InFlight = savedPerMicro, InFlight(strat.PP, s)
+	return b
+}
+
 func TestStageBreakdownInFlight(t *testing.T) {
 	strat := parallel.Strategy{TP: 8, PP: 8, DP: 1}
 	cfg, prof := setup(t, strat, 4096)
 	layers := cfg.LayerSequence()[1:25]
-	b0 := Stage(cfg, prof, strat, layers, 0, 1<<20, Default())
-	b7 := Stage(cfg, prof, strat, layers, 7, 1<<20, Default())
+	b0 := stage(cfg, prof, strat, layers, 0, 1<<20, Default())
+	b7 := stage(cfg, prof, strat, layers, 7, 1<<20, Default())
 	if b0.InFlight != 8 || b7.InFlight != 1 {
 		t.Errorf("in-flight = %d/%d, want 8/1", b0.InFlight, b7.InFlight)
 	}
@@ -156,7 +164,7 @@ func TestFigure1Shape(t *testing.T) {
 	for s := 0; s < 8; s++ {
 		layers := seq[s*per : (s+1)*per]
 		saved := SavedAll(prof, layers)
-		b := Stage(cfg, prof, strat, layers, s, saved, Default())
+		b := stage(cfg, prof, strat, layers, s, saved, Default())
 		nonTotals = append(nonTotals, b.Total())
 	}
 	for s := 1; s < 8; s++ {
@@ -168,7 +176,7 @@ func TestFigure1Shape(t *testing.T) {
 	if nonTotals[0] <= 80<<30 {
 		t.Errorf("stage 0 without recomputation = %d, want > 80 GiB at seq 16384", nonTotals[0])
 	}
-	full := Stage(cfg, prof, strat, seq[:per], 0, SavedBoundary(prof, seq[:per]), Default())
+	full := stage(cfg, prof, strat, seq[:per], 0, SavedBoundary(prof, seq[:per]), Default())
 	if full.Total() >= 80<<30 {
 		t.Errorf("full recomputation = %d, want < 80 GiB", full.Total())
 	}

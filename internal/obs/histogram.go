@@ -79,15 +79,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 {
-	var total int64
-	for i := range h.counts {
-		total += h.counts[i].Load()
-	}
-	return total
-}
-
 // RenderPromHistogram renders one histogram family in the Prometheus text
 // exposition format (seconds, cumulative buckets, _sum/_count), matching the
 // deterministic style of RenderProm: fixed bucket order, shortest-round-trip

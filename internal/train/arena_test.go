@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-	"time"
 
 	"adapipe/internal/tensor"
 )
@@ -209,10 +208,10 @@ func TestArenaPoisonedReleaseLeavesLossesAlone(t *testing.T) {
 // buffers and contexts in flight — pinned contexts, boundary tensors in the
 // channels, the failing op's scratch. They are dropped, never released, and
 // so is the iteration state that held them: replaying the same batches after
-// ZeroGrads runs on fresh iteration state, reuses only buffers and contexts
-// nobody holds — no context in flight at the failure ever reaches a free
-// list again — and reports the fault-free losses bit for bit, poisoned arenas
-// included.
+// zeroing the gradients runs on fresh iteration state, reuses only buffers
+// and contexts nobody holds — no context in flight at the failure ever
+// reaches a free list again — and reports the fault-free losses bit for bit,
+// poisoned arenas included.
 func TestArenaSurvivesFailedIteration(t *testing.T) {
 	parent := parentRuns(t, "losses_bench_shape.json")
 	rig := newBenchRig(t, benchShape, benchBounds, "alternate", true)
@@ -227,7 +226,7 @@ func TestArenaSurvivesFailedIteration(t *testing.T) {
 			if _, err := rig.pipe.Step(truncated(batches, 3)); err == nil {
 				t.Fatal("a step with truncated targets succeeded")
 			}
-			rig.pipe.ZeroGrads()
+			zeroGrads(rig.pipe.Stages)
 			for _, slots := range failed.ctxs {
 				for _, c := range slots {
 					if c != nil {
@@ -257,49 +256,38 @@ func TestArenaSurvivesFailedIteration(t *testing.T) {
 }
 
 // TestStepAllocsBounded: a steady-state step takes its matrices and contexts
-// from the arenas and its schedule, channels, goroutine bodies and watchdog
-// timer from the iteration state the last step left, so what it allocates is
-// the caller's batch slice (one object, 384 bytes) — with the watchdog on or
-// off. Garbage per step is what the repo benchmark's peak RSS grows by per
-// step, since no GC cycle runs in its timed window. Before the arenas a step
-// allocated 8071 objects and 42.7 MB here; before the recycled contexts and
-// iteration state, 231–263 objects and 16–17 KiB; before the kept timer, a
-// watched step allocated 6 objects.
+// from the arenas and its schedule, channels and goroutine bodies from the
+// iteration state the last step left, so what it allocates is the caller's
+// batch slice (one object, 384 bytes). Garbage per step is what the repo
+// benchmark's peak RSS grows by per step, since no GC cycle runs in its timed
+// window. Before the arenas a step allocated 8071 objects and 42.7 MB here;
+// before the recycled contexts and iteration state, 231–263 objects and
+// 16–17 KiB.
 func TestStepAllocsBounded(t *testing.T) {
 	const maxAllocs, maxBytes = 16, 1 << 10
 	for _, spec := range benchSpecs {
-		var unwatched float64
-		for _, watchdog := range []time.Duration{0, time.Minute} {
-			name := fmt.Sprintf("%s, watchdog %s", spec, watchdog)
-			rig := newBenchRig(t, benchShape, benchBounds, spec, false)
-			rig.pipe.Watchdog = watchdog
-			step := func() {
-				if _, err := rig.pipe.Step(rig.batches()); err != nil {
-					t.Fatal(err)
-				}
+		rig := newBenchRig(t, benchShape, benchBounds, spec, false)
+		step := func() {
+			if _, err := rig.pipe.Step(rig.batches()); err != nil {
+				t.Fatal(err)
 			}
-			for i := 0; i < 3; i++ {
-				step()
-			}
-			const runs = 10
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			allocs := testing.AllocsPerRun(runs, step)
-			runtime.ReadMemStats(&after)
-			// AllocsPerRun makes one warm-up call before the counted ones.
-			bytes := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
-			t.Logf("%s: %.0f allocs, %d bytes per step", name, allocs, bytes)
-			if allocs > maxAllocs {
-				t.Errorf("%s: %.0f allocs per step, want <= %d", name, allocs, maxAllocs)
-			}
-			if bytes > maxBytes {
-				t.Errorf("%s: %d bytes per step, want <= %d", name, bytes, maxBytes)
-			}
-			if watchdog == 0 {
-				unwatched = allocs
-			} else if allocs != unwatched {
-				t.Errorf("%s: %.0f allocs per step, %.0f without the watchdog", name, allocs, unwatched)
-			}
+		}
+		for i := 0; i < 3; i++ {
+			step()
+		}
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(runs, step)
+		runtime.ReadMemStats(&after)
+		// AllocsPerRun makes one warm-up call before the counted ones.
+		bytes := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+		t.Logf("%s: %.0f allocs, %d bytes per step", spec, allocs, bytes)
+		if allocs > maxAllocs {
+			t.Errorf("%s: %.0f allocs per step, want <= %d", spec, allocs, maxAllocs)
+		}
+		if bytes > maxBytes {
+			t.Errorf("%s: %d bytes per step, want <= %d", spec, bytes, maxBytes)
 		}
 	}
 }

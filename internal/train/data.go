@@ -42,9 +42,6 @@ func NewCorpus(vocab, length int, seed uint64) *Corpus {
 	return c
 }
 
-// Len returns the token count.
-func (c *Corpus) Len() int { return len(c.data) }
-
 // Sample returns a (input, target) pair of length seq starting at a
 // deterministic pseudo-random offset drawn from rng.
 func (c *Corpus) Sample(seq int, rng *tensor.RNG) (tokens, targets []int) {

@@ -240,13 +240,16 @@ func Split(n *Net, bounds []int, saves [][]SaveSpec) ([]*Stage, error) {
 	m := n.Cfg.Model()
 	seq := m.LayerSequence()
 	p := len(bounds) - 1
-	if bounds[0] != 0 || bounds[p] != len(seq) {
+	if p < 1 || bounds[0] != 0 || bounds[p] != len(seq) {
 		return nil, fmt.Errorf("train: bounds must span the %d-layer sequence, got %v", len(seq), bounds)
 	}
 	stages := make([]*Stage, p)
 	for s := 0; s < p; s++ {
 		if bounds[s+1] <= bounds[s] {
 			return nil, fmt.Errorf("train: stage %d is empty (bounds %v)", s, bounds)
+		}
+		if bounds[s+1] > len(seq) {
+			return nil, fmt.Errorf("train: stage %d ends past the %d-layer sequence (bounds %v)", s, len(seq), bounds)
 		}
 		st := &Stage{Index: s}
 		var specs []SaveSpec

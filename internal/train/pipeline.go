@@ -2,7 +2,6 @@ package train
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -17,10 +16,6 @@ import (
 // compatible with sim.Result via Trace.Result so the trace-package renderers
 // work on measured runs.
 type Trace = obs.Trace
-
-// ErrWatchdog is wrapped by Accumulate when the watchdog timeout expires
-// before the iteration completes; test with errors.Is.
-var ErrWatchdog = errors.New("train: pipeline watchdog timeout")
 
 // Pipeline executes synchronous 1F1B pipeline-parallel training: one
 // goroutine per stage, activations flowing forward and gradients backward
@@ -39,12 +34,6 @@ type Pipeline struct {
 	// Accumulate resets it). Nil — the default — keeps the hot path free of
 	// clock reads and recording allocations.
 	Recorder *obs.Recorder
-	// Watchdog bounds one Accumulate call; past it the iteration is
-	// canceled and ErrWatchdog returned. Zero disables the watchdog. The
-	// cancellation protocol (every channel op selects on the done channel)
-	// guarantees all stage goroutines exit promptly once canceled, so firing
-	// never leaks goroutines.
-	Watchdog time.Duration
 	// sched is the 1F1B schedule of the last (stages, micro-batches) pair;
 	// it is only ever read.
 	sched *schedule.Schedule
@@ -88,27 +77,17 @@ func (p *Pipeline) ApplyOptimizer(gradScale float64) {
 	}
 }
 
-// ZeroGrads discards accumulated gradients on every stage without touching
-// parameters or optimizer state — how a failed or skipped iteration is
-// erased (parameters only ever change in ApplyOptimizer).
-func (p *Pipeline) ZeroGrads() {
-	for _, s := range p.Stages {
-		for _, prm := range s.Params() {
-			prm.G.Zero()
-		}
-	}
-}
-
 // Accumulate runs the forward and backward passes of one iteration under
 // 1F1B scheduling, accumulating gradients without applying the optimizer.
 // It returns the mean loss across micro-batches.
 //
 // Accumulate is cancellable: every channel operation in the stage goroutines
-// selects on a per-iteration done channel, so when one stage panics (or the
-// watchdog fires) its peers unblock and exit instead of deadlocking
-// wg.Wait on a counterpart that will never send. On any failure the
-// accumulated gradients are partial garbage; callers must ZeroGrads before
-// stepping again.
+// selects on a per-iteration done channel, which a stage that panics closes,
+// so its peers unblock and exit instead of deadlocking wg.Wait on a
+// counterpart that will never send. A stage panic is the one way an
+// iteration is cancelled: the 1F1B schedule it runs cannot deadlock. On a
+// failure the accumulated gradients are partial garbage; Run, RunContext and
+// RunDataParallel end at the first failed step.
 //
 // A successful iteration leaves its state — channels drained, done channel
 // open, every context slot empty — for the next call on the same schedule,
@@ -137,13 +116,6 @@ func (p *Pipeline) Accumulate(batches []Batch) (float64, error) {
 	}
 	run.batches = batches
 
-	if p.Watchdog > 0 {
-		if run.timer == nil {
-			run.timer = time.AfterFunc(p.Watchdog, run.cancel)
-		} else {
-			run.timer.Reset(p.Watchdog)
-		}
-	}
 	for _, stage := range run.stages {
 		run.wg.Add(1)
 		go stage()
@@ -153,14 +125,6 @@ func (p *Pipeline) Accumulate(batches []Batch) (float64, error) {
 	// canceled, and returning only after wg.Wait means none outlives the
 	// call to race on losses/PeakActBytes.
 	run.wg.Wait()
-	if p.Watchdog > 0 && !run.timer.Stop() {
-		// The timer fired and canceled the run, whose done channel stays
-		// closed: the run is dropped like any failed one.
-		if err := firstErr(run.errs); err != nil {
-			return 0, err
-		}
-		return 0, fmt.Errorf("train: iteration exceeded %s: %w", p.Watchdog, ErrWatchdog)
-	}
 	if err := firstErr(run.errs); err != nil {
 		return 0, err
 	}
@@ -201,9 +165,6 @@ type iterRun struct {
 	done    chan struct{}
 	once    sync.Once
 	wg      sync.WaitGroup
-	// timer is the watchdog, which cancels the run when it fires; it is
-	// made on the run's first watched call and re-armed on each later one.
-	timer *time.Timer
 	// stages are the stage goroutines' bodies, built once so that starting
 	// them allocates nothing.
 	stages []func()
@@ -396,8 +357,6 @@ type RunConfig struct {
 	// iteration, free of allocator warm-up). Off by default: recording
 	// reads two clocks per channel op and allocates span buffers.
 	Record bool
-	// Watchdog bounds each iteration's wall time; zero disables it.
-	Watchdog time.Duration
 }
 
 // RunResult is a completed training run.
@@ -431,8 +390,8 @@ func RunContext(ctx context.Context, rc RunConfig) (RunResult, error) {
 }
 
 // newRunPipeline builds the pipeline a run trains: a network sized by rc.Net,
-// split at rc.Bounds under rc.Saves, with the run's watchdog and, when
-// rc.Record is set, an op recorder.
+// split at rc.Bounds under rc.Saves, with an op recorder when rc.Record is
+// set.
 func newRunPipeline(rc RunConfig) (*Pipeline, error) {
 	net, err := NewNet(rc.Net)
 	if err != nil {
@@ -443,7 +402,6 @@ func newRunPipeline(rc RunConfig) (*Pipeline, error) {
 		return nil, err
 	}
 	pipe := NewPipeline(stages, rc.LR)
-	pipe.Watchdog = rc.Watchdog
 	if rc.Record {
 		pipe.Recorder = obs.NewRecorder()
 	}

@@ -3,12 +3,10 @@ package train
 import (
 	"context"
 	"errors"
-	"runtime"
 	"slices"
 	"testing"
 	"time"
 
-	"adapipe/internal/schedule"
 	"adapipe/internal/tensor"
 )
 
@@ -40,15 +38,28 @@ func truncated(batches []Batch, m int) []Batch {
 
 // TestPanicMidIterationReturnsError: a stage panicking mid-iteration cancels
 // its peers and surfaces as an error naming the stage, instead of leaving
-// wg.Wait on counterparts that will never send. The watchdog is only a
-// backstop here — cancellation alone must unblock everything long before it.
+// wg.Wait on counterparts that will never send. The test's own timeout is
+// only a backstop: cancellation must unblock everything long before it.
 func TestPanicMidIterationReturnsError(t *testing.T) {
 	pipe := buildPipe(t, smallCfg, []int{0, 2, 4, 6})
-	pipe.Watchdog = 10 * time.Second
 	batches := NewCorpus(smallCfg.Vocab, 1<<14, 11).Batches(4, smallCfg.Seq, tensor.NewRNG(3))
 
 	start := time.Now()
-	_, err := pipe.Accumulate(truncated(batches, 1))
+	done, quit := make(chan error), make(chan struct{})
+	defer close(quit)
+	go func() {
+		_, err := pipe.Accumulate(truncated(batches, 1))
+		select {
+		case done <- err:
+		case <-quit:
+		}
+	}()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Accumulate still blocked 10s after a stage panicked")
+	}
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("Accumulate succeeded despite a stage panic")
@@ -56,50 +67,8 @@ func TestPanicMidIterationReturnsError(t *testing.T) {
 	if want := "train: stage 2: train: 3 targets for 12 logit rows"; err.Error() != want {
 		t.Fatalf("error %q, want %q", err, want)
 	}
-	if errors.Is(err, ErrWatchdog) {
-		t.Fatalf("the panic was only caught by the watchdog backstop: %v", err)
-	}
 	if elapsed > 5*time.Second {
 		t.Fatalf("cancellation took %s; peers were not unblocked promptly", elapsed)
-	}
-}
-
-// TestWatchdogTripsOnDeadlock: a schedule whose two stages each wait on the
-// other never finishes; the watchdog cancels it with ErrWatchdog, and every
-// stage goroutine exits — none outlives the call.
-func TestWatchdogTripsOnDeadlock(t *testing.T) {
-	pipe := buildPipe(t, smallCfg, []int{0, 3, 6})
-	pipe.Watchdog = 100 * time.Millisecond
-	// Stage 0 starts with the backward of micro 0, which waits for stage 1's
-	// gradient; stage 1 starts with the forward of micro 0, which waits for
-	// stage 0's activation.
-	pipe.sched = &schedule.Schedule{
-		Stages: 2,
-		Micros: 2,
-		Ops: [][]schedule.Op{
-			{{Kind: schedule.Backward, Micros: []int{0}}},
-			{{Kind: schedule.Forward, Micros: []int{0}}, {Kind: schedule.Backward, Micros: []int{0}}},
-		},
-	}
-	batches := NewCorpus(smallCfg.Vocab, 1<<14, 11).Batches(2, smallCfg.Seq, tensor.NewRNG(3))
-
-	baseline := runtime.NumGoroutine()
-	start := time.Now()
-	_, err := pipe.Accumulate(batches)
-	elapsed := time.Since(start)
-	if !errors.Is(err, ErrWatchdog) {
-		t.Fatalf("err = %v, want ErrWatchdog", err)
-	}
-	if elapsed > 10*time.Second {
-		t.Fatalf("the watchdog returned after %s", elapsed)
-	}
-	// The timer goroutine that canceled the run may still be on its way out
-	// when Accumulate returns.
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after the watchdog fired, %d before", runtime.NumGoroutine(), baseline)
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -204,19 +204,35 @@ func TestRecomputationCutsPeakActivations(t *testing.T) {
 	}
 }
 
+// TestSplitValidation: bounds that do not split the 6-layer sequence into
+// non-empty stages in order are refused with an error, never a panic, both
+// by Split and by a run given them.
 func TestSplitValidation(t *testing.T) {
 	net := tinyNet(t, 2, 1)
 	if _, err := Split(net, []int{0, 6}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Split(net, []int{1, 6}, nil); err == nil {
-		t.Error("bounds not starting at 0 accepted")
-	}
-	if _, err := Split(net, []int{0, 5}, nil); err == nil {
-		t.Error("bounds not covering the sequence accepted")
-	}
-	if _, err := Split(net, []int{0, 3, 3, 6}, nil); err == nil {
-		t.Error("empty stage accepted")
+	for _, c := range []struct {
+		why    string
+		bounds []int
+	}{
+		{"nil bounds", nil},
+		{"empty bounds", []int{}},
+		{"a single bound", []int{0}},
+		{"bounds not starting at 0", []int{1, 6}},
+		{"bounds not covering the sequence", []int{0, 5}},
+		{"an empty stage", []int{0, 3, 3, 6}},
+		{"bounds out of order", []int{0, 4, 2, 6}},
+		{"a negative bound", []int{0, -1, 6}},
+		{"an interior bound past the sequence", []int{0, 8, 6}},
+	} {
+		if _, err := Split(net, c.bounds, nil); err == nil {
+			t.Errorf("Split accepted %s: %v", c.why, c.bounds)
+		}
+		rc := RunConfig{Net: net.Cfg, Bounds: c.bounds, Steps: 1, MicroBatches: 2, LR: 1e-3}
+		if _, err := Run(rc); err == nil {
+			t.Errorf("Run accepted %s: %v", c.why, c.bounds)
+		}
 	}
 }
 
@@ -361,8 +377,8 @@ func TestAdamGradScale(t *testing.T) {
 
 func TestCorpusProperties(t *testing.T) {
 	c := NewCorpus(32, 1<<17, 11)
-	if c.Len() != 1<<17 {
-		t.Fatalf("len = %d", c.Len())
+	if len(c.data) != 1<<17 {
+		t.Fatalf("len = %d", len(c.data))
 	}
 	for i, v := range c.data {
 		if v < 0 || v >= 32 {
@@ -380,7 +396,7 @@ func TestCorpusProperties(t *testing.T) {
 	// far from uniform (otherwise there is nothing to learn).
 	counts := map[[3]int]int{}
 	pair := map[[2]int]int{}
-	for i := 2; i < c.Len(); i++ {
+	for i := 2; i < len(c.data); i++ {
 		counts[[3]int{c.data[i-2], c.data[i-1], c.data[i]}]++
 		pair[[2]int{c.data[i-2], c.data[i-1]}]++
 	}

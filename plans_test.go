@@ -201,8 +201,8 @@ func widePlansDigest(t *testing.T) {
 				adopted++
 			}
 		}
-		if pl.Stats.ReplanIncremental != 12 {
-			t.Errorf("%s pp%d: %d of 12 replans warm-started", req.Model, req.PP, pl.Stats.ReplanIncremental)
+		if n := pl.StatsSnapshot().ReplanIncremental; n != 12 {
+			t.Errorf("%s pp%d: %d of 12 replans warm-started", req.Model, req.PP, n)
 		}
 	}
 	t.Logf("%d of %d replans adopted", adopted, 12*len(replanRuns))

@@ -22,10 +22,6 @@ type (
 	SaveSpec = train.SaveSpec
 )
 
-// ErrWatchdog is wrapped by a training run's error when an iteration
-// outlives TrainRunConfig.Watchdog; test with errors.Is.
-var ErrWatchdog = train.ErrWatchdog
-
 // SaveAll returns a SaveSpec that keeps every unit of any block (no
 // recomputation).
 func SaveAll() SaveSpec { return train.SaveAll() }
@@ -36,7 +32,10 @@ func SaveNone() SaveSpec { return train.SaveNone() }
 // Train builds a micro-transformer, partitions it into pipeline stages, and
 // trains it on a deterministic synthetic corpus with multi-goroutine 1F1B
 // scheduling. Gradients are bit-identical across recomputation strategies
-// and partitionings (§7.5).
+// and partitionings (§7.5). Bounds that do not split the layer sequence into
+// non-empty stages are an error. A stage that panics cancels its iteration,
+// and the run ends there with the error naming the stage and the losses of
+// the steps that completed.
 func Train(rc TrainRunConfig) (TrainResult, error) { return train.Run(rc) }
 
 // TrainContext is Train with cancellation: ctx is checked between optimizer
