@@ -79,13 +79,15 @@ race:
 # BenchmarkReplan/*, BenchmarkSweepGrid/*, BenchmarkPartitionDP/{cut,uncut},
 # BenchmarkAblationExactPartition (the one run of the exact partition solver
 # over the planner's row view outside the unit tests) and
-# BenchmarkSimulate{1F1B,Chimera} row builds, runs once and (the train
+# BenchmarkSimulate{1F1B,Chimera}, with internal/sim's BenchmarkRun/*, row
+# builds, runs once and (the train
 # rows) checks its losses against the other save specs. go vet over bench/ proves the frozen harness still
 # type-checks against the tensor and train entry points it calls. No
 # wall-clock gate: speed is gated by the repo benchmark (throughput_ops_s @
 # train_1f1b, op_p95_ms @ plan_cold) alone.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'TrainStep|MatMul|Elementwise|Knapsack|PlanSearch|Replan|SweepGrid|PartitionDP|AblationExactPartition|Simulate' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'Run' -benchtime 1x ./internal/sim
 	$(GO) vet ./bench
 
 # figures regenerates the three sub-second paper figures through their one

@@ -124,7 +124,10 @@ func TestTrainSpecFromPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounds, saves := adapipe.TrainSpecFromPlan(plan, m)
+	bounds, saves, err := adapipe.TrainSpecFromPlan(plan, m)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(bounds) != 3 {
 		t.Fatalf("bounds %v", bounds)
 	}
@@ -133,6 +136,11 @@ func TestTrainSpecFromPlan(t *testing.T) {
 	}
 	if len(saves) != 2 {
 		t.Fatalf("%d save stages", len(saves))
+	}
+	// A plan for a larger model is refused, not sliced past m's sequence.
+	small := adapipe.TinyModel(2)
+	if _, _, err := adapipe.TrainSpecFromPlan(plan, small); err == nil {
+		t.Errorf("a plan over %d layers converted for a %d-layer model", len(m.LayerSequence()), len(small.LayerSequence()))
 	}
 }
 

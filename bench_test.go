@@ -359,7 +359,8 @@ func simulateGPT3(b *testing.B, kind adapipe.ScheduleKind) {
 // BenchmarkSimulate1F1B times one simulated GPT-3 iteration.
 func BenchmarkSimulate1F1B(b *testing.B) { simulateGPT3(b, adapipe.Sched1F1B) }
 
-// BenchmarkSimulateChimera times the greedy bidirectional schedule.
+// BenchmarkSimulateChimera times one simulated GPT-3 iteration under
+// Chimera's bidirectional pipelines.
 func BenchmarkSimulateChimera(b *testing.B) { simulateGPT3(b, adapipe.SchedChimera) }
 
 // The executor rows (DESIGN §16): the train_1f1b workload of bench/train.go

@@ -45,7 +45,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	planBounds, planSaves := adapipe.TrainSpecFromPlan(plan, m)
+	planBounds, planSaves, err := adapipe.TrainSpecFromPlan(plan, m)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	runs := []struct {
 		name   string

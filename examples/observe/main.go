@@ -65,7 +65,10 @@ func main() {
 	fmt.Print(adapipe.Describe(plan))
 
 	// Execute the plan for real with the op recorder attached.
-	bounds, saves := adapipe.TrainSpecFromPlan(plan, m)
+	bounds, saves, err := adapipe.TrainSpecFromPlan(plan, m)
+	if err != nil {
+		log.Fatal(err)
+	}
 	res, err := adapipe.Train(adapipe.TrainRunConfig{
 		Net: net, Bounds: bounds, Saves: saves,
 		Steps: 3, MicroBatches: micros, LR: 1e-3, DataSeed: 7,

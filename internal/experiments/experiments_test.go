@@ -252,7 +252,10 @@ func TestStageSavesRoundTrip(t *testing.T) {
 			}
 			m := fc.Model()
 			seq := m.LayerSequence()
-			saves := train.StageSaves(m, plan.Bounds(), plan.SavedCount)
+			saves, err := train.StageSaves(m, plan.Bounds(), plan.SavedCount)
+			if err != nil {
+				t.Fatal(err)
+			}
 			sets := map[string]bool{}
 			for s, st := range plan.Stages {
 				got, want := map[string]int{}, map[string]int{}

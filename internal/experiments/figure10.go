@@ -58,17 +58,23 @@ func Figure10(fc Figure10Config) ([]Figure10Curve, error) {
 		return nil, err
 	}
 	adaBounds := plan.Bounds()
-	adaSaves := train.StageSaves(mcfg, adaBounds, plan.SavedCount)
+	adaSaves, err := train.StageSaves(mcfg, adaBounds, plan.SavedCount)
+	if err != nil {
+		return nil, err
+	}
 
 	// DAPPLE-Full: even bounds, no optional unit of a decoder block saved;
 	// the head keeps its LayerNorm, as the planner's full policy prices it.
 	evenBounds := partition.Even(len(mcfg.LayerSequence()), fc.Stages)
-	fullSaves := train.StageSaves(mcfg, evenBounds, func(_ int, kind model.LayerKind, _ model.UnitKind) int {
+	fullSaves, err := train.StageSaves(mcfg, evenBounds, func(_ int, kind model.LayerKind, _ model.UnitKind) int {
 		if kind == model.Head {
 			return 1
 		}
 		return 0
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	runs := []struct {
 		name   string

@@ -63,12 +63,9 @@ type Schedule struct {
 	Stages int
 	// Micros is the micro-batch count n.
 	Micros int
-	// Ops holds each device's op sequence. Device d executes Ops[d] in
-	// order when InOrder is true; otherwise the order is a priority hint
-	// and the simulator greedily runs the first ready op.
+	// Ops holds each device's op sequence in execution order: device d
+	// runs Ops[d][i] only after Ops[d][i−1].
 	Ops [][]Op
-	// InOrder selects strict in-order execution per device.
-	InOrder bool
 	// Bidirectional marks Chimera-style schedules where device d hosts
 	// down-pipeline stage d and up-pipeline stage p−1−d, with model
 	// parameters replicated across the two pipelines.
@@ -113,7 +110,7 @@ func OneFOneB(p, n int) (*Schedule, error) {
 	if err := checkPN(p, n); err != nil {
 		return nil, err
 	}
-	s := &Schedule{Name: "1F1B", Stages: p, Micros: n, InOrder: true}
+	s := &Schedule{Name: "1F1B", Stages: p, Micros: n}
 	ids := s.carve(p, 2*n)
 	for st := 0; st < p; st++ {
 		warmup := p - st - 1
@@ -141,7 +138,7 @@ func GPipe(p, n int) (*Schedule, error) {
 	if err := checkPN(p, n); err != nil {
 		return nil, err
 	}
-	s := &Schedule{Name: "GPipe", Stages: p, Micros: n, InOrder: true}
+	s := &Schedule{Name: "GPipe", Stages: p, Micros: n}
 	ids := s.carve(p, 2*n)
 	for st := 0; st < p; st++ {
 		ops := s.Ops[st]
@@ -173,7 +170,7 @@ func Chimera(p, n int) (*Schedule, error) {
 	if n%p != 0 {
 		return nil, fmt.Errorf("schedule: Chimera needs micro-batches (%d) divisible by stages (%d)", n, p)
 	}
-	s := &Schedule{Name: "Chimera", Stages: p, Micros: n, Bidirectional: true, InOrder: true}
+	s := &Schedule{Name: "Chimera", Stages: p, Micros: n, Bidirectional: true}
 	ids := s.carve(p, 2*n)
 	ops := make([]keyedOp, 0, 2*n)
 	for d := 0; d < p; d++ {
@@ -228,7 +225,7 @@ func ChimeraD(p, n int) (*Schedule, error) {
 	if n%(2*p) != 0 {
 		return nil, fmt.Errorf("schedule: ChimeraD needs micro-batches (%d) divisible by 2x stages (%d)", n, 2*p)
 	}
-	s := &Schedule{Name: "ChimeraD", Stages: p, Micros: n, Bidirectional: true, InOrder: true}
+	s := &Schedule{Name: "ChimeraD", Stages: p, Micros: n, Bidirectional: true}
 	// Micro pairs (2i, 2i+1) flow forward together; pair i goes down the
 	// down pipeline when (i mod p) < p/2, up otherwise.
 	pairs := n / 2
@@ -258,9 +255,13 @@ func ChimeraD(p, n int) (*Schedule, error) {
 }
 
 // Interleaved builds Megatron-LM's interleaved 1F1B schedule with v virtual
-// chunks per device: device d hosts stages d, d+p, …, d+(v−1)p of a vp-stage
-// virtual pipeline. Provided as the paper's related mechanism (§2.1); the
-// simulator executes it greedily.
+// chunks per device (Narayanan et al., SC'21): device d hosts chunk c as
+// stage c·p+d of a vp-stage virtual pipeline. Provided as the paper's related
+// mechanism (§2.1). A device's k-th forward runs chunk (k/p) mod v on micro
+// (k/(pv))·p + k mod p, its k-th backward the same micro at chunk
+// v−1−(k/p) mod v. Device d runs min(2(p−d−1) + (v−1)p, nv) warm-up
+// forwards, then alternates one forward and one backward, then drains the
+// remaining backwards.
 func Interleaved(p, n, v int) (*Schedule, error) {
 	if err := checkPN(p, n); err != nil {
 		return nil, err
@@ -275,25 +276,26 @@ func Interleaved(p, n, v int) (*Schedule, error) {
 		return nil, fmt.Errorf("schedule: interleaved 1F1B needs micro-batches (%d) divisible by stages (%d)", n, p)
 	}
 	s := &Schedule{Name: fmt.Sprintf("Interleaved-%d", v), Stages: p * v, Micros: n}
-	ids := s.carve(p, 2*n*v)
-	for d := 0; d < p; d++ {
-		ops := s.Ops[d]
-		// Forward priority: chunk-major groups of p micro-batches.
-		for g := 0; g < n/p; g++ {
-			for c := 0; c < v; c++ {
-				for k := 0; k < p; k++ {
-					m := g*p + k
-					ops = append(ops, Op{Kind: Forward, Micros: ids.one(m), Stage: c*p + d})
-				}
-			}
+	total := n * v // ops of each kind per device
+	ids := s.carve(p, 2*total)
+	at := func(kind Kind, d, k int) Op {
+		c := k / p % v
+		if kind == Backward {
+			c = v - 1 - c
 		}
-		for g := n/p - 1; g >= 0; g-- {
-			for c := v - 1; c >= 0; c-- {
-				for k := 0; k < p; k++ {
-					m := g*p + k
-					ops = append(ops, Op{Kind: Backward, Micros: ids.one(m), Stage: c*p + d})
-				}
+		return Op{Kind: kind, Micros: ids.one(k/(p*v)*p + k%p), Stage: c*p + d}
+	}
+	for d := 0; d < p; d++ {
+		warmup := min(2*(p-d-1)+(v-1)*p, total)
+		ops := s.Ops[d]
+		for k := 0; k < warmup; k++ {
+			ops = append(ops, at(Forward, d, k))
+		}
+		for k := 0; k < total; k++ {
+			if warmup+k < total {
+				ops = append(ops, at(Forward, d, warmup+k))
 			}
+			ops = append(ops, at(Backward, d, k))
 		}
 		s.Ops[d] = ops
 	}

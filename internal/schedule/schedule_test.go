@@ -226,6 +226,20 @@ func TestInterleaved(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Error(err)
 	}
+	// Megatron's order: device 0 warms up with 2(p−1) + (v−1)p = 4
+	// forwards, device 1 with 2.
+	for d, want := range []string{
+		"F[0]@0 F[1]@0 F[0]@2 F[1]@2 F[2]@0 B[0]@2 F[3]@0 B[1]@2 F[2]@2 B[0]@0 F[3]@2 B[1]@0 B[2]@2 B[3]@2 B[2]@0 B[3]@0",
+		"F[0]@1 F[1]@1 F[0]@3 B[0]@3 F[1]@3 B[1]@3 F[2]@1 B[0]@1 F[3]@1 B[1]@1 F[2]@3 B[2]@3 F[3]@3 B[3]@3 B[2]@1 B[3]@1",
+	} {
+		var got []string
+		for _, op := range s.Ops[d] {
+			got = append(got, op.String())
+		}
+		if g := strings.Join(got, " "); g != want {
+			t.Errorf("device %d runs\n%s\nwant\n%s", d, g, want)
+		}
+	}
 	// v=1 degenerates to plain 1F1B.
 	s1, err := Interleaved(3, 6, 1)
 	if err != nil {

@@ -11,6 +11,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -127,12 +128,16 @@ func (r Result) BubbleRatio() float64 {
 // slice, device d's from first[d] on, in the schedule's order.
 type opState struct {
 	start, end float64
-	done       bool
 }
 
-// Run executes the schedule. It returns an error for malformed inputs or a
-// deadlocked schedule (an in-order op sequence whose dependencies can never
-// be met).
+// Run executes the schedule, each device running its ops in order. It
+// returns an error for malformed inputs, a non-finite stage cost or a
+// deadlocked schedule (an op sequence whose dependencies can never be met).
+//
+// Run sweeps the devices, and each commits its next ops for as long as
+// their inputs are ready. An op starts at the later of its device's clock
+// and its inputs' arrivals, which its predecessors alone fix, so the order
+// of commits moves no result; a sweep that commits nothing is a deadlock.
 func Run(in Input) (Result, error) {
 	sched := in.Sched
 	if sched == nil {
@@ -141,6 +146,11 @@ func Run(in Input) (Result, error) {
 	if len(in.Stages) != sched.Stages {
 		return Result{}, fmt.Errorf("sim: schedule %q has %d stages, got %d stage costs",
 			sched.Name, sched.Stages, len(in.Stages))
+	}
+	for s, c := range in.Stages {
+		if sum := c.Fwd + c.Bwd + c.CommFwd + c.CommBwd; math.IsNaN(sum) || math.IsInf(sum, 0) {
+			return Result{}, fmt.Errorf("sim: stage %d has a non-finite cost", s)
+		}
 	}
 	if err := sched.Validate(); err != nil {
 		return Result{}, err
@@ -217,65 +227,34 @@ func Run(in Input) (Result, error) {
 	}
 
 	clock := make([]float64, devices)
-	nextIdx := make([]int, devices) // for in-order mode
-	executed := 0
-	var timeline []Event
-	if in.CaptureTimeline {
-		timeline = make([]Event, 0, total)
-	}
-
-	for executed < total {
-		bestDev, bestIdx := -1, -1
-		bestStart := math.Inf(1)
+	next := make([]int, devices) // device d's first uncommitted op
+	for executed := 0; executed < total; {
+		swept := executed
 		for d, ops := range sched.Ops {
-			if sched.InOrder {
-				i := nextIdx[d]
-				if i >= len(ops) {
-					continue
+			i := next[d]
+			for ; i < len(ops); i++ {
+				op := &ops[i]
+				start, ok := readyStart(op, clock[d])
+				if !ok {
+					break
 				}
-				if start, ok := readyStart(&ops[i], clock[d]); ok && start < bestStart {
-					bestStart, bestDev, bestIdx = start, d, i
+				st := &states[first[d]+i]
+				st.start = start
+				st.end = start + duration(op)
+				clock[d] = st.end
+				done := fwdEnd
+				if op.Kind == schedule.Backward {
+					done = bwdEnd
 				}
-				continue
-			}
-			// Greedy: first ready op in priority order with the
-			// earliest start wins for this device.
-			devBest := math.Inf(1)
-			devIdx := -1
-			for i := range ops {
-				if states[first[d]+i].done {
-					continue
-				}
-				if start, ok := readyStart(&ops[i], clock[d]); ok && start < devBest {
-					devBest, devIdx = start, i
+				for _, m := range op.Micros {
+					done[cell(op.Pipeline, op.Stage, m)] = st.end
 				}
 			}
-			if devIdx >= 0 && devBest < bestStart {
-				bestStart, bestDev, bestIdx = devBest, d, devIdx
-			}
+			executed += i - next[d]
+			next[d] = i
 		}
-		if bestDev < 0 {
+		if executed == swept {
 			return Result{}, fmt.Errorf("sim: schedule %q deadlocked after %d of %d ops", sched.Name, executed, total)
-		}
-		op := &sched.Ops[bestDev][bestIdx]
-		st := &states[first[bestDev]+bestIdx]
-		st.start = bestStart
-		st.end = bestStart + duration(op)
-		st.done = true
-		clock[bestDev] = st.end
-		if sched.InOrder {
-			nextIdx[bestDev]++
-		}
-		for _, m := range op.Micros {
-			if op.Kind == schedule.Forward {
-				fwdEnd[cell(op.Pipeline, op.Stage, m)] = st.end
-			} else {
-				bwdEnd[cell(op.Pipeline, op.Stage, m)] = st.end
-			}
-		}
-		executed++
-		if in.CaptureTimeline {
-			timeline = append(timeline, Event{Device: bestDev, Op: *op, Start: st.start, End: st.end})
 		}
 	}
 
@@ -283,7 +262,6 @@ func Run(in Input) (Result, error) {
 		Busy:      make([]float64, devices),
 		Bubble:    make([]float64, devices),
 		MicroStep: make([]float64, sched.Stages),
-		Timeline:  timeline,
 	}
 	for s := range res.MicroStep {
 		res.MicroStep[s] = in.Stages[s].Fwd + in.Stages[s].Bwd
@@ -301,17 +279,28 @@ func Run(in Input) (Result, error) {
 	}
 	res.PeakMem, res.MemTimeline = peakMemory(sched, in.Stages, states, first, in.CaptureMemory)
 	if in.CaptureTimeline {
-		slices.SortFunc(res.Timeline, func(a, b Event) int {
-			switch {
-			case a.Start < b.Start, a.Start == b.Start && a.Device < b.Device:
-				return -1
-			case b.Start < a.Start, b.Start == a.Start && b.Device < a.Device:
-				return 1
-			}
-			return 0
-		})
+		res.Timeline = timeline(sched, states, first)
 	}
 	return res, nil
+}
+
+// timeline lists the executed ops by start, then device, and ops of one
+// device that start together in the device's order, however they were
+// committed.
+func timeline(sched *schedule.Schedule, states []opState, first []int) []Event {
+	events := make([]Event, 0, len(states))
+	for d, ops := range sched.Ops {
+		for i, st := range states[first[d]:first[d+1]] {
+			events = append(events, Event{Device: d, Op: ops[i], Start: st.start, End: st.end})
+		}
+	}
+	slices.SortStableFunc(events, func(a, b Event) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Device, b.Device)
+	})
+	return events
 }
 
 // memPoint is one change of a device's live activations.
@@ -379,7 +368,11 @@ func peakMemory(sched *schedule.Schedule, stages []StageCost, states []opState, 
 	}
 	for d := 0; d < devices; d++ {
 		pts := points[first[d]:first[d+1]]
-		slices.SortFunc(pts, byTime)
+		// Ends rise along a device's ops, so pts is mostly in order
+		// already; points equal under byTime are equal values.
+		if !slices.IsSortedFunc(pts, byTime) {
+			slices.SortFunc(pts, byTime)
+		}
 		var live, peak int64
 		if capture {
 			curves[d] = make([]MemPoint, 0, len(pts)+1)

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -73,6 +75,20 @@ func TestMemoryHighWaterMarks(t *testing.T) {
 	}
 }
 
+// TestPeakMemoryReleasesFirstAtTies: where a device's forwards and
+// backwards end at one instant, as on a zero-cost last stage under GPipe,
+// the releases land before the acquisitions, though the device ran the
+// forwards first.
+func TestPeakMemoryReleasesFirstAtTies(t *testing.T) {
+	const n = 4
+	g, _ := schedule.GPipe(2, n)
+	costs := []StageCost{{Fwd: 1, Bwd: 1, SavedPerMicro: 10}, {SavedPerMicro: 10}}
+	r := run(t, g, costs)
+	if want := []int64{10 * n, 10 * (n - 1)}; !slices.Equal(r.PeakMem, want) {
+		t.Errorf("peaks %v, want %v", r.PeakMem, want)
+	}
+}
+
 func TestBusyPlusBubbleEqualsMakespan(t *testing.T) {
 	const p, n = 4, 8
 	s, _ := schedule.OneFOneB(p, n)
@@ -124,6 +140,51 @@ func TestTimelineIsConsistent(t *testing.T) {
 		if ev.End > lastEnd[ev.Device] {
 			lastEnd[ev.Device] = ev.End
 		}
+	}
+}
+
+// TestTimelineOrdersZeroCostTies pins the timeline's order where ops of a
+// zero-cost stage start together on one device: by start, then device, and
+// one device's ops that start together in its schedule order, whatever
+// order the simulator committed them in.
+func TestTimelineOrdersZeroCostTies(t *testing.T) {
+	costs := []StageCost{{}, {Fwd: 1, Bwd: 2}}
+	s, _ := schedule.OneFOneB(2, 2)
+	r, err := Run(Input{Sched: s, Stages: costs, CaptureTimeline: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, ev := range r.Timeline {
+		got = append(got, fmt.Sprintf("%g d%d %s", ev.Start, ev.Device, ev.Op))
+	}
+	want := []string{
+		"0 d0 F[0]@0", "0 d0 F[1]@0", "0 d1 F[0]@1", "1 d1 B[0]@1",
+		"3 d0 B[0]@0", "3 d1 F[1]@1", "4 d1 B[1]@1", "6 d0 B[1]@0",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("timeline\n%v\nwant\n%v", got, want)
+	}
+
+	// Long runs of ties: each device's events keep its schedule order.
+	const p, n = 2, 16
+	s, _ = schedule.OneFOneB(p, n)
+	r, err = Run(Input{Sched: s, Stages: costs, CaptureTimeline: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := make([]int, p)
+	for i, ev := range r.Timeline {
+		if i > 0 {
+			prev := r.Timeline[i-1]
+			if ev.Start < prev.Start || ev.Start == prev.Start && ev.Device < prev.Device {
+				t.Fatalf("event %d (%g on %d) sorts before event %d (%g on %d)", i, ev.Start, ev.Device, i-1, prev.Start, prev.Device)
+			}
+		}
+		if op := s.Ops[ev.Device][next[ev.Device]]; op.String() != ev.Op.String() {
+			t.Fatalf("event %d on device %d is %s, want its next op %s", i, ev.Device, ev.Op, op)
+		}
+		next[ev.Device]++
 	}
 }
 
@@ -226,15 +287,49 @@ func TestChimeraWorseThanOneFOneBWhenNLarge(t *testing.T) {
 	}
 }
 
-func TestInterleavedRunsGreedy(t *testing.T) {
-	s, err := schedule.Interleaved(2, 4, 2)
-	if err != nil {
-		t.Fatal(err)
+// TestInterleavedRunsInOrder: Megatron's fixed per-device order runs to
+// the end on every shape it is built for here, with and without
+// communication, and each device's busy time is all its ops' work.
+func TestInterleavedRunsInOrder(t *testing.T) {
+	for _, tc := range []struct{ p, n, v int }{
+		{2, 4, 2}, {2, 8, 2}, {3, 9, 2}, {4, 4, 3}, {4, 16, 2}, {4, 16, 4}, {8, 32, 2}, {8, 16, 4},
+	} {
+		s, err := schedule.Interleaved(tc.p, tc.n, tc.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		costs := uniform(tc.p*tc.v, 1, 2, 1, 1)
+		for _, comm := range []float64{0, 0.25} {
+			for i := range costs {
+				costs[i].CommFwd, costs[i].CommBwd = comm, comm
+			}
+			r, err := Run(Input{Sched: s, Stages: costs})
+			if err != nil {
+				t.Fatalf("Interleaved(%d,%d,%d) comm %g: %v", tc.p, tc.n, tc.v, comm, err)
+			}
+			for d, busy := range r.Busy {
+				if want := float64(tc.n*tc.v) * 3; busy != want {
+					t.Errorf("Interleaved(%d,%d,%d) device %d busy %g, want %g", tc.p, tc.n, tc.v, d, busy, want)
+				}
+			}
+		}
 	}
-	costs := uniform(4, 1, 2, 1, 1) // 4 logical stages
-	r := run(t, s, costs)
-	if r.IterTime <= 0 {
-		t.Error("interleaved schedule produced zero makespan")
+}
+
+// TestNonFiniteCostIsAnError: a NaN or infinite stage cost is named, not
+// simulated (a NaN end would read as an op not yet run).
+func TestNonFiniteCostIsAnError(t *testing.T) {
+	s, _ := schedule.OneFOneB(2, 4)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for field := 0; field < 4; field++ {
+			costs := uniform(2, 1, 2, 0, 0)
+			fields := []*float64{&costs[1].Fwd, &costs[1].Bwd, &costs[1].CommFwd, &costs[1].CommBwd}
+			*fields[field] = bad
+			_, err := Run(Input{Sched: s, Stages: costs})
+			if want := "sim: stage 1 has a non-finite cost"; err == nil || err.Error() != want {
+				t.Errorf("cost field %d = %g: error %v, want %q", field, bad, err, want)
+			}
+		}
 	}
 }
 
@@ -267,23 +362,37 @@ func TestRunRejectsOpsOutsideTheShape(t *testing.T) {
 }
 
 func TestDeadlockDetection(t *testing.T) {
-	// Hand-build an in-order schedule where device 0 waits for a backward
-	// that device 1 only produces after device 0 yields — impossible.
-	s := &schedule.Schedule{
-		Name: "deadlock", Stages: 2, Micros: 1, InOrder: true,
-		Ops: [][]schedule.Op{
-			{
-				{Kind: schedule.Backward, Micros: []int{0}, Stage: 0},
-				{Kind: schedule.Forward, Micros: []int{0}, Stage: 0},
-			},
-			{
-				{Kind: schedule.Forward, Micros: []int{0}, Stage: 1},
-				{Kind: schedule.Backward, Micros: []int{0}, Stage: 1},
-			},
-		},
+	f := func(m, stage int) schedule.Op {
+		return schedule.Op{Kind: schedule.Forward, Micros: []int{m}, Stage: stage}
 	}
-	if _, err := Run(Input{Sched: s, Stages: uniform(2, 1, 1, 0, 0)}); err == nil {
-		t.Error("deadlocked schedule not detected")
+	b := func(m, stage int) schedule.Op {
+		return schedule.Op{Kind: schedule.Backward, Micros: []int{m}, Stage: stage}
+	}
+	for _, tc := range []struct {
+		name string
+		ops  [][]schedule.Op
+		want string
+	}{
+		// Device 0 waits for a backward that device 1 only produces
+		// after device 0 yields: nothing ever runs.
+		{"at once", [][]schedule.Op{{b(0, 0), f(0, 0)}, {f(0, 1), b(0, 1)}},
+			`sim: schedule "at once" deadlocked after 0 of 4 ops`},
+		// Each device runs one forward, then device 0 waits for B0 at
+		// stage 1, which device 1 runs only after F1 at stage 1, which
+		// needs device 0's F1.
+		{"part-way", [][]schedule.Op{{f(0, 0), b(0, 0), f(1, 0), b(1, 0)}, {f(0, 1), f(1, 1), b(1, 1), b(0, 1)}},
+			`sim: schedule "part-way" deadlocked after 2 of 8 ops`},
+	} {
+		s := &schedule.Schedule{Name: tc.name, Stages: 2, Micros: len(tc.ops[0]) / 2, Ops: tc.ops}
+		in := Input{Sched: s, Stages: uniform(2, 1, 1, 0, 0)}
+		for _, run := range []struct {
+			name string
+			run  func(Input) (Result, error)
+		}{{"Run", Run}, {"runReference", runReference}} {
+			if _, err := run.run(in); err == nil || err.Error() != tc.want {
+				t.Errorf("%s on %s: error %v, want %q", run.name, tc.name, err, tc.want)
+			}
+		}
 	}
 }
 

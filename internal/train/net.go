@@ -239,18 +239,12 @@ func (s *Stage) Backward(ctx *StageCtx, dy *tensor.Mat) *tensor.Mat {
 func Split(n *Net, bounds []int, saves [][]SaveSpec) ([]*Stage, error) {
 	m := n.Cfg.Model()
 	seq := m.LayerSequence()
-	p := len(bounds) - 1
-	if p < 1 || bounds[0] != 0 || bounds[p] != len(seq) {
-		return nil, fmt.Errorf("train: bounds must span the %d-layer sequence, got %v", len(seq), bounds)
+	if err := checkBounds(len(seq), bounds); err != nil {
+		return nil, err
 	}
+	p := len(bounds) - 1
 	stages := make([]*Stage, p)
 	for s := 0; s < p; s++ {
-		if bounds[s+1] <= bounds[s] {
-			return nil, fmt.Errorf("train: stage %d is empty (bounds %v)", s, bounds)
-		}
-		if bounds[s+1] > len(seq) {
-			return nil, fmt.Errorf("train: stage %d ends past the %d-layer sequence (bounds %v)", s, len(seq), bounds)
-		}
 		st := &Stage{Index: s}
 		var specs []SaveSpec
 		if s < len(saves) {
@@ -277,6 +271,24 @@ func Split(n *Net, bounds []int, saves [][]SaveSpec) ([]*Stage, error) {
 	return stages, nil
 }
 
+// checkBounds returns an error unless bounds split a sequence of n layers
+// into non-empty stages, in order; it names the first stage that does not.
+func checkBounds(n int, bounds []int) error {
+	p := len(bounds) - 1
+	if p < 1 || bounds[0] != 0 || bounds[p] != n {
+		return fmt.Errorf("train: bounds must span the %d-layer sequence, got %v", n, bounds)
+	}
+	for s := 0; s < p; s++ {
+		if bounds[s+1] <= bounds[s] {
+			return fmt.Errorf("train: stage %d is empty (bounds %v)", s, bounds)
+		}
+		if bounds[s+1] > n {
+			return fmt.Errorf("train: stage %d ends past the %d-layer sequence (bounds %v)", s, n, bounds)
+		}
+	}
+	return nil
+}
+
 // hasOptional reports whether layers of the given kind have a unit that is
 // not always saved, i.e. take an entry in Split's saves.
 func hasOptional(m model.Config, kind model.LayerKind) bool {
@@ -288,9 +300,13 @@ func hasOptional(m model.Config, kind model.LayerKind) bool {
 // how many of stage s's layers of that kind keep the unit. Each optional
 // unit of every layer kind goes to the stage's trailing layers of its kind
 // (which copies are saved is immaterial to both time and memory — all copies
-// are isomorphic).
-func StageSaves(m model.Config, bounds []int, saved func(stage int, layer model.LayerKind, unit model.UnitKind) int) [][]SaveSpec {
+// are isomorphic). Bounds that do not split m's sequence into non-empty
+// stages, in order, are an error, as in Split.
+func StageSaves(m model.Config, bounds []int, saved func(stage int, layer model.LayerKind, unit model.UnitKind) int) ([][]SaveSpec, error) {
 	seq := m.LayerSequence()
+	if err := checkBounds(len(seq), bounds); err != nil {
+		return nil, err
+	}
 	saves := make([][]SaveSpec, len(bounds)-1)
 	for s := range saves {
 		var kinds []model.LayerKind // the stage's layers with an optional unit, in order
@@ -315,5 +331,5 @@ func StageSaves(m model.Config, bounds []int, saved func(stage int, layer model.
 			}
 		}
 	}
-	return saves
+	return saves, nil
 }

@@ -236,6 +236,27 @@ func TestSplitValidation(t *testing.T) {
 	}
 }
 
+// TestStageSavesRejectsBadBounds: StageSaves refuses, with Split's error,
+// bounds that do not split the model's sequence, such as a plan's for a
+// larger model, rather than slicing past the sequence.
+func TestStageSavesRejectsBadBounds(t *testing.T) {
+	m := smallCfg.Model()
+	none := func(int, model.LayerKind, model.UnitKind) int { return 0 }
+	_, err := StageSaves(m, []int{0, 3, 9}, none)
+	if want := "train: bounds must span the 6-layer sequence, got [0 3 9]"; err == nil || err.Error() != want {
+		t.Errorf("StageSaves(6-layer model, [0 3 9]) = %v, want %q", err, want)
+	}
+	for _, bounds := range [][]int{nil, {0}, {1, 6}, {0, 5}, {0, 3, 3, 6}, {0, 4, 2, 6}, {0, -1, 6}, {0, 8, 6}} {
+		if _, err := StageSaves(m, bounds, none); err == nil {
+			t.Errorf("StageSaves accepted bounds %v", bounds)
+		}
+	}
+	saves, err := StageSaves(m, []int{0, 3, 6}, none)
+	if err != nil || len(saves) != 2 {
+		t.Errorf("StageSaves([0 3 6]) = %v, %v, want two stages", saves, err)
+	}
+}
+
 func TestSplitAssignsComponents(t *testing.T) {
 	net := tinyNet(t, 2, 1)
 	stages, err := Split(net, []int{0, 3, 6}, nil)

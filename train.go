@@ -54,8 +54,14 @@ func TrainDataParallel(d int, rc TrainRunConfig) (TrainResult, error) {
 }
 
 // TrainSpecFromPlan converts a planner Plan into engine stage bounds and
-// per-block SaveSpecs, so a searched strategy can be executed for real.
-func TrainSpecFromPlan(p *Plan, m Model) (bounds []int, saves [][]SaveSpec) {
+// per-block SaveSpecs, so a searched strategy can be executed for real. A
+// plan that does not validate against m's layer sequence (one searched for
+// another model, say) is an error.
+func TrainSpecFromPlan(p *Plan, m Model) (bounds []int, saves [][]SaveSpec, err error) {
+	if err := p.Validate(len(m.LayerSequence())); err != nil {
+		return nil, nil, err
+	}
 	bounds = p.Bounds()
-	return bounds, train.StageSaves(m, bounds, p.SavedCount)
+	saves, err = train.StageSaves(m, bounds, p.SavedCount)
+	return bounds, saves, err
 }
