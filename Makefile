@@ -28,7 +28,7 @@ build:
 cross:
 	GOARCH=arm64 $(GO) vet ./internal/tensor ./internal/train ./internal/recompute ./internal/cpu ./internal/partition ./internal/core
 	GOARCH=386 $(GO) build ./...
-	GOARCH=386 $(GO) test ./internal/partition ./internal/core .
+	GOARCH=386 $(GO) test ./internal/model ./internal/profile ./internal/schedule ./internal/partition ./internal/core .
 	GOAMD64=v3 $(GO) test -run 'Kernel|Elementwise|Lanes|LossesUnchanged' ./internal/tensor ./internal/train
 
 $(BIN): FORCE

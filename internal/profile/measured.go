@@ -34,8 +34,8 @@ type MeasurementKey struct {
 // iterations on the actual cluster, record per-unit timestamps and sizes,
 // then search. Every unit of every layer kind present in the model must be
 // covered. boundaryBytes is the stage-boundary activation payload (per
-// micro-batch, per TP rank); commBandwidth/latency may be zero if the
-// caller models communication elsewhere.
+// micro-batch, per TP rank). A measured layer carries no TP-collective term:
+// it costs exactly the sum of its units' measurements.
 func FromMeasurements(cfg model.Config, strat parallel.Strategy, seqLen, microBatch int,
 	measurements map[MeasurementKey]Measurement, boundaryBytes int64) (*Profile, error) {
 	if err := cfg.Validate(); err != nil {
@@ -59,26 +59,18 @@ func FromMeasurements(cfg model.Config, strat parallel.Strategy, seqLen, microBa
 		Layers:     make(map[model.LayerKind]LayerCost, 4),
 		CommBytes:  boundaryBytes,
 	}
-	for _, kind := range []model.LayerKind{model.Embedding, model.Attention, model.FFN, model.Head} {
-		lc := LayerCost{Kind: kind, BoundaryBytes: boundaryBytes}
-		for _, u := range cfg.Units(kind) {
-			m, ok := measurements[MeasurementKey{Layer: kind, Unit: u.Kind}]
-			if !ok {
-				return nil, fmt.Errorf("profile: missing measurement for %v/%v", kind, u.Kind)
-			}
-			if !positiveFinite(m.FwdSeconds) || !positiveFinite(m.BwdSeconds) || m.SavedBytes <= 0 {
-				return nil, fmt.Errorf("profile: non-positive or non-finite measurement for %v/%v: %+v", kind, u.Kind, m)
-			}
-			uc := UnitCost{Unit: u, FwdTime: m.FwdSeconds, BwdTime: m.BwdSeconds, SavedBytes: m.SavedBytes}
-			lc.Units = append(lc.Units, uc)
-			lc.FwdTime += uc.FwdTime
-			lc.BwdTime += uc.BwdTime
-			lc.SavedBytesAll += uc.SavedBytes
-			if u.AlwaysSaved {
-				lc.SavedBytesMin += uc.SavedBytes
-			}
+	err := p.addLayers(func(u model.Unit) (UnitCost, error) {
+		m, ok := measurements[MeasurementKey{Layer: u.Layer, Unit: u.Kind}]
+		if !ok {
+			return UnitCost{}, fmt.Errorf("profile: missing measurement for %v/%v", u.Layer, u.Kind)
 		}
-		p.Layers[kind] = lc
+		if !positiveFinite(m.FwdSeconds) || !positiveFinite(m.BwdSeconds) || m.SavedBytes <= 0 {
+			return UnitCost{}, fmt.Errorf("profile: non-positive or non-finite measurement for %v/%v: %+v", u.Layer, u.Kind, m)
+		}
+		return UnitCost{Unit: u, FwdTime: m.FwdSeconds, BwdTime: m.BwdSeconds, SavedBytes: m.SavedBytes}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return p, nil
 }

@@ -20,6 +20,21 @@ func mustProfile(t *testing.T, cfg model.Config, strat parallel.Strategy, seq in
 	return p
 }
 
+// TestNewWithCommAllocs pins the objects one profile costs: the Profile, its
+// layer map and each layer kind's unit list and unit costs (20 before the
+// unit costs were presized).
+func TestNewWithCommAllocs(t *testing.T) {
+	cfg := model.Llama2_70B()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := NewWithComm(cfg, hardware.A100(), parallel.Strategy{TP: 8, PP: 8, DP: 1}, 4096, 1, 3e11); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 13 {
+		t.Errorf("NewWithComm allocates %.0f objects, want <= 13", allocs)
+	}
+}
+
 func TestAllCostsPositive(t *testing.T) {
 	for _, cfg := range []model.Config{model.GPT3_175B(), model.Llama2_70B(), model.Tiny(4)} {
 		p := mustProfile(t, cfg, parallel.Strategy{TP: 8, PP: 8, DP: 1}, 4096)

@@ -65,16 +65,20 @@ type PlanRequest struct {
 	MemoryReserve float64 `json:"memory_reserve,omitempty"`
 }
 
-// The two size caps of a plan request. Both are checked by Normalize, so
+// The three size caps of a plan request. All are checked by Normalize, so
 // plan, simulate, replan and every sweep point inherit them, and an oversized
 // request is rejected before it allocates. maxTinyLayers is GPT-3's decoder
 // count, the largest model the paper plans. maxScheduledMicroBatches bounds
 // PP × micro-batches per replica, the forward (and again the backward)
 // operations one simulated iteration schedules: at ≈ 108 B per scheduled
-// operation, 2^18 of each is ≈ 54 MiB.
+// operation, 2^18 of each is ≈ 54 MiB. maxMicroBatchTokens bounds
+// micro_batch × seq_len, the b·s every activation shape term carries: under
+// it the profile's byte terms fit int64 and its FLOP terms stay below 2^53,
+// exact in float64, for every model served.
 const (
 	maxTinyLayers            = 96
 	maxScheduledMicroBatches = 1 << 18
+	maxMicroBatchTokens      = 1 << 17
 )
 
 // Normalize applies schema defaults and validates every field, returning the
@@ -131,6 +135,9 @@ func (r PlanRequest) Normalize() (PlanRequest, error) {
 	}
 	if n > maxScheduledMicroBatches/r.PP {
 		return r, fmt.Errorf("request: pp %d x %d micro-batches per replica exceeds the cap of %d", r.PP, n, maxScheduledMicroBatches)
+	}
+	if r.SeqLen > maxMicroBatchTokens/r.MicroBatch {
+		return r, fmt.Errorf("request: micro_batch %d x seq_len %d exceeds the cap of %d tokens", r.MicroBatch, r.SeqLen, maxMicroBatchTokens)
 	}
 	if r.MemoryReserve < 0 || r.MemoryReserve >= 1 {
 		return r, fmt.Errorf("request: memory_reserve must be in [0, 1), got %g", r.MemoryReserve)

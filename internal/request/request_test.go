@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"reflect"
 	"strings"
 	"testing"
@@ -54,6 +55,11 @@ func TestNormalizeRejects(t *testing.T) {
 		{"tiny layers cap", func(r *PlanRequest) { r.TinyLayers = maxTinyLayers + 1 }, "tiny_layers"},
 		{"scheduled micro-batches cap", func(r *PlanRequest) { r.PP = 2; r.GlobalBatch = maxScheduledMicroBatches/2 + 1 }, "micro-batches"},
 		{"scheduled micro-batches cap, dp and micro batch", func(r *PlanRequest) { r.DP = 2; r.MicroBatch = 2; r.GlobalBatch = 1 << 20 }, "micro-batches"},
+		// Past the token cap the profile's byte terms would wrap int64.
+		{"micro-batch tokens cap", func(r *PlanRequest) { r.SeqLen = maxMicroBatchTokens + 1 }, "tokens"},
+		{"micro-batch tokens cap, micro batch", func(r *PlanRequest) { r.MicroBatch = 2; r.SeqLen = maxMicroBatchTokens/2 + 1 }, "tokens"},
+		// 2^62+2^61 where int is 64-bit: its bytes wrapped to a negative peak.
+		{"micro-batch tokens cap, wrapping seq_len", func(r *PlanRequest) { r.PP = 2; r.SeqLen = 3 << (bits.UintSize - 3) }, "tokens"},
 	}
 	for _, c := range cases {
 		r := tinyReq()
@@ -71,6 +77,8 @@ func TestNormalizeAdmitsCapEdges(t *testing.T) {
 		{Model: "tiny", TinyLayers: maxTinyLayers, TP: 1, PP: 4, DP: 1, SeqLen: 2048, GlobalBatch: 8},
 		{Model: "tiny", TP: 1, PP: 2, DP: 1, SeqLen: 2048, GlobalBatch: maxScheduledMicroBatches / 2},
 		{Model: "gpt3", TP: 2, PP: 32, DP: 1, SeqLen: 8192, GlobalBatch: 2048},
+		{Model: "tiny", TP: 1, PP: 2, DP: 1, SeqLen: maxMicroBatchTokens / 4, GlobalBatch: 8, MicroBatch: 4},
+		{Model: "gpt3", TP: 8, PP: 8, DP: 1, SeqLen: 32768, GlobalBatch: 32},
 	} {
 		if _, err := r.Normalize(); err != nil {
 			t.Errorf("%+v: %v", r, err)

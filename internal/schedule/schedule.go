@@ -8,11 +8,7 @@
 // The sim package executes them against per-stage costs.
 package schedule
 
-import (
-	"cmp"
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Kind distinguishes forward from backward passes.
 type Kind int
@@ -84,8 +80,8 @@ type microIDs []int
 // one returns the ids [m].
 func (ids microIDs) one(m int) []int { return ids[m : m+1 : m+1] }
 
-// pair returns the ids [m, m+1].
-func (ids microIDs) pair(m int) []int { return ids[m : m+2 : m+2] }
+// span returns the k ids [m, m+k).
+func (ids microIDs) span(m, k int) []int { return ids[m : m+k : m+k] }
 
 // carve gives each of the devices an empty op list with room for perDevice
 // ops, all cut from one slab (each capped like microIDs' slices), and
@@ -157,9 +153,9 @@ func GPipe(p, n int) (*Schedule, error) {
 // micro-batches alternate between a down pipeline (stage s on device s) and
 // an up pipeline (stage s on device p−1−s), in scheduling units of p
 // micro-batches. Per-device orders come from a slot-based priority
-// construction; concatenating units reproduces the inter-unit bubbles the
-// paper observes when n exceeds p (§7.2), because backward passes outlast
-// forward passes.
+// construction (see bidirectional); concatenating units reproduces the
+// inter-unit bubbles the paper observes when n exceeds p (§7.2), because
+// backward passes outlast forward passes.
 func Chimera(p, n int) (*Schedule, error) {
 	if err := checkPN(p, n); err != nil {
 		return nil, err
@@ -171,44 +167,8 @@ func Chimera(p, n int) (*Schedule, error) {
 		return nil, fmt.Errorf("schedule: Chimera needs micro-batches (%d) divisible by stages (%d)", n, p)
 	}
 	s := &Schedule{Name: "Chimera", Stages: p, Micros: n, Bidirectional: true}
-	ids := s.carve(p, 2*n)
-	ops := make([]keyedOp, 0, 2*n)
-	for d := 0; d < p; d++ {
-		ops = ops[:0]
-		for unit := 0; unit < n/p; unit++ {
-			base := unit * p
-			off := float64(unit) * 4 * float64(p)
-			for k := 0; k < p/2; k++ {
-				down := base + k
-				up := base + p/2 + k
-				ops = append(ops,
-					keyedOp{Op{Kind: Forward, Micros: ids.one(down), Stage: d, Pipeline: 0}, off + float64(d+k)},
-					keyedOp{Op{Kind: Forward, Micros: ids.one(up), Stage: p - 1 - d, Pipeline: 1}, off + float64(p-1-d+k) + 0.5},
-					keyedOp{Op{Kind: Backward, Micros: ids.one(down), Stage: d, Pipeline: 0}, off + float64(2*p) + float64(2*k) + float64(p-1-d)},
-					keyedOp{Op{Kind: Backward, Micros: ids.one(up), Stage: p - 1 - d, Pipeline: 1}, off + float64(2*p) + float64(2*k) + float64(d) + 0.5},
-				)
-			}
-		}
-		s.Ops[d] = sortKeyed(s.Ops[d], ops)
-	}
+	s.bidirectional(1)
 	return s, nil
-}
-
-// keyedOp pairs an op with its slot priority during construction. Keys are
-// topologically consistent (every dependency has a strictly smaller key), so
-// per-device in-order execution of key-sorted lists cannot deadlock.
-type keyedOp struct {
-	op  Op
-	key float64
-}
-
-// sortKeyed stable-sorts ops by key and appends them to dst.
-func sortKeyed(dst []Op, ops []keyedOp) []Op {
-	slices.SortStableFunc(ops, func(a, b keyedOp) int { return cmp.Compare(a.key, b.key) })
-	for _, k := range ops {
-		dst = append(dst, k.op)
-	}
-	return dst
 }
 
 // ChimeraD builds Chimera with forward doubling (§7.1): every forward pass
@@ -226,32 +186,53 @@ func ChimeraD(p, n int) (*Schedule, error) {
 		return nil, fmt.Errorf("schedule: ChimeraD needs micro-batches (%d) divisible by 2x stages (%d)", n, 2*p)
 	}
 	s := &Schedule{Name: "ChimeraD", Stages: p, Micros: n, Bidirectional: true}
-	// Micro pairs (2i, 2i+1) flow forward together; pair i goes down the
-	// down pipeline when (i mod p) < p/2, up otherwise.
-	pairs := n / 2
-	ids := s.carve(p, 3*pairs)
-	ops := make([]keyedOp, 0, 3*pairs)
+	s.bidirectional(2)
+	return s, nil
+}
+
+// bidirectional fills a Chimera schedule whose entries each carry w
+// micro-batches (w·e, …, w·e+w−1 for entry e): one forward of all w, then w
+// backwards of one each. A scheduling unit of p entries from base sends
+// entries base+k down and base+p/2+k up, k < p/2. On device d, in slot
+// priority, the unit's down forwards sit at d+k and its up forwards at
+// p−1−d+k+½; its down backwards at 2p+p−1−d+2k and its up backwards at
+// 2p+d+2k+½; the next unit starts 4p later. Each unit thus runs all its
+// forwards before its backwards and ends before the next begins, so a
+// device's order is, unit by unit, two merges of two arithmetic sequences:
+// a down entry precedes an up entry exactly when its integer key is no
+// larger than the up entry's integer part. Every dependency has a smaller
+// priority, so in-order execution cannot deadlock.
+func (s *Schedule) bidirectional(w int) {
+	p, half := s.Stages, s.Stages/2
+	ids := s.carve(p, s.Micros+s.Micros/w)
 	for d := 0; d < p; d++ {
-		ops = ops[:0]
-		for unit := 0; unit < pairs/p; unit++ {
-			base := unit * p
-			off := float64(unit) * 4 * float64(p)
-			for k := 0; k < p/2; k++ {
-				down := base + k
-				up := base + p/2 + k
-				ops = append(ops,
-					keyedOp{Op{Kind: Forward, Micros: ids.pair(2 * down), Stage: d, Pipeline: 0}, off + float64(d+k)},
-					keyedOp{Op{Kind: Forward, Micros: ids.pair(2 * up), Stage: p - 1 - d, Pipeline: 1}, off + float64(p-1-d+k) + 0.5},
-					keyedOp{Op{Kind: Backward, Micros: ids.one(2 * down), Stage: d, Pipeline: 0}, off + float64(2*p) + float64(2*k) + float64(p-1-d)},
-					keyedOp{Op{Kind: Backward, Micros: ids.one(2*down + 1), Stage: d, Pipeline: 0}, off + float64(2*p) + float64(2*k) + float64(p-1-d) + 0.25},
-					keyedOp{Op{Kind: Backward, Micros: ids.one(2 * up), Stage: p - 1 - d, Pipeline: 1}, off + float64(2*p) + float64(2*k) + float64(d) + 0.5},
-					keyedOp{Op{Kind: Backward, Micros: ids.one(2*up + 1), Stage: p - 1 - d, Pipeline: 1}, off + float64(2*p) + float64(2*k) + float64(d) + 0.75},
-				)
+		ops := s.Ops[d]
+		phases := [2]struct {
+			kind           Kind
+			step, down, up int
+		}{{Forward, 1, d, p - 1 - d}, {Backward, 2, p - 1 - d, d}}
+		for base := 0; base < s.Micros/w; base += p {
+			for _, ph := range phases {
+				for i, j := 0, 0; i < half || j < half; {
+					e, st, pipe := base+i, d, 0
+					if i == half || j < half && ph.up+ph.step*j < ph.down+ph.step*i {
+						e, st, pipe = base+half+j, p-1-d, 1
+						j++
+					} else {
+						i++
+					}
+					if ph.kind == Forward {
+						ops = append(ops, Op{Kind: Forward, Micros: ids.span(w*e, w), Stage: st, Pipeline: pipe})
+						continue
+					}
+					for m := w * e; m < w*e+w; m++ {
+						ops = append(ops, Op{Kind: Backward, Micros: ids.one(m), Stage: st, Pipeline: pipe})
+					}
+				}
 			}
 		}
-		s.Ops[d] = sortKeyed(s.Ops[d], ops)
+		s.Ops[d] = ops
 	}
-	return s, nil
 }
 
 // Interleaved builds Megatron-LM's interleaved 1F1B schedule with v virtual

@@ -1,7 +1,9 @@
 package schedule
 
 import (
+	"cmp"
 	"fmt"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -196,6 +198,72 @@ func TestChimeraDDoublesForwards(t *testing.T) {
 		}
 		if fwd != n/2 || bwd != n {
 			t.Errorf("device %d: %d doubled forwards and %d backwards, want %d and %d", d, fwd, bwd, n/2, n)
+		}
+	}
+}
+
+// keyedOp pairs an op with its slot priority: the construction Chimera and
+// ChimeraD used before they merged, kept as their oracle.
+type keyedOp struct {
+	op  Op
+	key float64
+}
+
+// chimeraKeyed builds Chimera's per-device orders (ChimeraD's at w = 2) by
+// stable-sorting every op of a device on its slot priority. Entry e's
+// forward carries micro-batches w·e … w·e+w−1, and its i-th backward the
+// micro-batch w·e+i at a quarter slot after the (i−1)-th.
+func chimeraKeyed(p, n, w int) [][]Op {
+	micros := func(m, k int) []int {
+		ids := make([]int, k)
+		for i := range ids {
+			ids[i] = m + i
+		}
+		return ids
+	}
+	out := make([][]Op, p)
+	for d := 0; d < p; d++ {
+		var ops []keyedOp
+		for unit := 0; unit < n/(w*p); unit++ {
+			base := unit * p
+			off := float64(unit) * 4 * float64(p)
+			for k := 0; k < p/2; k++ {
+				down, up := base+k, base+p/2+k
+				ops = append(ops,
+					keyedOp{Op{Kind: Forward, Micros: micros(w*down, w), Stage: d, Pipeline: 0}, off + float64(d+k)},
+					keyedOp{Op{Kind: Forward, Micros: micros(w*up, w), Stage: p - 1 - d, Pipeline: 1}, off + float64(p-1-d+k) + 0.5})
+				for i := 0; i < w; i++ {
+					q := 0.25 * float64(i)
+					ops = append(ops,
+						keyedOp{Op{Kind: Backward, Micros: micros(w*down+i, 1), Stage: d, Pipeline: 0}, off + float64(2*p) + float64(2*k) + float64(p-1-d) + q},
+						keyedOp{Op{Kind: Backward, Micros: micros(w*up+i, 1), Stage: p - 1 - d, Pipeline: 1}, off + float64(2*p) + float64(2*k) + float64(d) + 0.5 + q})
+				}
+			}
+		}
+		slices.SortStableFunc(ops, func(a, b keyedOp) int { return cmp.Compare(a.key, b.key) })
+		for _, k := range ops {
+			out[d] = append(out[d], k.op)
+		}
+	}
+	return out
+}
+
+// TestChimeraMatchesKeyedOrder: the merged per-device orders equal the
+// key-sorted construction, op for op, for every even p up to 32 over one to
+// four scheduling units, with and without forward doubling.
+func TestChimeraMatchesKeyedOrder(t *testing.T) {
+	for p := 2; p <= 32; p += 2 {
+		for units := 1; units <= 4; units++ {
+			for w, build := range map[int]func(p, n int) (*Schedule, error){1: Chimera, 2: ChimeraD} {
+				n := w * units * p
+				s, err := build(p, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := chimeraKeyed(p, n, w); !reflect.DeepEqual(s.Ops, want) {
+					t.Fatalf("%s(%d, %d): merged order differs from the keyed order", s.Name, p, n)
+				}
+			}
 		}
 	}
 }

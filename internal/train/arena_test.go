@@ -292,10 +292,10 @@ func TestStepAllocsBounded(t *testing.T) {
 	}
 }
 
-// pinnedBytes sums the bytes of the distinct matrices ctx holds — every
-// *tensor.Mat reachable from its fields, its block contexts' included — each
-// matrix once, however many fields point at it.
-func pinnedBytes(ctx *StageCtx) int64 {
+// pinnedBytes sums the bytes of the distinct matrices ctx (a *StageCtx or a
+// BlockCtx) holds — every *tensor.Mat reachable from its fields, its block
+// contexts' included — each matrix once, however many fields point at it.
+func pinnedBytes(ctx any) int64 {
 	mat := reflect.TypeFor[*tensor.Mat]()
 	seen := map[uintptr]bool{}
 	var n int64
@@ -325,7 +325,7 @@ func pinnedBytes(ctx *StageCtx) int64 {
 			}
 		}
 	}
-	walk(reflect.ValueOf(ctx).Elem())
+	walk(reflect.ValueOf(ctx))
 	return n
 }
 
@@ -348,13 +348,7 @@ func TestStageSavedBytesCountsEachMatrixOnce(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				saves := make([][]SaveSpec, len(bounds)-1)
-				for s := range saves {
-					for range bounds[s+1] - bounds[s] {
-						saves[s] = append(saves[s], spec)
-					}
-				}
-				stages, err := Split(net, bounds, saves)
+				stages, err := Split(net, bounds, uniformSaves(bounds, spec))
 				if err != nil {
 					t.Fatal(err)
 				}
